@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import diamond
@@ -19,8 +20,6 @@ from .operators import apply_operator
 from .qseries import write_dump
 from .store import default_cache
 from .sturm import ClaimReport, sturm_bound
-
-_FULL = diamond.SuiteConfig.full()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,14 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sturm.add_argument("--N", type=int, required=True)
 
     p_verify = sub.add_parser("verify", help="verify one claim")
-    p_verify.add_argument(
-        "claim",
-        help="claim ID: eq-1.2, thm-1.1, sec-2-chain, eq-1.4, thm-1.2[:p=P], "
-        "thm-3.1, remark[:p=P]",
-    )
+    ids = [b + ("[:p=P]" if c.for_prime else "") for b, c in diamond.CLAIMS.items()]
+    prime_claims = [b for b, c in diamond.CLAIMS.items() if c.for_prime]
+    p_verify.add_argument("claim", help=f"claim ID: {', '.join(ids)}")
     p_verify.add_argument("--T", type=int, help="depth override")
     p_verify.add_argument("--n-max", type=int, help="progression depth override")
-    p_verify.add_argument("--p", type=int, help="prime for thm-1.2 / remark")
+    p_verify.add_argument("--p", type=int, help=f"prime for {' / '.join(prime_claims)}")
     p_verify.add_argument("--no-cache", action="store_true")
 
     p_suite = sub.add_parser("suite", help="run every claim")
@@ -138,34 +135,21 @@ def _parse_claim(claim: str, p_flag: int | None) -> tuple[str, int | None]:
 
 def _cmd_verify(args) -> int:
     base, p = _parse_claim(args.claim, args.p)
-    cache = None if args.no_cache else default_cache()
-    T = args.T
-    if base == "eq-1.2":
-        reports = [diamond.verify_eq_1_2(T or _FULL.eq_1_2_T, cache=cache)]
-    elif base == "thm-1.1":
-        reports = [
-            diamond.verify_theorem_1_1(args.n_max or _FULL.thm_1_1_n_max, cache=cache)
-        ]
-    elif base == "sec-2-chain":
-        reports = diamond.verify_section_2_chain(T or _FULL.chain_T_final, cache=cache)
-    elif base == "eq-1.4":
-        reports = [diamond.verify_eq_1_4(T or _FULL.eq_1_4_T, cache=cache)]
-    elif base == "thm-1.2":
-        if p is None:
-            raise ValueError("thm-1.2 needs a prime: use --p or thm-1.2:p=<p>")
-        _, rep = diamond.verify_theorem_1_2(p, T or _FULL.thm_1_2_T, cache=cache)
-        reports = [rep]
-    elif base == "thm-3.1":
-        reports = diamond.verify_theorem_3_1(
-            T or _FULL.thm_3_1_T, _FULL.thm_3_1_prime_max
-        )
-    elif base == "remark":
-        if p is None:
-            raise ValueError("remark needs a prime: use --p or remark:p=<p>")
-        default_T = dict(_FULL.remark_cases).get(p, 50)
-        reports = [diamond.verify_remark(p, T or default_T, cache=cache)]
-    else:
+    claim = diamond.CLAIMS.get(base)
+    if claim is None:
         raise ValueError(f"unknown claim {args.claim!r}")
+    if claim.for_prime and p is None:
+        raise ValueError(f"{base} needs a prime: use --p or {base}:p=<p>")
+    if not claim.for_prime and p is not None:
+        raise ValueError(f"{base} takes no prime, got p={p}")
+    config = diamond.SuiteConfig.full()
+    changes = {claim.depth: args.T, claim.n_max: args.n_max}
+    if p is not None:
+        changes.update(claim.for_prime(config, p, args.T))
+    # a zero depth, like an absent one, keeps the default
+    config = replace(config, **{f: v for f, v in changes.items() if f and v})
+    cache = None if args.no_cache else default_cache()
+    reports = claim.run(config, cache)
     _print_reports(reports)
     return 0 if all(r.passed for r in reports) else 1
 

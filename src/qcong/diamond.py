@@ -4,22 +4,27 @@ verification of every congruence and eigenform claim.
 Each verify_* function expands the relevant series (optionally through the
 disk cache), scans the claim through an explicit bound, and returns one or
 more ClaimReports.  Series arguments can be injected to support mutation
-self-tests; injected series are validated for ring and length only.
+self-tests; injected series are validated for offset, length, ring, and
+(mod m) for coefficients reduced into [0, m).
 
-Claim IDs: eq-1.2, thm-1.1, sec-2-chain:{a,b,c,d}, eq-1.4, thm-1.2:p=<p>,
-thm-3.1:*, remark:p=<p>.
+CLAIMS, the claim table, has one row per claim ID; run_suite runs every
+row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
+(reports :a to :d), eq-1.4, thm-1.2:p=<p>, thm-3.1 (reports thm-3.1:*),
+remark:p=<p>.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .eta import EtaQuotient, eta_quotient_series, euler_product
-from .forms import eisenstein_int, form_f1, form_f2, form_f, form_g
-from .operators import twist, u_operator
-from .qseries import QSeries
+from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series, euler_product
+from .forms import eisenstein_int, form_f1, form_f2, form_g
+from .operators import operator_level, twist, u_operator
+from .qseries import QSeries, SpaceTag
 from .ring import QUAD, ZZ, ModRing, QuadInt, is_prime, primes_up_to
-from .sturm import ClaimReport, sturm_bound, verify_eigenform, verify_vanishing
+from .store import CacheKey
+from .sturm import ClaimReport, _scan_report, sturm_bound, verify_eigenform
 
 __all__ = [
     "delta_series",
@@ -35,21 +40,19 @@ __all__ = [
     "eigenvalue_table",
     "verify_remark",
     "SuiteConfig",
+    "CLAIMS",
     "run_suite",
-    "CLAIM_IDS",
 ]
 
-CLAIM_IDS = (
-    "eq-1.2",
-    "thm-1.1",
-    "sec-2-chain",
-    "eq-1.4",
-    "thm-1.2:p=<p>",
-    "thm-3.1",
-    "remark:p=<p>",
-)
-
 _SECTION2_QUOTIENT = EtaQuotient(((3, 4), (6, 6)))
+# spaces of the Section 2 chain: the eta product (step a), its U_7 image
+# (steps b and d), and that image minus its twist (step c)
+_CHAIN_A = eta_quotient_metadata(_SECTION2_QUOTIENT).tag
+_CHAIN_B = operator_level("U_7", _CHAIN_A)
+_CHAIN_C = operator_level("twist_7", _CHAIN_B)
+
+# the space of f = f1 + 8 sqrt(-3) f2, its conjugate, g, f1 and f2
+_F_SPACE = SpaceTag(weight=9, level=16, character=-4)
 
 
 def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
@@ -82,28 +85,42 @@ def c_series(T: int, modulus: int | None = None) -> QSeries:
     return e4_2.mul(p8).mul(p22)
 
 
-def _cached(cache, form: str, T: int, modulus: int | None, build):
-    if cache is None:
-        return build(T)
-    from .store import CacheKey
-
-    ring_tag = "int" if modulus is None else "mod"
-    hit = cache.get(CacheKey(form, ring_tag, modulus, T))
-    if hit is not None:
-        return hit
-    s = build(T)
-    cache.put(CacheKey(form, ring_tag, modulus, s.T), s)
-    return s
-
-
-def _check_injected(s: QSeries, T: int, modulus: int | None, what: str) -> None:
-    if s.offset24 != 0:
+def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -> QSeries:
+    """A claim's input series `what` over Z or Z/modulus, to at least T terms:
+    the injected series `given` once validated, else the cached entry for
+    `form`, else build(T), which is then cached."""
+    if given is None:
+        if cache is None:
+            return build(T)
+        ring_tag = "int" if modulus is None else "mod"
+        hit = cache.get(CacheKey(form, ring_tag, modulus, T))
+        if hit is not None:
+            return hit
+        s = build(T)
+        cache.put(CacheKey(form, ring_tag, modulus, s.T), s)
+        return s
+    if given.offset24 != 0:
         raise ValueError(f"injected {what} must have offset 0")
-    if s.T < T:
-        raise ValueError(f"injected {what} has {s.T} coefficients, need {T}")
+    if given.T < T:
+        raise ValueError(f"injected {what} has {given.T} coefficients, need {T}")
     want = ZZ if modulus is None else ModRing(modulus)
-    if s.ring != want:
-        raise ValueError(f"injected {what} has ring {s.ring!r}, need {want!r}")
+    if given.ring != want:
+        raise ValueError(f"injected {what} has ring {given.ring!r}, need {want!r}")
+    if modulus is not None:
+        c = given.coeffs
+        bad = next((n for n in range(given.T) if not 0 <= c[n] < modulus), None)
+        if bad is not None:
+            raise ValueError(
+                f"injected {what} coefficient {bad} is {c[bad]}, outside [0, {modulus})"
+            )
+    return given
+
+
+def _delta(given: QSeries | None, cache, k: int, T: int, modulus: int) -> QSeries:
+    return _series(
+        given, cache, f"delta_k:{k}", T, modulus,
+        lambda n: delta_series(k, n, modulus), f"delta_{k} series",
+    )
 
 
 def eq_1_2_lhs(T: int) -> QSeries:
@@ -123,30 +140,11 @@ def verify_eq_1_2(
     if T < 10:
         raise ValueError(f"need T >= 10, got {T}")
     L = 7 * (T - 1) + 6
-    if delta3 is None:
-        delta3 = _cached(cache, "delta_k:3", L, 7, lambda n: delta_series(3, n, 7))
-    else:
-        _check_injected(delta3, L, 7, "delta_3 series")
-    if lhs is None:
-        lhs = eq_1_2_lhs(T)
-    else:
-        _check_injected(lhs, T, 7, "left-hand side")
+    delta3 = _delta(delta3, cache, 3, L, 7)
+    lhs = _series(lhs, None, None, T, 7, eq_1_2_lhs, "left-hand side")
     rhs = delta3.extract_progression(7, 5).truncate(T).scale(6)
-    first_failure = None
-    for n in range(T):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            first_failure = n
-            break
-    return ClaimReport(
-        claim="eq-1.2",
-        weight=None,
-        level=None,
-        modulus=7,
-        bound=T - 1,
-        checked=T - 1,
-        passed=first_failure is None,
-        first_failure=first_failure,
-    )
+    failures = (n for n in range(T) if lhs.coeffs[n] != rhs.coeffs[n])
+    return _scan_report("eq-1.2", failures, T - 1, modulus=7)
 
 
 def verify_theorem_1_1(
@@ -157,28 +155,11 @@ def verify_theorem_1_1(
         raise ValueError(f"need n_max >= 1, got {n_max}")
     residues = (82, 229, 278, 327)
     L = 343 * (n_max - 1) + max(residues) + 1
-    if delta3 is None:
-        delta3 = _cached(cache, "delta_k:3", L, 7, lambda n: delta_series(3, n, 7))
-    else:
-        _check_injected(delta3, L, 7, "delta_3 series")
-    first_failure = None
-    for n in range(n_max):
-        for r in residues:
-            if delta3.coeffs[343 * n + r] != 0:
-                first_failure = 343 * n + r
-                break
-        if first_failure is not None:
-            break
-    return ClaimReport(
-        claim="thm-1.1",
-        weight=None,
-        level=None,
-        modulus=7,
-        bound=L - 1,
-        checked=L - 1,
-        passed=first_failure is None,
-        first_failure=first_failure,
+    d = _delta(delta3, cache, 3, L, 7).coeffs
+    failures = (
+        343 * n + r for n in range(n_max) for r in residues if d[343 * n + r] != 0
     )
+    return _scan_report("thm-1.1", failures, L - 1, modulus=7)
 
 
 def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport]:
@@ -194,94 +175,41 @@ def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport
     if T_final < 3:
         raise ValueError(f"need T_final >= 3, got {T_final}")
     T_prod = 7 * T_final + 1
-    prod = _cached(
-        cache,
-        f"eta:{_SECTION2_QUOTIENT}",
-        T_prod - 2,
-        7,
-        lambda n: eta_quotient_series(_SECTION2_QUOTIENT, n, 7),
-    )
-    prod0 = prod.to_offset_zero()
+    prod0 = _series(
+        None, cache, f"eta:{_SECTION2_QUOTIENT}", T_prod - 2, 7,
+        lambda n: eta_quotient_series(_SECTION2_QUOTIENT, n, 7), "eta product",
+    ).to_offset_zero()
     f = u_operator(prod0, 7)
     n_a = (T_prod - 3) // 3
     n_b = (f.T - 3) // 3
     L_delta = max(7 * n_a + 5, 49 * n_b + 33) + 1
-    delta3 = _cached(cache, "delta_k:3", L_delta, 7, lambda n: delta_series(3, n, 7))
-    reports = []
+    d = _delta(None, cache, 3, L_delta, 7).coeffs
 
-    def progression_match(series: QSeries, step: int, shift: int) -> int | None:
-        # series == 6 * sum delta_3(step*n + shift) q^{3n+2} mod 7?
+    def progression_mismatches(series: QSeries, step: int, shift: int):
+        # where series != 6 * sum delta_3(step*n + shift) q^{3n+2} mod 7
         for e in range(series.T):
             if e % 3 == 2:
-                want = 6 * delta3.coeffs[step * ((e - 2) // 3) + shift] % 7
+                want = 6 * d[step * ((e - 2) // 3) + shift] % 7
             else:
                 want = 0
             if series.coeffs[e] != want:
-                return e
-        return None
+                yield e
 
-    fail_a = progression_match(prod0, 7, 5)
-    reports.append(
-        ClaimReport(
-            claim="sec-2-chain:a",
-            weight=5,
-            level=72,
-            modulus=7,
-            bound=prod0.T - 1,
-            checked=prod0.T - 1,
-            passed=fail_a is None,
-            first_failure=fail_a,
+    def report(step: str, failures, bound: int, space: SpaceTag) -> ClaimReport:
+        return _scan_report(
+            f"sec-2-chain:{step}", failures, bound, space.weight, space.level, 7
         )
-    )
-    fail_b = progression_match(f, 49, 33)
-    reports.append(
-        ClaimReport(
-            claim="sec-2-chain:b",
-            weight=5,
-            level=504,
-            modulus=7,
-            bound=f.T - 1,
-            checked=f.T - 1,
-            passed=fail_b is None,
-            first_failure=fail_b,
-        )
-    )
+
     diff = f.sub(twist(f, 7))
-    bound_c = sturm_bound(5, 24696)
-    if diff.T > bound_c:
-        reports.append(verify_vanishing(diff, 5, 24696, claim="sec-2-chain:c"))
-    else:
-        fail_c = next((n for n, c in enumerate(diff.coeffs) if c != 0), None)
-        reports.append(
-            ClaimReport(
-                claim="sec-2-chain:c",
-                weight=5,
-                level=24696,
-                modulus=7,
-                bound=diff.T - 1,
-                checked=diff.T - 1,
-                passed=fail_c is None,
-                first_failure=fail_c,
-            )
-        )
-    fail_d = None
-    for e in range(f.T):
-        if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0:
-            fail_d = e
-            break
-    reports.append(
-        ClaimReport(
-            claim="sec-2-chain:d",
-            weight=5,
-            level=504,
-            modulus=7,
-            bound=f.T - 1,
-            checked=f.T - 1,
-            passed=fail_d is None,
-            first_failure=fail_d,
-        )
-    )
-    return reports
+    bound_c = min(sturm_bound(_CHAIN_C.weight, _CHAIN_C.level), diff.T - 1)
+    fail_c = (n for n in range(bound_c + 1) if diff.coeffs[n] != 0)
+    fail_d = (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0)
+    return [
+        report("a", progression_mismatches(prod0, 7, 5), prod0.T - 1, _CHAIN_A),
+        report("b", progression_mismatches(f, 49, 33), f.T - 1, _CHAIN_B),
+        report("c", fail_c, bound_c, _CHAIN_C),
+        report("d", fail_d, f.T - 1, _CHAIN_B),
+    ]
 
 
 def verify_eq_1_4(
@@ -294,30 +222,11 @@ def verify_eq_1_4(
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     L = 11 * (T - 1) + 7
-    if delta5 is None:
-        delta5 = _cached(cache, "delta_k:5", L, 11, lambda n: delta_series(5, n, 11))
-    else:
-        _check_injected(delta5, L, 11, "delta_5 series")
-    if c_mod is None:
-        c_mod = _cached(cache, "c", T, 11, lambda n: c_series(n, 11))
-    else:
-        _check_injected(c_mod, T, 11, "c series")
+    delta5 = _delta(delta5, cache, 5, L, 11)
+    c_mod = _series(c_mod, cache, "c", T, 11, lambda n: c_series(n, 11), "c series")
     rhs = delta5.extract_progression(11, 6).truncate(T).scale(8)
-    first_failure = None
-    for n in range(T):
-        if c_mod.coeffs[n] != rhs.coeffs[n]:
-            first_failure = n
-            break
-    return ClaimReport(
-        claim="eq-1.4",
-        weight=None,
-        level=None,
-        modulus=11,
-        bound=T - 1,
-        checked=T - 1,
-        passed=first_failure is None,
-        first_failure=first_failure,
-    )
+    failures = (n for n in range(T) if c_mod.coeffs[n] != rhs.coeffs[n])
+    return _scan_report("eq-1.4", failures, T - 1, modulus=11)
 
 
 def verify_theorem_1_2(
@@ -336,37 +245,26 @@ def verify_theorem_1_2(
         raise ValueError(f"need T >= 1, got {T}")
     half = (p - 1) // 2
     L = p * (T - 1) + half + 1
-    if c_exact is None:
-        c_exact = _cached(cache, "c", L, None, lambda n: c_series(n))
-    else:
-        _check_injected(c_exact, L, None, "c series")
-    c = c_exact.coeffs
+    c = _series(c_exact, cache, "c", L, None, c_series, "c series").coeffs
     y = c[half]
-    first_failure = None
-    # independent derivation of the same number through the eigenform route
-    if form_f1(p + 1).coeffs[p] != y:
-        first_failure = p
-    else:
-        p8 = p**8
+    p8 = p**8
+
+    def mismatches():
         for n in range(T):
             lhs = c[p * n + half]
             m = n - half
             if m >= 0 and m % p == 0:
                 lhs += p8 * c[m // p]
             if lhs != y * c[n]:
-                first_failure = n
-                break
-    report = ClaimReport(
-        claim=f"thm-1.2:p={p}",
-        weight=None,
-        level=None,
-        modulus=None,
-        bound=T - 1,
-        checked=T - 1,
-        passed=first_failure is None,
-        first_failure=first_failure,
-    )
-    return y, report
+                yield n
+
+    # independent derivation of the same number through the eigenform route
+    failures = [p] if form_f1(p + 1).coeffs[p] != y else mismatches()
+    return y, _scan_report(f"thm-1.2:p={p}", failures, T - 1)
+
+
+def _f_report(claim: str, failures, bound: int) -> ClaimReport:
+    return _scan_report(claim, failures, bound, _F_SPACE.weight, _F_SPACE.level)
 
 
 def verify_g_combination(
@@ -376,33 +274,31 @@ def verify_g_combination(
     f2: QSeries | None = None,
 ) -> ClaimReport:
     """g == f1 - 8 f2 coefficientwise for the first T coefficients."""
-    if g is None:
-        g = form_g(T)
-    else:
-        _check_injected(g, T, None, "g series")
-    if f1 is None:
-        f1 = form_f1(T)
-    else:
-        _check_injected(f1, T, None, "f1 series")
-    if f2 is None:
-        f2 = form_f2(T)
-    else:
-        _check_injected(f2, T, None, "f2 series")
-    first_failure = None
-    for n in range(T):
-        if g.coeffs[n] != f1.coeffs[n] - 8 * f2.coeffs[n]:
-            first_failure = n
-            break
-    return ClaimReport(
-        claim="thm-3.1:combination",
-        weight=9,
-        level=16,
-        modulus=None,
-        bound=T - 1,
-        checked=T - 1,
-        passed=first_failure is None,
-        first_failure=first_failure,
+    g = _series(g, None, None, T, None, form_g, "g series")
+    f1 = _series(f1, None, None, T, None, form_f1, "f1 series")
+    f2 = _series(f2, None, None, T, None, form_f2, "f2 series")
+    failures = (
+        n for n in range(T) if g.coeffs[n] != f1.coeffs[n] - 8 * f2.coeffs[n]
     )
+    return _f_report("thm-3.1:combination", failures, T - 1)
+
+
+def _eigenvalues(f1: QSeries, f2: QSeries, primes: list[int]):
+    """Eigenvalues of f = f1 + 8 sqrt(-3) f2 and its conjugate by prime (None
+    where the eigenform check failed), and the per-prime eigenform reports."""
+    f = QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)])
+    fbar = f.conjugate()
+    k, chi, N = _F_SPACE.weight, _F_SPACE.character, _F_SPACE.level
+    eig: dict[int, tuple[QuadInt | None, QuadInt | None]] = {}
+    reports = []
+    for p in primes:
+        lam_f, rf = verify_eigenform(f, p, k, chi, N, claim=f"thm-3.1:eigen:f:p={p}")
+        lam_b, rb = verify_eigenform(
+            fbar, p, k, chi, N, claim=f"thm-3.1:eigen:fbar:p={p}"
+        )
+        reports.extend([rf, rb])
+        eig[p] = (lam_f, lam_b)
+    return eig, reports
 
 
 def eigenvalue_table(
@@ -412,14 +308,7 @@ def eigenvalue_table(
 
     A None entry means the eigenform check failed at that prime.
     """
-    f = form_f(T)
-    fbar = f.conjugate()
-    table = {}
-    for p in primes_up_to(prime_max):
-        lam_f, _ = verify_eigenform(f, p, 9, -4, 16)
-        lam_b, _ = verify_eigenform(fbar, p, 9, -4, 16)
-        table[p] = (lam_f, lam_b)
-    return table
+    return _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
 
 
 def verify_theorem_3_1(T: int = 2000, prime_max: int = 97) -> list[ClaimReport]:
@@ -433,79 +322,39 @@ def verify_theorem_3_1(T: int = 2000, prime_max: int = 97) -> list[ClaimReport]:
     if prime_max < 7:
         raise ValueError("the T_5 and T_7 sub-checks need prime_max >= 7")
     primes = primes_up_to(prime_max)
-    if T < (sturm_bound(9, 16) + 1) * max(primes):
+    bound = sturm_bound(_F_SPACE.weight, _F_SPACE.level)
+    if T < (bound + 1) * max(primes):
         raise ValueError(
-            f"need T >= {(sturm_bound(9, 16) + 1) * max(primes)} "
+            f"need T >= {(bound + 1) * max(primes)} "
             f"for eigenform checks up to {max(primes)}, got {T}"
         )
     f1 = form_f1(T)
     f2 = form_f2(T)
-    f = QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)])
-    fbar = f.conjugate()
-    bound = sturm_bound(9, 16)
-    reports = []
-    eig = {}
-    for p in primes:
-        lam_f, rf = verify_eigenform(f, p, 9, -4, 16, claim=f"thm-3.1:eigen:f:p={p}")
-        lam_b, rb = verify_eigenform(
-            fbar, p, 9, -4, 16, claim=f"thm-3.1:eigen:fbar:p={p}"
-        )
-        reports.extend([rf, rb])
-        eig[p] = (lam_f, lam_b)
-
-    def simple(claim: str, failure_p: int | None) -> ClaimReport:
-        return ClaimReport(
-            claim=claim,
-            weight=9,
-            level=16,
-            modulus=None,
-            bound=bound,
-            checked=bound,
-            passed=failure_p is None,
-            first_failure=failure_p,
-        )
-
-    conj_fail = None
-    for p in primes:
-        lam_f, lam_b = eig[p]
-        if lam_f is None or lam_b is None or lam_b != lam_f.conj():
-            conj_fail = p
-            break
-    reports.append(simple("thm-3.1:conjugate-pairs", conj_fail))
-
-    reality_fail = None
-    for p in primes:
-        lam_f = eig[p][0]
-        if lam_f is None:
-            reality_fail = p
-            break
-        is_real = lam_f.im == 0
-        should_be_real = p % 4 == 1 or f2.coeffs[p] == 0
-        if is_real != should_be_real:
-            reality_fail = p
-            break
-    reports.append(simple("thm-3.1:reality-pattern", reality_fail))
-
-    reports.append(verify_g_combination(T, f1=f1, f2=f2))
-
-    fail5 = None
-    if 5 not in eig or eig[5] != (QuadInt(258, 0), QuadInt(258, 0)):
-        fail5 = 5
-    reports.append(simple("thm-3.1:t5-eigenvalue-258", fail5))
-
-    fail7 = None
-    lam7 = eig.get(7, (None, None))
+    eig, reports = _eigenvalues(f1, f2, primes)
+    conj_fail = (
+        p for p, (lam, lam_bar) in eig.items()
+        if lam is None or lam_bar is None or lam_bar != lam.conj()
+    )
+    reality_fail = (
+        p for p, (lam, _) in eig.items()
+        if lam is None or (lam.im == 0) != (p % 4 == 1 or f2.coeffs[p] == 0)
+    )
+    # prime_max >= 7, so both primes have entries
+    t5_holds = eig[5] == (QuadInt(258, 0), QuadInt(258, 0))
+    lam7, lam7_bar = eig[7]
     d2_7 = f2.coeffs[7]
-    if (
-        lam7[0] is None
-        or lam7[1] is None
-        or lam7[0] == lam7[1]
-        or lam7[0].im != 8 * d2_7
-        or lam7[1].im != -8 * d2_7
-    ):
-        fail7 = 7
-    reports.append(simple("thm-3.1:t7-distinct-eigenvalues", fail7))
-    return reports
+    t7_holds = (
+        None not in eig[7]
+        and lam7 != lam7_bar
+        and (lam7.im, lam7_bar.im) == (8 * d2_7, -8 * d2_7)
+    )
+    return reports + [
+        _f_report("thm-3.1:conjugate-pairs", conj_fail, bound),
+        _f_report("thm-3.1:reality-pattern", reality_fail, bound),
+        verify_g_combination(T, f1=f1, f2=f2),
+        _f_report("thm-3.1:t5-eigenvalue-258", [] if t5_holds else [5], bound),
+        _f_report("thm-3.1:t7-distinct-eigenvalues", [] if t7_holds else [7], bound),
+    ]
 
 
 def verify_remark(
@@ -520,33 +369,21 @@ def verify_remark(
         raise ValueError(f"need T >= 1, got {T}")
     half = (p - 1) // 2
     L = (11 * (T - 1) + 6) * p - half + 1
-    if delta5 is None:
-        delta5 = _cached(cache, "delta_k:5", L, 11, lambda n: delta_series(5, n, 11))
-    else:
-        _check_injected(delta5, L, 11, "delta_5 series")
-    c_short = _cached(cache, "c", half + 1, None, lambda n: c_series(n))
+    d = _delta(delta5, cache, 5, L, 11).coeffs
+    c_short = _series(None, cache, "c", half + 1, None, c_series, "c series")
     y11 = c_short.coeffs[half] % 11
     p8 = pow(p, 8, 11)
-    d = delta5.coeffs
-    first_failure = None
-    for n in range(T):
-        lhs = d[(11 * n + 6) * p - half]
-        num = 2 * (11 * n + 6) + p - 1
-        if num % (2 * p) == 0:
-            lhs = (lhs + p8 * d[num // (2 * p)]) % 11
-        if lhs != y11 * d[11 * n + 6] % 11:
-            first_failure = n
-            break
-    return ClaimReport(
-        claim=f"remark:p={p}",
-        weight=None,
-        level=None,
-        modulus=11,
-        bound=T - 1,
-        checked=T - 1,
-        passed=first_failure is None,
-        first_failure=first_failure,
-    )
+
+    def mismatches():
+        for n in range(T):
+            lhs = d[(11 * n + 6) * p - half]
+            num = 2 * (11 * n + 6) + p - 1
+            if num % (2 * p) == 0:
+                lhs = (lhs + p8 * d[num // (2 * p)]) % 11
+            if lhs != y11 * d[11 * n + 6] % 11:
+                yield n
+
+    return _scan_report(f"remark:p={p}", mismatches(), T - 1, modulus=11)
 
 
 @dataclass(frozen=True)
@@ -583,16 +420,56 @@ class SuiteConfig:
         )
 
 
+@dataclass(frozen=True)
+class Claim:
+    """A row of CLAIMS: `run` runs one claim ID at a SuiteConfig's depths.
+    `qcong verify` sets the fields named by `depth` and `n_max` from --T and
+    --n-max; only claims indexed by a prime have `for_prime`, which maps
+    (config, p, --T) to the fields that narrow the run to p."""
+
+    run: Callable[[SuiteConfig, object], list[ClaimReport]]
+    depth: str | None = None
+    n_max: str | None = None
+    for_prime: Callable[[SuiteConfig, int, int | None], dict] | None = None
+
+
+# in suite order, which fixes the order of cache reads and writes
+CLAIMS: dict[str, Claim] = {
+    "eq-1.2": Claim(
+        lambda c, cache: [verify_eq_1_2(c.eq_1_2_T, cache=cache)], depth="eq_1_2_T"
+    ),
+    "thm-1.1": Claim(
+        lambda c, cache: [verify_theorem_1_1(c.thm_1_1_n_max, cache=cache)],
+        n_max="thm_1_1_n_max",
+    ),
+    "sec-2-chain": Claim(
+        lambda c, cache: verify_section_2_chain(c.chain_T_final, cache=cache),
+        depth="chain_T_final",
+    ),
+    "eq-1.4": Claim(
+        lambda c, cache: [verify_eq_1_4(c.eq_1_4_T, cache=cache)], depth="eq_1_4_T"
+    ),
+    "thm-1.2": Claim(
+        lambda c, cache: [
+            verify_theorem_1_2(p, c.thm_1_2_T, cache=cache)[1] for p in c.thm_1_2_primes
+        ],
+        depth="thm_1_2_T",
+        for_prime=lambda c, p, T: {"thm_1_2_primes": (p,)},
+    ),
+    "thm-3.1": Claim(
+        lambda c, cache: verify_theorem_3_1(c.thm_3_1_T, c.thm_3_1_prime_max),
+        depth="thm_3_1_T",
+    ),
+    "remark": Claim(
+        lambda c, cache: [verify_remark(p, t, cache=cache) for p, t in c.remark_cases],
+        for_prime=lambda c, p, T: {
+            "remark_cases": ((p, T or dict(c.remark_cases).get(p, 50)),)
+        },
+    ),
+}
+
+
 def run_suite(config: SuiteConfig, cache=None) -> list[ClaimReport]:
     """Run every claim at the configured depths; reports sorted by claim ID."""
-    reports = [verify_eq_1_2(config.eq_1_2_T, cache=cache)]
-    reports.append(verify_theorem_1_1(config.thm_1_1_n_max, cache=cache))
-    reports.extend(verify_section_2_chain(config.chain_T_final, cache=cache))
-    reports.append(verify_eq_1_4(config.eq_1_4_T, cache=cache))
-    for p in config.thm_1_2_primes:
-        _, rep = verify_theorem_1_2(p, config.thm_1_2_T, cache=cache)
-        reports.append(rep)
-    reports.extend(verify_theorem_3_1(config.thm_3_1_T, config.thm_3_1_prime_max))
-    for p, t in config.remark_cases:
-        reports.append(verify_remark(p, t, cache=cache))
+    reports = [r for claim in CLAIMS.values() for r in claim.run(config, cache)]
     return sorted(reports, key=lambda r: r.claim)

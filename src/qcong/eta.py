@@ -150,7 +150,6 @@ class EtaMetadata:
     """
 
     tag: SpaceTag
-    weight_doubled: int
     sum_dr_divisible: bool
     sum_inv_divisible: bool
 
@@ -200,7 +199,6 @@ def eta_quotient_metadata(e: EtaQuotient) -> EtaMetadata:
     character = s if s % 4 == 1 else 4 * s
     return EtaMetadata(
         tag=SpaceTag(weight=weight, level=level, character=character),
-        weight_doubled=rsum,
         sum_dr_divisible=dr % 24 == 0,
         sum_inv_divisible=inv_sum % 24 == 0,
     )

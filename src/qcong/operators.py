@@ -17,9 +17,6 @@ __all__ = [
     "u_operator",
     "twist",
     "hecke",
-    "u_level",
-    "twist_level",
-    "hecke_level",
     "operator_level",
     "parse_operator",
     "apply_operator",
@@ -72,19 +69,6 @@ def hecke(f: QSeries, p: int, k: int, chi_disc: int) -> QSeries:
     return QSeries(ring, 0, out)
 
 
-def u_level(tag: SpaceTag, d: int) -> SpaceTag:
-    return SpaceTag(tag.weight, tag.level * d, tag.character)
-
-
-def twist_level(tag: SpaceTag, p: int) -> SpaceTag:
-    # the quoted bookkeeping value N p^2, not the sharper conductor level
-    return SpaceTag(tag.weight, tag.level * p * p, tag.character)
-
-
-def hecke_level(tag: SpaceTag, p: int) -> SpaceTag:
-    return tag
-
-
 _OP_RE = re.compile(r"^(U|twist|T)_(\d+)$")
 
 
@@ -97,13 +81,14 @@ def parse_operator(text: str) -> tuple[str, int]:
 
 
 def operator_level(op: str, tag: SpaceTag) -> SpaceTag:
-    """Level bookkeeping for an operator given as U_d / twist_p / T_p."""
+    """Level bookkeeping for an operator given as U_d / twist_p / T_p.
+
+    U_d multiplies the level by d and twist_p by p^2 (the quoted
+    bookkeeping value, not the sharper conductor level); T_p keeps it.
+    """
     kind, n = parse_operator(op)
-    if kind == "U":
-        return u_level(tag, n)
-    if kind == "twist":
-        return twist_level(tag, n)
-    return hecke_level(tag, n)
+    factor = {"U": n, "twist": n * n, "T": 1}[kind]
+    return SpaceTag(tag.weight, tag.level * factor, tag.character)
 
 
 def apply_operator(

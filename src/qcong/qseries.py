@@ -351,23 +351,6 @@ class QSeries:
         conj = self.ring.conj
         return QSeries(self.ring, self.offset24, [conj(c) for c in self.coeffs])
 
-    def map_to_ring(self, ring: Ring) -> "QSeries":
-        """Convert coefficients through the target ring's from_int.
-
-        Integer series convert into any ring; a rational series converts
-        to integers only when every coefficient is integral.
-        """
-        if isinstance(self.ring, IntegerRing):
-            return QSeries(ring, self.offset24, [ring.from_int(c) for c in self.coeffs])
-        if isinstance(self.ring, RationalRing) and isinstance(ring, IntegerRing):
-            out = []
-            for c in self.coeffs:
-                if c.denominator != 1:
-                    raise ValueError(f"coefficient {c} is not an integer")
-                out.append(c.numerator)
-            return QSeries(ring, self.offset24, out)
-        raise ValueError(f"no conversion from {self.ring!r} to {ring!r}")
-
     def __add__(self, other):
         return self.add(other) if isinstance(other, QSeries) else NotImplemented
 

@@ -9,6 +9,7 @@ must be unambiguous.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .operators import hecke
@@ -89,6 +90,33 @@ class ClaimReport:
         return json.dumps(self.to_dict())
 
 
+def _scan_report(
+    claim: str,
+    failures: Iterable[int],
+    bound: int,
+    weight: int | None = None,
+    level: int | None = None,
+    modulus: int | None = None,
+) -> ClaimReport:
+    """The one place a ClaimReport is built: a scan through `bound`.
+
+    `failures` yields the failing indices in increasing order; it is
+    consumed only up to the first one, which is recorded.  Private, so a
+    traced run charges the scan to the claim that asked for it.
+    """
+    first = next(iter(failures), None)
+    return ClaimReport(
+        claim=claim,
+        weight=weight,
+        level=level,
+        modulus=modulus,
+        bound=bound,
+        checked=bound,
+        passed=first is None,
+        first_failure=first,
+    )
+
+
 def _series_modulus(f: QSeries) -> int | None:
     if isinstance(f.ring, ModRing):
         return f.ring.modulus
@@ -112,21 +140,8 @@ def verify_vanishing(f: QSeries, k: int, N: int, claim: str = "vanishing") -> Cl
             f"(need at least {bound + 1} coefficients)"
         )
     zero = f.ring.zero
-    first_failure = None
-    for n in range(bound + 1):
-        if f.coeffs[n] != zero:
-            first_failure = n
-            break
-    return ClaimReport(
-        claim=claim,
-        weight=k,
-        level=N,
-        modulus=modulus,
-        bound=bound,
-        checked=bound,
-        passed=first_failure is None,
-        first_failure=first_failure,
-    )
+    failures = (n for n in range(bound + 1) if f.coeffs[n] != zero)
+    return _scan_report(claim, failures, bound, k, N, modulus)
 
 
 def verify_eigenform(
@@ -162,20 +177,7 @@ def verify_eigenform(
     g = hecke(f, p, k, chi_disc)
     lam = ring.mul(g.coeffs[n0], ring.inv(f.coeffs[n0]))
     mul = ring.mul
-    first_failure = None
-    for n in range(bound + 1):
-        if g.coeffs[n] != mul(lam, f.coeffs[n]):
-            first_failure = n
-            break
-    passed = first_failure is None
-    report = ClaimReport(
-        claim=claim,
-        weight=k,
-        level=N,
-        modulus=None if not isinstance(ring, ModRing) else ring.modulus,
-        bound=bound,
-        checked=bound,
-        passed=passed,
-        first_failure=first_failure,
-    )
-    return (lam if passed else None), report
+    failures = (n for n in range(bound + 1) if g.coeffs[n] != mul(lam, f.coeffs[n]))
+    modulus = ring.modulus if isinstance(ring, ModRing) else None
+    report = _scan_report(claim, failures, bound, k, N, modulus)
+    return (lam if report.passed else None), report

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qcong
 from qcong.cli import main
 
 
@@ -105,6 +107,17 @@ def test_verify_precondition_violation_exits_2(capsys):
     assert code == 2 and "1 mod 4" in err
 
 
+def test_verify_prime_given_or_missing_against_the_claim_exits_2(capsys):
+    for argv, message in [
+        (("eq-1.2:p=5",), "eq-1.2 takes no prime"),
+        (("eq-1.2", "--p", "5"), "eq-1.2 takes no prime"),
+        (("sec-2-chain:p=7",), "sec-2-chain takes no prime"),
+        (("remark",), "remark needs a prime"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv, "--T", "30")
+        assert code == 2 and out == "" and message in err, argv
+
+
 def test_verify_unknown_claim_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "lemma-9")
     assert code == 2 and "unknown claim" in err
@@ -139,7 +152,11 @@ def test_console_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "qcong.cli", "sturm", "--k", "5", "--N", "24696"],
         capture_output=True,
         text=True,
-        env={"PATH": "", "QCONG_CACHE_DIR": str(tmp_path)},
+        env={
+            "PATH": "",
+            "PYTHONPATH": str(Path(qcong.__file__).parent.parent),
+            "QCONG_CACHE_DIR": str(tmp_path),
+        },
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23520"

@@ -77,6 +77,20 @@ def test_eq_1_2_rejects_short_injection():
         verify_eq_1_2(100, lhs=eq_1_2_lhs(50))
 
 
+def test_injected_mod_series_must_be_reduced():
+    # lhs + 7 at index 17 is the same series mod 7, but not a reduced one
+    T = 60
+    lhs = eq_1_2_lhs(T)
+    lhs.coeffs[17] += 7
+    bad = lhs.coeffs[17]
+    with pytest.raises(ValueError, match=rf"coefficient 17 is {bad}, outside \[0, 7\)"):
+        verify_eq_1_2(T, lhs=lhs)
+    delta5 = delta_series(5, 11 * (T - 1) + 7, modulus=11)
+    delta5.coeffs[3] = -1
+    with pytest.raises(ValueError, match="delta_5 series coefficient 3"):
+        verify_eq_1_4(T, delta5=delta5)
+
+
 def test_theorem_1_1_small_depth():
     rep = verify_theorem_1_1(4)
     assert rep.passed and rep.modulus == 7
@@ -185,11 +199,25 @@ def test_run_suite_quick_ordering_and_pass(tmp_path):
         thm_3_1_prime_max=13,
         remark_cases=((5, 10),),
     )
-    reports = run_suite(config, cache=Cache(tmp_path))
+    cache = Cache(tmp_path)
+    reports = run_suite(config, cache=cache)
     claims = [r.claim for r in reports]
     assert claims == sorted(claims)
     assert all(r.passed for r in reports)
     assert "eq-1.2" in claims and "sec-2-chain:c" in claims
+    space = {r.claim: (r.weight, r.level, r.modulus) for r in reports}
+    assert space["sec-2-chain:a"] == (5, 72, 7)
+    assert space["sec-2-chain:b"] == (5, 504, 7)
+    assert space["sec-2-chain:c"] == (5, 24696, 7)
+    assert space["sec-2-chain:d"] == (5, 504, 7)
+    thm_3_1 = [v for claim, v in space.items() if claim.startswith("thm-3.1:")]
+    assert thm_3_1 and all(v == (9, 16, None) for v in thm_3_1)
+    # a warm run on the same cache and a run without one report the same
+    warm = run_suite(config, cache=cache)
+    uncached = run_suite(config, cache=None)
+    want = [r.to_dict() for r in reports]
+    assert [r.to_dict() for r in warm] == want
+    assert [r.to_dict() for r in uncached] == want
 
 
 def test_delta5_at_6_mod_11():
