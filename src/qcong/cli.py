@@ -17,7 +17,7 @@ from . import diamond
 from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series
 from .forms import FORM_NAMES, resolve_form
 from .operators import apply_operator
-from .qseries import write_dump
+from .qseries import dumps
 from .store import default_cache
 from .sturm import ClaimReport, sturm_bound
 
@@ -74,14 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _format_exponent(offset24: int, index: int) -> str:
     e = Fraction(offset24, 24) + index
     return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
@@ -100,13 +92,14 @@ def _cmd_expand(args) -> int:
         fmt = series.ring.format_elem
         for j, c in enumerate(series.coeffs):
             lines.append(f"{_format_exponent(series.offset24, j)},{fmt(c)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        import io
-
-        buf = io.StringIO()
-        write_dump(series, buf)
-        _emit(buf.getvalue(), args.out)
+        text = dumps(series)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -229,6 +229,26 @@ def verify_eq_1_4(
     return _scan_report("eq-1.4", failures, T - 1, modulus=11)
 
 
+def _hecke_mismatches(
+    u: Callable[[int], int], p: int, y: int, T: int, modulus: int | None = None
+):
+    """The n < T where u(pn + (p-1)/2) + p^8 u((n-(p-1)/2)/p) != y(p) u(n),
+    exactly or mod `modulus`; the quotient term counts only when p divides
+    n - (p-1)/2 and the quotient is nonnegative."""
+    half = (p - 1) // 2
+    p8 = p**8
+    for n in range(T):
+        lhs = u(p * n + half)
+        m = n - half
+        if m >= 0 and m % p == 0:
+            lhs += p8 * u(m // p)
+        diff = lhs - y * u(n)
+        if modulus is not None:
+            diff %= modulus
+        if diff:
+            yield n
+
+
 def verify_theorem_1_2(
     p: int, T: int = 1000, c_exact: QSeries | None = None, cache=None
 ) -> tuple[int, ClaimReport]:
@@ -236,8 +256,7 @@ def verify_theorem_1_2(
 
     y(p) is read off at n = 0 (where it equals c((p-1)/2)), cross-checked
     against the independently built series f1 at exponent p, then the
-    identity is verified for all n < T.  The quotient term contributes
-    only when p divides n - (p-1)/2 and the quotient is nonnegative.
+    identity is verified for all n < T by `_hecke_mismatches`.
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"need a prime p = 1 mod 4, got {p}")
@@ -247,19 +266,9 @@ def verify_theorem_1_2(
     L = p * (T - 1) + half + 1
     c = _series(c_exact, cache, "c", L, None, c_series, "c series").coeffs
     y = c[half]
-    p8 = p**8
-
-    def mismatches():
-        for n in range(T):
-            lhs = c[p * n + half]
-            m = n - half
-            if m >= 0 and m % p == 0:
-                lhs += p8 * c[m // p]
-            if lhs != y * c[n]:
-                yield n
-
     # independent derivation of the same number through the eigenform route
-    failures = [p] if form_f1(p + 1).coeffs[p] != y else mismatches()
+    y_agrees = form_f1(p + 1).coeffs[p] == y
+    failures = _hecke_mismatches(c.__getitem__, p, y, T) if y_agrees else [p]
     return y, _scan_report(f"thm-1.2:p={p}", failures, T - 1)
 
 
@@ -361,8 +370,9 @@ def verify_remark(
     p: int, T: int = 200, delta5: QSeries | None = None, cache=None
 ) -> ClaimReport:
     """delta_5((11n+6)p - (p-1)/2) + p^8 delta_5((11n+6)/p + (p-1)/(2p))
-    == y(p) delta_5(11n+6) mod 11 for n < T, the quotient term counting
-    only when its argument is a nonnegative integer."""
+    == y(p) delta_5(11n+6) mod 11 for n < T: Theorem 1.2's recurrence for
+    u(n) = delta_5(11n+6), since (11n+6)p - (p-1)/2 = 11(pn + (p-1)/2) + 6
+    and (11n+6)/p + (p-1)/(2p) = 11 (n - (p-1)/2)/p + 6."""
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"need a prime p = 1 mod 4, got {p}")
     if T < 1:
@@ -370,20 +380,9 @@ def verify_remark(
     half = (p - 1) // 2
     L = (11 * (T - 1) + 6) * p - half + 1
     d = _delta(delta5, cache, 5, L, 11).coeffs
-    c_short = _series(None, cache, "c", half + 1, None, c_series, "c series")
-    y11 = c_short.coeffs[half] % 11
-    p8 = pow(p, 8, 11)
-
-    def mismatches():
-        for n in range(T):
-            lhs = d[(11 * n + 6) * p - half]
-            num = 2 * (11 * n + 6) + p - 1
-            if num % (2 * p) == 0:
-                lhs = (lhs + p8 * d[num // (2 * p)]) % 11
-            if lhs != y11 * d[11 * n + 6] % 11:
-                yield n
-
-    return _scan_report(f"remark:p={p}", mismatches(), T - 1, modulus=11)
+    y = _series(None, cache, "c", half + 1, None, c_series, "c series").coeffs[half]
+    failures = _hecke_mismatches(lambda n: d[11 * n + 6], p, y, T, modulus=11)
+    return _scan_report(f"remark:p={p}", failures, T - 1, modulus=11)
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,20 @@ distinguishable from "zero".
 
 Coefficients are stored densely.  Multiplication has two paths: a
 generic schoolbook convolution (the oracle) and a fast exact path that
-packs coefficients into big integers (Kronecker substitution), optionally
-multiplied through gmpy2 when it is installed.  Both are exact; property
-tests assert they agree.
+packs coefficients into big integers (Kronecker substitution).  Both are
+exact; property tests assert they agree.
 """
 
 from __future__ import annotations
 
 import array
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import lcm
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .ring import (
     IntegerRing,
@@ -33,12 +34,7 @@ from .ring import (
     ring_from_tag,
 )
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = None
-
-__all__ = ["QSeries", "SpaceTag", "write_dump", "read_dump", "dumps", "loads"]
+__all__ = ["QSeries", "SpaceTag", "dumps", "loads"]
 
 _SCHOOLBOOK_CUTOFF = 64
 
@@ -97,10 +93,7 @@ def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     w = (bound.bit_length() + 2 + 7) // 8
     A = _pack_signed(a, w)
     B = _pack_signed(b, w)
-    if _mpz is not None:
-        N = int(_mpz(A) * _mpz(B))
-    else:
-        N = A * B
+    N = A * B
     nslots = min(n_out, len(a) + len(b) - 1)
     mask = (1 << (8 * w * nslots)) - 1
     half = 1 << (8 * w - 1)
@@ -403,17 +396,22 @@ class SpaceTag:
             raise ValueError(f"weight must be >= 0, got {self.weight}")
 
 
-def write_dump(s: QSeries, out: TextIO) -> None:
+def dumps(s: QSeries) -> str:
     """Text coefficient dump; one coefficient per line, bit-exact round trip."""
+    # written piece by piece: a join would hold every line's string at once
+    out = io.StringIO()
     out.write(f"qseries v1 ring={s.ring.tag} offset24={s.offset24} T={s.T}\n")
     fmt = s.ring.format_elem
     for c in s.coeffs:
         out.write(fmt(c))
         out.write("\n")
+    return out.getvalue()
 
 
-def read_dump(inp: TextIO) -> QSeries:
-    header = inp.readline().strip()
+def loads(text: str) -> QSeries:
+    """Inverse of `dumps`; the text must hold exactly the header's T coefficients."""
+    lines = io.StringIO(text)
+    header = lines.readline().strip()
     parts = header.split()
     if len(parts) != 5 or parts[0] != "qseries" or parts[1] != "v1":
         raise ValueError(f"bad qseries dump header: {header!r}")
@@ -421,24 +419,10 @@ def read_dump(inp: TextIO) -> QSeries:
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])
     T = int(fields["T"])
-    coeffs = []
-    for _ in range(T):
-        line = inp.readline()
-        if not line:
-            raise ValueError(f"dump truncated: expected {T} coefficients")
-        coeffs.append(ring.parse_elem(line.strip()))
+    parse = ring.parse_elem
+    coeffs = [parse(line.strip()) for line in islice(lines, T)]
+    if len(coeffs) < T:
+        raise ValueError(f"dump truncated: expected {T} coefficients")
+    if lines.readline():
+        raise ValueError(f"dump has lines after its {T} coefficients")
     return QSeries(ring, offset24, coeffs)
-
-
-def dumps(s: QSeries) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_dump(s, buf)
-    return buf.getvalue()
-
-
-def loads(text: str) -> QSeries:
-    import io
-
-    return read_dump(io.StringIO(text))

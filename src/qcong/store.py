@@ -1,17 +1,17 @@
 """Disk cache for expensive series expansions.
 
-Entries are the human-inspectable qseries text dump plus a checksum
-trailer, with a JSON sidecar holding the key fields.  Lookups may be
-satisfied by any stored entry for the same form whose truncation is at
-least the requested one (the prefix of a longer expansion is the shorter
-one).  Writers go through a temp file and an atomic rename; corrupt files
-are treated as misses.
+An entry is one file, `<stem>-<T>.qs`: the human-inspectable qseries text
+dump plus a checksum trailer.  Stem and checksum both cover the key's
+identity (form, ring, modulus and a fingerprint of the package sources),
+so a file read under another key or written by other code is a miss, as
+is a corrupt one.  Lookups may be satisfied by any entry with the same
+identity and a truncation at least the requested one (the prefix of a
+longer expansion is the shorter one).  Writes are atomic renames.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import tempfile
@@ -29,6 +29,18 @@ log = logging.getLogger("qcong.store")
 _CHECKSUM_PREFIX = "checksum sha256:"
 
 
+def _source_fingerprint() -> str:
+    """sha256 over the package's module sources: editing any of them
+    invalidates every cache entry written before."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"{path.name}\0".encode() + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+_SOURCE_FINGERPRINT = _source_fingerprint()
+
+
 @dataclass(frozen=True)
 class CacheKey:
     """Identity of one cached expansion."""
@@ -38,18 +50,22 @@ class CacheKey:
     modulus: int | None
     T: int
 
-    def canonical(self) -> str:
+    def identity(self) -> str:
+        """Everything an entry depends on except its truncation T."""
         mod = "" if self.modulus is None else str(self.modulus)
-        return f"form={self.form}|ring={self.ring}|modulus={mod}|T={self.T}"
+        return (
+            f"form={self.form}|ring={self.ring}|modulus={mod}"
+            f"|build={_SOURCE_FINGERPRINT}"
+        )
 
     def file_stem(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:24]
+        return hashlib.sha256(self.identity().encode()).hexdigest()[:24]
 
 
-def _split_ring_tag(tag: str) -> tuple[str, int | None]:
-    if tag.startswith("mod:"):
-        return "mod", int(tag[4:])
-    return tag, None
+def _checksum(identity: str, body: str) -> str:
+    h = hashlib.sha256(f"{identity}\n".encode())
+    h.update(body.encode())
+    return h.hexdigest()
 
 
 class Cache:
@@ -58,45 +74,35 @@ class Cache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def get(self, key: CacheKey) -> QSeries | None:
-        """Best stored series for the key, truncated down to key.T; None on miss."""
-        best: tuple[int, Path] | None = None
-        for meta_path in self.root.glob("*.meta"):
-            try:
-                meta = json.loads(meta_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if (
-                meta.get("form") != key.form
-                or meta.get("ring") != key.ring
-                or meta.get("modulus") != key.modulus
-                or meta.get("T", -1) < key.T
-            ):
-                continue
-            if best is None or meta["T"] < best[0]:
-                best = (meta["T"], meta_path)
-        if best is None:
+        """Shortest stored series for the key with at least key.T terms,
+        truncated down to key.T; None on miss."""
+        stem = key.file_stem()
+        names = (p.stem[len(stem) + 1 :] for p in self.root.glob(f"{stem}-*.qs"))
+        stored = [int(t) for t in names if t.isdecimal()]
+        T = min((t for t in stored if t >= key.T), default=None)
+        if T is None:
             return None
-        data_path = best[1].with_suffix(".qs")
+        path = self.root / f"{stem}-{T}.qs"
         try:
-            text = data_path.read_text()
+            text = path.read_text()
         except OSError:
-            log.warning("cache entry %s unreadable; treating as miss", data_path)
+            log.warning("cache entry %s unreadable; treating as miss", path)
             return None
-        body, _, trailer = text.rpartition("\n" + _CHECKSUM_PREFIX)
-        if not trailer:
-            log.warning("cache entry %s has no checksum; treating as miss", data_path)
-            return None
-        body += "\n"
-        if hashlib.sha256(body.encode()).hexdigest() != trailer.strip():
-            log.warning("cache entry %s fails checksum; treating as miss", data_path)
+        # a file without a trailer has an empty one, which no digest matches
+        body, _, trailer = text.rpartition(_CHECKSUM_PREFIX)
+        if _checksum(key.identity(), body) != trailer.strip():
+            log.warning("cache entry %s fails checksum; treating as miss", path)
             return None
         series = loads(body)
+        if series.T != T:
+            log.warning("cache entry %s holds T=%d; treating as miss", path, series.T)
+            return None
         return series.truncate(key.T)
 
     def put(self, key: CacheKey, series: QSeries) -> Path:
         """Atomically store a series; its ring and truncation must match the key."""
-        ring, modulus = _split_ring_tag(series.ring.tag)
-        if (ring, modulus) != (key.ring, key.modulus):
+        ring_tag = key.ring if key.modulus is None else f"{key.ring}:{key.modulus}"
+        if series.ring.tag != ring_tag:
             raise ValueError(
                 f"series ring {series.ring.tag} does not match key "
                 f"({key.ring}, modulus={key.modulus})"
@@ -104,29 +110,12 @@ class Cache:
         if series.T != key.T:
             raise ValueError(f"series has T={series.T}, key says T={key.T}")
         body = dumps(series)
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        payload = body + _CHECKSUM_PREFIX + digest + "\n"
-        stem = key.file_stem()
-        data_path = self.root / f"{stem}.qs"
-        meta_path = self.root / f"{stem}.meta"
-        self._atomic_write(data_path, payload)
-        meta = {
-            "form": key.form,
-            "ring": key.ring,
-            "modulus": key.modulus,
-            "T": key.T,
-            "offset24": series.offset24,
-            "sha256": digest,
-            "file": data_path.name,
-        }
-        self._atomic_write(meta_path, json.dumps(meta, indent=1) + "\n")
-        return data_path
-
-    def _atomic_write(self, path: Path, text: str) -> None:
+        payload = body + f"{_CHECKSUM_PREFIX}{_checksum(key.identity(), body)}\n"
+        path = self.root / f"{key.file_stem()}-{key.T}.qs"
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.write(payload)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -134,9 +123,11 @@ class Cache:
             except OSError:
                 pass
             raise
+        return path
 
     def clear(self) -> int:
-        """Remove every cache entry; returns the number of files removed."""
+        """Remove every cache entry, and any .meta sidecar an older layout
+        left; returns the number of files removed."""
         n = 0
         for path in list(self.root.glob("*.qs")) + list(self.root.glob("*.meta")):
             path.unlink(missing_ok=True)

@@ -296,6 +296,8 @@ def test_load_rejects_bad_header_and_truncated_body():
         loads("nope\n")
     with pytest.raises(ValueError, match="truncated"):
         loads("qseries v1 ring=int offset24=0 T=3\n1\n2\n")
+    with pytest.raises(ValueError, match="after its 3 coefficients"):
+        loads("qseries v1 ring=int offset24=0 T=3\n1\n2\n3\n4\n")
 
 
 # ---- SpaceTag ----

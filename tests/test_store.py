@@ -1,7 +1,6 @@
-import json
-
 import pytest
 
+from qcong import store
 from qcong.qseries import QSeries
 from qcong.ring import QUAD, ZZ, ModRing, QuadInt
 from qcong.store import Cache, CacheKey, default_cache
@@ -90,18 +89,54 @@ def test_clear_removes_everything(tmp_path):
     cache = Cache(tmp_path)
     cache.put(CacheKey("x", "int", None, 2), _series(ZZ, [1, 2]))
     removed = cache.clear()
-    assert removed == 2  # data + meta
+    assert removed == 1  # one file per entry
     assert cache.get(CacheKey("x", "int", None, 2)) is None
 
 
-def test_meta_sidecar_contents(tmp_path):
+def test_clear_removes_leftover_meta_sidecars(tmp_path):
+    (tmp_path / "0123456789abcdef01234567.meta").write_text("{}\n")
+    cache = Cache(tmp_path)
+    cache.put(CacheKey("x", "int", None, 2), _series(ZZ, [1, 2]))
+    assert cache.clear() == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_source_fingerprint_change_turns_hit_into_miss(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
     key = CacheKey("delta_k:3", "mod", 7, 3)
     cache.put(key, _series(ModRing(7), [1, 3, 1]))
-    meta = json.loads(next(tmp_path.glob("*.meta")).read_text())
-    assert meta["form"] == "delta_k:3"
-    assert meta["modulus"] == 7 and meta["T"] == 3
-    assert "sha256" in meta
+    assert cache.get(key) is not None
+    monkeypatch.setattr(store, "_SOURCE_FINGERPRINT", "0" * 64)
+    assert cache.get(key) is None
+
+
+def test_entry_renamed_to_another_key_fails_checksum(tmp_path, caplog):
+    cache = Cache(tmp_path)
+    path = cache.put(CacheKey("a", "int", None, 3), _series(ZZ, [1, 2, 3]))
+    other = CacheKey("b", "int", None, 3)
+    path.rename(tmp_path / f"{other.file_stem()}-3.qs")
+    with caplog.at_level("WARNING", logger="qcong.store"):
+        assert cache.get(other) is None
+    assert "checksum" in caplog.text
+
+
+def test_entry_renamed_to_another_T_is_a_miss(tmp_path, caplog):
+    cache = Cache(tmp_path)
+    key = CacheKey("x", "int", None, 3)
+    path = cache.put(key, _series(ZZ, [1, 2, 3]))
+    path.rename(tmp_path / f"{key.file_stem()}-5.qs")
+    with caplog.at_level("WARNING", logger="qcong.store"):
+        assert cache.get(key) is None
+    assert "T=3" in caplog.text
+
+
+def test_stray_file_with_unparsable_T_is_ignored(tmp_path):
+    cache = Cache(tmp_path)
+    key = CacheKey("x", "int", None, 3)
+    cache.put(key, _series(ZZ, [1, 2, 3]))
+    (tmp_path / f"{key.file_stem()}-junk.qs").write_text("not a dump\n")
+    assert cache.get(key).coeffs == [1, 2, 3]
+    assert cache.get(CacheKey("x", "int", None, 4)) is None
 
 
 def test_default_cache_respects_env(tmp_path, monkeypatch):
