@@ -116,18 +116,15 @@ def _cmd_metadata(args) -> int:
     return 0
 
 
-def _parse_claim(claim: str, p_flag: int | None) -> tuple[str, int | None]:
-    base, _, suffix = claim.partition(":")
-    p = p_flag
+def _cmd_verify(args) -> int:
+    base, _, suffix = args.claim.partition(":")
+    p = args.p
     if suffix:
         if not suffix.startswith("p="):
             raise ValueError(f"bad claim suffix {suffix!r}; expected p=<prime>")
-        p = int(suffix[2:]) if p_flag is None else p_flag
-    return base, p
-
-
-def _cmd_verify(args) -> int:
-    base, p = _parse_claim(args.claim, args.p)
+        p = int(suffix[2:])
+        if args.p not in (None, p):
+            raise ValueError(f"--p {args.p} differs from the claim's p={p}")
     claim = diamond.CLAIMS.get(base)
     if claim is None:
         raise ValueError(f"unknown claim {args.claim!r}")
@@ -135,12 +132,16 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"{base} needs a prime: use --p or {base}:p=<p>")
     if not claim.for_prime and p is not None:
         raise ValueError(f"{base} takes no prime, got p={p}")
+    if args.T is not None and not (claim.depth or claim.for_prime):
+        raise ValueError(f"{base} takes no --T")
+    if args.n_max is not None and not claim.n_max:
+        raise ValueError(f"{base} takes no --n-max")
     config = diamond.SuiteConfig.full()
     changes = {claim.depth: args.T, claim.n_max: args.n_max}
     if p is not None:
         changes.update(claim.for_prime(config, p, args.T))
-    # a zero depth, like an absent one, keeps the default
-    config = replace(config, **{f: v for f, v in changes.items() if f and v})
+    # only an absent flag keeps the default
+    config = replace(config, **{f: v for f, v in changes.items() if f and v is not None})
     cache = None if args.no_cache else default_cache()
     reports = claim.run(config, cache)
     _print_reports(reports)

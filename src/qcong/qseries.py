@@ -408,8 +408,9 @@ def dumps(s: QSeries) -> str:
     return out.getvalue()
 
 
-def loads(text: str) -> QSeries:
-    """Inverse of `dumps`; the text must hold exactly the header's T coefficients."""
+def loads(text: str, limit: int | None = None) -> QSeries:
+    """Inverse of `dumps`: the first min(T, limit) coefficients, or without a
+    limit exactly the header's T, with nothing after them."""
     lines = io.StringIO(text)
     header = lines.readline().strip()
     parts = header.split()
@@ -419,10 +420,11 @@ def loads(text: str) -> QSeries:
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])
     T = int(fields["T"])
-    parse = ring.parse_elem
-    coeffs = [parse(line.strip()) for line in islice(lines, T)]
-    if len(coeffs) < T:
+    n = T if limit is None else min(T, limit)
+    # every parser accepts the line's trailing newline
+    coeffs = list(map(ring.parse_elem, islice(lines, n)))
+    if len(coeffs) < n:
         raise ValueError(f"dump truncated: expected {T} coefficients")
-    if lines.readline():
+    if limit is None and lines.readline():
         raise ValueError(f"dump has lines after its {T} coefficients")
     return QSeries(ring, offset24, coeffs)

@@ -1,12 +1,13 @@
 """Disk cache for expensive series expansions.
 
-An entry is one file, `<stem>-<T>.qs`: the human-inspectable qseries text
-dump plus a checksum trailer.  Stem and checksum both cover the key's
-identity (form, ring, modulus and a fingerprint of the package sources),
+An entry is the one file `<stem>.qs` for its series: the human-inspectable
+qseries text dump plus a checksum trailer.  Stem and checksum both cover
+the key's identity (form, ring and a fingerprint of the package sources),
 so a file read under another key or written by other code is a miss, as
-is a corrupt one.  Lookups may be satisfied by any entry with the same
-identity and a truncation at least the requested one (the prefix of a
-longer expansion is the shorter one).  Writes are atomic renames.
+is a corrupt one.  A lookup asks for T terms and is served by the entry's
+first T (the prefix of a longer expansion is the shorter one); a put
+replaces the entry, so a longer expansion supersedes a shorter one.
+Writes are atomic renames.
 """
 
 from __future__ import annotations
@@ -43,20 +44,14 @@ _SOURCE_FINGERPRINT = _source_fingerprint()
 
 @dataclass(frozen=True)
 class CacheKey:
-    """Identity of one cached expansion."""
+    """Identity of one cached series, at any truncation."""
 
     form: str
-    ring: str  # "int" | "rat" | "mod" | "quad"
-    modulus: int | None
-    T: int
+    ring: str  # a ring tag: "int", "mod:7", ...
 
     def identity(self) -> str:
-        """Everything an entry depends on except its truncation T."""
-        mod = "" if self.modulus is None else str(self.modulus)
-        return (
-            f"form={self.form}|ring={self.ring}|modulus={mod}"
-            f"|build={_SOURCE_FINGERPRINT}"
-        )
+        """Everything an entry depends on; its truncation is not part of it."""
+        return f"form={self.form}|ring={self.ring}|build={_SOURCE_FINGERPRINT}"
 
     def file_stem(self) -> str:
         return hashlib.sha256(self.identity().encode()).hexdigest()[:24]
@@ -73,18 +68,14 @@ class Cache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def get(self, key: CacheKey) -> QSeries | None:
-        """Shortest stored series for the key with at least key.T terms,
-        truncated down to key.T; None on miss."""
-        stem = key.file_stem()
-        names = (p.stem[len(stem) + 1 :] for p in self.root.glob(f"{stem}-*.qs"))
-        stored = [int(t) for t in names if t.isdecimal()]
-        T = min((t for t in stored if t >= key.T), default=None)
-        if T is None:
-            return None
-        path = self.root / f"{stem}-{T}.qs"
+    def get(self, key: CacheKey, T: int) -> QSeries | None:
+        """The first T terms of the stored series for the key; None on miss,
+        including when fewer than T are stored."""
+        path = self.root / f"{key.file_stem()}.qs"
         try:
             text = path.read_text()
+        except FileNotFoundError:
+            return None
         except OSError:
             log.warning("cache entry %s unreadable; treating as miss", path)
             return None
@@ -93,25 +84,17 @@ class Cache:
         if _checksum(key.identity(), body) != trailer.strip():
             log.warning("cache entry %s fails checksum; treating as miss", path)
             return None
-        series = loads(body)
-        if series.T != T:
-            log.warning("cache entry %s holds T=%d; treating as miss", path, series.T)
-            return None
-        return series.truncate(key.T)
+        series = loads(body, limit=T)
+        return series if series.T == T else None
 
     def put(self, key: CacheKey, series: QSeries) -> Path:
-        """Atomically store a series; its ring and truncation must match the key."""
-        ring_tag = key.ring if key.modulus is None else f"{key.ring}:{key.modulus}"
-        if series.ring.tag != ring_tag:
-            raise ValueError(
-                f"series ring {series.ring.tag} does not match key "
-                f"({key.ring}, modulus={key.modulus})"
-            )
-        if series.T != key.T:
-            raise ValueError(f"series has T={series.T}, key says T={key.T}")
+        """Atomically store a series in the ring the key names, replacing the
+        key's earlier entry."""
+        if series.ring.tag != key.ring:
+            raise ValueError(f"series ring {series.ring.tag} does not match key {key.ring}")
         body = dumps(series)
         payload = body + f"{_CHECKSUM_PREFIX}{_checksum(key.identity(), body)}\n"
-        path = self.root / f"{key.file_stem()}-{key.T}.qs"
+        path = self.root / f"{key.file_stem()}.qs"
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w") as fh:

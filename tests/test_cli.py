@@ -118,6 +118,20 @@ def test_verify_prime_given_or_missing_against_the_claim_exits_2(capsys):
         assert code == 2 and out == "" and message in err, argv
 
 
+def test_verify_flag_the_claim_would_ignore_exits_2(capsys):
+    for argv, message in [
+        (("thm-1.1", "--T", "999999"), "thm-1.1 takes no --T"),
+        (("eq-1.2", "--n-max", "3"), "eq-1.2 takes no --n-max"),
+        (("thm-1.2:p=5", "--p", "13"), "--p 13 differs from the claim's p=5"),
+        (("eq-1.2", "--T", "0"), "need T >= 10"),
+        (("remark:p=5", "--T", "0"), "need T >= 1"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and message in err, argv
+    code, out, _ = run_cli(capsys, "verify", "thm-1.2:p=5", "--p", "5", "--T", "20")
+    assert code == 0 and json.loads(out)["claim"] == "thm-1.2:p=5"
+
+
 def test_verify_unknown_claim_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "lemma-9")
     assert code == 2 and "unknown claim" in err

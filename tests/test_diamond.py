@@ -220,6 +220,27 @@ def test_run_suite_quick_ordering_and_pass(tmp_path):
     assert [r.to_dict() for r in uncached] == want
 
 
+def test_quick_suite_builds_each_cached_series_once(tmp_path):
+    from qcong.store import Cache
+
+    class CountingCache(Cache):
+        def __init__(self, root):
+            super().__init__(root)
+            self.puts = []
+
+        def put(self, key, series):
+            self.puts.append((key.form, key.ring))
+            return super().put(key, series)
+
+    cache = CountingCache(tmp_path)
+    cold = run_suite(SuiteConfig.quick(), cache=cache)
+    assert cache.puts and len(cache.puts) == len(set(cache.puts)), cache.puts
+    cache.puts.clear()
+    warm = run_suite(SuiteConfig.quick(), cache=cache)
+    assert cache.puts == []
+    assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+
+
 def test_delta5_at_6_mod_11():
     # n=0 case of the mod-11 identity: 8 * delta_5(6) = 8 * 7 = 56 = 1 = c(0)
     assert delta_series(5, 7, modulus=11).coeffs[6] == 7

@@ -298,6 +298,17 @@ def test_load_rejects_bad_header_and_truncated_body():
         loads("qseries v1 ring=int offset24=0 T=3\n1\n2\n")
     with pytest.raises(ValueError, match="after its 3 coefficients"):
         loads("qseries v1 ring=int offset24=0 T=3\n1\n2\n3\n4\n")
+    with pytest.raises(ValueError):
+        loads("qseries v1 ring=int offset24=0 T=3\n1\n\n3\n")
+
+
+def test_loads_with_limit_reads_a_prefix():
+    text = dumps(S([1, 2, 3, 4]))
+    assert loads(text, limit=2).coeffs == [1, 2]
+    assert loads(text, limit=9).coeffs == [1, 2, 3, 4]
+    assert loads(text, limit=4) == loads(text)
+    # past the limit the text is not read
+    assert loads(text + "junk\n", limit=4).coeffs == [1, 2, 3, 4]
 
 
 # ---- SpaceTag ----

@@ -12,7 +12,7 @@ def _series(ring, coeffs, offset24=0):
 
 def test_get_on_empty_cache_misses(tmp_path):
     cache = Cache(tmp_path)
-    assert cache.get(CacheKey("x", "int", None, 5)) is None
+    assert cache.get(CacheKey("x", "int"), 5) is None
 
 
 @pytest.mark.parametrize(
@@ -23,38 +23,62 @@ def test_put_get_round_trip(tmp_path, ring, modulus):
     cache = Cache(tmp_path)
     if ring is QUAD:
         s = QSeries(QUAD, 24, [QuadInt(1, -2), QuadInt(0, 8), QuadInt(-3, 0)])
-        key = CacheKey("f", "quad", None, 3)
+        key = CacheKey("f", "quad")
     else:
         s = _series(ring, [5, -4, 3, 2], offset24=-24)
-        key = CacheKey("form", ring.tag.split(":")[0], modulus, 4)
+        key = CacheKey("form", ring.tag)
     cache.put(key, s)
-    got = cache.get(key)
+    got = cache.get(key, s.T)
     assert got == s
+    assert getattr(got.ring, "modulus", None) == modulus
 
 
 def test_get_truncates_down_from_longer_entry(tmp_path):
     cache = Cache(tmp_path)
     s = _series(ZZ, list(range(1000)))
-    cache.put(CacheKey("big", "int", None, 1000), s)
-    got = cache.get(CacheKey("big", "int", None, 500))
+    key = CacheKey("big", "int")
+    cache.put(key, s)
+    got = cache.get(key, 500)
     assert got is not None and got.T == 500
     assert got.coeffs == s.coeffs[:500]
 
 
 def test_get_misses_when_stored_is_shorter(tmp_path):
     cache = Cache(tmp_path)
-    cache.put(CacheKey("x", "int", None, 10), _series(ZZ, list(range(10))))
-    assert cache.get(CacheKey("x", "int", None, 11)) is None
+    key = CacheKey("x", "int")
+    cache.put(key, _series(ZZ, list(range(10))))
+    assert cache.get(key, 11) is None
+
+
+def test_longer_put_replaces_shorter_entry(tmp_path):
+    cache = Cache(tmp_path)
+    key = CacheKey("x", "mod:7")
+    cache.put(key, _series(ModRing(7), [1, 2, 3]))
+    longer = _series(ModRing(7), [1, 2, 3, 4, 5, 6])
+    cache.put(key, longer)
+    assert len(list(tmp_path.glob("*.qs"))) == 1
+    assert cache.get(key, 6) == longer
+    assert cache.get(key, 3) == longer.truncate(3)
 
 
 def test_corrupt_file_reports_miss(tmp_path, caplog):
     cache = Cache(tmp_path)
-    key = CacheKey("x", "int", None, 4)
+    key = CacheKey("x", "int")
     path = cache.put(key, _series(ZZ, [1, 2, 3, 4]))
     text = path.read_text()
     path.write_text(text.replace("2", "9", 1))
     with caplog.at_level("WARNING", logger="qcong.store"):
-        assert cache.get(key) is None
+        assert cache.get(key, 4) is None
+    assert "checksum" in caplog.text
+
+
+def test_change_beyond_the_requested_prefix_fails_checksum(tmp_path, caplog):
+    cache = Cache(tmp_path)
+    key = CacheKey("x", "int")
+    path = cache.put(key, _series(ZZ, [1, 2, 3, 4]))
+    path.write_text(path.read_text().replace("\n4\n", "\n5\n", 1))
+    with caplog.at_level("WARNING", logger="qcong.store"):
+        assert cache.get(key, 2) is None
     assert "checksum" in caplog.text
 
 
@@ -62,81 +86,63 @@ def test_put_rejects_mismatched_metadata(tmp_path):
     cache = Cache(tmp_path)
     s7 = _series(ModRing(7), [1, 2, 3])
     with pytest.raises(ValueError, match="does not match key"):
-        cache.put(CacheKey("x", "mod", 11, 3), s7)
-    with pytest.raises(ValueError, match="T="):
-        cache.put(CacheKey("x", "mod", 7, 5), s7)
+        cache.put(CacheKey("x", "mod:11"), s7)
+    with pytest.raises(ValueError, match="does not match key"):
+        cache.put(CacheKey("x", "int"), s7)
 
 
 def test_distinct_moduli_do_not_collide(tmp_path):
     cache = Cache(tmp_path)
-    cache.put(CacheKey("d", "mod", 7, 3), _series(ModRing(7), [1, 2, 3]))
-    cache.put(CacheKey("d", "mod", 11, 3), _series(ModRing(11), [4, 5, 6]))
-    assert cache.get(CacheKey("d", "mod", 7, 3)).coeffs == [1, 2, 3]
-    assert cache.get(CacheKey("d", "mod", 11, 3)).coeffs == [4, 5, 6]
+    cache.put(CacheKey("d", "mod:7"), _series(ModRing(7), [1, 2, 3]))
+    cache.put(CacheKey("d", "mod:11"), _series(ModRing(11), [4, 5, 6]))
+    assert cache.get(CacheKey("d", "mod:7"), 3).coeffs == [1, 2, 3]
+    assert cache.get(CacheKey("d", "mod:11"), 3).coeffs == [4, 5, 6]
 
 
 def test_repeated_put_is_idempotent(tmp_path):
     cache = Cache(tmp_path)
-    key = CacheKey("x", "int", None, 2)
+    key = CacheKey("x", "int")
     s = _series(ZZ, [1, 2])
     cache.put(key, s)
     cache.put(key, s)
-    assert cache.get(key) == s
+    assert cache.get(key, 2) == s
     assert len(list(tmp_path.glob("*.qs"))) == 1
 
 
 def test_clear_removes_everything(tmp_path):
     cache = Cache(tmp_path)
-    cache.put(CacheKey("x", "int", None, 2), _series(ZZ, [1, 2]))
+    key = CacheKey("x", "int")
+    cache.put(key, _series(ZZ, [1, 2]))
     removed = cache.clear()
     assert removed == 1  # one file per entry
-    assert cache.get(CacheKey("x", "int", None, 2)) is None
+    assert cache.get(key, 2) is None
 
 
 def test_clear_removes_leftover_meta_sidecars(tmp_path):
     (tmp_path / "0123456789abcdef01234567.meta").write_text("{}\n")
     cache = Cache(tmp_path)
-    cache.put(CacheKey("x", "int", None, 2), _series(ZZ, [1, 2]))
+    cache.put(CacheKey("x", "int"), _series(ZZ, [1, 2]))
     assert cache.clear() == 2
     assert list(tmp_path.iterdir()) == []
 
 
 def test_source_fingerprint_change_turns_hit_into_miss(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
-    key = CacheKey("delta_k:3", "mod", 7, 3)
+    key = CacheKey("delta_k:3", "mod:7")
     cache.put(key, _series(ModRing(7), [1, 3, 1]))
-    assert cache.get(key) is not None
+    assert cache.get(key, 3) is not None
     monkeypatch.setattr(store, "_SOURCE_FINGERPRINT", "0" * 64)
-    assert cache.get(key) is None
+    assert cache.get(key, 3) is None
 
 
 def test_entry_renamed_to_another_key_fails_checksum(tmp_path, caplog):
     cache = Cache(tmp_path)
-    path = cache.put(CacheKey("a", "int", None, 3), _series(ZZ, [1, 2, 3]))
-    other = CacheKey("b", "int", None, 3)
-    path.rename(tmp_path / f"{other.file_stem()}-3.qs")
+    path = cache.put(CacheKey("a", "int"), _series(ZZ, [1, 2, 3]))
+    other = CacheKey("b", "int")
+    path.rename(tmp_path / f"{other.file_stem()}.qs")
     with caplog.at_level("WARNING", logger="qcong.store"):
-        assert cache.get(other) is None
+        assert cache.get(other, 3) is None
     assert "checksum" in caplog.text
-
-
-def test_entry_renamed_to_another_T_is_a_miss(tmp_path, caplog):
-    cache = Cache(tmp_path)
-    key = CacheKey("x", "int", None, 3)
-    path = cache.put(key, _series(ZZ, [1, 2, 3]))
-    path.rename(tmp_path / f"{key.file_stem()}-5.qs")
-    with caplog.at_level("WARNING", logger="qcong.store"):
-        assert cache.get(key) is None
-    assert "T=3" in caplog.text
-
-
-def test_stray_file_with_unparsable_T_is_ignored(tmp_path):
-    cache = Cache(tmp_path)
-    key = CacheKey("x", "int", None, 3)
-    cache.put(key, _series(ZZ, [1, 2, 3]))
-    (tmp_path / f"{key.file_stem()}-junk.qs").write_text("not a dump\n")
-    assert cache.get(key).coeffs == [1, 2, 3]
-    assert cache.get(CacheKey("x", "int", None, 4)) is None
 
 
 def test_default_cache_respects_env(tmp_path, monkeypatch):
