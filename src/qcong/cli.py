@@ -190,7 +190,7 @@ def main(argv=None) -> int:
             print(json.dumps({"removed": removed}))
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,10 +19,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series, euler_product
-from .forms import eisenstein_int, form_f1, form_f2, form_g
+from .forms import _e4_dilated, _f_from, form_f1, form_f2, form_g
 from .operators import operator_level, twist, u_operator
 from .qseries import QSeries, SpaceTag
-from .ring import QUAD, ZZ, ModRing, QuadInt, is_prime, primes_up_to
+from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
 from .store import CacheKey
 from .sturm import ClaimReport, _scan_report, sturm_bound, verify_eigenform
 
@@ -76,10 +76,7 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
 def c_series(T: int, modulus: int | None = None) -> QSeries:
     """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2, offset 0."""
     ring = ZZ if modulus is None else ModRing(modulus)
-    e4 = eisenstein_int(4, T // 2 + 1)
-    if modulus is not None:
-        e4 = e4.reduce_mod(modulus)
-    e4_2 = e4.dilate(2).truncate(T)
+    e4_2 = _e4_dilated(T, 2, modulus)
     p8 = euler_product(T, ring).pow(8)
     p22 = euler_product(T, ring, step=2).pow(2)
     return e4_2.mul(p8).mul(p22)
@@ -295,7 +292,7 @@ def verify_g_combination(
 def _eigenvalues(f1: QSeries, f2: QSeries, primes: list[int]):
     """Eigenvalues of f = f1 + 8 sqrt(-3) f2 and its conjugate by prime (None
     where the eigenform check failed), and the per-prime eigenform reports."""
-    f = QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)])
+    f = _f_from(f1, f2)
     fbar = f.conjugate()
     k, chi, N = _F_SPACE.weight, _F_SPACE.character, _F_SPACE.level
     eig: dict[int, tuple[QuadInt | None, QuadInt | None]] = {}

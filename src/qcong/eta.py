@@ -80,9 +80,16 @@ class EtaQuotient:
         return sum(d * r for d, r in self.factors)
 
 
+def _inner_T(T: int, d: int) -> int:
+    # least base truncation whose d-dilation covers T coefficients
+    return (T + d - 2) // d + 1
+
+
 def _euler_coeffs(T: int, ring: Ring, step: int = 1) -> list:
     # prod(1 - q^(step*n)) by the pentagonal number theorem: the only
     # nonzero coefficients sit at step*j*(3j+-1)/2 with sign (-1)^j
+    if T < 1:
+        raise ValueError("truncation must be at least 1")
     one = ring.one
     neg_one = ring.neg(one)
     c = [ring.zero] * T
@@ -123,10 +130,9 @@ def eta_quotient_series(
     ring: Ring = ZZ if modulus is None else ModRing(modulus)
     g = reduce(math.gcd, (d for d, _ in e.factors))
     if g > 1:
-        # compute in the compressed variable x = q^g, then dilate back;
-        # the inner truncation is sized so the dilation covers T
+        # compute in the compressed variable x = q^g, then dilate back
         inner = EtaQuotient(tuple((d // g, r) for d, r in e.factors))
-        base = eta_quotient_series(inner, (T + g - 2) // g + 1, modulus)
+        base = eta_quotient_series(inner, _inner_T(T, g), modulus)
         return base.dilate(g).truncate(T)
     num = None
     den = None
@@ -137,7 +143,7 @@ def eta_quotient_series(
         else:
             den = factor if den is None else den.mul(factor)
     if num is None:
-        num = QSeries(ring, 0, [ring.one] + [ring.zero] * (T - 1))
+        num = QSeries.one(ring, T)
     return num if den is None else num.mul(den.invert())
 
 

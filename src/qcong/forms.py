@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eta import EtaQuotient, eta_quotient_series
+from .eta import EtaQuotient, _inner_T, eta_quotient_series
 from .qseries import QSeries
 from .ring import QQ, QUAD, ZZ, ModRing, QuadInt, bernoulli, is_prime
 
@@ -54,6 +54,8 @@ def sigma(k: int, n: int) -> int:
 
 def _sigma_coeffs(k: int, T: int) -> list[int]:
     # sieve: s[n] = sigma_k(n), s[0] = 0
+    if T < 1:
+        raise ValueError("truncation must be at least 1")
     s = [0] * T
     for d in range(1, T):
         dk = d**k
@@ -90,6 +92,8 @@ def theta0(T: int) -> QSeries:
 
 
 def _theta0_coeffs(T: int, d: int) -> list[int]:
+    if T < 1:
+        raise ValueError("truncation must be at least 1")
     c = [0] * T
     c[0] = 1
     n = 1
@@ -119,13 +123,8 @@ def _quotient_form(
 
 
 def _dilated_to(s: QSeries, d: int, T: int) -> QSeries:
-    # s must have been built with at least (T + d - 2)//d + 1 coefficients
+    # s must have been built with at least _inner_T(T, d) coefficients
     return s.dilate(d).truncate(T)
-
-
-def _inner_T(T: int, d: int) -> int:
-    # least base truncation whose d-dilation covers T coefficients
-    return (T + d - 2) // d + 1
 
 
 def _e4_dilated(T: int, d: int, modulus: int | None = None) -> QSeries:
@@ -169,13 +168,16 @@ def form_f2(T: int) -> QSeries:
     return _e4_dilated(T, 4).mul(F2).mul(form_h(T))
 
 
+def _f_from(f1: QSeries, f2: QSeries) -> QSeries:
+    # f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)], from the two integer series
+    return QSeries(
+        QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)]
+    )
+
+
 def form_f(T: int) -> QSeries:
     """f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)] (identifying 8 i sqrt(3))."""
-    d1 = form_f1(T)
-    d2 = form_f2(T)
-    return QSeries(
-        QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(d1.coeffs, d2.coeffs)]
-    )
+    return _f_from(form_f1(T), form_f2(T))
 
 
 def form_g(T: int, modulus: int | None = None) -> QSeries:

@@ -417,6 +417,8 @@ def loads(text: str, limit: int | None = None) -> QSeries:
     if len(parts) != 5 or parts[0] != "qseries" or parts[1] != "v1":
         raise ValueError(f"bad qseries dump header: {header!r}")
     fields = dict(p.split("=", 1) for p in parts[2:])
+    if fields.keys() != {"ring", "offset24", "T"}:
+        raise ValueError(f"bad qseries dump header fields: {header!r}")
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])
     T = int(fields["T"])

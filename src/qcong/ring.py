@@ -164,8 +164,12 @@ class Ring:
     """Scalar operations of one coefficient ring.
 
     Subclasses are frozen dataclasses so that rings compare by value
-    (two ModRing(7) are the same ring).  ``conj`` defaults to the
-    identity; only the quadratic ring overrides it.
+    (two ModRing(7) are the same ring).  ``add``, ``neg`` and ``mul``
+    default to the elements' own operators and ``sub`` is always
+    ``add(x, neg(y))``; only ``ModRing`` overrides the arithmetic, to
+    reduce mod m.  ``conj`` defaults to the identity and ``format_elem``
+    to ``str``.  Each ring supplies ``from_int``, ``is_unit``, ``inv`` and
+    ``parse_elem``.
     """
 
     tag: str
@@ -173,16 +177,16 @@ class Ring:
     one: object
 
     def add(self, x, y):
-        raise NotImplementedError
-
-    def sub(self, x, y):
-        raise NotImplementedError
+        return x + y
 
     def neg(self, x):
-        raise NotImplementedError
+        return -x
 
     def mul(self, x, y):
-        raise NotImplementedError
+        return x * y
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
 
     def from_int(self, n: int):
         """The sanctioned conversion from a plain integer into this ring."""
@@ -210,18 +214,6 @@ class IntegerRing(Ring):
     zero = 0
     one = 1
 
-    def add(self, x: int, y: int) -> int:
-        return x + y
-
-    def sub(self, x: int, y: int) -> int:
-        return x - y
-
-    def neg(self, x: int) -> int:
-        return -x
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y
-
     def from_int(self, n: int) -> int:
         return n
 
@@ -246,18 +238,6 @@ class RationalRing(Ring):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
-
-    def sub(self, x: Fraction, y: Fraction) -> Fraction:
-        return x - y
-
-    def neg(self, x: Fraction) -> Fraction:
-        return -x
-
-    def mul(self, x: Fraction, y: Fraction) -> Fraction:
-        return x * y
-
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
@@ -281,6 +261,8 @@ class ModRing(Ring):
     """Z/m with elements stored as plain ints reduced into [0, m)."""
 
     modulus: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.modulus < 2:
@@ -290,20 +272,9 @@ class ModRing(Ring):
     def tag(self) -> str:
         return f"mod:{self.modulus}"
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def add(self, x: int, y: int) -> int:
         s = x + y
         return s - self.modulus if s >= self.modulus else s
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.modulus
 
     def neg(self, x: int) -> int:
         return -x % self.modulus
@@ -332,18 +303,6 @@ class QuadRing(Ring):
     tag = "quad"
     zero = QuadInt(0, 0)
     one = QuadInt(1, 0)
-
-    def add(self, x: QuadInt, y: QuadInt) -> QuadInt:
-        return x + y
-
-    def sub(self, x: QuadInt, y: QuadInt) -> QuadInt:
-        return x - y
-
-    def neg(self, x: QuadInt) -> QuadInt:
-        return -x
-
-    def mul(self, x: QuadInt, y: QuadInt) -> QuadInt:
-        return x * y
 
     def from_int(self, n: int) -> QuadInt:
         return QuadInt(n, 0)

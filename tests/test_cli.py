@@ -76,6 +76,30 @@ def test_expand_out_file(capsys, tmp_path):
     assert target.read_text().splitlines()[1:] == ["1", "240", "2160"]
 
 
+def test_expand_out_to_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "dump.txt"
+    code, out, err = run_cli(
+        capsys, "expand", "--form", "h", "--T", "5", "--out", str(target)
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ("--form", "E4"),
+        ("--form", "theta0"),
+        ("--form", "delta_k:3"),
+        ("--form", "f1"),
+        ("--form", "f"),
+        ("--eta", "1^1"),
+    ],
+)
+def test_expand_truncation_below_1_exits_2(capsys, source):
+    code, out, err = run_cli(capsys, "expand", *source, "--T", "0")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_metadata_subcommand(capsys):
     for text, want in [
         ("3^4 6^6", {"weight": 5, "level": 72, "character": -4}),
@@ -161,6 +185,15 @@ def test_cache_clear(capsys):
     assert json.loads(out)["removed"] == 0
 
 
+def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("QCONG_CACHE_DIR", str(not_a_dir))
+    for argv in (("verify", "eq-1.2", "--T", "30"), ("cache", "clear")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_console_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qcong.cli", "sturm", "--k", "5", "--N", "24696"],
@@ -180,3 +213,20 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--T", "5"])  # neither --form nor --eta
     assert exc.value.code == 2
+
+
+def test_eigenvalue_table_script_smoke(tmp_path):
+    script = Path(__file__).parent.parent / "scripts" / "eigenvalue_table.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--prime-max", "13", "--y-depth", "5"],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "",
+            "PYTHONPATH": str(Path(qcong.__file__).parent.parent),
+            "QCONG_CACHE_DIR": str(tmp_path),
+        },
+    )
+    assert proc.returncode == 0
+    # T_5 eigenvalue of f and of its conjugate, and y(5)
+    assert proc.stdout.splitlines()[3].split() == ["5", "258", "258", "258"]

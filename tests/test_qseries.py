@@ -300,6 +300,11 @@ def test_load_rejects_bad_header_and_truncated_body():
         loads("qseries v1 ring=int offset24=0 T=3\n1\n2\n3\n4\n")
     with pytest.raises(ValueError):
         loads("qseries v1 ring=int offset24=0 T=3\n1\n\n3\n")
+    # a missing or unknown header field
+    with pytest.raises(ValueError, match="header"):
+        loads("qseries v1 a=1 b=2 c=3\n")
+    with pytest.raises(ValueError, match="header"):
+        loads("qseries v1 ring=int offset24=0 X=3\n0\n")
 
 
 def test_loads_with_limit_reads_a_prefix():

@@ -181,3 +181,5 @@ def test_ring_axioms_via_ring_ops_all_rings(a, b, c):
         assert R.mul(x, R.add(y, z)) == R.add(R.mul(x, y), R.mul(x, z))
         assert R.add(x, y) == R.add(y, x)
         assert R.mul(x, y) == R.mul(y, x)
+        assert R.add(x, R.neg(x)) == R.zero
+        assert R.sub(x, y) == R.add(x, R.neg(y)) == R.from_int(a - b)
