@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series, euler_product
+from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series
 from .forms import _e4_dilated, _f_from, form_f1, form_f2, form_g
 from .operators import operator_level, twist, u_operator
 from .qseries import QSeries, SpaceTag
@@ -55,6 +55,13 @@ _CHAIN_C = operator_level("twist_7", _CHAIN_B)
 _F_SPACE = SpaceTag(weight=9, level=16, character=-4)
 
 
+def _euler_part(e: EtaQuotient, T: int, modulus: int | None) -> QSeries:
+    # prod (1-q^(dn))^r over the factors d^r of e: its expansion with the
+    # q^(sum dr/24) prefactor dropped, offset 0
+    s = eta_quotient_series(e, T, modulus)
+    return QSeries(s.ring, 0, s.coeffs)
+
+
 def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
     """Counting series of broken k-diamond partitions, offset 0.
 
@@ -65,21 +72,17 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     e = EtaQuotient(((1, -3), (2, 1), (2 * k + 1, 1), (4 * k + 2, -1)))
-    s = eta_quotient_series(e, T, modulus)
-    if s.offset24 != -2 * (k + 1):
+    if e.offset24 != -2 * (k + 1):
         raise AssertionError(
-            f"offset {s.offset} of {e} does not cancel the q^({k + 1}/12) prefactor"
+            f"offset {e.offset24}/24 of {e} does not cancel the q^({k + 1}/12) prefactor"
         )
-    return QSeries(s.ring, 0, s.coeffs)
+    return _euler_part(e, T, modulus)
 
 
 def c_series(T: int, modulus: int | None = None) -> QSeries:
     """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2, offset 0."""
-    ring = ZZ if modulus is None else ModRing(modulus)
     e4_2 = _e4_dilated(T, 2, modulus)
-    p8 = euler_product(T, ring).pow(8)
-    p22 = euler_product(T, ring, step=2).pow(2)
-    return e4_2.mul(p8).mul(p22)
+    return e4_2.mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, modulus))
 
 
 def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -> QSeries:
@@ -122,8 +125,7 @@ def _delta(given: QSeries | None, cache, k: int, T: int, modulus: int) -> QSerie
 
 def eq_1_2_lhs(T: int) -> QSeries:
     """prod (1-q^n)^4 (1-q^{2n})^6 reduced mod 7."""
-    ring = ModRing(7)
-    return euler_product(T, ring).pow(4).mul(euler_product(T, ring, step=2).pow(6))
+    return _euler_part(EtaQuotient(((1, 4), (2, 6))), T, 7)
 
 
 def verify_eq_1_2(

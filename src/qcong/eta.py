@@ -14,7 +14,7 @@ __all__ = [
     "EtaQuotient",
     "EtaMetadata",
     "eta_series",
-    "euler_product",
+    "dilated",
     "eta_quotient_series",
     "eta_quotient_metadata",
 ]
@@ -85,9 +85,17 @@ def _inner_T(T: int, d: int) -> int:
     return (T + d - 2) // d + 1
 
 
-def _euler_coeffs(T: int, ring: Ring, step: int = 1) -> list:
-    # prod(1 - q^(step*n)) by the pentagonal number theorem: the only
-    # nonzero coefficients sit at step*j*(3j+-1)/2 with sign (-1)^j
+def dilated(build, T: int, d: int) -> QSeries:
+    """f(dz) to T coefficients, where build(n) returns f(z) to n terms and is
+    called at the least n that covers T: the one expansion of a dilated factor."""
+    if T < 1:
+        raise ValueError("truncation must be at least 1")
+    return build(_inner_T(T, d)).dilate(d).truncate(T)
+
+
+def _euler_coeffs(T: int, ring: Ring) -> list:
+    # prod(1 - q^n) by the pentagonal number theorem: the only nonzero
+    # coefficients sit at j*(3j+-1)/2 with sign (-1)^j
     if T < 1:
         raise ValueError("truncation must be at least 1")
     one = ring.one
@@ -96,21 +104,16 @@ def _euler_coeffs(T: int, ring: Ring, step: int = 1) -> list:
     c[0] = one
     j = 1
     while True:
-        e1 = step * (j * (3 * j - 1) // 2)
+        e1 = j * (3 * j - 1) // 2
         if e1 >= T:
             break
         s = one if j % 2 == 0 else neg_one
         c[e1] = s
-        e2 = step * (j * (3 * j + 1) // 2)
+        e2 = j * (3 * j + 1) // 2
         if e2 < T:
             c[e2] = s
         j += 1
     return c
-
-
-def euler_product(T: int, ring: Ring = ZZ, step: int = 1) -> QSeries:
-    """prod(1 - q^(step*n)) truncated to T coefficients, offset 0."""
-    return QSeries(ring, 0, _euler_coeffs(T, ring, step))
 
 
 def eta_series(T: int) -> QSeries:
@@ -132,12 +135,14 @@ def eta_quotient_series(
     if g > 1:
         # compute in the compressed variable x = q^g, then dilate back
         inner = EtaQuotient(tuple((d // g, r) for d, r in e.factors))
-        base = eta_quotient_series(inner, _inner_T(T, g), modulus)
-        return base.dilate(g).truncate(T)
+        return dilated(lambda n: eta_quotient_series(inner, n, modulus), T, g)
     num = None
     den = None
     for d, r in e.factors:
-        factor = QSeries(ring, d, _euler_coeffs(T, ring, step=d)).pow(abs(r))
+        # eta(dz)^|r| is eta(z)^|r| at its inner length, dilated by d
+        factor = dilated(
+            lambda n: QSeries(ring, 1, _euler_coeffs(n, ring)).pow(abs(r)), T, d
+        )
         if r > 0:
             num = factor if num is None else num.mul(factor)
         else:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eta import EtaQuotient, _inner_T, eta_quotient_series
+from .eta import EtaQuotient, dilated, eta_quotient_series
 from .qseries import QSeries
 from .ring import QQ, QUAD, ZZ, ModRing, QuadInt, bernoulli, is_prime
 
@@ -88,23 +88,15 @@ def eisenstein_int(k: int, T: int) -> QSeries:
 
 def theta0(T: int) -> QSeries:
     """1 + 2 sum_{n>=1} q^(n^2)."""
-    return QSeries(ZZ, 0, _theta0_coeffs(T, 1))
-
-
-def _theta0_coeffs(T: int, d: int) -> list[int]:
     if T < 1:
         raise ValueError("truncation must be at least 1")
     c = [0] * T
     c[0] = 1
     n = 1
-    while d * n * n < T:
-        c[d * n * n] = 2
+    while n * n < T:
+        c[n * n] = 2
         n += 1
-    return c
-
-
-def _theta0_dilated(T: int, d: int) -> QSeries:
-    return QSeries(ZZ, 0, _theta0_coeffs(T, d))
+    return QSeries(ZZ, 0, c)
 
 
 def _quotient_form(
@@ -122,16 +114,10 @@ def _quotient_form(
     return eta_quotient_series(e, T - o, modulus).to_offset_zero().truncate(T)
 
 
-def _dilated_to(s: QSeries, d: int, T: int) -> QSeries:
-    # s must have been built with at least _inner_T(T, d) coefficients
-    return s.dilate(d).truncate(T)
-
-
 def _e4_dilated(T: int, d: int, modulus: int | None = None) -> QSeries:
-    base = eisenstein_int(4, _inner_T(T, d))
-    if modulus is not None:
-        base = base.reduce_mod(modulus)
-    return _dilated_to(base, d, T)
+    # E4(dz), over Z/modulus when one is given
+    e4 = dilated(lambda n: eisenstein_int(4, n), T, d)
+    return e4 if modulus is None else e4.reduce_mod(modulus)
 
 
 def form_F(T: int) -> QSeries:
@@ -147,8 +133,8 @@ def form_h(T: int) -> QSeries:
 def form_f1(T: int) -> QSeries:
     """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4] where
     t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents."""
-    t2 = _theta0_dilated(T, 2)
-    t4 = _theta0_dilated(T, 4)
+    t2 = dilated(theta0, T, 2)
+    t4 = dilated(theta0, T, 4)
     t2_2 = t2.mul(t2)
     t2_4 = t2_2.mul(t2_2)
     t4_2 = t4.mul(t4)
@@ -164,7 +150,7 @@ def form_f1(T: int) -> QSeries:
 
 def form_f2(T: int) -> QSeries:
     """E4(4z) F(2z) h(z), supported on exponents congruent to 3 mod 4."""
-    F2 = _dilated_to(form_F(_inner_T(T, 2)), 2, T)
+    F2 = dilated(form_F, T, 2)
     return _e4_dilated(T, 4).mul(F2).mul(form_h(T))
 
 
@@ -230,7 +216,10 @@ FORM_NAMES = ("E4", "theta0", "F", "h", "f1", "f2", "f", "g", "c", "delta_k:<k>"
 
 
 def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
-    """Named-form registry used by the CLI: build `name` to truncation T."""
+    """Named-form registry used by the CLI: build `name` to truncation T,
+    once the name and the modulus have been checked."""
+    if name == "f" and modulus is not None:
+        raise ValueError("form f has quadratic-ring coefficients; no --mod")
     if name.startswith("delta_k:"):
         from . import diamond
 
@@ -254,8 +243,4 @@ def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
     if name not in builders:
         raise ValueError(f"unknown form {name!r}; known: {', '.join(FORM_NAMES)}")
     s = builders[name]()
-    if modulus is not None:
-        if name == "f":
-            raise ValueError("form f has quadratic-ring coefficients; no --mod")
-        s = s.reduce_mod(modulus)
-    return s
+    return s if modulus is None else s.reduce_mod(modulus)

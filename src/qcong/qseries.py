@@ -168,6 +168,11 @@ class QSeries:
 
     `coeffs` is never mutated after construction; operations build new
     series, so values may be shared and sent across threads freely.
+
+    The constructor trusts its caller: over a `ModRing` the coefficients
+    must already be reduced into [0, m), and it does not rescan them.
+    Outside data enters reduced through `from_ints`, `loads` and the
+    injected-series check in `diamond._series`.
     """
 
     __slots__ = ("ring", "offset24", "coeffs")
@@ -282,10 +287,8 @@ class QSeries:
             raise ValueError(f"dilation factor must be >= 1, got {d}")
         if d == 1:
             return self
-        zero = self.ring.zero
-        out = [zero] * (d * (self.T - 1) + 1)
-        for j, c in enumerate(self.coeffs):
-            out[d * j] = c
+        out = [self.ring.zero] * (d * (self.T - 1) + 1)
+        out[::d] = self.coeffs
         return QSeries(self.ring, d * self.offset24, out)
 
     def truncate(self, T: int) -> "QSeries":
@@ -416,8 +419,8 @@ def loads(text: str, limit: int | None = None) -> QSeries:
     parts = header.split()
     if len(parts) != 5 or parts[0] != "qseries" or parts[1] != "v1":
         raise ValueError(f"bad qseries dump header: {header!r}")
-    fields = dict(p.split("=", 1) for p in parts[2:])
-    if fields.keys() != {"ring", "offset24", "T"}:
+    fields = dict(p.partition("=")[::2] for p in parts[2:])
+    if fields.keys() != {"ring", "offset24", "T"} or not all(fields.values()):
         raise ValueError(f"bad qseries dump header fields: {header!r}")
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])

@@ -31,6 +31,19 @@ def naive_euler_product(T: int, step: int = 1) -> list[int]:
     return c
 
 
+def naive_eta_product(factors, T: int) -> list[int]:
+    """prod over (d, r) of prod_{n>=1} (1 - q^(dn))^r to T coefficients, one
+    binomial factor at a time; the q^(sum dr/24) prefactor is left off."""
+    c = [0] * T
+    c[0] = 1
+    for d, r in factors:
+        step = mult_binomial if r > 0 else div_binomial
+        for n in range(d, T, d):
+            for _ in range(abs(r)):
+                c = step(c, n)
+    return c
+
+
 def naive_delta(k: int, T: int) -> list[int]:
     """Broken k-diamond counting series by factor-by-factor expansion."""
     c = [0] * T

@@ -93,11 +93,17 @@ def test_expand_out_to_missing_directory_exits_2(capsys, tmp_path):
         ("--form", "f1"),
         ("--form", "f"),
         ("--eta", "1^1"),
+        ("--form", "c"),
+        ("--form", "f2"),
+        ("--form", "g"),
+        ("--form", "F"),
+        ("--form", "h"),
     ],
 )
 def test_expand_truncation_below_1_exits_2(capsys, source):
     code, out, err = run_cli(capsys, "expand", *source, "--T", "0")
     assert code == 2 and out == "" and err.startswith("error:")
+    assert "truncation must be at least 1" in err
 
 
 def test_metadata_subcommand(capsys):

@@ -1,18 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_euler_product
+from oracles import naive_eta_product, naive_euler_product
 from qcong.eta import (
     EtaQuotient,
+    dilated,
     eta_quotient_metadata,
     eta_quotient_series,
     eta_series,
-    euler_product,
 )
-from qcong.ring import ZZ, ModRing
+from qcong.ring import ModRing
 
 
 def test_eta_series_frozen_values_and_offset():
@@ -116,8 +116,51 @@ def test_metadata_flags_non_divisible_quotient():
 
 
 def test_euler_product_step():
-    p2 = euler_product(9, ZZ, step=2)
+    # eta(2z) = q^(2/24) prod(1 - q^(2n))
+    p2 = eta_quotient_series(EtaQuotient(((2, 1),)), 9)
+    assert p2.offset24 == 2
     assert p2.coeffs == [1, 0, -1, 0, -1, 0, 0, 0, 0]
+
+
+def test_dilated_builds_at_inner_length():
+    asked = []
+
+    def build(n):
+        asked.append(n)
+        return eta_series(n)
+
+    s = dilated(build, 9, 2)
+    assert asked == [5]  # exponents 0, 2, ..., 8 of eta(2z)
+    assert s.offset24 == 2 and s.T == 9
+    assert s.coeffs == [1, 0, -1, 0, -1, 0, 0, 0, 0]
+    assert dilated(build, 1, 14).coeffs == [1]
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        dilated(build, 0, 2)
+    assert asked == [5, 1]
+
+
+@st.composite
+def eta_products(draw):
+    # multiples of a drawn g, so that a common gcd > 1 is drawn often
+    g = draw(st.integers(1, 7))
+    ds = draw(st.lists(st.integers(1, 14 // g), min_size=1, max_size=4, unique=True))
+    rs = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=len(ds), max_size=len(ds)))
+    return tuple((g * d, r) for d, r in zip(ds, rs))
+
+
+@given(eta_products(), st.integers(1, 200), st.sampled_from([None, 2, 3, 5, 7, 11]))
+@settings(max_examples=60, deadline=None)
+@example(((3, 4), (6, 6)), 200, 7)
+@example(((2, -3), (4, 2), (10, 4)), 197, None)
+@example(((1, -3), (2, 1), (7, 1), (14, -1)), 200, 11)
+@example(((4, -2),), 1, 2)
+def test_quotient_series_matches_naive_product(factors, T, m):
+    s = eta_quotient_series(EtaQuotient(factors), T, m)
+    want = naive_eta_product(factors, T)
+    if m is not None:
+        want = [x % m for x in want]
+    assert s.offset24 == sum(d * r for d, r in factors)
+    assert s.coeffs == want
 
 
 def test_quotient_series_over_mod_ring_type():

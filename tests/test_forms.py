@@ -137,6 +137,17 @@ def test_g_odd_part_is_c_series():
     assert g.extract_progression(2, 1).coeffs == c.coeffs
 
 
+def test_registry_rejects_mod_for_f_before_building(monkeypatch):
+    import qcong.forms
+
+    def no_build(T):
+        raise AssertionError("form f was built before --mod was checked")
+
+    monkeypatch.setattr(qcong.forms, "form_f1", no_build)
+    with pytest.raises(ValueError, match="no --mod"):
+        resolve_form("f", 20000, 7)
+
+
 def test_registry_resolves_all_names():
     assert resolve_form("h", 10).coeffs == form_h(10).coeffs
     assert resolve_form("E4", 3).coeffs == [1, 240, 2160]

@@ -305,6 +305,15 @@ def test_load_rejects_bad_header_and_truncated_body():
         loads("qseries v1 a=1 b=2 c=3\n")
     with pytest.raises(ValueError, match="header"):
         loads("qseries v1 ring=int offset24=0 X=3\n0\n")
+    # a header field without "="
+    with pytest.raises(ValueError, match="header"):
+        loads("qseries v1 ring=int offset24 T=1\n0\n")
+
+
+def test_mod_ring_data_enters_reduced():
+    # the constructor trusts its caller; outside data is reduced on entry
+    assert loads("qseries v1 ring=mod:7 offset24=0 T=2\n8\n-1\n").coeffs == [1, 6]
+    assert QSeries.from_ints(ModRing(7), [8, -1]).coeffs == [1, 6]
 
 
 def test_loads_with_limit_reads_a_prefix():
