@@ -3,9 +3,11 @@ verification of every congruence and eigenform claim.
 
 Each verify_* function expands the relevant series (optionally through the
 disk cache), scans the claim through an explicit bound, and returns one or
-more ClaimReports.  Series arguments can be injected to support mutation
-self-tests; injected series are validated for offset, length, ring, and
-(mod m) for coefficients reduced into [0, m).
+more ClaimReports.  An identity is two series built from QSeries operations
+and the operators (Theorem 1.2 and the remark through operators.hecke),
+compared by one mismatch scan.  Series arguments can be injected to support
+mutation self-tests; injected series are validated for offset, length, ring,
+and (mod m) for coefficients reduced into [0, m).
 
 CLAIMS, the claim table, has one row per claim ID; run_suite runs every
 row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series
 from .forms import _e4_dilated, _f_from, form_f1, form_f2, form_g
-from .operators import operator_level, twist, u_operator
+from .operators import hecke, operator_level, twist, u_operator
 from .qseries import QSeries, SpaceTag
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
 from .store import CacheKey
@@ -51,8 +53,23 @@ _CHAIN_A = eta_quotient_metadata(_SECTION2_QUOTIENT).tag
 _CHAIN_B = operator_level("U_7", _CHAIN_A)
 _CHAIN_C = operator_level("twist_7", _CHAIN_B)
 
-# the space of f = f1 + 8 sqrt(-3) f2, its conjugate, g, f1 and f2
+# the space of f = f1 + 8 sqrt(-3) f2, its conjugate, g, f1 and f2; its
+# weight and character also fix the Hecke operator of Theorem 1.2
 _F_SPACE = SpaceTag(weight=9, level=16, character=-4)
+
+
+def _lift(u: QSeries, d: int, s: int) -> QSeries:
+    """sum u(n) q^(dn+s), offset 0, to the d*T + s terms u's T coefficients fix."""
+    out = [u.ring.zero] * (d * u.T + s)
+    out[s::d] = u.coeffs
+    return QSeries(u.ring, 0, out)
+
+
+def _mismatches(a: QSeries, b: QSeries, bound: int):
+    """The exponents n <= bound where the offset-0 series a and b differ, in
+    increasing order; an error if either stops short of the bound."""
+    x, y = a.truncate(bound + 1).coeffs, b.truncate(bound + 1).coeffs
+    return (n for n in range(bound + 1) if x[n] != y[n])
 
 
 def _euler_part(e: EtaQuotient, T: int, modulus: int | None) -> QSeries:
@@ -142,8 +159,7 @@ def verify_eq_1_2(
     delta3 = _delta(delta3, cache, 3, L, 7)
     lhs = _series(lhs, None, None, T, 7, eq_1_2_lhs, "left-hand side")
     rhs = delta3.extract_progression(7, 5).truncate(T).scale(6)
-    failures = (n for n in range(T) if lhs.coeffs[n] != rhs.coeffs[n])
-    return _scan_report("eq-1.2", failures, T - 1, modulus=7)
+    return _scan_report("eq-1.2", _mismatches(lhs, rhs, T - 1), T - 1, modulus=7)
 
 
 def verify_theorem_1_1(
@@ -182,30 +198,25 @@ def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport
     n_a = (T_prod - 3) // 3
     n_b = (f.T - 3) // 3
     L_delta = max(7 * n_a + 5, 49 * n_b + 33) + 1
-    d = _delta(None, cache, 3, L_delta, 7).coeffs
+    delta3 = _delta(None, cache, 3, L_delta, 7)
 
-    def progression_mismatches(series: QSeries, step: int, shift: int):
-        # where series != 6 * sum delta_3(step*n + shift) q^{3n+2} mod 7
-        for e in range(series.T):
-            if e % 3 == 2:
-                want = 6 * d[step * ((e - 2) // 3) + shift] % 7
-            else:
-                want = 0
-            if series.coeffs[e] != want:
-                yield e
+    def progression(step: int, shift: int) -> QSeries:
+        # 6 sum delta_3(step n + shift) q^(3n+2) mod 7
+        return _lift(delta3.extract_progression(step, shift).scale(6), 3, 2)
 
     def report(step: str, failures, bound: int, space: SpaceTag) -> ClaimReport:
         return _scan_report(
             f"sec-2-chain:{step}", failures, bound, space.weight, space.level, 7
         )
 
-    diff = f.sub(twist(f, 7))
-    bound_c = min(sturm_bound(_CHAIN_C.weight, _CHAIN_C.level), diff.T - 1)
-    fail_c = (n for n in range(bound_c + 1) if diff.coeffs[n] != 0)
+    fail_a = _mismatches(prod0, progression(7, 5), prod0.T - 1)
+    fail_b = _mismatches(f, progression(49, 33), f.T - 1)
+    bound_c = min(sturm_bound(_CHAIN_C.weight, _CHAIN_C.level), f.T - 1)
+    fail_c = _mismatches(f, twist(f, 7), bound_c)
     fail_d = (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0)
     return [
-        report("a", progression_mismatches(prod0, 7, 5), prod0.T - 1, _CHAIN_A),
-        report("b", progression_mismatches(f, 49, 33), f.T - 1, _CHAIN_B),
+        report("a", fail_a, prod0.T - 1, _CHAIN_A),
+        report("b", fail_b, f.T - 1, _CHAIN_B),
         report("c", fail_c, bound_c, _CHAIN_C),
         report("d", fail_d, f.T - 1, _CHAIN_B),
     ]
@@ -224,28 +235,14 @@ def verify_eq_1_4(
     delta5 = _delta(delta5, cache, 5, L, 11)
     c_mod = _series(c_mod, cache, "c", T, 11, lambda n: c_series(n, 11), "c series")
     rhs = delta5.extract_progression(11, 6).truncate(T).scale(8)
-    failures = (n for n in range(T) if c_mod.coeffs[n] != rhs.coeffs[n])
-    return _scan_report("eq-1.4", failures, T - 1, modulus=11)
+    return _scan_report("eq-1.4", _mismatches(c_mod, rhs, T - 1), T - 1, modulus=11)
 
 
-def _hecke_mismatches(
-    u: Callable[[int], int], p: int, y: int, T: int, modulus: int | None = None
-):
-    """The n < T where u(pn + (p-1)/2) + p^8 u((n-(p-1)/2)/p) != y(p) u(n),
-    exactly or mod `modulus`; the quotient term counts only when p divides
-    n - (p-1)/2 and the quotient is nonnegative."""
-    half = (p - 1) // 2
-    p8 = p**8
-    for n in range(T):
-        lhs = u(p * n + half)
-        m = n - half
-        if m >= 0 and m % p == 0:
-            lhs += p8 * u(m // p)
-        diff = lhs - y * u(n)
-        if modulus is not None:
-            diff %= modulus
-        if diff:
-            yield n
+def _hecke_image(u: QSeries, p: int) -> QSeries:
+    # u(pn + (p-1)/2) + p^8 u((n-(p-1)/2)/p) for each n it is fixed at:
+    # T_p on g = sum u(n) q^(2n+1) in g's space, read at the odd exponents
+    g = _lift(u, 2, 1)
+    return hecke(g, p, _F_SPACE.weight, _F_SPACE.character).extract_progression(2, 1)
 
 
 def verify_theorem_1_2(
@@ -253,9 +250,11 @@ def verify_theorem_1_2(
 ) -> tuple[int, ClaimReport]:
     """Exact recurrence c(pn + (p-1)/2) + p^8 c((n-(p-1)/2)/p) = y(p) c(n).
 
-    y(p) is read off at n = 0 (where it equals c((p-1)/2)), cross-checked
-    against the independently built series f1 at exponent p, then the
-    identity is verified for all n < T by `_hecke_mismatches`.
+    This is T_p g = y(p) g for g = sum c(n) q^(2n+1) in S_9(Gamma_0(16),
+    chi_-4), read at the odd exponents.  y(p) is read off at n = 0 (where it
+    equals c((p-1)/2)) and cross-checked against the independently built
+    series f1 at exponent p; then the image of g under `operators.hecke` is
+    compared with y(p) g for all n < T.
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"need a prime p = 1 mod 4, got {p}")
@@ -263,11 +262,12 @@ def verify_theorem_1_2(
         raise ValueError(f"need T >= 1, got {T}")
     half = (p - 1) // 2
     L = p * (T - 1) + half + 1
-    c = _series(c_exact, cache, "c", L, None, c_series, "c series").coeffs
-    y = c[half]
+    c = _series(c_exact, cache, "c", L, None, c_series, "c series")
+    y = c.coeffs[half]
     # independent derivation of the same number through the eigenform route
     y_agrees = form_f1(p + 1).coeffs[p] == y
-    failures = _hecke_mismatches(c.__getitem__, p, y, T) if y_agrees else [p]
+    rhs = c.truncate(T).scale(y)
+    failures = _mismatches(_hecke_image(c, p), rhs, T - 1) if y_agrees else [p]
     return y, _scan_report(f"thm-1.2:p={p}", failures, T - 1)
 
 
@@ -285,9 +285,7 @@ def verify_g_combination(
     g = _series(g, None, None, T, None, form_g, "g series")
     f1 = _series(f1, None, None, T, None, form_f1, "f1 series")
     f2 = _series(f2, None, None, T, None, form_f2, "f2 series")
-    failures = (
-        n for n in range(T) if g.coeffs[n] != f1.coeffs[n] - 8 * f2.coeffs[n]
-    )
+    failures = _mismatches(g, f1.sub(f2.scale(8)), T - 1)
     return _f_report("thm-3.1:combination", failures, T - 1)
 
 
@@ -378,9 +376,9 @@ def verify_remark(
         raise ValueError(f"need T >= 1, got {T}")
     half = (p - 1) // 2
     L = (11 * (T - 1) + 6) * p - half + 1
-    d = _delta(delta5, cache, 5, L, 11).coeffs
+    u = _delta(delta5, cache, 5, L, 11).extract_progression(11, 6)
     y = _series(None, cache, "c", half + 1, None, c_series, "c series").coeffs[half]
-    failures = _hecke_mismatches(lambda n: d[11 * n + 6], p, y, T, modulus=11)
+    failures = _mismatches(_hecke_image(u, p), u.truncate(T).scale(y), T - 1)
     return _scan_report(f"remark:p={p}", failures, T - 1, modulus=11)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .qseries import QSeries, SpaceTag
-from .ring import ZZ, ModRing, Ring
+from .ring import ZZ, ModRing, Ring, _factorize
 
 __all__ = [
     "EtaQuotient",
@@ -165,23 +165,6 @@ class EtaMetadata:
     sum_inv_divisible: bool
 
 
-def _squarefree_kernel(n: int) -> int:
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    kernel = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                kernel *= d
-        d += 1
-    return sign * kernel * n
-
-
 def eta_quotient_metadata(e: EtaQuotient) -> EtaMetadata:
     """Weight, minimal valid level, and quadratic character of a quotient.
 
@@ -202,11 +185,9 @@ def eta_quotient_metadata(e: EtaQuotient) -> EtaMetadata:
     level = L * t
     dr = sum(d * r for d, r in e.factors)
     inv_sum = sum((level // d) * r for d, r in e.factors)
-    square_class = (-1) ** weight
-    for d, r in e.factors:
-        if r % 2:
-            square_class *= d
-    s = _squarefree_kernel(square_class)
+    # squarefree kernel of (-1)^weight * prod(d^r)
+    odd = math.prod(d for d, r in e.factors if r % 2)
+    s = (-1) ** weight * math.prod(p for p, k in _factorize(odd) if k % 2)
     character = s if s % 4 == 1 else 4 * s
     return EtaMetadata(
         tag=SpaceTag(weight=weight, level=level, character=character),

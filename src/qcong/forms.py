@@ -223,7 +223,11 @@ def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
     if name.startswith("delta_k:"):
         from . import diamond
 
-        k = int(name.split(":", 1)[1])
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            msg = f"bad form {name!r}: expected delta_k:<k>, k an integer"
+            raise ValueError(msg) from None
         return diamond.delta_series(k, T, modulus)
     if name == "c":
         from . import diamond

@@ -106,6 +106,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1 by trial division, primes increasing."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .operators import hecke
 from .qseries import QSeries
-from .ring import IntegerRing, ModRing
+from .ring import IntegerRing, ModRing, _factorize
 
 __all__ = [
     "index_gamma0",
@@ -25,26 +25,12 @@ __all__ = [
 ]
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def index_gamma0(N: int) -> int:
     """Index of Gamma_0(N) in SL_2(Z): N * prod over p | N of (1 + 1/p)."""
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
     idx = N
-    for p in _prime_factors(N):
+    for p, _ in _factorize(N):
         idx = idx // p * (p + 1)
     return idx
 

@@ -95,3 +95,20 @@ def naive_hecke(a: list[int], p: int, k: int, chi_p: int) -> list[int]:
             v += chi_p * p ** (k - 1) * a[n // p]
         out.append(v)
     return out
+
+
+def naive_hecke_recurrence(u: list[int], p: int, y: int, T: int, modulus=None):
+    """First n < T where u(pn + (p-1)/2) + p^8 u((n - (p-1)/2)/p) != y u(n),
+    exactly or mod `modulus`, by the literal index recurrence of Theorem 1.2;
+    the quotient term counts when p divides n - (p-1)/2 >= 0.  None if none."""
+    half = (p - 1) // 2
+    for n in range(T):
+        lhs = u[p * n + half]
+        if n >= half and (n - half) % p == 0:
+            lhs += p**8 * u[(n - half) // p]
+        diff = lhs - y * u[n]
+        if modulus is not None:
+            diff %= modulus
+        if diff:
+            return n
+    return None

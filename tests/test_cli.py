@@ -59,6 +59,12 @@ def test_expand_unknown_form_exits_2(capsys):
     assert code == 2 and "unknown form" in err
 
 
+def test_expand_delta_k_without_an_integer_k_exits_2(capsys):
+    code, out, err = run_cli(capsys, "expand", "--form", "delta_k:x", "--T", "5")
+    assert code == 2 and out == ""
+    assert "'delta_k:x'" in err and "expected delta_k:<k>" in err
+
+
 def test_expand_apply_pipeline(capsys):
     code, out, _ = run_cli(
         capsys, "expand", "--form", "g", "--T", "100", "--mod", "7",
@@ -162,6 +168,12 @@ def test_verify_flag_the_claim_would_ignore_exits_2(capsys):
     assert code == 0 and json.loads(out)["claim"] == "thm-1.2:p=5"
 
 
+def test_verify_prime_suffix_without_an_integer_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm-1.2:p=abc")
+    assert code == 2 and out == ""
+    assert "'thm-1.2:p=abc'" in err and "expected thm-1.2:p=<prime>" in err
+
+
 def test_verify_unknown_claim_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "lemma-9")
     assert code == 2 and "unknown claim" in err
@@ -213,6 +225,22 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23520"
+
+
+def test_quick_suite_stdout_equals_the_benchmark_reference(tmp_path):
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcong.cli", "suite", "--quick", "--no-cache"],
+        capture_output=True,
+        env={
+            "PATH": "",
+            "PYTHONPATH": str(Path(qcong.__file__).parent.parent),
+            "QCONG_CACHE_DIR": str(tmp_path),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    reference = root / "perfbench" / "reference" / "suite-quick.json"
+    assert proc.stdout == reference.read_bytes()
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import naive_c, naive_delta
+from oracles import naive_c, naive_delta, naive_hecke_recurrence
 from qcong.diamond import (
     SuiteConfig,
     c_series,
@@ -149,6 +149,76 @@ def test_theorem_1_2_rejects_bad_prime():
     for p in (3, 4, 9):
         with pytest.raises(ValueError):
             verify_theorem_1_2(p, 10)
+
+
+def test_lift_fills_the_exponents_its_coefficients_fix():
+    from qcong.diamond import _lift
+    from qcong.qseries import QSeries
+    from qcong.ring import ModRing
+
+    u = QSeries.from_ints(ModRing(7), [1, 2, 3])
+    # 1 q^2 + 2 q^5 + 3 q^8, and zeros through q^10 (the next term is q^11)
+    assert _lift(u, 3, 2).coeffs == [0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0]
+    assert _lift(u, 2, 1).coeffs == [0, 1, 0, 2, 0, 3, 0]
+    assert _lift(u, 2, 1).ring == u.ring and _lift(u, 2, 1).offset24 == 0
+
+
+def _recurrence_mutations(p: int, T: int, y: int):
+    """(bumps {index of u: amount}, first n < T where Theorem 1.2's recurrence
+    for u then fails), for bumps at n, at pn + (p-1)/2 (mid-range, and the
+    last index the scan reads), at (n - (p-1)/2)/p, and at (p-1)/2.  The
+    (n - (p-1)/2)/p case bumps u(1) by 1 and u(p + (p-1)/2) by y, so the
+    recurrence still holds at n = 1 and only the p^8 term at n = p + (p-1)/2
+    sees it."""
+    half = (p - 1) // 2
+    return [
+        ({3: 1}, 3),
+        ({3 * p + half: 1}, 3),
+        ({p * (T - 1) + half: 1}, T - 1),
+        ({1: 1, p + half: y}, p + half),
+        ({half: 1}, 0),
+    ]
+
+
+def _bumped(series, bumps: dict[int, int]):
+    for idx, bump in bumps.items():
+        series = mutate(series, idx, bump)
+    return series
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_theorem_1_2_mutations_match_the_index_recurrence(p):
+    T = 30
+    half = (p - 1) // 2
+    c = c_series(p * (T - 1) + half + 1)
+    y = c.coeffs[half]
+    assert naive_hecke_recurrence(c.coeffs, p, y, T) is None
+    for bumps, first in _recurrence_mutations(p, T, y):
+        u = _bumped(c, bumps)
+        assert naive_hecke_recurrence(u.coeffs, p, y, T) == first, bumps
+        y_mut, rep = verify_theorem_1_2(p, T, c_exact=u)
+        assert y_mut == u.coeffs[half]
+        # a bump at (p-1)/2 moves y itself, and the f1 cross-check reports p
+        want = p if half in bumps else first
+        assert not rep.passed and rep.first_failure == want, bumps
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_remark_mutations_match_the_index_recurrence(p):
+    T = 30
+    half = (p - 1) // 2
+    delta5 = delta_series(5, (11 * (T - 1) + 6) * p - half + 1, modulus=11)
+    y = c_series(half + 1).coeffs[half]
+    assert naive_hecke_recurrence(delta5.coeffs[6::11], p, y, T, modulus=11) is None
+    assert verify_remark(p, T, delta5=delta5).passed
+    # off the progression 11n + 6 nothing is read
+    assert verify_remark(p, T, delta5=mutate(delta5, 11 * 3 + 2)).passed
+    for bumps, first in _recurrence_mutations(p, T, y):
+        d = _bumped(delta5, {11 * j + 6: b for j, b in bumps.items()})
+        u = d.coeffs[6::11]
+        assert naive_hecke_recurrence(u, p, y, T, modulus=11) == first, bumps
+        rep = verify_remark(p, T, delta5=d)
+        assert not rep.passed and rep.first_failure == first, bumps
 
 
 def test_g_combination_and_mutations():

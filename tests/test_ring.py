@@ -12,6 +12,7 @@ from qcong.ring import (
     ZZ,
     ModRing,
     QuadInt,
+    _factorize,
     bernoulli,
     is_prime,
     kronecker,
@@ -168,6 +169,21 @@ def test_is_prime_and_sieve():
     assert primes_up_to(97)[-1] == 97
     assert len(primes_up_to(97)) == 25
     assert is_prime(10007) and not is_prime(10001)
+
+
+@given(st.integers(1, 10**5))
+def test_factorize_rebuilds_n_from_increasing_primes(n):
+    pairs = _factorize(n)
+    assert math.prod(p**e for p, e in pairs) == n
+    primes = [p for p, _ in pairs]
+    assert primes == sorted(set(primes)) and all(map(is_prime, primes))
+    assert all(e >= 1 for _, e in pairs)
+
+
+def test_factorize_examples():
+    assert _factorize(1) == []
+    assert _factorize(24696) == [(2, 3), (3, 2), (7, 3)]
+    assert _factorize(10007) == [(10007, 1)]
 
 
 @given(small_ints, small_ints, small_ints)
