@@ -122,11 +122,11 @@ def _cmd_verify(args) -> int:
     if suffix:
         if not suffix.startswith("p="):
             raise ValueError(f"bad claim suffix {suffix!r}; expected p=<prime>")
-        try:
-            p = int(suffix[2:])
-        except ValueError:
-            msg = f"bad claim {args.claim!r}: expected {base}:p=<prime>"
-            raise ValueError(msg) from None
+        digits = suffix[2:]
+        # ASCII digits only: int() would also take "1_3", " 13" or "١٣"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad claim {args.claim!r}: expected {base}:p=<prime>")
+        p = int(digits)
         if args.p not in (None, p):
             raise ValueError(f"--p {args.p} differs from the claim's p={p}")
     claim = diamond.CLAIMS.get(base)

@@ -223,12 +223,11 @@ def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
     if name.startswith("delta_k:"):
         from . import diamond
 
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError:
-            msg = f"bad form {name!r}: expected delta_k:<k>, k an integer"
-            raise ValueError(msg) from None
-        return diamond.delta_series(k, T, modulus)
+        digits = name.split(":", 1)[1]
+        # ASCII digits only: int() would also take "1_3", " 3" or "٣"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad form {name!r}: expected delta_k:<k>, k an integer")
+        return diamond.delta_series(int(digits), T, modulus)
     if name == "c":
         from . import diamond
 

@@ -8,20 +8,25 @@ the Sturm-bound arguments downstream depend on "unknown" being
 distinguishable from "zero".
 
 Coefficients are stored densely.  Multiplication has two paths: a
-generic schoolbook convolution (the oracle) and a fast exact path that
-packs coefficients into big integers (Kronecker substitution).  Both are
-exact; property tests assert they agree.
+generic schoolbook convolution (the oracle, and the kernel for short
+operands) and one fast exact path, Kronecker substitution on the
+standard library's `decimal`: each operand becomes one decimal number of
+fixed-width base-10^w slots, and libmpdec multiplies the two with a
+number-theoretic transform.  Both are exact; property tests assert they
+agree.
 """
 
 from __future__ import annotations
 
-import array
+import decimal
 import io
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from math import lcm
+from operator import sub
 from typing import Iterable
 
 from .ring import (
@@ -36,33 +41,28 @@ from .ring import (
 
 __all__ = ["QSeries", "SpaceTag", "dumps", "loads"]
 
-_SCHOOLBOOK_CUTOFF = 64
+# Schoolbook while len(a) len(b) <= cutoff (len(a) + len(b)): packing costs
+# about as much per coefficient as a dozen Python multiply-adds, so short
+# operands (1 x N above all) stay off the packed path.
+_SCHOOLBOOK_CUTOFF = 12
 
-# widest-available array typecode for each slot width we can fast-path
-_TYPECODE: dict[int, str] = {}
-for _tc in "BHILQ":
-    _TYPECODE.setdefault(array.array(_tc).itemsize, _tc)
-
-
-def _pack_nonneg(xs: list[int], w: int) -> bytes:
-    # little-endian slots of w bytes each; every x must fit in w bytes
-    tc = _TYPECODE.get(w)
-    if tc is not None:
-        return array.array(tc, xs).tobytes()
-    buf = bytearray(len(xs) * w)
-    for i, x in enumerate(xs):
-        buf[i * w : (i + 1) * w] = x.to_bytes(w, "little")
-    return bytes(buf)
-
-
-def _pack_signed(xs: list[int], w: int) -> int:
-    if any(x < 0 for x in xs):
-        pos = [x if x > 0 else 0 for x in xs]
-        neg = [-x if x < 0 else 0 for x in xs]
-        return int.from_bytes(_pack_nonneg(pos, w), "little") - int.from_bytes(
-            _pack_nonneg(neg, w), "little"
-        )
-    return int.from_bytes(_pack_nonneg(xs, w), "little")
+# Exact big-number products: libmpdec multiplies long operands with a
+# number-theoretic transform.  Maximum precision with Inexact and Rounded
+# trapped, so a result that would need rounding raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+# slots this wide convert between int and str under any CPython digit limit
+_TEXT_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -77,41 +77,70 @@ def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int
     return out
 
 
+def _pack(xs: list[int], lo: int, hi: int, w: int) -> decimal.Decimal:
+    """Sum of (x - lo) 10^(w i) over xs, with every x in [lo, hi] and
+    hi - lo < 10^w: the text of w-digit slots, most significant first."""
+    slots = reversed(xs) if lo == 0 else map((-lo).__add__, reversed(xs))
+    if w > _TEXT_DIGITS:
+        text = "".join([str(decimal.Decimal(x)).zfill(w) for x in slots])
+    elif hi - lo < len(xs):
+        # one shared string per value, not one per coefficient
+        table = [f"{v:0{w}d}" for v in range(hi - lo + 1)]
+        text = "".join(map(table.__getitem__, slots))
+    else:
+        text = "".join(map(f"%0{w}d".__mod__, slots))
+    return decimal.Decimal(text)
+
+
+def _unpack(digits: str, w: int, n: int) -> list[int]:
+    """The n lowest w-digit slots of a decimal numeral, least first."""
+    digits = digits.zfill(n * w)
+    parse = int if w <= _TEXT_DIGITS else lambda t: int(decimal.Decimal(t))
+    top = len(digits)
+    return [parse(digits[i - w : i]) for i in range(top, top - n * w, -w)]
+
+
+def _window_sums(xs: Iterable[int], width: int, n: int) -> list[int]:
+    """First n coefficients of xs * (1 + q + ... + q^(width-1)): each the
+    sum of a window of xs, by prefix sums."""
+    prefix = [0, *accumulate(xs)]
+    top = prefix[1 : n + 1] + [prefix[-1]] * (n + 1 - len(prefix))
+    bottom = [0] * (width - 1) + prefix[: max(n - width + 1, 0)]
+    return list(map(sub, top, bottom))
+
+
 def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Exact integer convolution of a and b, truncated to n_out terms.
 
-    Packs each operand into one big integer with fixed-width slots wide
-    enough that convolution sums cannot overflow into a neighbour, does a
-    single big-integer multiply, and unpacks.  Signed coefficients are
-    handled by a half-slot bias on decode.
+    Kronecker substitution in base 10^w: each operand, biased to be
+    nonnegative, becomes one `decimal.Decimal` of w-digit slots, wide
+    enough that no slot of the product overflows into its neighbour.
+    libmpdec multiplies the two, and the product's text is cut back into
+    slots.  With a' = a - lo_a and b' = b - lo_b, the bias comes off in
+    O(n): a*b = a'*b' + lo_b (a' * 1_len(b)) + lo_a (b * 1_len(a)), each
+    product with a run of ones being a window sum.
     """
-    if len(a) + len(b) <= _SCHOOLBOOK_CUTOFF:
+    a, b = a[:n_out], b[:n_out]
+    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF * (len(a) + len(b)):
         return _convolve_int_schoolbook(a, b, n_out)
-    maxa = max(max(a), -min(a), 1)
-    maxb = max(max(b), -min(b), 1)
-    bound = min(len(a), len(b)) * maxa * maxb
-    w = (bound.bit_length() + 2 + 7) // 8
-    A = _pack_signed(a, w)
-    B = _pack_signed(b, w)
-    N = A * B
-    nslots = min(n_out, len(a) + len(b) - 1)
-    mask = (1 << (8 * w * nslots)) - 1
-    half = 1 << (8 * w - 1)
-    K = int.from_bytes((b"\x00" * (w - 1) + b"\x80") * nslots, "little")
-    M = ((N & mask) + K) & mask
-    buf = M.to_bytes(nslots * w, "little")
-    tc = _TYPECODE.get(w)
-    if tc is not None:
-        arr = array.array(tc)
-        arr.frombytes(buf)
-        out = [x - half for x in arr]
-    else:
-        out = [
-            int.from_bytes(buf[i * w : (i + 1) * w], "little") - half
-            for i in range(nslots)
-        ]
-    if n_out > nslots:
-        out.extend([0] * (n_out - nslots))
+    lo_a, hi_a = min(min(a), 0), max(a)
+    lo_b, hi_b = min(min(b), 0), max(b)
+    bound = min(len(a), len(b)) * max(hi_a - lo_a, 1) * max(hi_b - lo_b, 1)
+    w = decimal.Decimal(bound).adjusted() + 1
+    n = min(n_out, len(a) + len(b) - 1)
+    out = _unpack(
+        str(_EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))),
+        w,
+        n,
+    )
+    if lo_b:
+        sums = _window_sums(map((-lo_a).__add__, a), len(b), n)
+        out = [x + lo_b * s for x, s in zip(out, sums)]
+    if lo_a:
+        sums = _window_sums(b, len(a), n)
+        out = [x + lo_a * s for x, s in zip(out, sums)]
+    if n_out > n:
+        out.extend([0] * (n_out - n))
     return out
 
 
@@ -262,7 +291,10 @@ class QSeries:
     def invert(self) -> "QSeries":
         """Two-sided inverse up to truncation, by Newton iteration.
 
-        Requires the lowest stored coefficient to be a unit.
+        Requires the lowest stored coefficient to be a unit.  Each step
+        doubles the length k of b, where a*b = 1 mod q^k: with the error
+        e = (a*b)[k:m], b - q^k b*e is right to m <= 2k terms, so only
+        b*e's first m - k terms are needed.
         """
         ring = self.ring
         a = self.coeffs
@@ -272,13 +304,12 @@ class QSeries:
             )
         T = len(a)
         b = [ring.inv(a[0])]
-        two = ring.from_int(2)
+        neg = ring.neg
         while len(b) < T:
-            m = min(2 * len(b), T)
-            t = convolve(ring, a[:m], b, m)
-            s = [ring.neg(x) for x in t]
-            s[0] = ring.add(s[0], two)
-            b = convolve(ring, b, s, m)
+            k = len(b)
+            m = min(2 * k, T)
+            e = convolve(ring, a[:m], b, m)[k:]
+            b += map(neg, convolve(ring, b, e, m - k))
         return QSeries(ring, -self.offset24, b)
 
     def dilate(self, d: int) -> "QSeries":

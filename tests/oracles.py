@@ -112,3 +112,33 @@ def naive_hecke_recurrence(u: list[int], p: int, y: int, T: int, modulus=None):
         if diff:
             return n
     return None
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def evaluate_mod(c: list[int], x: int) -> int:
+    """sum_k c_k x^k mod P = 2^61 - 1, by Horner's rule."""
+    P = MERSENNE_61
+    acc = 0
+    for v in reversed(c):
+        acc = (acc * x + v) % P
+    return acc
+
+
+def evaluate_product_mod(a: list[int], b: list[int], n: int, x: int) -> int:
+    """sum_{k<n} (a*b)_k x^k mod P = 2^61 - 1 in O(len(a) + len(b)), without
+    forming the product: sum_i a_i x^i B(n - i), where B(m) is the value at x
+    of the first m terms of b."""
+    P = MERSENNE_61
+    prefix = [0]
+    xp = 1
+    for v in b[:n]:
+        prefix.append((prefix[-1] + v * xp) % P)
+        xp = xp * x % P
+    total = 0
+    xp = 1
+    for i, v in enumerate(a[:n]):
+        total = (total + v * xp * prefix[min(n - i, len(prefix) - 1)]) % P
+        xp = xp * x % P
+    return total

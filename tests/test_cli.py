@@ -65,6 +65,15 @@ def test_expand_delta_k_without_an_integer_k_exits_2(capsys):
     assert "'delta_k:x'" in err and "expected delta_k:<k>" in err
 
 
+@pytest.mark.parametrize("k", [" 3", "3 ", "+3", "0_3", "\u0663", "3\n"])
+def test_expand_delta_k_takes_ascii_digits_only(capsys, k):
+    # int() accepts each of these; the form name must not
+    name = f"delta_k:{k}"
+    code, out, err = run_cli(capsys, "expand", "--form", name, "--T", "3")
+    assert code == 2 and out == ""
+    assert f"bad form {name!r}: expected delta_k:<k>" in err
+
+
 def test_expand_apply_pipeline(capsys):
     code, out, _ = run_cli(
         capsys, "expand", "--form", "g", "--T", "100", "--mod", "7",
@@ -172,6 +181,15 @@ def test_verify_prime_suffix_without_an_integer_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "thm-1.2:p=abc")
     assert code == 2 and out == ""
     assert "'thm-1.2:p=abc'" in err and "expected thm-1.2:p=<prime>" in err
+
+
+@pytest.mark.parametrize("p", ["1_3", " 13", "13 ", "+13", "\u0661\u0663", "13\n"])
+def test_verify_prime_suffix_takes_ascii_digits_only(capsys, p):
+    # int() accepts each of these; the claim name must not
+    claim = f"thm-1.2:p={p}"
+    code, out, err = run_cli(capsys, "verify", claim, "--T", "5", "--no-cache")
+    assert code == 2 and out == ""
+    assert f"bad claim {claim!r}: expected thm-1.2:p=<prime>" in err
 
 
 def test_verify_unknown_claim_exits_2(capsys):

@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong import qseries
 from qcong.qseries import (
     QSeries,
     SpaceTag,
@@ -15,6 +18,7 @@ from qcong.qseries import (
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt
 
 from conftest import mutate, series_over
+from oracles import MERSENNE_61, evaluate_mod, evaluate_product_mod
 
 M7 = ModRing(7)
 ALL_RINGS = (ZZ, QQ, QUAD, M7, ModRing(12))
@@ -262,6 +266,134 @@ def test_convolve_matches_schoolbook_large_integactual():
     a = [rng.randint(-999, 999) for _ in range(200)]
     b = [rng.randint(-999, 999) for _ in range(150)]
     assert convolve(ZZ, a, b, 200) == convolve_schoolbook(ZZ, a, b, 200)
+
+
+# ---- the packed (Kronecker) multiply against the schoolbook oracle ----
+
+# (len(a), len(b)) on both sides of the schoolbook cutoff: 1 x N, short
+# times long, squares just below and above it, and long operands
+PACKED_LENGTHS = ((1, 90), (90, 1), (12, 40), (24, 24), (25, 25), (13, 200), (40, 90))
+SHAPES = ("mixed", "negative", "zero", "one", "edge", "edge-negative")
+HEIGHTS = tuple(10**k - 1 for k in (1, 2, 9, 19, 20))
+
+
+def _shaped_ints(rng, n: int, shape: str, h: int) -> list[int]:
+    """n integers of one shape, each of absolute value at most h; the edge
+    shapes repeat +-h, so the product's slots reach the width's bound."""
+    if shape == "mixed":
+        return [rng.randint(-h, h) for _ in range(n)]
+    if shape == "negative":
+        return [rng.randint(-h, -1) for _ in range(n)]
+    if shape == "one":
+        xs = [0] * n
+        xs[rng.randrange(n)] = rng.choice((-h, h))
+        return xs
+    return [{"zero": 0, "edge": h, "edge-negative": -h}[shape]] * n
+
+
+def _shaped(ring, rng, n: int, shape: str, h: int) -> list:
+    xs = _shaped_ints(rng, n, shape, h)
+    if ring == ZZ:
+        return xs
+    if ring == QQ:
+        return [Fraction(x, rng.choice((1, 2, 3, 4, 6, 12))) for x in xs]
+    if ring == QUAD:
+        return [QuadInt(x, y) for x, y in zip(xs, _shaped_ints(rng, n, shape, h))]
+    m = ring.modulus
+    if shape.startswith("edge"):
+        return [m - 1] * n  # the largest residue fills the slots
+    return [x % m for x in xs]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.tag)
+def test_packed_convolve_matches_schoolbook_across_the_cutoff(ring, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(qseries, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+
+    counted("_pack")
+    counted("_convolve_int_schoolbook")
+    rng = random.Random(ring.tag)
+    for la, lb in PACKED_LENGTHS:
+        for i, shape in enumerate(SHAPES):
+            h = HEIGHTS[(i + la) % len(HEIGHTS)]
+            a = _shaped(ring, rng, la, shape, h)
+            b = _shaped(ring, rng, lb, rng.choice(SHAPES), rng.choice(HEIGHTS))
+            # n_out below, at and above len(a) + len(b) - 1
+            for n in {1, max(la, lb), la + lb - 1, la + lb + 3}:
+                got = convolve(ring, a, b, n)
+                assert got == convolve_schoolbook(ring, a, b, n), (la, lb, shape, h, n)
+    # both kernels ran
+    assert calls["_pack"] and calls["_convolve_int_schoolbook"]
+
+
+def test_packed_convolve_at_every_slot_width_boundary():
+    # all coefficients 10^k - 1: the product's middle slots equal the bound
+    # the width is chosen from, so a slot one digit short overflows
+    for k in range(1, 25):
+        h = 10**k - 1
+        for la, lb in ((25, 25), (30, 57)):
+            for a, b in (([h] * la, [h] * lb), ([-h] * la, [h] * lb), ([h, -h] * la, [-h] * lb)):
+                n = len(a) + len(b) - 1
+                assert convolve(ZZ, a, b, n) == convolve_schoolbook(ZZ, a, b, n), (k, la, lb)
+
+
+def test_packed_convolve_of_5000_terms_checked_by_evaluation():
+    rng = random.Random(5000)
+    n = 6000
+    x = rng.randrange(2, MERSENNE_61 - 1)
+    a = [rng.randrange(7) for _ in range(n)]
+    b = [rng.randrange(7) for _ in range(n - 17)]
+    exact = convolve(ZZ, a, b, n)
+    assert evaluate_mod(exact, x) == evaluate_product_mod(a, b, n, x)
+    assert convolve(M7, a, b, n) == [v % 7 for v in exact]
+    # signed operands of unequal heights, cut below their full length
+    a = [rng.randint(-(10**12), 10**9) for _ in range(n)]
+    b = [rng.randint(-3, 10**15) for _ in range(n + 999)]
+    out = convolve(ZZ, a, b, n)
+    assert len(out) == n and evaluate_mod(out, x) == evaluate_product_mod(a, b, n, x)
+
+
+def test_packed_convolve_of_coefficients_past_the_int_str_limit():
+    # 5,000-digit coefficients: CPython will not turn such an int into text
+    # or back under its default limit, and the product must still be exact
+    rng = random.Random(4300)
+    big = 10**5000
+    a = [rng.randint(-big, big) for _ in range(30)]
+    b = [rng.randint(-big, big) for _ in range(26)]
+    a[3] = big - 1
+    for n in (26, 55, 60):
+        assert convolve(ZZ, a, b, n) == convolve_schoolbook(ZZ, a, b, n)
+    assert convolve(M7, [x % 7 for x in a], [x % 7 for x in b], 55) == [
+        x % 7 for x in convolve_schoolbook(ZZ, a, b, 55)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring, lead",
+    [(ZZ, -1), (QQ, Fraction(-3, 4)), (ModRing(12), 5), (QUAD, QuadInt(-1, 0))],
+    ids=("int", "rat", "mod12", "quad"),
+)
+def test_invert_across_the_cutoff_is_a_two_sided_inverse(ring, lead):
+    # Newton steps at every size from schoolbook to packed, the half-size
+    # second product included; checked with the schoolbook oracle
+    rng = random.Random(ring.tag)
+    one = ring.one
+    for T in (1, 2, 3, 24, 25, 26, 49, 50, 51, 97, 300):
+        rest = _shaped(ring, rng, T, "mixed", 99)[1:]
+        f = QSeries(ring, 5, [lead] + rest)
+        inv = f.invert()
+        assert inv.T == T and inv.offset24 == -5
+        want = [one] + [ring.zero] * (T - 1)
+        assert convolve_schoolbook(ring, f.coeffs, inv.coeffs, T) == want, T
+        assert convolve_schoolbook(ring, inv.coeffs, f.coeffs, T) == want, T
 
 
 # ---- mutation sanity for the container ----
