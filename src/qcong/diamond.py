@@ -3,11 +3,14 @@ verification of every congruence and eigenform claim.
 
 Each verify_* function expands the relevant series (optionally through the
 disk cache), scans the claim through an explicit bound, and returns one or
-more ClaimReports.  An identity is two series built from QSeries operations
-and the operators (Theorem 1.2 and the remark through operators.hecke),
-compared by one mismatch scan.  Series arguments can be injected to support
-mutation self-tests; injected series are validated for offset, length, ring,
-and (mod m) for coefficients reduced into [0, m).
+more ClaimReports.  Each input is built once, in one ring: delta_3 mod 7,
+delta_5 mod 11, eq. (1.2)'s left side mod 7 (lifted for the Section 2
+chain) and the exact c (reduced for eq. (1.4)).  An identity is two series
+built from QSeries operations and the operators (Theorem 1.2 and the remark
+through operators.hecke), compared by one mismatch scan.  Series arguments
+can be injected to support mutation self-tests; injected series are
+validated for offset, length, ring, and (mod m) for coefficients reduced
+into [0, m).
 
 CLAIMS, the claim table, has one row per claim ID; run_suite runs every
 row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
@@ -96,10 +99,10 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
     return _euler_part(e, T, modulus)
 
 
-def c_series(T: int, modulus: int | None = None) -> QSeries:
-    """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2, offset 0."""
-    e4_2 = _e4_dilated(T, 2, modulus)
-    return e4_2.mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, modulus))
+def c_series(T: int) -> QSeries:
+    """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2 over Z, offset 0."""
+    e4_2 = _e4_dilated(T, 2)
+    return e4_2.mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, None))
 
 
 def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -> QSeries:
@@ -145,19 +148,23 @@ def eq_1_2_lhs(T: int) -> QSeries:
     return _euler_part(EtaQuotient(((1, 4), (2, 6))), T, 7)
 
 
+def _lhs(given: QSeries | None, cache, T: int) -> QSeries:
+    return _series(given, cache, "eq_1_2_lhs", T, 7, eq_1_2_lhs, "left-hand side")
+
+
 def verify_eq_1_2(
     T: int = 5000,
     lhs: QSeries | None = None,
     delta3: QSeries | None = None,
     cache=None,
 ) -> ClaimReport:
-    """prod (1-q^n)^4 (1-q^{2n})^2... == 6 * sum delta_3(7n+5) q^n mod 7,
+    """prod (1-q^n)^4 (1-q^{2n})^6 == 6 * sum delta_3(7n+5) q^n mod 7,
     compared coefficientwise for n < T."""
     if T < 10:
         raise ValueError(f"need T >= 10, got {T}")
     L = 7 * (T - 1) + 6
     delta3 = _delta(delta3, cache, 3, L, 7)
-    lhs = _series(lhs, None, None, T, 7, eq_1_2_lhs, "left-hand side")
+    lhs = _lhs(lhs, cache, T)
     rhs = delta3.extract_progression(7, 5).truncate(T).scale(6)
     return _scan_report("eq-1.2", _mismatches(lhs, rhs, T - 1), T - 1, modulus=7)
 
@@ -180,7 +187,8 @@ def verify_theorem_1_1(
 def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport]:
     """The four-step congruence chain behind the four b(21n+r) residues.
 
-    (a) the weight-5 eta product mod 7 equals 6 sum delta_3(7n+5) q^{3n+2};
+    (a) the eta product eta(3z)^4 eta(6z)^6, built as q^2 times eq. (1.2)'s
+        left side under q -> q^3, mod 7 equals 6 sum delta_3(7n+5) q^{3n+2};
     (b) its image under U_7 equals 6 sum delta_3(49n+33) q^{3n+2};
     (c) that image minus its quadratic twist vanishes mod 7 -- a full Sturm
         certificate at (5, 24696) when T_final exceeds the bound 23520,
@@ -190,10 +198,7 @@ def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport
     if T_final < 3:
         raise ValueError(f"need T_final >= 3, got {T_final}")
     T_prod = 7 * T_final + 1
-    prod0 = _series(
-        None, cache, f"eta:{_SECTION2_QUOTIENT}", T_prod - 2, 7,
-        lambda n: eta_quotient_series(_SECTION2_QUOTIENT, n, 7), "eta product",
-    ).to_offset_zero()
+    prod0 = _lift(_lhs(None, cache, T_prod // 3), 3, 2).truncate(T_prod)
     f = u_operator(prod0, 7)
     n_a = (T_prod - 3) // 3
     n_b = (f.T - 3) // 3
@@ -224,16 +229,17 @@ def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport
 
 def verify_eq_1_4(
     T: int = 2000,
-    c_mod: QSeries | None = None,
+    c_exact: QSeries | None = None,
     delta5: QSeries | None = None,
     cache=None,
 ) -> ClaimReport:
-    """c(n) == 8 delta_5(11n + 6) mod 11 for n < T."""
+    """c(n) == 8 delta_5(11n + 6) mod 11 for n < T, reading the exact c."""
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     L = 11 * (T - 1) + 7
     delta5 = _delta(delta5, cache, 5, L, 11)
-    c_mod = _series(c_mod, cache, "c", T, 11, lambda n: c_series(n, 11), "c series")
+    c = _series(c_exact, cache, "c", T, None, c_series, "c series")
+    c_mod = c.truncate(T).reduce_mod(11)
     rhs = delta5.extract_progression(11, 6).truncate(T).scale(8)
     return _scan_report("eq-1.4", _mismatches(c_mod, rhs, T - 1), T - 1, modulus=11)
 
@@ -442,15 +448,15 @@ CLAIMS: dict[str, Claim] = {
         lambda c, cache: [verify_theorem_1_1(c.thm_1_1_n_max, cache=cache)],
         n_max="thm_1_1_n_max",
     ),
-    "eq-1.4": Claim(
-        lambda c, cache: [verify_eq_1_4(c.eq_1_4_T, cache=cache)], depth="eq_1_4_T"
-    ),
     "thm-1.2": Claim(
         lambda c, cache: [
             verify_theorem_1_2(p, c.thm_1_2_T, cache=cache)[1] for p in c.thm_1_2_primes
         ],
         depth="thm_1_2_T",
         for_prime=lambda c, p, T: {"thm_1_2_primes": (p,)},
+    ),
+    "eq-1.4": Claim(
+        lambda c, cache: [verify_eq_1_4(c.eq_1_4_T, cache=cache)], depth="eq_1_4_T"
     ),
     "thm-3.1": Claim(
         lambda c, cache: verify_theorem_3_1(c.thm_3_1_T, c.thm_3_1_prime_max),

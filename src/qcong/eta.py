@@ -19,7 +19,7 @@ __all__ = [
     "eta_quotient_metadata",
 ]
 
-_FACTOR_RE = re.compile(r"(\d+)\^(-?\d+)$")
+_FACTOR_RE = re.compile(r"([0-9]+)\^(-?[0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class EtaQuotient:
         pos = 0
         for token in text.split():
             pos = text.index(token, pos)
-            m = _FACTOR_RE.match(token)
+            m = _FACTOR_RE.fullmatch(token)
             if not m:
                 raise ValueError(
                     f"bad eta-quotient factor {token!r} at position {pos}: "

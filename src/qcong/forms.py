@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .eta import EtaQuotient, dilated, eta_quotient_series
 from .qseries import QSeries
-from .ring import QQ, QUAD, ZZ, ModRing, QuadInt, bernoulli, is_prime
+from .ring import QQ, QUAD, ZZ, QuadInt, bernoulli, is_prime
 
 __all__ = [
     "sigma",
@@ -99,25 +99,21 @@ def theta0(T: int) -> QSeries:
     return QSeries(ZZ, 0, c)
 
 
-def _quotient_form(
-    factors: tuple[tuple[int, int], ...], T: int, modulus: int | None = None
-) -> QSeries:
+def _quotient_form(factors: tuple[tuple[int, int], ...], T: int) -> QSeries:
     # eta quotient whose offset is a nonnegative integer, returned at offset 0
     e = EtaQuotient(factors)
     off24 = e.offset24
     if off24 % 24 != 0 or off24 < 0:
         raise ValueError(f"quotient {e} does not start at an integer exponent")
     o = off24 // 24
-    ring = ZZ if modulus is None else ModRing(modulus)
     if T <= o:
-        return QSeries(ring, 0, [ring.zero] * T)
-    return eta_quotient_series(e, T - o, modulus).to_offset_zero().truncate(T)
+        return QSeries(ZZ, 0, [0] * T)
+    return eta_quotient_series(e, T - o).to_offset_zero().truncate(T)
 
 
-def _e4_dilated(T: int, d: int, modulus: int | None = None) -> QSeries:
-    # E4(dz), over Z/modulus when one is given
-    e4 = dilated(lambda n: eisenstein_int(4, n), T, d)
-    return e4 if modulus is None else e4.reduce_mod(modulus)
+def _e4_dilated(T: int, d: int) -> QSeries:
+    # E4(dz)
+    return dilated(lambda n: eisenstein_int(4, n), T, d)
 
 
 def form_F(T: int) -> QSeries:
@@ -166,12 +162,10 @@ def form_f(T: int) -> QSeries:
     return _f_from(form_f1(T), form_f2(T))
 
 
-def form_g(T: int, modulus: int | None = None) -> QSeries:
-    """E4(4z) eta(2z)^8 eta(4z)^2, the odd-supported weight-9 form whose
-    odd coefficients b(2n+1) are the c-series."""
-    return _quotient_form(((2, 8), (4, 2)), T, modulus).mul(
-        _e4_dilated(T, 4, modulus)
-    )
+def form_g(T: int) -> QSeries:
+    """E4(4z) eta(2z)^8 eta(4z)^2 over Z, the odd-supported weight-9 form
+    whose odd coefficients b(2n+1) are the c-series."""
+    return _quotient_form(((2, 8), (4, 2)), T).mul(_e4_dilated(T, 4))
 
 
 @dataclass(frozen=True)
@@ -217,23 +211,19 @@ FORM_NAMES = ("E4", "theta0", "F", "h", "f1", "f2", "f", "g", "c", "delta_k:<k>"
 
 def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
     """Named-form registry used by the CLI: build `name` to truncation T,
-    once the name and the modulus have been checked."""
+    once the name and the modulus have been checked.  delta_k is expanded
+    over Z/modulus directly, as its exact coefficients grow exponentially
+    in sqrt(n); every other form is built exactly, then reduced."""
+    from . import diamond
+
     if name == "f" and modulus is not None:
         raise ValueError("form f has quadratic-ring coefficients; no --mod")
     if name.startswith("delta_k:"):
-        from . import diamond
-
         digits = name.split(":", 1)[1]
         # ASCII digits only: int() would also take "1_3", " 3" or "٣"
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad form {name!r}: expected delta_k:<k>, k an integer")
         return diamond.delta_series(int(digits), T, modulus)
-    if name == "c":
-        from . import diamond
-
-        return diamond.c_series(T, modulus)
-    if name == "g":
-        return form_g(T, modulus)
     builders = {
         "E4": lambda: eisenstein_int(4, T),
         "theta0": lambda: theta0(T),
@@ -242,6 +232,8 @@ def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
         "f1": lambda: form_f1(T),
         "f2": lambda: form_f2(T),
         "f": lambda: form_f(T),
+        "g": lambda: form_g(T),
+        "c": lambda: diamond.c_series(T),
     }
     if name not in builders:
         raise ValueError(f"unknown form {name!r}; known: {', '.join(FORM_NAMES)}")

@@ -69,12 +69,12 @@ def hecke(f: QSeries, p: int, k: int, chi_disc: int) -> QSeries:
     return QSeries(ring, 0, out)
 
 
-_OP_RE = re.compile(r"^(U|twist|T)_(\d+)$")
+_OP_RE = re.compile(r"(U|twist|T)_([0-9]+)")
 
 
 def parse_operator(text: str) -> tuple[str, int]:
     """Parse an operator name of the form U_7, twist_7, or T_5."""
-    m = _OP_RE.match(text)
+    m = _OP_RE.fullmatch(text)
     if not m:
         raise ValueError(f"bad operator {text!r}: expected U_d, twist_p, or T_p")
     return m.group(1), int(m.group(2))

@@ -119,9 +119,10 @@ class Cache:
 
 
 def default_cache() -> Cache:
-    """Cache rooted at $QCONG_CACHE_DIR, else the user cache home."""
-    root = os.environ.get(CACHE_ENV_VAR)
-    if root is None:
-        base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-        root = os.path.join(base, "qcong")
-    return Cache(root)
+    """Cache rooted at $QCONG_CACHE_DIR, else $XDG_CACHE_HOME/qcong, else
+    ~/.cache/qcong.  An empty variable counts as unset, so it never means
+    the working directory; a relative XDG_CACHE_HOME is ignored, as the XDG
+    Base Directory spec asks."""
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    base = xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache")
+    return Cache(os.environ.get(CACHE_ENV_VAR) or os.path.join(base, "qcong"))

@@ -232,9 +232,9 @@ def test_criterion_13_mutation_self_test(delta3_mod7, delta5_mod11, forms_2000):
         if rep.passed or rep.first_failure != idx:
             failures.append(f"eq-1.2 mutation at {idx} not caught")
 
-    c_mod = c_series(2000, modulus=11)
+    c = c_series(2000)
     for idx in rng.sample(range(2000), 3):
-        rep = verify_eq_1_4(2000, c_mod=mutate(c_mod, idx), delta5=delta5_mod11)
+        rep = verify_eq_1_4(2000, c_exact=mutate(c, idx), delta5=delta5_mod11)
         if rep.passed or rep.first_failure != idx:
             failures.append(f"eq-1.4 mutation at {idx} not caught")
 

@@ -74,6 +74,24 @@ def test_expand_delta_k_takes_ascii_digits_only(capsys, k):
     assert f"bad form {name!r}: expected delta_k:<k>" in err
 
 
+@pytest.mark.parametrize("text", ["\u0663^4", "3^\u0664", "3^-\u0664", "\uff13^4"])
+def test_eta_factors_take_ascii_digits_only(capsys, text):
+    for argv in (("expand", "--eta", text, "--T", "3"), ("metadata", text)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"bad eta-quotient factor {text!r} at position 0: expected d^r" in err
+
+
+@pytest.mark.parametrize("op", ["U_\u0662", "twist_\u0667", "T_\uff15", "U_2\n"])
+def test_operator_names_take_ascii_digits_only(capsys, op):
+    code, out, err = run_cli(
+        capsys, "expand", "--form", "E4", "--T", "3", "--apply", op,
+        "--weight", "4", "--chi", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"bad operator {op!r}: expected U_d, twist_p, or T_p" in err
+
+
 def test_expand_apply_pipeline(capsys):
     code, out, _ = run_cli(
         capsys, "expand", "--form", "g", "--T", "100", "--mod", "7",

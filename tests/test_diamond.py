@@ -48,8 +48,15 @@ def test_c_series_values_and_oracle():
     assert c.coeffs == naive_c(60)
 
 
-def test_c_series_mod_matches_reduction():
-    assert c_series(80, modulus=11) == c_series(80).reduce_mod(11)
+def test_c_and_g_mod_m_reduce_the_exact_series():
+    from qcong.forms import resolve_form
+
+    c = naive_c(80)
+    g = [0] * 161
+    g[1::2] = c
+    for m in (7, 11, 12):
+        assert resolve_form("c", 80, m).coeffs == [x % m for x in c], m
+        assert resolve_form("g", 161, m).coeffs == [x % m for x in g], m
 
 
 def test_eq_1_2_passes_and_bound_recorded():
@@ -106,6 +113,19 @@ def test_section_2_chain_reduced_depth():
     assert reports[2].bound == 301 - 1
 
 
+@pytest.mark.parametrize("T_final", [3, 4, 5, 150, 2001])
+def test_section_2_eta_product_is_the_lifted_eq_1_2_lhs(T_final):
+    # the chain builds eta(3z)^4 eta(6z)^6 mod 7 from eq. (1.2)'s left side;
+    # T_prod = 7 T_final + 1 takes every residue mod 3 over these cases
+    from qcong.diamond import _SECTION2_QUOTIENT, _lift
+    from qcong.eta import eta_quotient_series
+
+    T_prod = 7 * T_final + 1
+    lifted = _lift(eq_1_2_lhs(T_prod // 3), 3, 2).truncate(T_prod)
+    direct = eta_quotient_series(_SECTION2_QUOTIENT, T_prod - 2, 7).to_offset_zero()
+    assert lifted == direct
+
+
 def test_section_2_chain_uses_cache(tmp_path):
     from qcong.store import Cache
 
@@ -124,10 +144,10 @@ def test_eq_1_4_passes():
 def test_eq_1_4_mutation_flips_to_fail():
     T = 80
     delta5 = delta_series(5, 11 * (T - 1) + 7, modulus=11)
-    c_mod = c_series(T, modulus=11)
-    assert verify_eq_1_4(T, c_mod=c_mod, delta5=delta5).passed
+    c = c_series(T)
+    assert verify_eq_1_4(T, c_exact=c, delta5=delta5).passed
     for idx in (0, 33, T - 1):
-        rep = verify_eq_1_4(T, c_mod=mutate(c_mod, idx), delta5=delta5)
+        rep = verify_eq_1_4(T, c_exact=mutate(c, idx), delta5=delta5)
         assert not rep.passed and rep.first_failure == idx
 
 
@@ -304,7 +324,12 @@ def test_quick_suite_builds_each_cached_series_once(tmp_path):
 
     cache = CountingCache(tmp_path)
     cold = run_suite(SuiteConfig.quick(), cache=cache)
-    assert cache.puts and len(cache.puts) == len(set(cache.puts)), cache.puts
+    assert sorted(cache.puts) == [
+        ("c", "int"),
+        ("delta_k:3", "mod:7"),
+        ("delta_k:5", "mod:11"),
+        ("eq_1_2_lhs", "mod:7"),
+    ], cache.puts
     cache.puts.clear()
     warm = run_suite(SuiteConfig.quick(), cache=cache)
     assert cache.puts == []

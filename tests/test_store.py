@@ -150,3 +150,29 @@ def test_default_cache_respects_env(tmp_path, monkeypatch):
     cache = default_cache()
     assert cache.root == tmp_path / "qc"
     assert cache.root.is_dir()
+
+
+@pytest.mark.parametrize(
+    "env,want",
+    [
+        ({"QCONG_CACHE_DIR": ""}, "home/.cache/qcong"),
+        ({"QCONG_CACHE_DIR": "", "XDG_CACHE_HOME": ""}, "home/.cache/qcong"),
+        ({"XDG_CACHE_HOME": ""}, "home/.cache/qcong"),
+        ({"XDG_CACHE_HOME": "relative"}, "home/.cache/qcong"),
+        ({"QCONG_CACHE_DIR": "", "XDG_CACHE_HOME": "{tmp}/xdg"}, "xdg/qcong"),
+    ],
+    ids=["empty-qcong", "both-empty", "empty-xdg", "relative-xdg", "absolute-xdg"],
+)
+def test_default_cache_ignores_empty_and_relative_env(tmp_path, monkeypatch, env, want):
+    # neither an empty variable nor a relative XDG_CACHE_HOME may root the
+    # cache in the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.delenv("QCONG_CACHE_DIR", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value.format(tmp=tmp_path))
+    assert default_cache().root == tmp_path / want
+    assert list(work.iterdir()) == []
