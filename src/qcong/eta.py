@@ -1,4 +1,12 @@
-"""Dedekind eta, eta quotients, and their weight/level/character metadata."""
+"""Dedekind eta, eta quotients, and their weight/level/character metadata.
+
+An eta quotient is expanded by a nested build: the factor of least d is
+built at the full length, and the other factors form one sub-quotient,
+built the same way at the inner length of their gcd and dilated.  Modulo
+a prime p the exponents are first reduced once by eta(dz)^p == eta(pdz)
+(mod p), which moves large denominators to short inner lengths; modulo
+prime powers, composites, and over Z the factors are used as given.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .qseries import QSeries, SpaceTag
-from .ring import ZZ, ModRing, Ring, _factorize
+from .ring import ZZ, ModRing, Ring, _factorize, is_prime
 
 __all__ = [
     "EtaQuotient",
@@ -20,6 +28,7 @@ __all__ = [
 ]
 
 _FACTOR_RE = re.compile(r"([0-9]+)\^(-?[0-9]+)")
+_TOKEN_RE = re.compile(r"[^ ]+")
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,7 @@ class EtaQuotient:
     """Formal product of eta(d z)^r factors with distinct d, sorted by d.
 
     Text form: ``"3^4 6^6"`` is eta(3z)^4 eta(6z)^6; negative exponents
-    are allowed (``"4^8 2^-4"``).
+    are allowed (``"4^8 2^-4"``).  Factors are separated by ASCII spaces.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -47,17 +56,16 @@ class EtaQuotient:
     @classmethod
     def parse(cls, text: str) -> "EtaQuotient":
         factors = []
-        pos = 0
-        for token in text.split():
-            pos = text.index(token, pos)
-            m = _FACTOR_RE.fullmatch(token)
+        # factors are separated by runs of ASCII spaces only: any other
+        # whitespace stays inside a token, which then fails to match
+        for token in _TOKEN_RE.finditer(text):
+            m = _FACTOR_RE.fullmatch(token.group())
             if not m:
                 raise ValueError(
-                    f"bad eta-quotient factor {token!r} at position {pos}: "
-                    "expected d^r"
+                    f"bad eta-quotient factor {token.group()!r} at position "
+                    f"{token.start()}: expected d^r"
                 )
             factors.append((int(m.group(1)), int(m.group(2))))
-            pos += len(token)
         if not factors:
             raise ValueError("empty eta-quotient text")
         return cls(tuple(factors))
@@ -121,35 +129,83 @@ def eta_series(T: int) -> QSeries:
     return QSeries(ZZ, 1, _euler_coeffs(T, ZZ))
 
 
+def _jacobi_cube_coeffs(T: int, ring: Ring) -> list:
+    # eta(z)^3 = q^(1/8) sum (-1)^n (2n+1) q^(n(n+1)/2), Jacobi's identity
+    c = [ring.zero] * T
+    n = e = 0
+    while e < T:
+        c[e] = ring.from_int((-1) ** n * (2 * n + 1))
+        n += 1
+        e += n
+    return c
+
+
+def _eta_power(T: int, r: int, ring: Ring) -> QSeries:
+    # eta(z)^r for r != 0: eta^3 from Jacobi's identity, so eta^4 = eta^3 eta
+    # is one product; a negative power is inverted once, at the end
+    k = abs(r)
+    s = QSeries(ring, 3, _jacobi_cube_coeffs(T, ring)).pow(k // 3) if k >= 3 else None
+    if k % 3:
+        e = QSeries(ring, 1, _euler_coeffs(T, ring)).pow(k % 3)
+        s = e if s is None else s.mul(e)
+    return s if r > 0 else s.invert()
+
+
+def _frobenius_reduced(factors: tuple, p: int) -> tuple:
+    # one pass of eta(dz)^(qp+s) == eta(dz)^s eta(pdz)^q (mod p), true as
+    # (1 - q^n)^p == 1 - q^(pn) mod the prime p.  Merged exponents may leave
+    # [0, p) again, and a negative one never enters it: each pass moves it
+    # on to p times its d.
+    exps: dict[int, int] = {}
+    for d, r in factors:
+        q, s = divmod(r, p)
+        exps[d] = exps.get(d, 0) + s
+        exps[p * d] = exps.get(p * d, 0) + q
+    reduced = tuple((d, r) for d, r in sorted(exps.items()) if r)
+    if sum(d * r for d, r in reduced) != sum(d * r for d, r in factors):
+        raise AssertionError(f"rewrite of {factors} mod {p} moved the offset")
+    return reduced
+
+
+def _quotient_series(factors: tuple, T: int, ring: Ring) -> QSeries:
+    # factors: nonempty, sorted by d, distinct d, nonzero r.  Only the head
+    # (least d) is built at length T; the rest is one sub-quotient built by
+    # the same rule at the inner length of its own gcd, then dilated.
+    g = reduce(math.gcd, (d for d, _ in factors))
+    if g > 1:
+        inner = tuple((d // g, r) for d, r in factors)
+        return dilated(lambda n: _quotient_series(inner, n, ring), T, g)
+    (d, r), rest = factors[0], factors[1:]
+    head = dilated(lambda n: _eta_power(n, r, ring), T, d)
+    return head.mul(_quotient_series(rest, T, ring)) if rest else head
+
+
 def eta_quotient_series(
     e: EtaQuotient, T: int, modulus: int | None = None
 ) -> QSeries:
     """Expand an eta quotient to T coefficients of its integer-indexed part.
 
     The result has offset sum(d*r)/24.  With a modulus, all arithmetic is
-    done in Z/m from the start (the leading coefficients are 1, so the
-    denominator stays invertible).
+    done in Z/m from the start (the leading coefficients are 1, so every
+    inverse exists).  When m is a prime p, the exponents are first rewritten
+    once by eta(dz)^(qp+s) == eta(dz)^s eta(pdz)^q (mod p), with s in
+    [0, p): delta_3 mod 7 becomes eta(z)^4 eta(2z) eta(14z)^6 / eta(98z).
+    The rewrite is false mod p^k and mod composites, so there (and over Z)
+    the factors are used as given.
+
+    The quotient is built nested: after dividing out the gcd g of the d's
+    (build at the inner length, dilate by g), the factor of least d is the
+    only one built at length T, and the remaining factors form one
+    sub-quotient built by the same rule and dilated.  So a denominator
+    eta(98z) is inverted at about T/98 terms, not at T.
     """
     ring: Ring = ZZ if modulus is None else ModRing(modulus)
-    g = reduce(math.gcd, (d for d, _ in e.factors))
-    if g > 1:
-        # compute in the compressed variable x = q^g, then dilate back
-        inner = EtaQuotient(tuple((d // g, r) for d, r in e.factors))
-        return dilated(lambda n: eta_quotient_series(inner, n, modulus), T, g)
-    num = None
-    den = None
-    for d, r in e.factors:
-        # eta(dz)^|r| is eta(z)^|r| at its inner length, dilated by d
-        factor = dilated(
-            lambda n: QSeries(ring, 1, _euler_coeffs(n, ring)).pow(abs(r)), T, d
-        )
-        if r > 0:
-            num = factor if num is None else num.mul(factor)
-        else:
-            den = factor if den is None else den.mul(factor)
-    if num is None:
-        num = QSeries.one(ring, T)
-    return num if den is None else num.mul(den.invert())
+    factors = e.factors
+    if modulus is not None and is_prime(modulus):
+        factors = _frobenius_reduced(factors, modulus)
+        if not factors:
+            return QSeries.one(ring, T)
+    return _quotient_series(factors, T, ring)
 
 
 @dataclass(frozen=True)

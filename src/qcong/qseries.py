@@ -222,6 +222,8 @@ class QSeries:
 
     @classmethod
     def one(cls, ring: Ring, T: int) -> "QSeries":
+        if T < 1:
+            raise ValueError("truncation must be at least 1")
         return cls(ring, 0, [ring.one] + [ring.zero] * (T - 1))
 
     @property

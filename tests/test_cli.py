@@ -7,6 +7,7 @@ import pytest
 
 import qcong
 from qcong.cli import main
+from qcong.qseries import dumps, loads
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +81,34 @@ def test_eta_factors_take_ascii_digits_only(capsys, text):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"bad eta-quotient factor {text!r} at position 0: expected d^r" in err
+
+
+@pytest.mark.parametrize("sep", ["\u2003", "\u00a0", "\n", "\t", "\x1c"])
+def test_eta_factors_are_separated_by_ascii_spaces_only(capsys, sep):
+    # str.split() would take each of these as whitespace
+    text = f"3^4{sep}6^6"
+    for argv in (("expand", "--eta", text, "--T", "3"), ("metadata", text)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"bad eta-quotient factor {text!r} at position 0: expected d^r" in err
+
+
+def test_eta_text_takes_runs_of_spaces_and_outer_spaces(capsys):
+    code, out, _ = run_cli(capsys, "metadata", "  3^4    6^6 ")
+    assert code == 0
+    assert json.loads(out)["level"] == 72
+
+
+@pytest.mark.parametrize("m", ["7", "49", "12"])
+def test_expand_eta_mod_m_is_the_reduced_exact_expansion(capsys, m):
+    # mod 7 the quotient is Frobenius-reduced before it is built; mod 49
+    # and mod 12 it is not: either way the dump is the exact one reduced
+    eta = "1^-3 2^1 7^1 14^-1"
+    code, exact, _ = run_cli(capsys, "expand", "--eta", eta, "--T", "400")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "expand", "--eta", eta, "--T", "400", "--mod", m)
+    assert code == 0
+    assert out == dumps(loads(exact).reduce_mod(int(m)))
 
 
 @pytest.mark.parametrize("op", ["U_\u0662", "twist_\u0667", "T_\uff15", "U_2\n"])

@@ -4,15 +4,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_eta_product, naive_euler_product
+import qcong.qseries
+from oracles import naive_delta, naive_eta_product, naive_euler_product
+from qcong.diamond import delta_series
 from qcong.eta import (
     EtaQuotient,
+    _frobenius_reduced,
+    _inner_T,
     dilated,
     eta_quotient_metadata,
     eta_quotient_series,
     eta_series,
 )
-from qcong.ring import ModRing
+from qcong.qseries import QSeries
+from qcong.ring import ModRing, is_prime
 
 
 def test_eta_series_frozen_values_and_offset():
@@ -167,3 +172,84 @@ def test_quotient_series_over_mod_ring_type():
     s = eta_quotient_series(EtaQuotient.parse("1^1"), 8, modulus=7)
     assert s.ring == ModRing(7)
     assert s.coeffs == [1, 6, 6, 0, 0, 1, 0, 1]
+
+
+_DELTA3 = ((1, -3), (2, 1), (7, 1), (14, -1))
+_DELTA5 = ((1, -3), (2, 1), (11, 1), (22, -1))
+# exponents span [-2p, 2p] for the largest prime p dividing each modulus
+_EXPONENT_SPAN = {2: 4, 3: 6, 5: 10, 7: 14, 11: 22, 4: 4, 9: 6, 12: 6, 49: 14}
+
+
+@st.composite
+def quotients_mod_m(draw):
+    m = draw(st.sampled_from(sorted(_EXPONENT_SPAN)))
+    span = _EXPONENT_SPAN[m]
+    ds = draw(st.lists(st.integers(1, 14), min_size=1, max_size=4, unique=True))
+    rs = draw(
+        st.lists(st.integers(-span, span).filter(bool), min_size=len(ds), max_size=len(ds))
+    )
+    return tuple(zip(ds, rs)), m
+
+
+@given(quotients_mod_m(), st.integers(1, 120))
+@settings(max_examples=80, deadline=None)
+@example((_DELTA3, 7), 120)
+@example((_DELTA5, 11), 120)
+@example((_DELTA3, 49), 120)
+@example((_DELTA3, 12), 120)
+@example((((1, -7), (7, 1)), 7), 30)
+def test_quotient_series_mod_m_matches_reduced_product(quotient, T):
+    # mod a prime the exponents are Frobenius-reduced first, which must not
+    # change the value or the offset; mod 4, 9, 12, 49 the rewrite is false,
+    # so the result must be the exact expansion reduced
+    factors, m = quotient
+    e = EtaQuotient(factors)
+    s = eta_quotient_series(e, T, m)
+    if is_prime(m):
+        want = naive_eta_product(factors, T)
+    else:
+        want = eta_quotient_series(e, T).coeffs
+    assert s.ring == ModRing(m) and s.T == T
+    assert s.offset24 == e.offset24
+    assert s.coeffs == [x % m for x in want]
+
+
+def test_frobenius_reduction_of_the_delta_quotients():
+    assert _frobenius_reduced(_DELTA3, 7) == ((1, 4), (2, 1), (14, 6), (98, -1))
+    assert _frobenius_reduced(_DELTA5, 11) == ((1, 8), (2, 1), (22, 10), (242, -1))
+    # eta(z)^-7 eta(7z) == 1 mod 7: every factor cancels
+    assert _frobenius_reduced(((1, -7), (7, 1)), 7) == ()
+    one = eta_quotient_series(EtaQuotient(((1, -7), (7, 1))), 5, 7)
+    assert one.offset24 == 0 and one.coeffs == [1, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        eta_quotient_series(EtaQuotient(((1, -7), (7, 1))), 0, 7)
+
+
+def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
+    # the reduced delta_3 eta(z)^4 eta(2z) eta(14z)^6 / eta(98z) makes at
+    # most three full-length products, and inverts only eta(z) at the inner
+    # length of eta(98z)
+    T = 20000
+    outputs, inverted = [], []
+    convolve, invert = qcong.qseries.convolve, QSeries.invert
+
+    def counting_convolve(ring, a, b, n_out):
+        outputs.append(n_out)
+        return convolve(ring, a, b, n_out)
+
+    def counting_invert(self):
+        inverted.append(self.T)
+        return invert(self)
+
+    monkeypatch.setattr(qcong.qseries, "convolve", counting_convolve)
+    monkeypatch.setattr(QSeries, "invert", counting_invert)
+    s = delta_series(3, T, 7)
+    assert s.T == T
+    assert outputs.count(T) <= 3
+    assert inverted and max(inverted) <= _inner_T(T, 98)
+
+
+@pytest.mark.parametrize("k, p", [(3, 7), (5, 11)])
+def test_delta_mod_p_matches_naive_oracle(k, p):
+    T = 2000
+    assert delta_series(k, T, p).coeffs == [x % p for x in naive_delta(k, T)]
