@@ -44,6 +44,6 @@ from .ring import (
     quad_conj,
 )
 from .store import Cache, CacheKey, default_cache
-from .sturm import ClaimReport, index_gamma0, sturm_bound, verify_eigenform, verify_vanishing
+from .sturm import ClaimReport, index_gamma0, sturm_bound, verify_eigenform
 
 __version__ = "0.1.0"

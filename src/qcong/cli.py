@@ -140,7 +140,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"{base} takes no --T")
     if args.n_max is not None and not claim.n_max:
         raise ValueError(f"{base} takes no --n-max")
-    config = diamond.SuiteConfig.full()
+    config = diamond.SuiteConfig()
     changes = {claim.depth: args.T, claim.n_max: args.n_max}
     if p is not None:
         changes.update(claim.for_prime(config, p, args.T))
@@ -160,7 +160,7 @@ def _print_reports(reports: list[ClaimReport]) -> None:
 
 
 def _cmd_suite(args) -> int:
-    config = diamond.SuiteConfig.quick() if args.quick else diamond.SuiteConfig.full()
+    config = diamond.SuiteConfig.quick() if args.quick else diamond.SuiteConfig()
     cache = None if args.no_cache else default_cache()
     reports = diamond.run_suite(config, cache=cache)
     passed = all(r.passed for r in reports)

@@ -7,10 +7,11 @@ more ClaimReports.  Each input is built once, in one ring: delta_3 mod 7,
 delta_5 mod 11, eq. (1.2)'s left side mod 7 (lifted for the Section 2
 chain) and the exact c (reduced for eq. (1.4)).  An identity is two series
 built from QSeries operations and the operators (Theorem 1.2 and the remark
-through operators.hecke), compared by one mismatch scan.  Series arguments
-can be injected to support mutation self-tests; injected series are
-validated for offset, length, ring, and (mod m) for coefficients reduced
-into [0, m).
+through operators.hecke), compared by the one comparison driver
+sturm._compare, which reads each report's modulus from the series' ring.
+Series arguments can be injected to support mutation self-tests; injected
+series are validated for offset, length, ring, and (mod m) for
+coefficients reduced into [0, m).
 
 CLAIMS, the claim table, has one row per claim ID; run_suite runs every
 row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
@@ -29,7 +30,7 @@ from .operators import hecke, operator_level, twist, u_operator
 from .qseries import QSeries, SpaceTag
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
 from .store import CacheKey
-from .sturm import ClaimReport, _scan_report, sturm_bound, verify_eigenform
+from .sturm import ClaimReport, _compare, _scan_report, sturm_bound, verify_eigenform
 
 __all__ = [
     "delta_series",
@@ -66,13 +67,6 @@ def _lift(u: QSeries, d: int, s: int) -> QSeries:
     out = [u.ring.zero] * (d * u.T + s)
     out[s::d] = u.coeffs
     return QSeries(u.ring, 0, out)
-
-
-def _mismatches(a: QSeries, b: QSeries, bound: int):
-    """The exponents n <= bound where the offset-0 series a and b differ, in
-    increasing order; an error if either stops short of the bound."""
-    x, y = a.truncate(bound + 1).coeffs, b.truncate(bound + 1).coeffs
-    return (n for n in range(bound + 1) if x[n] != y[n])
 
 
 def _euler_part(e: EtaQuotient, T: int, modulus: int | None) -> QSeries:
@@ -153,7 +147,7 @@ def _lhs(given: QSeries | None, cache, T: int) -> QSeries:
 
 
 def verify_eq_1_2(
-    T: int = 5000,
+    T: int,
     lhs: QSeries | None = None,
     delta3: QSeries | None = None,
     cache=None,
@@ -166,25 +160,26 @@ def verify_eq_1_2(
     delta3 = _delta(delta3, cache, 3, L, 7)
     lhs = _lhs(lhs, cache, T)
     rhs = delta3.extract_progression(7, 5).truncate(T).scale(6)
-    return _scan_report("eq-1.2", _mismatches(lhs, rhs, T - 1), T - 1, modulus=7)
+    return _compare("eq-1.2", lhs, rhs, T - 1, None)
 
 
 def verify_theorem_1_1(
-    n_max: int = 100, delta3: QSeries | None = None, cache=None
+    n_max: int, delta3: QSeries | None = None, cache=None
 ) -> ClaimReport:
     """delta_3(343 n + r) == 0 mod 7 for r in {82, 229, 278, 327}, n < n_max."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     residues = (82, 229, 278, 327)
     L = 343 * (n_max - 1) + max(residues) + 1
-    d = _delta(delta3, cache, 3, L, 7).coeffs
+    delta3 = _delta(delta3, cache, 3, L, 7)
+    d = delta3.coeffs
     failures = (
         343 * n + r for n in range(n_max) for r in residues if d[343 * n + r] != 0
     )
-    return _scan_report("thm-1.1", failures, L - 1, modulus=7)
+    return _scan_report("thm-1.1", failures, L - 1, modulus=delta3.ring.modulus)
 
 
-def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport]:
+def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
     """The four-step congruence chain behind the four b(21n+r) residues.
 
     (a) the eta product eta(3z)^4 eta(6z)^6, built as q^2 times eq. (1.2)'s
@@ -209,26 +204,18 @@ def verify_section_2_chain(T_final: int = 23521, cache=None) -> list[ClaimReport
         # 6 sum delta_3(step n + shift) q^(3n+2) mod 7
         return _lift(delta3.extract_progression(step, shift).scale(6), 3, 2)
 
-    def report(step: str, failures, bound: int, space: SpaceTag) -> ClaimReport:
-        return _scan_report(
-            f"sec-2-chain:{step}", failures, bound, space.weight, space.level, 7
-        )
-
-    fail_a = _mismatches(prod0, progression(7, 5), prod0.T - 1)
-    fail_b = _mismatches(f, progression(49, 33), f.T - 1)
     bound_c = min(sturm_bound(_CHAIN_C.weight, _CHAIN_C.level), f.T - 1)
-    fail_c = _mismatches(f, twist(f, 7), bound_c)
     fail_d = (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0)
     return [
-        report("a", fail_a, prod0.T - 1, _CHAIN_A),
-        report("b", fail_b, f.T - 1, _CHAIN_B),
-        report("c", fail_c, bound_c, _CHAIN_C),
-        report("d", fail_d, f.T - 1, _CHAIN_B),
+        _compare("sec-2-chain:a", prod0, progression(7, 5), prod0.T - 1, _CHAIN_A),
+        _compare("sec-2-chain:b", f, progression(49, 33), f.T - 1, _CHAIN_B),
+        _compare("sec-2-chain:c", f, twist(f, 7), bound_c, _CHAIN_C),
+        _scan_report("sec-2-chain:d", fail_d, f.T - 1, _CHAIN_B, f.ring.modulus),
     ]
 
 
 def verify_eq_1_4(
-    T: int = 2000,
+    T: int,
     c_exact: QSeries | None = None,
     delta5: QSeries | None = None,
     cache=None,
@@ -241,7 +228,7 @@ def verify_eq_1_4(
     c = _series(c_exact, cache, "c", T, None, c_series, "c series")
     c_mod = c.truncate(T).reduce_mod(11)
     rhs = delta5.extract_progression(11, 6).truncate(T).scale(8)
-    return _scan_report("eq-1.4", _mismatches(c_mod, rhs, T - 1), T - 1, modulus=11)
+    return _compare("eq-1.4", c_mod, rhs, T - 1, None)
 
 
 def _hecke_image(u: QSeries, p: int) -> QSeries:
@@ -252,7 +239,7 @@ def _hecke_image(u: QSeries, p: int) -> QSeries:
 
 
 def verify_theorem_1_2(
-    p: int, T: int = 1000, c_exact: QSeries | None = None, cache=None
+    p: int, T: int, c_exact: QSeries | None = None, cache=None
 ) -> tuple[int, ClaimReport]:
     """Exact recurrence c(pn + (p-1)/2) + p^8 c((n-(p-1)/2)/p) = y(p) c(n).
 
@@ -270,19 +257,15 @@ def verify_theorem_1_2(
     L = p * (T - 1) + half + 1
     c = _series(c_exact, cache, "c", L, None, c_series, "c series")
     y = c.coeffs[half]
+    claim = f"thm-1.2:p={p}"
     # independent derivation of the same number through the eigenform route
-    y_agrees = form_f1(p + 1).coeffs[p] == y
-    rhs = c.truncate(T).scale(y)
-    failures = _mismatches(_hecke_image(c, p), rhs, T - 1) if y_agrees else [p]
-    return y, _scan_report(f"thm-1.2:p={p}", failures, T - 1)
-
-
-def _f_report(claim: str, failures, bound: int) -> ClaimReport:
-    return _scan_report(claim, failures, bound, _F_SPACE.weight, _F_SPACE.level)
+    if form_f1(p + 1).coeffs[p] != y:
+        return y, _scan_report(claim, [p], T - 1)
+    return y, _compare(claim, _hecke_image(c, p), c.truncate(T).scale(y), T - 1, None)
 
 
 def verify_g_combination(
-    T: int = 2000,
+    T: int,
     g: QSeries | None = None,
     f1: QSeries | None = None,
     f2: QSeries | None = None,
@@ -291,8 +274,7 @@ def verify_g_combination(
     g = _series(g, None, None, T, None, form_g, "g series")
     f1 = _series(f1, None, None, T, None, form_f1, "f1 series")
     f2 = _series(f2, None, None, T, None, form_f2, "f2 series")
-    failures = _mismatches(g, f1.sub(f2.scale(8)), T - 1)
-    return _f_report("thm-3.1:combination", failures, T - 1)
+    return _compare("thm-3.1:combination", g, f1.sub(f2.scale(8)), T - 1, _F_SPACE)
 
 
 def _eigenvalues(f1: QSeries, f2: QSeries, primes: list[int]):
@@ -300,21 +282,18 @@ def _eigenvalues(f1: QSeries, f2: QSeries, primes: list[int]):
     where the eigenform check failed), and the per-prime eigenform reports."""
     f = _f_from(f1, f2)
     fbar = f.conjugate()
-    k, chi, N = _F_SPACE.weight, _F_SPACE.character, _F_SPACE.level
     eig: dict[int, tuple[QuadInt | None, QuadInt | None]] = {}
     reports = []
     for p in primes:
-        lam_f, rf = verify_eigenform(f, p, k, chi, N, claim=f"thm-3.1:eigen:f:p={p}")
-        lam_b, rb = verify_eigenform(
-            fbar, p, k, chi, N, claim=f"thm-3.1:eigen:fbar:p={p}"
-        )
+        lam_f, rf = verify_eigenform(f, p, _F_SPACE, f"thm-3.1:eigen:f:p={p}")
+        lam_b, rb = verify_eigenform(fbar, p, _F_SPACE, f"thm-3.1:eigen:fbar:p={p}")
         reports.extend([rf, rb])
         eig[p] = (lam_f, lam_b)
     return eig, reports
 
 
 def eigenvalue_table(
-    T: int = 2000, prime_max: int = 97
+    T: int, prime_max: int
 ) -> dict[int, tuple[QuadInt | None, QuadInt | None]]:
     """Hecke eigenvalues of f and its conjugate at every prime <= prime_max.
 
@@ -323,7 +302,7 @@ def eigenvalue_table(
     return _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
 
 
-def verify_theorem_3_1(T: int = 2000, prime_max: int = 97) -> list[ClaimReport]:
+def verify_theorem_3_1(T: int, prime_max: int) -> list[ClaimReport]:
     """Eigenform claims for f and its conjugate at every prime <= prime_max.
 
     Sub-checks: per-prime eigenform reports for both forms; eigenvalues are
@@ -361,16 +340,20 @@ def verify_theorem_3_1(T: int = 2000, prime_max: int = 97) -> list[ClaimReport]:
         and (lam7.im, lam7_bar.im) == (8 * d2_7, -8 * d2_7)
     )
     return reports + [
-        _f_report("thm-3.1:conjugate-pairs", conj_fail, bound),
-        _f_report("thm-3.1:reality-pattern", reality_fail, bound),
+        _scan_report("thm-3.1:conjugate-pairs", conj_fail, bound, _F_SPACE),
+        _scan_report("thm-3.1:reality-pattern", reality_fail, bound, _F_SPACE),
         verify_g_combination(T, f1=f1, f2=f2),
-        _f_report("thm-3.1:t5-eigenvalue-258", [] if t5_holds else [5], bound),
-        _f_report("thm-3.1:t7-distinct-eigenvalues", [] if t7_holds else [7], bound),
+        _scan_report(
+            "thm-3.1:t5-eigenvalue-258", [] if t5_holds else [5], bound, _F_SPACE
+        ),
+        _scan_report(
+            "thm-3.1:t7-distinct-eigenvalues", [] if t7_holds else [7], bound, _F_SPACE
+        ),
     ]
 
 
 def verify_remark(
-    p: int, T: int = 200, delta5: QSeries | None = None, cache=None
+    p: int, T: int, delta5: QSeries | None = None, cache=None
 ) -> ClaimReport:
     """delta_5((11n+6)p - (p-1)/2) + p^8 delta_5((11n+6)/p + (p-1)/(2p))
     == y(p) delta_5(11n+6) mod 11 for n < T: Theorem 1.2's recurrence for
@@ -384,8 +367,8 @@ def verify_remark(
     L = (11 * (T - 1) + 6) * p - half + 1
     u = _delta(delta5, cache, 5, L, 11).extract_progression(11, 6)
     y = _series(None, cache, "c", half + 1, None, c_series, "c series").coeffs[half]
-    failures = _mismatches(_hecke_image(u, p), u.truncate(T).scale(y), T - 1)
-    return _scan_report(f"remark:p={p}", failures, T - 1, modulus=11)
+    rhs = u.truncate(T).scale(y)
+    return _compare(f"remark:p={p}", _hecke_image(u, p), rhs, T - 1, None)
 
 
 @dataclass(frozen=True)
@@ -402,10 +385,6 @@ class SuiteConfig:
     thm_3_1_T: int = 2000
     thm_3_1_prime_max: int = 97
     remark_cases: tuple[tuple[int, int], ...] = ((5, 200), (13, 50))
-
-    @classmethod
-    def full(cls) -> "SuiteConfig":
-        return cls()
 
     @classmethod
     def quick(cls) -> "SuiteConfig":

@@ -1,9 +1,12 @@
 """Sturm bounds and the bounded-verification drivers.
 
 A claim is checked by scanning coefficients up to an explicit bound and
-recording the outcome in a ClaimReport.  Insufficient truncation is always
-an error, never a pass: these reports are proof artifacts, so partial data
-must be unambiguous.
+recording the outcome in a ClaimReport, built only by `_scan_report`.  An
+identity between two series, eigenform checks included, goes through the
+one comparison driver `_compare`, which reads the report's modulus from
+the series' ring and rejects two rings or a nonzero offset.  Insufficient
+truncation is always an error, never a pass: these reports are proof
+artifacts, so partial data must be unambiguous.
 """
 
 from __future__ import annotations
@@ -13,14 +16,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .operators import hecke
-from .qseries import QSeries
-from .ring import IntegerRing, ModRing, _factorize
+from .qseries import QSeries, SpaceTag
+from .ring import ModRing, _factorize
 
 __all__ = [
     "index_gamma0",
     "sturm_bound",
     "ClaimReport",
-    "verify_vanishing",
     "verify_eigenform",
 ]
 
@@ -80,8 +82,7 @@ def _scan_report(
     claim: str,
     failures: Iterable[int],
     bound: int,
-    weight: int | None = None,
-    level: int | None = None,
+    space: SpaceTag | None = None,
     modulus: int | None = None,
 ) -> ClaimReport:
     """The one place a ClaimReport is built: a scan through `bound`.
@@ -93,8 +94,8 @@ def _scan_report(
     first = next(iter(failures), None)
     return ClaimReport(
         claim=claim,
-        weight=weight,
-        level=level,
+        weight=None if space is None else space.weight,
+        level=None if space is None else space.level,
         modulus=modulus,
         bound=bound,
         checked=bound,
@@ -103,43 +104,32 @@ def _scan_report(
     )
 
 
-def _series_modulus(f: QSeries) -> int | None:
-    if isinstance(f.ring, ModRing):
-        return f.ring.modulus
-    if isinstance(f.ring, IntegerRing):
-        return None
-    raise ValueError(f"vanishing checks need integer or mod coefficients, got {f.ring!r}")
+def _compare(
+    claim: str, a: QSeries, b: QSeries, bound: int, space: SpaceTag | None
+) -> ClaimReport:
+    """The report on a == b at every exponent 0..bound, where a and b are
+    offset-0 series over one ring; the modulus is the ring's (m over
+    ModRing(m), exact otherwise).
 
-
-def verify_vanishing(f: QSeries, k: int, N: int, claim: str = "vanishing") -> ClaimReport:
-    """Check that every coefficient at exponent <= sturm_bound(k, N) is zero.
-
-    The truncation must strictly exceed the bound; otherwise this raises.
+    A series that stops short of the bound is an error, not a shorter
+    scan.  Private, like _scan_report, so a traced run charges the scan to
+    the claim that asked for it.
     """
-    if f.offset24 != 0:
-        raise ValueError("vanishing check requires offset 0")
-    modulus = _series_modulus(f)
-    bound = sturm_bound(k, N)
-    if f.T <= bound:
+    if a.ring != b.ring:
+        raise ValueError(f"{claim}: ring mismatch {a.ring!r} vs {b.ring!r}")
+    if a.offset24 != 0 or b.offset24 != 0:
         raise ValueError(
-            f"insufficient truncation {f.T} for Sturm bound {bound} "
-            f"(need at least {bound + 1} coefficients)"
+            f"{claim}: comparison needs offset 0, got {a.offset} and {b.offset}"
         )
-    zero = f.ring.zero
-    failures = (n for n in range(bound + 1) if f.coeffs[n] != zero)
-    return _scan_report(claim, failures, bound, k, N, modulus)
+    x, y = a.truncate(bound + 1).coeffs, b.truncate(bound + 1).coeffs
+    failures = (n for n in range(bound + 1) if x[n] != y[n])
+    modulus = a.ring.modulus if isinstance(a.ring, ModRing) else None
+    return _scan_report(claim, failures, bound, space, modulus)
 
 
-def verify_eigenform(
-    f: QSeries,
-    p: int,
-    k: int,
-    chi_disc: int,
-    N: int,
-    claim: str = "eigenform",
-):
+def verify_eigenform(f: QSeries, p: int, space: SpaceTag, claim: str = "eigenform"):
     """Check that f | T_p is a scalar multiple of f through the equality
-    Sturm bound for (k, N); returns (eigenvalue, report).
+    Sturm bound of `space`; returns (eigenvalue, report).
 
     The candidate eigenvalue is read off at the lowest nonzero coefficient
     of f, which must be a unit.  On non-proportionality the eigenvalue is
@@ -147,7 +137,7 @@ def verify_eigenform(
     """
     if f.offset24 != 0:
         raise ValueError("eigenform check requires offset 0")
-    bound = sturm_bound(k, N)
+    bound = sturm_bound(space.weight, space.level)
     if f.T < p * (bound + 1):
         raise ValueError(
             f"insufficient truncation {f.T}: eigenform check at p={p} "
@@ -160,10 +150,7 @@ def verify_eigenform(
         raise ValueError("series vanishes through the bound; eigenvalue undefined")
     if not ring.is_unit(f.coeffs[n0]):
         raise ValueError(f"leading coefficient {f.coeffs[n0]!r} is not a unit")
-    g = hecke(f, p, k, chi_disc)
+    g = hecke(f, p, space.weight, space.character)
     lam = ring.mul(g.coeffs[n0], ring.inv(f.coeffs[n0]))
-    mul = ring.mul
-    failures = (n for n in range(bound + 1) if g.coeffs[n] != mul(lam, f.coeffs[n]))
-    modulus = ring.modulus if isinstance(ring, ModRing) else None
-    report = _scan_report(claim, failures, bound, k, N, modulus)
+    report = _compare(claim, g, f.truncate(bound + 1).scale(lam), bound, space)
     return (lam if report.passed else None), report

@@ -26,7 +26,7 @@ from qcong.diamond import (
 )
 from qcong.eta import EtaQuotient, eta_quotient_metadata, eta_series
 from qcong.forms import cm_coefficient, form_f1, form_f2, form_g, form_h
-from qcong.qseries import QSeries, convolve, convolve_schoolbook
+from qcong.qseries import QSeries, SpaceTag, convolve, convolve_schoolbook
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt, primes_up_to
 from qcong.sturm import sturm_bound, verify_eigenform
 
@@ -143,9 +143,10 @@ def test_criterion_09_theorem_3_1_primes_to_97(forms_2000):
     fbar = f.conjugate()
     failures = []
     eig = {}
+    space = SpaceTag(9, 16, -4)
     for p in primes_up_to(97):
-        lam, rep = verify_eigenform(f, p, 9, -4, 16)
-        lam_bar, rep_bar = verify_eigenform(fbar, p, 9, -4, 16)
+        lam, rep = verify_eigenform(f, p, space)
+        lam_bar, rep_bar = verify_eigenform(fbar, p, space)
         if not (rep.passed and rep_bar.passed):
             failures.append(f"eigenform fails at {p}")
             continue

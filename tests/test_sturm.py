@@ -2,17 +2,26 @@ import json
 
 import pytest
 
-from qcong.qseries import QSeries
-from qcong.ring import ZZ, ModRing, QuadInt
+from qcong.qseries import QSeries, SpaceTag
+from qcong.ring import QUAD, ZZ, ModRing, QuadInt
 from qcong.sturm import (
     ClaimReport,
+    _compare,
     index_gamma0,
     sturm_bound,
     verify_eigenform,
-    verify_vanishing,
 )
 
 M7 = ModRing(7)
+F_SPACE = SpaceTag(9, 16, -4)
+LEVEL_1 = SpaceTag(12, 1)
+
+
+def vanishing(f: QSeries, k: int, N: int, claim: str = "vanishing") -> ClaimReport:
+    """f == 0 through the Sturm bound of weight k and level N, by _compare."""
+    bound = sturm_bound(k, N)
+    zero = QSeries(f.ring, 0, [f.ring.zero] * (bound + 1))
+    return _compare(claim, f, zero, bound, SpaceTag(k, N))
 
 
 def test_index_gamma0_values():
@@ -35,26 +44,75 @@ def test_sturm_bound_rejects_bad_weight():
 
 def test_verify_vanishing_zero_series_passes():
     z = QSeries(M7, 0, [0] * 70)
-    rep = verify_vanishing(z, 5, 72, claim="zero")
+    rep = vanishing(z, 5, 72, claim="zero")
     assert rep.passed and rep.bound == 60 and rep.first_failure is None
     assert rep.modulus == 7
+    assert (rep.weight, rep.level) == (5, 72)
 
 
 def test_verify_vanishing_reports_first_failure():
     coeffs = [0] * 70
     coeffs[1] = 1
-    rep = verify_vanishing(QSeries(M7, 0, coeffs), 5, 72)
+    rep = vanishing(QSeries(M7, 0, coeffs), 5, 72)
     assert not rep.passed and rep.first_failure == 1
 
 
 def test_verify_vanishing_insufficient_truncation_is_error():
-    with pytest.raises(ValueError, match="insufficient truncation"):
-        verify_vanishing(QSeries(M7, 0, [0] * 60), 5, 72)  # need 61
+    with pytest.raises(ValueError, match="cannot truncate"):
+        vanishing(QSeries(M7, 0, [0] * 60), 5, 72)  # need 61
 
 
 def test_verify_vanishing_exact_integer_series():
-    rep = verify_vanishing(QSeries(ZZ, 0, [0] * 3), 1, 16)  # bound 2
+    rep = vanishing(QSeries(ZZ, 0, [0] * 3), 1, 16)  # bound 2
     assert rep.passed and rep.modulus is None
+
+
+def test_compare_rejects_a_ring_mismatch():
+    a = QSeries(M7, 0, [1, 0, 3])
+    b = QSeries(ZZ, 0, [1, 0, 3])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        _compare("x", a, b, 2, None)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        _compare("x", a, QSeries(ModRing(11), 0, [1, 0, 3]), 2, None)
+
+
+def test_compare_rejects_a_nonzero_offset():
+    a = QSeries(ZZ, 0, [1, 0, 3])
+    shifted = QSeries(ZZ, 24, [1, 0, 3])  # the same coefficients from q^1
+    with pytest.raises(ValueError, match="offset 0"):
+        _compare("x", a, shifted, 2, None)
+    with pytest.raises(ValueError, match="offset 0"):
+        _compare("x", shifted, shifted, 2, None)
+
+
+def test_compare_either_series_short_of_the_bound_is_error():
+    full, cut = QSeries(ZZ, 0, [0] * 5), QSeries(ZZ, 0, [0] * 4)
+    for a, b in ((cut, full), (full, cut)):
+        with pytest.raises(ValueError, match="cannot truncate"):
+            _compare("x", a, b, 4, None)
+        assert _compare("x", a, b, 3, None).passed
+
+
+@pytest.mark.parametrize(
+    "ring, one, modulus",
+    [(M7, 1, 7), (ZZ, 1, None), (QUAD, QuadInt(1, 0), None)],
+)
+def test_compare_reads_the_modulus_from_the_ring(ring, one, modulus):
+    s = QSeries(ring, 0, [one, ring.zero, one])
+    rep = _compare("x", s, s, 2, F_SPACE)
+    assert rep.passed and rep.modulus == modulus
+    assert (rep.weight, rep.level, rep.bound, rep.checked) == (9, 16, 2, 2)
+
+
+def test_compare_records_the_first_failing_exponent():
+    a = QSeries(ZZ, 0, [1, 2, 3, 4, 5, 6])
+    b = QSeries(ZZ, 0, [1, 2, 0, 4, 0, 6])
+    rep = _compare("x", a, b, 5, None)
+    assert not rep.passed and rep.first_failure == 2
+    assert (rep.weight, rep.level, rep.modulus) == (None, None, None)
+    # mod 3 the two differ first at exponent 4
+    rep = _compare("x", a.reduce_mod(3), b.reduce_mod(3), 5, None)
+    assert not rep.passed and rep.first_failure == 4 and rep.modulus == 3
 
 
 def test_report_json_key_order():
@@ -73,7 +131,7 @@ def test_verify_eigenform_on_real_form():
     from qcong.forms import form_g
 
     g = form_g(100)  # bound 18 for (9,16) needs T >= 5*19 = 95
-    lam, rep = verify_eigenform(g, 5, 9, -4, 16, claim="g-T5")
+    lam, rep = verify_eigenform(g, 5, F_SPACE, claim="g-T5")
     assert rep.passed and lam == 258
     assert rep.bound == 18 and rep.checked == 18
 
@@ -82,13 +140,13 @@ def test_verify_eigenform_insufficient_truncation():
     from qcong.forms import form_g
 
     with pytest.raises(ValueError, match="insufficient truncation"):
-        verify_eigenform(form_g(90), 5, 9, -4, 16)
+        verify_eigenform(form_g(90), 5, F_SPACE)
 
 
 def test_verify_eigenform_non_proportional_reports_exponent():
     # weight 12, level 1: bound 1, so coefficients 0 and 1 must both match
     f = QSeries(ZZ, 0, [1, 1] + [3] * 61)
-    lam, rep = verify_eigenform(f, 3, 12, 1, 1, claim="bad")
+    lam, rep = verify_eigenform(f, 3, LEVEL_1, claim="bad")
     assert not rep.passed
     assert lam is None
     assert rep.first_failure is not None
@@ -97,15 +155,15 @@ def test_verify_eigenform_non_proportional_reports_exponent():
 def test_verify_eigenform_rejects_non_unit_leading():
     f = QSeries(ZZ, 0, [2] * 40)
     with pytest.raises(ValueError, match="not a unit"):
-        verify_eigenform(f, 2, 12, 1, 1)
+        verify_eigenform(f, 2, LEVEL_1)
 
 
 def test_verify_eigenform_conjugate_eigenvalue():
     from qcong.forms import form_f
 
     f = form_f(140)
-    lam, rep = verify_eigenform(f, 7, 9, -4, 16)
-    lam_bar, rep_bar = verify_eigenform(f.conjugate(), 7, 9, -4, 16)
+    lam, rep = verify_eigenform(f, 7, F_SPACE)
+    lam_bar, rep_bar = verify_eigenform(f.conjugate(), 7, F_SPACE)
     assert rep.passed and rep_bar.passed
     assert lam_bar == lam.conj()
     assert lam == QuadInt(0, 8 * 238)
@@ -114,9 +172,9 @@ def test_verify_eigenform_conjugate_eigenvalue():
 def test_vanishing_pass_is_monotone_in_bound():
     # a pass at (5, 72) (bound 60) implies a pass at any smaller bound
     z = QSeries(M7, 0, [0] * 70)
-    assert verify_vanishing(z, 5, 72).passed
-    assert verify_vanishing(z, 5, 16).passed  # bound 10
-    assert verify_vanishing(z, 1, 72).passed  # bound 12
+    assert vanishing(z, 5, 72).passed
+    assert vanishing(z, 5, 16).passed  # bound 10
+    assert vanishing(z, 1, 72).passed  # bound 12
 
 
 def test_g_and_f_share_eigenvalues_at_primes_1_mod_4():
@@ -129,7 +187,7 @@ def test_g_and_f_share_eigenvalues_at_primes_1_mod_4():
     for p in primes_up_to(97):
         if p % 4 != 1:
             continue
-        lam_g, rep_g = verify_eigenform(g, p, 9, -4, 16)
-        lam_f, rep_f = verify_eigenform(f, p, 9, -4, 16)
+        lam_g, rep_g = verify_eigenform(g, p, F_SPACE)
+        lam_f, rep_f = verify_eigenform(f, p, F_SPACE)
         assert rep_g.passed and rep_f.passed, p
         assert lam_f == QuadInt(lam_g, 0), p
