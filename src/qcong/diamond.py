@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series
-from .forms import _e4_dilated, _f_from, form_f1, form_f2, form_g
+from .forms import _e4_dilated, _f1_f2, _f_from, form_f1, form_f2, form_g
 from .operators import hecke, operator_level, twist, u_operator
 from .qseries import QSeries, SpaceTag
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
@@ -299,7 +299,7 @@ def eigenvalue_table(
 
     A None entry means the eigenform check failed at that prime.
     """
-    return _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
+    return _eigenvalues(*_f1_f2(T), primes_up_to(prime_max))[0]
 
 
 def verify_theorem_3_1(T: int, prime_max: int) -> list[ClaimReport]:
@@ -319,8 +319,7 @@ def verify_theorem_3_1(T: int, prime_max: int) -> list[ClaimReport]:
             f"need T >= {(bound + 1) * max(primes)} "
             f"for eigenform checks up to {max(primes)}, got {T}"
         )
-    f1 = form_f1(T)
-    f2 = form_f2(T)
+    f1, f2 = _f1_f2(T)
     eig, reports = _eigenvalues(f1, f2, primes)
     conj_fail = (
         p for p, (lam, lam_bar) in eig.items()

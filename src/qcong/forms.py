@@ -126,9 +126,10 @@ def form_h(T: int) -> QSeries:
     return _quotient_form(((4, 6),), T)
 
 
-def form_f1(T: int) -> QSeries:
+def form_f1(T: int, F: QSeries | None = None) -> QSeries:
     """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4] where
-    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents."""
+    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents.  F, if
+    given, is form_F to at least T terms."""
     t2 = dilated(theta0, T, 2)
     t4 = dilated(theta0, T, 4)
     t2_2 = t2.mul(t2)
@@ -141,13 +142,21 @@ def form_f1(T: int) -> QSeries:
         .add(t2_4.mul(t4_2).scale(4))
         .sub(t2_2.mul(t4_4).scale(6))
     )
-    return _e4_dilated(T, 4).mul(form_F(T)).mul(bracket)
+    F = form_F(T) if F is None else F.truncate(T)
+    return _e4_dilated(T, 4).mul(F).mul(bracket)
 
 
-def form_f2(T: int) -> QSeries:
-    """E4(4z) F(2z) h(z), supported on exponents congruent to 3 mod 4."""
-    F2 = dilated(form_F, T, 2)
+def form_f2(T: int, F: QSeries | None = None) -> QSeries:
+    """E4(4z) F(2z) h(z), supported on exponents congruent to 3 mod 4.  F, if
+    given, is form_F to at least T terms; F(2z) reads only its prefix."""
+    F2 = dilated(form_F if F is None else F.truncate, T, 2)
     return _e4_dilated(T, 4).mul(F2).mul(form_h(T))
+
+
+def _f1_f2(T: int) -> tuple[QSeries, QSeries]:
+    # f1 and f2 from one expansion of F
+    F = form_F(T)
+    return form_f1(T, F), form_f2(T, F)
 
 
 def _f_from(f1: QSeries, f2: QSeries) -> QSeries:
@@ -159,7 +168,7 @@ def _f_from(f1: QSeries, f2: QSeries) -> QSeries:
 
 def form_f(T: int) -> QSeries:
     """f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)] (identifying 8 i sqrt(3))."""
-    return _f_from(form_f1(T), form_f2(T))
+    return _f_from(*_f1_f2(T))
 
 
 def form_g(T: int) -> QSeries:

@@ -432,21 +432,45 @@ class SpaceTag:
             raise ValueError(f"weight must be >= 0, got {self.weight}")
 
 
+class _Table(dict):
+    """A prebuilt map that sends every key outside it through `fallback`."""
+
+    __slots__ = ("fallback",)
+
+    def __init__(self, pairs, fallback):
+        super().__init__(pairs)
+        self.fallback = fallback
+
+    def __missing__(self, key):
+        return self.fallback(key)
+
+
+def _line_codec(ring: Ring, n: int, entry, fallback):
+    # over Z/m with m <= n, a table lookup from entry(v) for each residue v:
+    # n lines share m strings (or m ints), and the table is no bigger than
+    # the data; anything outside the table, and every other ring, goes
+    # through `fallback` one line at a time
+    if isinstance(ring, ModRing) and ring.modulus <= n:
+        return _Table(map(entry, range(ring.modulus)), fallback).__getitem__
+    return fallback
+
+
 def dumps(s: QSeries) -> str:
     """Text coefficient dump; one coefficient per line, bit-exact round trip."""
-    # written piece by piece: a join would hold every line's string at once
-    out = io.StringIO()
-    out.write(f"qseries v1 ring={s.ring.tag} offset24={s.offset24} T={s.T}\n")
     fmt = s.ring.format_elem
-    for c in s.coeffs:
-        out.write(fmt(c))
-        out.write("\n")
-    return out.getvalue()
+    line = _line_codec(
+        s.ring, s.T, lambda v: (v, f"{fmt(v)}\n"), lambda c: f"{fmt(c)}\n"
+    )
+    header = f"qseries v1 ring={s.ring.tag} offset24={s.offset24} T={s.T}\n"
+    # one join: over Z/m its list holds the table's m shared strings; other
+    # rings hold one string per line until the join
+    return header + "".join(map(line, s.coeffs))
 
 
 def loads(text: str, limit: int | None = None) -> QSeries:
     """Inverse of `dumps`: the first min(T, limit) coefficients, or without a
     limit exactly the header's T, with nothing after them."""
+    # streamed line by line: a split would hold every line's string at once
     lines = io.StringIO(text)
     header = lines.readline().strip()
     parts = header.split()
@@ -459,8 +483,11 @@ def loads(text: str, limit: int | None = None) -> QSeries:
     offset24 = int(fields["offset24"])
     T = int(fields["T"])
     n = T if limit is None else min(T, limit)
-    # every parser accepts the line's trailing newline
-    coeffs = list(map(ring.parse_elem, islice(lines, n)))
+    fmt = ring.format_elem
+    # every parser accepts the line's trailing newline; a line outside the
+    # table (the last one without its newline, "8" or "-1" mod 7) is parsed
+    parse = _line_codec(ring, n, lambda v: (f"{fmt(v)}\n", v), ring.parse_elem)
+    coeffs = list(map(parse, islice(lines, n)))
     if len(coeffs) < n:
         raise ValueError(f"dump truncated: expected {T} coefficients")
     if limit is None and lines.readline():

@@ -27,7 +27,7 @@ CACHE_ENV_VAR = "QCONG_CACHE_DIR"
 
 log = logging.getLogger("qcong.store")
 
-_CHECKSUM_PREFIX = "checksum sha256:"
+_CHECKSUM_PREFIX = b"checksum sha256:"
 
 
 def _source_fingerprint() -> str:
@@ -57,48 +57,84 @@ class CacheKey:
         return hashlib.sha256(self.identity().encode()).hexdigest()[:24]
 
 
-def _checksum(identity: str, body: str) -> str:
+def _checksum(identity: str, body) -> bytes:
+    # body: the entry's bytes before its trailer, as any bytes-like object
     h = hashlib.sha256(f"{identity}\n".encode())
-    h.update(body.encode())
-    return h.hexdigest()
+    h.update(body)
+    return h.hexdigest().encode()
 
 
 class Cache:
+    """Entries under one directory.  Every get reads the whole entry and
+    checks its checksum; the series parsed from verified bytes is kept for
+    the life of the instance under the key and digest, so a repeat request
+    for the same bytes costs a slice, not a parse."""
+
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # key identity -> (digest of the entry, the longest prefix parsed or
+        # written); a new digest replaces the old one
+        self._parsed: dict[str, tuple[bytes, QSeries]] = {}
 
     def get(self, key: CacheKey, T: int) -> QSeries | None:
         """The first T terms of the stored series for the key; None on miss,
         including when fewer than T are stored."""
         path = self.root / f"{key.file_stem()}.qs"
+        series, n_bytes, outcome = self._lookup(key, path, T)
+        log.debug("cache get %s T=%d: %s, %d bytes read", path.name, T, outcome, n_bytes)
+        return series
+
+    def _lookup(self, key: CacheKey, path: Path, T: int) -> tuple[QSeries | None, int, str]:
+        # (the series or None, bytes read, outcome for the log)
         try:
             text = path.read_text()
         except FileNotFoundError:
-            return None
+            return None, 0, "miss (no entry)"
+        except UnicodeDecodeError as exc:
+            log.warning("cache entry %s is not UTF-8; treating as miss", path)
+            return None, len(exc.object), "corrupt (not UTF-8)"
         except OSError:
             log.warning("cache entry %s unreadable; treating as miss", path)
-            return None
+            return None, 0, "miss (unreadable)"
+        identity = key.identity()
+        data = text.encode()
         # a file without a trailer has an empty one, which no digest matches
-        body, _, trailer = text.rpartition(_CHECKSUM_PREFIX)
-        if _checksum(key.identity(), body) != trailer.strip():
+        cut = data.rfind(_CHECKSUM_PREFIX)
+        if cut < 0:
+            cut = len(data)
+        body = memoryview(data)[:cut]  # a view of the encoded text, not a copy
+        digest = _checksum(identity, body)
+        if digest != data[cut + len(_CHECKSUM_PREFIX):].strip():
             log.warning("cache entry %s fails checksum; treating as miss", path)
-            return None
-        series = loads(body, limit=T)
-        return series if series.T == T else None
+            return None, len(data), "corrupt"
+        seen = self._parsed.get(identity)
+        if seen is not None and seen[0] == digest and seen[1].T >= T:
+            series, source = seen[1], "from memo"
+        else:
+            # the checksum covers the header, and with a limit loads reads no
+            # line past the header's T, so it never reaches the trailer; a
+            # stored series shorter than T comes back whole, and is kept
+            series, source = loads(text, limit=T), "parsed"
+            self._parsed[identity] = (digest, series)
+        if series.T < T:
+            return None, len(data), f"miss ({series.T} stored, {source})"
+        return series.truncate(T), len(data), f"hit ({source})"
 
     def put(self, key: CacheKey, series: QSeries) -> Path:
         """Atomically store a series in the ring the key names, replacing the
         key's earlier entry."""
         if series.ring.tag != key.ring:
             raise ValueError(f"series ring {series.ring.tag} does not match key {key.ring}")
-        body = dumps(series)
-        payload = body + f"{_CHECKSUM_PREFIX}{_checksum(key.identity(), body)}\n"
+        identity = key.identity()
+        body = dumps(series).encode()
+        digest = _checksum(identity, body)
         path = self.root / f"{key.file_stem()}.qs"
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(body)
+                fh.write(_CHECKSUM_PREFIX + digest + b"\n")
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -106,11 +142,13 @@ class Cache:
             except OSError:
                 pass
             raise
+        self._parsed[identity] = (digest, series)
         return path
 
     def clear(self) -> int:
         """Remove every cache entry, and any .meta sidecar an older layout
         left; returns the number of files removed."""
+        self._parsed.clear()
         n = 0
         for path in list(self.root.glob("*.qs")) + list(self.root.glob("*.meta")):
             path.unlink(missing_ok=True)

@@ -142,3 +142,26 @@ def evaluate_product_mod(a: list[int], b: list[int], n: int, x: int) -> int:
         total = (total + v * xp * prefix[min(n - i, len(prefix) - 1)]) % P
         xp = xp * x % P
     return total
+
+
+def dumps_per_line(s) -> str:
+    """The qseries v1 text dump of a series, written one coefficient at a time
+    through its ring's `format_elem`."""
+    out = [f"qseries v1 ring={s.ring.tag} offset24={s.offset24} T={s.T}\n"]
+    for c in s.coeffs:
+        out.append(s.ring.format_elem(c))
+        out.append("\n")
+    return "".join(out)
+
+
+def loads_per_line(text: str, ring, limit=None) -> list:
+    """The first min(T, limit) coefficients of a qseries v1 dump over `ring`,
+    each line parsed on its own by `ring.parse_elem`; the header is only
+    read for T."""
+    header, *lines = text.split("\n")
+    T = int(header.split()[4].removeprefix("T="))
+    n = T if limit is None else min(T, limit)
+    # the split drops each line's newline; parse_elem is given it back,
+    # except on a last line that had none
+    return [ring.parse_elem(line + "\n" if i + 1 < len(lines) else line)
+            for i, line in enumerate(lines[:n])]

@@ -308,6 +308,35 @@ def test_quick_suite_stdout_equals_the_benchmark_reference(tmp_path):
     assert proc.stdout == reference.read_bytes()
 
 
+def test_quick_suite_cold_then_warm_stdout_equals_the_benchmark_reference(tmp_path):
+    root = Path(__file__).parent.parent
+    reference = (root / "perfbench" / "reference" / "suite-quick.json").read_bytes()
+    cache = tmp_path / "cache"
+
+    def run():
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "suite", "--quick"],
+            capture_output=True,
+            env={
+                "PATH": "",
+                "PYTHONPATH": str(Path(qcong.__file__).parent.parent),
+                "QCONG_CACHE_DIR": str(cache),
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def files():
+        # a put replaces its file by a rename, which changes the inode
+        return {p.name: (p.stat().st_ino, p.read_bytes()) for p in cache.iterdir()}
+
+    assert run() == reference  # cold: fills the cache
+    filled = files()
+    assert filled and all(name.endswith(".qs") for name in filled)
+    assert run() == reference  # warm: served from the cache
+    assert files() == filled
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--T", "5"])  # neither --form nor --eta

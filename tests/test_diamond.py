@@ -263,6 +263,34 @@ def test_theorem_3_1_reduced():
     assert "thm-3.1:t7-distinct-eigenvalues" in names
 
 
+def test_theorem_3_1_expands_F_once(monkeypatch):
+    from qcong import forms
+    from qcong.eta import EtaQuotient
+
+    F = EtaQuotient(((2, -4), (4, 8)))
+    built = []
+    expand = forms.eta_quotient_series
+
+    def counting(e, T, *args, **kwargs):
+        if e == F:
+            built.append(T)
+        return expand(e, T, *args, **kwargs)
+
+    monkeypatch.setattr(forms, "eta_quotient_series", counting)
+    reports = verify_theorem_3_1(250, 13)
+    assert all(r.passed for r in reports)
+    assert len(built) == 1, built
+
+
+def test_f1_f2_from_a_given_F_equal_their_own_builds():
+    from qcong.forms import form_F
+
+    for T in (1, 2, 3, 40, 251):
+        F = form_F(T + 7)
+        assert form_f1(T, F) == form_f1(T)
+        assert form_f2(T, F) == form_f2(T)
+
+
 def test_theorem_3_1_insufficient_truncation():
     with pytest.raises(ValueError, match="need T >="):
         verify_theorem_3_1(100, 13)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,13 @@ from qcong.qseries import (
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt
 
 from conftest import mutate, series_over
-from oracles import MERSENNE_61, evaluate_mod, evaluate_product_mod
+from oracles import (
+    MERSENNE_61,
+    dumps_per_line,
+    evaluate_mod,
+    evaluate_product_mod,
+    loads_per_line,
+)
 
 M7 = ModRing(7)
 ALL_RINGS = (ZZ, QQ, QUAD, M7, ModRing(12))
@@ -455,6 +462,75 @@ def test_loads_with_limit_reads_a_prefix():
     assert loads(text, limit=4) == loads(text)
     # past the limit the text is not read
     assert loads(text + "junk\n", limit=4).coeffs == [1, 2, 3, 4]
+
+
+# the table codec: over Z/m with m <= T, lines map through one table of
+# residues; short series and every other ring go one line at a time
+CODEC_RINGS = (ZZ, QQ, QUAD, M7, ModRing(11), ModRing(12), ModRing(2), ModRing(10**30))
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_dumps_matches_the_per_line_writer_all_rings(data):
+    ring = data.draw(st.sampled_from(CODEC_RINGS))
+    f = data.draw(series_over(ring, max_T=40))
+    assert dumps(f) == dumps_per_line(f)
+
+
+@pytest.mark.parametrize("ring", CODEC_RINGS, ids=repr)
+def test_long_dumps_and_loads_match_the_per_line_oracles(ring):
+    rng = random.Random(12)
+    elems = {
+        ZZ: lambda: rng.randint(-10**20, 10**20),
+        QQ: lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 24)),
+        QUAD: lambda: QuadInt(rng.randint(-99, 99), rng.randint(-99, 99)),
+    }
+    draw = elems.get(ring, lambda: rng.randrange(ring.modulus))
+    f = QSeries(ring, -5, [draw() for _ in range(300)])
+    text = dumps(f)
+    assert text == dumps_per_line(f)
+    for limit in (None, 1, 6, 7, 11, 299, 300, 301):
+        got = loads(text, limit=limit)
+        assert got.ring == ring and got.offset24 == -5
+        assert got.coeffs == loads_per_line(text, ring, limit)
+
+
+# non-canonical residue lines, each still entering reduced into [0, m)
+_ODD_LINES = ["8", "-1", "07", "+3", " 5", "6 ", "-0", "700", "0", "6", "1"]
+
+
+@pytest.mark.parametrize("n", [3, 11, 40])
+@pytest.mark.parametrize("limit", [None, 1, 2, 10, 11, 12])
+def test_mod_loads_matches_the_per_line_parser_on_non_canonical_lines(n, limit):
+    lines = [_ODD_LINES[i % len(_ODD_LINES)] for i in range(n)]
+    for last_newline in ("\n", ""):
+        text = f"qseries v1 ring=mod:7 offset24=0 T={n}\n" + "\n".join(lines) + last_newline
+        got = loads(text, limit=limit)
+        assert got.coeffs == loads_per_line(text, M7, limit)
+        assert all(0 <= c < 7 for c in got.coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 7, 30])
+def test_mod_loads_rejects_an_empty_line(n):
+    good = "\n".join(str(i % 7) for i in range(n - 1))
+    for body in (f"{good}\n\n", f"\n{good}\n"):
+        with pytest.raises(ValueError):
+            loads(f"qseries v1 ring=mod:7 offset24=0 T={n}\n{body}")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_dumps_bytes_are_pinned():
+    from qcong.diamond import c_series, delta_series
+
+    assert _sha256(dumps(delta_series(3, 20000, 7))) == (
+        "80cedf40b12b66cea01a47a66313952ef9e475c09bd852be3050f9db1eec9653"
+    )
+    assert _sha256(dumps(c_series(2000))) == (
+        "184ac5903759f9b49ff16b7fdf2526f233c083bde73d1ce2ca6b63457f624665"
+    )
 
 
 # ---- SpaceTag ----

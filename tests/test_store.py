@@ -176,3 +176,149 @@ def test_default_cache_ignores_empty_and_relative_env(tmp_path, monkeypatch, env
         monkeypatch.setenv(var, value.format(tmp=tmp_path))
     assert default_cache().root == tmp_path / want
     assert list(work.iterdir()) == []
+
+
+# ---- the per-instance memo of verified entries ----
+
+
+@pytest.fixture
+def counted_loads(monkeypatch):
+    """Every `loads` the store makes, as the limit it was called with."""
+    calls = []
+    real = store.loads
+
+    def counting(text, limit=None):
+        calls.append(limit)
+        return real(text, limit=limit)
+
+    monkeypatch.setattr(store, "loads", counting)
+    return calls
+
+
+def _get_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "qcong.store" and r.levelname == "DEBUG"]
+
+
+def _filled(tmp_path, coeffs, ring=ModRing(7)):
+    # an entry written by one Cache, to be read by another
+    key = CacheKey("x", ring.tag)
+    path = Cache(tmp_path).put(key, _series(ring, coeffs))
+    return key, path
+
+
+def test_second_get_of_a_verified_entry_does_not_parse_again(tmp_path, counted_loads, caplog):
+    key, path = _filled(tmp_path, list(range(20)))
+    cache = Cache(tmp_path)
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        first = cache.get(key, 20)
+        second = cache.get(key, 20)
+        third = cache.get(key, 9)
+    assert counted_loads == [20]
+    assert first == second == _series(ModRing(7), list(range(20)))
+    assert third == first.truncate(9)
+    size = path.stat().st_size
+    assert _get_lines(caplog) == [
+        f"cache get {path.name} T=20: hit (parsed), {size} bytes read",
+        f"cache get {path.name} T=20: hit (from memo), {size} bytes read",
+        f"cache get {path.name} T=9: hit (from memo), {size} bytes read",
+    ]
+
+
+def test_get_parses_only_the_prefix_asked_for_and_again_for_a_longer_one(tmp_path, counted_loads):
+    key, _ = _filled(tmp_path, list(range(20)))
+    cache = Cache(tmp_path)
+    assert cache.get(key, 5).coeffs == [0, 1, 2, 3, 4]
+    assert cache.get(key, 3).coeffs == [0, 1, 2]
+    assert cache.get(key, 12).T == 12
+    assert cache.get(key, 5).T == 5
+    assert counted_loads == [5, 12]
+
+
+def test_memo_does_not_hide_a_file_tampered_with_after_a_hit(tmp_path, counted_loads, caplog):
+    key, path = _filled(tmp_path, [1, 2, 3, 4])
+    cache = Cache(tmp_path)
+    assert cache.get(key, 4) is not None
+    path.write_text(path.read_text().replace("\n2\n", "\n5\n", 1))
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        assert cache.get(key, 4) is None
+        assert cache.get(key, 2) is None
+    assert "fails checksum" in caplog.text
+    assert _get_lines(caplog) == [
+        f"cache get {path.name} T={T}: corrupt, {path.stat().st_size} bytes read"
+        for T in (4, 2)
+    ]
+    assert counted_loads == [4]
+
+
+def test_memo_does_not_outlive_a_deleted_entry(tmp_path, caplog):
+    key, path = _filled(tmp_path, [1, 2, 3])
+    cache = Cache(tmp_path)
+    assert cache.get(key, 3) is not None
+    path.unlink()
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        assert cache.get(key, 3) is None
+    assert _get_lines(caplog) == [f"cache get {path.name} T=3: miss (no entry), 0 bytes read"]
+
+
+def test_request_past_the_stored_terms_is_still_a_miss(tmp_path, counted_loads, caplog):
+    key, path = _filled(tmp_path, list(range(10)))
+    cache = Cache(tmp_path)
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        assert cache.get(key, 11) is None
+        assert cache.get(key, 10) is not None
+        assert cache.get(key, 11) is None
+    size = path.stat().st_size
+    assert _get_lines(caplog) == [
+        f"cache get {path.name} T=11: miss (10 stored, parsed), {size} bytes read",
+        f"cache get {path.name} T=10: hit (from memo), {size} bytes read",
+        f"cache get {path.name} T=11: miss (10 stored, parsed), {size} bytes read",
+    ]
+    assert counted_loads == [11, 11]
+
+
+def test_get_after_a_longer_put_returns_the_longer_series(tmp_path, counted_loads, caplog):
+    cache = Cache(tmp_path)
+    key = CacheKey("x", "mod:7")
+    cache.put(key, _series(ModRing(7), [1, 2, 3]))
+    assert cache.get(key, 3).coeffs == [1, 2, 3]
+    longer = _series(ModRing(7), [6, 5, 4, 3, 2, 1])
+    cache.put(key, longer)
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        assert cache.get(key, 6) == longer
+        assert cache.get(key, 3) == longer.truncate(3)
+    # what a put wrote is served from memory: nothing was parsed
+    assert counted_loads == []
+    lines = _get_lines(caplog)
+    assert len(lines) == 2 and all(": hit (from memo), " in line for line in lines)
+
+
+def test_a_longer_put_by_another_cache_replaces_the_memo(tmp_path, counted_loads):
+    key, _ = _filled(tmp_path, [1, 2, 3])
+    cache = Cache(tmp_path)
+    assert cache.get(key, 3).coeffs == [1, 2, 3]
+    Cache(tmp_path).put(key, _series(ModRing(7), [4, 5, 6, 0]))
+    assert cache.get(key, 3).coeffs == [4, 5, 6]
+    assert cache.get(key, 4).coeffs == [4, 5, 6, 0]
+    assert counted_loads == [3, 3, 4]
+
+
+def test_a_fresh_cache_parses_again(tmp_path, counted_loads):
+    key, _ = _filled(tmp_path, [1, 2, 3])
+    for _ in range(2):
+        cache = Cache(tmp_path)
+        assert cache.get(key, 3).coeffs == [1, 2, 3]
+        assert cache.get(key, 3).coeffs == [1, 2, 3]
+    assert counted_loads == [3, 3]
+
+
+def test_non_utf8_entry_is_a_corrupt_miss(tmp_path, caplog):
+    key, path = _filled(tmp_path, [1, 2, 3])
+    path.write_bytes(path.read_bytes().replace(b"\n2\n", b"\n\xff\n", 1))
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        assert Cache(tmp_path).get(key, 3) is None
+    assert "not UTF-8" in caplog.text
+    assert _get_lines(caplog) == [
+        f"cache get {path.name} T=3: corrupt (not UTF-8), {path.stat().st_size} bytes read"
+    ]
+
