@@ -15,7 +15,7 @@ from .diamond import (
     verify_theorem_1_2,
     verify_theorem_3_1,
 )
-from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series, eta_series
+from .eta import EtaQuotient, eta_quotient_series, eta_series
 from .forms import (
     cm_coefficient,
     eisenstein,
@@ -31,8 +31,8 @@ from .forms import (
     theta0,
     two_squares,
 )
-from .operators import hecke, operator_level, twist, u_operator
-from .qseries import QSeries, SpaceTag
+from .operators import hecke, twist, u_operator
+from .qseries import QSeries
 from .ring import (
     QQ,
     QUAD,
@@ -45,5 +45,6 @@ from .ring import (
 )
 from .store import Cache, CacheKey, default_cache
 from .sturm import ClaimReport, index_gamma0, sturm_bound, verify_eigenform
+from .sturm import SpaceTag, eta_quotient_metadata
 
 __version__ = "0.1.0"

@@ -8,18 +8,20 @@ JSON; coefficient dumps are the qseries text format or CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
 from . import diamond
-from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series
+from .eta import EtaQuotient, eta_quotient_series
 from .forms import FORM_NAMES, resolve_form
 from .operators import apply_operator
 from .qseries import dumps
 from .store import default_cache
-from .sturm import ClaimReport, sturm_bound
+from .sturm import ClaimReport, eta_quotient_metadata, sturm_bound
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,11 +90,14 @@ def _cmd_expand(args) -> int:
         for op in args.apply.split(","):
             series = apply_operator(series.to_offset_zero(), op, args.weight, args.chi)
     if args.fmt == "csv":
-        lines = ["n,coefficient"]
+        # a Z[sqrt(-3)] coefficient prints as "re,im": the writer quotes it
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(["n", "coefficient"])
         fmt = series.ring.format_elem
         for j, c in enumerate(series.coeffs):
-            lines.append(f"{_format_exponent(series.offset24, j)},{fmt(c)}")
-        text = "\n".join(lines) + "\n"
+            rows.writerow([_format_exponent(series.offset24, j), fmt(c)])
+        text = buf.getvalue()
     else:
         text = dumps(series)
     if args.out:
@@ -104,13 +109,15 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_metadata(args) -> int:
-    meta = eta_quotient_metadata(EtaQuotient.parse(args.eta))
+    e = EtaQuotient.parse(args.eta)
+    space = eta_quotient_metadata(e)
+    inv_sum = sum((space.level // d) * r for d, r in e.factors)
     payload = {
-        "weight": meta.tag.weight,
-        "level": meta.tag.level,
-        "character": meta.tag.character,
-        "sum_dr_divisible": meta.sum_dr_divisible,
-        "sum_inv_divisible": meta.sum_inv_divisible,
+        "weight": space.weight,
+        "level": space.level,
+        "character": space.character,
+        "sum_dr_divisible": e.offset24 % 24 == 0,
+        "sum_inv_divisible": inv_sum % 24 == 0,
     }
     print(json.dumps(payload))
     return 0

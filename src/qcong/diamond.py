@@ -24,13 +24,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .eta import EtaQuotient, eta_quotient_metadata, eta_quotient_series
+from .eta import EtaQuotient, eta_quotient_series
 from .forms import _e4_dilated, _f1_f2, _f_from, form_f1, form_f2, form_g
-from .operators import hecke, operator_level, twist, u_operator
-from .qseries import QSeries, SpaceTag
+from .operators import hecke, twist, u_operator
+from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
 from .store import CacheKey
-from .sturm import ClaimReport, _compare, _scan_report, sturm_bound, verify_eigenform
+from .sturm import ClaimReport, _compare, _scan_report, verify_eigenform
+from .sturm import SpaceTag, eta_quotient_metadata
 
 __all__ = [
     "delta_series",
@@ -53,9 +54,9 @@ __all__ = [
 _SECTION2_QUOTIENT = EtaQuotient(((3, 4), (6, 6)))
 # spaces of the Section 2 chain: the eta product (step a), its U_7 image
 # (steps b and d), and that image minus its twist (step c)
-_CHAIN_A = eta_quotient_metadata(_SECTION2_QUOTIENT).tag
-_CHAIN_B = operator_level("U_7", _CHAIN_A)
-_CHAIN_C = operator_level("twist_7", _CHAIN_B)
+_CHAIN_A = eta_quotient_metadata(_SECTION2_QUOTIENT)
+_CHAIN_B = _CHAIN_A.u(7)
+_CHAIN_C = _CHAIN_B.twist(7)
 
 # the space of f = f1 + 8 sqrt(-3) f2, its conjugate, g, f1 and f2; its
 # weight and character also fix the Hecke operator of Theorem 1.2
@@ -204,7 +205,7 @@ def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
         # 6 sum delta_3(step n + shift) q^(3n+2) mod 7
         return _lift(delta3.extract_progression(step, shift).scale(6), 3, 2)
 
-    bound_c = min(sturm_bound(_CHAIN_C.weight, _CHAIN_C.level), f.T - 1)
+    bound_c = min(_CHAIN_C.sturm_bound, f.T - 1)
     fail_d = (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0)
     return [
         _compare("sec-2-chain:a", prod0, progression(7, 5), prod0.T - 1, _CHAIN_A),
@@ -231,11 +232,19 @@ def verify_eq_1_4(
     return _compare("eq-1.4", c_mod, rhs, T - 1, None)
 
 
-def _hecke_image(u: QSeries, p: int) -> QSeries:
-    # u(pn + (p-1)/2) + p^8 u((n-(p-1)/2)/p) for each n it is fixed at:
-    # T_p on g = sum u(n) q^(2n+1) in g's space, read at the odd exponents
-    g = _lift(u, 2, 1)
-    return hecke(g, p, _F_SPACE.weight, _F_SPACE.character).extract_progression(2, 1)
+def _recurrence(claim: str, p: int, T: int, series) -> tuple[int, ClaimReport]:
+    """(y, the report on Theorem 1.2's recurrence u(pn + h) + p^8 u((n-h)/p)
+    == y u(n) for n < T), h = (p-1)/2, where (u, y) = series(h) is built
+    once p and T are checked.  The left side is T_p on g = sum u(n) q^(2n+1)
+    in g's space, read at the odd exponents."""
+    if not is_prime(p) or p % 4 != 1:
+        raise ValueError(f"need a prime p = 1 mod 4, got {p}")
+    if T < 1:
+        raise ValueError(f"need T >= 1, got {T}")
+    u, y = series((p - 1) // 2)
+    g = hecke(_lift(u, 2, 1), p, _F_SPACE.weight, _F_SPACE.character)
+    image = g.extract_progression(2, 1)
+    return y, _compare(claim, image, u.truncate(T).scale(y), T - 1, None)
 
 
 def verify_theorem_1_2(
@@ -245,23 +254,20 @@ def verify_theorem_1_2(
 
     This is T_p g = y(p) g for g = sum c(n) q^(2n+1) in S_9(Gamma_0(16),
     chi_-4), read at the odd exponents.  y(p) is read off at n = 0 (where it
-    equals c((p-1)/2)) and cross-checked against the independently built
-    series f1 at exponent p; then the image of g under `operators.hecke` is
-    compared with y(p) g for all n < T.
+    equals c((p-1)/2)), the image of g under `operators.hecke` is compared
+    with y(p) g for all n < T, and a y(p) that differs from the independently
+    built series f1 at exponent p fails the report at p.
     """
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"need a prime p = 1 mod 4, got {p}")
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    half = (p - 1) // 2
-    L = p * (T - 1) + half + 1
-    c = _series(c_exact, cache, "c", L, None, c_series, "c series")
-    y = c.coeffs[half]
-    claim = f"thm-1.2:p={p}"
+    def series(half: int):
+        L = p * (T - 1) + half + 1
+        c = _series(c_exact, cache, "c", L, None, c_series, "c series")
+        return c, c.coeffs[half]
+
+    y, report = _recurrence(f"thm-1.2:p={p}", p, T, series)
     # independent derivation of the same number through the eigenform route
     if form_f1(p + 1).coeffs[p] != y:
-        return y, _scan_report(claim, [p], T - 1)
-    return y, _compare(claim, _hecke_image(c, p), c.truncate(T).scale(y), T - 1, None)
+        return y, _scan_report(report.claim, [p], T - 1)
+    return y, report
 
 
 def verify_g_combination(
@@ -313,7 +319,7 @@ def verify_theorem_3_1(T: int, prime_max: int) -> list[ClaimReport]:
     if prime_max < 7:
         raise ValueError("the T_5 and T_7 sub-checks need prime_max >= 7")
     primes = primes_up_to(prime_max)
-    bound = sturm_bound(_F_SPACE.weight, _F_SPACE.level)
+    bound = _F_SPACE.sturm_bound
     if T < (bound + 1) * max(primes):
         raise ValueError(
             f"need T >= {(bound + 1) * max(primes)} "
@@ -358,16 +364,12 @@ def verify_remark(
     == y(p) delta_5(11n+6) mod 11 for n < T: Theorem 1.2's recurrence for
     u(n) = delta_5(11n+6), since (11n+6)p - (p-1)/2 = 11(pn + (p-1)/2) + 6
     and (11n+6)/p + (p-1)/(2p) = 11 (n - (p-1)/2)/p + 6."""
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"need a prime p = 1 mod 4, got {p}")
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    half = (p - 1) // 2
-    L = (11 * (T - 1) + 6) * p - half + 1
-    u = _delta(delta5, cache, 5, L, 11).extract_progression(11, 6)
-    y = _series(None, cache, "c", half + 1, None, c_series, "c series").coeffs[half]
-    rhs = u.truncate(T).scale(y)
-    return _compare(f"remark:p={p}", _hecke_image(u, p), rhs, T - 1, None)
+    def series(half: int):
+        d5 = _delta(delta5, cache, 5, (11 * (T - 1) + 6) * p - half + 1, 11)
+        c = _series(None, cache, "c", half + 1, None, c_series, "c series")
+        return d5.extract_progression(11, 6), c.coeffs[half]
+
+    return _recurrence(f"remark:p={p}", p, T, series)[1]
 
 
 @dataclass(frozen=True)

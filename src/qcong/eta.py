@@ -1,4 +1,4 @@
-"""Dedekind eta, eta quotients, and their weight/level/character metadata.
+"""Dedekind eta and the expansion of eta quotients.
 
 An eta quotient is expanded by a nested build: the factor of least d is
 built at the full length, and the other factors form one sub-quotient,
@@ -6,6 +6,7 @@ built the same way at the inner length of their gcd and dilated.  Modulo
 a prime p the exponents are first reduced once by eta(dz)^p == eta(pdz)
 (mod p), which moves large denominators to short inner lengths; modulo
 prime powers, composites, and over Z the factors are used as given.
+Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .qseries import QSeries, SpaceTag
-from .ring import ZZ, ModRing, Ring, _factorize, is_prime
+from .qseries import QSeries
+from .ring import ZZ, ModRing, Ring, is_prime
 
 __all__ = [
     "EtaQuotient",
-    "EtaMetadata",
     "eta_series",
     "dilated",
     "eta_quotient_series",
-    "eta_quotient_metadata",
 ]
 
 _FACTOR_RE = re.compile(r"([0-9]+)\^(-?[0-9]+)")
@@ -206,47 +205,3 @@ def eta_quotient_series(
         if not factors:
             return QSeries.one(ring, T)
     return _quotient_series(factors, T, ring)
-
-
-@dataclass(frozen=True)
-class EtaMetadata:
-    """Space tag plus the two 24-divisibility validity flags.
-
-    The level is the least valid one for the quotient itself; operators
-    that change levels do their own bookkeeping and never consult this.
-    """
-
-    tag: SpaceTag
-    sum_dr_divisible: bool
-    sum_inv_divisible: bool
-
-
-def eta_quotient_metadata(e: EtaQuotient) -> EtaMetadata:
-    """Weight, minimal valid level, and quadratic character of a quotient.
-
-    weight = sum(r)/2 (odd sums are rejected: half-integer weight is out
-    of scope).  The level is the least multiple N of lcm(d) with
-    24 | sum((N/d) r); the character is the Kronecker symbol of the
-    fundamental discriminant attached to (-1)^weight * prod(d^r).
-    """
-    rsum = sum(r for _, r in e.factors)
-    if rsum % 2 != 0:
-        raise ValueError(f"odd exponent sum {rsum}: half-integer weight unsupported")
-    weight = rsum // 2
-    if weight < 0:
-        raise ValueError(f"negative weight {weight} is out of scope")
-    L = reduce(math.lcm, (d for d, _ in e.factors))
-    S = sum((L // d) * r for d, r in e.factors)
-    t = 24 // math.gcd(24, S)
-    level = L * t
-    dr = sum(d * r for d, r in e.factors)
-    inv_sum = sum((level // d) * r for d, r in e.factors)
-    # squarefree kernel of (-1)^weight * prod(d^r)
-    odd = math.prod(d for d, r in e.factors if r % 2)
-    s = (-1) ** weight * math.prod(p for p, k in _factorize(odd) if k % 2)
-    character = s if s % 4 == 1 else 4 * s
-    return EtaMetadata(
-        tag=SpaceTag(weight=weight, level=level, character=character),
-        sum_dr_divisible=dr % 24 == 0,
-        sum_inv_divisible=inv_sum % 24 == 0,
-    )

@@ -1,5 +1,7 @@
-"""Operators on q-expansions: Atkin U_d, quadratic twist, Hecke T_p,
-and the level bookkeeping for each.
+"""Operators on q-expansions: Atkin U_d, quadratic twist, Hecke T_p.
+
+They act on coefficients only; the space of an image, its level included,
+comes from `sturm.SpaceTag` (`u` and `twist`).
 
 Output truncations are conservative: U_d and T_p on a T-coefficient input
 justify floor((T-1)/d)+1 coefficients, so callers needing N valid Hecke
@@ -10,14 +12,13 @@ from __future__ import annotations
 
 import re
 
-from .qseries import QSeries, SpaceTag
+from .qseries import QSeries
 from .ring import is_prime, kronecker
 
 __all__ = [
     "u_operator",
     "twist",
     "hecke",
-    "operator_level",
     "parse_operator",
     "apply_operator",
 ]
@@ -78,17 +79,6 @@ def parse_operator(text: str) -> tuple[str, int]:
     if not m:
         raise ValueError(f"bad operator {text!r}: expected U_d, twist_p, or T_p")
     return m.group(1), int(m.group(2))
-
-
-def operator_level(op: str, tag: SpaceTag) -> SpaceTag:
-    """Level bookkeeping for an operator given as U_d / twist_p / T_p.
-
-    U_d multiplies the level by d and twist_p by p^2 (the quoted
-    bookkeeping value, not the sharper conductor level); T_p keeps it.
-    """
-    kind, n = parse_operator(op)
-    factor = {"U": n, "twist": n * n, "T": 1}[kind]
-    return SpaceTag(tag.weight, tag.level * factor, tag.character)
 
 
 def apply_operator(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import decimal
 import io
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
@@ -39,7 +38,7 @@ from .ring import (
     ring_from_tag,
 )
 
-__all__ = ["QSeries", "SpaceTag", "dumps", "loads"]
+__all__ = ["QSeries", "dumps", "loads"]
 
 # Schoolbook while len(a) len(b) <= cutoff (len(a) + len(b)): packing costs
 # about as much per coefficient as a dozen Python multiply-adds, so short
@@ -411,25 +410,6 @@ class QSeries:
             f"QSeries({self.ring.tag}, offset={self.offset}, T={self.T}, "
             f"[{head}{tail}])"
         )
-
-
-@dataclass(frozen=True)
-class SpaceTag:
-    """(weight, level, character) metadata carried alongside a series.
-
-    The character is a Kronecker discriminant; 1 means trivial.  Tags are
-    bookkeeping only and never enforced analytically.
-    """
-
-    weight: int
-    level: int
-    character: int = 1
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
 
 
 class _Table(dict):

@@ -1,10 +1,13 @@
-"""Sturm bounds and the bounded-verification drivers.
+"""Spaces of modular forms, their Sturm bounds, and the verification drivers.
 
-A claim is checked by scanning coefficients up to an explicit bound and
-recording the outcome in a ClaimReport, built only by `_scan_report`.  An
-identity between two series, eigenform checks included, goes through the
-one comparison driver `_compare`, which reads the report's modulus from
-the series' ring and rejects two rings or a nonzero offset.  Insufficient
+A SpaceTag is the space M_k(Gamma_0(N), chi) a series lies in and the one
+place that knows its Sturm bound and the levels U_d and a twist lead to;
+eta_quotient_metadata gives the space of an eta quotient.  A claim is
+checked by scanning coefficients up to an explicit bound and recording the
+outcome in a ClaimReport, built only by `_scan_report`.  An identity
+between two series, eigenform checks included, goes through the one
+comparison driver `_compare`, which reads the report's modulus from the
+series' ring and rejects two rings or a nonzero offset.  Insufficient
 truncation is always an error, never a pass: these reports are proof
 artifacts, so partial data must be unambiguous.
 """
@@ -12,16 +15,21 @@ artifacts, so partial data must be unambiguous.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
+from .eta import EtaQuotient
 from .operators import hecke
-from .qseries import QSeries, SpaceTag
+from .qseries import QSeries
 from .ring import ModRing, _factorize
 
 __all__ = [
     "index_gamma0",
     "sturm_bound",
+    "SpaceTag",
+    "eta_quotient_metadata",
     "ClaimReport",
     "verify_eigenform",
 ]
@@ -47,6 +55,61 @@ def sturm_bound(k: int, N: int) -> int:
     if k < 1:
         raise ValueError(f"weight must be >= 1, got {k}")
     return k * index_gamma0(N) // 12
+
+
+@dataclass(frozen=True)
+class SpaceTag:
+    """The space M_k(Gamma_0(N), chi) a series lies in: weight k, level N,
+    chi a Kronecker discriminant (1 is trivial).  Bookkeeping only, never
+    enforced analytically."""
+
+    weight: int
+    level: int
+    character: int = 1
+
+    def __post_init__(self):
+        if self.level < 1:
+            raise ValueError(f"level must be >= 1, got {self.level}")
+        if self.weight < 0:
+            raise ValueError(f"weight must be >= 0, got {self.weight}")
+
+    @property
+    def sturm_bound(self) -> int:
+        """The equality Sturm bound of the space."""
+        return sturm_bound(self.weight, self.level)
+
+    def u(self, d: int) -> "SpaceTag":
+        """The space of the U_d image: the level times d."""
+        return replace(self, level=self.level * d)
+
+    def twist(self, p: int) -> "SpaceTag":
+        """The space of the twist by (./p): the level times p^2, the quoted
+        bookkeeping value, not the sharper conductor level."""
+        return replace(self, level=self.level * p * p)
+
+
+def eta_quotient_metadata(e: EtaQuotient) -> SpaceTag:
+    """The space of an eta quotient: weight, least valid level, character.
+
+    weight = sum(r)/2 (odd sums are rejected: half-integer weight is out
+    of scope).  The level is the least multiple N of lcm(d) with
+    24 | sum((N/d) r): N = L * 24/gcd(24, S) for L = lcm(d) and
+    S = sum((L/d) r).  The character is the Kronecker symbol of the
+    fundamental discriminant attached to (-1)^weight * prod(d^r).
+    """
+    rsum = sum(r for _, r in e.factors)
+    if rsum % 2 != 0:
+        raise ValueError(f"odd exponent sum {rsum}: half-integer weight unsupported")
+    weight = rsum // 2
+    if weight < 0:
+        raise ValueError(f"negative weight {weight} is out of scope")
+    L = reduce(math.lcm, (d for d, _ in e.factors))
+    S = sum((L // d) * r for d, r in e.factors)
+    # squarefree kernel of (-1)^weight * prod(d^r)
+    odd = math.prod(d for d, r in e.factors if r % 2)
+    s = (-1) ** weight * math.prod(p for p, k in _factorize(odd) if k % 2)
+    character = s if s % 4 == 1 else 4 * s
+    return SpaceTag(weight, L * 24 // math.gcd(24, S), character)
 
 
 @dataclass(frozen=True)
@@ -137,7 +200,7 @@ def verify_eigenform(f: QSeries, p: int, space: SpaceTag, claim: str = "eigenfor
     """
     if f.offset24 != 0:
         raise ValueError("eigenform check requires offset 0")
-    bound = sturm_bound(space.weight, space.level)
+    bound = space.sturm_bound
     if f.T < p * (bound + 1):
         raise ValueError(
             f"insufficient truncation {f.T}: eigenform check at p={p} "

@@ -44,6 +44,18 @@ def naive_eta_product(factors, T: int) -> list[int]:
     return c
 
 
+def naive_eta_level(factors) -> int:
+    """Least multiple N of lcm(d) over the factors (d, r) with
+    24 | sum((N/d) r), by scanning the multiples of lcm(d) in turn."""
+    L = 1
+    while any(L % d for d, _ in factors):
+        L += 1
+    N = L
+    while sum((N // d) * r for d, r in factors) % 24:
+        N += L
+    return N
+
+
 def naive_delta(k: int, T: int) -> list[int]:
     """Broken k-diamond counting series by factor-by-factor expansion."""
     c = [0] * T

@@ -24,11 +24,11 @@ from qcong.diamond import (
     verify_theorem_1_1,
     verify_theorem_1_2,
 )
-from qcong.eta import EtaQuotient, eta_quotient_metadata, eta_series
+from qcong.eta import EtaQuotient, eta_series
 from qcong.forms import cm_coefficient, form_f1, form_f2, form_g, form_h
-from qcong.qseries import QSeries, SpaceTag, convolve, convolve_schoolbook
+from qcong.qseries import QSeries, convolve, convolve_schoolbook
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt, primes_up_to
-from qcong.sturm import sturm_bound, verify_eigenform
+from qcong.sturm import SpaceTag, eta_quotient_metadata, sturm_bound, verify_eigenform
 
 from conftest import mutate
 
@@ -76,7 +76,7 @@ def test_criterion_02_eta_metadata():
         "4^8 2^-4": (2, 4, 1),
     }
     got = {
-        text: (m.tag.weight, m.tag.level, m.tag.character)
+        text: (m.weight, m.level, m.character)
         for text, m in (
             (t, eta_quotient_metadata(EtaQuotient.parse(t))) for t in cases
         )

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +9,9 @@ import pytest
 
 import qcong
 from qcong.cli import main
+from qcong.forms import form_f
 from qcong.qseries import dumps, loads
+from qcong.ring import QUAD, QuadInt
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +52,18 @@ def test_expand_eta_with_modulus_csv(capsys):
     assert lines[0] == "n,coefficient"
     # offset is 2: exponents start at q^2
     assert lines[1] == "2,1"
+
+
+def test_expand_quad_csv_rows_have_two_fields(capsys):
+    # a Z[sqrt(-3)] coefficient prints as "re,im", so its cell is quoted
+    code, out, _ = run_cli(capsys, "expand", "--form", "f", "--T", "4", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["n", "coefficient"] and len(rows) == 4
+    assert all(len(row) == 2 for row in rows)
+    coeffs = [QUAD.parse_elem(cell) for _, cell in rows]
+    assert coeffs == form_f(4).coeffs
+    assert coeffs[3] == QuadInt(0, 8)
 
 
 def test_expand_parse_error_exits_2(capsys):
@@ -169,16 +185,22 @@ def test_expand_truncation_below_1_exits_2(capsys, source):
 
 
 def test_metadata_subcommand(capsys):
+    # the whole line, key order included; 24 does not divide sum(d r) for
+    # 1^2 or 1^1 2^-1, and 1^1 2^-1 has weight 0
     for text, want in [
-        ("3^4 6^6", {"weight": 5, "level": 72, "character": -4}),
-        ("4^6", {"weight": 3, "level": 16, "character": -4}),
-        ("4^8 2^-4", {"weight": 2, "level": 4, "character": 1}),
+        ("3^4 6^6", '{"weight": 5, "level": 72, "character": -4, '
+         '"sum_dr_divisible": true, "sum_inv_divisible": true}'),
+        ("4^6", '{"weight": 3, "level": 16, "character": -4, '
+         '"sum_dr_divisible": true, "sum_inv_divisible": true}'),
+        ("4^8 2^-4", '{"weight": 2, "level": 4, "character": 1, '
+         '"sum_dr_divisible": true, "sum_inv_divisible": true}'),
+        ("1^2", '{"weight": 1, "level": 12, "character": -4, '
+         '"sum_dr_divisible": false, "sum_inv_divisible": true}'),
+        ("1^1 2^-1", '{"weight": 0, "level": 48, "character": 8, '
+         '"sum_dr_divisible": false, "sum_inv_divisible": true}'),
     ]:
         code, out, _ = run_cli(capsys, "metadata", text)
-        assert code == 0
-        payload = json.loads(out)
-        for key, val in want.items():
-            assert payload[key] == val
+        assert code == 0 and out == want + "\n", text
 
 
 def test_verify_eq_1_2_small(capsys):

@@ -12,12 +12,12 @@ from qcong.eta import (
     _frobenius_reduced,
     _inner_T,
     dilated,
-    eta_quotient_metadata,
     eta_quotient_series,
     eta_series,
 )
 from qcong.qseries import QSeries
 from qcong.ring import ModRing, is_prime
+from qcong.sturm import SpaceTag, eta_quotient_metadata
 
 
 def test_eta_series_frozen_values_and_offset():
@@ -106,8 +106,7 @@ def test_metadata_three_paper_quotients():
     }
     for text, (k, N, chi) in cases.items():
         m = eta_quotient_metadata(EtaQuotient.parse(text))
-        assert (m.tag.weight, m.tag.level, m.tag.character) == (k, N, chi), text
-        assert m.sum_dr_divisible and m.sum_inv_divisible
+        assert (m.weight, m.level, m.character) == (k, N, chi), text
 
 
 def test_metadata_rejects_odd_weight():
@@ -116,8 +115,11 @@ def test_metadata_rejects_odd_weight():
 
 
 def test_metadata_flags_non_divisible_quotient():
-    m = eta_quotient_metadata(EtaQuotient.parse("1^2"))
-    assert not m.sum_dr_divisible
+    # 24 does not divide sum(d r) = 2, yet the quotient still has a space;
+    # the flag itself is pinned through `qcong metadata` in test_cli
+    e = EtaQuotient.parse("1^2")
+    assert e.offset24 % 24 != 0
+    assert eta_quotient_metadata(e) == SpaceTag(1, 12, -4)
 
 
 def test_euler_product_step():

@@ -6,13 +6,13 @@ from oracles import naive_hecke
 from qcong.operators import (
     apply_operator,
     hecke,
-    operator_level,
     parse_operator,
     twist,
     u_operator,
 )
-from qcong.qseries import QSeries, SpaceTag
+from qcong.qseries import QSeries
 from qcong.ring import QUAD, ZZ, ModRing, QuadInt, kronecker
+from qcong.sturm import SpaceTag
 
 from conftest import series_over
 
@@ -122,10 +122,10 @@ def test_hecke_over_quad_ring():
 
 
 def test_operator_level_bookkeeping():
+    # the spaces of the U_7 image and of its twist by 7
     tag = SpaceTag(5, 72, -4)
-    assert operator_level("U_7", tag) == SpaceTag(5, 504, -4)
-    assert operator_level("twist_7", SpaceTag(5, 504, -4)) == SpaceTag(5, 24696, -4)
-    assert operator_level("T_5", SpaceTag(9, 16, -4)) == SpaceTag(9, 16, -4)
+    assert tag.u(7) == SpaceTag(5, 504, -4)
+    assert SpaceTag(5, 504, -4).twist(7) == SpaceTag(5, 24696, -4)
     with pytest.raises(ValueError, match="expected"):
         parse_operator("V_3")
 

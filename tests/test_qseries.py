@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from qcong import qseries
 from qcong.qseries import (
     QSeries,
-    SpaceTag,
     convolve,
     convolve_schoolbook,
     dumps,
     loads,
 )
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt
+from qcong.sturm import SpaceTag
 
 from conftest import mutate, series_over
 from oracles import (

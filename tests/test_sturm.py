@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcong.qseries import QSeries, SpaceTag
+from oracles import naive_eta_level
+from qcong.cli import main
+from qcong.eta import EtaQuotient
+from qcong.qseries import QSeries
 from qcong.ring import QUAD, ZZ, ModRing, QuadInt
 from qcong.sturm import (
     ClaimReport,
+    SpaceTag,
     _compare,
+    eta_quotient_metadata,
     index_gamma0,
     sturm_bound,
     verify_eigenform,
@@ -35,6 +44,37 @@ def test_sturm_bound_values():
     assert sturm_bound(5, 24696) == 23520
     assert sturm_bound(9, 16) == 18
     assert sturm_bound(5, 72) == 60
+
+
+def test_space_sturm_bound_and_levels():
+    chain = eta_quotient_metadata(EtaQuotient.parse("3^4 6^6"))
+    assert chain == SpaceTag(5, 72, -4) and chain.sturm_bound == 60
+    assert chain.u(7).twist(7) == SpaceTag(5, 24696, -4)
+    assert chain.u(7).twist(7).sturm_bound == 23520
+    assert F_SPACE.sturm_bound == 18
+
+
+# quotients with every d | 48, exponents in [-6, 6] and an even,
+# nonnegative exponent sum: weights 0 and up, levels up to 48 * 24
+eta_quotients = st.dictionaries(
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 48]),
+    st.integers(-6, 6).filter(bool),
+    min_size=1,
+    max_size=5,
+).filter(lambda e: sum(e.values()) >= 0 and sum(e.values()) % 2 == 0)
+
+
+@given(eta_quotients)
+@settings(max_examples=200, deadline=None)
+def test_eta_level_is_the_least_valid_multiple(exps):
+    e = EtaQuotient(tuple(exps.items()))
+    space = eta_quotient_metadata(e)
+    assert space.weight == sum(exps.values()) // 2
+    assert space.level == naive_eta_level(e.factors), str(e)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["metadata", str(e)]) == 0
+    assert json.loads(out.getvalue())["sum_inv_divisible"] is True, str(e)
 
 
 def test_sturm_bound_rejects_bad_weight():
