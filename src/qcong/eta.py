@@ -1,8 +1,10 @@
 """Dedekind eta and the expansion of eta quotients.
 
 An eta quotient is expanded by a nested build: the factor of least d is
-built at the full length, and the other factors form one sub-quotient,
-built the same way at the inner length of their gcd and dilated.  Modulo
+built at the full length, and the other factors form one sub-quotient
+R(z^g), g the gcd of their d's, with R built the same way at the inner
+length.  R(z^g) is never formed: the head is multiplied by R one residue
+class mod g at a time, so no product packs the zeros of a dilation.  Modulo
 a prime p the exponents are first reduced once by eta(dz)^p == eta(pdz)
 (mod p), which moves large denominators to short inner lengths; modulo
 prime powers, composites, and over Z the factors are used as given.
@@ -16,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .qseries import QSeries
+from .qseries import QSeries, convolve
 from .ring import ZZ, ModRing, Ring, is_prime
 
 __all__ = [
@@ -168,15 +170,25 @@ def _frobenius_reduced(factors: tuple, p: int) -> tuple:
 
 def _quotient_series(factors: tuple, T: int, ring: Ring) -> QSeries:
     # factors: nonempty, sorted by d, distinct d, nonzero r.  Only the head
-    # (least d) is built at length T; the rest is one sub-quotient built by
-    # the same rule at the inner length of its own gcd, then dilated.
+    # (least d) is built at length T; the rest is one sub-quotient R(z^g), g
+    # the gcd of its d's, with R built by the same rule at the inner length.
+    # R(z^g) is never formed: residue class c of the product is head's class
+    # c times R, so each class is one product of about T/g terms.
     g = reduce(math.gcd, (d for d, _ in factors))
     if g > 1:
         inner = tuple((d // g, r) for d, r in factors)
         return dilated(lambda n: _quotient_series(inner, n, ring), T, g)
     (d, r), rest = factors[0], factors[1:]
     head = dilated(lambda n: _eta_power(n, r, ring), T, d)
-    return head.mul(_quotient_series(rest, T, ring)) if rest else head
+    if not rest:
+        return head
+    g = reduce(math.gcd, (d for d, _ in rest))
+    R = _quotient_series(tuple((d // g, r) for d, r in rest), _inner_T(T, g), ring)
+    out = [ring.zero] * T
+    for c in range(g):
+        # len(range(c, T, g)) terms: none when c >= T
+        out[c::g] = convolve(ring, head.coeffs[c::g], R.coeffs, len(range(c, T, g)))
+    return QSeries(ring, head.offset24 + g * R.offset24, out)
 
 
 def eta_quotient_series(
@@ -195,8 +207,12 @@ def eta_quotient_series(
     The quotient is built nested: after dividing out the gcd g of the d's
     (build at the inner length, dilate by g), the factor of least d is the
     only one built at length T, and the remaining factors form one
-    sub-quotient built by the same rule and dilated.  So a denominator
-    eta(98z) is inverted at about T/98 terms, not at T.
+    sub-quotient R(z^g), with R built by the same rule at the inner length
+    of their gcd g.  So a denominator eta(98z) is inverted at about T/98
+    terms, not at T.  The head times R(z^g) is g products, one per residue
+    class c mod g: coefficients c, c + g, ... of the head times R give the
+    same coefficients of the result, so each product has about T/g terms
+    and none holds the zeros of the dilation.
     """
     ring: Ring = ZZ if modulus is None else ModRing(modulus)
     factors = e.factors

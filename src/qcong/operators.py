@@ -40,10 +40,12 @@ def twist(f: QSeries, p: int) -> QSeries:
     if p == 2 or not is_prime(p):
         raise ValueError(f"twist needs an odd prime, got {p}")
     ring = f.ring
-    mul, neg, zero = ring.mul, ring.neg, ring.zero
+    neg, zero = ring.neg, ring.zero
+    # (n|p) depends on n mod p only: one period of symbols serves every n
+    symbols = [kronecker(r, p) for r in range(p)]
     out = []
     for n, c in enumerate(f.coeffs):
-        s = kronecker(n, p)
+        s = symbols[n % p]
         out.append(c if s == 1 else neg(c) if s == -1 else zero)
     return QSeries(ring, 0, out)
 

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcong.eta
 import qcong.qseries
 from oracles import naive_delta, naive_eta_product, naive_euler_product
 from qcong.diamond import delta_series
 from qcong.eta import (
     EtaQuotient,
+    _euler_coeffs,
     _frobenius_reduced,
+    _jacobi_cube_coeffs,
     _inner_T,
     dilated,
     eta_quotient_series,
@@ -161,6 +164,16 @@ def eta_products(draw):
 @example(((2, -3), (4, 2), (10, 4)), 197, None)
 @example(((1, -3), (2, 1), (7, 1), (14, -1)), 200, 11)
 @example(((4, -2),), 1, 2)
+# the head times the rest R(z^g), one residue class mod g at a time: T < g,
+# so some classes are empty; T not a multiple of g; the delta_3 and delta_5
+# quotients as reduced mod 7 and mod 11; and a rest whose gcd is 49
+@example(((1, 1), (14, 2)), 5, None)
+@example(((1, 1), (14, 2)), 5, 7)
+@example(((1, 2), (3, -1), (6, 2)), 200, None)
+@example(((1, -1), (7, 3)), 201, 5)
+@example(((1, 4), (2, 1), (14, 6), (98, -1)), 200, 7)
+@example(((1, 8), (2, 1), (22, 10), (242, -1)), 200, 11)
+@example(((1, 2), (49, 1), (98, -2)), 200, None)
 def test_quotient_series_matches_naive_product(factors, T, m):
     s = eta_quotient_series(EtaQuotient(factors), T, m)
     want = naive_eta_product(factors, T)
@@ -228,26 +241,48 @@ def test_frobenius_reduction_of_the_delta_quotients():
 
 
 def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
-    # the reduced delta_3 eta(z)^4 eta(2z) eta(14z)^6 / eta(98z) makes at
-    # most three full-length products, and inverts only eta(z) at the inner
-    # length of eta(98z)
+    # the reduced delta_3 eta(z)^4 eta(2z) eta(14z)^6 / eta(98z) makes one
+    # full-length product, eta^3 eta, and both are lacunary, so it runs on
+    # the schoolbook; the dense head meets the rest one residue class mod 2
+    # at a time, so nothing longer than T/2 + 1 terms is packed; and only
+    # eta(z) is inverted, at the inner length of eta(98z)
     T = 20000
-    outputs, inverted = [], []
+    ring = ModRing(7)
+    outputs, full, inverted, packed, schoolbook = [], [], [], [], []
     convolve, invert = qcong.qseries.convolve, QSeries.invert
+    pack, sparse = qcong.qseries._pack, qcong.qseries._convolve_int_schoolbook
 
     def counting_convolve(ring, a, b, n_out):
         outputs.append(n_out)
+        if n_out == T:
+            full.append(sorted([a, b]))
         return convolve(ring, a, b, n_out)
 
     def counting_invert(self):
         inverted.append(self.T)
         return invert(self)
 
+    def counting_pack(xs, *args):
+        packed.append(len(xs))
+        return pack(xs, *args)
+
+    def counting_schoolbook(a, b, n_out):
+        schoolbook.append(n_out)
+        return sparse(a, b, n_out)
+
+    # eta calls `convolve` through its own binding, QSeries.mul through
+    # the module's: both are counted
     monkeypatch.setattr(qcong.qseries, "convolve", counting_convolve)
+    monkeypatch.setattr(qcong.eta, "convolve", counting_convolve)
     monkeypatch.setattr(QSeries, "invert", counting_invert)
+    monkeypatch.setattr(qcong.qseries, "_pack", counting_pack)
+    monkeypatch.setattr(qcong.qseries, "_convolve_int_schoolbook", counting_schoolbook)
     s = delta_series(3, T, 7)
     assert s.T == T
-    assert outputs.count(T) <= 3
+    assert outputs.count(T) == 1
+    assert full == [sorted([_jacobi_cube_coeffs(T, ring), _euler_coeffs(T, ring)])]
+    assert schoolbook.count(T) == 1
+    assert packed and max(packed) <= -(-T // 2) + 1
     assert inverted and max(inverted) <= _inner_T(T, 98)
 
 

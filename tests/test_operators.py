@@ -58,6 +58,29 @@ def test_twist_rejects_bad_p():
         twist(S([1, 2]), 2)
     with pytest.raises(ValueError):
         twist(S([1, 2]), 9)
+    for p in (1, 2, 9, 15, 49):
+        with pytest.raises(ValueError, match="odd prime"):
+            twist(S(list(range(60))), p)
+
+
+@pytest.mark.parametrize("ring", [ModRing(7), QUAD, ZZ], ids=lambda r: r.tag)
+@pytest.mark.parametrize("p", [3, 7, 11, 13])
+def test_twist_matches_a_per_coefficient_kronecker_oracle(ring, p):
+    # three periods and a part of a fourth, so every residue class, n = 0
+    # mod p included, recurs; the oracle asks `kronecker` at each n
+    T = 3 * p + p // 2 + 1
+    if ring == QUAD:
+        f = QSeries(ring, 0, [QuadInt(n + 1, 2 - 3 * n) for n in range(T)])
+    else:
+        f = QSeries.from_ints(ring, [(-1) ** n * (n + 2) for n in range(T)])
+    want = []
+    for n, c in enumerate(f.coeffs):
+        s = kronecker(n, p)
+        want.append(c if s == 1 else ring.neg(c) if s == -1 else ring.zero)
+    out = twist(f, p)
+    assert out.ring == ring and out.offset24 == 0
+    assert out.coeffs == want
+    assert all(out.coeffs[n] == ring.zero for n in range(0, T, p))
 
 
 def test_hecke_zero_series():

@@ -403,6 +403,106 @@ def test_invert_across_the_cutoff_is_a_two_sided_inverse(ring, lead):
         assert convolve_schoolbook(ring, inv.coeffs, f.coeffs, T) == want, T
 
 
+# ---- lacunary and dilated operands: the nonzero-count dispatch ----
+
+# (support of a, len(a), support of b, len(b)): lacunary times lacunary,
+# short dense times lacunary in both orders (the dispatch must count the
+# nonzeros of both), dense times dilated, k-sparse pairs just at and just
+# past the cutoff, and an all-zero operand against a dense one
+LACUNARY_PAIRS = (
+    ("pentagonal", 2000, "triangular", 2000),
+    ("dense", 40, "triangular", 3000),
+    ("triangular", 3000, "dense", 40),
+    ("dilated2", 300, "dense", 300),
+    ("dense", 200, "dilated7", 1400),
+    ("pentagonal", 600, "dilated7", 600),
+    ("dilated2", 240, "pentagonal", 2000),
+    ("sparse48", 100, "sparse50", 100),
+    ("sparse48", 100, "sparse51", 100),
+    ("sparse5", 500, "dense", 500),
+    ("zero", 300, "dense", 300),
+    ("dense", 300, "zero", 120),
+)
+
+
+def _support(rng, n: int, kind: str) -> list[int]:
+    """Indices below n of one lacunary shape."""
+    if kind == "pentagonal":  # Euler's product: j(3j -+ 1)/2
+        return sorted({j * (3 * j + s) // 2 for j in range(n) for s in (-1, 1)} & set(range(n)))
+    if kind == "triangular":  # Jacobi's eta^3: j(j + 1)/2
+        return [e for e in (j * (j + 1) // 2 for j in range(n)) if e < n]
+    if kind.startswith("dilated"):
+        return list(range(0, n, int(kind[len("dilated") :])))
+    if kind.startswith("sparse"):
+        return sorted(rng.sample(range(n), int(kind[len("sparse") :])))
+    return list(range(n)) if kind == "dense" else []
+
+
+def _on_support(ring, rng, n: int, support: list[int], h: int) -> list:
+    """n coefficients of `ring`, zero off the support and at the edge height
+    +-h (the largest residue mod m) on it."""
+    def edge():
+        return rng.choice((-h, h))
+
+    xs = [ring.zero] * n
+    for i in support:
+        if ring == ZZ:
+            xs[i] = edge()
+        elif ring == QQ:
+            xs[i] = Fraction(edge(), rng.choice((1, 2, 3, 4, 6, 12)))
+        elif ring == QUAD:
+            xs[i] = QuadInt(edge(), edge())
+        else:
+            xs[i] = ring.modulus - 1
+    return xs
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.tag)
+def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, monkeypatch):
+    # each integer product goes to the kernel its nonzero counts call for:
+    # the sparse schoolbook while nnz(a) nnz(b) <= cutoff (len(a) + len(b)),
+    # else the packed multiply; either way it equals the generic oracle
+    calls = []
+    convolve_int = qseries._convolve_int
+
+    def recorded(a, b, n_out):
+        calls.append([None, a[:n_out], b[:n_out]])
+        return convolve_int(a, b, n_out)
+
+    def marking(name):
+        kernel = getattr(qseries, name)
+
+        def wrapped(*args):
+            calls[-1][0] = name
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+
+    monkeypatch.setattr(qseries, "_convolve_int", recorded)
+    marking("_pack")
+    marking("_convolve_int_schoolbook")
+    rng = random.Random(f"lacunary {ring.tag}")
+    for k, (kind_a, la, kind_b, lb) in enumerate(LACUNARY_PAIRS):
+        h = HEIGHTS[k % len(HEIGHTS)]
+        a = _on_support(ring, rng, la, _support(rng, la, kind_a), h)
+        b = _on_support(ring, rng, lb, _support(rng, lb, kind_b), h)
+        # the oracle skips a's zeros only, so the sparser operand goes first;
+        # a shorter output is a prefix of its longest one
+        x, y = (a, b) if kind_a != "dense" else (b, a)
+        want = convolve_schoolbook(ring, x, y, la + lb + 3)
+        # n_out below, at and above len(a) + len(b) - 1
+        for n in (1, min(la, lb), max(la, lb) + 1, la + lb - 1, la + lb + 3):
+            assert convolve(ring, a, b, n) == want[:n], (kind_a, kind_b, n)
+    for kernel, a, b in calls:
+        nnz = (len(a) - a.count(0)) * (len(b) - b.count(0))
+        fits = nnz <= qseries._SCHOOLBOOK_CUTOFF * (len(a) + len(b))
+        assert kernel == ("_convolve_int_schoolbook" if fits else "_pack"), (
+            len(a), len(b), nnz,
+        )
+    kernels = {kernel for kernel, _, _ in calls}
+    assert kernels == {"_pack", "_convolve_int_schoolbook"}
+
+
 # ---- mutation sanity for the container ----
 
 
