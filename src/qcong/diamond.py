@@ -3,15 +3,19 @@ verification of every congruence and eigenform claim.
 
 Each verify_* function expands the relevant series (optionally through the
 disk cache), scans the claim through an explicit bound, and returns one or
-more ClaimReports.  Each input is built once, in one ring: delta_3 mod 7,
-delta_5 mod 11, eq. (1.2)'s left side mod 7 (lifted for the Section 2
-chain) and the exact c (reduced for eq. (1.4)).  An identity is two series
-built from QSeries operations and the operators (Theorem 1.2 and the remark
-through operators.hecke), compared by the one comparison driver
-sturm._compare, which reads each report's modulus from the series' ring.
+more ClaimReports.  Each input is built once, in one ring: sum
+delta_3(7n+5) q^n mod 7 and sum delta_5(11n+6) q^n mod 11 (every claim on
+delta_k reads only that progression, and eta.eta_quotient_progression
+builds it without the other classes), eq. (1.2)'s left side mod 7 (lifted
+for the Section 2 chain), the exact c (reduced for eq. (1.4)) and the exact
+f1 and f2.  An identity is two series built from QSeries operations and
+the operators (Theorem 1.2 and the remark through operators.hecke),
+compared by the one comparison driver sturm._compare, which reads each
+report's modulus from the series' ring.
 Series arguments can be injected to support mutation self-tests; injected
 series are validated for offset, length, ring, and (mod m) for
-coefficients reduced into [0, m).
+coefficients reduced into [0, m).  An injected delta_k is the full series,
+reduced to its progression once validated.
 
 CLAIMS, the claim table, has one row per claim ID; run_suite runs every
 row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
@@ -23,8 +27,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache as memoized
 
-from .eta import EtaQuotient, eta_quotient_series
+from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .forms import _e4_dilated, _f1_f2, _f_from, form_f1, form_f2, form_g
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
@@ -77,13 +82,9 @@ def _euler_part(e: EtaQuotient, T: int, modulus: int | None) -> QSeries:
     return QSeries(s.ring, 0, s.coeffs)
 
 
-def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
-    """Counting series of broken k-diamond partitions, offset 0.
-
-    Built as the eta quotient eta(2z) eta((2k+1)z) / (eta(z)^3 eta((4k+2)z));
-    its fractional offset -(k+1)/12 is cancelled exactly by the defining
-    prefactor, which is checked, not assumed.
-    """
+def _delta_quotient(k: int) -> EtaQuotient:
+    # eta(2z) eta((2k+1)z) / (eta(z)^3 eta((4k+2)z)), whose offset the
+    # q^((k+1)/12) prefactor of delta_k must cancel
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     e = EtaQuotient(((1, -3), (2, 1), (2 * k + 1, 1), (4 * k + 2, -1)))
@@ -91,7 +92,17 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
         raise AssertionError(
             f"offset {e.offset24}/24 of {e} does not cancel the q^({k + 1}/12) prefactor"
         )
-    return _euler_part(e, T, modulus)
+    return e
+
+
+def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
+    """Counting series of broken k-diamond partitions, offset 0.
+
+    Built as the eta quotient eta(2z) eta((2k+1)z) / (eta(z)^3 eta((4k+2)z));
+    its fractional offset -(k+1)/12 is cancelled exactly by the defining
+    prefactor, which is checked, not assumed.
+    """
+    return _euler_part(_delta_quotient(k), T, modulus)
 
 
 def c_series(T: int) -> QSeries:
@@ -131,10 +142,25 @@ def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -
     return given
 
 
-def _delta(given: QSeries | None, cache, k: int, T: int, modulus: int) -> QSeries:
+# the one progression of delta_k that the claims read, as (p, r): every
+# claim on delta_3 reads delta_3(7n+5) mod 7, every one on delta_5
+# delta_5(11n+6) mod 11
+_DELTA_PROGRESSION = {3: (7, 5), 5: (11, 6)}
+
+
+def _delta(given: QSeries | None, cache, k: int, T: int) -> QSeries:
+    """sum delta_k(pn + r) q^n mod p to T terms, (p, r) the progression of
+    delta_k: the injected full series `given` once validated, reduced to
+    the progression, else the cached progression, else one built from the
+    eta quotient's class r alone, which is then cached."""
+    p, r = _DELTA_PROGRESSION[k]
+    what = f"delta_{k} series"
+    if given is not None:
+        full = _series(given, None, None, p * (T - 1) + r + 1, p, None, what)
+        return full.extract_progression(p, r).truncate(T)
     return _series(
-        given, cache, f"delta_k:{k}", T, modulus,
-        lambda n: delta_series(k, n, modulus), f"delta_{k} series",
+        None, cache, f"delta_k:{k} {p}n+{r}", T, p,
+        lambda n: eta_quotient_progression(_delta_quotient(k), p, r, n), what,
     )
 
 
@@ -157,27 +183,32 @@ def verify_eq_1_2(
     compared coefficientwise for n < T."""
     if T < 10:
         raise ValueError(f"need T >= 10, got {T}")
-    L = 7 * (T - 1) + 6
-    delta3 = _delta(delta3, cache, 3, L, 7)
+    delta3 = _delta(delta3, cache, 3, T)
     lhs = _lhs(lhs, cache, T)
-    rhs = delta3.extract_progression(7, 5).truncate(T).scale(6)
+    rhs = delta3.scale(6)
     return _compare("eq-1.2", lhs, rhs, T - 1, None)
 
 
 def verify_theorem_1_1(
     n_max: int, delta3: QSeries | None = None, cache=None
 ) -> ClaimReport:
-    """delta_3(343 n + r) == 0 mod 7 for r in {82, 229, 278, 327}, n < n_max."""
+    """delta_3(343 n + r) == 0 mod 7 for r in {82, 229, 278, 327}, n < n_max.
+
+    Each 343 n + r is 5 mod 7, so it reads delta_3(7m + 5) at
+    m = 49 n + (r - 5)/7."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     residues = (82, 229, 278, 327)
-    L = 343 * (n_max - 1) + max(residues) + 1
-    delta3 = _delta(delta3, cache, 3, L, 7)
-    d = delta3.coeffs
+    delta3 = _delta(delta3, cache, 3, 49 * (n_max - 1) + (max(residues) - 5) // 7 + 1)
+    u = delta3.coeffs
     failures = (
-        343 * n + r for n in range(n_max) for r in residues if d[343 * n + r] != 0
+        343 * n + r
+        for n in range(n_max)
+        for r in residues
+        if u[49 * n + (r - 5) // 7] != 0
     )
-    return _scan_report("thm-1.1", failures, L - 1, modulus=delta3.ring.modulus)
+    bound = 343 * (n_max - 1) + max(residues)
+    return _scan_report("thm-1.1", failures, bound, modulus=delta3.ring.modulus)
 
 
 def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
@@ -198,18 +229,20 @@ def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
     f = u_operator(prod0, 7)
     n_a = (T_prod - 3) // 3
     n_b = (f.T - 3) // 3
-    L_delta = max(7 * n_a + 5, 49 * n_b + 33) + 1
-    delta3 = _delta(None, cache, 3, L_delta, 7)
+    # u(n) = delta_3(7n + 5), and delta_3(49n + 33) = u(7n + 4)
+    u = _delta(None, cache, 3, max(n_a, 7 * n_b + 4) + 1)
 
-    def progression(step: int, shift: int) -> QSeries:
-        # 6 sum delta_3(step n + shift) q^(3n+2) mod 7
-        return _lift(delta3.extract_progression(step, shift).scale(6), 3, 2)
+    def lifted(v: QSeries) -> QSeries:
+        # 6 sum v(n) q^(3n+2) mod 7
+        return _lift(v.scale(6), 3, 2)
 
     bound_c = min(_CHAIN_C.sturm_bound, f.T - 1)
     fail_d = (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0)
     return [
-        _compare("sec-2-chain:a", prod0, progression(7, 5), prod0.T - 1, _CHAIN_A),
-        _compare("sec-2-chain:b", f, progression(49, 33), f.T - 1, _CHAIN_B),
+        _compare("sec-2-chain:a", prod0, lifted(u), prod0.T - 1, _CHAIN_A),
+        _compare(
+            "sec-2-chain:b", f, lifted(u.extract_progression(7, 4)), f.T - 1, _CHAIN_B
+        ),
         _compare("sec-2-chain:c", f, twist(f, 7), bound_c, _CHAIN_C),
         _scan_report("sec-2-chain:d", fail_d, f.T - 1, _CHAIN_B, f.ring.modulus),
     ]
@@ -224,11 +257,10 @@ def verify_eq_1_4(
     """c(n) == 8 delta_5(11n + 6) mod 11 for n < T, reading the exact c."""
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    L = 11 * (T - 1) + 7
-    delta5 = _delta(delta5, cache, 5, L, 11)
+    delta5 = _delta(delta5, cache, 5, T)
     c = _series(c_exact, cache, "c", T, None, c_series, "c series")
     c_mod = c.truncate(T).reduce_mod(11)
-    rhs = delta5.extract_progression(11, 6).truncate(T).scale(8)
+    rhs = delta5.scale(8)
     return _compare("eq-1.4", c_mod, rhs, T - 1, None)
 
 
@@ -308,13 +340,14 @@ def eigenvalue_table(
     return _eigenvalues(*_f1_f2(T), primes_up_to(prime_max))[0]
 
 
-def verify_theorem_3_1(T: int, prime_max: int) -> list[ClaimReport]:
+def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
     """Eigenform claims for f and its conjugate at every prime <= prime_max.
 
     Sub-checks: per-prime eigenform reports for both forms; eigenvalues are
     conjugate pairs, real exactly when p = 1 mod 4 or the f2 coefficient at
     p vanishes; g = f1 - 8 f2; both T_5 eigenvalues equal 258; the two T_7
-    eigenvalues differ, with imaginary parts +-8 * f2(7).
+    eigenvalues differ, with imaginary parts +-8 * f2(7).  f1 and f2 are
+    read from the cache, and on a miss built together from one F.
     """
     if prime_max < 7:
         raise ValueError("the T_5 and T_7 sub-checks need prime_max >= 7")
@@ -325,7 +358,9 @@ def verify_theorem_3_1(T: int, prime_max: int) -> list[ClaimReport]:
             f"need T >= {(bound + 1) * max(primes)} "
             f"for eigenform checks up to {max(primes)}, got {T}"
         )
-    f1, f2 = _f1_f2(T)
+    both = memoized(_f1_f2)
+    f1 = _series(None, cache, "f1", T, None, lambda n: both(n)[0], "f1 series")
+    f2 = _series(None, cache, "f2", T, None, lambda n: both(n)[1], "f2 series")
     eig, reports = _eigenvalues(f1, f2, primes)
     conj_fail = (
         p for p, (lam, lam_bar) in eig.items()
@@ -365,9 +400,9 @@ def verify_remark(
     u(n) = delta_5(11n+6), since (11n+6)p - (p-1)/2 = 11(pn + (p-1)/2) + 6
     and (11n+6)/p + (p-1)/(2p) = 11 (n - (p-1)/2)/p + 6."""
     def series(half: int):
-        d5 = _delta(delta5, cache, 5, (11 * (T - 1) + 6) * p - half + 1, 11)
+        u = _delta(delta5, cache, 5, p * (T - 1) + half + 1)
         c = _series(None, cache, "c", half + 1, None, c_series, "c series")
-        return d5.extract_progression(11, 6), c.coeffs[half]
+        return u, c.coeffs[half]
 
     return _recurrence(f"remark:p={p}", p, T, series)[1]
 
@@ -439,7 +474,9 @@ CLAIMS: dict[str, Claim] = {
         lambda c, cache: [verify_eq_1_4(c.eq_1_4_T, cache=cache)], depth="eq_1_4_T"
     ),
     "thm-3.1": Claim(
-        lambda c, cache: verify_theorem_3_1(c.thm_3_1_T, c.thm_3_1_prime_max),
+        lambda c, cache: verify_theorem_3_1(
+            c.thm_3_1_T, c.thm_3_1_prime_max, cache=cache
+        ),
         depth="thm_3_1_T",
     ),
     "remark": Claim(

@@ -8,6 +8,12 @@ class mod g at a time, so no product packs the zeros of a dilation.  Modulo
 a prime p the exponents are first reduced once by eta(dz)^p == eta(pdz)
 (mod p), which moves large denominators to short inner lengths; modulo
 prime powers, composites, and over Z the factors are used as given.
+
+One residue class mod a prime p, sum c(pn + r) q^n, is built without the
+other classes: after the rewrite the factors split as H(q) G(q^p), G from
+the factors with p | d, and class r of the product is class r of H times
+G.  H is built without its factor of largest d at the full length, and
+class r of H is that head's classes times the factor's nonempty classes.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
@@ -26,6 +32,7 @@ __all__ = [
     "eta_series",
     "dilated",
     "eta_quotient_series",
+    "eta_quotient_progression",
 ]
 
 _FACTOR_RE = re.compile(r"([0-9]+)\^(-?[0-9]+)")
@@ -221,3 +228,57 @@ def eta_quotient_series(
         if not factors:
             return QSeries.one(ring, T)
     return _quotient_series(factors, T, ring)
+
+
+def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: Ring) -> list:
+    # coefficients r, r + p, ..., < N of the quotient of `factors` (sorted
+    # by d, none divisible by p): the factor of largest d, f, meets the rest
+    # one class at a time, as class t of f times class r - t of the rest
+    # (shifted by one exponent when t > r), skipping f's empty classes
+    T = len(range(r, N, p))
+    (d, e), rest = factors[-1], factors[:-1]
+    # the head is built before f: its build peaks at several lists of
+    # length N, and f need not be held through it
+    head = _quotient_series(rest, N, ring).coeffs if rest else [ring.one]
+    f = dilated(lambda n: _eta_power(n, e, ring), N, d).coeffs
+    m = ring.modulus
+    out = [0] * T
+    for t in range(p):
+        f_t = f[t::p]
+        shift = int(t > r)
+        if T <= shift or not any(f_t):
+            continue
+        prod = convolve(ring, head[(r - t) % p :: p], f_t, T - shift)
+        out[shift:] = [(x + y) % m for x, y in zip(out[shift:], prod)]
+    return out
+
+
+def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
+    """sum c(pn + r) q^n mod the prime p to T terms, offset 0, where c are
+    the coefficients of eta_quotient_series(e, ., p); the other classes are
+    never formed.
+
+    After the Frobenius rewrite the quotient is H(q) G(q^p): G from the
+    factors with p | d (over d/p), built at T terms, and H from the rest,
+    whose exponents now lie in [1, p).  Class r of H G(q^p) is class r of H
+    times G, and class r of H, to N = p(T - 1) + r + 1 terms of H, is H
+    without its factor of largest d, built at length N, times that factor
+    one residue class mod p at a time.  For delta_3 mod 7 that is eta(z)^4
+    at full length and four products of about N/7 terms with the classes
+    of eta(2z), then one with G = eta(2z)^6 / eta(14z).
+    """
+    if not is_prime(p):
+        raise ValueError(f"need a prime modulus, got {p}")
+    if not 0 <= r < p:
+        raise ValueError(f"need a residue r in [0, {p}), got {r}")
+    if T < 1:
+        raise ValueError("truncation must be at least 1")
+    ring = ModRing(p)
+    N = p * (T - 1) + r + 1
+    factors = _frobenius_reduced(e.factors, p)
+    H = tuple(f for f in factors if f[0] % p)
+    G = tuple((d // p, k) for d, k in factors if d % p == 0)
+    out = _class_of_product(H, p, r, N, ring) if H else [int(r == 0)] + [0] * (T - 1)
+    if G:
+        out = convolve(ring, out, _quotient_series(G, T, ring).coeffs, T)
+    return QSeries(ring, 0, out)

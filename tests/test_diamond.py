@@ -354,14 +354,91 @@ def test_quick_suite_builds_each_cached_series_once(tmp_path):
     cold = run_suite(SuiteConfig.quick(), cache=cache)
     assert sorted(cache.puts) == [
         ("c", "int"),
-        ("delta_k:3", "mod:7"),
-        ("delta_k:5", "mod:11"),
+        ("delta_k:3 7n+5", "mod:7"),
+        ("delta_k:5 11n+6", "mod:11"),
         ("eq_1_2_lhs", "mod:7"),
+        ("f1", "int"),
+        ("f2", "int"),
     ], cache.puts
     cache.puts.clear()
     warm = run_suite(SuiteConfig.quick(), cache=cache)
     assert cache.puts == []
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+
+
+def test_warm_quick_suite_reads_f1_and_f2_from_the_cache(tmp_path, monkeypatch):
+    from qcong import diamond, forms
+    from qcong.store import Cache
+
+    cache = Cache(tmp_path)
+    cold = run_suite(SuiteConfig.quick(), cache=cache)
+
+    def unexpected(T):
+        raise AssertionError(f"f1 and f2 rebuilt at T={T}")
+
+    monkeypatch.setattr(forms, "_f1_f2", unexpected)
+    monkeypatch.setattr(diamond, "_f1_f2", unexpected)
+    warm = run_suite(SuiteConfig.quick(), cache=Cache(tmp_path))
+    assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+
+
+def test_delta3_claims_read_only_the_class_5_mod_7():
+    # one full delta_3 serves eq-1.2 (n < 120) and thm-1.1 (n < 4)
+    T, n_max = 120, 4
+    delta3 = delta_series(3, 343 * (n_max - 1) + 328, modulus=7)
+
+    def reports(d):
+        return [
+            verify_eq_1_2(T, delta3=d).to_dict(),
+            verify_theorem_1_1(n_max, delta3=d).to_dict(),
+        ]
+
+    clean = reports(delta3)
+    assert all(r["pass"] for r in clean)
+    off_class = (0, 4, 6, 7 * 57 + 3, 343 + 81, 7 * (T - 1) + 6, len(delta3.coeffs) - 2)
+    for idx in off_class:
+        assert idx % 7 != 5
+        assert reports(mutate(delta3, idx)) == clean, idx
+    for j in (0, 57, T - 1):
+        rep = verify_eq_1_2(T, delta3=mutate(delta3, 7 * j + 5))
+        assert not rep.passed and rep.first_failure == j
+    for idx in (82, 343 + 229, 2 * 343 + 278, 3 * 343 + 327):
+        rep = verify_theorem_1_1(n_max, delta3=mutate(delta3, idx))
+        assert not rep.passed and rep.first_failure == idx
+    # class 5, but outside 343n + {82, 229, 278, 327}: thm-1.1 still holds
+    assert verify_theorem_1_1(n_max, delta3=mutate(delta3, 7 * 20 + 5)).passed
+
+
+def test_delta5_claims_read_only_the_class_6_mod_11():
+    # one full delta_5 serves eq-1.4 (n < 80) and the remark at p = 5 (n < 30)
+    T, p, T_remark = 80, 5, 30
+    delta5 = delta_series(5, (11 * (T_remark - 1) + 6) * p - 1, modulus=11)
+    c = c_series(T)
+
+    def reports(d):
+        return [
+            verify_eq_1_4(T, c_exact=c, delta5=d).to_dict(),
+            verify_remark(p, T_remark, delta5=d).to_dict(),
+        ]
+
+    clean = reports(delta5)
+    assert all(r["pass"] for r in clean)
+    for idx in (0, 5, 7, 11 * 40 + 2, 11 * (T - 1) + 7, len(delta5.coeffs) - 2):
+        assert idx % 11 != 6
+        assert reports(mutate(delta5, idx)) == clean, idx
+    for j in (0, 33, T - 1):
+        rep = verify_eq_1_4(T, c_exact=c, delta5=mutate(delta5, 11 * j + 6))
+        assert not rep.passed and rep.first_failure == j
+
+
+def test_injected_delta_length_is_checked_on_the_full_series():
+    # the messages name the full series and the length it needs
+    with pytest.raises(ValueError, match="delta_3 series has 500 coefficients, need 699"):
+        verify_eq_1_2(100, delta3=delta_series(3, 500, 7))
+    with pytest.raises(ValueError, match="has 1356 coefficients, need 1357"):
+        verify_theorem_1_1(4, delta3=delta_series(3, 1356, 7))
+    with pytest.raises(ValueError, match="delta_5 series has 100 coefficients, need 876"):
+        verify_eq_1_4(80, delta5=delta_series(5, 100, 11))
 
 
 def test_delta5_at_6_mod_11():

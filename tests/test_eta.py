@@ -15,6 +15,7 @@ from qcong.eta import (
     _jacobi_cube_coeffs,
     _inner_T,
     dilated,
+    eta_quotient_progression,
     eta_quotient_series,
     eta_series,
 )
@@ -240,27 +241,21 @@ def test_frobenius_reduction_of_the_delta_quotients():
         eta_quotient_series(EtaQuotient(((1, -7), (7, 1))), 0, 7)
 
 
-def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
-    # the reduced delta_3 eta(z)^4 eta(2z) eta(14z)^6 / eta(98z) makes one
-    # full-length product, eta^3 eta, and both are lacunary, so it runs on
-    # the schoolbook; the dense head meets the rest one residue class mod 2
-    # at a time, so nothing longer than T/2 + 1 terms is packed; and only
-    # eta(z) is inverted, at the inner length of eta(98z)
-    T = 20000
-    ring = ModRing(7)
-    outputs, full, inverted, packed, schoolbook = [], [], [], [], []
-    convolve, invert = qcong.qseries.convolve, QSeries.invert
+def _counting_build(monkeypatch, N):
+    # (outputs, full, packed, schoolbook): every convolve's output length,
+    # the operands of each convolve at output length N, the length of every
+    # operand packed for the Kronecker product, and every schoolbook's
+    # output length.  eta calls `convolve` through its own binding,
+    # QSeries.mul through the module's: both are counted
+    outputs, full, packed, schoolbook = [], [], [], []
+    convolve = qcong.qseries.convolve
     pack, sparse = qcong.qseries._pack, qcong.qseries._convolve_int_schoolbook
 
     def counting_convolve(ring, a, b, n_out):
         outputs.append(n_out)
-        if n_out == T:
+        if n_out == N:
             full.append(sorted([a, b]))
         return convolve(ring, a, b, n_out)
-
-    def counting_invert(self):
-        inverted.append(self.T)
-        return invert(self)
 
     def counting_pack(xs, *args):
         packed.append(len(xs))
@@ -270,13 +265,29 @@ def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
         schoolbook.append(n_out)
         return sparse(a, b, n_out)
 
-    # eta calls `convolve` through its own binding, QSeries.mul through
-    # the module's: both are counted
     monkeypatch.setattr(qcong.qseries, "convolve", counting_convolve)
     monkeypatch.setattr(qcong.eta, "convolve", counting_convolve)
-    monkeypatch.setattr(QSeries, "invert", counting_invert)
     monkeypatch.setattr(qcong.qseries, "_pack", counting_pack)
     monkeypatch.setattr(qcong.qseries, "_convolve_int_schoolbook", counting_schoolbook)
+    return outputs, full, packed, schoolbook
+
+
+def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
+    # the reduced delta_3 eta(z)^4 eta(2z) eta(14z)^6 / eta(98z) makes one
+    # full-length product, eta^3 eta, and both are lacunary, so it runs on
+    # the schoolbook; the dense head meets the rest one residue class mod 2
+    # at a time, so nothing longer than T/2 + 1 terms is packed; and only
+    # eta(z) is inverted, at the inner length of eta(98z)
+    T = 20000
+    ring = ModRing(7)
+    outputs, full, packed, schoolbook = _counting_build(monkeypatch, T)
+    inverted, invert = [], QSeries.invert
+
+    def counting_invert(self):
+        inverted.append(self.T)
+        return invert(self)
+
+    monkeypatch.setattr(QSeries, "invert", counting_invert)
     s = delta_series(3, T, 7)
     assert s.T == T
     assert outputs.count(T) == 1
@@ -284,6 +295,69 @@ def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
     assert schoolbook.count(T) == 1
     assert packed and max(packed) <= -(-T // 2) + 1
     assert inverted and max(inverted) <= _inner_T(T, 98)
+
+
+def test_delta3_progression_builds_little_at_full_length(monkeypatch):
+    # sum delta_3(7n+5) q^n to T terms reads N = 7(T-1) + 6 terms of the
+    # quotient: eta(z)^4 is the one product at length N (eta^3 eta, on the
+    # schoolbook), and every packed operand is one residue class mod 7
+    T = 54882
+    N = 7 * (T - 1) + 6
+    ring = ModRing(7)
+    outputs, full, packed, schoolbook = _counting_build(monkeypatch, N)
+    s = eta_quotient_progression(EtaQuotient(_DELTA3), 7, 5, T)
+    assert s.T == T and s.offset24 == 0 and s.ring == ring
+    assert max(outputs) == N and outputs.count(N) == 1
+    assert full == [sorted([_jacobi_cube_coeffs(N, ring), _euler_coeffs(N, ring)])]
+    assert schoolbook.count(N) == 1
+    assert packed and max(packed) <= -(-N // 7) + 1
+
+
+@st.composite
+def progressions(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ds = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True))
+    rs = draw(
+        st.lists(st.integers(-2 * p, 2 * p).filter(bool), min_size=len(ds), max_size=len(ds))
+    )
+    return tuple(zip(ds, rs)), p, draw(st.integers(0, p - 1))
+
+
+@given(progressions(), st.integers(1, 80))
+@settings(max_examples=80, deadline=None)
+# no factor with p not dividing d; no factor with p | d; a quotient that
+# cancels entirely; a common gcd > 1; T = 1 with r = p - 1; and the
+# delta_3 and delta_5 progressions the claims read
+@example((((7, 1),), 7, 3), 40)
+@example((((7, 1),), 7, 0), 40)
+@example((((1, 3), (2, -1), (3, 2)), 5, 2), 60)
+@example((((1, -7), (7, 1)), 7, 0), 20)
+@example((((1, -7), (7, 1)), 7, 4), 20)
+@example((((6, 2), (12, -1), (18, 5)), 5, 1), 50)
+@example((((2, 3), (4, -1)), 2, 1), 1)
+@example((((1, 4), (13, -3)), 13, 12), 1)
+@example((_DELTA3, 7, 5), 80)
+@example((_DELTA5, 11, 6), 80)
+def test_quotient_progression_matches_the_full_build(progression, T):
+    factors, p, r = progression
+    e = EtaQuotient(factors)
+    s = eta_quotient_progression(e, p, r, T)
+    want = eta_quotient_series(e, p * (T - 1) + r + 1, p).coeffs[r::p]
+    assert s.ring == ModRing(p) and s.offset24 == 0 and s.T == T
+    assert s.coeffs == want
+
+
+def test_quotient_progression_rejects_bad_arguments():
+    e = EtaQuotient(_DELTA3)
+    for m in (1, 4, 49, 12):
+        with pytest.raises(ValueError, match="prime modulus"):
+            eta_quotient_progression(e, m, 0, 5)
+    for r in (-1, 7, 12):
+        with pytest.raises(ValueError, match=r"residue r in \[0, 7\)"):
+            eta_quotient_progression(e, 7, r, 5)
+    for T in (0, -3):
+        with pytest.raises(ValueError, match="truncation must be at least 1"):
+            eta_quotient_progression(e, 7, 5, T)
 
 
 @pytest.mark.parametrize("k, p", [(3, 7), (5, 11)])
