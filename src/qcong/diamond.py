@@ -29,8 +29,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache as memoized
 
-from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
-from .forms import _e4_dilated, _f1_f2, _f_from, form_f1, form_f2, form_g
+from .eta import EtaQuotient, _inner_T, _times_dilated
+from .eta import eta_quotient_progression, eta_quotient_series
+from .forms import _f1_f2, _f_from, eisenstein_int, form_f1, form_f2, form_g
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
@@ -106,9 +107,16 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
 
 
 def c_series(T: int) -> QSeries:
-    """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2 over Z, offset 0."""
-    e4_2 = _e4_dilated(T, 2)
-    return e4_2.mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, None))
+    """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2 over Z, offset 0.
+
+    Built as prod (1-q^n)^8 times R(q^2), where R = E4 prod (1-q^n)^2 is
+    built at the inner length: one product per residue class mod 2, so no
+    product packs the zeros of E4(2z).
+    """
+    head = _euler_part(EtaQuotient(((1, 8),)), T, None)
+    n = _inner_T(T, 2)
+    R = eisenstein_int(4, n).mul(_euler_part(EtaQuotient(((1, 2),)), n, None))
+    return QSeries(ZZ, 0, _times_dilated(ZZ, head.coeffs, R.coeffs, 2, T))
 
 
 def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -> QSeries:

@@ -12,8 +12,13 @@ prime powers, composites, and over Z the factors are used as given.
 One residue class mod a prime p, sum c(pn + r) q^n, is built without the
 other classes: after the rewrite the factors split as H(q) G(q^p), G from
 the factors with p | d, and class r of the product is class r of H times
-G.  H is built without its factor of largest d at the full length, and
-class r of H is that head's classes times the factor's nonempty classes.
+G.  Class r of H is the sum, over the nonempty classes t of its factor f
+of largest d, of class t of f times class r - t of the rest of H, the
+head, added exactly before one unpack (`qseries.convolve_sum`).  A series
+that is one product of two lacunary ones, as eta(z)^4 = eta^3 eta, is
+formed one class at a time from the terms of Jacobi's and Euler's index
+formulas, so no list of its full length exists; any other head is built
+at full length and sliced.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .qseries import QSeries, convolve
+from .qseries import QSeries, _is_lacunary, convolve, convolve_sum
 from .ring import ZZ, ModRing, Ring, is_prime
 
 __all__ = [
@@ -109,27 +114,47 @@ def dilated(build, T: int, d: int) -> QSeries:
     return build(_inner_T(T, d)).dilate(d).truncate(T)
 
 
-def _euler_coeffs(T: int, ring: Ring) -> list:
-    # prod(1 - q^n) by the pentagonal number theorem: the only nonzero
-    # coefficients sit at j*(3j+-1)/2 with sign (-1)^j
-    if T < 1:
-        raise ValueError("truncation must be at least 1")
-    one = ring.one
-    neg_one = ring.neg(one)
-    c = [ring.zero] * T
-    c[0] = one
+def _euler_terms(n: int) -> list[tuple[int, int]]:
+    # prod(1 - q^k) below q^n as (index, value) terms in index order, by the
+    # pentagonal number theorem: the only nonzero coefficients sit at
+    # j*(3j+-1)/2 with sign (-1)^j
+    terms = [(0, 1)]
     j = 1
     while True:
         e1 = j * (3 * j - 1) // 2
-        if e1 >= T:
-            break
-        s = one if j % 2 == 0 else neg_one
-        c[e1] = s
+        if e1 >= n:
+            return terms
+        s = -1 if j % 2 else 1
+        terms.append((e1, s))
         e2 = j * (3 * j + 1) // 2
-        if e2 < T:
-            c[e2] = s
+        if e2 < n:
+            terms.append((e2, s))
         j += 1
+
+
+def _jacobi_cube_terms(n: int) -> list[tuple[int, int]]:
+    # eta(z)^3 = q^(1/8) sum (-1)^k (2k+1) q^(k(k+1)/2) below q^n, Jacobi's
+    # identity, as (index, value) terms in index order
+    terms = []
+    k = e = 0
+    while e < n:
+        terms.append((e, (-1) ** k * (2 * k + 1)))
+        k += 1
+        e += k
+    return terms
+
+
+def _dense(terms: list[tuple[int, int]], T: int, ring: Ring) -> list:
+    c = [ring.zero] * T
+    for e, v in terms:
+        c[e] = ring.from_int(v)
     return c
+
+
+def _euler_coeffs(T: int, ring: Ring) -> list:
+    if T < 1:
+        raise ValueError("truncation must be at least 1")
+    return _dense(_euler_terms(T), T, ring)
 
 
 def eta_series(T: int) -> QSeries:
@@ -138,14 +163,7 @@ def eta_series(T: int) -> QSeries:
 
 
 def _jacobi_cube_coeffs(T: int, ring: Ring) -> list:
-    # eta(z)^3 = q^(1/8) sum (-1)^n (2n+1) q^(n(n+1)/2), Jacobi's identity
-    c = [ring.zero] * T
-    n = e = 0
-    while e < T:
-        c[e] = ring.from_int((-1) ** n * (2 * n + 1))
-        n += 1
-        e += n
-    return c
+    return _dense(_jacobi_cube_terms(T), T, ring)
 
 
 def _eta_power(T: int, r: int, ring: Ring) -> QSeries:
@@ -191,11 +209,22 @@ def _quotient_series(factors: tuple, T: int, ring: Ring) -> QSeries:
         return head
     g = reduce(math.gcd, (d for d, _ in rest))
     R = _quotient_series(tuple((d // g, r) for d, r in rest), _inner_T(T, g), ring)
+    out = _times_dilated(ring, head.coeffs, R.coeffs, g, T)
+    return QSeries(ring, head.offset24 + g * R.offset24, out)
+
+
+def _times_dilated(ring: Ring, head: list, R: list, g: int, T: int) -> list:
+    """The first T coefficients of head(q) R(q^g), head given to T terms.
+
+    R(q^g) is never formed: residue class c mod g of the product is head's
+    class c times R, so each class is one product of about T/g terms and
+    none packs the zeros of the dilation.
+    """
     out = [ring.zero] * T
     for c in range(g):
         # len(range(c, T, g)) terms: none when c >= T
-        out[c::g] = convolve(ring, head.coeffs[c::g], R.coeffs, len(range(c, T, g)))
-    return QSeries(ring, head.offset24 + g * R.offset24, out)
+        out[c::g] = convolve(ring, head[c::g], R, len(range(c, T, g)))
+    return out
 
 
 def eta_quotient_series(
@@ -230,27 +259,75 @@ def eta_quotient_series(
     return _quotient_series(factors, T, ring)
 
 
-def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: Ring) -> list:
-    # coefficients r, r + p, ..., < N of the quotient of `factors` (sorted
-    # by d, none divisible by p): the factor of largest d, f, meets the rest
-    # one class at a time, as class t of f times class r - t of the rest
-    # (shifted by one exponent when t > r), skipping f's empty classes
-    T = len(range(r, N, p))
-    (d, e), rest = factors[-1], factors[:-1]
-    # the head is built before f: its build peaks at several lists of
-    # length N, and f need not be held through it
-    head = _quotient_series(rest, N, ring).coeffs if rest else [ring.one]
-    f = dilated(lambda n: _eta_power(n, e, ring), N, d).coeffs
-    m = ring.modulus
-    out = [0] * T
-    for t in range(p):
-        f_t = f[t::p]
-        shift = int(t > r)
-        if T <= shift or not any(f_t):
-            continue
-        prod = convolve(ring, head[(r - t) % p :: p], f_t, T - shift)
-        out[shift:] = [(x + y) % m for x, y in zip(out[shift:], prod)]
+def _lacunary_parts(factors: tuple, N: int, ring: Ring) -> list | None:
+    # the quotient of `factors` to N terms as two lists of its factors'
+    # nonzero (index, value) terms in ring, taken from the index formulas:
+    # eta(dz)^e is e // 3 Jacobi cubes times e % 3 Euler products, as in
+    # _eta_power, so for e in 1..4 and 6 it is at most two such series, and
+    # an empty quotient is 1.  None for any other quotient.
+    if len(factors) > 1 or any(e < 0 for _, e in factors):
+        return None
+    parts = [
+        [(d * i, x) for i, v in terms(-(-N // d)) if (x := ring.from_int(v)) != ring.zero]
+        for d, e in factors
+        for terms in [_jacobi_cube_terms] * (e // 3) + [_euler_terms] * (e % 3)
+    ]
+    if len(parts) > 2:
+        return None
+    return parts + [[(0, ring.one)]] * (2 - len(parts))
+
+
+def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict[int, list]:
+    # classes c of a*b mod m to N terms, each as its coefficients c, c + p,
+    # ... < N, from the (index, value) terms of a and b in index order.  With
+    # i = p*u + s and j = p*v + (c - s) mod p, the term i of a meets only b's
+    # class (c - s) mod p, at position u + v of class c, plus one when s > c;
+    # each row stops at the first term past N.
+    rows = [[] for _ in range(p)]
+    for j, y in b:
+        rows[j % p].append((j // p, y))
+    a = [(*divmod(i, p), x) for i, x in a]
+    out = {}
+    for c in classes:
+        cls = [0] * len(range(c, N, p))
+        for u, s, x in a:
+            base = u + (s > c)
+            lim = len(cls) - base
+            for v, y in rows[(c - s) % p]:
+                if v >= lim:
+                    break
+                cls[base + v] += x * y
+        # every value is a sum of products of residues: reduce only if one
+        # reached m (a class of a single series never does)
+        out[c] = cls if max(cls, default=0) < m else [*map(m.__rmod__, cls)]
     return out
+
+
+def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int, list]:
+    # classes c of the quotient of `factors` to N terms, each as its
+    # coefficients c, c + p, ... < N.  One product of two lacunary series,
+    # by the nonzero-count rule of qseries.convolve, is formed one class at
+    # a time from its terms, with no list of N terms; any other quotient is
+    # built at full length and sliced.
+    parts = _lacunary_parts(factors, N, ring)
+    if parts is not None and _is_lacunary(len(parts[0]), len(parts[1]), 2 * N):
+        return _classes_of_terms(*parts, p, classes, N, ring.modulus)
+    full = _quotient_series(factors, N, ring).coeffs
+    return {c: full[c::p] for c in classes}
+
+
+def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: ModRing) -> list:
+    # coefficients r, r + p, ..., < N of the quotient of `factors` (sorted
+    # by d, none divisible by p): the factor of largest d, f, meets the rest,
+    # the head, one class at a time, as class t of f times class r - t of
+    # the head, shifted by one exponent when t > r.  Only f's nonempty
+    # classes count, so only their partner classes of the head are built,
+    # and the products are summed by one convolve_sum.
+    f = _classes(factors[-1:], p, range(p), N, ring)
+    f = {t: f_t for t, f_t in f.items() if any(f_t)}
+    head = _classes(factors[:-1], p, {(r - t) % p for t in f}, N, ring)
+    pairs = [(head[(r - t) % p], f_t, int(t > r)) for t, f_t in f.items()]
+    return convolve_sum(ring, pairs, len(range(r, N, p)))
 
 
 def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
@@ -261,11 +338,17 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     After the Frobenius rewrite the quotient is H(q) G(q^p): G from the
     factors with p | d (over d/p), built at T terms, and H from the rest,
     whose exponents now lie in [1, p).  Class r of H G(q^p) is class r of H
-    times G, and class r of H, to N = p(T - 1) + r + 1 terms of H, is H
-    without its factor of largest d, built at length N, times that factor
-    one residue class mod p at a time.  For delta_3 mod 7 that is eta(z)^4
-    at full length and four products of about N/7 terms with the classes
-    of eta(2z), then one with G = eta(2z)^6 / eta(14z).
+    times G.  Class r of H, to N = p(T - 1) + r + 1 terms of H, is the sum
+    over the nonempty classes t of H's factor f of largest d of class t of
+    f times class r - t of the head, H without f (one exponent higher when
+    t > r).  Only those head classes are built: from the terms of Jacobi's
+    and Euler's series when the head is one product of two lacunary series
+    by the nonzero-count rule of `qseries.convolve`, else sliced from the
+    head built at length N.  For delta_3 mod 7 the head is eta(z)^4 =
+    eta^3 eta, of which 4 classes of about N/7 terms are formed, meeting
+    the 4 nonempty classes of eta(2z) in one `convolve_sum`; then one
+    product with G = eta(2z)^6 / eta(14z).  For delta_5 mod 11 the head
+    eta(z)^8 is built at length N.
     """
     if not is_prime(p):
         raise ValueError(f"need a prime modulus, got {p}")

@@ -14,8 +14,13 @@ over the nonzero terms of both operands, for short or lacunary operands
 number about sqrt(T)), and one fast exact path, Kronecker substitution on
 the standard library's `decimal`: each operand becomes one decimal number
 of fixed-width base-10^w slots, and libmpdec multiplies the two with a
-number-theoretic transform.  Both are exact; property tests assert they
-agree with the generic schoolbook, the oracle for every ring.
+number-theoretic transform.  The slot width comes from the nonzero counts
+too: a slot sums at most min(nnz a, nnz b) products, so a dense operand
+times a lacunary one packs narrow slots.  `convolve_sum` adds several
+products, each shifted, over Z or Z/m: its packed products share one
+slot width and are added as decimals before one unpack.  Both paths are
+exact; property tests assert they agree with the generic schoolbook, the
+oracle for every ring.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice
 from math import lcm
-from operator import sub
+from operator import add, sub
 from typing import Iterable
 
 from .ring import (
@@ -66,6 +71,12 @@ _EXACT = decimal.Context(
 )
 # slots this wide convert between int and str under any CPython digit limit
 _TEXT_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def _is_lacunary(nnz_a: int, nnz_b: int, length: int) -> bool:
+    """Whether two operands of `length` terms in all, nnz_a and nnz_b of them
+    nonzero, are multiplied by the nonzero-term schoolbook."""
+    return nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * length
 
 
 def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -119,38 +130,75 @@ def _window_sums(xs: Iterable[int], width: int, n: int) -> list[int]:
 
 
 def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
-    """Exact integer convolution of a and b, truncated to n_out terms.
+    """Exact integer convolution of a and b, truncated to n_out terms."""
+    return _convolve_int_sum(((a, b, 0),), n_out)
 
-    Kronecker substitution in base 10^w: each operand, biased to be
-    nonnegative, becomes one `decimal.Decimal` of w-digit slots, wide
-    enough that no slot of the product overflows into its neighbour.
-    libmpdec multiplies the two, and the product's text is cut back into
-    slots.  With a' = a - lo_a and b' = b - lo_b, the bias comes off in
-    O(n): a*b = a'*b' + lo_b (a' * 1_len(b)) + lo_a (b * 1_len(a)), each
-    product with a run of ones being a window sum.
+
+def _add_shifted(out: list[int] | None, xs: list[int], s: int, n_out: int) -> list[int]:
+    # out + q^s xs to n_out terms, in place, with None for zero; xs holds
+    # at most n_out - s terms
+    if out is None:
+        out = [0] * s + xs if s else xs
+        out.extend([0] * (n_out - len(out)))
+    else:
+        out[s : s + len(xs)] = map(add, out[s : s + len(xs)], xs)
+    return out
+
+
+def _convolve_int_sum(pairs, n_out: int) -> list[int]:
+    """Exact sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
+    terms.
+
+    Each product goes to the kernel its nonzero counts call for.  The
+    packed ones are Kronecker substitutions in one base 10^w: each operand,
+    biased to be nonnegative, becomes one `decimal.Decimal` of w-digit
+    slots, libmpdec multiplies each pair, the products are added exactly,
+    each shifted s slots, and the total's text is cut back into slots once.
+    A slot of a'*b' sums at most min(nnz a', nnz b') terms, a biased
+    operand counted at its length, so w is the number of digits of the sum
+    over the pairs of that count times the operands' ranges: no slot of the
+    total overflows into its neighbour.  With a' = a - lo_a and
+    b' = b - lo_b, the bias comes off in O(n): a*b = a'*b' +
+    lo_b (a' * 1_len(b)) + lo_a (b * 1_len(a)), each product with a run of
+    ones being a window sum.
     """
-    a, b = a[:n_out], b[:n_out]
-    nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
-    if nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * (len(a) + len(b)):
-        return _convolve_int_schoolbook(a, b, n_out)
-    lo_a, hi_a = min(min(a), 0), max(a)
-    lo_b, hi_b = min(min(b), 0), max(b)
-    bound = min(len(a), len(b)) * max(hi_a - lo_a, 1) * max(hi_b - lo_b, 1)
+    out = None
+    packed = []
+    bound = 0
+    for a, b, s in pairs:
+        n = n_out - s
+        if n <= 0:
+            continue
+        # no copy of an operand that is short enough already
+        a = a if len(a) <= n else a[:n]
+        b = b if len(b) <= n else b[:n]
+        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+        if _is_lacunary(nnz_a, nnz_b, len(a) + len(b)):
+            out = _add_shifted(out, _convolve_int_schoolbook(a, b, n), s, n_out)
+            continue
+        lo_a, hi_a = min(min(a), 0), max(a)
+        lo_b, hi_b = min(min(b), 0), max(b)
+        count = min(len(a) if lo_a else nnz_a, len(b) if lo_b else nnz_b)
+        bound += count * max(hi_a - lo_a, 1) * max(hi_b - lo_b, 1)
+        packed.append((a, b, s, lo_a, hi_a, lo_b, hi_b))
+    if not packed:
+        return [0] * n_out if out is None else out
     w = decimal.Decimal(bound).adjusted() + 1
-    n = min(n_out, len(a) + len(b) - 1)
-    out = _unpack(
-        str(_EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))),
-        w,
-        n,
-    )
-    if lo_b:
-        sums = _window_sums(map((-lo_a).__add__, a), len(b), n)
-        out = [x + lo_b * s for x, s in zip(out, sums)]
-    if lo_a:
-        sums = _window_sums(b, len(a), n)
-        out = [x + lo_a * s for x, s in zip(out, sums)]
-    if n_out > n:
-        out.extend([0] * (n_out - n))
+    # from an exact zero the sum keeps exponent 0, so its text has no exponent
+    total = decimal.Decimal(0)
+    for a, b, s, lo_a, hi_a, lo_b, hi_b in packed:
+        prod = _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))
+        total = _EXACT.add(total, _EXACT.scaleb(prod, w * s) if s else prod)
+    n = min(n_out, max(s + len(a) + len(b) - 1 for a, b, s, *_ in packed))
+    out = _add_shifted(out, _unpack(str(total), w, n), 0, n_out)
+    for a, b, s, lo_a, _, lo_b, _ in packed:
+        k = min(n - s, len(a) + len(b) - 1)
+        if lo_b:
+            sums = _window_sums(map((-lo_a).__add__, a), len(b), k)
+            out[s : s + k] = [x + lo_b * y for x, y in zip(out[s : s + k], sums)]
+        if lo_a:
+            sums = _window_sums(b, len(a), k)
+            out[s : s + k] = [x + lo_a * y for x, y in zip(out[s : s + k], sums)]
     return out
 
 
@@ -185,6 +233,18 @@ def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
         )
         return [QuadInt(p - 3 * q, r - p - q) for p, q, r in zip(m1, m2, m3)]
     return convolve_schoolbook(ring, a, b, n_out)
+
+
+def convolve_sum(ring: Ring, pairs, n_out: int) -> list:
+    """Sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
+    coefficients, over Z or Z/m: the products `convolve` would make, added
+    exactly before one unpack and one reduction."""
+    if isinstance(ring, IntegerRing):
+        return _convolve_int_sum(pairs, n_out)
+    if isinstance(ring, ModRing):
+        m = ring.modulus
+        return [x % m for x in _convolve_int_sum(pairs, n_out)]
+    raise ValueError(f"convolve_sum needs Z or Z/m, got {ring!r}")
 
 
 def convolve_schoolbook(ring: Ring, a: list, b: list, n_out: int) -> list:

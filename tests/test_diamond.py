@@ -48,6 +48,18 @@ def test_c_series_values_and_oracle():
     assert c.coeffs == naive_c(60)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 17, 1000, 16992])
+def test_c_series_is_e4_of_2z_times_the_eta_product(T):
+    # c is built as eta(z)^8 times R(q^2), R = E4 eta(z)^2 at the inner
+    # length; the product it stands for is E4(2z) times the whole eta product
+    from qcong.diamond import _euler_part
+    from qcong.eta import EtaQuotient
+    from qcong.forms import _e4_dilated
+
+    want = _e4_dilated(T, 2).mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, None))
+    assert c_series(T) == want
+
+
 def test_c_and_g_mod_m_reduce_the_exact_series():
     from qcong.forms import resolve_form
 

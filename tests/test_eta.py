@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -242,13 +243,15 @@ def test_frobenius_reduction_of_the_delta_quotients():
 
 
 def _counting_build(monkeypatch, N):
-    # (outputs, full, packed, schoolbook): every convolve's output length,
-    # the operands of each convolve at output length N, the length of every
-    # operand packed for the Kronecker product, and every schoolbook's
-    # output length.  eta calls `convolve` through its own binding,
-    # QSeries.mul through the module's: both are counted
-    outputs, full, packed, schoolbook = [], [], [], []
-    convolve = qcong.qseries.convolve
+    # (outputs, full, packed, schoolbook, sums): every convolve's output
+    # length, the operands of each convolve at output length N, the length
+    # of every operand packed for the Kronecker product, every schoolbook's
+    # output length, and each convolve_sum's output length with its pairs'
+    # (len(a), len(b), shift).  eta calls `convolve` and `convolve_sum`
+    # through its own bindings, QSeries.mul through the module's: all are
+    # counted
+    outputs, full, packed, schoolbook, sums = [], [], [], [], []
+    convolve, convolve_sum = qcong.qseries.convolve, qcong.qseries.convolve_sum
     pack, sparse = qcong.qseries._pack, qcong.qseries._convolve_int_schoolbook
 
     def counting_convolve(ring, a, b, n_out):
@@ -256,6 +259,10 @@ def _counting_build(monkeypatch, N):
         if n_out == N:
             full.append(sorted([a, b]))
         return convolve(ring, a, b, n_out)
+
+    def counting_convolve_sum(ring, pairs, n_out):
+        sums.append((n_out, [(len(a), len(b), s) for a, b, s in pairs]))
+        return convolve_sum(ring, pairs, n_out)
 
     def counting_pack(xs, *args):
         packed.append(len(xs))
@@ -267,9 +274,10 @@ def _counting_build(monkeypatch, N):
 
     monkeypatch.setattr(qcong.qseries, "convolve", counting_convolve)
     monkeypatch.setattr(qcong.eta, "convolve", counting_convolve)
+    monkeypatch.setattr(qcong.eta, "convolve_sum", counting_convolve_sum)
     monkeypatch.setattr(qcong.qseries, "_pack", counting_pack)
     monkeypatch.setattr(qcong.qseries, "_convolve_int_schoolbook", counting_schoolbook)
-    return outputs, full, packed, schoolbook
+    return outputs, full, packed, schoolbook, sums
 
 
 def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
@@ -280,7 +288,7 @@ def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
     # eta(z) is inverted, at the inner length of eta(98z)
     T = 20000
     ring = ModRing(7)
-    outputs, full, packed, schoolbook = _counting_build(monkeypatch, T)
+    outputs, full, packed, schoolbook, _ = _counting_build(monkeypatch, T)
     inverted, invert = [], QSeries.invert
 
     def counting_invert(self):
@@ -299,18 +307,45 @@ def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
 
 def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     # sum delta_3(7n+5) q^n to T terms reads N = 7(T-1) + 6 terms of the
-    # quotient: eta(z)^4 is the one product at length N (eta^3 eta, on the
-    # schoolbook), and every packed operand is one residue class mod 7
+    # quotient and builds nothing at that length.  eta(z)^4 = eta^3 eta is
+    # one product of two lacunary series, so only its four classes that
+    # meet eta(2z)'s four nonempty classes mod 7 are formed, term by term
+    # from the index formulas.  The four class products, none shifted since
+    # the nonempty classes 0, 2, 3, 4 of eta(2z) are at most 5, are one
+    # convolve_sum, and every operand packed is one residue class mod 7.
     T = 54882
     N = 7 * (T - 1) + 6
-    ring = ModRing(7)
-    outputs, full, packed, schoolbook = _counting_build(monkeypatch, N)
-    s = eta_quotient_progression(EtaQuotient(_DELTA3), 7, 5, T)
-    assert s.T == T and s.offset24 == 0 and s.ring == ring
-    assert max(outputs) == N and outputs.count(N) == 1
-    assert full == [sorted([_jacobi_cube_coeffs(N, ring), _euler_coeffs(N, ring)])]
-    assert schoolbook.count(N) == 1
-    assert packed and max(packed) <= -(-N // 7) + 1
+    e = EtaQuotient(_DELTA3)
+    # peak traced memory of the build: 6.5 MB measured (Python 3.11), 15.4 MB
+    # when eta(z)^4 was formed at length N; the bound leaves about 20%
+    tracemalloc.start()
+    try:
+        want = eta_quotient_progression(e, 7, 5, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+    outputs, full, packed, schoolbook, sums = _counting_build(monkeypatch, N)
+    s = eta_quotient_progression(e, 7, 5, T)
+    assert s == want and s.T == T and s.offset24 == 0 and s.ring == ModRing(7)
+    short = -(-N // 7) + 1
+    assert full == [] and max(outputs) <= short
+    assert schoolbook and max(schoolbook) <= short
+    assert packed and max(packed) <= short
+    assert sums == [(T, [(T, T, 0), (T, T, 0), (T, T, 0), (T, T, 0)])]
+
+
+def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
+    # the other side of the head choice: for sum delta_5(11n+6) q^n mod 11
+    # the head is eta(z)^8, the product of two Jacobi cubes and two Euler
+    # products, not one product of two lacunary series, so it is built at
+    # the full length N (eta^3 eta^3, eta eta and their product) and sliced
+    T = 2000
+    N = 11 * (T - 1) + 7
+    outputs, full, _, _, sums = _counting_build(monkeypatch, N)
+    s = eta_quotient_progression(EtaQuotient(_DELTA5), 11, 6, T)
+    assert s.T == T and max(outputs) == N and outputs.count(N) == 3
+    assert len(sums) == 1 and sums[0][0] == T
 
 
 @st.composite
@@ -326,8 +361,10 @@ def progressions(draw):
 @given(progressions(), st.integers(1, 80))
 @settings(max_examples=80, deadline=None)
 # no factor with p not dividing d; no factor with p | d; a quotient that
-# cancels entirely; a common gcd > 1; T = 1 with r = p - 1; and the
-# delta_3 and delta_5 progressions the claims read
+# cancels entirely; a common gcd > 1; T = 1 with r = p - 1; an f, the factor
+# of largest d, with one nonempty class (eta(6z) to 6 terms); and the
+# delta_3 and delta_5 progressions the claims read, whose heads eta(z)^4
+# and eta(z)^8 take the two sides of the head choice
 @example((((7, 1),), 7, 3), 40)
 @example((((7, 1),), 7, 0), 40)
 @example((((1, 3), (2, -1), (3, 2)), 5, 2), 60)
@@ -336,6 +373,7 @@ def progressions(draw):
 @example((((6, 2), (12, -1), (18, 5)), 5, 1), 50)
 @example((((2, 3), (4, -1)), 2, 1), 1)
 @example((((1, 4), (13, -3)), 13, 12), 1)
+@example((((1, 3), (6, 1)), 7, 5), 1)
 @example((_DELTA3, 7, 5), 80)
 @example((_DELTA5, 11, 6), 80)
 def test_quotient_progression_matches_the_full_build(progression, T):

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcong import qseries
@@ -12,6 +12,7 @@ from qcong.qseries import (
     QSeries,
     convolve,
     convolve_schoolbook,
+    convolve_sum,
     dumps,
     loads,
 )
@@ -408,7 +409,9 @@ def test_invert_across_the_cutoff_is_a_two_sided_inverse(ring, lead):
 # (support of a, len(a), support of b, len(b)): lacunary times lacunary,
 # short dense times lacunary in both orders (the dispatch must count the
 # nonzeros of both), dense times dilated, k-sparse pairs just at and just
-# past the cutoff, and an all-zero operand against a dense one
+# past the cutoff, an all-zero operand against a dense one, and a dense
+# times 30-sparse pair past the cutoff, whose worst slot over Z/m is exactly
+# the width's bound min(nnz a, nnz b) (m - 1)^2 = 30 (m - 1)^2
 LACUNARY_PAIRS = (
     ("pentagonal", 2000, "triangular", 2000),
     ("dense", 40, "triangular", 3000),
@@ -422,6 +425,7 @@ LACUNARY_PAIRS = (
     ("sparse5", 500, "dense", 500),
     ("zero", 300, "dense", 300),
     ("dense", 300, "zero", 120),
+    ("dense", 300, "sparse30", 300),
 )
 
 
@@ -501,6 +505,74 @@ def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, mon
         )
     kernels = {kernel for kernel, _, _ in calls}
     assert kernels == {"_pack", "_convolve_int_schoolbook"}
+
+
+# ---- the class sum: products added before one unpack ----
+
+
+@st.composite
+def _sum_operands(draw, ring):
+    """Empty, all-zero, lacunary or dense operands: residues over Z/m, signed
+    over Z, so the packed path biases them."""
+    kind = draw(st.sampled_from(("empty", "zero", "lacunary", "dense")))
+    if kind == "empty":
+        return []
+    n = draw(st.integers(1, 70))
+    if ring == ZZ:
+        value = st.integers(-(10**6), 10**6)
+    else:
+        value = st.integers(0, ring.modulus - 1)
+    if kind == "zero":
+        return [0] * n
+    if kind == "dense":
+        return draw(st.lists(value, min_size=n, max_size=n))
+    xs = [0] * n
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 8))):
+        xs[i] = draw(value)
+    return xs
+
+
+@st.composite
+def _sum_pairs(draw):
+    ring = draw(st.sampled_from([ZZ] + [ModRing(p) for p in (2, 3, 5, 7, 11, 13)]))
+    pairs = draw(
+        st.lists(
+            st.tuples(_sum_operands(ring), _sum_operands(ring), st.integers(0, 1)),
+            max_size=4,
+        )
+    )
+    return ring, pairs
+
+
+_TOP = [12] * 40
+_BIASED = [-9 if i % 10 == 0 else 0 for i in range(300)]
+
+
+@given(_sum_pairs())
+@settings(max_examples=150, deadline=None)
+# every slot of 12 x 12 products over Z/13: slot 39 sums 40 products of the
+# first pair and 39 of the second, shifted one slot, so it equals the width's
+# bound (40 + 39) 144 = 11376, all five digits of w
+@example((ModRing(13), [(_TOP, _TOP, 0), (_TOP[:39], _TOP, 1)]))
+# a biased lacunary operand: a - lo has 270 nonzero terms, not 30, and its
+# slots need the width of that count
+@example((ZZ, [(_BIASED, [9] * 300, 1)]))
+@example((ModRing(7), []))
+def test_convolve_sum_matches_the_sum_of_shifted_schoolbook_products(case):
+    ring, pairs = case
+    top = max((s + len(a) + len(b) - 1 for a, b, s in pairs), default=1)
+    # n_out below, at and above the longest len(a) + len(b) - 1 + s
+    for n in sorted({1, max(top // 2, 1), top - 1 or 1, top, top + 3}):
+        want = [0] * n
+        for a, b, s in pairs:
+            for k, x in enumerate(convolve_schoolbook(ring, a, b, max(n - s, 0))):
+                want[s + k] = ring.add(want[s + k], x)
+        assert convolve_sum(ring, pairs, n) == want, n
+
+
+def test_convolve_sum_takes_only_z_and_z_mod_m():
+    with pytest.raises(ValueError, match="needs Z or Z/m"):
+        convolve_sum(QQ, [([Fraction(1, 2)], [Fraction(1, 3)], 0)], 1)
 
 
 # ---- mutation sanity for the container ----
