@@ -18,7 +18,6 @@ from .diamond import (
 from .eta import EtaQuotient, eta_quotient_series, eta_series
 from .forms import (
     cm_coefficient,
-    eisenstein,
     eisenstein_int,
     form_F,
     form_f,

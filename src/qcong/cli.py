@@ -20,8 +20,11 @@ from .eta import EtaQuotient, eta_quotient_series
 from .forms import FORM_NAMES, resolve_form
 from .operators import apply_operator
 from .qseries import dumps
-from .store import default_cache
+from .store import Cache, default_cache
 from .sturm import ClaimReport, eta_quotient_metadata, sturm_bound
+
+
+_NO_CACHE_HELP = "read and write no cache file; each input is still built once, in memory"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,13 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--T", type=int, help="depth override")
     p_verify.add_argument("--n-max", type=int, help="progression depth override")
     p_verify.add_argument("--p", type=int, help=f"prime for {' / '.join(prime_claims)}")
-    p_verify.add_argument("--no-cache", action="store_true")
+    p_verify.add_argument("--no-cache", action="store_true", help=_NO_CACHE_HELP)
 
     p_suite = sub.add_parser("suite", help="run every claim")
     depth = p_suite.add_mutually_exclusive_group(required=True)
     depth.add_argument("--quick", action="store_true")
     depth.add_argument("--full", action="store_true")
-    p_suite.add_argument("--no-cache", action="store_true")
+    p_suite.add_argument("--no-cache", action="store_true", help=_NO_CACHE_HELP)
 
     p_cache = sub.add_parser("cache", help="cache maintenance")
     p_cache.add_argument("action", choices=("clear",))
@@ -153,7 +156,7 @@ def _cmd_verify(args) -> int:
         changes.update(claim.for_prime(config, p, args.T))
     # only an absent flag keeps the default
     config = replace(config, **{f: v for f, v in changes.items() if f and v is not None})
-    cache = None if args.no_cache else default_cache()
+    cache = Cache(None) if args.no_cache else default_cache()
     reports = claim.run(config, cache)
     _print_reports(reports)
     return 0 if all(r.passed for r in reports) else 1
@@ -168,7 +171,7 @@ def _print_reports(reports: list[ClaimReport]) -> None:
 
 def _cmd_suite(args) -> int:
     config = diamond.SuiteConfig.quick() if args.quick else diamond.SuiteConfig()
-    cache = None if args.no_cache else default_cache()
+    cache = Cache(None) if args.no_cache else default_cache()
     reports = diamond.run_suite(config, cache=cache)
     passed = all(r.passed for r in reports)
     print(

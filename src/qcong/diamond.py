@@ -1,9 +1,10 @@
 """Broken k-diamond partition series, the c-series, and the end-to-end
 verification of every congruence and eigenform claim.
 
-Each verify_* function expands the relevant series (optionally through the
-disk cache), scans the claim through an explicit bound, and returns one or
-more ClaimReports.  Each input is built once, in one ring: sum
+Each verify_* function reads the relevant series through the run's
+store.Cache (given none, it builds them), scans the claim through an
+explicit bound, and returns one or more ClaimReports.  A run shares one
+Cache, so each input is built at most once, in one ring: sum
 delta_3(7n+5) q^n mod 7 and sum delta_5(11n+6) q^n mod 11 (every claim on
 delta_k reads only that progression, and eta.eta_quotient_progression
 builds it without the other classes), eq. (1.2)'s left side mod 7 (lifted
@@ -35,7 +36,7 @@ from .forms import _f1_f2, _f_from, eisenstein_int, form_f1, form_f2, form_g
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
-from .store import CacheKey
+from .store import Cache, CacheKey
 from .sturm import ClaimReport, _compare, _scan_report, verify_eigenform
 from .sturm import SpaceTag, eta_quotient_metadata
 
@@ -457,8 +458,8 @@ class Claim:
     for_prime: Callable[[SuiteConfig, int, int | None], dict] | None = None
 
 
-# in suite order, which fixes the order of cache reads and writes: each cached
-# series' longest request comes first, so later ones read a prefix of its entry
+# in suite order, which fixes the order of cache requests: each series'
+# longest request comes first, so later ones read a prefix of what it holds
 CLAIMS: dict[str, Claim] = {
     "sec-2-chain": Claim(
         lambda c, cache: verify_section_2_chain(c.chain_T_final, cache=cache),
@@ -496,7 +497,9 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def run_suite(config: SuiteConfig, cache=None) -> list[ClaimReport]:
-    """Run every claim at the configured depths; reports sorted by claim ID."""
+def run_suite(config: SuiteConfig, cache: Cache | None = None) -> list[ClaimReport]:
+    """Run every claim at the configured depths, sharing one cache (a
+    memory-only one when none is given); reports sorted by claim ID."""
+    cache = Cache(None) if cache is None else cache
     reports = [r for claim in CLAIMS.values() for r in claim.run(config, cache)]
     return sorted(reports, key=lambda r: r.claim)

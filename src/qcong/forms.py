@@ -3,8 +3,8 @@ cusp forms used by the congruence verifications.
 
 Every constructor takes a truncation T and returns a series with offset 0
 and exactly T coefficients (indices = exponents 0..T-1).  All arithmetic
-is exact; rationals appear only inside Eisenstein series and are converted
-to integers when the normalisation is integral.
+is exact over Z; the one rational is the Eisenstein normalisation -2k/B_k,
+and `eisenstein_int` rejects a weight where it is not an integer.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from fractions import Fraction
 
 from .eta import EtaQuotient, dilated, eta_quotient_series
 from .qseries import QSeries
-from .ring import QQ, QUAD, ZZ, QuadInt, bernoulli, is_prime
+from .ring import QUAD, ZZ, QuadInt, bernoulli, is_prime
 
 __all__ = [
     "sigma",
-    "eisenstein",
     "eisenstein_int",
     "theta0",
     "form_F",
@@ -62,16 +61,6 @@ def _sigma_coeffs(k: int, T: int) -> list[int]:
         for m in range(d, T, d):
             s[m] += dk
     return s
-
-
-def eisenstein(k: int, T: int) -> QSeries:
-    """Weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
-    if k < 4 or k % 2 != 0:
-        raise ValueError(f"eisenstein needs even k >= 4, got {k}")
-    factor = -Fraction(2 * k) / bernoulli(k)
-    s = _sigma_coeffs(k - 1, T)
-    coeffs = [Fraction(1)] + [factor * s[n] for n in range(1, T)]
-    return QSeries(QQ, 0, coeffs)
 
 
 def eisenstein_int(k: int, T: int) -> QSeries:

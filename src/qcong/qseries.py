@@ -208,11 +208,8 @@ def _lcm_denominators(xs: Iterable[Fraction]) -> int:
 
 def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
     """Ring-dispatched exact convolution truncated to n_out coefficients."""
-    if isinstance(ring, IntegerRing):
-        return _convolve_int(a, b, n_out)
-    if isinstance(ring, ModRing):
-        m = ring.modulus
-        return [x % m for x in _convolve_int(a, b, n_out)]
+    if isinstance(ring, (IntegerRing, ModRing)):
+        return convolve_sum(ring, ((a, b, 0),), n_out)
     if isinstance(ring, RationalRing):
         da = _lcm_denominators(a)
         db = _lcm_denominators(b)
@@ -518,9 +515,9 @@ def dumps(s: QSeries) -> str:
     return header + "".join(map(line, s.coeffs))
 
 
-def loads(text: str, limit: int | None = None) -> QSeries:
-    """Inverse of `dumps`: the first min(T, limit) coefficients, or without a
-    limit exactly the header's T, with nothing after them."""
+def loads(text: str) -> QSeries:
+    """Inverse of `dumps`: exactly the header's T coefficients, with nothing
+    after them."""
     # streamed line by line: a split would hold every line's string at once
     lines = io.StringIO(text)
     header = lines.readline().strip()
@@ -533,14 +530,13 @@ def loads(text: str, limit: int | None = None) -> QSeries:
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])
     T = int(fields["T"])
-    n = T if limit is None else min(T, limit)
     fmt = ring.format_elem
     # every parser accepts the line's trailing newline; a line outside the
     # table (the last one without its newline, "8" or "-1" mod 7) is parsed
-    parse = _line_codec(ring, n, lambda v: (f"{fmt(v)}\n", v), ring.parse_elem)
-    coeffs = list(map(parse, islice(lines, n)))
-    if len(coeffs) < n:
+    parse = _line_codec(ring, T, lambda v: (f"{fmt(v)}\n", v), ring.parse_elem)
+    coeffs = list(map(parse, islice(lines, T)))
+    if len(coeffs) < T:
         raise ValueError(f"dump truncated: expected {T} coefficients")
-    if limit is None and lines.readline():
+    if lines.readline():
         raise ValueError(f"dump has lines after its {T} coefficients")
     return QSeries(ring, offset24, coeffs)

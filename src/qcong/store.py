@@ -1,13 +1,14 @@
-"""Disk cache for expensive series expansions.
+"""Every series a run reads, built at most once and kept in memory.
 
-An entry is the one file `<stem>.qs` for its series: the human-inspectable
-qseries text dump plus a checksum trailer.  Stem and checksum both cover
-the key's identity (form, ring and a fingerprint of the package sources),
+A `Cache` holds each series it has built or read under its key's identity
+(form, ring and a fingerprint of the package sources) and serves a request
+for T terms with its first T; a put replaces it, so a longer expansion
+supersedes a shorter one.  Given a root directory, it backs that memory
+with one file per series, `<stem>.qs`: the human-inspectable qseries text
+dump plus a checksum trailer.  Stem and checksum both cover the identity,
 so a file read under another key or written by other code is a miss, as
-is a corrupt one.  A lookup asks for T terms and is served by the entry's
-first T (the prefix of a longer expansion is the shorter one); a put
-replaces the entry, so a longer expansion supersedes a shorter one.
-Writes are atomic renames.
+is a corrupt one.  Each file is read, checked and parsed whole at most
+once per instance.  Writes are atomic renames; `Cache(None)` touches no file.
 """
 
 from __future__ import annotations
@@ -65,28 +66,41 @@ def _checksum(identity: str, body) -> bytes:
 
 
 class Cache:
-    """Entries under one directory.  Every get reads the whole entry and
-    checks its checksum; the series parsed from verified bytes is kept for
-    the life of the instance under the key and digest, so a repeat request
-    for the same bytes costs a slice, not a parse."""
+    """The series of one run, in memory and, when `root` is a directory,
+    on disk under it.  A series served from memory is one this instance
+    built, or one whose bytes passed the checksum when it read them."""
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # key identity -> (digest of the entry, the longest prefix parsed or
-        # written); a new digest replaces the old one
-        self._parsed: dict[str, tuple[bytes, QSeries]] = {}
+    def __init__(self, root: str | Path | None):
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
+        # key identity -> the longest series put, or the one read from the
+        # key's file (None when that read missed); a key here is not read again
+        self._held: dict[str, QSeries | None] = {}
 
     def get(self, key: CacheKey, T: int) -> QSeries | None:
-        """The first T terms of the stored series for the key; None on miss,
-        including when fewer than T are stored."""
-        path = self.root / f"{key.file_stem()}.qs"
-        series, n_bytes, outcome = self._lookup(key, path, T)
-        log.debug("cache get %s T=%d: %s, %d bytes read", path.name, T, outcome, n_bytes)
-        return series
+        """The first T terms of the series held for the key; None on miss,
+        including when fewer than T are held."""
+        identity = key.identity()
+        if identity in self._held:
+            series, n_bytes, source = self._held[identity], 0, "from memo"
+        else:
+            series, n_bytes, source = self._read(key, identity)
+            self._held[identity] = series
+        if series is None:
+            outcome = "miss (from memo)" if source == "from memo" else source
+        elif series.T < T:
+            outcome = f"miss ({series.T} stored, {source})"
+        else:
+            outcome = f"hit ({source})"
+        log.debug("cache get %s.qs T=%d: %s, %d bytes read", key.file_stem(), T, outcome, n_bytes)
+        return None if series is None or series.T < T else series.truncate(T)
 
-    def _lookup(self, key: CacheKey, path: Path, T: int) -> tuple[QSeries | None, int, str]:
-        # (the series or None, bytes read, outcome for the log)
+    def _read(self, key: CacheKey, identity: str) -> tuple[QSeries | None, int, str]:
+        # (the whole stored series or None, bytes read, outcome for the log)
+        if self.root is None:
+            return None, 0, "miss (memory only)"
+        path = self.root / f"{key.file_stem()}.qs"
         try:
             text = path.read_text()
         except FileNotFoundError:
@@ -97,58 +111,49 @@ class Cache:
         except OSError:
             log.warning("cache entry %s unreadable; treating as miss", path)
             return None, 0, "miss (unreadable)"
-        identity = key.identity()
         data = text.encode()
         # a file without a trailer has an empty one, which no digest matches
         cut = data.rfind(_CHECKSUM_PREFIX)
         if cut < 0:
             cut = len(data)
-        body = memoryview(data)[:cut]  # a view of the encoded text, not a copy
-        digest = _checksum(identity, body)
-        if digest != data[cut + len(_CHECKSUM_PREFIX):].strip():
+        if _checksum(identity, memoryview(data)[:cut]) != data[cut + len(_CHECKSUM_PREFIX):].strip():
             log.warning("cache entry %s fails checksum; treating as miss", path)
             return None, len(data), "corrupt"
-        seen = self._parsed.get(identity)
-        if seen is not None and seen[0] == digest and seen[1].T >= T:
-            series, source = seen[1], "from memo"
-        else:
-            # the checksum covers the header, and with a limit loads reads no
-            # line past the header's T, so it never reaches the trailer; a
-            # stored series shorter than T comes back whole, and is kept
-            series, source = loads(text, limit=T), "parsed"
-            self._parsed[identity] = (digest, series)
-        if series.T < T:
-            return None, len(data), f"miss ({series.T} stored, {source})"
-        return series.truncate(T), len(data), f"hit ({source})"
+        # loads parses the body; the trailer matched a hex digest, so it is
+        # ASCII, as many characters as bytes
+        return loads(text[: len(text) - (len(data) - cut)]), len(data), "read"
 
-    def put(self, key: CacheKey, series: QSeries) -> Path:
-        """Atomically store a series in the ring the key names, replacing the
-        key's earlier entry."""
+    def put(self, key: CacheKey, series: QSeries) -> Path | None:
+        """Hold a series in the ring the key names, replacing the key's earlier
+        one; with a root, store it atomically too and return its file."""
         if series.ring.tag != key.ring:
             raise ValueError(f"series ring {series.ring.tag} does not match key {key.ring}")
         identity = key.identity()
-        body = dumps(series).encode()
-        digest = _checksum(identity, body)
-        path = self.root / f"{key.file_stem()}.qs"
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(body)
-                fh.write(_CHECKSUM_PREFIX + digest + b"\n")
-            os.replace(tmp, path)
-        except BaseException:
+        path = None
+        if self.root is not None:
+            body = dumps(series).encode()
+            path = self.root / f"{key.file_stem()}.qs"
+            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._parsed[identity] = (digest, series)
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(body)
+                    fh.write(_CHECKSUM_PREFIX + _checksum(identity, body) + b"\n")
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+        self._held[identity] = series
         return path
 
     def clear(self) -> int:
-        """Remove every cache entry, and any .meta sidecar an older layout
-        left; returns the number of files removed."""
-        self._parsed.clear()
+        """Forget every held series and remove every file entry, and any .meta
+        sidecar an older layout left; returns the number of files removed."""
+        self._held.clear()
+        if self.root is None:
+            return 0
         n = 0
         for path in list(self.root.glob("*.qs")) + list(self.root.glob("*.meta")):
             path.unlink(missing_ok=True)

@@ -166,13 +166,11 @@ def dumps_per_line(s) -> str:
     return "".join(out)
 
 
-def loads_per_line(text: str, ring, limit=None) -> list:
-    """The first min(T, limit) coefficients of a qseries v1 dump over `ring`,
-    each line parsed on its own by `ring.parse_elem`; the header is only
-    read for T."""
+def loads_per_line(text: str, ring) -> list:
+    """The T coefficients of a qseries v1 dump over `ring`, each line parsed
+    on its own by `ring.parse_elem`; the header is only read for T."""
     header, *lines = text.split("\n")
-    T = int(header.split()[4].removeprefix("T="))
-    n = T if limit is None else min(T, limit)
+    n = int(header.split()[4].removeprefix("T="))
     # the split drops each line's newline; parse_elem is given it back,
     # except on a last line that had none
     return [ring.parse_elem(line + "\n" if i + 1 < len(lines) else line)

@@ -362,19 +362,75 @@ def test_quick_suite_builds_each_cached_series_once(tmp_path):
             self.puts.append((key.form, key.ring))
             return super().put(key, series)
 
-    cache = CountingCache(tmp_path)
-    cold = run_suite(SuiteConfig.quick(), cache=cache)
-    assert sorted(cache.puts) == [
-        ("c", "int"),
-        ("delta_k:3 7n+5", "mod:7"),
-        ("delta_k:5 11n+6", "mod:11"),
-        ("eq_1_2_lhs", "mod:7"),
-        ("f1", "int"),
-        ("f2", "int"),
-    ], cache.puts
-    cache.puts.clear()
-    warm = run_suite(SuiteConfig.quick(), cache=cache)
-    assert cache.puts == []
+    # with files and memory-only alike
+    for root in (tmp_path, None):
+        cache = CountingCache(root)
+        cold = run_suite(SuiteConfig.quick(), cache=cache)
+        assert sorted(cache.puts) == [
+            ("c", "int"),
+            ("delta_k:3 7n+5", "mod:7"),
+            ("delta_k:5 11n+6", "mod:11"),
+            ("eq_1_2_lhs", "mod:7"),
+            ("f1", "int"),
+            ("f2", "int"),
+        ], (root, cache.puts)
+        cache.puts.clear()
+        warm = run_suite(SuiteConfig.quick(), cache=cache)
+        assert cache.puts == [], root
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+    assert list(tmp_path.iterdir()) and cache.root is None
+
+
+def test_quick_suite_without_a_cache_builds_each_input_once(monkeypatch):
+    from collections import Counter
+
+    from qcong import diamond
+
+    built = Counter()
+
+    def counted(name, fn, label=lambda *args: ()):
+        def counting(*args):
+            built[(name, *label(*args))] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(diamond, name, counting)
+
+    counted(
+        "eta_quotient_progression", diamond.eta_quotient_progression,
+        lambda e, p, r, T: (p, r),
+    )
+    counted("c_series", diamond.c_series)
+    counted("eq_1_2_lhs", diamond.eq_1_2_lhs)
+    counted("_f1_f2", diamond._f1_f2)
+    reports = run_suite(SuiteConfig.quick(), cache=None)
+    assert all(r.passed for r in reports)
+    assert built == {
+        ("eta_quotient_progression", 7, 5): 1,
+        ("eta_quotient_progression", 11, 6): 1,
+        ("c_series",): 1,
+        ("eq_1_2_lhs",): 1,
+        ("_f1_f2",): 1,
+    }
+
+
+def test_warm_quick_suite_reads_each_entry_file_once(tmp_path, monkeypatch):
+    from collections import Counter
+    from pathlib import Path
+
+    from qcong.store import Cache
+
+    cold = run_suite(SuiteConfig.quick(), cache=Cache(tmp_path))
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counting(path, *args, **kwargs):
+        reads[path.name] += 1
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    warm = run_suite(SuiteConfig.quick(), cache=Cache(tmp_path))
+    assert reads == {path.name: 1 for path in tmp_path.glob("*.qs")}
+    assert len(reads) == 6
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 
 

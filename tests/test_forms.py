@@ -1,11 +1,8 @@
-from fractions import Fraction
-
 import pytest
 
 from oracles import naive_sigma
 from qcong.forms import (
     cm_coefficient,
-    eisenstein,
     eisenstein_int,
     form_F,
     form_f,
@@ -32,8 +29,6 @@ def test_sigma_examples_and_oracle():
 
 
 def test_eisenstein_e4():
-    e4 = eisenstein(4, 4)
-    assert e4.coeffs == [1, 240, 2160, 6720]
     as_int = eisenstein_int(4, 4)
     assert as_int.coeffs == [1, 240, 2160, 6720]
     dil = as_int.dilate(2)
@@ -42,14 +37,8 @@ def test_eisenstein_e4():
 
 def test_eisenstein_rejects_bad_weight():
     for k in (2, 3, 5):
-        with pytest.raises(ValueError):
-            eisenstein(k, 4)
-
-
-def test_eisenstein_e6_is_rational_exact():
-    e6 = eisenstein(6, 3)
-    assert e6.coeffs == [1, -504, -504 * naive_sigma(5, 2)]
-    assert all(isinstance(c, Fraction) for c in e6.coeffs)
+        with pytest.raises(ValueError, match="even k >= 4"):
+            eisenstein_int(k, 4)
 
 
 def test_theta0():

@@ -467,11 +467,13 @@ def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, mon
     # the sparse schoolbook while nnz(a) nnz(b) <= cutoff (len(a) + len(b)),
     # else the packed multiply; either way it equals the generic oracle
     calls = []
-    convolve_int = qseries._convolve_int
+    convolve_int_sum = qseries._convolve_int_sum
 
-    def recorded(a, b, n_out):
+    def recorded(pairs, n_out):
+        # every ring's product reaches the integer kernels as one pair
+        ((a, b, _),) = pairs
         calls.append([None, a[:n_out], b[:n_out]])
-        return convolve_int(a, b, n_out)
+        return convolve_int_sum(pairs, n_out)
 
     def marking(name):
         kernel = getattr(qseries, name)
@@ -482,7 +484,7 @@ def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, mon
 
         monkeypatch.setattr(qseries, name, wrapped)
 
-    monkeypatch.setattr(qseries, "_convolve_int", recorded)
+    monkeypatch.setattr(qseries, "_convolve_int_sum", recorded)
     marking("_pack")
     marking("_convolve_int_schoolbook")
     rng = random.Random(f"lacunary {ring.tag}")
@@ -627,15 +629,6 @@ def test_mod_ring_data_enters_reduced():
     assert QSeries.from_ints(ModRing(7), [8, -1]).coeffs == [1, 6]
 
 
-def test_loads_with_limit_reads_a_prefix():
-    text = dumps(S([1, 2, 3, 4]))
-    assert loads(text, limit=2).coeffs == [1, 2]
-    assert loads(text, limit=9).coeffs == [1, 2, 3, 4]
-    assert loads(text, limit=4) == loads(text)
-    # past the limit the text is not read
-    assert loads(text + "junk\n", limit=4).coeffs == [1, 2, 3, 4]
-
-
 # the table codec: over Z/m with m <= T, lines map through one table of
 # residues; short series and every other ring go one line at a time
 CODEC_RINGS = (ZZ, QQ, QUAD, M7, ModRing(11), ModRing(12), ModRing(2), ModRing(10**30))
@@ -659,12 +652,14 @@ def test_long_dumps_and_loads_match_the_per_line_oracles(ring):
     }
     draw = elems.get(ring, lambda: rng.randrange(ring.modulus))
     f = QSeries(ring, -5, [draw() for _ in range(300)])
-    text = dumps(f)
-    assert text == dumps_per_line(f)
-    for limit in (None, 1, 6, 7, 11, 299, 300, 301):
-        got = loads(text, limit=limit)
+    assert dumps(f) == dumps_per_line(f)
+    # prefixes on both sides of each modulus, where the codec switches between
+    # its table and the per-line parser
+    for T in (1, 6, 7, 11, 299, 300):
+        text = dumps(f.truncate(T))
+        got = loads(text)
         assert got.ring == ring and got.offset24 == -5
-        assert got.coeffs == loads_per_line(text, ring, limit)
+        assert got.coeffs == loads_per_line(text, ring) == f.coeffs[:T]
 
 
 # non-canonical residue lines, each still entering reduced into [0, m)
@@ -672,13 +667,15 @@ _ODD_LINES = ["8", "-1", "07", "+3", " 5", "6 ", "-0", "700", "0", "6", "1"]
 
 
 @pytest.mark.parametrize("n", [3, 11, 40])
-@pytest.mark.parametrize("limit", [None, 1, 2, 10, 11, 12])
-def test_mod_loads_matches_the_per_line_parser_on_non_canonical_lines(n, limit):
-    lines = [_ODD_LINES[i % len(_ODD_LINES)] for i in range(n)]
+@pytest.mark.parametrize("prefix", [None, 1, 2, 10, 11, 12])
+def test_mod_loads_matches_the_per_line_parser_on_non_canonical_lines(n, prefix):
+    # a dump of the first `prefix` of n lines (all of them for None)
+    T = n if prefix is None else min(n, prefix)
+    lines = [_ODD_LINES[i % len(_ODD_LINES)] for i in range(T)]
     for last_newline in ("\n", ""):
-        text = f"qseries v1 ring=mod:7 offset24=0 T={n}\n" + "\n".join(lines) + last_newline
-        got = loads(text, limit=limit)
-        assert got.coeffs == loads_per_line(text, M7, limit)
+        text = f"qseries v1 ring=mod:7 offset24=0 T={T}\n" + "\n".join(lines) + last_newline
+        got = loads(text)
+        assert got.coeffs == loads_per_line(text, M7)
         assert all(0 <= c < 7 for c in got.coeffs)
 
 

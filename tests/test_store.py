@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from qcong import store
@@ -62,23 +64,21 @@ def test_longer_put_replaces_shorter_entry(tmp_path):
 
 
 def test_corrupt_file_reports_miss(tmp_path, caplog):
-    cache = Cache(tmp_path)
     key = CacheKey("x", "int")
-    path = cache.put(key, _series(ZZ, [1, 2, 3, 4]))
+    path = Cache(tmp_path).put(key, _series(ZZ, [1, 2, 3, 4]))
     text = path.read_text()
     path.write_text(text.replace("2", "9", 1))
     with caplog.at_level("WARNING", logger="qcong.store"):
-        assert cache.get(key, 4) is None
+        assert Cache(tmp_path).get(key, 4) is None
     assert "checksum" in caplog.text
 
 
 def test_change_beyond_the_requested_prefix_fails_checksum(tmp_path, caplog):
-    cache = Cache(tmp_path)
     key = CacheKey("x", "int")
-    path = cache.put(key, _series(ZZ, [1, 2, 3, 4]))
+    path = Cache(tmp_path).put(key, _series(ZZ, [1, 2, 3, 4]))
     path.write_text(path.read_text().replace("\n4\n", "\n5\n", 1))
     with caplog.at_level("WARNING", logger="qcong.store"):
-        assert cache.get(key, 2) is None
+        assert Cache(tmp_path).get(key, 2) is None
     assert "checksum" in caplog.text
 
 
@@ -178,21 +178,36 @@ def test_default_cache_ignores_empty_and_relative_env(tmp_path, monkeypatch, env
     assert list(work.iterdir()) == []
 
 
-# ---- the per-instance memo of verified entries ----
+# ---- memory: each entry read at most once per instance ----
 
 
 @pytest.fixture
 def counted_loads(monkeypatch):
-    """Every `loads` the store makes, as the limit it was called with."""
+    """The T of every series the store parses."""
     calls = []
     real = store.loads
 
-    def counting(text, limit=None):
-        calls.append(limit)
-        return real(text, limit=limit)
+    def counting(text):
+        series = real(text)
+        calls.append(series.T)
+        return series
 
     monkeypatch.setattr(store, "loads", counting)
     return calls
+
+
+@pytest.fixture
+def counted_reads(monkeypatch):
+    """The name of every file read through `Path.read_text`."""
+    names = []
+    real = Path.read_text
+
+    def counting(path, *args, **kwargs):
+        names.append(path.name)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    return names
 
 
 def _get_lines(caplog):
@@ -207,7 +222,9 @@ def _filled(tmp_path, coeffs, ring=ModRing(7)):
     return key, path
 
 
-def test_second_get_of_a_verified_entry_does_not_parse_again(tmp_path, counted_loads, caplog):
+def test_second_get_of_a_verified_entry_does_not_parse_again(
+    tmp_path, counted_loads, counted_reads, caplog
+):
     key, path = _filled(tmp_path, list(range(20)))
     cache = Cache(tmp_path)
     with caplog.at_level("DEBUG", logger="qcong.store"):
@@ -215,53 +232,71 @@ def test_second_get_of_a_verified_entry_does_not_parse_again(tmp_path, counted_l
         second = cache.get(key, 20)
         third = cache.get(key, 9)
     assert counted_loads == [20]
+    assert counted_reads == [path.name]
     assert first == second == _series(ModRing(7), list(range(20)))
     assert third == first.truncate(9)
     size = path.stat().st_size
     assert _get_lines(caplog) == [
-        f"cache get {path.name} T=20: hit (parsed), {size} bytes read",
-        f"cache get {path.name} T=20: hit (from memo), {size} bytes read",
-        f"cache get {path.name} T=9: hit (from memo), {size} bytes read",
+        f"cache get {path.name} T=20: hit (read), {size} bytes read",
+        f"cache get {path.name} T=20: hit (from memo), 0 bytes read",
+        f"cache get {path.name} T=9: hit (from memo), 0 bytes read",
     ]
 
 
-def test_get_parses_only_the_prefix_asked_for_and_again_for_a_longer_one(tmp_path, counted_loads):
-    key, _ = _filled(tmp_path, list(range(20)))
+def test_get_parses_the_whole_entry_once_and_serves_every_prefix(
+    tmp_path, counted_loads, counted_reads
+):
+    key, path = _filled(tmp_path, list(range(20)))
     cache = Cache(tmp_path)
     assert cache.get(key, 5).coeffs == [0, 1, 2, 3, 4]
     assert cache.get(key, 3).coeffs == [0, 1, 2]
-    assert cache.get(key, 12).T == 12
-    assert cache.get(key, 5).T == 5
-    assert counted_loads == [5, 12]
+    assert cache.get(key, 12).coeffs == [n % 7 for n in range(12)]
+    assert cache.get(key, 20).coeffs == [n % 7 for n in range(20)]
+    assert cache.get(key, 21) is None
+    assert counted_loads == [20]
+    assert counted_reads == [path.name]
 
 
-def test_memo_does_not_hide_a_file_tampered_with_after_a_hit(tmp_path, counted_loads, caplog):
+def test_a_file_tampered_with_after_a_read_is_a_miss_for_a_fresh_cache(
+    tmp_path, counted_loads, counted_reads, caplog
+):
     key, path = _filled(tmp_path, [1, 2, 3, 4])
     cache = Cache(tmp_path)
-    assert cache.get(key, 4) is not None
+    verified = cache.get(key, 4)
+    assert verified.coeffs == [1, 2, 3, 4]
     path.write_text(path.read_text().replace("\n2\n", "\n5\n", 1))
+    counted_reads.clear()
+    # the instance that read the file serves the bytes that passed the checksum
+    assert cache.get(key, 4) == verified
+    assert counted_reads == []
+    fresh = Cache(tmp_path)
     with caplog.at_level("DEBUG", logger="qcong.store"):
-        assert cache.get(key, 4) is None
-        assert cache.get(key, 2) is None
+        assert fresh.get(key, 4) is None
+        assert fresh.get(key, 2) is None
     assert "fails checksum" in caplog.text
     assert _get_lines(caplog) == [
-        f"cache get {path.name} T={T}: corrupt, {path.stat().st_size} bytes read"
-        for T in (4, 2)
+        f"cache get {path.name} T=4: corrupt, {path.stat().st_size} bytes read",
+        f"cache get {path.name} T=2: miss (from memo), 0 bytes read",
     ]
+    assert counted_reads == [path.name]
     assert counted_loads == [4]
 
 
-def test_memo_does_not_outlive_a_deleted_entry(tmp_path, caplog):
+def test_a_deleted_entry_is_a_miss_for_a_fresh_cache(tmp_path, counted_reads, caplog):
     key, path = _filled(tmp_path, [1, 2, 3])
     cache = Cache(tmp_path)
-    assert cache.get(key, 3) is not None
+    assert cache.get(key, 3).coeffs == [1, 2, 3]
     path.unlink()
+    assert cache.get(key, 3).coeffs == [1, 2, 3]
+    assert counted_reads == [path.name]
     with caplog.at_level("DEBUG", logger="qcong.store"):
-        assert cache.get(key, 3) is None
+        assert Cache(tmp_path).get(key, 3) is None
     assert _get_lines(caplog) == [f"cache get {path.name} T=3: miss (no entry), 0 bytes read"]
 
 
-def test_request_past_the_stored_terms_is_still_a_miss(tmp_path, counted_loads, caplog):
+def test_request_past_the_stored_terms_is_still_a_miss(
+    tmp_path, counted_loads, counted_reads, caplog
+):
     key, path = _filled(tmp_path, list(range(10)))
     cache = Cache(tmp_path)
     with caplog.at_level("DEBUG", logger="qcong.store"):
@@ -270,11 +305,12 @@ def test_request_past_the_stored_terms_is_still_a_miss(tmp_path, counted_loads, 
         assert cache.get(key, 11) is None
     size = path.stat().st_size
     assert _get_lines(caplog) == [
-        f"cache get {path.name} T=11: miss (10 stored, parsed), {size} bytes read",
-        f"cache get {path.name} T=10: hit (from memo), {size} bytes read",
-        f"cache get {path.name} T=11: miss (10 stored, parsed), {size} bytes read",
+        f"cache get {path.name} T=11: miss (10 stored, read), {size} bytes read",
+        f"cache get {path.name} T=10: hit (from memo), 0 bytes read",
+        f"cache get {path.name} T=11: miss (10 stored, from memo), 0 bytes read",
     ]
-    assert counted_loads == [11, 11]
+    assert counted_loads == [10]
+    assert counted_reads == [path.name]
 
 
 def test_get_after_a_longer_put_returns_the_longer_series(tmp_path, counted_loads, caplog):
@@ -293,23 +329,28 @@ def test_get_after_a_longer_put_returns_the_longer_series(tmp_path, counted_load
     assert len(lines) == 2 and all(": hit (from memo), " in line for line in lines)
 
 
-def test_a_longer_put_by_another_cache_replaces_the_memo(tmp_path, counted_loads):
+def test_a_longer_put_by_another_cache_is_read_by_a_fresh_cache(tmp_path, counted_loads):
     key, _ = _filled(tmp_path, [1, 2, 3])
     cache = Cache(tmp_path)
     assert cache.get(key, 3).coeffs == [1, 2, 3]
     Cache(tmp_path).put(key, _series(ModRing(7), [4, 5, 6, 0]))
-    assert cache.get(key, 3).coeffs == [4, 5, 6]
-    assert cache.get(key, 4).coeffs == [4, 5, 6, 0]
-    assert counted_loads == [3, 3, 4]
+    # an instance reads each entry once: it keeps the verified series it read
+    assert cache.get(key, 3).coeffs == [1, 2, 3]
+    assert cache.get(key, 4) is None
+    fresh = Cache(tmp_path)
+    assert fresh.get(key, 3).coeffs == [4, 5, 6]
+    assert fresh.get(key, 4).coeffs == [4, 5, 6, 0]
+    assert counted_loads == [3, 4]
 
 
-def test_a_fresh_cache_parses_again(tmp_path, counted_loads):
-    key, _ = _filled(tmp_path, [1, 2, 3])
+def test_a_fresh_cache_parses_again(tmp_path, counted_loads, counted_reads):
+    key, path = _filled(tmp_path, [1, 2, 3])
     for _ in range(2):
         cache = Cache(tmp_path)
         assert cache.get(key, 3).coeffs == [1, 2, 3]
         assert cache.get(key, 3).coeffs == [1, 2, 3]
     assert counted_loads == [3, 3]
+    assert counted_reads == [path.name] * 2
 
 
 def test_non_utf8_entry_is_a_corrupt_miss(tmp_path, caplog):
@@ -322,3 +363,75 @@ def test_non_utf8_entry_is_a_corrupt_miss(tmp_path, caplog):
         f"cache get {path.name} T=3: corrupt (not UTF-8), {path.stat().st_size} bytes read"
     ]
 
+
+def _spoil(kind, tmp_path, key, path, monkeypatch):
+    # make the entry for `key` at `path` one that must be a miss
+    if kind == "tampered":
+        path.write_text(path.read_text().replace("\n2\n", "\n5\n", 1))
+    elif kind == "not-utf8":
+        path.write_bytes(path.read_bytes().replace(b"\n2\n", b"\n\xff\n", 1))
+    elif kind == "no-trailer":
+        path.write_text(path.read_text().rpartition("checksum")[0])
+    elif kind == "renamed":
+        # another key's entry under this key's name
+        other = Cache(tmp_path).put(CacheKey("y", key.ring), _series(ModRing(7), [1, 2, 3]))
+        other.replace(path)
+    elif kind == "other-fingerprint":
+        # this key's entry as other sources wrote it, under this key's name
+        with monkeypatch.context() as m:
+            m.setattr(store, "_SOURCE_FINGERPRINT", "0" * 64)
+            old = Cache(tmp_path).put(key, _series(ModRing(7), [1, 2, 3]))
+        old.replace(path)
+
+
+@pytest.mark.parametrize(
+    "kind", ["tampered", "not-utf8", "no-trailer", "renamed", "other-fingerprint"]
+)
+def test_a_bad_entry_is_a_miss_on_its_one_read(
+    tmp_path, monkeypatch, counted_loads, counted_reads, caplog, kind
+):
+    key, path = _filled(tmp_path, [1, 2, 3])
+    _spoil(kind, tmp_path, key, path, monkeypatch)
+    counted_reads.clear()
+    cache = Cache(tmp_path)
+    with caplog.at_level("WARNING", logger="qcong.store"):
+        assert cache.get(key, 3) is None
+        assert cache.get(key, 2) is None
+    assert counted_reads == [path.name]
+    assert len(caplog.records) == 1
+    assert counted_loads == []
+
+
+def test_memory_only_cache_creates_no_file(tmp_path, monkeypatch, counted_reads, caplog):
+    # no directory, temporary file or rename, wherever the environment points
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("QCONG_CACHE_DIR", str(tmp_path / "qc"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a memory-only cache touched the file system")
+
+    monkeypatch.setattr(store.tempfile, "mkstemp", forbidden)
+    monkeypatch.setattr(store.os, "replace", forbidden)
+    monkeypatch.setattr(Path, "mkdir", forbidden)
+    cache = Cache(None)
+    assert cache.root is None
+    key = CacheKey("x", "mod:7")
+    s = _series(ModRing(7), [1, 2, 3, 4])
+    with caplog.at_level("DEBUG", logger="qcong.store"):
+        assert cache.get(key, 4) is None
+        assert cache.put(key, s) is None
+        # a series served from memory is the one this instance built
+        assert cache.get(key, 4) is s
+        assert cache.get(key, 2) == s.truncate(2)
+        assert cache.get(key, 5) is None
+    assert _get_lines(caplog)[0] == (
+        f"cache get {key.file_stem()}.qs T=4: miss (memory only), 0 bytes read"
+    )
+    assert cache.clear() == 0
+    assert cache.get(key, 4) is None
+    assert counted_reads == []
+    assert list(tmp_path.rglob("*")) == [work]
