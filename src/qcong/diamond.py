@@ -8,11 +8,12 @@ Cache, so each input is built at most once, in one ring: sum
 delta_3(7n+5) q^n mod 7 and sum delta_5(11n+6) q^n mod 11 (every claim on
 delta_k reads only that progression, and eta.eta_quotient_progression
 builds it without the other classes), eq. (1.2)'s left side mod 7 (lifted
-for the Section 2 chain), the exact c (reduced for eq. (1.4)) and the exact
-f1 and f2.  An identity is two series built from QSeries operations and
-the operators (Theorem 1.2 and the remark through operators.hecke),
-compared by the one comparison driver sturm._compare, which reads each
-report's modulus from the series' ring.
+for the Section 2 chain), the exact c (reduced for eq. (1.4), and lifted
+to g = sum c(n) q^(2n+1) for Theorem 3.1) and the exact f1 and f2, each
+built by its own form_* builder.  An identity is two series built from
+QSeries operations and the operators (Theorem 1.2 and the remark through
+operators.hecke), compared by the one comparison driver sturm._compare,
+which reads each report's modulus from the series' ring.
 Series arguments can be injected to support mutation self-tests; injected
 series are validated for offset, length, ring, and (mod m) for
 coefficients reduced into [0, m).  An injected delta_k is the full series,
@@ -28,11 +29,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache as memoized
 
-from .eta import EtaQuotient, _inner_T, _times_dilated
-from .eta import eta_quotient_progression, eta_quotient_series
-from .forms import _f1_f2, _f_from, eisenstein_int, form_f1, form_f2, form_g
+from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
+from .eta import times_dilated
+from .forms import _f_from, eisenstein_int, form_f1, form_f2, form_g
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
@@ -110,14 +110,14 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
 def c_series(T: int) -> QSeries:
     """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2 over Z, offset 0.
 
-    Built as prod (1-q^n)^8 times R(q^2), where R = E4 prod (1-q^n)^2 is
-    built at the inner length: one product per residue class mod 2, so no
-    product packs the zeros of E4(2z).
+    Built by eta.times_dilated as prod (1-q^n)^8 times R(q^2), where R =
+    E4 prod (1-q^n)^2 is built at the inner length: one product per residue
+    class mod 2, so no product packs the zeros of E4(2z).
     """
-    head = _euler_part(EtaQuotient(((1, 8),)), T, None)
-    n = _inner_T(T, 2)
-    R = eisenstein_int(4, n).mul(_euler_part(EtaQuotient(((1, 2),)), n, None))
-    return QSeries(ZZ, 0, _times_dilated(ZZ, head.coeffs, R.coeffs, 2, T))
+    def R(n: int) -> QSeries:
+        return eisenstein_int(4, n).mul(_euler_part(EtaQuotient(((1, 2),)), n, None))
+
+    return times_dilated(_euler_part(EtaQuotient(((1, 8),)), T, None), R, 2)
 
 
 def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -> QSeries:
@@ -346,7 +346,7 @@ def eigenvalue_table(
 
     A None entry means the eigenform check failed at that prime.
     """
-    return _eigenvalues(*_f1_f2(T), primes_up_to(prime_max))[0]
+    return _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
 
 
 def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
@@ -356,7 +356,8 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
     conjugate pairs, real exactly when p = 1 mod 4 or the f2 coefficient at
     p vanishes; g = f1 - 8 f2; both T_5 eigenvalues equal 258; the two T_7
     eigenvalues differ, with imaginary parts +-8 * f2(7).  f1 and f2 are
-    read from the cache, and on a miss built together from one F.
+    read from the cache, and on a miss built by form_f1 and form_f2; g is
+    sum c(n) q^(2n+1), read from the cached c, so no run expands g.
     """
     if prime_max < 7:
         raise ValueError("the T_5 and T_7 sub-checks need prime_max >= 7")
@@ -367,9 +368,9 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
             f"need T >= {(bound + 1) * max(primes)} "
             f"for eigenform checks up to {max(primes)}, got {T}"
         )
-    both = memoized(_f1_f2)
-    f1 = _series(None, cache, "f1", T, None, lambda n: both(n)[0], "f1 series")
-    f2 = _series(None, cache, "f2", T, None, lambda n: both(n)[1], "f2 series")
+    f1 = _series(None, cache, "f1", T, None, form_f1, "f1 series")
+    f2 = _series(None, cache, "f2", T, None, form_f2, "f2 series")
+    c = _series(None, cache, "c", (T + 1) // 2, None, c_series, "c series")
     eig, reports = _eigenvalues(f1, f2, primes)
     conj_fail = (
         p for p, (lam, lam_bar) in eig.items()
@@ -391,7 +392,7 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
     return reports + [
         _scan_report("thm-3.1:conjugate-pairs", conj_fail, bound, _F_SPACE),
         _scan_report("thm-3.1:reality-pattern", reality_fail, bound, _F_SPACE),
-        verify_g_combination(T, f1=f1, f2=f2),
+        verify_g_combination(T, g=_lift(c, 2, 1), f1=f1, f2=f2),
         _scan_report(
             "thm-3.1:t5-eigenvalue-258", [] if t5_holds else [5], bound, _F_SPACE
         ),

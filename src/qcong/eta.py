@@ -4,10 +4,12 @@ An eta quotient is expanded by a nested build: the factor of least d is
 built at the full length, and the other factors form one sub-quotient
 R(z^g), g the gcd of their d's, with R built the same way at the inner
 length.  R(z^g) is never formed: the head is multiplied by R one residue
-class mod g at a time, so no product packs the zeros of a dilation.  Modulo
-a prime p the exponents are first reduced once by eta(dz)^p == eta(pdz)
-(mod p), which moves large denominators to short inner lengths; modulo
-prime powers, composites, and over Z the factors are used as given.
+class mod g at a time (`times_dilated`, which also serves the E4(dz)
+products of `forms` and `diamond`), so no product packs the zeros of a
+dilation.  Modulo a prime p the exponents are first reduced once by
+eta(dz)^p == eta(pdz) (mod p), which moves large denominators to short
+inner lengths; modulo prime powers, composites, and over Z the factors are
+used as given.
 
 One residue class mod a prime p, sum c(pn + r) q^n, is built without the
 other classes: after the rewrite the factors split as H(q) G(q^p), G from
@@ -36,6 +38,7 @@ __all__ = [
     "EtaQuotient",
     "eta_series",
     "dilated",
+    "times_dilated",
     "eta_quotient_series",
     "eta_quotient_progression",
 ]
@@ -112,6 +115,21 @@ def dilated(build, T: int, d: int) -> QSeries:
     if T < 1:
         raise ValueError("truncation must be at least 1")
     return build(_inner_T(T, d)).dilate(d).truncate(T)
+
+
+def times_dilated(x: QSeries, build, g: int) -> QSeries:
+    """x(q) f(q^g) to x's T terms, where build(n) returns f(q) to n terms and
+    is called once, at the least n that covers T.  f(q^g) is never formed:
+    residue class c mod g of the product is x's class c times f, so each
+    class is one product of about T/g terms and none packs the zeros of the
+    dilation."""
+    f = build(_inner_T(x.T, g))
+    x._check_same_ring(f)
+    out = [x.ring.zero] * x.T
+    for c in range(g):
+        # len(range(c, T, g)) terms: none when c >= T
+        out[c::g] = convolve(x.ring, x.coeffs[c::g], f.coeffs, len(range(c, x.T, g)))
+    return QSeries(x.ring, x.offset24 + g * f.offset24, out)
 
 
 def _euler_terms(n: int) -> list[tuple[int, int]]:
@@ -208,23 +226,8 @@ def _quotient_series(factors: tuple, T: int, ring: Ring) -> QSeries:
     if not rest:
         return head
     g = reduce(math.gcd, (d for d, _ in rest))
-    R = _quotient_series(tuple((d // g, r) for d, r in rest), _inner_T(T, g), ring)
-    out = _times_dilated(ring, head.coeffs, R.coeffs, g, T)
-    return QSeries(ring, head.offset24 + g * R.offset24, out)
-
-
-def _times_dilated(ring: Ring, head: list, R: list, g: int, T: int) -> list:
-    """The first T coefficients of head(q) R(q^g), head given to T terms.
-
-    R(q^g) is never formed: residue class c mod g of the product is head's
-    class c times R, so each class is one product of about T/g terms and
-    none packs the zeros of the dilation.
-    """
-    out = [ring.zero] * T
-    for c in range(g):
-        # len(range(c, T, g)) terms: none when c >= T
-        out[c::g] = convolve(ring, head[c::g], R, len(range(c, T, g)))
-    return out
+    inner = tuple((d // g, r) for d, r in rest)
+    return times_dilated(head, lambda n: _quotient_series(inner, n, ring), g)
 
 
 def eta_quotient_series(

@@ -4,7 +4,8 @@ cusp forms used by the congruence verifications.
 Every constructor takes a truncation T and returns a series with offset 0
 and exactly T coefficients (indices = exponents 0..T-1).  All arithmetic
 is exact over Z; the one rational is the Eisenstein normalisation -2k/B_k,
-and `eisenstein_int` rejects a weight where it is not an integer.
+and `eisenstein_int` rejects a weight where it is not an integer.  Each
+form has one expansion, and every E4(4z) product is eta.times_dilated.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eta import EtaQuotient, dilated, eta_quotient_series
+from .eta import EtaQuotient, dilated, eta_quotient_series, times_dilated
 from .qseries import QSeries
 from .ring import QUAD, ZZ, QuadInt, bernoulli, is_prime
 
@@ -100,11 +101,6 @@ def _quotient_form(factors: tuple[tuple[int, int], ...], T: int) -> QSeries:
     return eta_quotient_series(e, T - o).to_offset_zero().truncate(T)
 
 
-def _e4_dilated(T: int, d: int) -> QSeries:
-    # E4(dz)
-    return dilated(lambda n: eisenstein_int(4, n), T, d)
-
-
 def form_F(T: int) -> QSeries:
     """eta(4z)^8 / eta(2z)^4, the weight-2 series sum sigma_1(2n+1) q^(2n+1)."""
     return _quotient_form(((2, -4), (4, 8)), T)
@@ -115,10 +111,14 @@ def form_h(T: int) -> QSeries:
     return _quotient_form(((4, 6),), T)
 
 
-def form_f1(T: int, F: QSeries | None = None) -> QSeries:
+def _times_e4_4z(x: QSeries) -> QSeries:
+    # x E4(4z), one product per residue class mod 4
+    return times_dilated(x, lambda n: eisenstein_int(4, n), 4)
+
+
+def form_f1(T: int) -> QSeries:
     """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4] where
-    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents.  F, if
-    given, is form_F to at least T terms."""
+    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents."""
     t2 = dilated(theta0, T, 2)
     t4 = dilated(theta0, T, 4)
     t2_2 = t2.mul(t2)
@@ -131,21 +131,13 @@ def form_f1(T: int, F: QSeries | None = None) -> QSeries:
         .add(t2_4.mul(t4_2).scale(4))
         .sub(t2_2.mul(t4_4).scale(6))
     )
-    F = form_F(T) if F is None else F.truncate(T)
-    return _e4_dilated(T, 4).mul(F).mul(bracket)
+    return _times_e4_4z(form_F(T).mul(bracket))
 
 
-def form_f2(T: int, F: QSeries | None = None) -> QSeries:
-    """E4(4z) F(2z) h(z), supported on exponents congruent to 3 mod 4.  F, if
-    given, is form_F to at least T terms; F(2z) reads only its prefix."""
-    F2 = dilated(form_F if F is None else F.truncate, T, 2)
-    return _e4_dilated(T, 4).mul(F2).mul(form_h(T))
-
-
-def _f1_f2(T: int) -> tuple[QSeries, QSeries]:
-    # f1 and f2 from one expansion of F
-    F = form_F(T)
-    return form_f1(T, F), form_f2(T, F)
+def form_f2(T: int) -> QSeries:
+    """E4(4z) eta(4z)^2 eta(8z)^8, which is E4(4z) F(2z) h(z), supported on
+    exponents congruent to 3 mod 4."""
+    return _times_e4_4z(_quotient_form(((4, 2), (8, 8)), T))
 
 
 def _f_from(f1: QSeries, f2: QSeries) -> QSeries:
@@ -157,13 +149,13 @@ def _f_from(f1: QSeries, f2: QSeries) -> QSeries:
 
 def form_f(T: int) -> QSeries:
     """f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)] (identifying 8 i sqrt(3))."""
-    return _f_from(*_f1_f2(T))
+    return _f_from(form_f1(T), form_f2(T))
 
 
 def form_g(T: int) -> QSeries:
     """E4(4z) eta(2z)^8 eta(4z)^2 over Z, the odd-supported weight-9 form
     whose odd coefficients b(2n+1) are the c-series."""
-    return _quotient_form(((2, 8), (4, 2)), T).mul(_e4_dilated(T, 4))
+    return _times_e4_4z(_quotient_form(((2, 8), (4, 2)), T))
 
 
 @dataclass(frozen=True)

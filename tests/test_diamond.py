@@ -53,10 +53,11 @@ def test_c_series_is_e4_of_2z_times_the_eta_product(T):
     # c is built as eta(z)^8 times R(q^2), R = E4 eta(z)^2 at the inner
     # length; the product it stands for is E4(2z) times the whole eta product
     from qcong.diamond import _euler_part
-    from qcong.eta import EtaQuotient
-    from qcong.forms import _e4_dilated
+    from qcong.eta import EtaQuotient, dilated
+    from qcong.forms import eisenstein_int
 
-    want = _e4_dilated(T, 2).mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, None))
+    e4_2z = dilated(lambda n: eisenstein_int(4, n), T, 2)
+    want = e4_2z.mul(_euler_part(EtaQuotient(((1, 8), (2, 2))), T, None))
     assert c_series(T) == want
 
 
@@ -294,15 +295,6 @@ def test_theorem_3_1_expands_F_once(monkeypatch):
     assert len(built) == 1, built
 
 
-def test_f1_f2_from_a_given_F_equal_their_own_builds():
-    from qcong.forms import form_F
-
-    for T in (1, 2, 3, 40, 251):
-        F = form_F(T + 7)
-        assert form_f1(T, F) == form_f1(T)
-        assert form_f2(T, F) == form_f2(T)
-
-
 def test_theorem_3_1_insufficient_truncation():
     with pytest.raises(ValueError, match="need T >="):
         verify_theorem_3_1(100, 13)
@@ -401,15 +393,21 @@ def test_quick_suite_without_a_cache_builds_each_input_once(monkeypatch):
     )
     counted("c_series", diamond.c_series)
     counted("eq_1_2_lhs", diamond.eq_1_2_lhs)
-    counted("_f1_f2", diamond._f1_f2)
+    for form in ("form_f1", "form_f2", "form_g"):
+        counted(form, getattr(diamond, form), lambda T: (T,))
     reports = run_suite(SuiteConfig.quick(), cache=None)
     assert all(r.passed for r in reports)
+    # f1 is also built at p + 1 terms by thm-1.2's cross-check at each p
     assert built == {
         ("eta_quotient_progression", 7, 5): 1,
         ("eta_quotient_progression", 11, 6): 1,
         ("c_series",): 1,
         ("eq_1_2_lhs",): 1,
-        ("_f1_f2",): 1,
+        ("form_f1", 500): 1,
+        ("form_f2", 500): 1,
+        ("form_f1", 18): 1,
+        ("form_f1", 14): 1,
+        ("form_f1", 6): 1,
     }
 
 
@@ -442,10 +440,22 @@ def test_warm_quick_suite_reads_f1_and_f2_from_the_cache(tmp_path, monkeypatch):
     cold = run_suite(SuiteConfig.quick(), cache=cache)
 
     def unexpected(T):
-        raise AssertionError(f"f1 and f2 rebuilt at T={T}")
+        raise AssertionError(f"g built at T={T}")
 
-    monkeypatch.setattr(forms, "_f1_f2", unexpected)
-    monkeypatch.setattr(diamond, "_f1_f2", unexpected)
+    def short_only(name, build):
+        # thm-1.2 cross-checks y(p) against f1 at p + 1 <= 18 terms
+        def guarded(T):
+            if T > 18:
+                raise AssertionError(f"{name} rebuilt at T={T}")
+            return build(T)
+
+        return guarded
+
+    builds = {name: getattr(forms, name) for name in ("form_f1", "form_f2")}
+    for module in (forms, diamond):
+        monkeypatch.setattr(module, "form_g", unexpected)
+        for name, build in builds.items():
+            monkeypatch.setattr(module, name, short_only(name, build))
     warm = run_suite(SuiteConfig.quick(), cache=Cache(tmp_path))
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 

@@ -19,9 +19,10 @@ from qcong.eta import (
     eta_quotient_progression,
     eta_quotient_series,
     eta_series,
+    times_dilated,
 )
 from qcong.qseries import QSeries
-from qcong.ring import ModRing, is_prime
+from qcong.ring import ZZ, ModRing, is_prime
 from qcong.sturm import SpaceTag, eta_quotient_metadata
 
 
@@ -149,6 +150,43 @@ def test_dilated_builds_at_inner_length():
     with pytest.raises(ValueError, match="truncation must be at least 1"):
         dilated(build, 0, 2)
     assert asked == [5, 1]
+
+
+@st.composite
+def dilated_products(draw):
+    # (x, f's coefficients, f's offset24, g): x dense, lacunary or zero, with
+    # T from 1 (below every g > 1) to 60, and f long enough for any build
+    ring = draw(st.sampled_from([ZZ, ModRing(7)]))
+    g = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    T = draw(st.integers(1, 60))
+    value = st.integers(-10**6, 10**6).map(ring.from_int)
+    kind = draw(st.sampled_from(["dense", "lacunary", "zero"]))
+    x = [draw(value) for _ in range(T)] if kind == "dense" else [ring.zero] * T
+    if kind == "lacunary":
+        for e in draw(st.lists(st.integers(0, T - 1), max_size=4, unique=True)):
+            x[e] = draw(value)
+    x_off = draw(st.integers(-48, 48))
+    f = [draw(value) for _ in range(_inner_T(T, g))]
+    return QSeries(ring, x_off, x), f, draw(st.integers(-48, 48)), g
+
+
+@given(dilated_products())
+@settings(max_examples=120, deadline=None)
+@example((QSeries(ZZ, 0, [1, 2, 3]), [5, 6], 0, 7))
+@example((QSeries(ModRing(7), 5, [0] * 9), [1, 2, 3], -2, 4))
+def test_times_dilated_matches_the_dilated_product(case):
+    x, f, f_off, g = case
+    asked = []
+
+    def build(n):
+        asked.append(n)
+        return QSeries(x.ring, f_off, f[:n])
+
+    got = times_dilated(x, build, g)
+    assert asked == [_inner_T(x.T, g)]
+    assert got == x.mul(dilated(lambda n: QSeries(x.ring, f_off, f[:n]), x.T, g))
+    with pytest.raises(ValueError, match="ring mismatch"):
+        times_dilated(x, lambda n: QSeries(ModRing(11), 0, [1] * n), g)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import naive_sigma
+from oracles import naive_eta_product, naive_sigma
+from qcong.eta import dilated
 from qcong.forms import (
     cm_coefficient,
     eisenstein_int,
@@ -95,6 +96,23 @@ def test_f2_leading_support_and_238():
     assert f2.coeffs[3] == 1
     assert f2.coeffs[7] == 238
     assert all(f2.coeffs[n] == 0 for n in range(40) if n % 4 != 3)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6, 7, 8, 17, 251, 2000])
+def test_f2_is_e4_of_4z_times_F_of_2z_times_h(T):
+    # eta(4z)^2 eta(8z)^8 = F(2z) h(z), as eta(8z)^8 eta(4z)^-4 eta(4z)^6
+    e4_4z = dilated(lambda n: eisenstein_int(4, n), T, 4)
+    assert form_f2(T) == e4_4z.mul(dilated(form_F, T, 2)).mul(form_h(T))
+
+
+@pytest.mark.parametrize("T", [1, 3, 4, 5, 12, 40, 97])
+def test_f2_matches_the_naive_eta_product(T):
+    # q^3 prod (1 - q^(4n))^2 (1 - q^(8n))^8 times E4(4z), term by term
+    eta = [0] * T
+    eta[3:] = naive_eta_product(((4, 2), (8, 8)), T)[: max(T - 3, 0)]
+    e4_4z = [1] + [240 * naive_sigma(3, n // 4) if n % 4 == 0 else 0 for n in range(1, T)]
+    want = [sum(eta[i] * e4_4z[n - i] for i in range(n + 1)) for n in range(T)]
+    assert form_f2(T).coeffs == want
 
 
 def test_f2_vanishes_at_primes_1_mod_4():

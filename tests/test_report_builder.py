@@ -1,5 +1,6 @@
-"""Every claim report comes from one builder, sturm._scan_report, and every
-space, with its Sturm bound, from sturm."""
+"""Every claim report comes from one builder, sturm._scan_report; every
+space, with its Sturm bound, from sturm; and every dilated factor is sized
+in eta."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,23 @@ def test_spaces_and_their_bounds_come_from_sturm():
     # `sturm` subcommand asks for a bare (k, N)
     bounds = {scope for path in MODULES for scope, _ in _callers(path, "sturm_bound")}
     assert bounds == {"cli.main", "sturm.SpaceTag.sturm_bound"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier the module at path names: variables, attributes,
+    imports and definitions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for field in ("id", "attr", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                found.add(value)
+    return found
+
+
+def test_dilated_factors_are_sized_only_in_eta():
+    # outside eta a dilated factor goes through eta.dilated or
+    # eta.times_dilated, which pick its inner length
+    private = {"_inner_T", "_times_dilated"}
+    users = {path.stem for path in MODULES if _names(path) & private}
+    assert users == {"eta"}
