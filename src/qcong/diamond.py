@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress, count, islice
 
 from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .eta import times_dilated
@@ -246,7 +247,13 @@ def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
         return _lift(v.scale(6), 3, 2)
 
     bound_c = min(_CHAIN_C.sturm_bound, f.T - 1)
-    fail_d = (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0)
+    # (d) reads each class r mod 21 as one slice: its first nonzero term,
+    # if any, and the least of these is the first failure
+    fail_d = sorted(
+        r + 21 * i
+        for r in (5, 14, 17, 20)
+        for i in islice(compress(count(), f.coeffs[r::21]), 1)
+    )
     return [
         _compare("sec-2-chain:a", prod0, lifted(u), prod0.T - 1, _CHAIN_A),
         _compare(

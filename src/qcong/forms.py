@@ -116,22 +116,30 @@ def _times_e4_4z(x: QSeries) -> QSeries:
     return times_dilated(x, lambda n: eisenstein_int(4, n), 4)
 
 
-def form_f1(T: int) -> QSeries:
-    """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4] where
-    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents."""
+def _theta_bracket(T: int) -> QSeries:
+    # 4 t2^6 - t1^6 + 4 t1^4 t2^2 - 6 t1^2 t2^4 to T terms, t1 = theta0(z)
+    # and t2 = theta0(2z): f1's bracket with q^2 -> q
+    t1 = theta0(T)
     t2 = dilated(theta0, T, 2)
-    t4 = dilated(theta0, T, 4)
+    t1_2 = t1.mul(t1)
+    t1_4 = t1_2.mul(t1_2)
     t2_2 = t2.mul(t2)
     t2_4 = t2_2.mul(t2_2)
-    t4_2 = t4.mul(t4)
-    t4_4 = t4_2.mul(t4_2)
-    bracket = (
-        t4_4.mul(t4_2).scale(4)
-        .sub(t2_4.mul(t2_2))
-        .add(t2_4.mul(t4_2).scale(4))
-        .sub(t2_2.mul(t4_4).scale(6))
+    return (
+        t2_4.mul(t2_2).scale(4)
+        .sub(t1_4.mul(t1_2))
+        .add(t1_4.mul(t2_2).scale(4))
+        .sub(t1_2.mul(t2_4).scale(6))
     )
-    return _times_e4_4z(form_F(T).mul(bracket))
+
+
+def form_f1(T: int) -> QSeries:
+    """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4] where
+    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents.
+
+    The bracket is a series in q^2: it is built from theta0(z) and
+    theta0(2z) at the inner length and applied by eta.times_dilated."""
+    return _times_e4_4z(times_dilated(form_F(T), _theta_bracket, 2))
 
 
 def form_f2(T: int) -> QSeries:

@@ -1,7 +1,9 @@
 """Operators on q-expansions: Atkin U_d, quadratic twist, Hecke T_p.
 
 They act on coefficients only; the space of an image, its level included,
-comes from `sturm.SpaceTag` (`u` and `twist`).
+comes from `sturm.SpaceTag` (`u` and `twist`).  Each works on whole
+residue classes by slices, with the ring's list forms `mul_each` and
+`add_each`, so over Z and Z/m no Python call is made per coefficient.
 
 Output truncations are conservative: U_d and T_p on a T-coefficient input
 justify floor((T-1)/d)+1 coefficients, so callers needing N valid Hecke
@@ -40,13 +42,16 @@ def twist(f: QSeries, p: int) -> QSeries:
     if p == 2 or not is_prime(p):
         raise ValueError(f"twist needs an odd prime, got {p}")
     ring = f.ring
-    neg, zero = ring.neg, ring.zero
-    # (n|p) depends on n mod p only: one period of symbols serves every n
-    symbols = [kronecker(r, p) for r in range(p)]
-    out = []
-    for n, c in enumerate(f.coeffs):
-        s = symbols[n % p]
-        out.append(c if s == 1 else neg(c) if s == -1 else zero)
+    a = f.coeffs
+    out = list(a)
+    # (n|p) depends on n mod p only: one slice assignment per class with
+    # symbol -1 or 0, and the classes with symbol 1 stay as they are
+    for r in range(p):
+        s = kronecker(r, p)
+        if s == -1:
+            out[r::p] = ring.mul_each(ring.from_int(-1), a[r::p])
+        elif s == 0:
+            out[r::p] = [ring.zero] * len(range(r, len(a), p))
     return QSeries(ring, 0, out)
 
 
@@ -60,16 +65,12 @@ def hecke(f: QSeries, p: int, k: int, chi_disc: int) -> QSeries:
         raise ValueError(f"{p} is not prime")
     ring = f.ring
     scal = ring.from_int(kronecker(chi_disc, p) * p ** (k - 1))
-    a = f.coeffs
-    T_out = (len(a) - 1) // p + 1
-    add, mul = ring.add, ring.mul
-    out = []
-    for n in range(T_out):
-        c = a[p * n]
-        if n % p == 0:
-            c = add(c, mul(scal, a[n // p]))
-        out.append(c)
-    return QSeries(ring, 0, out)
+    # b(n) = a(pn) for every n, plus scal a(n/p) at the n divisible by p:
+    # one slice, and one mapped add over every p-th term of it
+    b = f.coeffs[::p]
+    at = b[::p]
+    b[::p] = ring.add_each(at, ring.mul_each(scal, f.coeffs[: len(at)]))
+    return QSeries(ring, 0, b)
 
 
 _OP_RE = re.compile(r"(U|twist|T)_([0-9]+)")

@@ -7,20 +7,31 @@ reading past the truncation is a hard error, never a silent zero:
 the Sturm-bound arguments downstream depend on "unknown" being
 distinguishable from "zero".
 
-Coefficients are stored densely.  Multiplication has two paths, chosen
-by the number of nonzero coefficients, not the lengths: a schoolbook
-over the nonzero terms of both operands, for short or lacunary operands
-(a 1 x N product, or Euler's and Jacobi's expansions, whose nonzero terms
-number about sqrt(T)), and one fast exact path, Kronecker substitution on
-the standard library's `decimal`: each operand becomes one decimal number
-of fixed-width base-10^w slots, and libmpdec multiplies the two with a
-number-theoretic transform.  The slot width comes from the nonzero counts
-too: a slot sums at most min(nnz a, nnz b) products, so a dense operand
-times a lacunary one packs narrow slots.  `convolve_sum` adds several
-products, each shifted, over Z or Z/m: its packed products share one
-slot width and are added as decimals before one unpack.  Both paths are
-exact; property tests assert they agree with the generic schoolbook, the
-oracle for every ring.
+Coefficients are stored densely.  Products over Z and Z/m have three
+kernels, chosen by `_kernel` from the operands' nonzero counts, lengths,
+signs and value ranges:
+
+- shift-add, for a dense operand times one with few nonzero terms (256
+  in 16-bit slots, 64 in 64-bit ones), both nonnegative (every Z/m operand
+  is): the dense one is packed once into one integer of 8- to 64-bit
+  binary slots, and each nonzero term y q^j of the other adds it shifted j
+  slots, grouped by y so one multiply per distinct value remains;
+- a schoolbook over the nonzero terms of both operands, while
+  nnz(a) nnz(b) is small against their length: two lacunary operands
+  (Euler's and Jacobi's expansions, whose nonzero terms number about
+  sqrt(T)), or a short signed one;
+- Kronecker substitution on the standard library's `decimal`, for two
+  dense operands or signed ones: each operand becomes one decimal number of
+  fixed-width base-10^w slots, and libmpdec multiplies the two with a
+  number-theoretic transform.
+
+Slot widths come from the nonzero counts too: a slot sums at most
+min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
+narrow slots.  `convolve_sum` adds several products, each shifted, over Z
+or Z/m: its shift-add products share one binary total and its decimal ones
+one decimal total, each sized for the sum and unpacked once.  Every kernel
+is exact; property tests assert they agree with the generic schoolbook,
+the oracle for every ring.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import decimal
 import io
 import sys
+from array import array
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice
@@ -47,12 +59,33 @@ from .ring import (
 
 __all__ = ["QSeries", "dumps", "loads"]
 
-# Schoolbook while nnz(a) nnz(b) <= cutoff (len(a) + len(b)), nnz counting
-# nonzero coefficients: packing costs about as much per coefficient, zero or
-# not, as a dozen Python multiply-adds, so short operands (1 x N above all)
-# and lacunary ones (eta^3 times eta: about 1,000 x 1,000 nonzero terms in
-# 384,173) stay off the packed path.
+# The three kernels of an integer product (`_kernel`).  Schoolbook, when
+# the shift-add declines, while nnz(a) nnz(b) <= cutoff (len(a) + len(b)),
+# nnz counting nonzero coefficients: decimal packing costs about as much per
+# coefficient, zero or not, as a dozen Python multiply-adds, so short signed
+# operands and lacunary ones (eta^3 times eta: about 1,000 x 1,000 nonzero
+# terms in 384,173) stay off the decimal path.
 _SCHOOLBOOK_CUTOFF = 12
+
+# Shift-add while the sparser operand's nonzero terms times the slot width
+# in bits are at most this: each term shifts and adds the whole packed dense
+# operand, which costs its length times the width, so past it the decimal
+# transform is cheaper.  Measured (2-vCPU KVM guest, Python 3.11), dense
+# operands of 4,667 and 54,882 terms in 8- to 64-bit slots: the shift-add
+# took 0.2-0.7 of the decimal time at a product of 4,096 or less, 0.5-1.2
+# at 8,192 and 1.1-4.2 past it.  The 205-term classes of eta(2z) that meet
+# eta(z)^4 in sum delta_3(7n+5) q^n at 54,882 terms, in 16-bit slots, make
+# 3,280.
+_SHIFT_ADD_BITS = 4096
+# One Python multiply-add of the schoolbook costs about as much as shifting
+# and adding this many bits of a packed operand (measured: 80-100 ns against
+# 0.07-0.11 ns a bit, so about 900; half that leaves room for packing).  So
+# the shift-add's packed operand must be dense: its nonzero terms times this
+# reach its length times the slot width.  eta(z)^4's classes mod 7, 38%
+# nonzero, are; Euler's and Jacobi's series past a few hundred terms are not.
+_SCHOOLBOOK_BITS = 512
+# array typecodes of the unsigned machine words, by width in bits
+_SLOT_CODES = {8 * array(c).itemsize: c for c in "BHIQ"}
 
 # Exact big-number products: libmpdec multiplies long operands with a
 # number-theoretic transform.  Maximum precision with Inexact and Rounded
@@ -75,8 +108,34 @@ _TEXT_DIGITS = sys.int_info.str_digits_check_threshold
 
 def _is_lacunary(nnz_a: int, nnz_b: int, length: int) -> bool:
     """Whether two operands of `length` terms in all, nnz_a and nnz_b of them
-    nonzero, are multiplied by the nonzero-term schoolbook."""
+    nonzero, are few enough products for the nonzero-term schoolbook."""
     return nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * length
+
+
+def _slot_bits(bound: int) -> int | None:
+    """The narrowest machine-word slot that holds every value in [0, bound],
+    None past 64 bits."""
+    return next((bits for bits in _SLOT_CODES if bound >> bits == 0), None)
+
+
+def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, lo: int, slot: int) -> str:
+    """The kernel that multiplies an operand of len_a terms, nnz_a of them
+    nonzero, by one of len_b terms, nnz_b nonzero, a the denser (more
+    nonzero terms, or the shorter on a tie), whose least value is lo, when
+    `slot` bounds every slot of the shift-add total with this product in
+    it: "shift", "schoolbook" or "decimal".
+
+    Shift-add takes a product of nonnegative operands while the slots fit
+    in 64 bits, b's nonzero terms times the slot width are at most
+    _SHIFT_ADD_BITS and a is dense: it costs len_a times the width in bits
+    per term of b, the schoolbook nnz_a multiply-adds.  Otherwise two
+    lacunary operands go to the nonzero-term schoolbook and two dense ones
+    to the decimal multiply.
+    """
+    bits = _slot_bits(slot) if lo >= 0 and nnz_b else None
+    if bits and nnz_b * bits <= _SHIFT_ADD_BITS and nnz_a * _SCHOOLBOOK_BITS >= len_a * bits:
+        return "shift"
+    return "schoolbook" if _is_lacunary(nnz_a, nnz_b, len_a + len_b) else "decimal"
 
 
 def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -134,6 +193,11 @@ def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     return _convolve_int_sum(((a, b, 0),), n_out)
 
 
+def _reach(group, n_out: int) -> int:
+    # terms of the sum of q^s a*b over a group of (a, b, s, ...) below n_out
+    return min(n_out, max(s + len(a) + len(b) - 1 for a, b, s, *_ in group))
+
+
 def _add_shifted(out: list[int] | None, xs: list[int], s: int, n_out: int) -> list[int]:
     # out + q^s xs to n_out terms, in place, with None for zero; xs holds
     # at most n_out - s terms
@@ -145,52 +209,53 @@ def _add_shifted(out: list[int] | None, xs: list[int], s: int, n_out: int) -> li
     return out
 
 
-def _convolve_int_sum(pairs, n_out: int) -> list[int]:
-    """Exact sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
-    terms.
+def _convolve_shift_add(pairs, bits: int, n: int) -> list[int]:
+    """First n terms of the sum of q^s d*e over the (d, e, s) in pairs, every
+    value nonnegative, e sparse and every slot of the total below 2^bits.
 
-    Each product goes to the kernel its nonzero counts call for.  The
-    packed ones are Kronecker substitutions in one base 10^w: each operand,
-    biased to be nonnegative, becomes one `decimal.Decimal` of w-digit
-    slots, libmpdec multiplies each pair, the products are added exactly,
-    each shifted s slots, and the total's text is cut back into slots once.
-    A slot of a'*b' sums at most min(nnz a', nnz b') terms, a biased
-    operand counted at its length, so w is the number of digits of the sum
-    over the pairs of that count times the operands' ranges: no slot of the
-    total overflows into its neighbour.  With a' = a - lo_a and
-    b' = b - lo_b, the bias comes off in O(n): a*b = a'*b' +
-    lo_b (a' * 1_len(b)) + lo_a (b * 1_len(a)), each product with a run of
-    ones being a window sum.
+    Each d is packed once into one integer of bits-wide binary slots (an
+    `array` of machine words read as bytes), each nonzero term y q^j of e
+    adds that integer shifted j + s slots, and the shifts are grouped by y,
+    so one multiply per distinct value remains.  The total is cut back into
+    slots once.
     """
-    out = None
-    packed = []
-    bound = 0
-    for a, b, s in pairs:
-        n = n_out - s
-        if n <= 0:
-            continue
-        # no copy of an operand that is short enough already
-        a = a if len(a) <= n else a[:n]
-        b = b if len(b) <= n else b[:n]
-        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
-        if _is_lacunary(nnz_a, nnz_b, len(a) + len(b)):
-            out = _add_shifted(out, _convolve_int_schoolbook(a, b, n), s, n_out)
-            continue
-        lo_a, hi_a = min(min(a), 0), max(a)
-        lo_b, hi_b = min(min(b), 0), max(b)
-        count = min(len(a) if lo_a else nnz_a, len(b) if lo_b else nnz_b)
-        bound += count * max(hi_a - lo_a, 1) * max(hi_b - lo_b, 1)
-        packed.append((a, b, s, lo_a, hi_a, lo_b, hi_b))
-    if not packed:
-        return [0] * n_out if out is None else out
+    code = _SLOT_CODES[bits]
+    total = 0
+    for d, e, s in pairs:
+        words = array(code, d)
+        if sys.byteorder == "big":
+            words.byteswap()
+        packed = int.from_bytes(words.tobytes(), "little")
+        shifts = {}
+        for j in compress(range(len(e)), e):
+            shifts.setdefault(e[j], []).append(bits * (j + s))
+        for y, by in shifts.items():
+            total += y * sum(map(packed.__lshift__, by))
+    words = array(code, (total & ((1 << bits * n) - 1)).to_bytes(n * bits // 8, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _convolve_decimal(packed, bound: int, n: int) -> list[int]:
+    """First n terms of the sum of q^s a*b over the (a, b, s, lo_a, hi_a,
+    lo_b, hi_b) in packed, every slot of the biased total at most bound.
+
+    Kronecker substitutions in one base 10^w: each operand, biased to be
+    nonnegative, becomes one `decimal.Decimal` of w-digit slots, libmpdec
+    multiplies each pair, the products are added exactly, each shifted s
+    slots, and the total's text is cut back into slots once.  With
+    a' = a - lo_a and b' = b - lo_b, the bias comes off in O(n):
+    a*b = a'*b' + lo_b (a' * 1_len(b)) + lo_a (b * 1_len(a)), each product
+    with a run of ones being a window sum.
+    """
     w = decimal.Decimal(bound).adjusted() + 1
     # from an exact zero the sum keeps exponent 0, so its text has no exponent
     total = decimal.Decimal(0)
     for a, b, s, lo_a, hi_a, lo_b, hi_b in packed:
         prod = _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))
         total = _EXACT.add(total, _EXACT.scaleb(prod, w * s) if s else prod)
-    n = min(n_out, max(s + len(a) + len(b) - 1 for a, b, s, *_ in packed))
-    out = _add_shifted(out, _unpack(str(total), w, n), 0, n_out)
+    out = _unpack(str(total), w, n)
     for a, b, s, lo_a, _, lo_b, _ in packed:
         k = min(n - s, len(a) + len(b) - 1)
         if lo_b:
@@ -200,6 +265,56 @@ def _convolve_int_sum(pairs, n_out: int) -> list[int]:
             sums = _window_sums(b, len(a), k)
             out[s : s + k] = [x + lo_a * y for x, y in zip(out[s : s + k], sums)]
     return out
+
+
+def _convolve_int_sum(pairs, n_out: int) -> list[int]:
+    """Exact sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
+    terms.
+
+    Each product goes to the kernel `_kernel` picks from its operands'
+    nonzero counts, lengths and values.  The shift-add products share one
+    binary total and the decimal ones one decimal total, each unpacked
+    once.  A slot of a*b sums at most min(nnz a, nnz b) terms (for the
+    decimal kernel, of the operands biased to be nonnegative, a biased
+    operand counted at its length), so each total's slot is sized by the
+    sum over its pairs of that count times the operands' ranges: no slot
+    overflows into its neighbour.
+    """
+    out = None
+    shifted, packed = [], []
+    slot = bound = 0
+    for a, b, s in pairs:
+        n = n_out - s
+        if n <= 0:
+            continue
+        # no copy of an operand that is short enough already
+        a = a if len(a) <= n else a[:n]
+        b = b if len(b) <= n else b[:n]
+        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+        if (nnz_a, -len(a)) < (nnz_b, -len(b)):
+            # a is the denser operand from here on
+            a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
+        lo_a, hi_a = min(a, default=0), max(a, default=0)
+        lo_b, hi_b = min(b, default=0), max(b, default=0)
+        with_pair = slot + nnz_b * hi_a * hi_b
+        kernel = _kernel(nnz_a, nnz_b, len(a), len(b), min(lo_a, lo_b), with_pair)
+        if kernel == "schoolbook":
+            out = _add_shifted(out, _convolve_int_schoolbook(a, b, n), s, n_out)
+        elif kernel == "shift":
+            slot = with_pair
+            shifted.append((a, b, s))
+        else:
+            lo_a, lo_b = min(lo_a, 0), min(lo_b, 0)
+            count = min(len(a) if lo_a else nnz_a, len(b) if lo_b else nnz_b)
+            bound += count * max(hi_a - lo_a, 1) * max(hi_b - lo_b, 1)
+            packed.append((a, b, s, lo_a, hi_a, lo_b, hi_b))
+    if shifted:
+        total = _convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out))
+        out = _add_shifted(out, total, 0, n_out)
+    if packed:
+        total = _convolve_decimal(packed, bound, _reach(packed, n_out))
+        out = _add_shifted(out, total, 0, n_out)
+    return [0] * n_out if out is None else out
 
 
 def _lcm_denominators(xs: Iterable[Fraction]) -> int:
@@ -315,15 +430,12 @@ class QSeries:
         lo, hi = (self, other) if d24 >= 0 else (other, self)
         d = abs(d24) // 24
         T = min(lo.T, hi.T + d)
-        ring = self.ring
-        out = list(lo.coeffs[:T])
-        for j in range(min(hi.T, T - d)):
-            out[j + d] = ring.add(out[j + d], hi.coeffs[j])
-        return QSeries(ring, lo.offset24, out)
+        out = lo.coeffs[:T]
+        out[d:] = self.ring.add_each(out[d:], hi.coeffs)
+        return QSeries(self.ring, lo.offset24, out)
 
     def neg(self) -> "QSeries":
-        n = self.ring.neg
-        return QSeries(self.ring, self.offset24, [n(c) for c in self.coeffs])
+        return self.scale(-1)
 
     def sub(self, other: "QSeries") -> "QSeries":
         return self.add(other.neg())
@@ -338,8 +450,7 @@ class QSeries:
         """Multiply every coefficient by a scalar (int or ring element)."""
         if isinstance(c, int) and not isinstance(self.ring, IntegerRing):
             c = self.ring.from_int(c)
-        mul = self.ring.mul
-        return QSeries(self.ring, self.offset24, [mul(c, x) for x in self.coeffs])
+        return QSeries(self.ring, self.offset24, self.ring.mul_each(c, self.coeffs))
 
     def pow(self, e: int) -> "QSeries":
         if e == 0:

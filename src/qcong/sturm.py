@@ -7,7 +7,9 @@ checked by scanning coefficients up to an explicit bound and recording the
 outcome in a ClaimReport, built only by `_scan_report`.  An identity
 between two series, eigenform checks included, goes through the one
 comparison driver `_compare`, which reads the report's modulus from the
-series' ring and rejects two rings or a nonzero offset.  Insufficient
+series' ring and rejects two rings or a nonzero offset; it compares the
+two coefficient lists whole and finds a first mismatch with no Python call
+per coefficient.  Insufficient
 truncation is always an error, never a pass: these reports are proof
 artifacts, so partial data must be unambiguous.
 """
@@ -19,6 +21,8 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import compress, count
+from operator import ne
 
 from .eta import EtaQuotient
 from .operators import hecke
@@ -185,7 +189,9 @@ def _compare(
             f"{claim}: comparison needs offset 0, got {a.offset} and {b.offset}"
         )
     x, y = a.truncate(bound + 1).coeffs, b.truncate(bound + 1).coeffs
-    failures = (n for n in range(bound + 1) if x[n] != y[n])
+    # one list comparison when the two agree, else the indices of the
+    # differing terms, found in C
+    failures = () if x == y else compress(count(), map(ne, x, y))
     modulus = a.ring.modulus if isinstance(a.ring, ModRing) else None
     return _scan_report(claim, failures, bound, space, modulus)
 

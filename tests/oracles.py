@@ -109,6 +109,39 @@ def naive_hecke(a: list[int], p: int, k: int, chi_p: int) -> list[int]:
     return out
 
 
+def _times(c, x, modulus):
+    # c x, written out: an element of Z[sqrt(-3)] (a QuadInt) by
+    # (a + b s)(c + d s) = (ac - 3bd) + (ad + bc) s, an int exactly or mod m
+    if hasattr(x, "im"):
+        c = c if hasattr(c, "im") else type(x)(c, 0)
+        return type(x)(c.re * x.re - 3 * c.im * x.im, c.re * x.im + c.im * x.re)
+    return c * x if modulus is None else c * x % modulus
+
+
+def naive_scale(c, coeffs: list, modulus=None) -> list:
+    """c times each coefficient, one at a time (mod `modulus` if given)."""
+    return [_times(c, x, modulus) for x in coeffs]
+
+
+def naive_twist(coeffs: list, p: int, modulus=None) -> list:
+    """Coefficient n times the Legendre symbol (n|p), asked of Euler's
+    criterion at each n (mod `modulus` if given; a symbol 1 keeps the
+    coefficient as it is)."""
+    out = []
+    for n, x in enumerate(coeffs):
+        s = euler_criterion(n, p)
+        out.append(x if s == 1 else _times(s, x, modulus))
+    return out
+
+
+def naive_first_mismatch(x: list, y: list, bound: int):
+    """The least n <= bound with x[n] != y[n], None if there is none."""
+    for n in range(bound + 1):
+        if x[n] != y[n]:
+            return n
+    return None
+
+
 def naive_hecke_recurrence(u: list[int], p: int, y: int, T: int, modulus=None):
     """First n < T where u(pn + (p-1)/2) + p^8 u((n - (p-1)/2)/p) != y u(n),
     exactly or mod `modulus`, by the literal index recurrence of Theorem 1.2;

@@ -126,6 +126,38 @@ def test_section_2_chain_reduced_depth():
     assert reports[2].bound == 301 - 1
 
 
+@pytest.mark.parametrize(
+    "bumps",
+    [(), (5,), (14, 26), (20 + 21 * 3, 17 + 21 * 2), (4, 6, 21, 42), (200, 5 + 21 * 9), (6, 20 + 21 * 8)],
+)
+def test_section_2_chain_d_reports_the_first_nonzero_of_its_classes(monkeypatch, bumps):
+    # step (d) reads the classes 5, 14, 17, 20 mod 21 of the U_7 image by
+    # slices; with coefficients bumped off zero, its first failure is the
+    # first one a per-coefficient scan of the image finds
+    import qcong.diamond
+
+    images = []
+    u_operator = qcong.diamond.u_operator
+
+    def bumped(f, d):
+        g = u_operator(f, d)
+        for e in bumps:
+            g = mutate(g, e)
+        images.append(g)
+        return g
+
+    monkeypatch.setattr(qcong.diamond, "u_operator", bumped)
+    rep = verify_section_2_chain(200)[3]
+    (f,) = images
+    assert f.T == 201
+    want = next(
+        (e for e in range(f.T) if e % 21 in (5, 14, 17, 20) and f.coeffs[e] != 0), None
+    )
+    assert rep.claim == "sec-2-chain:d" and rep.bound == f.T - 1
+    assert rep.first_failure == want and rep.passed == (want is None)
+    assert want == min((e for e in bumps if e % 21 in (5, 14, 17, 20)), default=None)
+
+
 @pytest.mark.parametrize("T_final", [3, 4, 5, 150, 2001])
 def test_section_2_eta_product_is_the_lifted_eq_1_2_lhs(T_final):
     # the chain builds eta(3z)^4 eta(6z)^6 mod 7 from eq. (1.2)'s left side;

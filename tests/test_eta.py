@@ -373,6 +373,40 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     assert sums == [(T, [(T, T, 0), (T, T, 0), (T, T, 0), (T, T, 0)])]
 
 
+@pytest.mark.parametrize("T", [4667, 54882], ids=("quick", "full"))
+def test_delta3_class_sum_takes_only_the_shift_add_kernel(monkeypatch, T):
+    # the four pairs of the class sum of sum delta_3(7n+5) q^n are each a
+    # dense class of eta(z)^4 (about 38% nonzero) times a class of eta(2z)
+    # with 30 to 205 nonzero terms, all residues mod 7: inside that one
+    # convolve_sum nothing is packed in decimal and nothing goes to the
+    # nonzero-term schoolbook, and one shift-add call takes all four pairs
+    inside, sums = [], []
+    convolve_sum = qcong.eta.convolve_sum
+
+    def recording(name):
+        kernel = getattr(qcong.qseries, name)
+
+        def wrapped(*args):
+            if sums and sums[-1] is None:
+                inside.append((name, len(args[0])))
+            return kernel(*args)
+
+        monkeypatch.setattr(qcong.qseries, name, wrapped)
+
+    def class_sum(ring, pairs, n_out):
+        sums.append(None)
+        out = convolve_sum(ring, pairs, n_out)
+        sums[-1] = (n_out, len(pairs))
+        return out
+
+    for name in ("_pack", "_convolve_int_schoolbook", "_convolve_shift_add"):
+        recording(name)
+    monkeypatch.setattr(qcong.eta, "convolve_sum", class_sum)
+    s = eta_quotient_progression(EtaQuotient(_DELTA3), 7, 5, T)
+    assert s.T == T and sums == [(T, 4)]
+    assert inside == [("_convolve_shift_add", 4)]
+
+
 def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
     # the other side of the head choice: for sum delta_5(11n+6) q^n mod 11
     # the head is eta(z)^8, the product of two Jacobi cubes and two Euler

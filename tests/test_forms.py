@@ -99,6 +99,22 @@ def test_f2_leading_support_and_238():
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6, 7, 8, 17, 251, 2000])
+def test_f1_is_the_full_length_theta_bracket_formula(T):
+    # the formula with its bracket built at full length from t2 = theta0(2z)
+    # and t4 = theta0(4z), then multiplied by F and E4(4z)
+    t2 = dilated(theta0, T, 2)
+    t4 = dilated(theta0, T, 4)
+    bracket = (
+        t4.pow(6).scale(4)
+        .sub(t2.pow(6))
+        .add(t2.pow(4).mul(t4.pow(2)).scale(4))
+        .sub(t2.pow(2).mul(t4.pow(4)).scale(6))
+    )
+    e4_4z = dilated(lambda n: eisenstein_int(4, n), T, 4)
+    assert form_f1(T) == e4_4z.mul(form_F(T).mul(bracket))
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6, 7, 8, 17, 251, 2000])
 def test_f2_is_e4_of_4z_times_F_of_2z_times_h(T):
     # eta(4z)^2 eta(8z)^8 = F(2z) h(z), as eta(8z)^8 eta(4z)^-4 eta(4z)^6
     e4_4z = dilated(lambda n: eisenstein_int(4, n), T, 4)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_hecke
+from oracles import naive_hecke, naive_twist
 from qcong.operators import (
     apply_operator,
     hecke,
@@ -83,6 +83,27 @@ def test_twist_matches_a_per_coefficient_kronecker_oracle(ring, p):
     assert all(out.coeffs[n] == ring.zero for n in range(0, T, p))
 
 
+# the rings of the list-wise operators: Z, a small modulus, a modulus far
+# above any length (so no table of its residues can be built), and
+# Z[sqrt(-3)]
+LIST_RINGS = (ZZ, ModRing(7), ModRing(10**30), QUAD)
+
+
+def _modulus(ring):
+    return ring.modulus if isinstance(ring, ModRing) else None
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_twist_matches_the_per_coefficient_oracle(data):
+    ring = data.draw(st.sampled_from(LIST_RINGS))
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+    f = data.draw(series_over(ring, min_T=1, max_T=60, offsets=st.just(0)))
+    out = twist(f, p)
+    assert out.ring == ring and out.offset24 == 0 and out.T == f.T
+    assert out.coeffs == naive_twist(f.coeffs, p, _modulus(ring))
+
+
 def test_hecke_zero_series():
     z = S([0] * 20)
     assert hecke(z, 5, 9, -4).coeffs == [0, 0, 0, 0]
@@ -108,9 +129,9 @@ def test_hecke_truncation_rule():
 @given(st.data())
 @settings(max_examples=40)
 def test_hecke_matches_naive_formula(data):
-    ring = data.draw(st.sampled_from((ZZ, ModRing(7))))
-    f = data.draw(series_over(ring, min_T=1, max_T=30, offsets=st.just(0)))
-    p = data.draw(st.sampled_from((2, 3, 5)))
+    ring = data.draw(st.sampled_from((ZZ, ModRing(7), ModRing(10**30))))
+    f = data.draw(series_over(ring, min_T=1, max_T=60, offsets=st.just(0)))
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
     k = data.draw(st.integers(1, 6))
     chi = data.draw(st.sampled_from((-4, 1, -3)))
     out = hecke(f, p, k, chi)

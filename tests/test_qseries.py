@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from oracles import (
     evaluate_mod,
     evaluate_product_mod,
     loads_per_line,
+    naive_scale,
 )
 
 M7 = ModRing(7)
@@ -276,13 +278,117 @@ def test_convolve_matches_schoolbook_large_integactual():
     assert convolve(ZZ, a, b, 200) == convolve_schoolbook(ZZ, a, b, 200)
 
 
+# ---- list-wise scalar multiples against the per-coefficient oracle ----
+
+# Z, a small modulus, a modulus far above any length (so no table of its
+# residues can be built), and Z[sqrt(-3)]
+LIST_RINGS = (ZZ, M7, ModRing(10**30), QUAD)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_scale_matches_the_per_coefficient_oracle(data):
+    ring = data.draw(st.sampled_from(LIST_RINGS))
+    f = data.draw(series_over(ring, min_T=1, max_T=40))
+    scalars = st.integers(-(10**40), 10**40)
+    if ring == QUAD:
+        scalars = scalars | st.builds(QuadInt, st.integers(-99, 99), st.integers(-99, 99))
+    c = data.draw(scalars)
+    modulus = ring.modulus if isinstance(ring, ModRing) else None
+    out = f.scale(c)
+    assert out.ring == ring and out.offset24 == f.offset24
+    assert out.coeffs == naive_scale(c, f.coeffs, modulus)
+    assert f.neg().coeffs == naive_scale(-1, f.coeffs, modulus)
+
+
+@pytest.mark.parametrize("m", [7, 10**30])
+def test_scale_reduces_an_unreduced_residue(m):
+    # a residue outside [0, m) comes out reduced, never wrapped into a
+    # wrong value; so does its negative
+    xs = [m + 2, -1, -m - 3, 2 * m, 5]
+    f = QSeries(ModRing(m), 0, xs)
+    assert f.scale(3).coeffs == [x * 3 % m for x in xs]
+    assert f.scale(-2).coeffs == [x * -2 % m for x in xs]
+    assert f.neg().coeffs == [-x % m for x in xs]
+
+
 # ---- the packed (Kronecker) multiply against the schoolbook oracle ----
 
 # (len(a), len(b)) on both sides of the schoolbook cutoff: 1 x N, short
-# times long, squares just below and above it, and long operands
-PACKED_LENGTHS = ((1, 90), (90, 1), (12, 40), (24, 24), (25, 25), (13, 200), (40, 90))
+# times long, squares just below and above it, long operands, and a pair
+# past the shift-add cutoff, where residues mod m reach the decimal multiply
+PACKED_LENGTHS = (
+    (1, 90), (90, 1), (12, 40), (24, 24), (25, 25), (13, 200), (40, 90), (260, 300),
+)
 SHAPES = ("mixed", "negative", "zero", "one", "edge", "edge-negative")
 HEIGHTS = tuple(10**k - 1 for k in (1, 2, 9, 19, 20))
+KERNELS = {
+    "_convolve_shift_add": "shift",
+    "_convolve_int_schoolbook": "schoolbook",
+    "_convolve_decimal": "decimal",
+}
+
+
+def _width(bound: int):
+    """The least machine-word width of 8, 16, 32 or 64 bits above bound."""
+    return next((w for w in (8, 16, 32, 64) if bound < 2**w), None)
+
+
+def _rule(a: list[int], b: list[int]) -> str:
+    """The kernel an integer product a*b, alone in its sum, is due.  With d
+    the operand of more nonzero terms (the shorter on a tie) and e the
+    other: shift-add when both are nonnegative, e has a nonzero term, the
+    worst slot nnz(e) max(a) max(b) fits a word of some width, nnz(e) times
+    that width is at most _SHIFT_ADD_BITS and nnz(d) _SCHOOLBOOK_BITS
+    reaches len(d) times it; else the schoolbook while nnz(a) nnz(b) <=
+    _SCHOOLBOOK_CUTOFF (len(a) + len(b)); else decimal."""
+    (nnz_d, _, d), (nnz_e, _, e) = sorted(
+        ((len(x) - x.count(0), -len(x), x) for x in (a, b)), key=lambda t: t[:2], reverse=True
+    )
+    if min(a + b) >= 0 and nnz_e:
+        width = _width(nnz_e * max(a) * max(b))
+        if (
+            width
+            and nnz_e * width <= qseries._SHIFT_ADD_BITS
+            and nnz_d * qseries._SCHOOLBOOK_BITS >= len(d) * width
+        ):
+            return "shift"
+    if nnz_d * nnz_e <= qseries._SCHOOLBOOK_CUTOFF * (len(a) + len(b)):
+        return "schoolbook"
+    return "decimal"
+
+
+def _record_kernels(monkeypatch) -> list:
+    """[kernel, a, b] for every integer product that reaches the kernels:
+    every ring's product reaches them as one pair, cut to n_out."""
+    calls = []
+    convolve_int_sum = qseries._convolve_int_sum
+
+    def recorded(pairs, n_out):
+        ((a, b, _),) = pairs
+        calls.append([None, a[:n_out], b[:n_out]])
+        return convolve_int_sum(pairs, n_out)
+
+    def marking(name):
+        kernel = getattr(qseries, name)
+
+        def wrapped(*args):
+            calls[-1][0] = KERNELS[name]
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+
+    monkeypatch.setattr(qseries, "_convolve_int_sum", recorded)
+    for name in KERNELS:
+        marking(name)
+    return calls
+
+
+def _assert_each_product_took_its_kernel(calls):
+    for kernel, a, b in calls:
+        assert kernel == _rule(a, b), (len(a), len(b), kernel)
+    # every kernel ran
+    assert {kernel for kernel, _, _ in calls} == set(KERNELS.values())
 
 
 def _shaped_ints(rng, n: int, shape: str, h: int) -> list[int]:
@@ -315,31 +421,22 @@ def _shaped(ring, rng, n: int, shape: str, h: int) -> list:
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.tag)
 def test_packed_convolve_matches_schoolbook_across_the_cutoff(ring, monkeypatch):
-    calls = Counter()
-
-    def counted(name):
-        kernel = getattr(qseries, name)
-
-        def wrapped(*args):
-            calls[name] += 1
-            return kernel(*args)
-
-        monkeypatch.setattr(qseries, name, wrapped)
-
-    counted("_pack")
-    counted("_convolve_int_schoolbook")
+    # each integer product takes the kernel of the three-way rule, and
+    # every kernel runs for every ring
+    calls = _record_kernels(monkeypatch)
     rng = random.Random(ring.tag)
     for la, lb in PACKED_LENGTHS:
         for i, shape in enumerate(SHAPES):
             h = HEIGHTS[(i + la) % len(HEIGHTS)]
             a = _shaped(ring, rng, la, shape, h)
             b = _shaped(ring, rng, lb, rng.choice(SHAPES), rng.choice(HEIGHTS))
+            # a shorter output is a prefix of the longest one
+            want = convolve_schoolbook(ring, a, b, la + lb + 3)
             # n_out below, at and above len(a) + len(b) - 1
             for n in {1, max(la, lb), la + lb - 1, la + lb + 3}:
                 got = convolve(ring, a, b, n)
-                assert got == convolve_schoolbook(ring, a, b, n), (la, lb, shape, h, n)
-    # both kernels ran
-    assert calls["_pack"] and calls["_convolve_int_schoolbook"]
+                assert got == want[:n], (la, lb, shape, h, n)
+    _assert_each_product_took_its_kernel(calls)
 
 
 def test_packed_convolve_at_every_slot_width_boundary():
@@ -409,9 +506,11 @@ def test_invert_across_the_cutoff_is_a_two_sided_inverse(ring, lead):
 # (support of a, len(a), support of b, len(b)): lacunary times lacunary,
 # short dense times lacunary in both orders (the dispatch must count the
 # nonzeros of both), dense times dilated, k-sparse pairs just at and just
-# past the cutoff, an all-zero operand against a dense one, and a dense
-# times 30-sparse pair past the cutoff, whose worst slot over Z/m is exactly
-# the width's bound min(nnz a, nnz b) (m - 1)^2 = 30 (m - 1)^2
+# past the schoolbook cutoff, an all-zero operand against a dense one, a
+# dense times 30-sparse pair, whose worst slot over Z/m is exactly the
+# width's bound min(nnz a, nnz b) (m - 1)^2 = 30 (m - 1)^2, and two dense
+# operands past the shift-add cutoff.  A kind ending in "+" has only
+# nonnegative values, so over Z, Q and Z[sqrt(-3)] it can reach shift-add.
 LACUNARY_PAIRS = (
     ("pentagonal", 2000, "triangular", 2000),
     ("dense", 40, "triangular", 3000),
@@ -426,11 +525,15 @@ LACUNARY_PAIRS = (
     ("zero", 300, "dense", 300),
     ("dense", 300, "zero", 120),
     ("dense", 300, "sparse30", 300),
+    ("dense+", 300, "sparse30+", 300),
+    ("dilated7+", 700, "dense+", 250),
+    ("dense", 300, "dense", 280),
 )
 
 
 def _support(rng, n: int, kind: str) -> list[int]:
     """Indices below n of one lacunary shape."""
+    kind = kind.removesuffix("+")
     if kind == "pentagonal":  # Euler's product: j(3j -+ 1)/2
         return sorted({j * (3 * j + s) // 2 for j in range(n) for s in (-1, 1)} & set(range(n)))
     if kind == "triangular":  # Jacobi's eta^3: j(j + 1)/2
@@ -442,14 +545,15 @@ def _support(rng, n: int, kind: str) -> list[int]:
     return list(range(n)) if kind == "dense" else []
 
 
-def _on_support(ring, rng, n: int, support: list[int], h: int) -> list:
-    """n coefficients of `ring`, zero off the support and at the edge height
-    +-h (the largest residue mod m) on it."""
+def _on_support(ring, rng, n: int, kind: str, h: int) -> list:
+    """n coefficients of `ring`, zero off the support of `kind` and at the
+    edge height +-h (h alone for a kind ending in "+"; the largest residue
+    mod m) on it."""
     def edge():
-        return rng.choice((-h, h))
+        return h if kind.endswith("+") else rng.choice((-h, h))
 
     xs = [ring.zero] * n
-    for i in support:
+    for i in _support(rng, n, kind):
         if ring == ZZ:
             xs[i] = edge()
         elif ring == QQ:
@@ -463,50 +567,23 @@ def _on_support(ring, rng, n: int, support: list[int], h: int) -> list:
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.tag)
 def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, monkeypatch):
-    # each integer product goes to the kernel its nonzero counts call for:
-    # the sparse schoolbook while nnz(a) nnz(b) <= cutoff (len(a) + len(b)),
-    # else the packed multiply; either way it equals the generic oracle
-    calls = []
-    convolve_int_sum = qseries._convolve_int_sum
-
-    def recorded(pairs, n_out):
-        # every ring's product reaches the integer kernels as one pair
-        ((a, b, _),) = pairs
-        calls.append([None, a[:n_out], b[:n_out]])
-        return convolve_int_sum(pairs, n_out)
-
-    def marking(name):
-        kernel = getattr(qseries, name)
-
-        def wrapped(*args):
-            calls[-1][0] = name
-            return kernel(*args)
-
-        monkeypatch.setattr(qseries, name, wrapped)
-
-    monkeypatch.setattr(qseries, "_convolve_int_sum", recorded)
-    marking("_pack")
-    marking("_convolve_int_schoolbook")
+    # each integer product goes to the kernel its nonzero counts, lengths
+    # and values call for (`_rule`), and every kernel runs for every ring;
+    # either way it equals the generic oracle
+    calls = _record_kernels(monkeypatch)
     rng = random.Random(f"lacunary {ring.tag}")
     for k, (kind_a, la, kind_b, lb) in enumerate(LACUNARY_PAIRS):
         h = HEIGHTS[k % len(HEIGHTS)]
-        a = _on_support(ring, rng, la, _support(rng, la, kind_a), h)
-        b = _on_support(ring, rng, lb, _support(rng, lb, kind_b), h)
+        a = _on_support(ring, rng, la, kind_a, h)
+        b = _on_support(ring, rng, lb, kind_b, h)
         # the oracle skips a's zeros only, so the sparser operand goes first;
         # a shorter output is a prefix of its longest one
-        x, y = (a, b) if kind_a != "dense" else (b, a)
+        x, y = (a, b) if not kind_a.startswith("dense") else (b, a)
         want = convolve_schoolbook(ring, x, y, la + lb + 3)
         # n_out below, at and above len(a) + len(b) - 1
         for n in (1, min(la, lb), max(la, lb) + 1, la + lb - 1, la + lb + 3):
             assert convolve(ring, a, b, n) == want[:n], (kind_a, kind_b, n)
-    for kernel, a, b in calls:
-        nnz = (len(a) - a.count(0)) * (len(b) - b.count(0))
-        fits = nnz <= qseries._SCHOOLBOOK_CUTOFF * (len(a) + len(b))
-        assert kernel == ("_convolve_int_schoolbook" if fits else "_pack"), (
-            len(a), len(b), nnz,
-        )
-    kernels = {kernel for kernel, _, _ in calls}
-    assert kernels == {"_pack", "_convolve_int_schoolbook"}
+    _assert_each_product_took_its_kernel(calls)
 
 
 # ---- the class sum: products added before one unpack ----
@@ -575,6 +652,137 @@ def test_convolve_sum_matches_the_sum_of_shifted_schoolbook_products(case):
 def test_convolve_sum_takes_only_z_and_z_mod_m():
     with pytest.raises(ValueError, match="needs Z or Z/m"):
         convolve_sum(QQ, [([Fraction(1, 2)], [Fraction(1, 3)], 0)], 1)
+
+
+# ---- the shift-add kernel: a dense operand times a sparse one ----
+
+BITS = qseries._SHIFT_ADD_BITS
+# the most nonzero terms a sparse operand may have for the shift-add in
+# 16-bit slots (residues mod 13 meet in them) and in 64-bit ones
+K16, K64 = BITS // 16, BITS // 64
+
+
+@st.composite
+def _shift_add_case(draw):
+    """(ring, pairs, due): over Z/p, p <= 13, or nonnegative Z, one to three
+    pairs of a dense operand (values in [1, top]) and a sparse one, each
+    shifted 0 or 1.  The sparse one has from one nonzero term up to the most
+    the shift-add takes with the pairs before it, never more than the dense
+    one has, index 0 and the last index among them as drawn.  Then maybe a
+    lacunary pair for the schoolbook and, over Z, a signed dense pair for
+    the decimal multiply.  `due` names each pair's kernel."""
+    ring = draw(st.sampled_from([ZZ] + [ModRing(p) for p in (2, 3, 5, 7, 11, 13)]))
+    top = ring.modulus - 1 if ring != ZZ else draw(st.sampled_from((1, 255, 2**16, 2**20)))
+    value = st.integers(1, top)
+    pairs, due = [], []
+    slot = 0  # the worst slot of the shift-add total so far
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 300))
+        dense = draw(st.lists(value, min_size=n, max_size=n))
+        m = draw(st.integers(1, 300))
+        limit = max(
+            k for k in range(1, min(n, m) + 1)
+            if k * _width(slot + k * top * top) <= BITS
+        )
+        support = set(draw(st.sampled_from([(), (0,), (m - 1,), (0, m - 1)]))[:limit])
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=limit, unique=True)):
+            if len(support) < limit:
+                support.add(i)
+        sparse = [0] * m
+        for i in support:
+            sparse[i] = draw(value)
+        slot += len(support) * top * top
+        pair = (dense, sparse) if draw(st.booleans()) else (sparse, dense)
+        pairs.append((*pair, draw(st.integers(0, 1))))
+        due.append("shift")
+    if draw(st.booleans()):
+        a, b = [0] * 200, [0] * 200
+        a[0] = b[199] = a[77] = b[5] = top
+        pairs.append((a, b, draw(st.integers(0, 1))))
+        due.append("schoolbook")
+    if ring == ZZ and draw(st.booleans()):
+        signed = st.integers(-top, top)
+        pairs.append((draw(st.lists(signed, min_size=40, max_size=40)), [-top] * 40, 1))
+        due.append("decimal")
+    return ring, pairs, due
+
+
+def _ones(n: int, at, y: int = 1) -> list[int]:
+    xs = [0] * n
+    for i in at:
+        xs[i] = y
+    return xs
+
+
+@given(_shift_add_case())
+@settings(max_examples=100, deadline=None)
+# worst slots of exactly 2^w - 1 for w = 8, 16, 32 and 64: 3 terms of y
+# against a dense f with 3 y f = 2^w - 1, all three met at slot 2 onwards
+@example((ZZ, [([17] * 20, [5, 5, 5], 0)], ["shift"]))
+@example((ZZ, [([257] * 30, [85, 85, 85], 1)], ["shift"]))
+@example((ZZ, [([65537] * 9, _ones(3, (0, 1, 2), 21845), 0)], ["shift"]))
+@example((ZZ, [([(2**64 - 1) // 15] * 40, _ones(40, (0, 5, 39), 5), 0)], ["shift"]))
+# the sum over pairs: 120 + 135 = 2^8 - 1, and 128 + 128 = 2^8, which needs
+# the next width though each pair alone fits in 8 bits; over Z/13 two
+# 144s, shifted by 0 and 1, meet in a slot of 288
+@example((ZZ, [([15] * 20, [4, 4], 0), ([9] * 20, [5, 5, 5], 0)], ["shift"] * 2))
+@example((ZZ, [([8] * 20, [8, 8], 0), ([8] * 20, [8, 8], 1)], ["shift"] * 2))
+@example((ModRing(13), [([12] * 30, [12], 0), ([12] * 30, [0, 0, 12], 1)], ["shift"] * 2))
+# the most nonzero terms the shift-add takes, index 0 and the last among
+# them, in 16-bit slots (mod 13) and 64-bit ones; one more goes to the
+# decimal multiply
+@example((ModRing(13), [([12] * 300, _ones(300, [*range(K16 - 1), 299], 12), 1)], ["shift"]))
+@example((ModRing(13), [([12] * 300, _ones(300, range(K16 + 1), 12), 0)], ["decimal"]))
+@example((ZZ, [([2**40] * 100, _ones(100, [*range(K64 - 1), 99]), 0)], ["shift"]))
+@example((ZZ, [([2**40] * 100, _ones(100, range(K64 + 1)), 1)], ["decimal"]))
+# an all-zero sparse side never reaches the shift-add, whose 8-bit slots
+# could not hold values of 2^16 and more
+@example(
+    (ZZ, [([0] * 50, [2**16 + i for i in range(50)], 0), ([3] * 9, [1], 1)], ["schoolbook", "shift"])
+)
+# a negative coefficient never reaches the shift-add: the schoolbook takes
+# a sparse pair, the decimal multiply a dense one
+@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2], 0)], ["schoolbook"]))
+@example((ZZ, [([3] * 39 + [-1], [2] * 40, 0)], ["decimal"]))
+# one sum over Z/7 mixing all three kernels
+@example(
+    (
+        ModRing(7),
+        [
+            ([6] * 60, _ones(9, (0, 3, 8), 6), 1),
+            (_ones(200, (0, 77), 6), _ones(200, (5, 199), 6), 0),
+            ([(i * i) % 7 or 1 for i in range(260)], [(3 * i) % 7 or 6 for i in range(270)], 1),
+        ],
+        ["shift", "schoolbook", "decimal"],
+    )
+)
+def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
+    ring, pairs, due = case
+    top = max(s + len(a) + len(b) - 1 for a, b, s in pairs)
+    want = [0] * (top + 3)
+    for a, b, s in pairs:
+        # the oracle skips the zeros of its first operand
+        x, y = sorted((a, b), key=lambda v: len(v) - v.count(0))
+        for k, v in enumerate(convolve_schoolbook(ring, x, y, top + 3 - s)):
+            want[s + k] = ring.add(want[s + k], v)
+    # n_out below, at and above the longest len(a) + len(b) - 1 + s
+    for n in sorted({1, max(top // 2, 1), top - 1 or 1, top}):
+        assert convolve_sum(ring, pairs, n) == want[:n], n
+    # the whole sum: each pair, none cut, takes the kernel it is due
+    ran = Counter()
+
+    def counting(name, kernel, per_call):
+        def wrapped(*args):
+            ran[name] += per_call(args)
+            return kernel(*args)
+
+        return mock.patch.object(qseries, kernel.__name__, wrapped)
+
+    with counting("shift", qseries._convolve_shift_add, lambda args: len(args[0])), counting(
+        "decimal", qseries._convolve_decimal, lambda args: len(args[0])
+    ), counting("schoolbook", qseries._convolve_int_schoolbook, lambda args: 1):
+        assert convolve_sum(ring, pairs, top + 3) == want
+    assert ran == Counter(due)
 
 
 # ---- mutation sanity for the container ----

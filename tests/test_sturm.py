@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_eta_level
+from conftest import mutate, series_over
+from oracles import naive_eta_level, naive_first_mismatch
 from qcong.cli import main
 from qcong.eta import EtaQuotient
 from qcong.qseries import QSeries
@@ -153,6 +154,35 @@ def test_compare_records_the_first_failing_exponent():
     # mod 3 the two differ first at exponent 4
     rep = _compare("x", a.reduce_mod(3), b.reduce_mod(3), 5, None)
     assert not rep.passed and rep.first_failure == 4 and rep.modulus == 3
+
+
+# the rings of the list-wise checks: Z, a small modulus, a modulus far above
+# any length (so no table of its residues can be built), and Z[sqrt(-3)]
+LIST_RINGS = (ZZ, M7, ModRing(10**30), QUAD)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_compare_finds_the_first_mismatch_of_the_per_coefficient_scan(data):
+    # a mismatch at 0, at the bound, none, or anywhere (past the bound too),
+    # with more mismatches after it
+    ring = data.draw(st.sampled_from(LIST_RINGS), label="ring")
+    a = data.draw(series_over(ring, min_T=1, max_T=40, offsets=st.just(0)))
+    bound = data.draw(st.integers(0, a.T - 1), label="bound")
+    first = data.draw(st.sampled_from(("none", "zero", "bound", "any")), label="first")
+    at = {"none": set(), "zero": {0}, "bound": {bound}}.get(first)
+    if at is None:
+        at = data.draw(st.sets(st.integers(0, a.T - 1), min_size=1), label="at")
+    elif at:
+        at |= data.draw(st.sets(st.integers(min(at), a.T - 1)), label="after")
+    b = a
+    for n in at:
+        b = mutate(b, n)
+    rep = _compare("x", a, b, bound, None)
+    want = naive_first_mismatch(a.coeffs, b.coeffs, bound)
+    assert want == (min(at) if at and min(at) <= bound else None)
+    assert rep.first_failure == want and rep.passed == (want is None)
+    assert rep.checked == bound
 
 
 def test_report_json_key_order():
