@@ -21,9 +21,14 @@ signs and value ranges:
   (Euler's and Jacobi's expansions, whose nonzero terms number about
   sqrt(T)), or a short signed one;
 - Kronecker substitution on the standard library's `decimal`, for two
-  dense operands or signed ones: each operand becomes one decimal number of
-  fixed-width base-10^w slots, and libmpdec multiplies the two with a
-  number-theoretic transform.
+  dense operands or signed ones: each operand becomes its exact value as
+  one decimal number of fixed-width base-10^w slots (a signed operand is
+  packed as x - lo and given back lo times the base-10^w repunit), and
+  libmpdec multiplies the two with a number-theoretic transform.  The
+  total's digits are read back a block of slots at a time through
+  machine-word lanes, two digit columns per integer operation, never one
+  `int` parse per slot; a signed total has 5 10^(w-1) added to every slot
+  first, so each reads as a nonnegative numeral, and taken off after.
 
 Slot widths come from the nonzero counts too: a slot sums at most
 min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
@@ -42,7 +47,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, islice
+from itertools import compress, islice, repeat
 from math import lcm
 from operator import add, sub
 from typing import Iterable
@@ -104,6 +109,14 @@ _EXACT = decimal.Context(
 )
 # slots this wide convert between int and str under any CPython digit limit
 _TEXT_DIGITS = sys.int_info.str_digits_check_threshold
+# ASCII digits to their values
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+# (most decimal digits, typecode) of each machine-word lane, narrowest first:
+# 2, 4, 9 and 19 digits in 1-, 2-, 4- and 8-byte lanes
+_LANES = tuple((len(str(2**bits - 1)) - 1, code) for bits, code in _SLOT_CODES.items())
+_LANE_DIGITS = _LANES[-1][0]
+# slots unpacked at a time: the lanes of a block stay a few tens of KB
+_UNPACK_BLOCK = 4096
 
 
 def _is_lacunary(nnz_a: int, nnz_b: int, length: int) -> bool:
@@ -157,35 +170,93 @@ def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int
 
 
 def _pack(xs: list[int], lo: int, hi: int, w: int) -> decimal.Decimal:
-    """Sum of (x - lo) 10^(w i) over xs, with every x in [lo, hi] and
-    hi - lo < 10^w: the text of w-digit slots, most significant first."""
-    slots = reversed(xs) if lo == 0 else map((-lo).__add__, reversed(xs))
-    if w > _TEXT_DIGITS:
-        text = "".join([str(decimal.Decimal(x)).zfill(w) for x in slots])
-    elif hi - lo < len(xs):
+    """Sum of x 10^(w i) over xs, exactly, with every x in [lo, hi], lo <= 0
+    and hi - lo < 10^w: the text of the w-digit slots x - lo, most
+    significant first, plus lo times the base-10^w repunit of len(xs)
+    slots."""
+    slots = reversed(xs) if lo == 0 else map(sub, reversed(xs), repeat(lo))
+    if hi - lo < len(xs):
         # one shared string per value, not one per coefficient
         table = [f"{v:0{w}d}" for v in range(hi - lo + 1)]
         text = "".join(map(table.__getitem__, slots))
     else:
-        text = "".join(map(f"%0{w}d".__mod__, slots))
-    return decimal.Decimal(text)
+        # slots wider than _TEXT_DIGITS go to text through Decimal, which
+        # no int-to-str digit limit applies to
+        digits = map(str, slots if w <= _TEXT_DIGITS else map(decimal.Decimal, slots))
+        text = "".join(map(str.zfill, digits, repeat(w)))
+    packed = decimal.Decimal(text)
+    return _EXACT.add(packed, _EXACT.multiply(lo, _repunit(w, len(xs)))) if lo else packed
 
 
-def _unpack(digits: str, w: int, n: int) -> list[int]:
-    """The n lowest w-digit slots of a decimal numeral, least first."""
+def _repunit(w: int, k: int) -> decimal.Decimal:
+    """Sum of 10^(w i) for i < k, exactly: (10^(w k) - 1) / (10^w - 1), one
+    short division."""
+    return _EXACT.divide(_EXACT.subtract(_EXACT.scaleb(1, w * k), 1), 10**w - 1)
+
+
+def _words(data: bytes, code: str, byteorder: str = sys.byteorder) -> list[int]:
+    """The little-endian machine words of data, of `array` typecode code, as
+    ints on a host of the given byte order."""
+    words = array(code, data)
+    del data  # the bytes are not kept beside the ints of tolist
+    if byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _lanes(raw: bytes, pairs: bytes, w: int, cols: range, byteorder: str) -> list[int]:
+    """The digits in columns cols (0 the most significant) of each w-digit
+    slot of raw, digit values 0-9 with the highest slot first, read as one
+    number per slot, least slot first; pairs[p] is 10 raw[p - 1] + raw[p].
+
+    Each slot gets one machine-word lane of an integer, little-endian lanes
+    read as one big-endian number: two columns at a time, pairs[k + 1::w]
+    fills the low byte of every lane and acc = 100 acc + that number (one
+    column alone first when their count is odd), so no lane ever carries
+    into the next.  Written back little-endian, the lanes come out least
+    slot first.
+    """
+    m = len(raw) // w
+    code = next(code for digits, code in _LANES if digits >= len(cols))
+    size = array(code).itemsize
+    buf = bytearray(m * size)
+    acc, start = 0, cols.start
+    if len(cols) % 2:
+        buf[size - 1 :: size] = raw[start::w]
+        acc, start = int.from_bytes(buf, "big"), start + 1
+    for k in range(start, cols.stop, 2):
+        buf[size - 1 :: size] = pairs[k + 1 :: w]
+        acc = 100 * acc + int.from_bytes(buf, "big")
+    return _words(acc.to_bytes(m * size, "little"), code, byteorder)
+
+
+def _unpack(digits: str, w: int, n: int, byteorder: str = sys.byteorder) -> list[int]:
+    """The n lowest w-digit slots of a decimal numeral, least first.
+
+    A block of _UNPACK_BLOCK slots at a time: its digits become bytes 0-9
+    through one translate, each byte plus ten times the one before it gives
+    every two-digit pair in one integer operation, and `_lanes` reads each
+    chunk of at most _LANE_DIGITS digit columns through machine-word lanes.
+    A slot wider than that is its chunks joined by one hi 10^c + lo pass
+    per chunk, so every width, past the int-to-str digit limit too, takes
+    this one path and no slot is parsed by `int`.
+    """
     digits = digits.zfill(n * w)
-    parse = int if w <= _TEXT_DIGITS else lambda t: int(decimal.Decimal(t))
     top = len(digits)
-    return [parse(digits[i - w : i]) for i in range(top, top - n * w, -w)]
-
-
-def _window_sums(xs: Iterable[int], width: int, n: int) -> list[int]:
-    """First n coefficients of xs * (1 + q + ... + q^(width-1)): each the
-    sum of a window of xs, by prefix sums."""
-    prefix = [0, *accumulate(xs)]
-    top = prefix[1 : n + 1] + [prefix[-1]] * (n + 1 - len(prefix))
-    bottom = [0] * (width - 1) + prefix[: max(n - width + 1, 0)]
-    return list(map(sub, top, bottom))
+    step = _UNPACK_BLOCK * w
+    first = w - _LANE_DIGITS * ((w - 1) // _LANE_DIGITS)
+    scale = 10**_LANE_DIGITS
+    out = []
+    for stop in range(top, top - n * w, -step):
+        raw = digits[max(stop - step, top - n * w) : stop].encode("ascii").translate(_DIGIT_VALUES)
+        value = int.from_bytes(raw, "big")
+        pairs = (value + 10 * (value >> 8)).to_bytes(len(raw), "big")
+        block = _lanes(raw, pairs, w, range(first), byteorder)
+        for k in range(first, w, _LANE_DIGITS):
+            chunk = _lanes(raw, pairs, w, range(k, k + _LANE_DIGITS), byteorder)
+            block = [hi * scale + lo for hi, lo in zip(block, chunk)]
+        out += block
+    return out
 
 
 def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -226,45 +297,46 @@ def _convolve_shift_add(pairs, bits: int, n: int) -> list[int]:
         if sys.byteorder == "big":
             words.byteswap()
         packed = int.from_bytes(words.tobytes(), "little")
+        del words  # not kept beside the unpacked total
         shifts = {}
         for j in compress(range(len(e)), e):
             shifts.setdefault(e[j], []).append(bits * (j + s))
         for y, by in shifts.items():
             total += y * sum(map(packed.__lshift__, by))
-    words = array(code, (total & ((1 << bits * n) - 1)).to_bytes(n * bits // 8, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tolist()
+    return _words((total & ((1 << bits * n) - 1)).to_bytes(n * bits // 8, "little"), code)
 
 
-def _convolve_decimal(packed, bound: int, n: int) -> list[int]:
+def _convolve_decimal(packed, scale: int, n: int) -> list[int]:
     """First n terms of the sum of q^s a*b over the (a, b, s, lo_a, hi_a,
-    lo_b, hi_b) in packed, every slot of the biased total at most bound.
+    lo_b, hi_b) in packed, lo <= min(0, least value) and hi the largest,
+    when the sum over its pairs of min(nnz a, nnz b) max|a| max|b| is scale.
 
-    Kronecker substitutions in one base 10^w: each operand, biased to be
-    nonnegative, becomes one `decimal.Decimal` of w-digit slots, libmpdec
+    Kronecker substitutions in one base 10^w: each operand becomes its exact
+    value as one `decimal.Decimal` of w-digit slots (`_pack`), libmpdec
     multiplies each pair, the products are added exactly, each shifted s
-    slots, and the total's text is cut back into slots once.  With
-    a' = a - lo_a and b' = b - lo_b, the bias comes off in O(n):
-    a*b = a'*b' + lo_b (a' * 1_len(b)) + lo_a (b * 1_len(a)), each product
-    with a run of ones being a window sum.
+    slots, and the total's text is cut back into slots once (`_unpack`).
+    Every slot of the total lies in [-scale, scale].  With no negative
+    operand w holds scale; otherwise w holds 2 scale, 5 10^(w-1) is added
+    to every slot of the total so each lies in [0, 10^w), and one pass over
+    the unpacked slots takes it off.
     """
-    w = decimal.Decimal(bound).adjusted() + 1
+    signed = any(lo_a or lo_b for _, _, _, lo_a, _, lo_b, _ in packed)
+    w = decimal.Decimal(2 * scale if signed else scale).adjusted() + 1
     # from an exact zero the sum keeps exponent 0, so its text has no exponent
     total = decimal.Decimal(0)
     for a, b, s, lo_a, hi_a, lo_b, hi_b in packed:
         prod = _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))
         total = _EXACT.add(total, _EXACT.scaleb(prod, w * s) if s else prod)
-    out = _unpack(str(total), w, n)
-    for a, b, s, lo_a, _, lo_b, _ in packed:
-        k = min(n - s, len(a) + len(b) - 1)
-        if lo_b:
-            sums = _window_sums(map((-lo_a).__add__, a), len(b), k)
-            out[s : s + k] = [x + lo_b * y for x, y in zip(out[s : s + k], sums)]
-        if lo_a:
-            sums = _window_sums(b, len(a), k)
-            out[s : s + k] = [x + lo_a * y for x, y in zip(out[s : s + k], sums)]
-    return out
+        del prod  # no product outlives its turn beside the total
+    half = 5 * 10 ** (w - 1)
+    if signed:
+        slots = max(s + len(a) + len(b) - 1 for a, b, s, *_ in packed)
+        total = _EXACT.add(total, _EXACT.multiply(half, _repunit(w, slots)))
+    # only the n lowest slots' text outlives the total
+    digits = str(total)[-n * w :]
+    del total
+    out = _unpack(digits, w, n)
+    return [x - half for x in out] if signed else out
 
 
 def _convolve_int_sum(pairs, n_out: int) -> list[int]:
@@ -274,15 +346,14 @@ def _convolve_int_sum(pairs, n_out: int) -> list[int]:
     Each product goes to the kernel `_kernel` picks from its operands'
     nonzero counts, lengths and values.  The shift-add products share one
     binary total and the decimal ones one decimal total, each unpacked
-    once.  A slot of a*b sums at most min(nnz a, nnz b) terms (for the
-    decimal kernel, of the operands biased to be nonnegative, a biased
-    operand counted at its length), so each total's slot is sized by the
-    sum over its pairs of that count times the operands' ranges: no slot
-    overflows into its neighbour.
+    once.  A slot of a*b sums at most min(nnz a, nnz b) terms, so each
+    total's slot is sized by the sum over its pairs of that count times
+    max|a| max|b| (doubled by `_convolve_decimal` for a signed total): no
+    slot overflows into its neighbour.
     """
     out = None
     shifted, packed = [], []
-    slot = bound = 0
+    slot = scale = 0
     for a, b, s in pairs:
         n = n_out - s
         if n <= 0:
@@ -304,15 +375,13 @@ def _convolve_int_sum(pairs, n_out: int) -> list[int]:
             slot = with_pair
             shifted.append((a, b, s))
         else:
-            lo_a, lo_b = min(lo_a, 0), min(lo_b, 0)
-            count = min(len(a) if lo_a else nnz_a, len(b) if lo_b else nnz_b)
-            bound += count * max(hi_a - lo_a, 1) * max(hi_b - lo_b, 1)
-            packed.append((a, b, s, lo_a, hi_a, lo_b, hi_b))
+            scale += min(nnz_a, nnz_b) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
+            packed.append((a, b, s, min(lo_a, 0), hi_a, min(lo_b, 0), hi_b))
     if shifted:
         total = _convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out))
         out = _add_shifted(out, total, 0, n_out)
     if packed:
-        total = _convolve_decimal(packed, bound, _reach(packed, n_out))
+        total = _convolve_decimal(packed, scale, _reach(packed, n_out))
         out = _add_shifted(out, total, 0, n_out)
     return [0] * n_out if out is None else out
 

@@ -5,6 +5,8 @@ binomial factor at a time, divisor sums come from trial division, and
 characters from Euler's criterion.  Slow on purpose.
 """
 
+from decimal import Decimal
+
 
 def mult_binomial(c: list[int], n: int) -> list[int]:
     """Multiply a coefficient list by (1 - q^n), in place."""
@@ -187,6 +189,15 @@ def evaluate_product_mod(a: list[int], b: list[int], n: int, x: int) -> int:
         total = (total + v * xp * prefix[min(n - i, len(prefix) - 1)]) % P
         xp = xp * x % P
     return total
+
+
+def unpack_per_slot(digits: str, w: int, n: int) -> list[int]:
+    """The n lowest w-digit slots of a decimal numeral, least first, zero
+    filled when it is shorter, each slot parsed on its own (through
+    `Decimal`, which no int-to-str digit limit applies to)."""
+    digits = digits.zfill(n * w)
+    top = len(digits)
+    return [int(Decimal(digits[i - w : i])) for i in range(top, top - n * w, -w)]
 
 
 def dumps_per_line(s) -> str:

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -28,6 +30,7 @@ from oracles import (
     evaluate_product_mod,
     loads_per_line,
     naive_scale,
+    unpack_per_slot,
 )
 
 M7 = ModRing(7)
@@ -592,7 +595,7 @@ def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, mon
 @st.composite
 def _sum_operands(draw, ring):
     """Empty, all-zero, lacunary or dense operands: residues over Z/m, signed
-    over Z, so the packed path biases them."""
+    over Z, so the packed path offsets them."""
     kind = draw(st.sampled_from(("empty", "zero", "lacunary", "dense")))
     if kind == "empty":
         return []
@@ -633,8 +636,8 @@ _BIASED = [-9 if i % 10 == 0 else 0 for i in range(300)]
 # first pair and 39 of the second, shifted one slot, so it equals the width's
 # bound (40 + 39) 144 = 11376, all five digits of w
 @example((ModRing(13), [(_TOP, _TOP, 0), (_TOP[:39], _TOP, 1)]))
-# a biased lacunary operand: a - lo has 270 nonzero terms, not 30, and its
-# slots need the width of that count
+# a signed lacunary operand: a - lo, the text it is packed from, has 270
+# nonzero terms, not 30, and the exact value its repunit term restores has 30
 @example((ZZ, [(_BIASED, [9] * 300, 1)]))
 @example((ModRing(7), []))
 def test_convolve_sum_matches_the_sum_of_shifted_schoolbook_products(case):
@@ -783,6 +786,194 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
     ), counting("schoolbook", qseries._convolve_int_schoolbook, lambda args: 1):
         assert convolve_sum(ring, pairs, top + 3) == want
     assert ran == Counter(due)
+
+
+# ---- the decimal kernel's decode: machine-word lanes ----
+
+BLOCK = qseries._UNPACK_BLOCK
+# lane boundaries (2, 4, 9 and 19 digits fill 1-, 2-, 4- and 8-byte lanes),
+# chunked slots past 19 digits, and one past the int-to-str threshold
+DECODE_WIDTHS = (1, 2, 3, 4, 5, 9, 10, 19, 20, 24, 33, 641)
+
+
+def _numeral(rng, w: int, n: int) -> str:
+    """n w-digit slots, most significant first: random ones, with an
+    all-nines slot 10^w - 1 and an all-zero one at each end."""
+    digits = "".join(rng.choices("0123456789", k=n * w))
+    slots = [digits[i : i + w] for i in range(0, n * w, w)]
+    for i in {0, n // 2}:
+        slots[i] = "9" * w
+    for i in {n - 1, n // 3} - {0, n // 2}:
+        slots[i] = "0" * w
+    return "".join(slots)
+
+
+@pytest.mark.parametrize("w", DECODE_WIDTHS)
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_unpack_matches_the_per_slot_parse(w, n):
+    rng = random.Random(f"unpack {w} {n}")
+    text = _numeral(rng, w, n)
+    assert qseries._unpack(text, w, n) == unpack_per_slot(text, w, n)
+    # slots above the n read: the total is longer than its kept part
+    longer = _numeral(rng, w, 3) + text
+    assert qseries._unpack(longer, w, n) == unpack_per_slot(text, w, n)
+    # a numeral shorter than n w digits is zero-filled: its top slots are 0
+    short = ("9" + text)[: max(1, len(text) // 2)]
+    assert qseries._unpack(short, w, n) == unpack_per_slot(short, w, n)
+    assert qseries._unpack("0", w, n) == [0] * n
+
+
+@pytest.mark.parametrize("w", DECODE_WIDTHS[:-1])
+def test_unpack_of_the_extreme_slots(w):
+    assert qseries._unpack("0" * w, w, 1) == [0]
+    assert qseries._unpack("9" * w, w, 1) == [10**w - 1]
+    assert qseries._unpack("9" * (3 * w), w, 3) == [10**w - 1] * 3
+
+
+@pytest.mark.parametrize("w", [1, 9, 10, 20])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_unpack_across_the_block_boundaries(w, n):
+    # the least significant slot is 0 and the most 10^w - 1, on opposite
+    # sides of every block edge
+    rng = random.Random(f"block {w} {n}")
+    text = _numeral(rng, w, n)
+    got = qseries._unpack(text, w, n)
+    assert got == unpack_per_slot(text, w, n)
+    assert got[0] == 0 and got[-1] == 10**w - 1
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 9, 10, 19])
+def test_unpack_reads_words_in_either_byte_order(w):
+    # the lanes go out as little-endian words; a big-endian host reads each
+    # byte-reversed, and its branch swaps it back.  On a host of the other
+    # order that same branch shows as every value byte-reversed in a lane
+    # of the width its digits need
+    rng = random.Random(f"byte order {w}")
+    n = 300
+    text = _numeral(rng, w, n)
+    want = unpack_per_slot(text, w, n)
+    assert qseries._unpack(text, w, n, sys.byteorder) == want
+    other = {"little": "big", "big": "little"}[sys.byteorder]
+    size = next(size for size in (1, 2, 4, 8) if 10**w <= 256**size)
+    swapped = qseries._unpack(text, w, n, other)
+    assert [int.from_bytes(v.to_bytes(size, "little"), "big") for v in swapped] == want
+
+
+# ---- the decimal kernel's signed offset ----
+
+
+def _count_decimal_calls(monkeypatch) -> list:
+    """The number of pairs in each call of the decimal kernel, as made."""
+    ran = []
+    convolve_decimal = qseries._convolve_decimal
+
+    def counted(*args):
+        ran.append(len(args[0]))
+        return convolve_decimal(*args)
+
+    monkeypatch.setattr(qseries, "_convolve_decimal", counted)
+    return ran
+
+
+# (shape of a, shape of b): all-negative, mixed and one-nonzero operands
+SIGNED_SHAPES = (
+    ("negative", "negative"),
+    ("negative", "mixed"),
+    ("mixed", "mixed"),
+    ("one", "negative"),
+    ("one", "mixed"),
+    ("one", "one"),
+    ("edge-negative", "edge"),
+)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, QUAD], ids=lambda r: r.tag)
+@pytest.mark.parametrize("shapes", SIGNED_SHAPES, ids="-".join)
+def test_signed_products_through_the_decimal_kernel(ring, shapes, monkeypatch):
+    # every integer product is sent to the decimal kernel, one-nonzero
+    # operands too, which alone would go to the schoolbook
+    ran = _count_decimal_calls(monkeypatch)
+    monkeypatch.setattr(qseries, "_kernel", lambda *args: "decimal")
+    rng = random.Random(f"signed {ring.tag} {shapes}")
+    for h in HEIGHTS:
+        for la, lb in ((1, 1), (1, 30), (40, 40), (57, 23)):
+            a = _shaped(ring, rng, la, shapes[0], h)
+            b = _shaped(ring, rng, lb, shapes[1], h)
+            want = convolve_schoolbook(ring, a, b, la + lb + 2)
+            for n in {1, min(la, lb), la + lb - 1, la + lb + 2}:
+                assert convolve(ring, a, b, n) == want[:n], (h, la, lb, n)
+    assert ran
+
+
+def _at_the_signed_bound(ring, xs: list[int]) -> list:
+    if ring == QQ:
+        return [Fraction(x) for x in xs]
+    if ring == QUAD:
+        return [QuadInt(x, 0) for x in xs]
+    return xs
+
+
+# (n, h): the middle slot of n terms of +-h times n of +-h is n h^2, the
+# signed bound itself, whose leading digit is 5 or more, so a width for the
+# bound not doubled leaves no room for the offset: 640, 5000 = 5 10^3,
+# 31 127^2 = 5 10^5 - 1, 540, 9 10^19 and 5 10^41
+AT_THE_BOUND = ((40, 4), (50, 10), (31, 127), (60, 3), (90, 10**9), (50, 10**20))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, QUAD], ids=lambda r: r.tag)
+@pytest.mark.parametrize("n, h", AT_THE_BOUND)
+def test_signed_slots_exactly_at_the_bound(ring, n, h, monkeypatch):
+    ran = _count_decimal_calls(monkeypatch)
+    for sa, sb in ((-1, -1), (1, -1), (-1, 1)):
+        a = _at_the_signed_bound(ring, [sa * h] * n)
+        b = _at_the_signed_bound(ring, [sb * h] * n)
+        got = convolve(ring, a, b, 2 * n - 1)
+        assert got == convolve_schoolbook(ring, a, b, 2 * n - 1), (sa, sb)
+        assert got[n - 1] == ring.from_int(sa * sb * n * h * h)
+    assert ran
+
+
+@pytest.mark.parametrize("order", ["signed first", "signed last"])
+def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypatch):
+    # both pairs go to the decimal kernel, the nonnegative one because its
+    # slots pass 64 bits: one signed total, offset once for both
+    ran = _count_decimal_calls(monkeypatch)
+    rng = random.Random(order)
+    h = 10**12
+    signed = ([rng.randint(-h, h) for _ in range(70)], [-h] * 40 + [rng.randint(-h, 0) for _ in range(25)], 0)
+    nonnegative = ([h] * 60, [rng.randint(0, h) for _ in range(80)], 1)
+    pairs = [signed, nonnegative] if order == "signed first" else [nonnegative, signed]
+    top = max(s + len(a) + len(b) - 1 for a, b, s in pairs)
+    for n in (64, top, top + 2):
+        want = [0] * n
+        for a, b, s in pairs:
+            for k, x in enumerate(convolve_schoolbook(ZZ, a, b, max(n - s, 0))):
+                want[s + k] += x
+        assert convolve_sum(ZZ, pairs, n) == want, n
+    assert ran == [2] * 3
+
+
+def test_large_products_stay_within_the_traced_peak_of_the_per_slot_parse():
+    # two 100,001-term products, as perfbench's large kernels operands: one
+    # over Z/7, one over Z with operands in [0, 76].  With one int parse per
+    # slot they peaked at 6.18 and 6.95 MB of traced memory (Python 3.11);
+    # the lane decode, a block of slots at a time, must stay within that
+    n = 100_001
+    rng = random.Random(1)
+    a = [rng.randrange(77) for _ in range(n)]
+    b = [rng.randrange(77) for _ in range(n)]
+    outs, peaks = [], []
+    for ring, x, y in ((M7, [v % 7 for v in a], [v % 7 for v in b]), (ZZ, a, b)):
+        tracemalloc.start()
+        try:
+            outs.append(convolve(ring, x, y, n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 6_180_000 and peaks[1] <= 6_950_000, peaks
+    point = rng.randrange(2, MERSENNE_61 - 1)
+    assert evaluate_mod(outs[1], point) == evaluate_product_mod(a, b, n, point)
+    assert outs[0] == [v % 7 for v in outs[1]]
 
 
 # ---- mutation sanity for the container ----
