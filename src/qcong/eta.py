@@ -16,11 +16,13 @@ other classes: after the rewrite the factors split as H(q) G(q^p), G from
 the factors with p | d, and class r of the product is class r of H times
 G.  Class r of H is the sum, over the nonempty classes t of its factor f
 of largest d, of class t of f times class r - t of the rest of H, the
-head, added exactly before one unpack (`qseries.convolve_sum`).  A series
-that is one product of two lacunary ones, as eta(z)^4 = eta^3 eta, is
-formed one class at a time from the terms of Jacobi's and Euler's index
-formulas, so no list of its full length exists; any other head is built
-at full length and sliced.
+head, added exactly before one unpack (`qseries.convolve_sum`).  A head
+eta(dz)^e with e in 1..4 or 6 is at most two of Jacobi's and Euler's
+series, as eta(z)^4 = eta^3 eta: their terms from the index formulas are
+split into rows by class mod p once, and each class of the product is a
+sum of row products through `qseries`' one nonzero-term product loop, so
+no list of its full length exists; any other head is built at full length
+and sliced.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
@@ -31,7 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .qseries import QSeries, _is_lacunary, convolve, convolve_sum
+from .qseries import QSeries, _add_products, convolve, convolve_sum
 from .ring import ZZ, ModRing, Ring, is_prime
 
 __all__ = [
@@ -282,38 +284,33 @@ def _lacunary_parts(factors: tuple, N: int, ring: Ring) -> list | None:
 
 def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict[int, list]:
     # classes c of a*b mod m to N terms, each as its coefficients c, c + p,
-    # ... < N, from the (index, value) terms of a and b in index order.  With
-    # i = p*u + s and j = p*v + (c - s) mod p, the term i of a meets only b's
-    # class (c - s) mod p, at position u + v of class c, plus one when s > c;
-    # each row stops at the first term past N.
-    rows = [[] for _ in range(p)]
-    for j, y in b:
-        rows[j % p].append((j // p, y))
-    a = [(*divmod(i, p), x) for i, x in a]
+    # ... < N, from the (index, value) terms of a and b in index order.  Each
+    # is split once into rows by class mod p, (i // p, x) for i in class s:
+    # class c of a*b is the sum over s of a's row s times b's row (c - s) %
+    # p, one place higher when s > c, each through the one product loop.
+    rows_a, rows_b = [[] for _ in range(p)], [[] for _ in range(p)]
+    for terms, rows in ((a, rows_a), (b, rows_b)):
+        for i, x in terms:
+            rows[i % p].append((i // p, x))
     out = {}
     for c in classes:
         cls = [0] * len(range(c, N, p))
-        for u, s, x in a:
-            base = u + (s > c)
-            lim = len(cls) - base
-            for v, y in rows[(c - s) % p]:
-                if v >= lim:
-                    break
-                cls[base + v] += x * y
+        for s in range(p):
+            _add_products(cls, rows_a[s], rows_b[(c - s) % p], int(s > c))
         # every value is a sum of products of residues: reduce only if one
         # reached m (a class of a single series never does)
-        out[c] = cls if max(cls, default=0) < m else [*map(m.__rmod__, cls)]
+        out[c] = cls if max(cls, default=0) < m else [x % m for x in cls]
     return out
 
 
 def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int, list]:
     # classes c of the quotient of `factors` to N terms, each as its
-    # coefficients c, c + p, ... < N.  One product of two lacunary series,
-    # by the nonzero-count rule of qseries.convolve, is formed one class at
-    # a time from its terms, with no list of N terms; any other quotient is
-    # built at full length and sliced.
+    # coefficients c, c + p, ... < N.  eta(dz)^e with e in 1..4 or 6, and
+    # the empty quotient, are at most two of Jacobi's and Euler's series:
+    # formed one class at a time from their terms, with no list of N terms.
+    # Any other quotient is built at full length and sliced.
     parts = _lacunary_parts(factors, N, ring)
-    if parts is not None and _is_lacunary(len(parts[0]), len(parts[1]), 2 * N):
+    if parts is not None:
         return _classes_of_terms(*parts, p, classes, N, ring.modulus)
     full = _quotient_series(factors, N, ring).coeffs
     return {c: full[c::p] for c in classes}
@@ -344,14 +341,13 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     times G.  Class r of H, to N = p(T - 1) + r + 1 terms of H, is the sum
     over the nonempty classes t of H's factor f of largest d of class t of
     f times class r - t of the head, H without f (one exponent higher when
-    t > r).  Only those head classes are built: from the terms of Jacobi's
-    and Euler's series when the head is one product of two lacunary series
-    by the nonzero-count rule of `qseries.convolve`, else sliced from the
-    head built at length N.  For delta_3 mod 7 the head is eta(z)^4 =
-    eta^3 eta, of which 4 classes of about N/7 terms are formed, meeting
-    the 4 nonempty classes of eta(2z) in one `convolve_sum`; then one
-    product with G = eta(2z)^6 / eta(14z).  For delta_5 mod 11 the head
-    eta(z)^8 is built at length N.
+    t > r).  Only those head classes are built: from the class rows of
+    Jacobi's and Euler's series when the head is eta(dz)^e with e in 1..4
+    or 6, else sliced from the head built at length N.  For delta_3 mod 7
+    the head is eta(z)^4 = eta^3 eta, of which 4 classes of about N/7 terms
+    are formed, meeting the 4 nonempty classes of eta(2z) in one
+    `convolve_sum`; then one product with G = eta(2z)^6 / eta(14z).  For
+    delta_5 mod 11 the head eta(z)^8 is built at length N.
     """
     if not is_prime(p):
         raise ValueError(f"need a prime modulus, got {p}")

@@ -19,7 +19,8 @@ signs and value ranges:
 - a schoolbook over the nonzero terms of both operands, while
   nnz(a) nnz(b) is small against their length: two lacunary operands
   (Euler's and Jacobi's expansions, whose nonzero terms number about
-  sqrt(T)), or a short signed one;
+  sqrt(T)), or a short signed one.  Its loop, `_add_products`, is the one
+  nonzero-term product loop: `eta`'s class split runs its rows through it;
 - Kronecker substitution on the standard library's `decimal`, for two
   dense operands or signed ones: each operand becomes its exact value as
   one decimal number of fixed-width base-10^w slots (a signed operand is
@@ -119,12 +120,6 @@ _LANE_DIGITS = _LANES[-1][0]
 _UNPACK_BLOCK = 4096
 
 
-def _is_lacunary(nnz_a: int, nnz_b: int, length: int) -> bool:
-    """Whether two operands of `length` terms in all, nnz_a and nnz_b of them
-    nonzero, are few enough products for the nonzero-term schoolbook."""
-    return nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * length
-
-
 def _slot_bits(bound: int) -> int | None:
     """The narrowest machine-word slot that holds every value in [0, bound],
     None past 64 bits."""
@@ -148,24 +143,29 @@ def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, lo: int, slot: int) 
     bits = _slot_bits(slot) if lo >= 0 and nnz_b else None
     if bits and nnz_b * bits <= _SHIFT_ADD_BITS and nnz_a * _SCHOOLBOOK_BITS >= len_a * bits:
         return "shift"
-    return "schoolbook" if _is_lacunary(nnz_a, nnz_b, len_a + len_b) else "decimal"
+    lacunary = nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * (len_a + len_b)
+    return "schoolbook" if lacunary else "decimal"
 
 
-def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int]:
-    # one loop over the nonzero terms of both operands (`compress` skips the
-    # zeros in C); b's are listed once, in index order, so each row stops at
-    # the first term past the output, and not at all when a is zero
-    out = [0] * n_out
-    if not any(a):
-        return out
-    terms_b = [(j, b[j]) for j in compress(range(len(b)), b)]
-    for i in compress(range(len(a)), a):
-        x = a[i]
-        lim = n_out - i
+def _add_products(out: list[int], terms_a, terms_b, shift: int = 0) -> None:
+    """Add x y into out[i + j + shift] for each (i, x) of terms_a and (j, y)
+    of terms_b, in place: the one nonzero-term product loop.  terms_b is in
+    index order, so each row stops at the first term past the end of out."""
+    for i, x in terms_a:
+        base = i + shift
+        lim = len(out) - base
         for j, y in terms_b:
             if j >= lim:
                 break
-            out[i + j] += x * y
+            out[base + j] += x * y
+
+
+def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int]:
+    # the nonzero terms of both operands (`compress` and `filter` skip the
+    # zeros in C) through the one product loop; b's are listed once
+    out = [0] * n_out
+    terms_b = list(zip(compress(range(len(b)), b), filter(None, b)))
+    _add_products(out, zip(compress(range(len(a)), a), filter(None, a)), terms_b)
     return out
 
 

@@ -314,10 +314,12 @@ class ModRing(Ring):
     # the list forms reduce every result with %, so an unreduced residue
     # (9 or -1 mod 7) comes out reduced, never wrapped into a wrong value
     def mul_each(self, c: int, xs: list) -> list:
-        return list(map(self.modulus.__rmod__, map(operator.mul, repeat(c), xs)))
+        m = self.modulus
+        return [x % m for x in map(operator.mul, repeat(c), xs)]
 
     def add_each(self, xs: list, ys: list) -> list:
-        return list(map(self.modulus.__rmod__, map(operator.add, xs, ys)))
+        m = self.modulus
+        return [x % m for x in map(operator.add, xs, ys)]
 
     def from_int(self, n: int) -> int:
         return n % self.modulus

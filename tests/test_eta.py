@@ -15,6 +15,7 @@ from qcong.eta import (
     _frobenius_reduced,
     _jacobi_cube_coeffs,
     _inner_T,
+    _quotient_series,
     dilated,
     eta_quotient_progression,
     eta_quotient_series,
@@ -347,10 +348,11 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     # sum delta_3(7n+5) q^n to T terms reads N = 7(T-1) + 6 terms of the
     # quotient and builds nothing at that length.  eta(z)^4 = eta^3 eta is
     # one product of two lacunary series, so only its four classes that
-    # meet eta(2z)'s four nonempty classes mod 7 are formed, term by term
-    # from the index formulas.  The four class products, none shifted since
-    # the nonempty classes 0, 2, 3, 4 of eta(2z) are at most 5, are one
-    # convolve_sum, and every operand packed is one residue class mod 7.
+    # meet eta(2z)'s four nonempty classes mod 7 are formed, from the class
+    # rows of the index formulas' terms.  The four class products, none
+    # shifted since the nonempty classes 0, 2, 3, 4 of eta(2z) are at most
+    # 5, are one convolve_sum, and every operand packed is one residue class
+    # mod 7.
     T = 54882
     N = 7 * (T - 1) + 6
     e = EtaQuotient(_DELTA3)
@@ -418,6 +420,54 @@ def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
     s = eta_quotient_progression(EtaQuotient(_DELTA5), 11, 6, T)
     assert s.T == T and max(outputs) == N and outputs.count(N) == 3
     assert len(sums) == 1 and sums[0][0] == T
+
+
+@pytest.mark.parametrize(
+    "factors", [(), *(((d, e),) for d in (1, 2, 5) for e in (1, 2, 3, 4, 6))], ids=str
+)
+def test_lacunary_heads_take_the_term_path_through_the_one_product_loop(monkeypatch, factors):
+    # eta(dz)^e with e in 1..4 or 6, and the empty quotient, are at most two
+    # of Jacobi's and Euler's series: every class mod p is formed from
+    # their terms, p row products per class through qseries' one loop, and
+    # no quotient is built at any length
+    p, N = 7, 600
+    ring = ModRing(p)
+    want = _quotient_series(factors, N, ring).coeffs if factors else [1] + [0] * (N - 1)
+    assert qcong.eta._add_products is qcong.qseries._add_products
+    loops, built = [], []
+    add_products, quotient_series = qcong.eta._add_products, qcong.eta._quotient_series
+
+    def counting_loop(out, *args):
+        loops.append(len(out))
+        return add_products(out, *args)
+
+    def counting_quotient(factors, T, ring):
+        built.append(T)
+        return quotient_series(factors, T, ring)
+
+    monkeypatch.setattr(qcong.eta, "_add_products", counting_loop)
+    monkeypatch.setattr(qcong.eta, "_quotient_series", counting_quotient)
+    classes = qcong.eta._classes(factors, p, range(p), N, ring)
+    assert built == []
+    assert sorted(loops) == sorted(len(range(c, N, p)) for c in range(p) for _ in range(p))
+    assert {c: want[c::p] for c in range(p)} == classes
+
+
+def test_other_heads_are_built_at_full_length_and_sliced(monkeypatch):
+    # eta(z)^5 is three series and eta(z)^-1 none: both are built at N
+    p, N = 7, 600
+    ring = ModRing(p)
+    built, quotient_series = [], qcong.eta._quotient_series
+
+    def counting_quotient(factors, T, ring):
+        built.append(T)
+        return quotient_series(factors, T, ring)
+
+    monkeypatch.setattr(qcong.eta, "_quotient_series", counting_quotient)
+    for factors in (((1, 5),), ((1, -1),)):
+        built.clear()
+        classes = qcong.eta._classes(factors, p, [3], N, ring)
+        assert built == [N] and classes == {3: quotient_series(factors, N, ring).coeffs[3::p]}
 
 
 @st.composite

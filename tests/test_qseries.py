@@ -657,6 +657,51 @@ def test_convolve_sum_takes_only_z_and_z_mod_m():
         convolve_sum(QQ, [([Fraction(1, 2)], [Fraction(1, 3)], 0)], 1)
 
 
+# ---- the one nonzero-term product loop ----
+
+
+def _terms(xs: list[int]) -> list[tuple[int, int]]:
+    return [(i, x) for i, x in enumerate(xs) if x]
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=30),
+    st.lists(st.integers(-9, 9), max_size=30),
+    st.integers(1, 70),
+    st.integers(0, 1),
+)
+@settings(max_examples=150, deadline=None)
+# empty rows on either side; an out of one term, the shifted row then past
+# it; rows cut at the output, with a zero at the cut
+@example([], [1, 2], 5, 0)
+@example([3, 0, 1], [], 5, 1)
+@example([1, 2, 3], [4, 5], 1, 0)
+@example([1, 2, 3], [4, 5], 1, 1)
+@example([0, 2] * 10, [1, 0, 3] * 10, 12, 1)
+@example([5] * 30, [0, -7] * 15, 30, 0)
+def test_add_products_matches_the_schoolbook(a, b, n, shift):
+    # it adds into what out holds, shift places up, and stops at its end
+    out = [4] * n
+    qseries._add_products(out, _terms(a), _terms(b), shift)
+    want = [0] * shift + convolve_schoolbook(ZZ, a, b, max(n - shift, 0))
+    assert out == [4 + x for x in want[:n]]
+
+
+def test_the_dense_schoolbook_runs_through_the_one_product_loop(monkeypatch):
+    rows = []
+    add_products = qseries._add_products
+
+    def counting(out, terms_a, terms_b, shift=0):
+        terms_a = list(terms_a)
+        rows.append((len(out), terms_a, terms_b, shift))
+        return add_products(out, terms_a, terms_b, shift)
+
+    monkeypatch.setattr(qseries, "_add_products", counting)
+    a, b = [0, 2, 0, -1], [3, 0, 0, 5, 1]
+    assert qseries._convolve_int_schoolbook(a, b, 6) == convolve_schoolbook(ZZ, a, b, 6)
+    assert rows == [(6, _terms(a), _terms(b), 0)]
+
+
 # ---- the shift-add kernel: a dense operand times a sparse one ----
 
 BITS = qseries._SHIFT_ADD_BITS
@@ -672,8 +717,9 @@ def _shift_add_case(draw):
     shifted 0 or 1.  The sparse one has from one nonzero term up to the most
     the shift-add takes with the pairs before it, never more than the dense
     one has, index 0 and the last index among them as drawn.  Then maybe a
-    lacunary pair for the schoolbook and, over Z, a signed dense pair for
-    the decimal multiply.  `due` names each pair's kernel."""
+    lacunary pair for the schoolbook and, over Z, a signed pair, dense for
+    the decimal multiply unless the draw zeroed most of it.  `due` names
+    each pair's kernel."""
     ring = draw(st.sampled_from([ZZ] + [ModRing(p) for p in (2, 3, 5, 7, 11, 13)]))
     top = ring.modulus - 1 if ring != ZZ else draw(st.sampled_from((1, 255, 2**16, 2**20)))
     value = st.integers(1, top)
@@ -704,9 +750,12 @@ def _shift_add_case(draw):
         pairs.append((a, b, draw(st.integers(0, 1))))
         due.append("schoolbook")
     if ring == ZZ and draw(st.booleans()):
-        signed = st.integers(-top, top)
-        pairs.append((draw(st.lists(signed, min_size=40, max_size=40)), [-top] * 40, 1))
-        due.append("decimal")
+        # a signed pair never takes the shift-add, whatever its neighbours:
+        # the decimal multiply when dense, the schoolbook when the draw left
+        # its first operand with 24 or fewer nonzero terms
+        signed = (draw(st.lists(st.integers(-top, top), min_size=40, max_size=40)), [-top] * 40)
+        pairs.append((*signed, 1))
+        due.append(_rule(*signed))
     return ring, pairs, due
 
 
@@ -747,6 +796,8 @@ def _ones(n: int, at, y: int = 1) -> list[int]:
 # a sparse pair, the decimal multiply a dense one
 @example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2], 0)], ["schoolbook"]))
 @example((ZZ, [([3] * 39 + [-1], [2] * 40, 0)], ["decimal"]))
+# a signed pair drawn all zero on one side is lacunary: the schoolbook
+@example((ZZ, [([1], [1], 0), ([0] * 40, [-1] * 40, 1)], ["shift", "schoolbook"]))
 # one sum over Z/7 mixing all three kernels
 @example(
     (
