@@ -35,9 +35,21 @@ Slot widths come from the nonzero counts too: a slot sums at most
 min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
 narrow slots.  `convolve_sum` adds several products, each shifted, over Z
 or Z/m: its shift-add products share one binary total and its decimal ones
-one decimal total, each sized for the sum and unpacked once.  Every kernel
-is exact; property tests assert they agree with the generic schoolbook,
-the oracle for every ring.
+one decimal total, each sized for the sum and unpacked once.
+
+Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11) an
+operand that is checked to hold residues in [0, m) is carried as bytes:
+`bytes` and one translate check it, byte counts and membership tests give
+its nonzero count and largest value, so the kernel and every slot width
+are what the integer path would choose, and it is packed by slices of
+translated bytes.  Both totals come back as residues: each lane byte or
+digit column goes through a table of v base^e mod m, and the columns are
+added as integers a few at a time, so no byte carries, and reduced by one
+more translate.  No total is unpacked into ints and no `% m` pass runs
+over it.  Any other operand takes the integer path, reduced at the end.
+
+Every kernel is exact; property tests assert they agree with the generic
+schoolbook, the oracle for every ring.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ import io
 import sys
 from array import array
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, islice, repeat
 from math import lcm
 from operator import add, sub
@@ -118,6 +130,12 @@ _LANES = tuple((len(str(2**bits - 1)) - 1, code) for bits, code in _SLOT_CODES.i
 _LANE_DIGITS = _LANES[-1][0]
 # slots unpacked at a time: the lanes of a block stay a few tens of KB
 _UNPACK_BLOCK = 4096
+# Z/m with m up to this carries each operand, once checked, as bytes: two
+# residues then fit a byte together, so `_fold` adds at least two columns
+# before it reduces
+_BYTE_MODULUS = 128
+# the ASCII digit of column e (the 10^e place) of each byte value, e < 3
+_DIGIT_COLUMNS = tuple(bytes(48 + v // 10**e % 10 for v in range(256)) for e in range(3))
 
 
 def _slot_bits(bound: int) -> int | None:
@@ -169,11 +187,18 @@ def _convolve_int_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int
     return out
 
 
-def _pack(xs: list[int], lo: int, hi: int, w: int) -> decimal.Decimal:
+def _pack(xs: list[int] | bytes, lo: int, hi: int, w: int) -> decimal.Decimal:
     """Sum of x 10^(w i) over xs, exactly, with every x in [lo, hi], lo <= 0
     and hi - lo < 10^w: the text of the w-digit slots x - lo, most
     significant first, plus lo times the base-10^w repunit of len(xs)
-    slots."""
+    slots.  Residues carried as bytes (lo = 0) write each of hi's digit
+    columns into a zero-filled numeral as one slice of translated bytes."""
+    if isinstance(xs, bytes):
+        text = bytearray(b"0") * (len(xs) * w)
+        backwards = xs[::-1]
+        for e in range(min(w, len(str(hi)))):
+            text[w - 1 - e :: w] = backwards.translate(_DIGIT_COLUMNS[e])
+        return decimal.Decimal(text.decode("ascii"))
     slots = reversed(xs) if lo == 0 else map(sub, reversed(xs), repeat(lo))
     if hi - lo < len(xs):
         # one shared string per value, not one per coefficient
@@ -259,6 +284,68 @@ def _unpack(digits: str, w: int, n: int, byteorder: str = sys.byteorder) -> list
     return out
 
 
+def _residues(xs: list[int], m: int) -> bytes | None:
+    """xs as bytes when every value is an int in [0, m), m <= 128, else
+    None: `bytes` rejects any value outside [0, 256) and a translate that
+    deletes 0..m-1 must leave nothing."""
+    try:
+        packed = bytes(xs)
+    except (TypeError, ValueError):
+        return None
+    return None if packed.translate(None, bytes(range(m))) else packed
+
+
+def _bounds(xs: list[int] | bytes, nnz: int, m: int | None) -> tuple[int, int]:
+    """(least, largest) value of xs, 0 for no values.  Residues mod m as
+    bytes count their least as 0 and find the largest by membership tests
+    from m - 1 down, one memchr each."""
+    if m is None:
+        return min(xs, default=0), max(xs, default=0)
+    return 0, next((v for v in range(m - 1, 0, -1) if v in xs), 0) if nnz else 0
+
+
+@lru_cache(maxsize=1024)
+def _times(p: int, m: int, zero: int = 0) -> bytes:
+    """The translate table of each byte b to (b - zero) p mod m: a lane
+    byte's share (zero 0) or an ASCII digit's (zero 48) of its slot's
+    residue."""
+    return bytes((b - zero) * p % m for b in range(256))
+
+
+def _fold(cols: list[bytes], m: int) -> bytes:
+    """The lane-by-lane sum mod m of equal-length byte strings of residues
+    mod m.  Up to k = 255 // (m - 1) columns are added as integers, whose
+    byte lanes then cannot carry, and one translate reduces their sum; the
+    sums are folded again until one column is left.  m <= 128 (see
+    `_BYTE_MODULUS`), so k >= 2."""
+    k = 255 // (m - 1)
+    n, modulo = len(cols[0]), _times(1, m)
+    while len(cols) > 1:
+        cols = [
+            sum(map(int.from_bytes, cols[i : i + k], repeat("little"))).to_bytes(n, "little").translate(modulo)
+            for i in range(0, len(cols), k)
+        ]
+    return cols[0]
+
+
+def _lane_residues(raw: bytes, size: int, m: int) -> bytes:
+    """The little-endian size-byte lanes of raw mod m, least first, one byte
+    each: byte e of every lane goes through the table of v 256^e mod m, and
+    `_fold` adds the lane bytes."""
+    return _fold([raw[e::size].translate(_times(256**e % m, m)) for e in range(size)], m)
+
+
+def _digit_residues(digits: str, w: int, n: int, m: int) -> bytes:
+    """The n lowest w-digit slots of a decimal numeral mod m, least first,
+    one byte each: digit column k of every slot (0 the most significant)
+    goes through the table of v 10^(w - 1 - k) mod m, and `_fold` adds the
+    columns."""
+    raw = digits[-n * w :].zfill(n * w).encode("ascii")
+    cols = [raw[k::w].translate(_times(pow(10, w - 1 - k, m), m, 48)) for k in range(w)]
+    del raw
+    return _fold(cols, m)[::-1]
+
+
 def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Exact integer convolution of a and b, truncated to n_out terms."""
     return _convolve_int_sum(((a, b, 0),), n_out)
@@ -280,36 +367,51 @@ def _add_shifted(out: list[int] | None, xs: list[int], s: int, n_out: int) -> li
     return out
 
 
-def _convolve_shift_add(pairs, bits: int, n: int) -> list[int]:
+def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[int] | bytes:
     """First n terms of the sum of q^s d*e over the (d, e, s) in pairs, every
-    value nonnegative, e sparse and every slot of the total below 2^bits.
+    value nonnegative, e sparse and every slot of the total below 2^bits;
+    with a modulus m, every operand is residues as bytes and the terms come
+    back as residues, one byte each.
 
     Each d is packed once into one integer of bits-wide binary slots (an
-    `array` of machine words read as bytes), each nonzero term y q^j of e
-    adds that integer shifted j + s slots, and the shifts are grouped by y,
-    so one multiply per distinct value remains.  The total is cut back into
-    slots once.
+    `array` of machine words read as bytes, or bytes written into zeroed
+    little-endian lanes by one slice assignment), each nonzero term y q^j
+    of e adds that integer shifted j + s slots, and the shifts are grouped
+    by y, so one multiply per distinct value remains.  The total is cut
+    back into slots once, or mod m into residues (`_lane_residues`).
     """
     code = _SLOT_CODES[bits]
+    size = bits // 8
     total = 0
     for d, e, s in pairs:
-        words = array(code, d)
-        if sys.byteorder == "big":
-            words.byteswap()
-        packed = int.from_bytes(words.tobytes(), "little")
-        del words  # not kept beside the unpacked total
+        if m is None:
+            lanes = array(code, d)
+            if sys.byteorder == "big":
+                lanes.byteswap()
+        else:
+            lanes = bytearray(len(d) * size)
+            lanes[::size] = d
+        packed = int.from_bytes(lanes, "little")
+        del lanes  # not kept beside the unpacked total
         shifts = {}
         for j in compress(range(len(e)), e):
             shifts.setdefault(e[j], []).append(bits * (j + s))
         for y, by in shifts.items():
             total += y * sum(map(packed.__lshift__, by))
-    return _words((total & ((1 << bits * n) - 1)).to_bytes(n * bits // 8, "little"), code)
+    total &= (1 << bits * n) - 1
+    if m is None:
+        return _words(total.to_bytes(n * size, "little"), code)
+    raw = total.to_bytes(n * size, "little")
+    del total
+    return _lane_residues(raw, size, m)
 
 
-def _convolve_decimal(packed, scale: int, n: int) -> list[int]:
+def _convolve_decimal(packed, scale: int, n: int, m: int | None = None) -> list[int] | bytes:
     """First n terms of the sum of q^s a*b over the (a, b, s, lo_a, hi_a,
     lo_b, hi_b) in packed, lo <= min(0, least value) and hi the largest,
-    when the sum over its pairs of min(nnz a, nnz b) max|a| max|b| is scale.
+    when the sum over its pairs of min(nnz a, nnz b) max|a| max|b| is scale;
+    with a modulus m, every operand is residues as bytes and the terms come
+    back as residues, one byte each (`_digit_residues`).
 
     Kronecker substitutions in one base 10^w: each operand becomes its exact
     value as one `decimal.Decimal` of w-digit slots (`_pack`), libmpdec
@@ -335,13 +437,15 @@ def _convolve_decimal(packed, scale: int, n: int) -> list[int]:
     # only the n lowest slots' text outlives the total
     digits = str(total)[-n * w :]
     del total
+    if m is not None:
+        return _digit_residues(digits, w, n, m)
     out = _unpack(digits, w, n)
     return [x - half for x in out] if signed else out
 
 
-def _convolve_int_sum(pairs, n_out: int) -> list[int]:
+def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
     """Exact sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
-    terms.
+    terms, and reduced mod m when m is given.
 
     Each product goes to the kernel `_kernel` picks from its operands'
     nonzero counts, lengths and values.  The shift-add products share one
@@ -350,40 +454,64 @@ def _convolve_int_sum(pairs, n_out: int) -> list[int]:
     total's slot is sized by the sum over its pairs of that count times
     max|a| max|b| (doubled by `_convolve_decimal` for a signed total): no
     slot overflows into its neighbour.
+
+    Over Z/m with m <= 128, every operand is checked (`_residues`), never
+    trusted.  When each is residues in [0, m), each is carried as bytes:
+    nonzero counts and largest values come from byte operations, and the
+    shift-add and decimal totals come back as residues, added mod m by
+    `_fold`, so no total is unpacked into ints.  Any other operand
+    (negative, unreduced, not an int) or a larger modulus sends the whole
+    sum down the integer path.  Either way the kernels are chosen from the
+    same counts and values, and a sum whose parts are not all residues is
+    added exactly and reduced once.
     """
-    out = None
-    shifted, packed = [], []
-    slot = scale = 0
+    cut = []
     for a, b, s in pairs:
         n = n_out - s
-        if n <= 0:
-            continue
-        # no copy of an operand that is short enough already
-        a = a if len(a) <= n else a[:n]
-        b = b if len(b) <= n else b[:n]
+        if n > 0:
+            # no copy of an operand that is short enough already
+            cut.append((a if len(a) <= n else a[:n], b if len(b) <= n else b[:n], s))
+    mod = m if m is not None and m <= _BYTE_MODULUS else None
+    if mod:
+        checked = [(_residues(a, m), _residues(b, m), s) for a, b, s in cut]
+        if all(a is not None and b is not None for a, b, _ in checked):
+            cut = checked
+        else:
+            mod = None
+    out = None
+    reduced = mod is not None  # until a schoolbook product adds exact ints
+    shifted, packed = [], []
+    slot = scale = 0
+    for a, b, s in cut:
         nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
         if (nnz_a, -len(a)) < (nnz_b, -len(b)):
             # a is the denser operand from here on
             a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
-        lo_a, hi_a = min(a, default=0), max(a, default=0)
-        lo_b, hi_b = min(b, default=0), max(b, default=0)
+        lo_a, hi_a = _bounds(a, nnz_a, mod)
+        lo_b, hi_b = _bounds(b, nnz_b, mod)
         with_pair = slot + nnz_b * hi_a * hi_b
         kernel = _kernel(nnz_a, nnz_b, len(a), len(b), min(lo_a, lo_b), with_pair)
         if kernel == "schoolbook":
-            out = _add_shifted(out, _convolve_int_schoolbook(a, b, n), s, n_out)
+            out = _add_shifted(out, _convolve_int_schoolbook(a, b, n_out - s), s, n_out)
+            reduced = False
         elif kernel == "shift":
             slot = with_pair
             shifted.append((a, b, s))
         else:
             scale += min(nnz_a, nnz_b) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
             packed.append((a, b, s, min(lo_a, 0), hi_a, min(lo_b, 0), hi_b))
+    totals = []
     if shifted:
-        total = _convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out))
-        out = _add_shifted(out, total, 0, n_out)
+        totals.append(_convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out), mod))
     if packed:
-        total = _convolve_decimal(packed, scale, _reach(packed, n_out))
+        totals.append(_convolve_decimal(packed, scale, _reach(packed, n_out), mod))
+    if mod and totals:
+        totals = [list(_fold([t.ljust(n_out, b"\0") for t in totals], mod))]
+    for total in totals:
         out = _add_shifted(out, total, 0, n_out)
-    return [0] * n_out if out is None else out
+    if out is None:
+        return [0] * n_out
+    return out if m is None or reduced else [x % m for x in out]
 
 
 def _lcm_denominators(xs: Iterable[Fraction]) -> int:
@@ -419,12 +547,11 @@ def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
 def convolve_sum(ring: Ring, pairs, n_out: int) -> list:
     """Sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
     coefficients, over Z or Z/m: the products `convolve` would make, added
-    exactly before one unpack and one reduction."""
+    before one unpack (over Z/m, as residues; see `_convolve_int_sum`)."""
     if isinstance(ring, IntegerRing):
         return _convolve_int_sum(pairs, n_out)
     if isinstance(ring, ModRing):
-        m = ring.modulus
-        return [x % m for x in _convolve_int_sum(pairs, n_out)]
+        return _convolve_int_sum(pairs, n_out, ring.modulus)
     raise ValueError(f"convolve_sum needs Z or Z/m, got {ring!r}")
 
 
@@ -553,12 +680,12 @@ class QSeries:
             )
         T = len(a)
         b = [ring.inv(a[0])]
-        neg = ring.neg
+        minus_one = ring.neg(ring.one)
         while len(b) < T:
             k = len(b)
             m = min(2 * k, T)
             e = convolve(ring, a[:m], b, m)[k:]
-            b += map(neg, convolve(ring, b, e, m - k))
+            b += ring.mul_each(minus_one, convolve(ring, b, e, m - k))
         return QSeries(ring, -self.offset24, b)
 
     def dilate(self, d: int) -> "QSeries":

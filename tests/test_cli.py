@@ -380,3 +380,23 @@ def test_eigenvalue_table_script_smoke(tmp_path):
     assert proc.returncode == 0
     # T_5 eigenvalue of f and of its conjugate, and y(5)
     assert proc.stdout.splitlines()[3].split() == ["5", "258", "258", "258"]
+
+
+def test_kernel_cases_script_smoke():
+    # one line per case of the perfbench kernels battery, each checked, then
+    # the total; a run count below one is a usage error
+    script = Path(__file__).parent.parent / "scripts" / "kernel_cases.py"
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(script), *args], capture_output=True, text=True, env={"PATH": ""}
+        )
+
+    proc = run("--seed", "1", "--runs", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines[0] == ["case", "median", "ms", "least", "ms"] and lines[-1][0] == "all"
+    cases = [line[0] for line in lines[1:-1]]
+    assert len(cases) == 17 and {"convolve/mod:7/large", "invert/mod:7/large"} <= set(cases)
+    assert all(len(line) == 3 and float(line[1]) >= 0 for line in lines[1:])
+    assert run("--seed", "1", "--runs", "0").returncode == 2

@@ -3,6 +3,7 @@ import pytest
 from oracles import naive_eta_product, naive_sigma
 from qcong.eta import dilated
 from qcong.forms import (
+    _sigma_coeffs,
     cm_coefficient,
     eisenstein_int,
     form_F,
@@ -27,6 +28,13 @@ def test_sigma_examples_and_oracle():
         assert sigma(3, n) == naive_sigma(3, n)
     with pytest.raises(ValueError):
         sigma(1, 0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sigma_sieve_matches_sigma(k):
+    # every short length, and the pinned range n < 2000
+    for T in [*range(1, 41), 2000]:
+        assert _sigma_coeffs(k, T) == [0] + [sigma(k, n) for n in range(1, T)], T
 
 
 def test_eisenstein_e4():

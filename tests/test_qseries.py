@@ -363,14 +363,15 @@ def _rule(a: list[int], b: list[int]) -> str:
 
 def _record_kernels(monkeypatch) -> list:
     """[kernel, a, b] for every integer product that reaches the kernels:
-    every ring's product reaches them as one pair, cut to n_out."""
+    every ring's product reaches them as one pair, cut to n_out, with the
+    modulus of Z/m or None."""
     calls = []
     convolve_int_sum = qseries._convolve_int_sum
 
-    def recorded(pairs, n_out):
+    def recorded(pairs, n_out, m=None):
         ((a, b, _),) = pairs
         calls.append([None, a[:n_out], b[:n_out]])
-        return convolve_int_sum(pairs, n_out)
+        return convolve_int_sum(pairs, n_out, m)
 
     def marking(name):
         kernel = getattr(qseries, name)
@@ -1002,6 +1003,196 @@ def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypa
                 want[s + k] += x
         assert convolve_sum(ZZ, pairs, n) == want, n
     assert ran == [2] * 3
+
+
+# ---- Z/m operands as bytes: residues checked, packed and decoded ----
+
+# moduli whose residues take the byte path: 2, the paper's 7 and 11, 13,
+# and the largest two (127 and 128), whose residues still add in pairs
+# within a byte
+BYTE_MODULI = (2, 7, 11, 13, 127, 128)
+# and moduli of one byte past it, whose residues take the integer path
+WIDE_MODULI = (255, 256)
+LANE_BYTES = (1, 2, 4, 8)
+
+
+@st.composite
+def _residue_sum(draw):
+    """(m, pairs, kernel, lane): over Z/m, m in BYTE_MODULI or WIDE_MODULI,
+    one to three pairs of residue operands of 1 to 70 terms (dense, with at
+    most three nonzero terms, or all m - 1), each shifted 0 to 2; a kernel
+    to force on every product, and a lane size in bytes for the shift-add
+    total."""
+    m = draw(st.sampled_from(BYTE_MODULI + WIDE_MODULI))
+
+    def operand():
+        n = draw(st.integers(1, 70))
+        kind = draw(st.sampled_from(("dense", "sparse", "top")))
+        if kind == "top":
+            return [m - 1] * n
+        xs = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        if kind == "sparse":
+            keep = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            xs = [x if i in keep else 0 for i, x in enumerate(xs)]
+        return xs
+
+    pairs = [(operand(), operand(), draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 3)))]
+    kernel = draw(st.sampled_from(("shift", "schoolbook", "decimal")))
+    return m, pairs, kernel, draw(st.sampled_from(LANE_BYTES))
+
+
+def _sum_of_schoolbook_products(ring, pairs, n: int) -> list:
+    want = [ring.zero] * n
+    for a, b, s in pairs:
+        for k, x in enumerate(convolve_schoolbook(ring, a, b, max(n - s, 0))):
+            want[s + k] = ring.add(want[s + k], x)
+    return want
+
+
+@given(_residue_sum())
+@settings(max_examples=200, deadline=None)
+# the largest residue everywhere: every slot of the total is a multiple of
+# (m - 1)^2; mod 255 and 256 the same products take the integer path
+@example((256, [([255] * 70, [255] * 70, 0), ([255] * 70, [255] * 3, 2)], "decimal", 1))
+@example((255, [([254] * 70, [254] * 70, 1)], "shift", 8))
+@example((128, [([127] * 64, [127] * 64, 0)], "shift", 2))
+@example((7, [([6] * 70, [6] * 70, 0), ([1] * 9, [6, 0, 6], 1)], "decimal", 4))
+def test_residue_products_match_the_schoolbook_on_every_kernel(case):
+    # every product forced onto one kernel, and the shift-add total into
+    # lanes of the drawn size (or wider, when its slots need it); the
+    # packed kernels are handed the modulus up to 128, so they take the byte
+    # path, and no modulus past it
+    m, pairs, kernel, lane = case
+    ring = ModRing(m)
+    top = max(s + len(a) + len(b) - 1 for a, b, s in pairs)
+    want = _sum_of_schoolbook_products(ring, pairs, top + 2)
+    slot_bits = qseries._slot_bits
+    moduli = []
+
+    def recording(kernel_fn):
+        def wrapped(*args):
+            moduli.append(args[3])
+            return kernel_fn(*args)
+
+        return mock.patch.object(qseries, kernel_fn.__name__, wrapped)
+
+    with mock.patch.object(qseries, "_kernel", lambda *args: kernel), mock.patch.object(
+        qseries, "_slot_bits", lambda bound: max(8 * lane, slot_bits(bound))
+    ), recording(qseries._convolve_shift_add), recording(qseries._convolve_decimal):
+        # n_out below, at and above the longest len(a) + len(b) - 1 + s
+        for n in sorted({1, max(top // 2, 1), top, top + 2}):
+            assert convolve_sum(ring, pairs, n) == want[:n], n
+        a, b, _ = pairs[0]
+        n = len(a) + len(b) - 1
+        assert convolve(ring, a, b, n) == convolve_schoolbook(ring, a, b, n)
+    assert moduli == [m if m <= qseries._BYTE_MODULUS else None] * len(moduli)
+    assert bool(moduli) == (kernel != "schoolbook")
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+@pytest.mark.parametrize("size", LANE_BYTES)
+def test_lane_residues_match_each_lane_mod_m(m, size):
+    # every byte of a lane nonzero somewhere, the extreme lanes at both ends
+    rng = random.Random(f"lanes {m} {size}")
+    top = 256**size - 1
+    lanes = [top, 0, 1, m - 1, 255, *(rng.randrange(top + 1) for _ in range(300)), top]
+    raw = b"".join(v.to_bytes(size, "little") for v in lanes)
+    assert list(qseries._lane_residues(raw, size, m)) == [v % m for v in lanes]
+
+
+@pytest.mark.parametrize("m", BYTE_MODULI)
+# 7, 11 and 13 add up to 42, 25 and 21 columns in one group: widths on both
+# sides of each
+@pytest.mark.parametrize("w", [1, 2, 3, 7, 21, 22, 25, 26, 42, 43, 60])
+def test_digit_residues_match_each_slot_mod_m(m, w):
+    rng = random.Random(f"digits {m} {w}")
+    n = 50
+    text = _numeral(rng, w, n)
+    want = [v % m for v in unpack_per_slot(text, w, n)]
+    assert list(qseries._digit_residues(text, w, n, m)) == want
+    # slots above the n read are cut; a numeral shorter than n w digits is
+    # zero-filled
+    assert list(qseries._digit_residues(_numeral(rng, w, 2) + text, w, n, m)) == want
+    short = text[len(text) // 2 :]
+    assert list(qseries._digit_residues(short, w, n, m)) == [v % m for v in unpack_per_slot(short, w, n)]
+
+
+# k (m - 1) = 255 exactly, with k = 255 // (m - 1) the columns `_fold` adds
+# in one group, at m = 2, 16, 52 and 86 (k = 255, 17, 5 and 3); k = 2 at 127
+# and 128, the largest modulus of the byte path
+FOLD_MODULI = (2, 7, 11, 13, 16, 52, 86, 127, 128)
+
+
+@pytest.mark.parametrize("m", FOLD_MODULI)
+def test_fold_adds_columns_mod_m(m):
+    # columns of the largest residue fill each group to k (m - 1), so a
+    # group one column larger carries a byte into its neighbour
+    k = 255 // (m - 1)
+    rng = random.Random(f"fold {m}")
+    for count in sorted({1, 2, 3, k, k + 1, 2 * k + 1}):
+        cols = [bytes([m - 1] * 40) + bytes(rng.randrange(m) for _ in range(40)) for _ in range(count)]
+        want = [sum(lane) % m for lane in zip(*cols)]
+        assert list(qseries._fold(cols, m)) == want, count
+
+
+# operands that are not residues mod m: a value >= m, a negative value, a
+# value >= 256 (past a byte), each mod 7, and m itself mod 128, the largest
+# modulus of the byte path; then residues mod moduli past it, 129, 255 and
+# 256 of one byte and 257 past one byte
+NOT_RESIDUES = ((7, 7), (7, -1), (7, 256), (128, 128), (129, 3), (255, 254), (256, 255), (257, 3))
+
+
+@pytest.mark.parametrize("m, bad", NOT_RESIDUES)
+def test_operands_that_are_not_residues_take_the_integer_path(m, bad, monkeypatch):
+    # one bad value beside residues sends its product, and any sum it is
+    # in, down the integer path: multiplied exactly over Z, no kernel handed
+    # the modulus, reduced once; residues alone take the byte path up to
+    # m = 128 and the integer path past it
+    moduli = []
+    for name in ("_convolve_shift_add", "_convolve_decimal"):
+        kernel = getattr(qseries, name)
+
+        def wrapped(*args, kernel=kernel):
+            moduli.append(args[3])
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+    rng = random.Random(f"not residues {m} {bad}")
+    ring = ModRing(m)
+    dense = [rng.randrange(min(m, 256)) for _ in range(600)]
+    sparse = _ones(600, (0, 300, 599), min(m, 256) - 1)
+    lacunary = _ones(600, (3, 400), 1)
+    products = []
+    for first, other in ((dense, dense), (dense, sparse), (lacunary, lacunary)):
+        a = list(first)
+        a[rng.randrange(600)] = bad
+        if m <= qseries._BYTE_MODULUS:
+            assert qseries._residues(a, m) is None
+        products.append((a, other))
+        # in a sum beside a pair of residues
+        pairs = [(dense, sparse, 0), (other, a, 1)]
+        exact = _sum_of_schoolbook_products(ZZ, pairs, 800)
+        assert convolve_sum(ring, pairs, 800) == [x % m for x in exact]
+    # alone, each product takes the kernel `_rule` names
+    calls = _record_kernels(monkeypatch)
+    for a, other in products:
+        assert convolve(ring, a, other, 800) == [x % m for x in convolve_schoolbook(ZZ, other, a, 800)]
+    assert moduli and moduli == [None] * len(moduli)
+    assert [kernel for kernel, _, _ in calls] == [_rule(a, b) for _, a, b in calls]
+    # a negative value keeps every product off the shift-add
+    ran = {"decimal", "schoolbook"} | ({"shift"} if bad >= 0 else set())
+    assert {kernel for kernel, _, _ in calls} == ran and len(calls) == 3
+    moduli.clear()
+    assert convolve(ring, dense, sparse, 800) == convolve_schoolbook(ring, sparse, dense, 800)
+    assert moduli == [m if m <= qseries._BYTE_MODULUS else None]
+
+
+def test_residues_are_checked_not_trusted():
+    assert qseries._residues([0, 6, 3], 7) == bytes([0, 6, 3])
+    assert qseries._residues([], 7) == b""
+    assert qseries._residues([127, 0], 128) == bytes([127, 0])
+    for xs in ([0, 7], [-1], [256], [10**30], [Fraction(1, 2)], [1.0]):
+        assert qseries._residues(xs, 7) is None, xs
 
 
 def test_large_products_stay_within_the_traced_peak_of_the_per_slot_parse():
