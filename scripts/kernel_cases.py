@@ -3,11 +3,14 @@
     python scripts/kernel_cases.py --seed N [--runs K]
 
 Makes the battery's operands for seed N with `perfbench/kernels.py`
-(imported, never changed), runs every case K times (default 5) through
-qcong from this checkout's `src/`, and prints per case the median and the
-least, over the K runs, of the CPU seconds spent inside the qcong calls of
-all its repetitions, then the same for the whole battery.  Every result is
-checked as the battery checks it; a failed check exits with status 1.
+(imported, never changed) and runs the battery's own loop, `kernels.run`,
+K times (default 5) on qcong from this checkout's `src/`.  The `time`
+module that loop sees is a stand-in that records each `process_time`
+reading, so a case's CPU is the sum of the spans around its calls, exactly
+the spans the battery adds up.  Prints per case the median and the least,
+over the K runs, of those CPU seconds, then the same for the whole battery.
+A case is checked by the battery's own `failed` count; a failed check
+exits with status 1.
 
 The benchmark's per-layer `qseries.convolve.*` metrics read near 0 on this
 workload, so this is where a change of `kernels` `cpu_ref` shows which
@@ -20,44 +23,40 @@ import argparse
 import statistics
 import sys
 import time
+from itertools import islice
+from operator import sub
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # keep the benchmark directory free of caches
 
 import kernels  # noqa: E402
-from qcong import qseries  # noqa: E402
+
+
+class _Clock:
+    """The `time` module as `kernels.run` uses it: `process_time`, each
+    reading kept."""
+
+    def __init__(self):
+        self.readings = []
+
+    def process_time(self) -> float:
+        t = time.process_time()
+        self.readings.append(t)
+        return t
 
 
 def run_cases(data: dict) -> list[tuple[str, float, bool]]:
-    """(case id, CPU seconds inside qcong, checked) for each case, in order."""
-    rows = []
-    done: dict[str, list] = {}  # checked int products, by size
-    for case in data["cases"]:
-        ring = kernels._ring(case["ring"])
-        a = kernels._decode(case["ring"], case["a"])
-        convolve = case["op"] == "convolve"
-        if convolve:
-            b = kernels._decode(case["ring"], case["b"])
-        cpu = 0.0
-        for _ in range(case["reps"]):
-            if convolve:
-                t0 = time.process_time()
-                out = qseries.convolve(ring, a, b, case["n"])
-            else:
-                s = qseries.QSeries(ring, 0, a)
-                t0 = time.process_time()
-                out = s.invert().coeffs
-            cpu += time.process_time() - t0
-        if convolve:
-            ok = kernels.check_convolve(case, a, b, out, data["x"], done)
-            if ok and case["ring"] == "int":
-                done[case["size"]] = out
-        else:
-            ok = kernels.check_invert(case, out)
-        rows.append((kernels.case_id(case), cpu, ok))
-    return rows
+    """(case id, CPU seconds inside qcong, checked) for each case, in order,
+    from one run of `kernels.run`: its readings come in (before, after)
+    pairs, one per call, and a case makes `calls` of them."""
+    clock = _Clock()
+    with mock.patch.object(kernels, "time", clock):
+        results, _ = kernels.run(data)
+    spans = map(sub, clock.readings[1::2], clock.readings[::2])
+    return [(r["case"], sum(islice(spans, r["calls"])), r["failed"] == 0) for r in results]
 
 
 def main(argv: list[str]) -> int:

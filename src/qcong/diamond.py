@@ -303,8 +303,9 @@ def verify_theorem_1_2(
     This is T_p g = y(p) g for g = sum c(n) q^(2n+1) in S_9(Gamma_0(16),
     chi_-4), read at the odd exponents.  y(p) is read off at n = 0 (where it
     equals c((p-1)/2)), the image of g under `operators.hecke` is compared
-    with y(p) g for all n < T, and a y(p) that differs from the independently
-    built series f1 at exponent p fails the report at p.
+    with y(p) g for all n < T, and a y(p) that differs from the
+    independently built series f1 at exponent p, read through the run's
+    cache like every other input, fails the report at p.
     """
     def series(half: int):
         L = p * (T - 1) + half + 1
@@ -313,7 +314,8 @@ def verify_theorem_1_2(
 
     y, report = _recurrence(f"thm-1.2:p={p}", p, T, series)
     # independent derivation of the same number through the eigenform route
-    if form_f1(p + 1).coeffs[p] != y:
+    f1 = _series(None, cache, "f1", p + 1, None, form_f1, "f1 series")
+    if f1.coeffs[p] != y:
         return y, _scan_report(report.claim, [p], T - 1)
     return y, report
 
@@ -467,7 +469,11 @@ class Claim:
 
 
 # in suite order, which fixes the order of cache requests: each series'
-# longest request comes first, so later ones read a prefix of what it holds
+# longest request comes first, so later ones read a prefix of what it holds.
+# f1 is the exception: thm-1.2's cross-check asks for p + 1 terms (18 at
+# its largest prime, 17) before thm-3.1 asks for its length, so a cold run
+# builds f1 twice, first at p + 1 terms, and a warm run reads both requests
+# from the one entry
 CLAIMS: dict[str, Claim] = {
     "sec-2-chain": Claim(
         lambda c, cache: verify_section_2_chain(c.chain_T_final, cache=cache),

@@ -320,13 +320,14 @@ def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: ModRing) -> 
     # coefficients r, r + p, ..., < N of the quotient of `factors` (sorted
     # by d, none divisible by p): the factor of largest d, f, meets the rest,
     # the head, one class at a time, as class t of f times class r - t of
-    # the head, shifted by one exponent when t > r.  Only f's nonempty
-    # classes count, so only their partner classes of the head are built,
-    # and the products are summed by one convolve_sum.
+    # the head, one exponent higher when t > r, so there class t enters as
+    # q f_t, the list [0] + f_t.  Only f's nonempty classes count, so only
+    # their partner classes of the head are built, and the products are
+    # summed by one convolve_sum.
     f = _classes(factors[-1:], p, range(p), N, ring)
     f = {t: f_t for t, f_t in f.items() if any(f_t)}
     head = _classes(factors[:-1], p, {(r - t) % p for t in f}, N, ring)
-    pairs = [(head[(r - t) % p], f_t, int(t > r)) for t, f_t in f.items()]
+    pairs = [(head[(r - t) % p], [0] + f_t if t > r else f_t) for t, f_t in f.items()]
     return convolve_sum(ring, pairs, len(range(r, N, p)))
 
 
@@ -340,10 +341,11 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     whose exponents now lie in [1, p).  Class r of H G(q^p) is class r of H
     times G.  Class r of H, to N = p(T - 1) + r + 1 terms of H, is the sum
     over the nonempty classes t of H's factor f of largest d of class t of
-    f times class r - t of the head, H without f (one exponent higher when
-    t > r).  Only those head classes are built: from the class rows of
-    Jacobi's and Euler's series when the head is eta(dz)^e with e in 1..4
-    or 6, else sliced from the head built at length N.  For delta_3 mod 7
+    f times class r - t of the head, H without f, class t times q when
+    t > r (one more leading zero, so `convolve_sum` adds plain products).
+    Only those head classes are built: from the class rows of Jacobi's and
+    Euler's series when the head is eta(dz)^e with e in 1..4 or 6, else
+    sliced from the head built at length N.  For delta_3 mod 7
     the head is eta(z)^4 = eta^3 eta, of which 4 classes of about N/7 terms
     are formed, meeting the 4 nonempty classes of eta(2z) in one
     `convolve_sum`; then one product with G = eta(2z)^6 / eta(14z).  For

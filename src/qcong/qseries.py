@@ -33,20 +33,22 @@ signs and value ranges:
 
 Slot widths come from the nonzero counts too: a slot sums at most
 min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
-narrow slots.  `convolve_sum` adds several products, each shifted, over Z
-or Z/m: its shift-add products share one binary total and its decimal ones
-one decimal total, each sized for the sum and unpacked once.
+narrow slots.  `convolve_sum` adds several products over Z or Z/m: its
+shift-add products share one binary total and its decimal ones one decimal
+total, each sized for the sum and unpacked once.
 
-Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11) an
-operand that is checked to hold residues in [0, m) is carried as bytes:
-`bytes` and one translate check it, byte counts and membership tests give
-its nonzero count and largest value, so the kernel and every slot width
-are what the integer path would choose, and it is packed by slices of
-translated bytes.  Both totals come back as residues: each lane byte or
-digit column goes through a table of v base^e mod m, and the columns are
-added as integers a few at a time, so no byte carries, and reduced by one
-more translate.  No total is unpacked into ints and no `% m` pass runs
-over it.  Any other operand takes the integer path, reduced at the end.
+Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11)
+`convolve_sum` carries every operand as bytes of residues in [0, m):
+`bytes` and one translate check it, never trusting it, and an int operand
+that fails the check is reduced first.  Byte counts and membership tests
+give its nonzero count and largest value, so the kernel and every slot
+width are what the integer path would choose, and it is packed by slices
+of translated bytes.  Every part of the sum comes back as residues: each
+lane byte or digit column goes through a table of v base^e mod m, and the
+columns are added as integers a few at a time, so no byte carries, and
+reduced by one more translate.  No total is unpacked into ints and no
+`% m` pass runs over it.  A larger modulus takes the sum over Z, reduced
+once.
 
 Every kernel is exact; property tests assert they agree with the generic
 schoolbook, the oracle for every ring.
@@ -66,6 +68,7 @@ from operator import add, sub
 from typing import Iterable
 
 from .ring import (
+    ZZ,
     IntegerRing,
     ModRing,
     QuadInt,
@@ -219,6 +222,15 @@ def _repunit(w: int, k: int) -> decimal.Decimal:
     return _EXACT.divide(_EXACT.subtract(_EXACT.scaleb(1, w * k), 1), 10**w - 1)
 
 
+def _to_words(xs, code: str, byteorder: str = sys.byteorder) -> array:
+    """xs as machine words of `array` typecode code laid out little-endian,
+    on a host of the given byte order: what `_words` reads back."""
+    words = array(code, xs)
+    if byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _words(data: bytes, code: str, byteorder: str = sys.byteorder) -> list[int]:
     """The little-endian machine words of data, of `array` typecode code, as
     ints on a host of the given byte order."""
@@ -284,15 +296,16 @@ def _unpack(digits: str, w: int, n: int, byteorder: str = sys.byteorder) -> list
     return out
 
 
-def _residues(xs: list[int], m: int) -> bytes | None:
-    """xs as bytes when every value is an int in [0, m), m <= 128, else
-    None: `bytes` rejects any value outside [0, 256) and a translate that
-    deletes 0..m-1 must leave nothing."""
+def _residues(xs: list[int], m: int) -> bytes:
+    """The ints xs mod m as bytes, m <= 128, checked, never trusted: `bytes`
+    rejects a value outside [0, 256), and a translate that deletes 0..m-1
+    leaves any value in [m, 256); xs is then reduced, by `% m` or by one
+    more translate.  A value that is not an int raises TypeError."""
     try:
         packed = bytes(xs)
-    except (TypeError, ValueError):
-        return None
-    return None if packed.translate(None, bytes(range(m))) else packed
+    except ValueError:
+        return bytes([x % m for x in xs])
+    return packed.translate(_times(1, m)) if packed.translate(None, bytes(range(m))) else packed
 
 
 def _bounds(xs: list[int] | bytes, nnz: int, m: int | None) -> tuple[int, int]:
@@ -348,46 +361,33 @@ def _digit_residues(digits: str, w: int, n: int, m: int) -> bytes:
 
 def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Exact integer convolution of a and b, truncated to n_out terms."""
-    return _convolve_int_sum(((a, b, 0),), n_out)
+    return convolve_sum(ZZ, ((a, b),), n_out)
 
 
 def _reach(group, n_out: int) -> int:
-    # terms of the sum of q^s a*b over a group of (a, b, s, ...) below n_out
-    return min(n_out, max(s + len(a) + len(b) - 1 for a, b, s, *_ in group))
-
-
-def _add_shifted(out: list[int] | None, xs: list[int], s: int, n_out: int) -> list[int]:
-    # out + q^s xs to n_out terms, in place, with None for zero; xs holds
-    # at most n_out - s terms
-    if out is None:
-        out = [0] * s + xs if s else xs
-        out.extend([0] * (n_out - len(out)))
-    else:
-        out[s : s + len(xs)] = map(add, out[s : s + len(xs)], xs)
-    return out
+    # terms of the sum of a*b over a group of (a, b, ...) below n_out
+    return min(n_out, max(len(a) + len(b) - 1 for a, b, *_ in group))
 
 
 def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[int] | bytes:
-    """First n terms of the sum of q^s d*e over the (d, e, s) in pairs, every
-    value nonnegative, e sparse and every slot of the total below 2^bits;
-    with a modulus m, every operand is residues as bytes and the terms come
-    back as residues, one byte each.
+    """First n terms of the sum of d*e over the (d, e) in pairs, every value
+    nonnegative, e sparse and every slot of the total below 2^bits; with a
+    modulus m, every operand is residues as bytes and the terms come back
+    as residues, one byte each.
 
     Each d is packed once into one integer of bits-wide binary slots (an
     `array` of machine words read as bytes, or bytes written into zeroed
     little-endian lanes by one slice assignment), each nonzero term y q^j
-    of e adds that integer shifted j + s slots, and the shifts are grouped
-    by y, so one multiply per distinct value remains.  The total is cut
-    back into slots once, or mod m into residues (`_lane_residues`).
+    of e adds that integer shifted j slots, and the shifts are grouped by
+    y, so one multiply per distinct value remains.  The total is cut back
+    into slots once, or mod m into residues (`_lane_residues`).
     """
     code = _SLOT_CODES[bits]
     size = bits // 8
     total = 0
-    for d, e, s in pairs:
+    for d, e in pairs:
         if m is None:
-            lanes = array(code, d)
-            if sys.byteorder == "big":
-                lanes.byteswap()
+            lanes = _to_words(d, code)
         else:
             lanes = bytearray(len(d) * size)
             lanes[::size] = d
@@ -395,7 +395,7 @@ def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[
         del lanes  # not kept beside the unpacked total
         shifts = {}
         for j in compress(range(len(e)), e):
-            shifts.setdefault(e[j], []).append(bits * (j + s))
+            shifts.setdefault(e[j], []).append(bits * j)
         for y, by in shifts.items():
             total += y * sum(map(packed.__lshift__, by))
     total &= (1 << bits * n) - 1
@@ -407,32 +407,32 @@ def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[
 
 
 def _convolve_decimal(packed, scale: int, n: int, m: int | None = None) -> list[int] | bytes:
-    """First n terms of the sum of q^s a*b over the (a, b, s, lo_a, hi_a,
-    lo_b, hi_b) in packed, lo <= min(0, least value) and hi the largest,
-    when the sum over its pairs of min(nnz a, nnz b) max|a| max|b| is scale;
-    with a modulus m, every operand is residues as bytes and the terms come
-    back as residues, one byte each (`_digit_residues`).
+    """First n terms of the sum of a*b over the (a, b, lo_a, hi_a, lo_b,
+    hi_b) in packed, lo <= min(0, least value) and hi the largest, when the
+    sum over its pairs of min(nnz a, nnz b) max|a| max|b| is scale; with a
+    modulus m, every operand is residues as bytes and the terms come back
+    as residues, one byte each (`_digit_residues`).
 
     Kronecker substitutions in one base 10^w: each operand becomes its exact
     value as one `decimal.Decimal` of w-digit slots (`_pack`), libmpdec
-    multiplies each pair, the products are added exactly, each shifted s
-    slots, and the total's text is cut back into slots once (`_unpack`).
-    Every slot of the total lies in [-scale, scale].  With no negative
-    operand w holds scale; otherwise w holds 2 scale, 5 10^(w-1) is added
-    to every slot of the total so each lies in [0, 10^w), and one pass over
-    the unpacked slots takes it off.
+    multiplies each pair, the products are added exactly, and the total's
+    text is cut back into slots once (`_unpack`).  Every slot of the total
+    lies in [-scale, scale].  With no negative operand w holds scale;
+    otherwise w holds 2 scale, 5 10^(w-1) is added to every slot of the
+    total so each lies in [0, 10^w), and one pass over the unpacked slots
+    takes it off.
     """
-    signed = any(lo_a or lo_b for _, _, _, lo_a, _, lo_b, _ in packed)
+    signed = any(lo_a or lo_b for _, _, lo_a, _, lo_b, _ in packed)
     w = decimal.Decimal(2 * scale if signed else scale).adjusted() + 1
     # from an exact zero the sum keeps exponent 0, so its text has no exponent
     total = decimal.Decimal(0)
-    for a, b, s, lo_a, hi_a, lo_b, hi_b in packed:
+    for a, b, lo_a, hi_a, lo_b, hi_b in packed:
         prod = _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))
-        total = _EXACT.add(total, _EXACT.scaleb(prod, w * s) if s else prod)
+        total = _EXACT.add(total, prod)
         del prod  # no product outlives its turn beside the total
     half = 5 * 10 ** (w - 1)
     if signed:
-        slots = max(s + len(a) + len(b) - 1 for a, b, s, *_ in packed)
+        slots = max(len(a) + len(b) - 1 for a, b, *_ in packed)
         total = _EXACT.add(total, _EXACT.multiply(half, _repunit(w, slots)))
     # only the n lowest slots' text outlives the total
     digits = str(total)[-n * w :]
@@ -444,8 +444,9 @@ def _convolve_decimal(packed, scale: int, n: int, m: int | None = None) -> list[
 
 
 def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
-    """Exact sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
-    terms, and reduced mod m when m is given.
+    """Sum of a*b over the (a, b) in pairs, every operand at most n_out
+    terms, truncated to n_out terms: over Z, exact; with a modulus m, every
+    operand is residues mod m as bytes and the sum is reduced mod m.
 
     Each product goes to the kernel `_kernel` picks from its operands'
     nonzero counts, lengths and values.  The shift-add products share one
@@ -455,63 +456,45 @@ def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
     max|a| max|b| (doubled by `_convolve_decimal` for a signed total): no
     slot overflows into its neighbour.
 
-    Over Z/m with m <= 128, every operand is checked (`_residues`), never
-    trusted.  When each is residues in [0, m), each is carried as bytes:
-    nonzero counts and largest values come from byte operations, and the
-    shift-add and decimal totals come back as residues, added mod m by
-    `_fold`, so no total is unpacked into ints.  Any other operand
-    (negative, unreduced, not an int) or a larger modulus sends the whole
-    sum down the integer path.  Either way the kernels are chosen from the
-    same counts and values, and a sum whose parts are not all residues is
-    added exactly and reduced once.
+    Residue operands give their nonzero counts and largest values by byte
+    operations, so the kernels are chosen from the same counts and values
+    as over Z.  Every part then comes back as residues: the shift-add and
+    decimal totals as bytes, each schoolbook product reduced, and `_fold`
+    adds them mod m, so no total is unpacked into ints.
     """
-    cut = []
-    for a, b, s in pairs:
-        n = n_out - s
-        if n > 0:
-            # no copy of an operand that is short enough already
-            cut.append((a if len(a) <= n else a[:n], b if len(b) <= n else b[:n], s))
-    mod = m if m is not None and m <= _BYTE_MODULUS else None
-    if mod:
-        checked = [(_residues(a, m), _residues(b, m), s) for a, b, s in cut]
-        if all(a is not None and b is not None for a, b, _ in checked):
-            cut = checked
-        else:
-            mod = None
-    out = None
-    reduced = mod is not None  # until a schoolbook product adds exact ints
-    shifted, packed = [], []
+    parts, shifted, packed = [], [], []
     slot = scale = 0
-    for a, b, s in cut:
+    for a, b in pairs:
         nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
         if (nnz_a, -len(a)) < (nnz_b, -len(b)):
             # a is the denser operand from here on
             a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
-        lo_a, hi_a = _bounds(a, nnz_a, mod)
-        lo_b, hi_b = _bounds(b, nnz_b, mod)
+        lo_a, hi_a = _bounds(a, nnz_a, m)
+        lo_b, hi_b = _bounds(b, nnz_b, m)
         with_pair = slot + nnz_b * hi_a * hi_b
         kernel = _kernel(nnz_a, nnz_b, len(a), len(b), min(lo_a, lo_b), with_pair)
         if kernel == "schoolbook":
-            out = _add_shifted(out, _convolve_int_schoolbook(a, b, n_out - s), s, n_out)
-            reduced = False
+            part = _convolve_int_schoolbook(a, b, n_out)
+            parts.append(part if m is None else bytes([x % m for x in part]))
         elif kernel == "shift":
             slot = with_pair
-            shifted.append((a, b, s))
+            shifted.append((a, b))
         else:
             scale += min(nnz_a, nnz_b) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
-            packed.append((a, b, s, min(lo_a, 0), hi_a, min(lo_b, 0), hi_b))
-    totals = []
+            packed.append((a, b, min(lo_a, 0), hi_a, min(lo_b, 0), hi_b))
     if shifted:
-        totals.append(_convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out), mod))
+        parts.append(_convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out), m))
     if packed:
-        totals.append(_convolve_decimal(packed, scale, _reach(packed, n_out), mod))
-    if mod and totals:
-        totals = [list(_fold([t.ljust(n_out, b"\0") for t in totals], mod))]
-    for total in totals:
-        out = _add_shifted(out, total, 0, n_out)
-    if out is None:
+        parts.append(_convolve_decimal(packed, scale, _reach(packed, n_out), m))
+    if not parts:
         return [0] * n_out
-    return out if m is None or reduced else [x % m for x in out]
+    if m is not None:
+        return list(_fold([part.ljust(n_out, b"\0") for part in parts], m))
+    out = parts.pop()
+    out.extend([0] * (n_out - len(out)))
+    for part in parts:
+        out[: len(part)] = map(add, out[: len(part)], part)
+    return out
 
 
 def _lcm_denominators(xs: Iterable[Fraction]) -> int:
@@ -521,7 +504,7 @@ def _lcm_denominators(xs: Iterable[Fraction]) -> int:
 def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
     """Ring-dispatched exact convolution truncated to n_out coefficients."""
     if isinstance(ring, (IntegerRing, ModRing)):
-        return convolve_sum(ring, ((a, b, 0),), n_out)
+        return convolve_sum(ring, ((a, b),), n_out)
     if isinstance(ring, RationalRing):
         da = _lcm_denominators(a)
         db = _lcm_denominators(b)
@@ -545,14 +528,22 @@ def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
 
 
 def convolve_sum(ring: Ring, pairs, n_out: int) -> list:
-    """Sum of q^s a*b over the (a, b, s) in pairs, truncated to n_out
-    coefficients, over Z or Z/m: the products `convolve` would make, added
-    before one unpack (over Z/m, as residues; see `_convolve_int_sum`)."""
-    if isinstance(ring, IntegerRing):
-        return _convolve_int_sum(pairs, n_out)
-    if isinstance(ring, ModRing):
-        return _convolve_int_sum(pairs, n_out, ring.modulus)
-    raise ValueError(f"convolve_sum needs Z or Z/m, got {ring!r}")
+    """Sum of a*b over the (a, b) in pairs, truncated to n_out coefficients,
+    over Z or Z/m: the products `convolve` would make, added before one
+    unpack (see `_convolve_int_sum`).  Over Z/m with m <= _BYTE_MODULUS
+    every operand enters as residues in bytes (`_residues`), so the whole
+    sum is made and added mod m; over a larger modulus it is the sum over Z
+    reduced once."""
+    if not isinstance(ring, (IntegerRing, ModRing)):
+        raise ValueError(f"convolve_sum needs Z or Z/m, got {ring!r}")
+    m = ring.modulus if isinstance(ring, ModRing) else None
+    # no copy of an operand that is short enough already, and none kept
+    # beside its residues
+    cut = ((a if len(a) <= n_out else a[:n_out], b if len(b) <= n_out else b[:n_out]) for a, b in pairs)
+    if m is not None and m <= _BYTE_MODULUS:
+        return _convolve_int_sum([(_residues(a, m), _residues(b, m)) for a, b in cut], n_out, m)
+    out = _convolve_int_sum(list(cut), n_out)
+    return out if m is None else [x % m for x in out]
 
 
 def convolve_schoolbook(ring: Ring, a: list, b: list, n_out: int) -> list:

@@ -149,13 +149,13 @@ class Cache:
         return path
 
     def clear(self) -> int:
-        """Forget every held series and remove every file entry, and any .meta
-        sidecar an older layout left; returns the number of files removed."""
+        """Forget every held series and remove every file entry; returns the
+        number of files removed."""
         self._held.clear()
         if self.root is None:
             return 0
         n = 0
-        for path in list(self.root.glob("*.qs")) + list(self.root.glob("*.meta")):
+        for path in list(self.root.glob("*.qs")):
             path.unlink(missing_ok=True)
             n += 1
         return n

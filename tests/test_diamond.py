@@ -390,11 +390,14 @@ def test_quick_suite_builds_each_cached_series_once(tmp_path):
     for root in (tmp_path, None):
         cache = CountingCache(root)
         cold = run_suite(SuiteConfig.quick(), cache=cache)
+        # f1 twice: thm-1.2's cross-check asks for 18 terms before thm-3.1
+        # asks for 500 (see CLAIMS)
         assert sorted(cache.puts) == [
             ("c", "int"),
             ("delta_k:3 7n+5", "mod:7"),
             ("delta_k:5 11n+6", "mod:11"),
             ("eq_1_2_lhs", "mod:7"),
+            ("f1", "int"),
             ("f1", "int"),
             ("f2", "int"),
         ], (root, cache.puts)
@@ -429,7 +432,8 @@ def test_quick_suite_without_a_cache_builds_each_input_once(monkeypatch):
         counted(form, getattr(diamond, form), lambda T: (T,))
     reports = run_suite(SuiteConfig.quick(), cache=None)
     assert all(r.passed for r in reports)
-    # f1 is also built at p + 1 terms by thm-1.2's cross-check at each p
+    # f1 is also built at 18 terms for thm-1.2's cross-check at p = 17,
+    # whose entry serves p = 13 and 5 too
     assert built == {
         ("eta_quotient_progression", 7, 5): 1,
         ("eta_quotient_progression", 11, 6): 1,
@@ -438,8 +442,6 @@ def test_quick_suite_without_a_cache_builds_each_input_once(monkeypatch):
         ("form_f1", 500): 1,
         ("form_f2", 500): 1,
         ("form_f1", 18): 1,
-        ("form_f1", 14): 1,
-        ("form_f1", 6): 1,
     }
 
 
@@ -471,23 +473,16 @@ def test_warm_quick_suite_reads_f1_and_f2_from_the_cache(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
     cold = run_suite(SuiteConfig.quick(), cache=cache)
 
-    def unexpected(T):
-        raise AssertionError(f"g built at T={T}")
+    def unexpected(name):
+        def build(T):
+            raise AssertionError(f"{name} built at T={T}")
 
-    def short_only(name, build):
-        # thm-1.2 cross-checks y(p) against f1 at p + 1 <= 18 terms
-        def guarded(T):
-            if T > 18:
-                raise AssertionError(f"{name} rebuilt at T={T}")
-            return build(T)
+        return build
 
-        return guarded
-
-    builds = {name: getattr(forms, name) for name in ("form_f1", "form_f2")}
+    # thm-1.2's cross-check reads f1 from the cache too: nothing is built
     for module in (forms, diamond):
-        monkeypatch.setattr(module, "form_g", unexpected)
-        for name, build in builds.items():
-            monkeypatch.setattr(module, name, short_only(name, build))
+        for name in ("form_f1", "form_f2", "form_g"):
+            monkeypatch.setattr(module, name, unexpected(name))
     warm = run_suite(SuiteConfig.quick(), cache=Cache(tmp_path))
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 

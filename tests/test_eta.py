@@ -286,7 +286,7 @@ def _counting_build(monkeypatch, N):
     # length, the operands of each convolve at output length N, the length
     # of every operand packed for the Kronecker product, every schoolbook's
     # output length, and each convolve_sum's output length with its pairs'
-    # (len(a), len(b), shift).  eta calls `convolve` and `convolve_sum`
+    # (len(a), len(b)).  eta calls `convolve` and `convolve_sum`
     # through its own bindings, QSeries.mul through the module's: all are
     # counted
     outputs, full, packed, schoolbook, sums = [], [], [], [], []
@@ -300,7 +300,7 @@ def _counting_build(monkeypatch, N):
         return convolve(ring, a, b, n_out)
 
     def counting_convolve_sum(ring, pairs, n_out):
-        sums.append((n_out, [(len(a), len(b), s) for a, b, s in pairs]))
+        sums.append((n_out, [(len(a), len(b)) for a, b in pairs]))
         return convolve_sum(ring, pairs, n_out)
 
     def counting_pack(xs, *args):
@@ -350,9 +350,9 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     # one product of two lacunary series, so only its four classes that
     # meet eta(2z)'s four nonempty classes mod 7 are formed, from the class
     # rows of the index formulas' terms.  The four class products, none
-    # shifted since the nonempty classes 0, 2, 3, 4 of eta(2z) are at most
-    # 5, are one convolve_sum, and every operand packed is one residue class
-    # mod 7.
+    # with a leading zero since the nonempty classes 0, 2, 3, 4 of eta(2z)
+    # are at most 5, are one convolve_sum, and every operand packed is one
+    # residue class mod 7.
     T = 54882
     N = 7 * (T - 1) + 6
     e = EtaQuotient(_DELTA3)
@@ -372,7 +372,7 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     assert full == [] and max(outputs) <= short
     assert schoolbook and max(schoolbook) <= short
     assert packed and max(packed) <= short
-    assert sums == [(T, [(T, T, 0), (T, T, 0), (T, T, 0), (T, T, 0)])]
+    assert sums == [(T, [(T, T)] * 4)]
 
 
 @pytest.mark.parametrize("T", [4667, 54882], ids=("quick", "full"))
@@ -419,7 +419,10 @@ def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
     outputs, full, _, _, sums = _counting_build(monkeypatch, N)
     s = eta_quotient_progression(EtaQuotient(_DELTA5), 11, 6, T)
     assert s.T == T and max(outputs) == N and outputs.count(N) == 3
-    assert len(sums) == 1 and sums[0][0] == T
+    # six nonempty classes t of eta(2z) mod 11; the two past r = 6 enter one
+    # exponent up, as a leading zero, so they are T terms long beside head
+    # classes of T - 1
+    assert sums == [(T, [(T, T)] * 4 + [(T - 1, T)] * 2)]
 
 
 @pytest.mark.parametrize(

@@ -369,7 +369,7 @@ def _record_kernels(monkeypatch) -> list:
     convolve_int_sum = qseries._convolve_int_sum
 
     def recorded(pairs, n_out, m=None):
-        ((a, b, _),) = pairs
+        ((a, b),) = pairs
         calls.append([None, a[:n_out], b[:n_out]])
         return convolve_int_sum(pairs, n_out, m)
 
@@ -615,12 +615,21 @@ def _sum_operands(draw, ring):
     return xs
 
 
+def _sum_of_schoolbook_products(ring, pairs, n: int) -> list:
+    want = [ring.zero] * n
+    for a, b in pairs:
+        # the oracle skips the zeros of its first operand
+        x, y = sorted((a, b), key=lambda v: len(v) - v.count(0))
+        want = [ring.add(u, v) for u, v in zip(want, convolve_schoolbook(ring, x, y, n))]
+    return want
+
+
 @st.composite
 def _sum_pairs(draw):
     ring = draw(st.sampled_from([ZZ] + [ModRing(p) for p in (2, 3, 5, 7, 11, 13)]))
     pairs = draw(
         st.lists(
-            st.tuples(_sum_operands(ring), _sum_operands(ring), st.integers(0, 1)),
+            st.tuples(_sum_operands(ring), _sum_operands(ring)),
             max_size=4,
         )
     )
@@ -634,28 +643,24 @@ _BIASED = [-9 if i % 10 == 0 else 0 for i in range(300)]
 @given(_sum_pairs())
 @settings(max_examples=150, deadline=None)
 # every slot of 12 x 12 products over Z/13: slot 39 sums 40 products of the
-# first pair and 39 of the second, shifted one slot, so it equals the width's
-# bound (40 + 39) 144 = 11376, all five digits of w
-@example((ModRing(13), [(_TOP, _TOP, 0), (_TOP[:39], _TOP, 1)]))
-# a signed lacunary operand: a - lo, the text it is packed from, has 270
+# first pair and 39 of the second, one slot up behind its leading zero, so it
+# equals the width's bound (40 + 39) 144 = 11376, all five digits of w
+@example((ModRing(13), [(_TOP, _TOP), ([0] + _TOP[:39], _TOP)]))
+# a signed lacunary operand: a - lo, the text it is packed from, has 271
 # nonzero terms, not 30, and the exact value its repunit term restores has 30
-@example((ZZ, [(_BIASED, [9] * 300, 1)]))
+@example((ZZ, [([0] + _BIASED, [9] * 300)]))
 @example((ModRing(7), []))
 def test_convolve_sum_matches_the_sum_of_shifted_schoolbook_products(case):
     ring, pairs = case
-    top = max((s + len(a) + len(b) - 1 for a, b, s in pairs), default=1)
-    # n_out below, at and above the longest len(a) + len(b) - 1 + s
+    top = max((len(a) + len(b) - 1 for a, b in pairs), default=1)
+    # n_out below, at and above the longest len(a) + len(b) - 1
     for n in sorted({1, max(top // 2, 1), top - 1 or 1, top, top + 3}):
-        want = [0] * n
-        for a, b, s in pairs:
-            for k, x in enumerate(convolve_schoolbook(ring, a, b, max(n - s, 0))):
-                want[s + k] = ring.add(want[s + k], x)
-        assert convolve_sum(ring, pairs, n) == want, n
+        assert convolve_sum(ring, pairs, n) == _sum_of_schoolbook_products(ring, pairs, n), n
 
 
 def test_convolve_sum_takes_only_z_and_z_mod_m():
     with pytest.raises(ValueError, match="needs Z or Z/m"):
-        convolve_sum(QQ, [([Fraction(1, 2)], [Fraction(1, 3)], 0)], 1)
+        convolve_sum(QQ, [([Fraction(1, 2)], [Fraction(1, 3)])], 1)
 
 
 # ---- the one nonzero-term product loop ----
@@ -714,8 +719,8 @@ K16, K64 = BITS // 16, BITS // 64
 @st.composite
 def _shift_add_case(draw):
     """(ring, pairs, due): over Z/p, p <= 13, or nonnegative Z, one to three
-    pairs of a dense operand (values in [1, top]) and a sparse one, each
-    shifted 0 or 1.  The sparse one has from one nonzero term up to the most
+    pairs of a dense operand (values in [1, top]) and a sparse one.  The
+    sparse one has from one nonzero term up to the most
     the shift-add takes with the pairs before it, never more than the dense
     one has, index 0 and the last index among them as drawn.  Then maybe a
     lacunary pair for the schoolbook and, over Z, a signed pair, dense for
@@ -743,19 +748,19 @@ def _shift_add_case(draw):
             sparse[i] = draw(value)
         slot += len(support) * top * top
         pair = (dense, sparse) if draw(st.booleans()) else (sparse, dense)
-        pairs.append((*pair, draw(st.integers(0, 1))))
+        pairs.append(pair)
         due.append("shift")
     if draw(st.booleans()):
         a, b = [0] * 200, [0] * 200
         a[0] = b[199] = a[77] = b[5] = top
-        pairs.append((a, b, draw(st.integers(0, 1))))
+        pairs.append((a, b))
         due.append("schoolbook")
     if ring == ZZ and draw(st.booleans()):
         # a signed pair never takes the shift-add, whatever its neighbours:
         # the decimal multiply when dense, the schoolbook when the draw left
         # its first operand with 24 or fewer nonzero terms
         signed = (draw(st.lists(st.integers(-top, top), min_size=40, max_size=40)), [-top] * 40)
-        pairs.append((*signed, 1))
+        pairs.append(signed)
         due.append(_rule(*signed))
     return ring, pairs, due
 
@@ -771,56 +776,52 @@ def _ones(n: int, at, y: int = 1) -> list[int]:
 @settings(max_examples=100, deadline=None)
 # worst slots of exactly 2^w - 1 for w = 8, 16, 32 and 64: 3 terms of y
 # against a dense f with 3 y f = 2^w - 1, all three met at slot 2 onwards
-@example((ZZ, [([17] * 20, [5, 5, 5], 0)], ["shift"]))
-@example((ZZ, [([257] * 30, [85, 85, 85], 1)], ["shift"]))
-@example((ZZ, [([65537] * 9, _ones(3, (0, 1, 2), 21845), 0)], ["shift"]))
-@example((ZZ, [([(2**64 - 1) // 15] * 40, _ones(40, (0, 5, 39), 5), 0)], ["shift"]))
+# (an operand one slot up is written with a leading zero)
+@example((ZZ, [([17] * 20, [5, 5, 5])], ["shift"]))
+@example((ZZ, [([0] + [257] * 30, [85, 85, 85])], ["shift"]))
+@example((ZZ, [([65537] * 9, _ones(3, (0, 1, 2), 21845))], ["shift"]))
+@example((ZZ, [([(2**64 - 1) // 15] * 40, _ones(40, (0, 5, 39), 5))], ["shift"]))
 # the sum over pairs: 120 + 135 = 2^8 - 1, and 128 + 128 = 2^8, which needs
 # the next width though each pair alone fits in 8 bits; over Z/13 two
-# 144s, shifted by 0 and 1, meet in a slot of 288
-@example((ZZ, [([15] * 20, [4, 4], 0), ([9] * 20, [5, 5, 5], 0)], ["shift"] * 2))
-@example((ZZ, [([8] * 20, [8, 8], 0), ([8] * 20, [8, 8], 1)], ["shift"] * 2))
-@example((ModRing(13), [([12] * 30, [12], 0), ([12] * 30, [0, 0, 12], 1)], ["shift"] * 2))
+# 144s, one of them a slot up, meet in a slot of 288
+@example((ZZ, [([15] * 20, [4, 4]), ([9] * 20, [5, 5, 5])], ["shift"] * 2))
+@example((ZZ, [([8] * 20, [8, 8]), ([0] + [8] * 20, [8, 8])], ["shift"] * 2))
+@example((ModRing(13), [([12] * 30, [12]), ([0] + [12] * 30, [0, 0, 12])], ["shift"] * 2))
 # the most nonzero terms the shift-add takes, index 0 and the last among
 # them, in 16-bit slots (mod 13) and 64-bit ones; one more goes to the
 # decimal multiply
-@example((ModRing(13), [([12] * 300, _ones(300, [*range(K16 - 1), 299], 12), 1)], ["shift"]))
-@example((ModRing(13), [([12] * 300, _ones(300, range(K16 + 1), 12), 0)], ["decimal"]))
-@example((ZZ, [([2**40] * 100, _ones(100, [*range(K64 - 1), 99]), 0)], ["shift"]))
-@example((ZZ, [([2**40] * 100, _ones(100, range(K64 + 1)), 1)], ["decimal"]))
+@example((ModRing(13), [([0] + [12] * 300, _ones(300, [*range(K16 - 1), 299], 12))], ["shift"]))
+@example((ModRing(13), [([12] * 300, _ones(300, range(K16 + 1), 12))], ["decimal"]))
+@example((ZZ, [([2**40] * 100, _ones(100, [*range(K64 - 1), 99]))], ["shift"]))
+@example((ZZ, [([0] + [2**40] * 100, _ones(100, range(K64 + 1)))], ["decimal"]))
 # an all-zero sparse side never reaches the shift-add, whose 8-bit slots
 # could not hold values of 2^16 and more
 @example(
-    (ZZ, [([0] * 50, [2**16 + i for i in range(50)], 0), ([3] * 9, [1], 1)], ["schoolbook", "shift"])
+    (ZZ, [([0] * 50, [2**16 + i for i in range(50)]), ([0] + [3] * 9, [1])], ["schoolbook", "shift"])
 )
 # a negative coefficient never reaches the shift-add: the schoolbook takes
 # a sparse pair, the decimal multiply a dense one
-@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2], 0)], ["schoolbook"]))
-@example((ZZ, [([3] * 39 + [-1], [2] * 40, 0)], ["decimal"]))
+@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2])], ["schoolbook"]))
+@example((ZZ, [([3] * 39 + [-1], [2] * 40)], ["decimal"]))
 # a signed pair drawn all zero on one side is lacunary: the schoolbook
-@example((ZZ, [([1], [1], 0), ([0] * 40, [-1] * 40, 1)], ["shift", "schoolbook"]))
+@example((ZZ, [([1], [1]), ([0] * 41, [-1] * 40)], ["shift", "schoolbook"]))
 # one sum over Z/7 mixing all three kernels
 @example(
     (
         ModRing(7),
         [
-            ([6] * 60, _ones(9, (0, 3, 8), 6), 1),
-            (_ones(200, (0, 77), 6), _ones(200, (5, 199), 6), 0),
-            ([(i * i) % 7 or 1 for i in range(260)], [(3 * i) % 7 or 6 for i in range(270)], 1),
+            ([0] + [6] * 60, _ones(9, (0, 3, 8), 6)),
+            (_ones(200, (0, 77), 6), _ones(200, (5, 199), 6)),
+            ([0] + [(i * i) % 7 or 1 for i in range(260)], [(3 * i) % 7 or 6 for i in range(270)]),
         ],
         ["shift", "schoolbook", "decimal"],
     )
 )
 def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
     ring, pairs, due = case
-    top = max(s + len(a) + len(b) - 1 for a, b, s in pairs)
-    want = [0] * (top + 3)
-    for a, b, s in pairs:
-        # the oracle skips the zeros of its first operand
-        x, y = sorted((a, b), key=lambda v: len(v) - v.count(0))
-        for k, v in enumerate(convolve_schoolbook(ring, x, y, top + 3 - s)):
-            want[s + k] = ring.add(want[s + k], v)
-    # n_out below, at and above the longest len(a) + len(b) - 1 + s
+    top = max(len(a) + len(b) - 1 for a, b in pairs)
+    want = _sum_of_schoolbook_products(ring, pairs, top + 3)
+    # n_out below, at and above the longest len(a) + len(b) - 1
     for n in sorted({1, max(top // 2, 1), top - 1 or 1, top}):
         assert convolve_sum(ring, pairs, n) == want[:n], n
     # the whole sum: each pair, none cut, takes the kernel it is due
@@ -911,6 +912,24 @@ def test_unpack_reads_words_in_either_byte_order(w):
     assert [int.from_bytes(v.to_bytes(size, "little"), "big") for v in swapped] == want
 
 
+@pytest.mark.parametrize("bits", sorted(qseries._SLOT_CODES))
+def test_shift_add_pack_writes_words_in_either_byte_order(bits):
+    # the shift-add packs its dense operand as little-endian words; a
+    # big-endian host lays each out byte-reversed, and its branch swaps it.
+    # On a host of the other order that same branch shows as every word's
+    # bytes reversed, and `_words` of the same order reads the values back
+    code, size = qseries._SLOT_CODES[bits], bits // 8
+    rng = random.Random(f"pack {bits}")
+    xs = [0, 1, 2**bits - 1, *(rng.randrange(2**bits) for _ in range(300))]
+    host = qseries._to_words(xs, code, sys.byteorder).tobytes()
+    assert host == b"".join(x.to_bytes(size, "little") for x in xs)
+    other = {"little": "big", "big": "little"}[sys.byteorder]
+    swapped = qseries._to_words(xs, code, other).tobytes()
+    assert swapped == b"".join(x.to_bytes(size, "big") for x in xs)
+    for order in ("little", "big"):
+        assert qseries._words(qseries._to_words(xs, code, order).tobytes(), code, order) == xs
+
+
 # ---- the decimal kernel's signed offset ----
 
 
@@ -992,16 +1011,12 @@ def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypa
     ran = _count_decimal_calls(monkeypatch)
     rng = random.Random(order)
     h = 10**12
-    signed = ([rng.randint(-h, h) for _ in range(70)], [-h] * 40 + [rng.randint(-h, 0) for _ in range(25)], 0)
-    nonnegative = ([h] * 60, [rng.randint(0, h) for _ in range(80)], 1)
+    signed = ([rng.randint(-h, h) for _ in range(70)], [-h] * 40 + [rng.randint(-h, 0) for _ in range(25)])
+    nonnegative = ([0] + [h] * 60, [rng.randint(0, h) for _ in range(80)])
     pairs = [signed, nonnegative] if order == "signed first" else [nonnegative, signed]
-    top = max(s + len(a) + len(b) - 1 for a, b, s in pairs)
+    top = max(len(a) + len(b) - 1 for a, b in pairs)
     for n in (64, top, top + 2):
-        want = [0] * n
-        for a, b, s in pairs:
-            for k, x in enumerate(convolve_schoolbook(ZZ, a, b, max(n - s, 0))):
-                want[s + k] += x
-        assert convolve_sum(ZZ, pairs, n) == want, n
+        assert convolve_sum(ZZ, pairs, n) == _sum_of_schoolbook_products(ZZ, pairs, n), n
     assert ran == [2] * 3
 
 
@@ -1011,7 +1026,7 @@ def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypa
 # and the largest two (127 and 128), whose residues still add in pairs
 # within a byte
 BYTE_MODULI = (2, 7, 11, 13, 127, 128)
-# and moduli of one byte past it, whose residues take the integer path
+# and moduli of one byte past it, whose sums are made over Z and reduced once
 WIDE_MODULI = (255, 256)
 LANE_BYTES = (1, 2, 4, 8)
 
@@ -1020,9 +1035,8 @@ LANE_BYTES = (1, 2, 4, 8)
 def _residue_sum(draw):
     """(m, pairs, kernel, lane): over Z/m, m in BYTE_MODULI or WIDE_MODULI,
     one to three pairs of residue operands of 1 to 70 terms (dense, with at
-    most three nonzero terms, or all m - 1), each shifted 0 to 2; a kernel
-    to force on every product, and a lane size in bytes for the shift-add
-    total."""
+    most three nonzero terms, or all m - 1); a kernel to force on every
+    product, and a lane size in bytes for the shift-add total."""
     m = draw(st.sampled_from(BYTE_MODULI + WIDE_MODULI))
 
     def operand():
@@ -1036,27 +1050,20 @@ def _residue_sum(draw):
             xs = [x if i in keep else 0 for i, x in enumerate(xs)]
         return xs
 
-    pairs = [(operand(), operand(), draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 3)))]
+    pairs = [(operand(), operand()) for _ in range(draw(st.integers(1, 3)))]
     kernel = draw(st.sampled_from(("shift", "schoolbook", "decimal")))
     return m, pairs, kernel, draw(st.sampled_from(LANE_BYTES))
-
-
-def _sum_of_schoolbook_products(ring, pairs, n: int) -> list:
-    want = [ring.zero] * n
-    for a, b, s in pairs:
-        for k, x in enumerate(convolve_schoolbook(ring, a, b, max(n - s, 0))):
-            want[s + k] = ring.add(want[s + k], x)
-    return want
 
 
 @given(_residue_sum())
 @settings(max_examples=200, deadline=None)
 # the largest residue everywhere: every slot of the total is a multiple of
-# (m - 1)^2; mod 255 and 256 the same products take the integer path
-@example((256, [([255] * 70, [255] * 70, 0), ([255] * 70, [255] * 3, 2)], "decimal", 1))
-@example((255, [([254] * 70, [254] * 70, 1)], "shift", 8))
-@example((128, [([127] * 64, [127] * 64, 0)], "shift", 2))
-@example((7, [([6] * 70, [6] * 70, 0), ([1] * 9, [6, 0, 6], 1)], "decimal", 4))
+# (m - 1)^2; mod 255 and 256 the same products are made over Z and reduced
+# (an operand some slots up is written with leading zeros)
+@example((256, [([255] * 70, [255] * 70), ([0, 0] + [255] * 70, [255] * 3)], "decimal", 1))
+@example((255, [([0] + [254] * 70, [254] * 70)], "shift", 8))
+@example((128, [([127] * 64, [127] * 64)], "shift", 2))
+@example((7, [([6] * 70, [6] * 70), ([0] + [1] * 9, [6, 0, 6])], "decimal", 4))
 def test_residue_products_match_the_schoolbook_on_every_kernel(case):
     # every product forced onto one kernel, and the shift-add total into
     # lanes of the drawn size (or wider, when its slots need it); the
@@ -1064,7 +1071,7 @@ def test_residue_products_match_the_schoolbook_on_every_kernel(case):
     # path, and no modulus past it
     m, pairs, kernel, lane = case
     ring = ModRing(m)
-    top = max(s + len(a) + len(b) - 1 for a, b, s in pairs)
+    top = max(len(a) + len(b) - 1 for a, b in pairs)
     want = _sum_of_schoolbook_products(ring, pairs, top + 2)
     slot_bits = qseries._slot_bits
     moduli = []
@@ -1079,10 +1086,10 @@ def test_residue_products_match_the_schoolbook_on_every_kernel(case):
     with mock.patch.object(qseries, "_kernel", lambda *args: kernel), mock.patch.object(
         qseries, "_slot_bits", lambda bound: max(8 * lane, slot_bits(bound))
     ), recording(qseries._convolve_shift_add), recording(qseries._convolve_decimal):
-        # n_out below, at and above the longest len(a) + len(b) - 1 + s
+        # n_out below, at and above the longest len(a) + len(b) - 1
         for n in sorted({1, max(top // 2, 1), top, top + 2}):
             assert convolve_sum(ring, pairs, n) == want[:n], n
-        a, b, _ = pairs[0]
+        a, b = pairs[0]
         n = len(a) + len(b) - 1
         assert convolve(ring, a, b, n) == convolve_schoolbook(ring, a, b, n)
     assert moduli == [m if m <= qseries._BYTE_MODULUS else None] * len(moduli)
@@ -1135,19 +1142,34 @@ def test_fold_adds_columns_mod_m(m):
         assert list(qseries._fold(cols, m)) == want, count
 
 
-# operands that are not residues mod m: a value >= m, a negative value, a
-# value >= 256 (past a byte), each mod 7, and m itself mod 128, the largest
-# modulus of the byte path; then residues mod moduli past it, 129, 255 and
-# 256 of one byte and 257 past one byte
-NOT_RESIDUES = ((7, 7), (7, -1), (7, 256), (128, 128), (129, 3), (255, 254), (256, 255), (257, 3))
+# the byte path up to 128, and past it moduli of one byte (129, 255, 256),
+# one past a byte (257) and one far past it, where the sum is made over Z
+# and reduced once
+REDUCED_MODULI = (2, 7, 11, 127, 128, 129, 255, 256, 257, 10**30)
+# (m, bad): mod 7 a value >= m, a negative value and a value >= 256; 128 mod
+# 128; residues mod 129, 255, 256 and 257; then for every modulus above a
+# value that is negative, unreduced (m itself, or m + 1 past a byte), past a
+# byte, and far past any modulus
+NOT_RESIDUES = tuple(
+    dict.fromkeys(
+        [
+            (7, 7), (7, -1), (7, 256), (128, 128), (129, 3), (255, 254), (256, 255), (257, 3),
+            *((m, bad) for m in REDUCED_MODULI for bad in (-1, -m - 3, m + 1 if m >= 256 else m, 256 + m, 10**40)),
+        ]
+    )
+)
 
 
 @pytest.mark.parametrize("m, bad", NOT_RESIDUES)
 def test_operands_that_are_not_residues_take_the_integer_path(m, bad, monkeypatch):
-    # one bad value beside residues sends its product, and any sum it is
-    # in, down the integer path: multiplied exactly over Z, no kernel handed
-    # the modulus, reduced once; residues alone take the byte path up to
-    # m = 128 and the integer path past it
+    # bad beside residues in each of a dense, a sparse and a lacunary
+    # operand, and an operand of nothing else, whose slots would overflow if
+    # it were packed unreduced: alone and in a sum beside a pair of
+    # residues, the product is that of the integers given, reduced mod m,
+    # whichever kernel makes it.  Up to m = 128 each operand enters as the
+    # bytes of its values reduced as integers, never wrapped, and every
+    # packed kernel is handed the modulus; past it the sum is made over Z,
+    # no kernel is handed the modulus, and it is reduced once
     moduli = []
     for name in ("_convolve_shift_add", "_convolve_decimal"):
         kernel = getattr(qseries, name)
@@ -1159,40 +1181,44 @@ def test_operands_that_are_not_residues_take_the_integer_path(m, bad, monkeypatc
         monkeypatch.setattr(qseries, name, wrapped)
     rng = random.Random(f"not residues {m} {bad}")
     ring = ModRing(m)
-    dense = [rng.randrange(min(m, 256)) for _ in range(600)]
-    sparse = _ones(600, (0, 300, 599), min(m, 256) - 1)
-    lacunary = _ones(600, (3, 400), 1)
+    top = min(m, 256)
+    dense = [rng.randrange(top) for _ in range(200)]
+    sparse = _ones(200, (0, 100, 199), top - 1)
+    lacunary = _ones(200, (3, 150), 1)
+    residues = _sum_of_schoolbook_products(ZZ, [(dense, sparse)], 400)
     products = []
-    for first, other in ((dense, dense), (dense, sparse), (lacunary, lacunary)):
+    for first, other in ((dense, dense), (dense, sparse), (lacunary, lacunary), ([bad] * 200, dense)):
         a = list(first)
-        a[rng.randrange(600)] = bad
+        a[rng.randrange(200)] = bad
         if m <= qseries._BYTE_MODULUS:
-            assert qseries._residues(a, m) is None
-        products.append((a, other))
-        # in a sum beside a pair of residues
-        pairs = [(dense, sparse, 0), (other, a, 1)]
-        exact = _sum_of_schoolbook_products(ZZ, pairs, 800)
-        assert convolve_sum(ring, pairs, 800) == [x % m for x in exact]
-    # alone, each product takes the kernel `_rule` names
+            assert qseries._residues(a, m) == bytes(x % m for x in a)
+        exact = _sum_of_schoolbook_products(ZZ, [(other, a)], 400)
+        products.append((a, other, exact))
+        got = convolve_sum(ring, [(dense, sparse), (other, a)], 400)
+        assert got == [(x + y) % m for x, y in zip(residues, exact)]
+    # alone, each product takes the kernel `_rule` names for the operands
+    # the kernels are handed: reduced up to 128, as given past it
     calls = _record_kernels(monkeypatch)
-    for a, other in products:
-        assert convolve(ring, a, other, 800) == [x % m for x in convolve_schoolbook(ZZ, other, a, 800)]
-    assert moduli and moduli == [None] * len(moduli)
+    for a, other, exact in products:
+        assert convolve(ring, a, other, 400) == [x % m for x in exact], a
     assert [kernel for kernel, _, _ in calls] == [_rule(a, b) for _, a, b in calls]
-    # a negative value keeps every product off the shift-add
-    ran = {"decimal", "schoolbook"} | ({"shift"} if bad >= 0 else set())
-    assert {kernel for kernel, _, _ in calls} == ran and len(calls) == 3
-    moduli.clear()
-    assert convolve(ring, dense, sparse, 800) == convolve_schoolbook(ring, sparse, dense, 800)
-    assert moduli == [m if m <= qseries._BYTE_MODULUS else None]
+    assert moduli and moduli == [m if m <= qseries._BYTE_MODULUS else None] * len(moduli)
 
 
 def test_residues_are_checked_not_trusted():
     assert qseries._residues([0, 6, 3], 7) == bytes([0, 6, 3])
     assert qseries._residues([], 7) == b""
     assert qseries._residues([127, 0], 128) == bytes([127, 0])
-    for xs in ([0, 7], [-1], [256], [10**30], [Fraction(1, 2)], [1.0]):
-        assert qseries._residues(xs, 7) is None, xs
+    # a value outside [0, m) comes back reduced, never wrapped into a wrong
+    # residue: past a byte by `% m`, inside one by a translate
+    for xs in ([0, 7], [-1], [256, 3], [10**30], [-(10**30), 255], [128, 255, 129]):
+        for m in (2, 7, 128):
+            assert qseries._residues(xs, m) == bytes([x % m for x in xs]), (xs, m)
+    # a value that is not an int is an error, before or after a value that
+    # needs reducing
+    for xs in ([Fraction(1, 2)], [1.0], [300, Fraction(1, 2)], [3, 2.0]):
+        with pytest.raises(TypeError):
+            qseries._residues(xs, 7)
 
 
 def test_large_products_stay_within_the_traced_peak_of_the_per_slot_parse():

@@ -118,14 +118,6 @@ def test_clear_removes_everything(tmp_path):
     assert cache.get(key, 2) is None
 
 
-def test_clear_removes_leftover_meta_sidecars(tmp_path):
-    (tmp_path / "0123456789abcdef01234567.meta").write_text("{}\n")
-    cache = Cache(tmp_path)
-    cache.put(CacheKey("x", "int"), _series(ZZ, [1, 2]))
-    assert cache.clear() == 2
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_source_fingerprint_change_turns_hit_into_miss(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
     key = CacheKey("delta_k:3", "mod:7")
