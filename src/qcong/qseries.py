@@ -26,9 +26,8 @@ signs and value ranges:
   one decimal number of fixed-width base-10^w slots (a signed operand is
   packed as x - lo and given back lo times the base-10^w repunit), and
   libmpdec multiplies the two with a number-theoretic transform.  The
-  total's digits are read back a block of slots at a time through
-  machine-word lanes, two digit columns per integer operation, never one
-  `int` parse per slot; a signed total has 5 10^(w-1) added to every slot
+  total's slots are read back through 32-bit lanes up to 9 digits, else by
+  one `int` parse each; a signed total has 5 10^(w-1) added to every slot
   first, so each reads as a nonnegative numeral, and taken off after.
 
 Slot widths come from the nonzero counts too: a slot sums at most
@@ -58,6 +57,7 @@ from __future__ import annotations
 
 import decimal
 import io
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -127,12 +127,6 @@ _EXACT = decimal.Context(
 _TEXT_DIGITS = sys.int_info.str_digits_check_threshold
 # ASCII digits to their values
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-# (most decimal digits, typecode) of each machine-word lane, narrowest first:
-# 2, 4, 9 and 19 digits in 1-, 2-, 4- and 8-byte lanes
-_LANES = tuple((len(str(2**bits - 1)) - 1, code) for bits, code in _SLOT_CODES.items())
-_LANE_DIGITS = _LANES[-1][0]
-# slots unpacked at a time: the lanes of a block stay a few tens of KB
-_UNPACK_BLOCK = 4096
 # Z/m with m up to this carries each operand, once checked, as bytes: two
 # residues then fit a byte together, so `_fold` adds at least two columns
 # before it reduces
@@ -231,69 +225,35 @@ def _to_words(xs, code: str, byteorder: str = sys.byteorder) -> array:
     return words
 
 
-def _words(data: bytes, code: str, byteorder: str = sys.byteorder) -> list[int]:
-    """The little-endian machine words of data, of `array` typecode code, as
-    ints on a host of the given byte order."""
-    words = array(code, data)
-    del data  # the bytes are not kept beside the ints of tolist
+def _words(words: array, byteorder: str = sys.byteorder) -> list[int]:
+    """Little-endian machine words as ints, swapped in place on a big-endian host."""
     if byteorder == "big":
         words.byteswap()
     return words.tolist()
 
 
-def _lanes(raw: bytes, pairs: bytes, w: int, cols: range, byteorder: str) -> list[int]:
-    """The digits in columns cols (0 the most significant) of each w-digit
-    slot of raw, digit values 0-9 with the highest slot first, read as one
-    number per slot, least slot first; pairs[p] is 10 raw[p - 1] + raw[p].
-
-    Each slot gets one machine-word lane of an integer, little-endian lanes
-    read as one big-endian number: two columns at a time, pairs[k + 1::w]
-    fills the low byte of every lane and acc = 100 acc + that number (one
-    column alone first when their count is odd), so no lane ever carries
-    into the next.  Written back little-endian, the lanes come out least
-    slot first.
-    """
-    m = len(raw) // w
-    code = next(code for digits, code in _LANES if digits >= len(cols))
-    size = array(code).itemsize
-    buf = bytearray(m * size)
-    acc, start = 0, cols.start
-    if len(cols) % 2:
-        buf[size - 1 :: size] = raw[start::w]
-        acc, start = int.from_bytes(buf, "big"), start + 1
-    for k in range(start, cols.stop, 2):
-        buf[size - 1 :: size] = pairs[k + 1 :: w]
-        acc = 100 * acc + int.from_bytes(buf, "big")
-    return _words(acc.to_bytes(m * size, "little"), code, byteorder)
-
-
-def _unpack(digits: str, w: int, n: int, byteorder: str = sys.byteorder) -> list[int]:
+def _unpack(digits: str, w: int, n: int) -> list[int]:
     """The n lowest w-digit slots of a decimal numeral, least first.
 
-    A block of _UNPACK_BLOCK slots at a time: its digits become bytes 0-9
-    through one translate, each byte plus ten times the one before it gives
-    every two-digit pair in one integer operation, and `_lanes` reads each
-    chunk of at most _LANE_DIGITS digit columns through machine-word lanes.
-    A slot wider than that is its chunks joined by one hi 10^c + lo pass
-    per chunk, so every width, past the int-to-str digit limit too, takes
-    this one path and no slot is parsed by `int`.
+    Slots of at most 9 digits (10^9 < 2^32) fill one 32-bit lane each of
+    one integer, read big-endian: acc = 10 acc + digit column k of every
+    slot in each lane's low byte, so no lane carries into the next, and
+    `_words` reads the lanes back little-endian, least slot first.  A
+    wider slot is one `int` parse, through `Decimal` past _TEXT_DIGITS.
     """
-    digits = digits.zfill(n * w)
-    top = len(digits)
-    step = _UNPACK_BLOCK * w
-    first = w - _LANE_DIGITS * ((w - 1) // _LANE_DIGITS)
-    scale = 10**_LANE_DIGITS
-    out = []
-    for stop in range(top, top - n * w, -step):
-        raw = digits[max(stop - step, top - n * w) : stop].encode("ascii").translate(_DIGIT_VALUES)
-        value = int.from_bytes(raw, "big")
-        pairs = (value + 10 * (value >> 8)).to_bytes(len(raw), "big")
-        block = _lanes(raw, pairs, w, range(first), byteorder)
-        for k in range(first, w, _LANE_DIGITS):
-            chunk = _lanes(raw, pairs, w, range(k, k + _LANE_DIGITS), byteorder)
-            block = [hi * scale + lo for hi, lo in zip(block, chunk)]
-        out += block
-    return out
+    raw = digits[-n * w :].zfill(n * w).encode("ascii")
+    if w > 9:
+        parse = int if w <= _TEXT_DIGITS else lambda text: int(decimal.Decimal(text.decode()))
+        return [parse(raw[i - w : i]) for i in range(n * w, 0, -w)]
+    buf = bytearray(4 * n)
+    acc = 0
+    for k in range(w):
+        buf[3::4] = raw[k::w].translate(_DIGIT_VALUES)
+        acc = 10 * acc + int.from_bytes(buf, "big")
+    del raw, buf
+    words = array(_SLOT_CODES[32], acc.to_bytes(4 * n, "little"))
+    del acc  # the lanes are not kept twice beside the ints of tolist
+    return _words(words)
 
 
 def _residues(xs: list[int], m: int) -> bytes:
@@ -400,7 +360,7 @@ def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[
             total += y * sum(map(packed.__lshift__, by))
     total &= (1 << bits * n) - 1
     if m is None:
-        return _words(total.to_bytes(n * size, "little"), code)
+        return _words(array(code, total.to_bytes(n * size, "little")))
     raw = total.to_bytes(n * size, "little")
     del total
     return _lane_residues(raw, size, m)
@@ -823,7 +783,10 @@ def loads(text: str) -> QSeries:
     if len(parts) != 5 or parts[0] != "qseries" or parts[1] != "v1":
         raise ValueError(f"bad qseries dump header: {header!r}")
     fields = dict(p.partition("=")[::2] for p in parts[2:])
-    if fields.keys() != {"ring", "offset24", "T"} or not all(fields.values()):
+    # offset24 and T in ASCII digits, T >= 1: never a Unicode digit, "+" or "_"
+    if fields.keys() != {"ring", "offset24", "T"} or not (
+        re.fullmatch("-?[0-9]+", fields["offset24"]) and re.fullmatch("0*[1-9][0-9]*", fields["T"])
+    ):
         raise ValueError(f"bad qseries dump header fields: {header!r}")
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])

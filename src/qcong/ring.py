@@ -378,6 +378,6 @@ def ring_from_tag(tag: str) -> Ring:
         return QQ
     if tag == "quad":
         return QUAD
-    if tag.startswith("mod:"):
+    if tag.startswith("mod:") and tag[4:].isascii() and tag[4:].isdigit():
         return ModRing(int(tag[4:]))
     raise ValueError(f"unknown ring tag {tag!r}")

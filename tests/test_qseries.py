@@ -841,12 +841,11 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
     assert ran == Counter(due)
 
 
-# ---- the decimal kernel's decode: machine-word lanes ----
+# ---- the decimal kernel's decode: 32-bit lanes, else one int per slot ----
 
-BLOCK = qseries._UNPACK_BLOCK
-# lane boundaries (2, 4, 9 and 19 digits fill 1-, 2-, 4- and 8-byte lanes),
-# chunked slots past 19 digits, and one past the int-to-str threshold
-DECODE_WIDTHS = (1, 2, 3, 4, 5, 9, 10, 19, 20, 24, 33, 641)
+# lane widths up to 9 digits, the lane/int boundary at 9 and 10, and the
+# int/Decimal boundary at 640 and 641, the int-to-str threshold
+DECODE_WIDTHS = (1, 2, 3, 4, 5, 9, 10, 19, 20, 24, 33, 640, 641)
 
 
 def _numeral(rng, w: int, n: int) -> str:
@@ -884,32 +883,44 @@ def test_unpack_of_the_extreme_slots(w):
 
 
 @pytest.mark.parametrize("w", [1, 9, 10, 20])
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-def test_unpack_across_the_block_boundaries(w, n):
-    # the least significant slot is 0 and the most 10^w - 1, on opposite
-    # sides of every block edge
-    rng = random.Random(f"block {w} {n}")
+@pytest.mark.parametrize("n", [1, 4_097, 8_193])
+def test_unpack_of_long_numerals(w, n):
+    # the most significant slot is 10^w - 1 and, past one slot, the least
+    # is 0, so a lane or parse that drops or shifts one slot shows at an end
+    rng = random.Random(f"long {w} {n}")
     text = _numeral(rng, w, n)
     got = qseries._unpack(text, w, n)
     assert got == unpack_per_slot(text, w, n)
-    assert got[0] == 0 and got[-1] == 10**w - 1
+    assert got[-1] == 10**w - 1 and (n == 1 or got[0] == 0)
 
 
-@pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 9, 10, 19])
-def test_unpack_reads_words_in_either_byte_order(w):
-    # the lanes go out as little-endian words; a big-endian host reads each
-    # byte-reversed, and its branch swaps it back.  On a host of the other
-    # order that same branch shows as every value byte-reversed in a lane
-    # of the width its digits need
-    rng = random.Random(f"byte order {w}")
-    n = 300
-    text = _numeral(rng, w, n)
-    want = unpack_per_slot(text, w, n)
-    assert qseries._unpack(text, w, n, sys.byteorder) == want
-    other = {"little": "big", "big": "little"}[sys.byteorder]
-    size = next(size for size in (1, 2, 4, 8) if 10**w <= 256**size)
-    swapped = qseries._unpack(text, w, n, other)
-    assert [int.from_bytes(v.to_bytes(size, "little"), "big") for v in swapped] == want
+def test_decode_is_exact_under_the_strictest_int_to_str_limit(monkeypatch):
+    # 640 digits is the lowest limit CPython allows: an int parse of a
+    # 641-digit slot, or str() of an int that wide, raises under it
+    widths = []
+    unpack = qseries._unpack
+
+    def recording(digits, w, n):
+        widths.append(w)
+        return unpack(digits, w, n)
+
+    monkeypatch.setattr(qseries, "_unpack", recording)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rng = random.Random("strict limit")
+        for w in (640, 641):
+            text = _numeral(rng, w, 5)
+            assert unpack(text, w, 5) == unpack_per_slot(text, w, 5), w
+        # 30 dense terms each, a signed, so the decimal kernel's slots hold
+        # 2 * 30 top^2: 641, 2,002 and 4,300 digits
+        for top in (2 * 10**319, 10**1000, 10**2149):
+            a = [-top, *(rng.randrange(-top, top + 1) for _ in range(29))]
+            b = [top, *(rng.randrange(top + 1) for _ in range(29))]
+            assert convolve(ZZ, a, b, 50) == convolve_schoolbook(ZZ, a, b, 50)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert widths == [641, 2_002, 4_300]
 
 
 @pytest.mark.parametrize("bits", sorted(qseries._SLOT_CODES))
@@ -927,7 +938,7 @@ def test_shift_add_pack_writes_words_in_either_byte_order(bits):
     swapped = qseries._to_words(xs, code, other).tobytes()
     assert swapped == b"".join(x.to_bytes(size, "big") for x in xs)
     for order in ("little", "big"):
-        assert qseries._words(qseries._to_words(xs, code, order).tobytes(), code, order) == xs
+        assert qseries._words(qseries._to_words(xs, code, order), order) == xs
 
 
 # ---- the decimal kernel's signed offset ----
@@ -1225,7 +1236,7 @@ def test_large_products_stay_within_the_traced_peak_of_the_per_slot_parse():
     # two 100,001-term products, as perfbench's large kernels operands: one
     # over Z/7, one over Z with operands in [0, 76].  With one int parse per
     # slot they peaked at 6.18 and 6.95 MB of traced memory (Python 3.11);
-    # the lane decode, a block of slots at a time, must stay within that
+    # the residue and 32-bit lane decodes must stay within that
     n = 100_001
     rng = random.Random(1)
     a = [rng.randrange(77) for _ in range(n)]
@@ -1288,6 +1299,30 @@ def test_load_rejects_bad_header_and_truncated_body():
     # a header field without "="
     with pytest.raises(ValueError, match="header"):
         loads("qseries v1 ring=int offset24 T=1\n0\n")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        "ring=int offset24=\u0663 T=1",  # an Arabic-Indic 3
+        "ring=int offset24=+3 T=1",
+        "ring=int offset24=1_0 T=1",
+        "ring=int offset24=0 T=1_0",
+        "ring=int offset24=0 T=\u0662",
+        "ring=int offset24=0 T=-1",
+        "ring=int offset24=0 T=0",
+        "ring=mod:\u0667 offset24=0 T=1",  # an Arabic-Indic 7
+        "ring=mod:7_0 offset24=0 T=1",
+        "ring=mod:+7 offset24=0 T=1",
+        "ring=mod: offset24=0 T=1",
+    ],
+)
+def test_load_reads_header_numbers_as_ascii_integers(fields):
+    # int() accepts Unicode digits, "+" and "_": given the lines it would
+    # read T as, each header would otherwise load
+    lines = max(int(fields.rpartition("T=")[2]), 0)
+    with pytest.raises(ValueError, match="header|ring tag"):
+        loads(f"qseries v1 {fields}\n" + "5\n" * lines)
 
 
 def test_mod_ring_data_enters_reduced():
