@@ -883,15 +883,34 @@ def test_unpack_of_the_extreme_slots(w):
 
 
 @pytest.mark.parametrize("w", [1, 9, 10, 20])
-@pytest.mark.parametrize("n", [1, 4_097, 8_193])
-def test_unpack_of_long_numerals(w, n):
-    # the most significant slot is 10^w - 1 and, past one slot, the least
-    # is 0, so a lane or parse that drops or shifts one slot shows at an end
-    rng = random.Random(f"long {w} {n}")
+@pytest.mark.parametrize("n", [1, 4_095, 4_096, 4_097, 8_193])
+def test_unpack_across_the_block_boundaries(w, n):
+    # long numerals, either side of 4,096 and 8,192 slots: the most
+    # significant slot is 10^w - 1 and, past one slot, the least is 0, so a
+    # lane or parse that drops or shifts one slot shows at an end
+    rng = random.Random(f"block {w} {n}")
     text = _numeral(rng, w, n)
     got = qseries._unpack(text, w, n)
     assert got == unpack_per_slot(text, w, n)
     assert got[-1] == 10**w - 1 and (n == 1 or got[0] == 0)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 9])
+def test_unpack_reads_words_in_either_byte_order(w, monkeypatch):
+    # slots of at most 9 digits go out as little-endian 32-bit lanes; a
+    # big-endian host reads each byte-reversed, and `_words` swaps it back.
+    # On a host of the other order that same branch shows as every value
+    # byte-reversed in its 4-byte lane
+    rng = random.Random(f"byte order {w}")
+    n = 300
+    text = _numeral(rng, w, n)
+    want = unpack_per_slot(text, w, n)
+    assert qseries._unpack(text, w, n) == want
+    other = {"little": "big", "big": "little"}[sys.byteorder]
+    words = qseries._words
+    monkeypatch.setattr(qseries, "_words", lambda lanes: words(lanes, other))
+    swapped = qseries._unpack(text, w, n)
+    assert [int.from_bytes(v.to_bytes(4, "little"), "big") for v in swapped] == want
 
 
 def test_decode_is_exact_under_the_strictest_int_to_str_limit(monkeypatch):
