@@ -7,28 +7,29 @@ reading past the truncation is a hard error, never a silent zero:
 the Sturm-bound arguments downstream depend on "unknown" being
 distinguishable from "zero".
 
-Coefficients are stored densely.  Products over Z and Z/m have three
-kernels, chosen by `_kernel` from the operands' nonzero counts, lengths,
-signs and value ranges:
+Coefficients are stored densely.  Products over Z/m with m <= 128 have
+three kernels and products over Z (or a larger modulus) two, chosen by
+`_kernel` from the operands' nonzero counts and lengths, and over Z/m
+their largest residues:
 
-- shift-add, for a dense operand times one with few nonzero terms (256
-  in 16-bit slots, 64 in 64-bit ones), both nonnegative (every Z/m operand
-  is): the dense one is packed once into one integer of 8- to 64-bit
-  binary slots, and each nonzero term y q^j of the other adds it shifted j
-  slots, grouped by y so one multiply per distinct value remains;
+- shift-add, for a dense operand of residue bytes (below) times one with
+  few nonzero terms (256 in 16-bit slots, 64 in 64-bit ones): the dense one
+  is written once into one integer of 8- to 64-bit binary slots, and each
+  nonzero term y q^j of the other adds it shifted j slots, grouped by y so
+  one multiply per distinct value remains;
 - a schoolbook over the nonzero terms of both operands, while
   nnz(a) nnz(b) is small against their length: two lacunary operands
   (Euler's and Jacobi's expansions, whose nonzero terms number about
-  sqrt(T)), or a short signed one.  Its loop, `_add_products`, is the one
+  sqrt(T)), or a short one.  Its loop, `_add_products`, is the one
   nonzero-term product loop: `eta`'s class split runs its rows through it;
-- Kronecker substitution on the standard library's `decimal`, for two
-  dense operands or signed ones: each operand becomes its exact value as
-  one decimal number of fixed-width base-10^w slots (a signed operand is
-  packed as x - lo and given back lo times the base-10^w repunit), and
-  libmpdec multiplies the two with a number-theoretic transform.  The
-  total's slots are read back through 32-bit lanes up to 9 digits, else by
-  one `int` parse each; a signed total has 5 10^(w-1) added to every slot
-  first, so each reads as a nonnegative numeral, and taken off after.
+- Kronecker substitution on the standard library's `decimal`, for the
+  rest: each operand becomes its exact value as one decimal number of
+  fixed-width base-10^w slots (a signed operand is packed as x - lo and
+  given back lo times the base-10^w repunit), and libmpdec multiplies the
+  two with a number-theoretic transform.  The total's slots are read back
+  through 32-bit lanes up to 9 digits, else by one `int` parse each; a
+  signed total has 5 10^(w-1) added to every slot first, so each reads as
+  a nonnegative numeral, and taken off after.
 
 Slot widths come from the nonzero counts too: a slot sums at most
 min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
@@ -40,14 +41,13 @@ Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11)
 `convolve_sum` carries every operand as bytes of residues in [0, m):
 `bytes` and one translate check it, never trusting it, and an int operand
 that fails the check is reduced first.  Byte counts and membership tests
-give its nonzero count and largest value, so the kernel and every slot
-width are what the integer path would choose, and it is packed by slices
-of translated bytes.  Every part of the sum comes back as residues: each
-lane byte or digit column goes through a table of v base^e mod m, and the
-columns are added as integers a few at a time, so no byte carries, and
-reduced by one more translate.  No total is unpacked into ints and no
-`% m` pass runs over it.  A larger modulus takes the sum over Z, reduced
-once.
+give its nonzero count and largest value, which choose the kernel and
+every slot width, and it is packed by slices of translated bytes.  Every
+part of the sum comes back as residues: each lane byte or digit column
+goes through a table of v base^e mod m, and the columns are added as
+integers a few at a time, so no byte carries, and reduced by one more
+translate.  No total is unpacked into ints and no `% m` pass runs over
+it.  A larger modulus takes the sum over Z, reduced once.
 
 Every kernel is exact; property tests assert they agree with the generic
 schoolbook, the oracle for every ring.
@@ -80,12 +80,12 @@ from .ring import (
 
 __all__ = ["QSeries", "dumps", "loads"]
 
-# The three kernels of an integer product (`_kernel`).  Schoolbook, when
-# the shift-add declines, while nnz(a) nnz(b) <= cutoff (len(a) + len(b)),
-# nnz counting nonzero coefficients: decimal packing costs about as much per
-# coefficient, zero or not, as a dozen Python multiply-adds, so short signed
-# operands and lacunary ones (eta^3 times eta: about 1,000 x 1,000 nonzero
-# terms in 384,173) stay off the decimal path.
+# The kernels of an integer product (`_kernel`).  Schoolbook, when the
+# shift-add declines or is not offered, while nnz(a) nnz(b) <= cutoff
+# (len(a) + len(b)), nnz counting nonzero coefficients: decimal packing
+# costs about as much per coefficient, zero or not, as a dozen Python
+# multiply-adds, so short operands and lacunary ones (eta^3 times eta:
+# about 1,000 x 1,000 nonzero terms in 384,173) stay off the decimal path.
 _SCHOOLBOOK_CUTOFF = 12
 
 # Shift-add while the sparser operand's nonzero terms times the slot width
@@ -105,7 +105,8 @@ _SHIFT_ADD_BITS = 4096
 # reach its length times the slot width.  eta(z)^4's classes mod 7, 38%
 # nonzero, are; Euler's and Jacobi's series past a few hundred terms are not.
 _SCHOOLBOOK_BITS = 512
-# array typecodes of the unsigned machine words, by width in bits
+# array typecodes of the unsigned machine words, by width in bits: the
+# shift-add's slot widths, and `_unpack`'s 32-bit lanes
 _SLOT_CODES = {8 * array(c).itemsize: c for c in "BHIQ"}
 
 # Exact big-number products: libmpdec multiplies long operands with a
@@ -141,21 +142,21 @@ def _slot_bits(bound: int) -> int | None:
     return next((bits for bits in _SLOT_CODES if bound >> bits == 0), None)
 
 
-def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, lo: int, slot: int) -> str:
+def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, slot: int | None) -> str:
     """The kernel that multiplies an operand of len_a terms, nnz_a of them
     nonzero, by one of len_b terms, nnz_b nonzero, a the denser (more
-    nonzero terms, or the shorter on a tie), whose least value is lo, when
-    `slot` bounds every slot of the shift-add total with this product in
-    it: "shift", "schoolbook" or "decimal".
+    nonzero terms, or the shorter on a tie): "shift", "schoolbook" or
+    "decimal".  `slot` bounds every slot of the shift-add total with this
+    product in it; None, for every product but one of residue bytes (a
+    sum mod m <= _BYTE_MODULUS), offers no shift-add.
 
-    Shift-add takes a product of nonnegative operands while the slots fit
-    in 64 bits, b's nonzero terms times the slot width are at most
-    _SHIFT_ADD_BITS and a is dense: it costs len_a times the width in bits
-    per term of b, the schoolbook nnz_a multiply-adds.  Otherwise two
-    lacunary operands go to the nonzero-term schoolbook and two dense ones
-    to the decimal multiply.
+    Shift-add takes the product while the slots fit in 64 bits, b's
+    nonzero terms times the slot width are at most _SHIFT_ADD_BITS and a
+    is dense: it costs len_a times the width in bits per term of b, the
+    schoolbook nnz_a multiply-adds.  Otherwise two lacunary operands go to
+    the nonzero-term schoolbook and two dense ones to the decimal multiply.
     """
-    bits = _slot_bits(slot) if lo >= 0 and nnz_b else None
+    bits = _slot_bits(slot) if slot is not None and nnz_b else None
     if bits and nnz_b * bits <= _SHIFT_ADD_BITS and nnz_a * _SCHOOLBOOK_BITS >= len_a * bits:
         return "shift"
     lacunary = nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * (len_a + len_b)
@@ -214,15 +215,6 @@ def _repunit(w: int, k: int) -> decimal.Decimal:
     """Sum of 10^(w i) for i < k, exactly: (10^(w k) - 1) / (10^w - 1), one
     short division."""
     return _EXACT.divide(_EXACT.subtract(_EXACT.scaleb(1, w * k), 1), 10**w - 1)
-
-
-def _to_words(xs, code: str, byteorder: str = sys.byteorder) -> array:
-    """xs as machine words of `array` typecode code laid out little-endian,
-    on a host of the given byte order: what `_words` reads back."""
-    words = array(code, xs)
-    if byteorder == "big":
-        words.byteswap()
-    return words
 
 
 def _words(words: array, byteorder: str = sys.byteorder) -> list[int]:
@@ -329,28 +321,23 @@ def _reach(group, n_out: int) -> int:
     return min(n_out, max(len(a) + len(b) - 1 for a, b, *_ in group))
 
 
-def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[int] | bytes:
-    """First n terms of the sum of d*e over the (d, e) in pairs, every value
-    nonnegative, e sparse and every slot of the total below 2^bits; with a
-    modulus m, every operand is residues as bytes and the terms come back
-    as residues, one byte each.
+def _convolve_shift_add(pairs, bits: int, n: int, m: int) -> bytes:
+    """First n terms mod m of the sum of d*e over the (d, e) in pairs,
+    every operand residues mod m as bytes, e sparse and every slot of the
+    exact total below 2^bits; the terms come back as residues, one byte
+    each.
 
-    Each d is packed once into one integer of bits-wide binary slots (an
-    `array` of machine words read as bytes, or bytes written into zeroed
-    little-endian lanes by one slice assignment), each nonzero term y q^j
-    of e adds that integer shifted j slots, and the shifts are grouped by
-    y, so one multiply per distinct value remains.  The total is cut back
-    into slots once, or mod m into residues (`_lane_residues`).
+    Each d is packed once into one integer of bits-wide binary slots, its
+    bytes written into zeroed little-endian lanes by one slice assignment,
+    each nonzero term y q^j of e adds that integer shifted j slots, and the
+    shifts are grouped by y, so one multiply per distinct value remains.
+    The total is cut back into slots mod m once (`_lane_residues`).
     """
-    code = _SLOT_CODES[bits]
     size = bits // 8
     total = 0
     for d, e in pairs:
-        if m is None:
-            lanes = _to_words(d, code)
-        else:
-            lanes = bytearray(len(d) * size)
-            lanes[::size] = d
+        lanes = bytearray(len(d) * size)
+        lanes[::size] = d
         packed = int.from_bytes(lanes, "little")
         del lanes  # not kept beside the unpacked total
         shifts = {}
@@ -359,8 +346,6 @@ def _convolve_shift_add(pairs, bits: int, n: int, m: int | None = None) -> list[
         for y, by in shifts.items():
             total += y * sum(map(packed.__lshift__, by))
     total &= (1 << bits * n) - 1
-    if m is None:
-        return _words(array(code, total.to_bytes(n * size, "little")))
     raw = total.to_bytes(n * size, "little")
     del total
     return _lane_residues(raw, size, m)
@@ -409,16 +394,17 @@ def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
     operand is residues mod m as bytes and the sum is reduced mod m.
 
     Each product goes to the kernel `_kernel` picks from its operands'
-    nonzero counts, lengths and values.  The shift-add products share one
-    binary total and the decimal ones one decimal total, each unpacked
-    once.  A slot of a*b sums at most min(nnz a, nnz b) terms, so each
-    total's slot is sized by the sum over its pairs of that count times
-    max|a| max|b| (doubled by `_convolve_decimal` for a signed total): no
-    slot overflows into its neighbour.
+    nonzero counts and lengths, and with a modulus from the shift-add
+    total's slot bound too: only residue operands are offered the
+    shift-add.  The shift-add products share one binary total and the
+    decimal ones one decimal total, each unpacked once.  A slot of a*b
+    sums at most min(nnz a, nnz b) terms, so each total's slot is sized by
+    the sum over its pairs of that count times max|a| max|b| (doubled by
+    `_convolve_decimal` for a signed total): no slot overflows into its
+    neighbour.
 
     Residue operands give their nonzero counts and largest values by byte
-    operations, so the kernels are chosen from the same counts and values
-    as over Z.  Every part then comes back as residues: the shift-add and
+    operations.  Every part then comes back as residues: the shift-add and
     decimal totals as bytes, each schoolbook product reduced, and `_fold`
     adds them mod m, so no total is unpacked into ints.
     """
@@ -431,8 +417,8 @@ def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
             a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
         lo_a, hi_a = _bounds(a, nnz_a, m)
         lo_b, hi_b = _bounds(b, nnz_b, m)
-        with_pair = slot + nnz_b * hi_a * hi_b
-        kernel = _kernel(nnz_a, nnz_b, len(a), len(b), min(lo_a, lo_b), with_pair)
+        with_pair = None if m is None else slot + nnz_b * hi_a * hi_b
+        kernel = _kernel(nnz_a, nnz_b, len(a), len(b), with_pair)
         if kernel == "schoolbook":
             part = _convolve_int_schoolbook(a, b, n_out)
             parts.append(part if m is None else bytes([x % m for x in part]))

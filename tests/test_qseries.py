@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcong import qseries
+from qcong import diamond, qseries
 from qcong.qseries import (
     QSeries,
     convolve,
@@ -20,6 +20,7 @@ from qcong.qseries import (
     loads,
 )
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt
+from qcong.store import Cache
 from qcong.sturm import SpaceTag
 
 from conftest import mutate, series_over
@@ -337,18 +338,19 @@ def _width(bound: int):
     return next((w for w in (8, 16, 32, 64) if bound < 2**w), None)
 
 
-def _rule(a: list[int], b: list[int]) -> str:
-    """The kernel an integer product a*b, alone in its sum, is due.  With d
-    the operand of more nonzero terms (the shorter on a tie) and e the
-    other: shift-add when both are nonnegative, e has a nonzero term, the
-    worst slot nnz(e) max(a) max(b) fits a word of some width, nnz(e) times
-    that width is at most _SHIFT_ADD_BITS and nnz(d) _SCHOOLBOOK_BITS
+def _rule(a, b, m) -> str:
+    """The kernel an integer product a*b, alone in its sum, is due; m is
+    the modulus of a sum of residue bytes (m <= _BYTE_MODULUS), else None.
+    With d the operand of more nonzero terms (the shorter on a tie) and e
+    the other: shift-add only for residue bytes, when e has a nonzero term,
+    the worst slot nnz(e) max(a) max(b) fits a word of some width, nnz(e)
+    times that width is at most _SHIFT_ADD_BITS and nnz(d) _SCHOOLBOOK_BITS
     reaches len(d) times it; else the schoolbook while nnz(a) nnz(b) <=
     _SCHOOLBOOK_CUTOFF (len(a) + len(b)); else decimal."""
     (nnz_d, _, d), (nnz_e, _, e) = sorted(
         ((len(x) - x.count(0), -len(x), x) for x in (a, b)), key=lambda t: t[:2], reverse=True
     )
-    if min(a + b) >= 0 and nnz_e:
+    if m is not None and nnz_e:
         width = _width(nnz_e * max(a) * max(b))
         if (
             width
@@ -362,15 +364,15 @@ def _rule(a: list[int], b: list[int]) -> str:
 
 
 def _record_kernels(monkeypatch) -> list:
-    """[kernel, a, b] for every integer product that reaches the kernels:
+    """[kernel, a, b, m] for every integer product that reaches the kernels:
     every ring's product reaches them as one pair, cut to n_out, with the
-    modulus of Z/m or None."""
+    modulus of a sum of residue bytes or None."""
     calls = []
     convolve_int_sum = qseries._convolve_int_sum
 
     def recorded(pairs, n_out, m=None):
         ((a, b),) = pairs
-        calls.append([None, a[:n_out], b[:n_out]])
+        calls.append([None, a[:n_out], b[:n_out], m])
         return convolve_int_sum(pairs, n_out, m)
 
     def marking(name):
@@ -388,11 +390,14 @@ def _record_kernels(monkeypatch) -> list:
     return calls
 
 
-def _assert_each_product_took_its_kernel(calls):
-    for kernel, a, b in calls:
-        assert kernel == _rule(a, b), (len(a), len(b), kernel)
-    # every kernel ran
-    assert {kernel for kernel, _, _ in calls} == set(KERNELS.values())
+def _assert_each_product_took_its_kernel(calls, ring):
+    for kernel, a, b, m in calls:
+        assert kernel == _rule(a, b, m), (len(a), len(b), kernel)
+    # every kernel ran over Z/m of the byte path; the schoolbook and the
+    # decimal one elsewhere
+    residues = isinstance(ring, ModRing) and ring.modulus <= qseries._BYTE_MODULUS
+    due = set(KERNELS.values()) if residues else {"schoolbook", "decimal"}
+    assert {kernel for kernel, *_ in calls} == due
 
 
 def _shaped_ints(rng, n: int, shape: str, h: int) -> list[int]:
@@ -425,8 +430,8 @@ def _shaped(ring, rng, n: int, shape: str, h: int) -> list:
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.tag)
 def test_packed_convolve_matches_schoolbook_across_the_cutoff(ring, monkeypatch):
-    # each integer product takes the kernel of the three-way rule, and
-    # every kernel runs for every ring
+    # each integer product takes the kernel `_rule` names, and every kernel
+    # that ring is offered runs
     calls = _record_kernels(monkeypatch)
     rng = random.Random(ring.tag)
     for la, lb in PACKED_LENGTHS:
@@ -440,7 +445,7 @@ def test_packed_convolve_matches_schoolbook_across_the_cutoff(ring, monkeypatch)
             for n in {1, max(la, lb), la + lb - 1, la + lb + 3}:
                 got = convolve(ring, a, b, n)
                 assert got == want[:n], (la, lb, shape, h, n)
-    _assert_each_product_took_its_kernel(calls)
+    _assert_each_product_took_its_kernel(calls, ring)
 
 
 def test_packed_convolve_at_every_slot_width_boundary():
@@ -514,7 +519,8 @@ def test_invert_across_the_cutoff_is_a_two_sided_inverse(ring, lead):
 # dense times 30-sparse pair, whose worst slot over Z/m is exactly the
 # width's bound min(nnz a, nnz b) (m - 1)^2 = 30 (m - 1)^2, and two dense
 # operands past the shift-add cutoff.  A kind ending in "+" has only
-# nonnegative values, so over Z, Q and Z[sqrt(-3)] it can reach shift-add.
+# nonnegative values: over Z, Q and Z[sqrt(-3)] it still never reaches the
+# shift-add, which only residue bytes are offered.
 LACUNARY_PAIRS = (
     ("pentagonal", 2000, "triangular", 2000),
     ("dense", 40, "triangular", 3000),
@@ -572,8 +578,8 @@ def _on_support(ring, rng, n: int, kind: str, h: int) -> list:
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.tag)
 def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, monkeypatch):
     # each integer product goes to the kernel its nonzero counts, lengths
-    # and values call for (`_rule`), and every kernel runs for every ring;
-    # either way it equals the generic oracle
+    # and values call for (`_rule`), and every kernel that ring is offered
+    # runs; either way it equals the generic oracle
     calls = _record_kernels(monkeypatch)
     rng = random.Random(f"lacunary {ring.tag}")
     for k, (kind_a, la, kind_b, lb) in enumerate(LACUNARY_PAIRS):
@@ -587,7 +593,7 @@ def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, mon
         # n_out below, at and above len(a) + len(b) - 1
         for n in (1, min(la, lb), max(la, lb) + 1, la + lb - 1, la + lb + 3):
             assert convolve(ring, a, b, n) == want[:n], (kind_a, kind_b, n)
-    _assert_each_product_took_its_kernel(calls)
+    _assert_each_product_took_its_kernel(calls, ring)
 
 
 # ---- the class sum: products added before one unpack ----
@@ -714,36 +720,40 @@ BITS = qseries._SHIFT_ADD_BITS
 # the most nonzero terms a sparse operand may have for the shift-add in
 # 16-bit slots (residues mod 13 meet in them) and in 64-bit ones
 K16, K64 = BITS // 16, BITS // 64
+# moduli whose residues take the shift-add: small primes, the paper's 7 and
+# 11, and the largest two of the byte path, whose products need 16 bits
+SHIFT_MODULI = (2, 3, 5, 7, 11, 13, 127, 128)
 
 
 @st.composite
 def _shift_add_case(draw):
-    """(ring, pairs, due): over Z/p, p <= 13, or nonnegative Z, one to three
-    pairs of a dense operand (values in [1, top]) and a sparse one.  The
-    sparse one has from one nonzero term up to the most
-    the shift-add takes with the pairs before it, never more than the dense
-    one has, index 0 and the last index among them as drawn.  Then maybe a
-    lacunary pair for the schoolbook and, over Z, a signed pair, dense for
-    the decimal multiply unless the draw zeroed most of it.  `due` names
-    each pair's kernel."""
-    ring = draw(st.sampled_from([ZZ] + [ModRing(p) for p in (2, 3, 5, 7, 11, 13)]))
-    top = ring.modulus - 1 if ring != ZZ else draw(st.sampled_from((1, 255, 2**16, 2**20)))
+    """(ring, pairs, due, lane): over Z/m, m in SHIFT_MODULI, one to three
+    pairs of a dense operand (residues in [1, m - 1]) and a sparse one, and
+    the least slot width in bits the shift-add total is given (8 leaves it
+    to the slot bound; 16 to 64 force wider lanes through `_slot_bits`).
+    The sparse one has from one nonzero term up to the most the shift-add
+    takes with the pairs before it, never more than the dense one has,
+    index 0 and the last index among them as drawn.  Then maybe a lacunary
+    pair for the schoolbook.  `due` names each pair's kernel."""
+    m = draw(st.sampled_from(SHIFT_MODULI))
+    lane = draw(st.sampled_from((8, 16, 32, 64)))
+    top = m - 1
     value = st.integers(1, top)
     pairs, due = [], []
     slot = 0  # the worst slot of the shift-add total so far
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 300))
         dense = draw(st.lists(value, min_size=n, max_size=n))
-        m = draw(st.integers(1, 300))
+        k = draw(st.integers(1, 300))
         limit = max(
-            k for k in range(1, min(n, m) + 1)
-            if k * _width(slot + k * top * top) <= BITS
+            j for j in range(1, min(n, k) + 1)
+            if j * max(lane, _width(slot + j * top * top)) <= BITS
         )
-        support = set(draw(st.sampled_from([(), (0,), (m - 1,), (0, m - 1)]))[:limit])
-        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=limit, unique=True)):
+        support = set(draw(st.sampled_from([(), (0,), (k - 1,), (0, k - 1)]))[:limit])
+        for i in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=limit, unique=True)):
             if len(support) < limit:
                 support.add(i)
-        sparse = [0] * m
+        sparse = [0] * k
         for i in support:
             sparse[i] = draw(value)
         slot += len(support) * top * top
@@ -755,14 +765,7 @@ def _shift_add_case(draw):
         a[0] = b[199] = a[77] = b[5] = top
         pairs.append((a, b))
         due.append("schoolbook")
-    if ring == ZZ and draw(st.booleans()):
-        # a signed pair never takes the shift-add, whatever its neighbours:
-        # the decimal multiply when dense, the schoolbook when the draw left
-        # its first operand with 24 or fewer nonzero terms
-        signed = (draw(st.lists(st.integers(-top, top), min_size=40, max_size=40)), [-top] * 40)
-        pairs.append(signed)
-        due.append(_rule(*signed))
-    return ring, pairs, due
+    return ModRing(m), pairs, due, lane
 
 
 def _ones(n: int, at, y: int = 1) -> list[int]:
@@ -772,59 +775,67 @@ def _ones(n: int, at, y: int = 1) -> list[int]:
     return xs
 
 
+M127 = ModRing(127)
+
+
 @given(_shift_add_case())
 @settings(max_examples=100, deadline=None)
-# worst slots of exactly 2^w - 1 for w = 8, 16, 32 and 64: 3 terms of y
-# against a dense f with 3 y f = 2^w - 1, all three met at slot 2 onwards
+# worst slots of exactly 2^8 - 1 and 2^16 - 1 (mod 127, so no residue is
+# reduced): 3 terms of 5 against a dense 17, met at slot 2 onwards, and 255
+# terms of 15 and then 2 more against a dense 17, met at slot 254 onwards
 # (an operand one slot up is written with a leading zero)
-@example((ZZ, [([17] * 20, [5, 5, 5])], ["shift"]))
-@example((ZZ, [([0] + [257] * 30, [85, 85, 85])], ["shift"]))
-@example((ZZ, [([65537] * 9, _ones(3, (0, 1, 2), 21845))], ["shift"]))
-@example((ZZ, [([(2**64 - 1) // 15] * 40, _ones(40, (0, 5, 39), 5))], ["shift"]))
+@example((M127, [([17] * 20, [5, 5, 5])], ["shift"], 8))
+@example((M127, [([0] + [17] * 30, [5, 5, 5])], ["shift"], 8))
+@example((M127, [([17] * 300, [15] * 255), ([17] * 300, [15, 15])], ["shift"] * 2, 8))
 # the sum over pairs: 120 + 135 = 2^8 - 1, and 128 + 128 = 2^8, which needs
 # the next width though each pair alone fits in 8 bits; over Z/13 two
 # 144s, one of them a slot up, meet in a slot of 288
-@example((ZZ, [([15] * 20, [4, 4]), ([9] * 20, [5, 5, 5])], ["shift"] * 2))
-@example((ZZ, [([8] * 20, [8, 8]), ([0] + [8] * 20, [8, 8])], ["shift"] * 2))
-@example((ModRing(13), [([12] * 30, [12]), ([0] + [12] * 30, [0, 0, 12])], ["shift"] * 2))
+@example((M127, [([15] * 20, [4, 4]), ([9] * 20, [5, 5, 5])], ["shift"] * 2, 8))
+@example((M127, [([8] * 20, [8, 8]), ([0] + [8] * 20, [8, 8])], ["shift"] * 2, 8))
+@example((ModRing(13), [([12] * 30, [12]), ([0] + [12] * 30, [0, 0, 12])], ["shift"] * 2, 8))
 # the most nonzero terms the shift-add takes, index 0 and the last among
-# them, in 16-bit slots (mod 13) and 64-bit ones; one more goes to the
-# decimal multiply
-@example((ModRing(13), [([0] + [12] * 300, _ones(300, [*range(K16 - 1), 299], 12))], ["shift"]))
-@example((ModRing(13), [([12] * 300, _ones(300, range(K16 + 1), 12))], ["decimal"]))
-@example((ZZ, [([2**40] * 100, _ones(100, [*range(K64 - 1), 99]))], ["shift"]))
-@example((ZZ, [([0] + [2**40] * 100, _ones(100, range(K64 + 1)))], ["decimal"]))
-# an all-zero sparse side never reaches the shift-add, whose 8-bit slots
-# could not hold values of 2^16 and more
+# them, in 16-bit slots (mod 13) and in 64-bit ones, forced; one more goes
+# to the decimal multiply
+@example((ModRing(13), [([0] + [12] * 300, _ones(300, [*range(K16 - 1), 299], 12))], ["shift"], 8))
+@example((ModRing(13), [([12] * 300, _ones(300, range(K16 + 1), 12))], ["decimal"], 8))
+@example((M7, [([6] * 100, _ones(100, [*range(K64 - 1), 99], 6))], ["shift"], 64))
+@example((M7, [([0] + [6] * 100, _ones(100, range(K64 + 1), 6))], ["decimal"], 64))
+# an all-zero sparse side never reaches the shift-add: it has no term to
+# shift, and the schoolbook makes its zero product
 @example(
-    (ZZ, [([0] * 50, [2**16 + i for i in range(50)]), ([0] + [3] * 9, [1])], ["schoolbook", "shift"])
+    (ModRing(128), [([0] * 50, [127 - i for i in range(50)]), ([0] + [3] * 9, [1])], ["schoolbook", "shift"], 8)
 )
-# a negative coefficient never reaches the shift-add: the schoolbook takes
-# a sparse pair, the decimal multiply a dense one
-@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2])], ["schoolbook"]))
-@example((ZZ, [([3] * 39 + [-1], [2] * 40)], ["decimal"]))
-# a signed pair drawn all zero on one side is lacunary: the schoolbook
-@example((ZZ, [([1], [1]), ([0] * 41, [-1] * 40)], ["shift", "schoolbook"]))
+# over Z no pair reaches the shift-add, a nonnegative dense-times-sparse
+# one neither: the schoolbook takes a sparse pair, the decimal multiply a
+# dense one, signed or not
+@example((ZZ, [([17] * 20, [5, 5, 5])], ["schoolbook"], 8))
+@example((ZZ, [([2**40] * 100, _ones(100, [*range(K64 - 1), 99]))], ["decimal"], 8))
+@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2])], ["schoolbook"], 8))
+@example((ZZ, [([3] * 39 + [-1], [2] * 40)], ["decimal"], 8))
+@example((ZZ, [([1], [1]), ([0] * 41, [-1] * 40)], ["schoolbook"] * 2, 8))
 # one sum over Z/7 mixing all three kernels
 @example(
     (
-        ModRing(7),
+        M7,
         [
             ([0] + [6] * 60, _ones(9, (0, 3, 8), 6)),
             (_ones(200, (0, 77), 6), _ones(200, (5, 199), 6)),
             ([0] + [(i * i) % 7 or 1 for i in range(260)], [(3 * i) % 7 or 6 for i in range(270)]),
         ],
         ["shift", "schoolbook", "decimal"],
+        8,
     )
 )
 def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
-    ring, pairs, due = case
+    ring, pairs, due, lane = case
     top = max(len(a) + len(b) - 1 for a, b in pairs)
     want = _sum_of_schoolbook_products(ring, pairs, top + 3)
-    # n_out below, at and above the longest len(a) + len(b) - 1
-    for n in sorted({1, max(top // 2, 1), top - 1 or 1, top}):
-        assert convolve_sum(ring, pairs, n) == want[:n], n
-    # the whole sum: each pair, none cut, takes the kernel it is due
+    slot_bits = qseries._slot_bits
+
+    def at_least_lane(bound):
+        bits = slot_bits(bound)
+        return bits and max(lane, bits)
+
     ran = Counter()
 
     def counting(name, kernel, per_call):
@@ -834,11 +845,42 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
 
         return mock.patch.object(qseries, kernel.__name__, wrapped)
 
-    with counting("shift", qseries._convolve_shift_add, lambda args: len(args[0])), counting(
-        "decimal", qseries._convolve_decimal, lambda args: len(args[0])
-    ), counting("schoolbook", qseries._convolve_int_schoolbook, lambda args: 1):
-        assert convolve_sum(ring, pairs, top + 3) == want
+    with mock.patch.object(qseries, "_slot_bits", at_least_lane):
+        # n_out below, at and above the longest len(a) + len(b) - 1
+        for n in sorted({1, max(top // 2, 1), top - 1 or 1, top}):
+            assert convolve_sum(ring, pairs, n) == want[:n], n
+        # the whole sum: each pair, none cut, takes the kernel it is due
+        with counting("shift", qseries._convolve_shift_add, lambda args: len(args[0])), counting(
+            "decimal", qseries._convolve_decimal, lambda args: len(args[0])
+        ), counting("schoolbook", qseries._convolve_int_schoolbook, lambda args: 1):
+            assert convolve_sum(ring, pairs, top + 3) == want
     assert ran == Counter(due)
+
+
+def test_a_quick_suite_sends_only_residue_bytes_to_the_shift_add(monkeypatch):
+    # the suite's products mod 7 and mod 11 reach the shift-add as checked
+    # residue bytes; its products over Z, nonnegative dense-times-sparse
+    # ones too, take the schoolbook or the decimal kernel.  Every kernel
+    # runs
+    ran, shifted = Counter(), Counter()
+
+    def wrap(name):
+        kernel = getattr(qseries, name)
+
+        def wrapped(*args):
+            ran[KERNELS[name]] += 1
+            if name == "_convolve_shift_add":
+                shifted.update(type(x).__name__ for pair in args[0] for x in pair)
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+
+    for name in KERNELS:
+        wrap(name)
+    reports = diamond.run_suite(diamond.SuiteConfig.quick(), Cache(None))
+    assert all(r.passed for r in reports)
+    assert set(shifted) == {"bytes"}, shifted
+    assert set(ran) == set(KERNELS.values()), ran
 
 
 # ---- the decimal kernel's decode: 32-bit lanes, else one int per slot ----
@@ -940,24 +982,6 @@ def test_decode_is_exact_under_the_strictest_int_to_str_limit(monkeypatch):
     finally:
         sys.set_int_max_str_digits(limit)
     assert widths == [641, 2_002, 4_300]
-
-
-@pytest.mark.parametrize("bits", sorted(qseries._SLOT_CODES))
-def test_shift_add_pack_writes_words_in_either_byte_order(bits):
-    # the shift-add packs its dense operand as little-endian words; a
-    # big-endian host lays each out byte-reversed, and its branch swaps it.
-    # On a host of the other order that same branch shows as every word's
-    # bytes reversed, and `_words` of the same order reads the values back
-    code, size = qseries._SLOT_CODES[bits], bits // 8
-    rng = random.Random(f"pack {bits}")
-    xs = [0, 1, 2**bits - 1, *(rng.randrange(2**bits) for _ in range(300))]
-    host = qseries._to_words(xs, code, sys.byteorder).tobytes()
-    assert host == b"".join(x.to_bytes(size, "little") for x in xs)
-    other = {"little": "big", "big": "little"}[sys.byteorder]
-    swapped = qseries._to_words(xs, code, other).tobytes()
-    assert swapped == b"".join(x.to_bytes(size, "big") for x in xs)
-    for order in ("little", "big"):
-        assert qseries._words(qseries._to_words(xs, code, order), order) == xs
 
 
 # ---- the decimal kernel's signed offset ----
@@ -1066,7 +1090,8 @@ def _residue_sum(draw):
     """(m, pairs, kernel, lane): over Z/m, m in BYTE_MODULI or WIDE_MODULI,
     one to three pairs of residue operands of 1 to 70 terms (dense, with at
     most three nonzero terms, or all m - 1); a kernel to force on every
-    product, and a lane size in bytes for the shift-add total."""
+    product, the shift-add only for a modulus of the byte path, and a lane
+    size in bytes for the shift-add total."""
     m = draw(st.sampled_from(BYTE_MODULI + WIDE_MODULI))
 
     def operand():
@@ -1081,7 +1106,8 @@ def _residue_sum(draw):
         return xs
 
     pairs = [(operand(), operand()) for _ in range(draw(st.integers(1, 3)))]
-    kernel = draw(st.sampled_from(("shift", "schoolbook", "decimal")))
+    offered = ("shift",) if m <= qseries._BYTE_MODULUS else ()
+    kernel = draw(st.sampled_from((*offered, "schoolbook", "decimal")))
     return m, pairs, kernel, draw(st.sampled_from(LANE_BYTES))
 
 
@@ -1091,14 +1117,15 @@ def _residue_sum(draw):
 # (m - 1)^2; mod 255 and 256 the same products are made over Z and reduced
 # (an operand some slots up is written with leading zeros)
 @example((256, [([255] * 70, [255] * 70), ([0, 0] + [255] * 70, [255] * 3)], "decimal", 1))
-@example((255, [([0] + [254] * 70, [254] * 70)], "shift", 8))
+@example((255, [([0] + [254] * 70, [254] * 70)], "schoolbook", 8))
+@example((127, [([0] + [126] * 70, [126] * 70)], "shift", 8))
 @example((128, [([127] * 64, [127] * 64)], "shift", 2))
 @example((7, [([6] * 70, [6] * 70), ([0] + [1] * 9, [6, 0, 6])], "decimal", 4))
 def test_residue_products_match_the_schoolbook_on_every_kernel(case):
     # every product forced onto one kernel, and the shift-add total into
     # lanes of the drawn size (or wider, when its slots need it); the
     # packed kernels are handed the modulus up to 128, so they take the byte
-    # path, and no modulus past it
+    # path, and no modulus past it, where no shift-add is forced
     m, pairs, kernel, lane = case
     ring = ModRing(m)
     top = max(len(a) + len(b) - 1 for a, b in pairs)
@@ -1231,7 +1258,7 @@ def test_operands_that_are_not_residues_take_the_integer_path(m, bad, monkeypatc
     calls = _record_kernels(monkeypatch)
     for a, other, exact in products:
         assert convolve(ring, a, other, 400) == [x % m for x in exact], a
-    assert [kernel for kernel, _, _ in calls] == [_rule(a, b) for _, a, b in calls]
+    assert [kernel for kernel, *_ in calls] == [_rule(a, b, m) for _, a, b, m in calls]
     assert moduli and moduli == [m if m <= qseries._BYTE_MODULUS else None] * len(moduli)
 
 
