@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import diamond
@@ -155,7 +154,7 @@ def _cmd_verify(args) -> int:
     if p is not None:
         changes.update(claim.for_prime(config, p, args.T))
     # only an absent flag keeps the default
-    config = replace(config, **{f: v for f, v in changes.items() if f and v is not None})
+    config = config._replace(**{f: v for f, v in changes.items() if f and v is not None})
     cache = Cache(None) if args.no_cache else default_cache()
     reports = claim.run(config, cache)
     _print_reports(reports)

@@ -28,8 +28,8 @@ remark:p=<p>.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import compress, count, islice
+from typing import NamedTuple
 
 from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .eta import times_dilated
@@ -426,8 +426,7 @@ def verify_remark(
     return _recurrence(f"remark:p={p}", p, T, series)[1]
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """Verification depths for the claim suite; the paper fixes only the
     23520 Sturm bound, every other depth is artifact policy."""
 
@@ -455,8 +454,7 @@ class SuiteConfig:
         )
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A row of CLAIMS: `run` runs one claim ID at a SuiteConfig's depths.
     `qcong verify` sets the fields named by `depth` and `n_max` from --T and
     --n-max; only claims indexed by a prime have `for_prime`, which maps

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 
 from .qseries import QSeries, _add_products, convolve, convolve_sum
-from .ring import ZZ, ModRing, Ring, is_prime
+from .ring import ZZ, ModRing, Ring, _Frozen, is_prime
 
 __all__ = [
     "EtaQuotient",
@@ -49,19 +48,18 @@ _FACTOR_RE = re.compile(r"([0-9]+)\^(-?[0-9]+)")
 _TOKEN_RE = re.compile(r"[^ ]+")
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(_Frozen):
     """Formal product of eta(d z)^r factors with distinct d, sorted by d.
 
     Text form: ``"3^4 6^6"`` is eta(3z)^4 eta(6z)^6; negative exponents
     are allowed (``"4^8 2^-4"``).  Factors are separated by ASCII spaces.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
         seen = set()
-        for d, r in self.factors:
+        for d, r in factors:
             if d < 1:
                 raise ValueError(f"eta argument multiplier must be >= 1, got {d}")
             if r == 0:
@@ -69,7 +67,13 @@ class EtaQuotient:
             if d in seen:
                 raise ValueError(f"repeated eta argument multiplier {d}")
             seen.add(d)
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        object.__setattr__(self, "factors", tuple(sorted(factors)))
+
+    def _key(self) -> tuple[tuple[int, int], ...]:
+        return self.factors
+
+    def __repr__(self) -> str:
+        return f"EtaQuotient(factors={self.factors!r})"
 
     @classmethod
     def parse(cls, text: str) -> "EtaQuotient":

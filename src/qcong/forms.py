@@ -6,17 +6,18 @@ and exactly T coefficients (indices = exponents 0..T-1).  All arithmetic
 is exact over Z; the one rational is the Eisenstein normalisation -2k/B_k,
 and `eisenstein_int` rejects a weight where it is not an integer.  Each
 form has one expansion, and every E4(4z) product is eta.times_dilated.
+F = eta(4z)^8 / eta(2z)^4 is read off its divisor sums, as the theta
+series and E4 are; the other eta quotients are expanded as products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .eta import EtaQuotient, dilated, eta_quotient_series, times_dilated
 from .qseries import QSeries
-from .ring import QUAD, ZZ, QuadInt, bernoulli, is_prime
+from .ring import QUAD, ZZ, QuadInt, _Frozen, bernoulli, is_prime
 
 __all__ = [
     "sigma",
@@ -102,8 +103,11 @@ def _quotient_form(factors: tuple[tuple[int, int], ...], T: int) -> QSeries:
 
 
 def form_F(T: int) -> QSeries:
-    """eta(4z)^8 / eta(2z)^4, the weight-2 series sum sigma_1(2n+1) q^(2n+1)."""
-    return _quotient_form(((2, -4), (4, 8)), T)
+    """eta(4z)^8 / eta(2z)^4, the weight-2 series sum sigma_1(2n+1) q^(2n+1),
+    built from that sum: Legendre's eta(4z)^8 / eta(2z)^4 = q psi(q^2)^4."""
+    s = _sigma_coeffs(1, T)
+    s[::2] = [0] * len(s[::2])
+    return QSeries(ZZ, 0, s)
 
 
 def form_h(T: int) -> QSeries:
@@ -166,19 +170,25 @@ def form_g(T: int) -> QSeries:
     return _times_e4_4z(_quotient_form(((2, 8), (4, 2)), T))
 
 
-@dataclass(frozen=True)
-class TwoSquares:
+class TwoSquares(_Frozen):
     """p = x^2 + y^2 with x odd and both positive (canonical for p = 1 mod 4)."""
 
-    p: int
-    x: int
-    y: int
+    __slots__ = ("p", "x", "y")
 
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y != self.p:
-            raise ValueError(f"{self.x}^2 + {self.y}^2 != {self.p}")
-        if self.x % 2 == 0 or self.x <= 0 or self.y <= 0:
+    def __init__(self, p: int, x: int, y: int):
+        if x * x + y * y != p:
+            raise ValueError(f"{x}^2 + {y}^2 != {p}")
+        if x % 2 == 0 or x <= 0 or y <= 0:
             raise ValueError("need x odd and x, y positive")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.p, self.x, self.y
+
+    def __repr__(self) -> str:
+        return "TwoSquares(p={!r}, x={!r}, y={!r})".format(*self._key())
 
 
 def two_squares(p: int) -> TwoSquares:

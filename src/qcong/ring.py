@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -142,12 +141,50 @@ def primes_up_to(n: int) -> list[int]:
 _QUAD_D = -3
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class _Frozen:
+    """Base of the slotted value types.  __init__ sets each field in
+    __slots__ once, through object.__setattr__, and the fields are
+    read-only after.  Two values are equal, and hash alike, when they are
+    of one class and their `_key()`s are equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value through __init__
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+_set = object.__setattr__  # bound once: QuadInt is built per coefficient
+
+
+class QuadInt(_Frozen):
     """Element re + im*sqrt(-3) of Z[sqrt(-3)]."""
 
-    re: int
-    im: int
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    def _key(self) -> tuple[int, int]:
+        return self.re, self.im
+
+    def __repr__(self) -> str:
+        return f"QuadInt(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(self.re + other.re, self.im + other.im)
@@ -179,11 +216,11 @@ def quad_conj(x: QuadInt) -> QuadInt:
     return x.conj()
 
 
-class Ring:
+class Ring(_Frozen):
     """Scalar operations of one coefficient ring.
 
-    Subclasses are frozen dataclasses so that rings compare by value
-    (two ModRing(7) are the same ring).  ``add``, ``neg`` and ``mul``
+    Rings are immutable and compare and hash by their tag, so two
+    ModRing(7) are the same ring.  ``add``, ``neg`` and ``mul``
     default to the elements' own operators and ``sub`` is always
     ``add(x, neg(y))``; ``mul_each`` and ``add_each`` are the same
     products and sums over whole lists, mapped in C with no Python call
@@ -193,9 +230,13 @@ class Ring:
     ``parse_elem``.
     """
 
+    __slots__ = ()
     tag: str
     zero: object
     one: object
+
+    def _key(self) -> str:
+        return self.tag
 
     def add(self, x, y):
         return x + y
@@ -237,8 +278,8 @@ class Ring:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class IntegerRing(Ring):
+    __slots__ = ()
     tag = "int"
     zero = 0
     one = 1
@@ -261,8 +302,8 @@ class IntegerRing(Ring):
         return "ZZ"
 
 
-@dataclass(frozen=True)
 class RationalRing(Ring):
+    __slots__ = ()
     tag = "rat"
     zero = Fraction(0)
     one = Fraction(1)
@@ -285,17 +326,17 @@ class RationalRing(Ring):
         return "QQ"
 
 
-@dataclass(frozen=True)
 class ModRing(Ring):
     """Z/m with elements stored as plain ints reduced into [0, m)."""
 
-    modulus: int
+    __slots__ = ("modulus",)
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+    def __init__(self, modulus: int):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        _set(self, "modulus", modulus)
 
     @property
     def tag(self) -> str:
@@ -337,8 +378,8 @@ class ModRing(Ring):
         return f"ModRing({self.modulus})"
 
 
-@dataclass(frozen=True)
 class QuadRing(Ring):
+    __slots__ = ()
     tag = "quad"
     zero = QuadInt(0, 0)
     one = QuadInt(1, 0)

@@ -17,8 +17,8 @@ import hashlib
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .qseries import QSeries, dumps, loads
 
@@ -43,8 +43,7 @@ def _source_fingerprint() -> str:
 _SOURCE_FINGERPRINT = _source_fingerprint()
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
     """Identity of one cached series, at any truncation."""
 
     form: str

@@ -19,15 +19,15 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, count
 from operator import ne
+from typing import NamedTuple
 
 from .eta import EtaQuotient
 from .operators import hecke
 from .qseries import QSeries
-from .ring import ModRing, _factorize
+from .ring import ModRing, _factorize, _Frozen
 
 __all__ = [
     "index_gamma0",
@@ -61,21 +61,27 @@ def sturm_bound(k: int, N: int) -> int:
     return k * index_gamma0(N) // 12
 
 
-@dataclass(frozen=True)
-class SpaceTag:
+class SpaceTag(_Frozen):
     """The space M_k(Gamma_0(N), chi) a series lies in: weight k, level N,
     chi a Kronecker discriminant (1 is trivial).  Bookkeeping only, never
     enforced analytically."""
 
-    weight: int
-    level: int
-    character: int = 1
+    __slots__ = ("weight", "level", "character")
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
+    def __init__(self, weight: int, level: int, character: int = 1):
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        if weight < 0:
+            raise ValueError(f"weight must be >= 0, got {weight}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "character", character)
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.weight, self.level, self.character
+
+    def __repr__(self) -> str:
+        return "SpaceTag(weight={!r}, level={!r}, character={!r})".format(*self._key())
 
     @property
     def sturm_bound(self) -> int:
@@ -84,12 +90,12 @@ class SpaceTag:
 
     def u(self, d: int) -> "SpaceTag":
         """The space of the U_d image: the level times d."""
-        return replace(self, level=self.level * d)
+        return SpaceTag(self.weight, self.level * d, self.character)
 
     def twist(self, p: int) -> "SpaceTag":
         """The space of the twist by (./p): the level times p^2, the quoted
         bookkeeping value, not the sharper conductor level."""
-        return replace(self, level=self.level * p * p)
+        return SpaceTag(self.weight, self.level * p * p, self.character)
 
 
 def eta_quotient_metadata(e: EtaQuotient) -> SpaceTag:
@@ -116,8 +122,7 @@ def eta_quotient_metadata(e: EtaQuotient) -> SpaceTag:
     return SpaceTag(weight, L * 24 // math.gcd(24, S), character)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     """Auditable outcome of one bounded verification."""
 
     claim: str

@@ -309,19 +309,18 @@ def test_theorem_3_1_reduced():
 
 
 def test_theorem_3_1_expands_F_once(monkeypatch):
+    # F is read off its divisor sums (forms.form_F), not expanded as an
+    # eta quotient, so count the builder's calls
     from qcong import forms
-    from qcong.eta import EtaQuotient
 
-    F = EtaQuotient(((2, -4), (4, 8)))
     built = []
-    expand = forms.eta_quotient_series
+    build_F = forms.form_F
 
-    def counting(e, T, *args, **kwargs):
-        if e == F:
-            built.append(T)
-        return expand(e, T, *args, **kwargs)
+    def counting(T):
+        built.append(T)
+        return build_F(T)
 
-    monkeypatch.setattr(forms, "eta_quotient_series", counting)
+    monkeypatch.setattr(forms, "form_F", counting)
     reports = verify_theorem_3_1(250, 13)
     assert all(r.passed for r in reports)
     assert len(built) == 1, built

@@ -3,6 +3,7 @@ import pytest
 from oracles import naive_eta_product, naive_sigma
 from qcong.eta import dilated
 from qcong.forms import (
+    _quotient_form,
     _sigma_coeffs,
     cm_coefficient,
     eisenstein_int,
@@ -63,6 +64,12 @@ def test_form_F_is_odd_sigma_series():
         want = naive_sigma(1, n) if n % 2 == 1 else 0
         assert F.coeffs[n] == want, n
     assert F.coeffs[:10] == [0, 1, 0, 4, 0, 6, 0, 8, 0, 13]
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 17, 2000])
+def test_form_F_equals_its_eta_quotient(T):
+    # Legendre: eta(4z)^8 / eta(2z)^4 = q psi(q^2)^4 = sum sigma_1(2n+1) q^(2n+1)
+    assert form_F(T) == _quotient_form(((2, -4), (4, 8)), T)
 
 
 def test_form_h_leading_values():

@@ -1,8 +1,13 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and starts without
+the modules it does not need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qcong
 
@@ -20,3 +25,36 @@ def test_package_imports_only_the_standard_library():
             top = {name.split(".")[0] for name in names}
             outside += [f"{path.name}: {m}" for m in top - sys.stdlib_module_names]
     assert outside == []
+
+
+# Each run prints the modules it added to sys.modules; `-m` is run as the
+# interpreter runs it, through runpy.
+_ADDED = """import runpy, sys
+before = set(sys.modules)
+try:
+    {}
+finally:
+    print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+_RUNS = {
+    "import qcong.cli": "import qcong.cli",
+    "-m qcong.cli sturm --k 5 --N 24696": (
+        "sys.argv[1:] = ['sturm', '--k', '5', '--N', '24696']; "
+        "runpy.run_module('qcong.cli', run_name='__main__', alter_sys=True)"
+    ),
+}
+
+
+@pytest.mark.parametrize("run", _RUNS)
+def test_start_up_loads_no_dataclasses_or_inspect(run):
+    # @dataclass execs generated methods per class, and dataclasses pulls in
+    # inspect, ast and dis: about a tenth of a small run's CPU
+    src = Path(qcong.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ADDED.format(_RUNS[run])],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    added = proc.stderr.split()
+    assert proc.returncode == 0 and "qcong.sturm" in added, proc.stderr
+    assert {"dataclasses", "inspect"} & set(added) == set()
