@@ -22,7 +22,9 @@ series, as eta(z)^4 = eta^3 eta: their terms from the index formulas are
 split into rows by class mod p once, and each class of the product is a
 sum of row products through `qseries`' one nonzero-term product loop, so
 no list of its full length exists; any other head is built at full length
-and sliced.
+and sliced.  Every class is held as bytes, one residue a byte, for p < 256
+(a list of ints for a larger prime), so only the class being formed is a
+list of ints.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
@@ -96,6 +98,8 @@ class EtaQuotient(_Frozen):
         return " ".join(f"{d}^{r}" for d, r in self.factors)
 
     def __mul__(self, other: "EtaQuotient") -> "EtaQuotient":
+        if not isinstance(other, EtaQuotient):
+            return NotImplemented
         exps: dict[int, int] = {}
         for d, r in self.factors + other.factors:
             exps[d] = exps.get(d, 0) + r
@@ -286,12 +290,20 @@ def _lacunary_parts(factors: tuple, N: int, ring: Ring) -> list | None:
     return parts + [[(0, ring.one)]] * (2 - len(parts))
 
 
-def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict[int, list]:
+def _residue_bytes(xs: list, p: int) -> bytes | list:
+    # residues mod p as bytes while p fits a byte: one byte a residue
+    # against a list's 8-byte pointer, and `convolve_sum` takes either.  A
+    # prime past 255 keeps the list.
+    return bytes(xs) if p < 256 else xs
+
+
+def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict[int, bytes | list]:
     # classes c of a*b mod m to N terms, each as its coefficients c, c + p,
-    # ... < N, from the (index, value) terms of a and b in index order.  Each
-    # is split once into rows by class mod p, (i // p, x) for i in class s:
-    # class c of a*b is the sum over s of a's row s times b's row (c - s) %
-    # p, one place higher when s > c, each through the one product loop.
+    # ... < N in `_residue_bytes`, from the (index, value) terms of a and b
+    # in index order.  Each is split once into rows by class mod p,
+    # (i // p, x) for i in class s: class c of a*b is the sum over s of a's
+    # row s times b's row (c - s) % p, one place higher when s > c, each
+    # through the one product loop.
     rows_a, rows_b = [[] for _ in range(p)], [[] for _ in range(p)]
     for terms, rows in ((a, rows_a), (b, rows_b)):
         for i, x in terms:
@@ -303,20 +315,21 @@ def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict
             _add_products(cls, rows_a[s], rows_b[(c - s) % p], int(s > c))
         # every value is a sum of products of residues: reduce only if one
         # reached m (a class of a single series never does)
-        out[c] = cls if max(cls, default=0) < m else [x % m for x in cls]
+        out[c] = _residue_bytes(cls if max(cls, default=0) < m else [x % m for x in cls], p)
     return out
 
 
-def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int, list]:
+def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int, bytes | list]:
     # classes c of the quotient of `factors` to N terms, each as its
-    # coefficients c, c + p, ... < N.  eta(dz)^e with e in 1..4 or 6, and
-    # the empty quotient, are at most two of Jacobi's and Euler's series:
-    # formed one class at a time from their terms, with no list of N terms.
-    # Any other quotient is built at full length and sliced.
+    # coefficients c, c + p, ... < N in `_residue_bytes`.  eta(dz)^e with e
+    # in 1..4 or 6, and the empty quotient, are at most two of Jacobi's and
+    # Euler's series: formed one class at a time from their terms, with no
+    # list of N terms.  Any other quotient is built at full length and
+    # sliced.
     parts = _lacunary_parts(factors, N, ring)
     if parts is not None:
         return _classes_of_terms(*parts, p, classes, N, ring.modulus)
-    full = _quotient_series(factors, N, ring).coeffs
+    full = _residue_bytes(_quotient_series(factors, N, ring).coeffs, p)
     return {c: full[c::p] for c in classes}
 
 
@@ -325,13 +338,14 @@ def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: ModRing) -> 
     # by d, none divisible by p): the factor of largest d, f, meets the rest,
     # the head, one class at a time, as class t of f times class r - t of
     # the head, one exponent higher when t > r, so there class t enters as
-    # q f_t, the list [0] + f_t.  Only f's nonempty classes count, so only
+    # q f_t, f_t after one zero.  Only f's nonempty classes count, so only
     # their partner classes of the head are built, and the products are
     # summed by one convolve_sum.
     f = _classes(factors[-1:], p, range(p), N, ring)
     f = {t: f_t for t, f_t in f.items() if any(f_t)}
     head = _classes(factors[:-1], p, {(r - t) % p for t in f}, N, ring)
-    pairs = [(head[(r - t) % p], [0] + f_t if t > r else f_t) for t, f_t in f.items()]
+    zero = _residue_bytes([0], p)
+    pairs = [(head[(r - t) % p], zero + f_t if t > r else f_t) for t, f_t in f.items()]
     return convolve_sum(ring, pairs, len(range(r, N, p)))
 
 
@@ -349,7 +363,8 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     t > r (one more leading zero, so `convolve_sum` adds plain products).
     Only those head classes are built: from the class rows of Jacobi's and
     Euler's series when the head is eta(dz)^e with e in 1..4 or 6, else
-    sliced from the head built at length N.  For delta_3 mod 7
+    sliced from the head built at length N.  Each class is held as bytes of
+    residues while p < 256.  For delta_3 mod 7
     the head is eta(z)^4 = eta^3 eta, of which 4 classes of about N/7 terms
     are formed, meeting the 4 nonempty classes of eta(2z) in one
     `convolve_sum`; then one product with G = eta(2z)^6 / eta(14z).  For

@@ -234,6 +234,7 @@ def _unpack(digits: str, w: int, n: int) -> list[int]:
     wider slot is one `int` parse, through `Decimal` past _TEXT_DIGITS.
     """
     raw = digits[-n * w :].zfill(n * w).encode("ascii")
+    del digits  # freed here when the caller passed its only reference
     if w > 9:
         parse = int if w <= _TEXT_DIGITS else lambda text: int(decimal.Decimal(text.decode()))
         return [parse(raw[i - w : i]) for i in range(n * w, 0, -w)]
@@ -306,14 +307,10 @@ def _digit_residues(digits: str, w: int, n: int, m: int) -> bytes:
     goes through the table of v 10^(w - 1 - k) mod m, and `_fold` adds the
     columns."""
     raw = digits[-n * w :].zfill(n * w).encode("ascii")
+    del digits  # as in `_unpack`
     cols = [raw[k::w].translate(_times(pow(10, w - 1 - k, m), m, 48)) for k in range(w)]
     del raw
     return _fold(cols, m)[::-1]
-
-
-def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
-    """Exact integer convolution of a and b, truncated to n_out terms."""
-    return convolve_sum(ZZ, ((a, b),), n_out)
 
 
 def _reach(group, n_out: int) -> int:
@@ -358,34 +355,37 @@ def _convolve_decimal(packed, scale: int, n: int, m: int | None = None) -> list[
     modulus m, every operand is residues as bytes and the terms come back
     as residues, one byte each (`_digit_residues`).
 
-    Kronecker substitutions in one base 10^w: each operand becomes its exact
-    value as one `decimal.Decimal` of w-digit slots (`_pack`), libmpdec
-    multiplies each pair, the products are added exactly, and the total's
-    text is cut back into slots once (`_unpack`).  Every slot of the total
-    lies in [-scale, scale].  With no negative operand w holds scale;
-    otherwise w holds 2 scale, 5 10^(w-1) is added to every slot of the
-    total so each lies in [0, 10^w), and one pass over the unpacked slots
-    takes it off.
+    Kronecker substitutions in one base 10^w (`_decimal_total`), whose text
+    is cut back into slots once (`_unpack`).  Every slot of the total lies
+    in [-scale, scale].  With no negative operand w holds scale; otherwise
+    w holds 2 scale, 5 10^(w-1) is added to every slot of the total so each
+    lies in [0, 10^w), and one pass over the unpacked slots takes it off.
+    The text is only an argument, so the decoder frees it before it builds
+    the terms.
     """
     signed = any(lo_a or lo_b for _, _, lo_a, _, lo_b, _ in packed)
     w = decimal.Decimal(2 * scale if signed else scale).adjusted() + 1
+    half = 5 * 10 ** (w - 1) if signed else 0
+    if m is not None:
+        return _digit_residues(str(_decimal_total(packed, w, half)), w, n, m)
+    out = _unpack(str(_decimal_total(packed, w, half)), w, n)
+    return [x - half for x in out] if signed else out
+
+
+def _decimal_total(packed, w: int, half: int) -> decimal.Decimal:
+    """Sum of a*b over the (a, b, lo_a, hi_a, lo_b, hi_b) in packed, each
+    operand its exact value as one `decimal.Decimal` of w-digit slots
+    (`_pack`) multiplied by libmpdec, plus half in every slot the products
+    reach; exact."""
     # from an exact zero the sum keeps exponent 0, so its text has no exponent
     total = decimal.Decimal(0)
     for a, b, lo_a, hi_a, lo_b, hi_b in packed:
-        prod = _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w))
-        total = _EXACT.add(total, prod)
-        del prod  # no product outlives its turn beside the total
-    half = 5 * 10 ** (w - 1)
-    if signed:
+        # no product outlives its turn beside the total
+        total = _EXACT.add(total, _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w)))
+    if half:
         slots = max(len(a) + len(b) - 1 for a, b, *_ in packed)
         total = _EXACT.add(total, _EXACT.multiply(half, _repunit(w, slots)))
-    # only the n lowest slots' text outlives the total
-    digits = str(total)[-n * w :]
-    del total
-    if m is not None:
-        return _digit_residues(digits, w, n, m)
-    out = _unpack(digits, w, n)
-    return [x - half for x in out] if signed else out
+    return total
 
 
 def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
@@ -457,18 +457,16 @@ def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
         ia = [x.numerator * (da // x.denominator) for x in a]
         ib = [x.numerator * (db // x.denominator) for x in b]
         d = da * db
-        return [Fraction(x, d) for x in _convolve_int(ia, ib, n_out)]
+        return [Fraction(x, d) for x in convolve_sum(ZZ, ((ia, ib),), n_out)]
     if isinstance(ring, QuadRing):
         # 3-multiplication Karatsuba split over the two components
         ra = [x.re for x in a]
         ma = [x.im for x in a]
         rb = [x.re for x in b]
         mb = [x.im for x in b]
-        m1 = _convolve_int(ra, rb, n_out)
-        m2 = _convolve_int(ma, mb, n_out)
-        m3 = _convolve_int(
-            [u + v for u, v in zip(ra, ma)], [u + v for u, v in zip(rb, mb)], n_out
-        )
+        m1 = convolve_sum(ZZ, ((ra, rb),), n_out)
+        m2 = convolve_sum(ZZ, ((ma, mb),), n_out)
+        m3 = convolve_sum(ZZ, (([u + v for u, v in zip(ra, ma)], [u + v for u, v in zip(rb, mb)]),), n_out)
         return [QuadInt(p - 3 * q, r - p - q) for p, q, r in zip(m1, m2, m3)]
     return convolve_schoolbook(ring, a, b, n_out)
 

@@ -186,16 +186,24 @@ class QuadInt(_Frozen):
     def __repr__(self) -> str:
         return f"QuadInt(re={self.re!r}, im={self.im!r})"
 
+    # another type's operand gets NotImplemented, so Python raises TypeError
+    # (or tries the reflected operator) instead of reading fields it lacks
     def __add__(self, other: "QuadInt") -> "QuadInt":
+        if not isinstance(other, QuadInt):
+            return NotImplemented
         return QuadInt(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
+        if not isinstance(other, QuadInt):
+            return NotImplemented
         return QuadInt(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "QuadInt":
         return QuadInt(-self.re, -self.im)
 
     def __mul__(self, other: "QuadInt") -> "QuadInt":
+        if not isinstance(other, QuadInt):
+            return NotImplemented
         return QuadInt(
             self.re * other.re + _QUAD_D * self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -9,11 +9,16 @@ dump plus a checksum trailer.  Stem and checksum both cover the identity,
 so a file read under another key or written by other code is a miss, as
 is a corrupt one.  Each file is read, checked and parsed whole at most
 once per instance.  Writes are atomic renames; `Cache(None)` touches no file.
+
+Every digest is SHA-256 from the interpreter's own `_sha256` module, the
+same bytes `hashlib.sha256` gives, so stems and checksums do not depend on
+which one ran; `hashlib` is the fallback where `_sha256` is missing.
+Importing `hashlib` maps OpenSSL's libcrypto, about 3.5 MB of resident
+memory in every process, to hash the few hundred KB a run stores or reads.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import tempfile
@@ -21,6 +26,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .qseries import QSeries, dumps, loads
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 __all__ = ["CacheKey", "Cache", "default_cache", "CACHE_ENV_VAR"]
 
@@ -34,9 +44,9 @@ _CHECKSUM_PREFIX = b"checksum sha256:"
 def _source_fingerprint() -> str:
     """sha256 over the package's module sources: editing any of them
     invalidates every cache entry written before."""
-    h = hashlib.sha256()
+    h = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(f"{path.name}\0".encode() + hashlib.sha256(path.read_bytes()).digest())
+        h.update(f"{path.name}\0".encode() + sha256(path.read_bytes()).digest())
     return h.hexdigest()
 
 
@@ -54,12 +64,12 @@ class CacheKey(NamedTuple):
         return f"form={self.form}|ring={self.ring}|build={_SOURCE_FINGERPRINT}"
 
     def file_stem(self) -> str:
-        return hashlib.sha256(self.identity().encode()).hexdigest()[:24]
+        return sha256(self.identity().encode()).hexdigest()[:24]
 
 
 def _checksum(identity: str, body) -> bytes:
     # body: the entry's bytes before its trailer, as any bytes-like object
-    h = hashlib.sha256(f"{identity}\n".encode())
+    h = sha256(f"{identity}\n".encode())
     h.update(body)
     return h.hexdigest().encode()
 

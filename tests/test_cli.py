@@ -384,7 +384,8 @@ def test_eigenvalue_table_script_smoke(tmp_path):
 
 def test_kernel_cases_script_smoke():
     # one line per case of the perfbench kernels battery, each checked, then
-    # the total; a run count below one is a usage error
+    # the total; with --peak each case also gets its traced peak; a run
+    # count below one is a usage error
     script = Path(__file__).parent.parent / "scripts" / "kernel_cases.py"
 
     def run(*args):
@@ -392,11 +393,12 @@ def test_kernel_cases_script_smoke():
             [sys.executable, str(script), *args], capture_output=True, text=True, env={"PATH": ""}
         )
 
-    proc = run("--seed", "1", "--runs", "1")
+    proc = run("--seed", "1", "--runs", "1", "--peak")
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
-    assert lines[0] == ["case", "median", "ms", "least", "ms"] and lines[-1][0] == "all"
+    assert lines[0] == ["case", "median", "ms", "least", "ms", "peak", "MB"] and lines[-1][0] == "all"
     cases = [line[0] for line in lines[1:-1]]
     assert len(cases) == 17 and {"convolve/mod:7/large", "invert/mod:7/large"} <= set(cases)
-    assert all(len(line) == 3 and float(line[1]) >= 0 for line in lines[1:])
+    assert all(len(line) == 4 and float(line[1]) >= 0 and float(line[3]) > 0 for line in lines[1:-1])
+    assert len(lines[-1]) == 3 and float(lines[-1][1]) >= 0
     assert run("--seed", "1", "--runs", "0").returncode == 2

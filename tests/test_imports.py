@@ -45,10 +45,7 @@ _RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", _RUNS)
-def test_start_up_loads_no_dataclasses_or_inspect(run):
-    # @dataclass execs generated methods per class, and dataclasses pulls in
-    # inspect, ast and dis: about a tenth of a small run's CPU
+def _added(run: str) -> set[str]:
     src = Path(qcong.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -57,4 +54,18 @@ def test_start_up_loads_no_dataclasses_or_inspect(run):
     )
     added = proc.stderr.split()
     assert proc.returncode == 0 and "qcong.sturm" in added, proc.stderr
-    assert {"dataclasses", "inspect"} & set(added) == set()
+    return set(added)
+
+
+@pytest.mark.parametrize("run", _RUNS)
+def test_start_up_loads_no_dataclasses_or_inspect(run):
+    # @dataclass execs generated methods per class, and dataclasses pulls in
+    # inspect, ast and dis: about a tenth of a small run's CPU
+    assert {"dataclasses", "inspect"} & _added(run) == set()
+
+
+@pytest.mark.parametrize("run", _RUNS)
+def test_start_up_loads_no_openssl(run):
+    # hashlib maps OpenSSL's libcrypto, a few MB of resident memory; the
+    # store hashes with the interpreter's own SHA-256
+    assert {"hashlib", "_hashlib", "ssl"} & _added(run) == set()

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -427,3 +431,31 @@ def test_memory_only_cache_creates_no_file(tmp_path, monkeypatch, counted_reads,
     assert cache.get(key, 4) is None
     assert counted_reads == []
     assert list(tmp_path.rglob("*")) == [work]
+
+
+def test_sha256_gives_hashlib_digests():
+    identity = CacheKey("delta3:mod7", "mod:7").identity().encode()
+    body = bytes(range(256)) * 4097  # past 1 MB
+    for data in (identity, memoryview(body)[3:-5], body):
+        assert store.sha256(data).digest() == hashlib.sha256(data).digest()
+    h = store.sha256(identity)
+    h.update(memoryview(body))
+    assert h.hexdigest() == hashlib.sha256(identity + body).hexdigest()
+
+
+def test_without_the_builtin_sha256_hashlib_gives_the_same_stems_and_checksums():
+    key = CacheKey("delta3:mod7", "mod:7")
+    body = b"qseries v1 ring=mod:7 offset24=0 T=2\n1\n0\n"
+    code = (
+        "import hashlib, sys; sys.modules['_sha256'] = None; from qcong import store; "
+        "assert store.sha256 is hashlib.sha256; "
+        f"key = store.CacheKey({key.form!r}, {key.ring!r}); "
+        f"print(key.file_stem(), store._checksum(key.identity(), {body!r}).decode())"
+    )
+    src = Path(store.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [key.file_stem(), store._checksum(key.identity(), body).decode()]

@@ -137,8 +137,8 @@ def test_no_sequence_arithmetic_on_arithmetic_types():
     # a tuple base would turn each of these into repetition or concatenation
     q = QuadInt(1, 2)
     e = EtaQuotient(((3, 4), (6, 6)))
-    for op in (lambda: q * 3, lambda: e * 3, lambda: q + (1, 2)):
-        with pytest.raises((TypeError, AttributeError)):
+    for op in (lambda: q * 3, lambda: e * 3, lambda: q + (1, 2), lambda: q - (1, 2)):
+        with pytest.raises(TypeError):
             op()
     with pytest.raises(TypeError):
         3 * q
