@@ -10,9 +10,10 @@ so a file read under another key or written by other code is a miss, as
 is a corrupt one.  Each file is read, checked and parsed whole at most
 once per instance.  Writes are atomic renames; `Cache(None)` touches no file.
 
-Every digest is SHA-256 from the interpreter's own `_sha256` module, the
-same bytes `hashlib.sha256` gives, so stems and checksums do not depend on
-which one ran; `hashlib` is the fallback where `_sha256` is missing.
+Every digest is SHA-256 from the interpreter's own module (`_sha256`, or
+`_sha2` from CPython 3.12 on), the same bytes `hashlib.sha256` gives, so
+stems and checksums do not depend on which one ran; `hashlib` is the
+fallback where neither is built.
 Importing `hashlib` maps OpenSSL's libcrypto, about 3.5 MB of resident
 memory in every process, to hash the few hundred KB a run stores or reads.
 """
@@ -30,7 +31,10 @@ from .qseries import QSeries, dumps, loads
 try:
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["CacheKey", "Cache", "default_cache", "CACHE_ENV_VAR"]
 

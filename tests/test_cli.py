@@ -393,12 +393,18 @@ def test_kernel_cases_script_smoke():
             [sys.executable, str(script), *args], capture_output=True, text=True, env={"PATH": ""}
         )
 
-    proc = run("--seed", "1", "--runs", "1", "--peak")
+    proc = run("--seed", "1", "--runs", "1")
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
-    assert lines[0] == ["case", "median", "ms", "least", "ms", "peak", "MB"] and lines[-1][0] == "all"
+    assert lines[0] == ["case", "median", "ms", "least", "ms"] and lines[-1][0] == "all"
     cases = [line[0] for line in lines[1:-1]]
     assert len(cases) == 17 and {"convolve/mod:7/large", "invert/mod:7/large"} <= set(cases)
-    assert all(len(line) == 4 and float(line[1]) >= 0 and float(line[3]) > 0 for line in lines[1:-1])
-    assert len(lines[-1]) == 3 and float(lines[-1][1]) >= 0
+    assert all(len(line) == 3 and float(line[1]) >= 0 for line in lines[1:])
+    proc = run("--seed", "1", "--runs", "1", "--peak")
+    assert proc.returncode == 0, proc.stderr
+    peak_lines = [line.split() for line in proc.stdout.splitlines()]
+    assert peak_lines[0] == ["case", "median", "ms", "least", "ms", "peak", "MB"]
+    assert [line[0] for line in peak_lines] == [line[0] for line in lines]
+    assert all(len(line) == 4 and float(line[3]) > 0 for line in peak_lines[1:-1])
+    assert len(peak_lines[-1]) == 3 and float(peak_lines[-1][1]) >= 0
     assert run("--seed", "1", "--runs", "0").returncode == 2

@@ -1283,8 +1283,9 @@ def test_large_products_stay_within_the_traced_peak_of_the_per_slot_parse():
     # over Z/7, one over Z with operands in [0, 76].  With one int parse per
     # slot they peaked at 6.18 and 6.95 MB of traced memory (Python 3.11),
     # and at 3.94 and 4.93 MB while the decimal total's 0.9 MB numeral was
-    # held through its decode; now at 3.94 and 4.36 MB, and the bounds leave
-    # about 5%
+    # held through its decode; now at 3.94 and 4.36 MB.  The bounds leave
+    # room for other allocators and decimal builds (a fifth and a tenth);
+    # the second still fails a numeral held through the decode
     n = 100_001
     rng = random.Random(1)
     a = [rng.randrange(77) for _ in range(n)]
@@ -1297,7 +1298,7 @@ def test_large_products_stay_within_the_traced_peak_of_the_per_slot_parse():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 4_150_000 and peaks[1] <= 4_600_000, peaks
+    assert peaks[0] <= 4_700_000 and peaks[1] <= 4_850_000, peaks
     point = rng.randrange(2, MERSENNE_61 - 1)
     assert evaluate_mod(outs[1], point) == evaluate_product_mod(a, b, n, point)
     assert outs[0] == [v % 7 for v in outs[1]]

@@ -447,7 +447,8 @@ def test_without_the_builtin_sha256_hashlib_gives_the_same_stems_and_checksums()
     key = CacheKey("delta3:mod7", "mod:7")
     body = b"qseries v1 ring=mod:7 offset24=0 T=2\n1\n0\n"
     code = (
-        "import hashlib, sys; sys.modules['_sha256'] = None; from qcong import store; "
+        "import hashlib, sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+        "from qcong import store; "
         "assert store.sha256 is hashlib.sha256; "
         f"key = store.CacheKey({key.form!r}, {key.ring!r}); "
         f"print(key.file_stem(), store._checksum(key.identity(), {body!r}).decode())"
