@@ -1,6 +1,6 @@
 """Per-case CPU of the perfbench `kernels` battery, in process.
 
-    python scripts/kernel_cases.py --seed N [--runs K] [--peak]
+    python scripts/kernel_cases.py --seed N [--runs K]
 
 Makes the battery's operands for seed N with `perfbench/kernels.py`
 (imported, never changed) and runs the battery's own loop, `kernels.run`,
@@ -10,7 +10,7 @@ reading, so a case's CPU is the sum of the spans around its calls, exactly
 the spans the battery adds up.  Prints per case the median and the least,
 over the K runs, of those CPU seconds, then the same for the whole battery.
 A case is checked by the battery's own `failed` count; a failed check
-exits with status 1.  With --peak, one more run traces memory with
+exits with status 1.  After the K runs one more traces memory with
 `tracemalloc` from each call's first reading to its second, and beside its
 CPU each case gets the largest of its calls' traced peaks: the memory its
 calls allocated, their outputs included, not the operands made before.
@@ -95,19 +95,17 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--peak", action="store_true", help="add each case's tracemalloc peak")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     data = kernels.generate(args.seed)
     runs = [run_cases(data) for _ in range(args.runs)]
     ids = [case_id for case_id, _, _ in runs[0]]
-    peaks = case_peaks(data) if args.peak else None
-    print(f"{'case':<24}{'median ms':>12}{'least ms':>12}" + (f"{'peak MB':>12}" if peaks else ""))
+    peaks = case_peaks(data)
+    print(f"{'case':<24}{'median ms':>12}{'least ms':>12}{'peak MB':>12}")
     for k, case_id in enumerate(ids):
         cpu = [run[k][1] for run in runs]
-        peak = f"{peaks[k] / 1e6:>12.2f}" if peaks else ""
-        print(f"{case_id:<24}{1e3 * statistics.median(cpu):>12.2f}{1e3 * min(cpu):>12.2f}{peak}")
+        print(f"{case_id:<24}{1e3 * statistics.median(cpu):>12.2f}{1e3 * min(cpu):>12.2f}{peaks[k] / 1e6:>12.2f}")
     totals = [sum(cpu for _, cpu, _ in run) for run in runs]
     print(f"{'all':<24}{1e3 * statistics.median(totals):>12.2f}{1e3 * min(totals):>12.2f}")
     failed = sorted({case_id for run in runs for case_id, _, ok in run if not ok})

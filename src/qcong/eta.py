@@ -16,7 +16,7 @@ other classes: after the rewrite the factors split as H(q) G(q^p), G from
 the factors with p | d, and class r of the product is class r of H times
 G.  Class r of H is the sum, over the nonempty classes t of its factor f
 of largest d, of class t of f times class r - t of the rest of H, the
-head, added exactly before one unpack (`qseries.convolve_sum`).  A head
+head, added exactly by one `qseries.convolve_sum`.  A head
 eta(dz)^e with e in 1..4 or 6 is at most two of Jacobi's and Euler's
 series, as eta(z)^4 = eta^3 eta: their terms from the index formulas are
 split into rows by class mod p once, and each class of the product is a

@@ -26,16 +26,16 @@ their largest residues:
   rest: each operand becomes its exact value as one decimal number of
   fixed-width base-10^w slots (a signed operand is packed as x - lo and
   given back lo times the base-10^w repunit), and libmpdec multiplies the
-  two with a number-theoretic transform.  The total's slots are read back
-  through 32-bit lanes up to 9 digits, else by one `int` parse each; a
-  signed total has 5 10^(w-1) added to every slot first, so each reads as
-  a nonnegative numeral, and taken off after.
+  two with a number-theoretic transform.  The product's slots are read
+  back through 32-bit lanes up to 9 digits, else by one `int` parse each;
+  a signed product has 5 10^(w-1) added to every slot first, so each reads
+  as a nonnegative numeral, and taken off after.
 
 Slot widths come from the nonzero counts too: a slot sums at most
 min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
-narrow slots.  `convolve_sum` adds several products over Z or Z/m: its
-shift-add products share one binary total and its decimal ones one decimal
-total, each sized for the sum and unpacked once.
+narrow slots.  `convolve_sum` adds several products over Z or Z/m, each
+made alone by the kernel its own operands pick, at the widths its own
+slots need, so no product's kernel depends on the others in its sum.
 
 Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11)
 `convolve_sum` carries every operand as bytes of residues in [0, m):
@@ -43,11 +43,11 @@ Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11)
 that fails the check is reduced first.  Byte counts and membership tests
 give its nonzero count and largest value, which choose the kernel and
 every slot width, and it is packed by slices of translated bytes.  Every
-part of the sum comes back as residues: each lane byte or digit column
-goes through a table of v base^e mod m, and the columns are added as
-integers a few at a time, so no byte carries, and reduced by one more
-translate.  No total is unpacked into ints and no `% m` pass runs over
-it.  A larger modulus takes the sum over Z, reduced once.
+product comes back as residues: each lane byte or digit column goes
+through a table of v base^e mod m, and the columns, then the products, are
+added as integers a few at a time, so no byte carries, and reduced by one
+more translate.  No product is unpacked into ints and no `% m` pass runs
+over it.  A larger modulus takes the sum over Z, reduced once.
 
 Every kernel is exact; property tests assert they agree with the generic
 schoolbook, the oracle for every ring.
@@ -146,9 +146,9 @@ def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, slot: int | None) ->
     """The kernel that multiplies an operand of len_a terms, nnz_a of them
     nonzero, by one of len_b terms, nnz_b nonzero, a the denser (more
     nonzero terms, or the shorter on a tie): "shift", "schoolbook" or
-    "decimal".  `slot` bounds every slot of the shift-add total with this
-    product in it; None, for every product but one of residue bytes (a
-    sum mod m <= _BYTE_MODULUS), offers no shift-add.
+    "decimal".  `slot` bounds every slot of this product, nnz_b max a
+    max b; None, for every product but one of residue bytes (mod m <=
+    _BYTE_MODULUS), offers no shift-add.
 
     Shift-add takes the product while the slots fit in 64 bits, b's
     nonzero terms times the slot width are at most _SHIFT_ADD_BITS and a
@@ -262,11 +262,11 @@ def _residues(xs: list[int], m: int) -> bytes:
 
 
 def _bounds(xs: list[int] | bytes, nnz: int, m: int | None) -> tuple[int, int]:
-    """(least, largest) value of xs, 0 for no values.  Residues mod m as
-    bytes count their least as 0 and find the largest by membership tests
-    from m - 1 down, one memchr each."""
+    """(lo, hi): the least value of xs or 0, whichever is less, and the
+    largest, 0 for no values.  Residues mod m as bytes have lo 0 and find
+    hi by membership tests from m - 1 down, one memchr each."""
     if m is None:
-        return min(xs, default=0), max(xs, default=0)
+        return min(min(xs, default=0), 0), max(xs, default=0)
     return 0, next((v for v in range(m - 1, 0, -1) if v in xs), 0) if nnz else 0
 
 
@@ -313,134 +313,94 @@ def _digit_residues(digits: str, w: int, n: int, m: int) -> bytes:
     return _fold(cols, m)[::-1]
 
 
-def _reach(group, n_out: int) -> int:
-    # terms of the sum of a*b over a group of (a, b, ...) below n_out
-    return min(n_out, max(len(a) + len(b) - 1 for a, b, *_ in group))
+def _convolve_shift_add(d: bytes, e: bytes, bits: int, n: int, m: int) -> bytes:
+    """First n terms mod m of d*e, both residues mod m as bytes, e sparse and
+    every slot of the exact product below 2^bits; the terms come back as
+    residues, one byte each.
 
-
-def _convolve_shift_add(pairs, bits: int, n: int, m: int) -> bytes:
-    """First n terms mod m of the sum of d*e over the (d, e) in pairs,
-    every operand residues mod m as bytes, e sparse and every slot of the
-    exact total below 2^bits; the terms come back as residues, one byte
-    each.
-
-    Each d is packed once into one integer of bits-wide binary slots, its
-    bytes written into zeroed little-endian lanes by one slice assignment,
-    each nonzero term y q^j of e adds that integer shifted j slots, and the
+    d is packed once into one integer of bits-wide binary slots, its bytes
+    written into zeroed little-endian lanes by one slice assignment, each
+    nonzero term y q^j of e adds that integer shifted j slots, and the
     shifts are grouped by y, so one multiply per distinct value remains.
     The total is cut back into slots mod m once (`_lane_residues`).
     """
     size = bits // 8
+    lanes = bytearray(len(d) * size)
+    lanes[::size] = d
+    packed = int.from_bytes(lanes, "little")
+    del lanes  # not kept beside the unpacked total
+    shifts = {}
+    for j in compress(range(len(e)), e):
+        shifts.setdefault(e[j], []).append(bits * j)
     total = 0
-    for d, e in pairs:
-        lanes = bytearray(len(d) * size)
-        lanes[::size] = d
-        packed = int.from_bytes(lanes, "little")
-        del lanes  # not kept beside the unpacked total
-        shifts = {}
-        for j in compress(range(len(e)), e):
-            shifts.setdefault(e[j], []).append(bits * j)
-        for y, by in shifts.items():
-            total += y * sum(map(packed.__lshift__, by))
+    for y, by in shifts.items():
+        total += y * sum(map(packed.__lshift__, by))
     total &= (1 << bits * n) - 1
     raw = total.to_bytes(n * size, "little")
     del total
     return _lane_residues(raw, size, m)
 
 
-def _convolve_decimal(packed, scale: int, n: int, m: int | None = None) -> list[int] | bytes:
-    """First n terms of the sum of a*b over the (a, b, lo_a, hi_a, lo_b,
-    hi_b) in packed, lo <= min(0, least value) and hi the largest, when the
-    sum over its pairs of min(nnz a, nnz b) max|a| max|b| is scale; with a
-    modulus m, every operand is residues as bytes and the terms come back
-    as residues, one byte each (`_digit_residues`).
+def _convolve_decimal(a, b, bounds_a, bounds_b, slot: int, n: int, m: int | None) -> list[int] | bytes:
+    """First n terms of a*b, every value of a in bounds_a = (lo, hi) with
+    lo <= 0 and of b in bounds_b, when min(nnz a, nnz b) max|a| max|b| is
+    slot; with a modulus m, both operands are residues as bytes and the
+    terms come back as residues, one byte each (`_digit_residues`).
 
-    Kronecker substitutions in one base 10^w (`_decimal_total`), whose text
-    is cut back into slots once (`_unpack`).  Every slot of the total lies
-    in [-scale, scale].  With no negative operand w holds scale; otherwise
-    w holds 2 scale, 5 10^(w-1) is added to every slot of the total so each
+    One Kronecker substitution in base 10^w (`_decimal_total`), whose text
+    is cut back into slots once (`_unpack`).  Every slot of a*b lies in
+    [-slot, slot].  With no negative operand w holds slot; otherwise w
+    holds 2 slot, 5 10^(w-1) is added to every slot of the product so each
     lies in [0, 10^w), and one pass over the unpacked slots takes it off.
     The text is only an argument, so the decoder frees it before it builds
     the terms.
     """
-    signed = any(lo_a or lo_b for _, _, lo_a, _, lo_b, _ in packed)
-    w = decimal.Decimal(2 * scale if signed else scale).adjusted() + 1
+    signed = bounds_a[0] < 0 or bounds_b[0] < 0
+    w = decimal.Decimal(2 * slot if signed else slot).adjusted() + 1
     half = 5 * 10 ** (w - 1) if signed else 0
     if m is not None:
-        return _digit_residues(str(_decimal_total(packed, w, half)), w, n, m)
-    out = _unpack(str(_decimal_total(packed, w, half)), w, n)
+        return _digit_residues(str(_decimal_total(a, b, bounds_a, bounds_b, w, half)), w, n, m)
+    out = _unpack(str(_decimal_total(a, b, bounds_a, bounds_b, w, half)), w, n)
     return [x - half for x in out] if signed else out
 
 
-def _decimal_total(packed, w: int, half: int) -> decimal.Decimal:
-    """Sum of a*b over the (a, b, lo_a, hi_a, lo_b, hi_b) in packed, each
-    operand its exact value as one `decimal.Decimal` of w-digit slots
-    (`_pack`) multiplied by libmpdec, plus half in every slot the products
-    reach; exact."""
-    # from an exact zero the sum keeps exponent 0, so its text has no exponent
-    total = decimal.Decimal(0)
-    for a, b, lo_a, hi_a, lo_b, hi_b in packed:
-        # no product outlives its turn beside the total
-        total = _EXACT.add(total, _EXACT.multiply(_pack(a, lo_a, hi_a, w), _pack(b, lo_b, hi_b, w)))
+def _decimal_total(a, b, bounds_a, bounds_b, w: int, half: int) -> decimal.Decimal:
+    """a*b, each operand its exact value as one `decimal.Decimal` of w-digit
+    slots (`_pack`) multiplied by libmpdec, plus half in every slot the
+    product reaches; exact, and with exponent 0, so its text has none."""
+    total = _EXACT.multiply(_pack(a, *bounds_a, w), _pack(b, *bounds_b, w))
     if half:
-        slots = max(len(a) + len(b) - 1 for a, b, *_ in packed)
-        total = _EXACT.add(total, _EXACT.multiply(half, _repunit(w, slots)))
+        total = _EXACT.add(total, _EXACT.multiply(half, _repunit(w, len(a) + len(b) - 1)))
     return total
 
 
-def _convolve_int_sum(pairs, n_out: int, m: int | None = None) -> list[int]:
-    """Sum of a*b over the (a, b) in pairs, every operand at most n_out
-    terms, truncated to n_out terms: over Z, exact; with a modulus m, every
-    operand is residues mod m as bytes and the sum is reduced mod m.
+def _product(a, b, n_out: int, m: int | None) -> list[int] | bytes:
+    """First n_out terms of a*b, or fewer when a*b has fewer, both operands
+    at most n_out terms: over Z, exact; with a modulus m, both are residues
+    mod m as bytes and the terms come back as residues, one byte each.
 
-    Each product goes to the kernel `_kernel` picks from its operands'
-    nonzero counts and lengths, and with a modulus from the shift-add
-    total's slot bound too: only residue operands are offered the
-    shift-add.  The shift-add products share one binary total and the
-    decimal ones one decimal total, each unpacked once.  A slot of a*b
-    sums at most min(nnz a, nnz b) terms, so each total's slot is sized by
-    the sum over its pairs of that count times max|a| max|b| (doubled by
-    `_convolve_decimal` for a signed total): no slot overflows into its
-    neighbour.
-
-    Residue operands give their nonzero counts and largest values by byte
-    operations.  Every part then comes back as residues: the shift-add and
-    decimal totals as bytes, each schoolbook product reduced, and `_fold`
-    adds them mod m, so no total is unpacked into ints.
+    The pair alone picks its kernel (`_kernel`), from its operands' nonzero
+    counts and lengths and, with a modulus, the bound on its slots: only
+    residue operands are offered the shift-add.  A slot of a*b sums at most
+    min(nnz a, nnz b) terms, so that count times max|a| max|b| bounds every
+    slot (doubled by `_convolve_decimal` for a signed operand): no slot
+    overflows into its neighbour.  Residue operands give their nonzero
+    counts and largest values by byte operations.
     """
-    parts, shifted, packed = [], [], []
-    slot = scale = 0
-    for a, b in pairs:
-        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
-        if (nnz_a, -len(a)) < (nnz_b, -len(b)):
-            # a is the denser operand from here on
-            a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
-        lo_a, hi_a = _bounds(a, nnz_a, m)
-        lo_b, hi_b = _bounds(b, nnz_b, m)
-        with_pair = None if m is None else slot + nnz_b * hi_a * hi_b
-        kernel = _kernel(nnz_a, nnz_b, len(a), len(b), with_pair)
-        if kernel == "schoolbook":
-            part = _convolve_int_schoolbook(a, b, n_out)
-            parts.append(part if m is None else bytes([x % m for x in part]))
-        elif kernel == "shift":
-            slot = with_pair
-            shifted.append((a, b))
-        else:
-            scale += min(nnz_a, nnz_b) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
-            packed.append((a, b, min(lo_a, 0), hi_a, min(lo_b, 0), hi_b))
-    if shifted:
-        parts.append(_convolve_shift_add(shifted, _slot_bits(slot), _reach(shifted, n_out), m))
-    if packed:
-        parts.append(_convolve_decimal(packed, scale, _reach(packed, n_out), m))
-    if not parts:
-        return [0] * n_out
-    if m is not None:
-        return list(_fold([part.ljust(n_out, b"\0") for part in parts], m))
-    out = parts.pop()
-    out.extend([0] * (n_out - len(out)))
-    for part in parts:
-        out[: len(part)] = map(add, out[: len(part)], part)
-    return out
+    nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+    if (nnz_a, -len(a)) < (nnz_b, -len(b)):
+        # a is the denser operand from here on
+        a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
+    bounds_a, bounds_b = _bounds(a, nnz_a, m), _bounds(b, nnz_b, m)
+    slot = nnz_b * max(map(abs, bounds_a)) * max(map(abs, bounds_b))
+    kernel = _kernel(nnz_a, nnz_b, len(a), len(b), None if m is None else slot)
+    n = min(n_out, len(a) + len(b) - 1)
+    if kernel == "shift":
+        return _convolve_shift_add(a, b, _slot_bits(slot), n, m)
+    if kernel == "decimal":
+        return _convolve_decimal(a, b, bounds_a, bounds_b, slot, n, m)
+    out = _convolve_int_schoolbook(a, b, n_out)
+    return out if m is None else bytes([x % m for x in out])
 
 
 def _lcm_denominators(xs: Iterable[Fraction]) -> int:
@@ -473,20 +433,29 @@ def convolve(ring: Ring, a: list, b: list, n_out: int) -> list:
 
 def convolve_sum(ring: Ring, pairs, n_out: int) -> list:
     """Sum of a*b over the (a, b) in pairs, truncated to n_out coefficients,
-    over Z or Z/m: the products `convolve` would make, added before one
-    unpack (see `_convolve_int_sum`).  Over Z/m with m <= _BYTE_MODULUS
-    every operand enters as residues in bytes (`_residues`), so the whole
-    sum is made and added mod m; over a larger modulus it is the sum over Z
-    reduced once."""
+    over Z or Z/m: the products `convolve` would make, each from the kernel
+    its own operands pick (`_product`), added.  Over Z/m with m <=
+    _BYTE_MODULUS every operand enters as residues in bytes (`_residues`),
+    every product comes back as residues and `_fold` adds them mod m, so no
+    product is unpacked into ints; over a larger modulus it is the sum over
+    Z reduced once."""
     if not isinstance(ring, (IntegerRing, ModRing)):
         raise ValueError(f"convolve_sum needs Z or Z/m, got {ring!r}")
     m = ring.modulus if isinstance(ring, ModRing) else None
-    # no copy of an operand that is short enough already, and none kept
-    # beside its residues
-    cut = ((a if len(a) <= n_out else a[:n_out], b if len(b) <= n_out else b[:n_out]) for a, b in pairs)
+
+    def cut(xs):
+        # no copy of an operand that is short enough already, and none kept
+        # beside its residues
+        return xs if len(xs) <= n_out else xs[:n_out]
+
     if m is not None and m <= _BYTE_MODULUS:
-        return _convolve_int_sum([(_residues(a, m), _residues(b, m)) for a, b in cut], n_out, m)
-    out = _convolve_int_sum(list(cut), n_out)
+        parts = [_product(_residues(cut(a), m), _residues(cut(b), m), n_out, m) for a, b in pairs]
+        return list(_fold([part.ljust(n_out, b"\0") for part in parts] or [bytes(n_out)], m))
+    parts = [_product(cut(a), cut(b), n_out, None) for a, b in pairs]
+    out = parts.pop() if parts else []
+    out.extend([0] * (n_out - len(out)))
+    for part in parts:
+        out[: len(part)] = map(add, out[: len(part)], part)
     return out if m is None else [x % m for x in out]
 
 

@@ -382,7 +382,7 @@ def test_delta3_class_sum_takes_only_the_shift_add_kernel(monkeypatch, T):
     # dense class of eta(z)^4 (about 38% nonzero) times a class of eta(2z)
     # with 30 to 205 nonzero terms, all residues mod 7: inside that one
     # convolve_sum nothing is packed in decimal and nothing goes to the
-    # nonzero-term schoolbook, and one shift-add call takes all four pairs
+    # nonzero-term schoolbook, and each pair takes a shift-add call of its own
     inside, sums = [], []
     convolve_sum = qcong.eta.convolve_sum
 
@@ -391,7 +391,7 @@ def test_delta3_class_sum_takes_only_the_shift_add_kernel(monkeypatch, T):
 
         def wrapped(*args):
             if sums and sums[-1] is None:
-                inside.append((name, len(args[0])))
+                inside.append(name)
             return kernel(*args)
 
         monkeypatch.setattr(qcong.qseries, name, wrapped)
@@ -407,7 +407,7 @@ def test_delta3_class_sum_takes_only_the_shift_add_kernel(monkeypatch, T):
     monkeypatch.setattr(qcong.eta, "convolve_sum", class_sum)
     s = eta_quotient_progression(EtaQuotient(_DELTA3), 7, 5, T)
     assert s.T == T and sums == [(T, 4)]
-    assert inside == [("_convolve_shift_add", 4)]
+    assert inside == ["_convolve_shift_add"] * 4
 
 
 def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):

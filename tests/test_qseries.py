@@ -368,12 +368,12 @@ def _record_kernels(monkeypatch) -> list:
     every ring's product reaches them as one pair, cut to n_out, with the
     modulus of a sum of residue bytes or None."""
     calls = []
-    convolve_int_sum = qseries._convolve_int_sum
+    product = qseries._product
 
-    def recorded(pairs, n_out, m=None):
-        ((a, b),) = pairs
-        calls.append([None, a[:n_out], b[:n_out], m])
-        return convolve_int_sum(pairs, n_out, m)
+    def recorded(a, b, n_out, m):
+        assert len(a) <= n_out and len(b) <= n_out
+        calls.append([None, a, b, m])
+        return product(a, b, n_out, m)
 
     def marking(name):
         kernel = getattr(qseries, name)
@@ -384,7 +384,7 @@ def _record_kernels(monkeypatch) -> list:
 
         monkeypatch.setattr(qseries, name, wrapped)
 
-    monkeypatch.setattr(qseries, "_convolve_int_sum", recorded)
+    monkeypatch.setattr(qseries, "_product", recorded)
     for name in KERNELS:
         marking(name)
     return calls
@@ -596,7 +596,7 @@ def test_lacunary_convolve_matches_schoolbook_and_takes_the_nnz_kernel(ring, mon
     _assert_each_product_took_its_kernel(calls, ring)
 
 
-# ---- the class sum: products added before one unpack ----
+# ---- the class sum: products made one by one and added ----
 
 
 @st.composite
@@ -729,26 +729,22 @@ SHIFT_MODULI = (2, 3, 5, 7, 11, 13, 127, 128)
 def _shift_add_case(draw):
     """(ring, pairs, due, lane): over Z/m, m in SHIFT_MODULI, one to three
     pairs of a dense operand (residues in [1, m - 1]) and a sparse one, and
-    the least slot width in bits the shift-add total is given (8 leaves it
-    to the slot bound; 16 to 64 force wider lanes through `_slot_bits`).
+    the least slot width in bits each shift-add product is given (8 leaves
+    it to the slot bound; 16 to 64 force wider lanes through `_slot_bits`).
     The sparse one has from one nonzero term up to the most the shift-add
-    takes with the pairs before it, never more than the dense one has,
-    index 0 and the last index among them as drawn.  Then maybe a lacunary
-    pair for the schoolbook.  `due` names each pair's kernel."""
+    takes for that pair alone, never more than the dense one has, index 0
+    and the last index among them as drawn.  Then maybe a lacunary pair for
+    the schoolbook.  `due` names each pair's kernel."""
     m = draw(st.sampled_from(SHIFT_MODULI))
     lane = draw(st.sampled_from((8, 16, 32, 64)))
     top = m - 1
     value = st.integers(1, top)
     pairs, due = [], []
-    slot = 0  # the worst slot of the shift-add total so far
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 300))
         dense = draw(st.lists(value, min_size=n, max_size=n))
         k = draw(st.integers(1, 300))
-        limit = max(
-            j for j in range(1, min(n, k) + 1)
-            if j * max(lane, _width(slot + j * top * top)) <= BITS
-        )
+        limit = max(j for j in range(1, min(n, k) + 1) if j * max(lane, _width(j * top * top)) <= BITS)
         support = set(draw(st.sampled_from([(), (0,), (k - 1,), (0, k - 1)]))[:limit])
         for i in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=limit, unique=True)):
             if len(support) < limit:
@@ -756,7 +752,6 @@ def _shift_add_case(draw):
         sparse = [0] * k
         for i in support:
             sparse[i] = draw(value)
-        slot += len(support) * top * top
         pair = (dense, sparse) if draw(st.booleans()) else (sparse, dense)
         pairs.append(pair)
         due.append("shift")
@@ -780,16 +775,22 @@ M127 = ModRing(127)
 
 @given(_shift_add_case())
 @settings(max_examples=100, deadline=None)
-# worst slots of exactly 2^8 - 1 and 2^16 - 1 (mod 127, so no residue is
-# reduced): 3 terms of 5 against a dense 17, met at slot 2 onwards, and 255
-# terms of 15 and then 2 more against a dense 17, met at slot 254 onwards
-# (an operand one slot up is written with a leading zero)
+# a worst slot of exactly 2^8 - 1 (mod 127, so no residue is reduced): 3
+# terms of 5 against a dense 17, met at slot 2 onwards (an operand one slot
+# up is written with a leading zero)
 @example((M127, [([17] * 20, [5, 5, 5])], ["shift"], 8))
 @example((M127, [([0] + [17] * 30, [5, 5, 5])], ["shift"], 8))
+# in 16-bit slots: 255 terms of 15 against a dense 17 meet in 65,025 from
+# slot 254 onwards, and 255 terms of 16 against a dense 16 in 65,280; 256
+# terms of 16 make 2^16, whose 32-bit slots put 256 terms past the bound,
+# so that pair goes to the decimal multiply
 @example((M127, [([17] * 300, [15] * 255), ([17] * 300, [15, 15])], ["shift"] * 2, 8))
-# the sum over pairs: 120 + 135 = 2^8 - 1, and 128 + 128 = 2^8, which needs
-# the next width though each pair alone fits in 8 bits; over Z/13 two
-# 144s, one of them a slot up, meet in a slot of 288
+@example((M127, [([16] * 300, [16] * 255)], ["shift"], 8))
+@example((M127, [([16] * 300, [16] * 256)], ["decimal"], 8))
+# pairs whose slots add up past 2^8 - 1 though each alone fits in 8 bits:
+# 120 + 135 = 2^8 - 1, 128 + 128 = 2^8, and over Z/13 two 144s, one of
+# them a slot up, meet in a slot of 288.  Each product takes its own 8-bit
+# slots, and the residues of the products are added mod m
 @example((M127, [([15] * 20, [4, 4]), ([9] * 20, [5, 5, 5])], ["shift"] * 2, 8))
 @example((M127, [([8] * 20, [8, 8]), ([0] + [8] * 20, [8, 8])], ["shift"] * 2, 8))
 @example((ModRing(13), [([12] * 30, [12]), ([0] + [12] * 30, [0, 0, 12])], ["shift"] * 2, 8))
@@ -828,6 +829,11 @@ M127 = ModRing(127)
 )
 def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
     ring, pairs, due, lane = case
+    if lane == 8:
+        # with the slot width left to the slot bound, each pair is due the
+        # kernel `_rule` names for it alone
+        m = ring.modulus if isinstance(ring, ModRing) else None
+        assert due == [_rule(a, b, m) for a, b in pairs]
     top = max(len(a) + len(b) - 1 for a, b in pairs)
     want = _sum_of_schoolbook_products(ring, pairs, top + 3)
     slot_bits = qseries._slot_bits
@@ -838,9 +844,9 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
 
     ran = Counter()
 
-    def counting(name, kernel, per_call):
+    def counting(name, kernel):
         def wrapped(*args):
-            ran[name] += per_call(args)
+            ran[name] += 1
             return kernel(*args)
 
         return mock.patch.object(qseries, kernel.__name__, wrapped)
@@ -849,12 +855,35 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
         # n_out below, at and above the longest len(a) + len(b) - 1
         for n in sorted({1, max(top // 2, 1), top - 1 or 1, top}):
             assert convolve_sum(ring, pairs, n) == want[:n], n
-        # the whole sum: each pair, none cut, takes the kernel it is due
-        with counting("shift", qseries._convolve_shift_add, lambda args: len(args[0])), counting(
-            "decimal", qseries._convolve_decimal, lambda args: len(args[0])
-        ), counting("schoolbook", qseries._convolve_int_schoolbook, lambda args: 1):
+        # the whole sum: each pair, none cut, takes the kernel it is due in
+        # one call of its own
+        with counting("shift", qseries._convolve_shift_add), counting(
+            "decimal", qseries._convolve_decimal
+        ), counting("schoolbook", qseries._convolve_int_schoolbook):
             assert convolve_sum(ring, pairs, top + 3) == want
     assert ran == Counter(due)
+
+
+def test_a_pair_takes_its_kernel_whatever_the_pairs_beside_it(monkeypatch):
+    # ten equal pairs mod 7, 3,000 sixes times 200 sixes: each has slots of
+    # at most 200 36 = 7,200, 16 bits, and 200 16 <= _SHIFT_ADD_BITS, so
+    # each takes the shift-add.  Their slots add up to 72,000, which needs
+    # 32 bits, and 200 32 is past that bound: a shift-add total shared by
+    # the pairs would send the last of them to the decimal multiply
+    pairs = [([6] * 3000, [6] * 200)] * 10
+    assert [_rule(a, b, 7) for a, b in pairs] == ["shift"] * 10
+    ran = Counter()
+    for name in KERNELS:
+
+        def wrapped(*args, kernel=getattr(qseries, name), name=name):
+            ran[KERNELS[name]] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+    n = 3000 + 200 - 1
+    one = convolve_schoolbook(M7, [6] * 200, [6] * 3000, n)
+    assert convolve_sum(M7, pairs, n) == [10 * x % 7 for x in one]
+    assert ran == Counter(shift=10)
 
 
 def test_a_quick_suite_sends_only_residue_bytes_to_the_shift_add(monkeypatch):
@@ -870,7 +899,7 @@ def test_a_quick_suite_sends_only_residue_bytes_to_the_shift_add(monkeypatch):
         def wrapped(*args):
             ran[KERNELS[name]] += 1
             if name == "_convolve_shift_add":
-                shifted.update(type(x).__name__ for pair in args[0] for x in pair)
+                shifted.update(type(x).__name__ for x in args[:2])
             return kernel(*args)
 
         monkeypatch.setattr(qseries, name, wrapped)
@@ -988,13 +1017,14 @@ def test_decode_is_exact_under_the_strictest_int_to_str_limit(monkeypatch):
 
 
 def _count_decimal_calls(monkeypatch) -> list:
-    """The number of pairs in each call of the decimal kernel, as made."""
+    """Whether each call of the decimal kernel, as made, offsets its slots:
+    its product has a negative operand."""
     ran = []
     convolve_decimal = qseries._convolve_decimal
 
-    def counted(*args):
-        ran.append(len(args[0]))
-        return convolve_decimal(*args)
+    def counted(a, b, bounds_a, bounds_b, *args):
+        ran.append(min(a, default=0) < 0 or min(b, default=0) < 0)
+        return convolve_decimal(a, b, bounds_a, bounds_b, *args)
 
     monkeypatch.setattr(qseries, "_convolve_decimal", counted)
     return ran
@@ -1055,13 +1085,15 @@ def test_signed_slots_exactly_at_the_bound(ring, n, h, monkeypatch):
         got = convolve(ring, a, b, 2 * n - 1)
         assert got == convolve_schoolbook(ring, a, b, 2 * n - 1), (sa, sb)
         assert got[n - 1] == ring.from_int(sa * sb * n * h * h)
-    assert ran
+    # every product has a negative operand, so every one is offset
+    assert ran and all(ran)
 
 
 @pytest.mark.parametrize("order", ["signed first", "signed last"])
 def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypatch):
     # both pairs go to the decimal kernel, the nonnegative one because its
-    # slots pass 64 bits: one signed total, offset once for both
+    # slots pass 64 bits, each in a call of its own: the signed one offset,
+    # the nonnegative one not
     ran = _count_decimal_calls(monkeypatch)
     rng = random.Random(order)
     h = 10**12
@@ -1071,7 +1103,7 @@ def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypa
     top = max(len(a) + len(b) - 1 for a, b in pairs)
     for n in (64, top, top + 2):
         assert convolve_sum(ZZ, pairs, n) == _sum_of_schoolbook_products(ZZ, pairs, n), n
-    assert ran == [2] * 3
+    assert ran == [order == "signed first", order == "signed last"] * 3
 
 
 # ---- Z/m operands as bytes: residues checked, packed and decoded ----
@@ -1091,7 +1123,7 @@ def _residue_sum(draw):
     one to three pairs of residue operands of 1 to 70 terms (dense, with at
     most three nonzero terms, or all m - 1); a kernel to force on every
     product, the shift-add only for a modulus of the byte path, and a lane
-    size in bytes for the shift-add total."""
+    size in bytes for each shift-add product."""
     m = draw(st.sampled_from(BYTE_MODULI + WIDE_MODULI))
 
     def operand():
@@ -1113,7 +1145,7 @@ def _residue_sum(draw):
 
 @given(_residue_sum())
 @settings(max_examples=200, deadline=None)
-# the largest residue everywhere: every slot of the total is a multiple of
+# the largest residue everywhere: every slot of a product is a multiple of
 # (m - 1)^2; mod 255 and 256 the same products are made over Z and reduced
 # (an operand some slots up is written with leading zeros)
 @example((256, [([255] * 70, [255] * 70), ([0, 0] + [255] * 70, [255] * 3)], "decimal", 1))
@@ -1122,7 +1154,7 @@ def _residue_sum(draw):
 @example((128, [([127] * 64, [127] * 64)], "shift", 2))
 @example((7, [([6] * 70, [6] * 70), ([0] + [1] * 9, [6, 0, 6])], "decimal", 4))
 def test_residue_products_match_the_schoolbook_on_every_kernel(case):
-    # every product forced onto one kernel, and the shift-add total into
+    # every product forced onto one kernel, and each shift-add product into
     # lanes of the drawn size (or wider, when its slots need it); the
     # packed kernels are handed the modulus up to 128, so they take the byte
     # path, and no modulus past it, where no shift-add is forced
@@ -1135,7 +1167,7 @@ def test_residue_products_match_the_schoolbook_on_every_kernel(case):
 
     def recording(kernel_fn):
         def wrapped(*args):
-            moduli.append(args[3])
+            moduli.append(args[-1])
             return kernel_fn(*args)
 
         return mock.patch.object(qseries, kernel_fn.__name__, wrapped)
@@ -1232,7 +1264,7 @@ def test_operands_that_are_not_residues_take_the_integer_path(m, bad, monkeypatc
         kernel = getattr(qseries, name)
 
         def wrapped(*args, kernel=kernel):
-            moduli.append(args[3])
+            moduli.append(args[-1])
             return kernel(*args)
 
         monkeypatch.setattr(qseries, name, wrapped)
