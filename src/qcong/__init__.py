@@ -40,7 +40,6 @@ from .ring import (
     QuadInt,
     bernoulli,
     kronecker,
-    quad_conj,
 )
 from .store import Cache, CacheKey, default_cache
 from .sturm import ClaimReport, index_gamma0, sturm_bound, verify_eigenform

@@ -26,6 +26,15 @@ from .sturm import ClaimReport, eta_quotient_metadata, sturm_bound
 _NO_CACHE_HELP = "read and write no cache file; each input is still built once, in memory"
 
 
+def _integer(text: str) -> int:
+    # ASCII digits after at most one "-", as for a claim's :p= and
+    # delta_k:<k>; int() would also take "1_3", " 3", "+3" or "٣"
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcong",
@@ -37,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_expand.add_mutually_exclusive_group(required=True)
     src.add_argument("--form", help=f"named form, one of: {', '.join(FORM_NAMES)}")
     src.add_argument("--eta", help='eta quotient text, e.g. "3^4 6^6"')
-    p_expand.add_argument("--T", type=int, required=True, help="truncation")
-    p_expand.add_argument("--mod", type=int, help="reduce coefficients mod m")
+    p_expand.add_argument("--T", type=_integer, required=True, help="truncation")
+    p_expand.add_argument("--mod", type=_integer, help="reduce coefficients mod m")
     p_expand.add_argument(
         "--format", choices=("qseries", "csv"), default="qseries", dest="fmt"
     )
@@ -48,23 +57,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated operator pipeline, e.g. U_7,twist_7 (T_p also "
         "needs --weight and --chi)",
     )
-    p_expand.add_argument("--weight", type=int, help="weight for T_p in --apply")
-    p_expand.add_argument("--chi", type=int, help="character discriminant for T_p")
+    p_expand.add_argument("--weight", type=_integer, help="weight for T_p in --apply")
+    p_expand.add_argument("--chi", type=_integer, help="character discriminant for T_p")
 
     p_meta = sub.add_parser("metadata", help="weight/level/character of a quotient")
     p_meta.add_argument("eta", help='eta quotient text, e.g. "3^4 6^6"')
 
     p_sturm = sub.add_parser("sturm", help="Sturm bound for (weight, level)")
-    p_sturm.add_argument("--k", type=int, required=True)
-    p_sturm.add_argument("--N", type=int, required=True)
+    p_sturm.add_argument("--k", type=_integer, required=True)
+    p_sturm.add_argument("--N", type=_integer, required=True)
 
     p_verify = sub.add_parser("verify", help="verify one claim")
     ids = [b + ("[:p=P]" if c.for_prime else "") for b, c in diamond.CLAIMS.items()]
     prime_claims = [b for b, c in diamond.CLAIMS.items() if c.for_prime]
     p_verify.add_argument("claim", help=f"claim ID: {', '.join(ids)}")
-    p_verify.add_argument("--T", type=int, help="depth override")
-    p_verify.add_argument("--n-max", type=int, help="progression depth override")
-    p_verify.add_argument("--p", type=int, help=f"prime for {' / '.join(prime_claims)}")
+    p_verify.add_argument("--T", type=_integer, help="depth override")
+    p_verify.add_argument("--n-max", type=_integer, help="progression depth override")
+    p_verify.add_argument("--p", type=_integer, help=f"prime for {' / '.join(prime_claims)}")
     p_verify.add_argument("--no-cache", action="store_true", help=_NO_CACHE_HELP)
 
     p_suite = sub.add_parser("suite", help="run every claim")

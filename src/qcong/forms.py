@@ -121,28 +121,19 @@ def _times_e4_4z(x: QSeries) -> QSeries:
 
 
 def _theta_bracket(T: int) -> QSeries:
-    # 4 t2^6 - t1^6 + 4 t1^4 t2^2 - 6 t1^2 t2^4 to T terms, t1 = theta0(z)
-    # and t2 = theta0(2z): f1's bracket with q^2 -> q
-    t1 = theta0(T)
-    t2 = dilated(theta0, T, 2)
-    t1_2 = t1.mul(t1)
-    t1_4 = t1_2.mul(t1_2)
-    t2_2 = t2.mul(t2)
-    t2_4 = t2_2.mul(t2_2)
-    return (
-        t2_4.mul(t2_2).scale(4)
-        .sub(t1_4.mul(t1_2))
-        .add(t1_4.mul(t2_2).scale(4))
-        .sub(t1_2.mul(t2_4).scale(6))
-    )
+    # 4v^3 - u^3 + 4u^2 v - 6u v^2 = (2v - u)((u - v)^2 + v^2) to T terms,
+    # u = theta0(z)^2 and v = theta0(2z)^2: f1's bracket with q^2 -> q
+    u = theta0(T).pow(2)
+    v = dilated(theta0, T, 2).pow(2)
+    w = u.sub(v)
+    return v.scale(2).sub(u).mul(w.mul(w).add(v.mul(v)))
 
 
 def form_f1(T: int) -> QSeries:
-    """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4] where
-    t2 = theta0(2z), t4 = theta0(4z).  Supported on odd exponents.
-
-    The bracket is a series in q^2: it is built from theta0(z) and
-    theta0(2z) at the inner length and applied by eta.times_dilated."""
+    """E4(4z) F(z) [4 t4^6 - t2^6 + 4 t2^4 t4^2 - 6 t2^2 t4^4], t2 = theta0(2z),
+    t4 = theta0(4z), supported on odd exponents.  The bracket is a series in
+    q^2, (2v - u)((u - v)^2 + v^2) with u = t2^2, v = t4^2: five products of
+    theta0(z) and theta0(2z) at the inner length, applied by eta.times_dilated."""
     return _times_e4_4z(times_dilated(form_F(T), _theta_bracket, 2))
 
 

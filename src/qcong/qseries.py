@@ -658,21 +658,6 @@ class QSeries:
         conj = self.ring.conj
         return QSeries(self.ring, self.offset24, [conj(c) for c in self.coeffs])
 
-    def __add__(self, other):
-        return self.add(other) if isinstance(other, QSeries) else NotImplemented
-
-    def __sub__(self, other):
-        return self.sub(other) if isinstance(other, QSeries) else NotImplemented
-
-    def __mul__(self, other):
-        return self.mul(other) if isinstance(other, QSeries) else NotImplemented
-
-    def __pow__(self, e):
-        return self.pow(e) if isinstance(e, int) else NotImplemented
-
-    def __neg__(self):
-        return self.neg()
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -30,7 +30,6 @@ __all__ = [
     "ring_from_tag",
     "kronecker",
     "bernoulli",
-    "quad_conj",
     "is_prime",
     "primes_up_to",
 ]
@@ -93,18 +92,8 @@ def bernoulli(k: int) -> Fraction:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for n < 10**6)."""
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    """Primality by factorisation: n is its own only prime factor (n < 10**6)."""
+    return n >= 2 and _factorize(n) == [(n, 1)]
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -219,23 +208,17 @@ class QuadInt(_Frozen):
         return f"{self.re},{self.im}"
 
 
-def quad_conj(x: QuadInt) -> QuadInt:
-    """Conjugation a + b*sqrt(-3) -> a - b*sqrt(-3)."""
-    return x.conj()
-
-
 class Ring(_Frozen):
     """Scalar operations of one coefficient ring.
 
     Rings are immutable and compare and hash by their tag, so two
-    ModRing(7) are the same ring.  ``add``, ``neg`` and ``mul``
-    default to the elements' own operators and ``sub`` is always
-    ``add(x, neg(y))``; ``mul_each`` and ``add_each`` are the same
-    products and sums over whole lists, mapped in C with no Python call
-    per element for ``int`` elements.  Only ``ModRing`` overrides the
-    arithmetic, to reduce mod m.  ``conj`` defaults to the identity and
-    ``format_elem`` to ``str``.  Each ring supplies ``from_int``, ``is_unit``, ``inv`` and
-    ``parse_elem``.
+    ModRing(7) are the same ring.  ``add``, ``neg`` and ``mul`` default
+    to the elements' own operators; ``mul_each`` and ``add_each`` are the
+    same products and sums over whole lists, mapped in C with no Python
+    call per element for ``int`` elements.  Only ``ModRing`` overrides
+    the arithmetic, to reduce mod m.  ``conj`` defaults to the identity
+    and ``format_elem`` to ``str``.  Each ring supplies ``from_int``,
+    ``is_unit``, ``inv`` and ``parse_elem``.
     """
 
     __slots__ = ()
@@ -254,9 +237,6 @@ class Ring(_Frozen):
 
     def mul(self, x, y):
         return x * y
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def mul_each(self, c, xs: list) -> list:
         """[c * x for x in xs]."""

@@ -74,6 +74,18 @@ def naive_delta(k: int, T: int) -> list[int]:
     return c
 
 
+def naive_is_prime(n: int) -> bool:
+    """n >= 2 with no divisor d in 2 <= d <= sqrt(n), trying every d."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def naive_sigma(k: int, n: int) -> int:
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
 

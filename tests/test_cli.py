@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qcong
-from qcong.cli import main
+from qcong.cli import _build_parser, main
 from qcong.forms import form_f
 from qcong.qseries import dumps, loads
 from qcong.ring import QUAD, QuadInt
@@ -357,6 +358,49 @@ def test_quick_suite_cold_then_warm_stdout_equals_the_benchmark_reference(tmp_pa
     assert filled and all(name.endswith(".qs") for name in filled)
     assert run() == reference  # warm: served from the cache
     assert files() == filled
+
+
+_INTEGER_FLAGS = [
+    ("expand", "--form", "E4", "--T", "3", "--mod"),
+    ("expand", "--form", "E4", "--T"),
+    ("expand", "--form", "E4", "--T", "3", "--apply", "T_2", "--chi", "-4", "--weight"),
+    ("expand", "--form", "E4", "--T", "3", "--apply", "T_2", "--weight", "4", "--chi"),
+    ("sturm", "--N", "24696", "--k"),
+    ("sturm", "--k", "5", "--N"),
+    ("verify", "eq-1.2", "--no-cache", "--T"),
+    ("verify", "sec-2-chain", "--no-cache", "--n-max"),
+    ("verify", "thm-1.2", "--T", "5", "--no-cache", "--p"),
+]
+
+
+@pytest.mark.parametrize("value", [" 3", "3 ", "+3", "0_3", "\u0663", "3\n"])
+@pytest.mark.parametrize("argv", _INTEGER_FLAGS, ids=lambda a: f"{a[0]} {a[-1]}")
+def test_integer_flags_take_ascii_digits_only(capsys, argv, value):
+    # int() accepts each of these; argparse's type=int would pass them on
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {argv[-1]}: invalid int value: {value!r}" in err
+
+
+def test_integer_flags_keep_a_leading_minus(capsys):
+    code, out, _ = run_cli(
+        capsys, "expand", "--form", "E4", "--T", "5", "--apply", "T_5",
+        "--weight", "4", "--chi", "-4",
+    )
+    assert code == 0 and loads(out).coeffs == [126]
+
+
+def test_no_flag_is_read_by_int():
+    parsers, actions = [_build_parser()], []
+    while parsers:
+        for action in parsers.pop()._actions:
+            actions.append(action)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert sum(a.type is not None for a in actions) == 9
+    assert not [a.dest for a in actions if a.type is int]
 
 
 def test_usage_error_exits_2(capsys):

@@ -5,6 +5,7 @@ from qcong.eta import dilated
 from qcong.forms import (
     _quotient_form,
     _sigma_coeffs,
+    _theta_bracket,
     cm_coefficient,
     eisenstein_int,
     form_F,
@@ -18,6 +19,7 @@ from qcong.forms import (
     theta0,
     two_squares,
 )
+from qcong.qseries import QSeries
 from qcong.ring import QuadInt, primes_up_to
 
 
@@ -127,6 +129,21 @@ def test_f1_is_the_full_length_theta_bracket_formula(T):
     )
     e4_4z = dilated(lambda n: eisenstein_int(4, n), T, 4)
     assert form_f1(T) == e4_4z.mul(form_F(T).mul(bracket))
+
+
+@pytest.mark.parametrize("T", [1, 2, 17, 1000])
+def test_theta_bracket_takes_five_products(T, monkeypatch):
+    # (2v - u)((u - v)^2 + v^2): u, v, (u - v)^2, v^2 and the outer product
+    calls = []
+    mul = QSeries.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "mul", counted)
+    bracket = _theta_bracket(T)
+    assert len(calls) == 5 and bracket.T == T
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6, 7, 8, 17, 251, 2000])
