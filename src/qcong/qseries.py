@@ -51,6 +51,11 @@ over it.  A larger modulus takes the sum over Z, reduced once.
 
 Every kernel is exact; property tests assert they agree with the generic
 schoolbook, the oracle for every ring.
+
+`loads` reads a dump body of canonical one-digit residues mod m <= 10 (a
+digit below m and a newline a line) by stride, its even positions through
+one translate.  Any other body is streamed line by line: over Z/m with m <= T
+through one table of the m residues (`_line_codec`), else the ring's parser.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import compress, islice, repeat
 from math import lcm
 from operator import add, sub
@@ -75,6 +80,7 @@ from .ring import (
     QuadRing,
     RationalRing,
     Ring,
+    _times,
     ring_from_tag,
 )
 
@@ -268,14 +274,6 @@ def _bounds(xs: list[int] | bytes, nnz: int, m: int | None) -> tuple[int, int]:
     if m is None:
         return min(min(xs, default=0), 0), max(xs, default=0)
     return 0, next((v for v in range(m - 1, 0, -1) if v in xs), 0) if nnz else 0
-
-
-@lru_cache(maxsize=1024)
-def _times(p: int, m: int, zero: int = 0) -> bytes:
-    """The translate table of each byte b to (b - zero) p mod m: a lane
-    byte's share (zero 0) or an ASCII digit's (zero 48) of its slot's
-    residue."""
-    return bytes((b - zero) * p % m for b in range(256))
 
 
 def _fold(cols: list[bytes], m: int) -> bytes:
@@ -690,10 +688,7 @@ class _Table(dict):
 
 
 def _line_codec(ring: Ring, n: int, entry, fallback):
-    # over Z/m with m <= n, a table lookup from entry(v) for each residue v:
-    # n lines share m strings (or m ints), and the table is no bigger than
-    # the data; anything outside the table, and every other ring, goes
-    # through `fallback` one line at a time
+    # over Z/m with m <= n, a table of entry(v) for v < m, no bigger than the data
     if isinstance(ring, ModRing) and ring.modulus <= n:
         return _Table(map(entry, range(ring.modulus)), fallback).__getitem__
     return fallback
@@ -713,8 +708,8 @@ def dumps(s: QSeries) -> str:
 
 def loads(text: str) -> QSeries:
     """Inverse of `dumps`: exactly the header's T coefficients, with nothing
-    after them."""
-    # streamed line by line: a split would hold every line's string at once
+    after them: a canonical one-digit body mod m <= 10 (see the module
+    docstring) by stride, and any other body, in any ring, line by line."""
     lines = io.StringIO(text)
     header = lines.readline().strip()
     parts = header.split()
@@ -729,6 +724,11 @@ def loads(text: str) -> QSeries:
     ring = ring_from_tag(fields["ring"])
     offset24 = int(fields["offset24"])
     T = int(fields["T"])
+    start = lines.tell()  # the body's start: the header line was stripped
+    if isinstance(ring, ModRing) and ring.modulus <= 10 and len(text) - start == 2 * T == 2 * text.count("\n", start):
+        raw = text[start::2].encode("ascii", "replace")  # "?" for a non-ASCII character
+        if not raw.translate(None, b"0123456789"[: ring.modulus]):  # T digits: the T newlines fill the odd places
+            return QSeries(ring, offset24, list(raw.translate(_DIGIT_VALUES)))
     fmt = ring.format_elem
     # every parser accepts the line's trailing newline; a line outside the
     # table (the last one without its newline, "8" or "-1" mod 7) is parsed

@@ -216,7 +216,8 @@ class Ring(_Frozen):
     to the elements' own operators; ``mul_each`` and ``add_each`` are the
     same products and sums over whole lists, mapped in C with no Python
     call per element for ``int`` elements.  Only ``ModRing`` overrides
-    the arithmetic, to reduce mod m.  ``conj`` defaults to the identity
+    the arithmetic, to reduce mod m; it scales residues mod m <= 256 by
+    one translate of their bytes.  ``conj`` defaults to the identity
     and ``format_elem`` to ``str``.  Each ring supplies ``from_int``,
     ``is_unit``, ``inv`` and ``parse_elem``.
     """
@@ -283,8 +284,9 @@ class IntegerRing(Ring):
             raise ValueError(f"{x} is not a unit in Z")
         return x
 
-    def parse_elem(self, s: str) -> int:
-        return int(s)
+    # the builtin itself, so a map over the lines of a dump runs no Python
+    # frame per line
+    parse_elem = staticmethod(int)
 
     def __repr__(self) -> str:
         return "ZZ"
@@ -312,6 +314,14 @@ class RationalRing(Ring):
 
     def __repr__(self) -> str:
         return "QQ"
+
+
+@lru_cache(maxsize=1024)
+def _times(p: int, m: int, zero: int = 0) -> bytes:
+    """The translate table of each byte b to (b - zero) p mod m: a residue
+    byte's multiple, or a lane byte's share (zero 0) or an ASCII digit's
+    (zero 48) of its slot's residue."""
+    return bytes((b - zero) * p % m for b in range(256))
 
 
 class ModRing(Ring):
@@ -343,7 +353,16 @@ class ModRing(Ring):
     # the list forms reduce every result with %, so an unreduced residue
     # (9 or -1 mod 7) comes out reduced, never wrapped into a wrong value
     def mul_each(self, c: int, xs: list) -> list:
+        """[c * x % m for x in xs].  For m <= 256, ints in [0, 256) are
+        scaled as bytes by one translate through the table of b c mod m;
+        `bytes` rejects any other value, with ValueError or TypeError, and
+        the comprehension takes the list."""
         m = self.modulus
+        if m <= 256:
+            try:
+                return list(bytes(xs).translate(_times(c % m, m)))
+            except (TypeError, ValueError):
+                pass
         return [x % m for x in map(operator.mul, repeat(c), xs)]
 
     def add_each(self, xs: list, ys: list) -> list:

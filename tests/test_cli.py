@@ -5,10 +5,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import qcong
+from qcong import qseries
 from qcong.cli import _build_parser, main
 from qcong.forms import form_f
 from qcong.qseries import dumps, loads
@@ -447,3 +449,23 @@ def test_kernel_cases_script_smoke():
     assert len(lines[-1]) == 3 and float(lines[-1][1]) >= 0
     assert run("--seed", "1", "--runs", "1", "--peak").returncode == 2
     assert run("--seed", "1", "--runs", "0").returncode == 2
+
+
+def test_a_warm_full_suite_reads_the_mod_7_bodies_by_stride(capsys, monkeypatch):
+    # the cold run fills the cache; the warm run reads all six entries back
+    # and prints the benchmark's reference bytes.  Only the four bodies that
+    # are not one-digit residues mod m <= 10 reach the line codec: c, f1 and
+    # f2 over Z and delta_5 mod 11
+    reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "suite-full.json").read_text()
+    code, cold, _ = run_cli(capsys, "suite", "--full")
+    assert code == 0 and cold == reference
+    codec = mock.Mock(wraps=qseries._line_codec)
+    monkeypatch.setattr(qseries, "_line_codec", codec)
+    code, warm, _ = run_cli(capsys, "suite", "--full")
+    assert code == 0 and warm == reference
+    assert sorted((call.args[0].tag, call.args[1]) for call in codec.call_args_list) == [
+        ("int", 2000),
+        ("int", 2000),
+        ("int", 16992),
+        ("mod:11", 2000),
+    ]

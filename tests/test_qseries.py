@@ -1470,6 +1470,99 @@ def test_mod_loads_rejects_an_empty_line(n):
             loads(f"qseries v1 ring=mod:7 offset24=0 T={n}\n{body}")
 
 
+# the stride path: a canonical one-digit body mod m <= 10 never reaches the
+# line codec; every other body does, and reads as the per-line parse
+STRIDE_MODULI = (2, 3, 5, 7, 10)
+
+
+def _spy_codec():
+    return mock.patch.object(qseries, "_line_codec", wraps=qseries._line_codec)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_stride_loads_matches_the_per_line_parse(data):
+    ring = ModRing(data.draw(st.sampled_from(STRIDE_MODULI)))
+    f = data.draw(series_over(ring, max_T=60))
+    text = dumps(f)
+    with _spy_codec() as codec:
+        got = loads(text)
+    assert got == f
+    assert got.coeffs == loads_per_line(text, ring)
+    assert codec.call_count == 0
+
+
+def _canonical_lines(T: int, m: int) -> list[str]:
+    return [str(i * 3 % m) for i in range(T)]
+
+
+def _dump_text(lines: list[str], T: int, m: int = 7, end: str = "\n", head: str = "") -> str:
+    return f"qseries v1 ring=mod:{m} offset24=0 T={T}{head}{end}" + "".join(line + end for line in lines)
+
+
+def _odd_line_variants(T: int):
+    # (name, text, expected error message or None for the oracle's coefficients)
+    lines = _canonical_lines(T, 7)
+    text = _dump_text(lines, T)
+    after = f"dump has lines after its {T} coefficients"
+    # one character short: the last newline, or the first, which joins two lines
+    yield "no last newline", text[:-1], None
+    if T > 1:
+        header, _, body = text.partition("\n")
+        yield "no first newline", f"{header}\n{body.replace(chr(10), '', 1)}", f"dump truncated: expected {T} coefficients"
+        # 2T characters with a digit at every even position, but a space at
+        # an odd one
+        bad = "invalid literal for int() with base 10: '0 3\\n'"
+        yield "a space for the first newline", f"{header}\n{body.replace(chr(10), ' ', 1)}", bad
+    # one character long: after the body, or a space inside its last line
+    yield "one character after", text + "5", after
+    yield "a space before the last newline", text[:-1] + " \n", None
+    yield "one extra line", text + "3\n", after
+    yield "a trailing blank line", text + "\n", after
+    yield "crlf endings", _dump_text(lines, T, end="\r\n"), None
+    for where in sorted({0, T // 2, T - 1}):
+        blank = lines[:where] + [""] + lines[where:]
+        yield f"blank line at {where}", _dump_text(blank, T), "invalid literal for int() with base 10: '\\n'"
+        for token in ("8", "07", "-1", "+3", " 3", "٣"):
+            odd = lines[:where] + [token] + lines[where + 1 :]
+            yield f"{token!r} at {where}", _dump_text(odd, T), None
+
+
+@pytest.mark.parametrize("T", [1, 3, 12, 40])
+def test_stride_loads_falls_back_on_every_non_canonical_body(T):
+    for name, text, error in _odd_line_variants(T):
+        with _spy_codec() as codec:
+            if error is None:
+                assert loads(text).coeffs == loads_per_line(text, M7), name
+            else:
+                with pytest.raises(ValueError) as info:
+                    loads(text)
+                assert str(info.value) == error, name
+        assert codec.call_count == 1, name
+
+
+@pytest.mark.parametrize("T", [1, 3, 12, 40])
+@pytest.mark.parametrize("head", ["   ", " \t", "　"])
+def test_stride_loads_starts_the_body_after_a_padded_header(T, head):
+    # the header line is stripped, so its length is not where the body starts
+    lines = _canonical_lines(T, 7)
+    for text in (_dump_text(lines, T, head=head), head + _dump_text(lines, T)):
+        with _spy_codec() as codec:
+            got = loads(text)
+        assert got.coeffs == loads_per_line(text, M7) == [int(x) for x in lines]
+        assert codec.call_count == 0
+
+
+@pytest.mark.parametrize("T", [1, 3, 12, 40])
+def test_mod_11_never_takes_the_stride_path(T):
+    lines = [str(i % 10) for i in range(T)]
+    text = _dump_text(lines, T, m=11)
+    with _spy_codec() as codec:
+        got = loads(text)
+    assert got.coeffs == loads_per_line(text, ModRing(11)) == [int(x) for x in lines]
+    assert codec.call_count == 1
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import euler_criterion, naive_is_prime
+from qcong import ring as ring_module
 from qcong.ring import (
     QQ,
     QUAD,
@@ -205,3 +207,47 @@ def test_ring_axioms_via_ring_ops_all_rings(a, b, c):
         assert R.mul(x, y) == R.mul(y, x)
         assert R.add(x, R.neg(x)) == R.zero
         assert R.add(x, R.neg(y)) == R.from_int(a - b)
+
+
+# ---- ModRing.mul_each by one translate, ZZ.parse_elem as the builtin ----
+
+
+def _mul_each_cases(m):
+    return [
+        list(range(min(m, 256))),  # reduced residues (all 256 bytes mod 257)
+        list(range(m, 256)),  # unreduced, still bytes
+        [-1, 3, -m, -300, 0],  # negatives
+        [256, 2, 1000, 10**30],  # at and past 256
+        [True, False, True],
+        [Fraction(3, 2), 1],
+        [],
+    ]
+
+
+@pytest.mark.parametrize("m", [2, 7, 11, 128, 255, 256, 257])
+def test_mod_mul_each_matches_the_per_element_product(m):
+    R = ModRing(m)
+    for c in (0, 1, 3, m - 1, -1, -5, m + 2, 10**20, True):
+        for xs in _mul_each_cases(m):
+            want = [c * x % m for x in xs]
+            got = R.mul_each(c, xs)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (c, xs)
+
+
+@pytest.mark.parametrize("m", [2, 7, 11, 128, 255, 256, 257])
+def test_mod_mul_each_scales_bytes_by_translate_up_to_256(m):
+    # residues take the translate for m <= 256; mod 257 always the comprehension
+    with mock.patch.object(ring_module, "_times", wraps=ring_module._times) as table:
+        assert ModRing(m).mul_each(5, [0, 1, m - 1 if m <= 256 else 255]) == [0, 5 % m, 5 * min(m - 1, 255) % m]
+    assert table.call_count == (1 if m <= 256 else 0)
+
+
+def test_integer_parse_elem_is_the_builtin_int():
+    # so a map over the lines of a Z dump runs no Python frame per line; it
+    # takes and refuses exactly what int() does
+    assert ZZ.parse_elem is int
+    for text, value in (("+3\n", 3), (" 3", 3), ("1_0", 10), ("٣", 3), ("-12\n", -12)):
+        assert ZZ.parse_elem(text) == value
+    for text in ("3.0", ""):
+        with pytest.raises(ValueError):
+            ZZ.parse_elem(text)
