@@ -9,6 +9,7 @@ purely-imaginary pairs and no y(p) exists.
 
 import argparse
 
+from qcong.cli import _integer
 from qcong.diamond import eigenvalue_table, verify_theorem_1_2
 
 
@@ -23,8 +24,9 @@ def fmt(x) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--prime-max", type=int, default=97)
-    parser.add_argument("--y-depth", type=int, default=50,
+    # ASCII digits only, like every qcong flag
+    parser.add_argument("--prime-max", type=_integer, default=97)
+    parser.add_argument("--y-depth", type=_integer, default=50,
                         help="n-range over which each y(p) is re-verified")
     args = parser.parse_args()
     T = max(2000, 19 * args.prime_max)

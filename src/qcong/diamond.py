@@ -13,7 +13,9 @@ to g = sum c(n) q^(2n+1) for Theorem 3.1) and the exact f1 and f2, each
 built by its own form_* builder.  An identity is two series built from
 QSeries operations and the operators (Theorem 1.2 and the remark through
 operators.hecke), compared by the one comparison driver sturm._compare,
-which reads each report's modulus from the series' ring.
+which reads each report's modulus from the series' ring.  Theorem 3.1's
+eigenform reports for f = f1 + 8 sqrt(-3) f2 and its conjugate come from
+operators.hecke on f1 and f2 over Z, so every claim runs over Z or Z/m.
 Series arguments can be injected to support mutation self-tests; injected
 series are validated for offset, length, ring, and (mod m) for
 coefficients reduced into [0, m).  An injected delta_k is the full series,
@@ -33,12 +35,12 @@ from typing import NamedTuple
 
 from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .eta import times_dilated
-from .forms import _f_from, eisenstein_int, form_f1, form_f2, form_g
+from .forms import eisenstein_int, form_f1, form_f2, form_g
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
 from .store import Cache, CacheKey
-from .sturm import ClaimReport, _compare, _scan_report, verify_eigenform
+from .sturm import ClaimReport, _compare, _scan_report
 from .sturm import SpaceTag, eta_quotient_metadata
 
 __all__ = [
@@ -334,17 +336,36 @@ def verify_g_combination(
 
 
 def _eigenvalues(f1: QSeries, f2: QSeries, primes: list[int]):
-    """Eigenvalues of f = f1 + 8 sqrt(-3) f2 and its conjugate by prime (None
-    where the eigenform check failed), and the per-prime eigenform reports."""
-    f = _f_from(f1, f2)
-    fbar = f.conjugate()
-    eig: dict[int, tuple[QuadInt | None, QuadInt | None]] = {}
-    reports = []
+    """Eigenvalues r + i sqrt(-3) of f = f1 + 8 sqrt(-3) f2 by prime, as (r, i)
+    or None where the check failed, and the eigenform reports for f and its
+    conjugate, from T_p on f1 and f2 over Z.  lambda is read at f's first
+    nonzero coefficient n0, the unit f1(n0) = +-1: r = f1(n0) (T_p f1)(n0),
+    i = 8 f1(n0) (T_p f2)(n0).  T_p f - lambda f has real part T_p f1 - r f1
+    + 24 i f2 and sqrt(-3) part 8 T_p f2 - i f1 - 8 r f2; the conjugate's
+    differs in sign only, so both reports fail first where either is nonzero.
+    """
+    bound, k, chi = _F_SPACE.sturm_bound, _F_SPACE.weight, _F_SPACE.character
+    a, b = f1.coeffs, f2.coeffs
+    n0 = next((n for n, x, y in zip(range(bound + 1), a, b) if x or y), None)
+    eig, reports = {}, []
     for p in primes:
-        lam_f, rf = verify_eigenform(f, p, _F_SPACE, f"thm-3.1:eigen:f:p={p}")
-        lam_b, rb = verify_eigenform(fbar, p, _F_SPACE, f"thm-3.1:eigen:fbar:p={p}")
-        reports.extend([rf, rb])
-        eig[p] = (lam_f, lam_b)
+        need, have = p * (bound + 1), min(f1.T, f2.T)
+        if have < need:
+            raise ValueError(f"insufficient truncation {have}: eigenform check at "
+                             f"p={p} needs at least {need} coefficients")
+        if n0 is None:
+            raise ValueError("series vanishes through the bound; eigenvalue undefined")
+        if b[n0] or a[n0] not in (1, -1):
+            raise ValueError(f"f({n0}) = {a[n0]} + {8 * b[n0]} sqrt(-3) is not a unit")
+        t1, t2 = (hecke(s.truncate(need), p, k, chi).coeffs for s in (f1, f2))
+        r, i = a[n0] * t1[n0], 8 * a[n0] * t2[n0]
+        failures = [
+            n for n in range(bound + 1)
+            if t1[n] - r * a[n] + 24 * i * b[n] or 8 * t2[n] - i * a[n] - 8 * r * b[n]
+        ]
+        eig[p] = None if failures else (r, i)
+        for claim in (f"thm-3.1:eigen:f:p={p}", f"thm-3.1:eigen:fbar:p={p}"):
+            reports.append(_scan_report(claim, failures, bound, _F_SPACE))
     return eig, reports
 
 
@@ -355,7 +376,11 @@ def eigenvalue_table(
 
     A None entry means the eigenform check failed at that prime.
     """
-    return _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
+    eig = _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
+    return {
+        p: (None, None) if e is None else (QuadInt(*e), QuadInt(e[0], -e[1]))
+        for p, e in eig.items()
+    }
 
 
 def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
@@ -364,9 +389,12 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
     Sub-checks: per-prime eigenform reports for both forms; eigenvalues are
     conjugate pairs, real exactly when p = 1 mod 4 or the f2 coefficient at
     p vanishes; g = f1 - 8 f2; both T_5 eigenvalues equal 258; the two T_7
-    eigenvalues differ, with imaginary parts +-8 * f2(7).  f1 and f2 are
-    read from the cache, and on a miss built by form_f1 and form_f2; g is
-    sum c(n) q^(2n+1), read from the cached c, so no run expands g.
+    eigenvalues differ, with imaginary parts +-8 * f2(7).  The conjugate's
+    eigenvalue is r - i sqrt(-3) by construction, so conjugate-pairs fails
+    exactly where an eigen report fails: its pass says every one passed.
+    f1 and f2 are read from the cache, and on a miss built by form_f1 and
+    form_f2; g is sum c(n) q^(2n+1), read from the cached c, so no run
+    expands g.
     """
     if prime_max < 7:
         raise ValueError("the T_5 and T_7 sub-checks need prime_max >= 7")
@@ -381,33 +409,20 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
     f2 = _series(None, cache, "f2", T, None, form_f2, "f2 series")
     c = _series(None, cache, "c", (T + 1) // 2, None, c_series, "c series")
     eig, reports = _eigenvalues(f1, f2, primes)
-    conj_fail = (
-        p for p, (lam, lam_bar) in eig.items()
-        if lam is None or lam_bar is None or lam_bar != lam.conj()
-    )
+    conj_fail = (p for p, e in eig.items() if e is None)
     reality_fail = (
-        p for p, (lam, _) in eig.items()
-        if lam is None or (lam.im == 0) != (p % 4 == 1 or f2.coeffs[p] == 0)
+        p for p, e in eig.items()
+        if e is None or (e[1] == 0) != (p % 4 == 1 or f2.coeffs[p] == 0)
     )
     # prime_max >= 7, so both primes have entries
-    t5_holds = eig[5] == (QuadInt(258, 0), QuadInt(258, 0))
-    lam7, lam7_bar = eig[7]
-    d2_7 = f2.coeffs[7]
-    t7_holds = (
-        None not in eig[7]
-        and lam7 != lam7_bar
-        and (lam7.im, lam7_bar.im) == (8 * d2_7, -8 * d2_7)
-    )
+    t5_fail = [] if eig[5] == (258, 0) else [5]
+    t7_fail = [] if eig[7] is not None and eig[7][1] == 8 * f2.coeffs[7] != 0 else [7]
     return reports + [
         _scan_report("thm-3.1:conjugate-pairs", conj_fail, bound, _F_SPACE),
         _scan_report("thm-3.1:reality-pattern", reality_fail, bound, _F_SPACE),
         verify_g_combination(T, g=_lift(c, 2, 1), f1=f1, f2=f2),
-        _scan_report(
-            "thm-3.1:t5-eigenvalue-258", [] if t5_holds else [5], bound, _F_SPACE
-        ),
-        _scan_report(
-            "thm-3.1:t7-distinct-eigenvalues", [] if t7_holds else [7], bound, _F_SPACE
-        ),
+        _scan_report("thm-3.1:t5-eigenvalue-258", t5_fail, bound, _F_SPACE),
+        _scan_report("thm-3.1:t7-distinct-eigenvalues", t7_fail, bound, _F_SPACE),
     ]
 
 

@@ -143,16 +143,10 @@ def form_f2(T: int) -> QSeries:
     return _times_e4_4z(_quotient_form(((4, 2), (8, 8)), T))
 
 
-def _f_from(f1: QSeries, f2: QSeries) -> QSeries:
-    # f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)], from the two integer series
-    return QSeries(
-        QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)]
-    )
-
-
 def form_f(T: int) -> QSeries:
     """f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)] (identifying 8 i sqrt(3))."""
-    return _f_from(form_f1(T), form_f2(T))
+    pairs = zip(form_f1(T).coeffs, form_f2(T).coeffs)
+    return QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in pairs])
 
 
 def form_g(T: int) -> QSeries:

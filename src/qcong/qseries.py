@@ -652,10 +652,6 @@ class QSeries:
         d = self.offset24 // 24
         return QSeries(self.ring, 0, [self.ring.zero] * d + self.coeffs)
 
-    def conjugate(self) -> "QSeries":
-        conj = self.ring.conj
-        return QSeries(self.ring, self.offset24, [conj(c) for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented

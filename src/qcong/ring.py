@@ -217,9 +217,9 @@ class Ring(_Frozen):
     same products and sums over whole lists, mapped in C with no Python
     call per element for ``int`` elements.  Only ``ModRing`` overrides
     the arithmetic, to reduce mod m; it scales residues mod m <= 256 by
-    one translate of their bytes.  ``conj`` defaults to the identity
-    and ``format_elem`` to ``str``.  Each ring supplies ``from_int``,
-    ``is_unit``, ``inv`` and ``parse_elem``.
+    one translate of their bytes.  ``format_elem`` defaults to ``str``.
+    Each ring supplies ``from_int``, ``is_unit``, ``inv`` and
+    ``parse_elem``.
     """
 
     __slots__ = ()
@@ -256,9 +256,6 @@ class Ring(_Frozen):
 
     def inv(self, x):
         raise NotImplementedError
-
-    def conj(self, x):
-        return x
 
     def format_elem(self, x) -> str:
         return str(x)
@@ -400,9 +397,6 @@ class QuadRing(Ring):
     def inv(self, x: QuadInt) -> QuadInt:
         if x.norm() != 1:
             raise ValueError(f"{x} is not a unit in Z[sqrt(-3)]")
-        return x.conj()
-
-    def conj(self, x: QuadInt) -> QuadInt:
         return x.conj()
 
     def parse_elem(self, s: str) -> QuadInt:

@@ -5,13 +5,13 @@ place that knows its Sturm bound and the levels U_d and a twist lead to;
 eta_quotient_metadata gives the space of an eta quotient.  A claim is
 checked by scanning coefficients up to an explicit bound and recording the
 outcome in a ClaimReport, built only by `_scan_report`.  An identity
-between two series, eigenform checks included, goes through the one
-comparison driver `_compare`, which reads the report's modulus from the
-series' ring and rejects two rings or a nonzero offset; it compares the
-two coefficient lists whole and finds a first mismatch with no Python call
-per coefficient.  Insufficient
-truncation is always an error, never a pass: these reports are proof
-artifacts, so partial data must be unambiguous.
+between two series goes through the one comparison driver `_compare`,
+which reads the report's modulus from the series' ring and rejects two
+rings or a nonzero offset; it compares the two coefficient lists whole and
+finds a first mismatch with no Python call per coefficient.  No claim
+calls `verify_eigenform`, the public check of f | T_p = lambda f over any
+ring.  Insufficient truncation is always an error, never a pass: these
+reports are proof artifacts, so partial data must be unambiguous.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ def test_criterion_09_theorem_3_1_primes_to_97(forms_2000):
     t0 = time.time()
     _, f1, f2 = forms_2000
     f = QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)])
-    fbar = f.conjugate()
+    fbar = QSeries(QUAD, 0, [c.conj() for c in f.coeffs])
     failures = []
     eig = {}
     space = SpaceTag(9, 16, -4)

@@ -413,19 +413,26 @@ def test_usage_error_exits_2(capsys):
 
 def test_eigenvalue_table_script_smoke(tmp_path):
     script = Path(__file__).parent.parent / "scripts" / "eigenvalue_table.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--prime-max", "13", "--y-depth", "5"],
-        capture_output=True,
-        text=True,
-        env={
-            "PATH": "",
-            "PYTHONPATH": str(Path(qcong.__file__).parent.parent),
-            "QCONG_CACHE_DIR": str(tmp_path),
-        },
-    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(script), *args],
+            capture_output=True,
+            text=True,
+            env={
+                "PATH": "",
+                "PYTHONPATH": str(Path(qcong.__file__).parent.parent),
+                "QCONG_CACHE_DIR": str(tmp_path),
+            },
+        )
+
+    proc = run("--prime-max", "13", "--y-depth", "5")
     assert proc.returncode == 0
     # T_5 eigenvalue of f and of its conjugate, and y(5)
     assert proc.stdout.splitlines()[3].split() == ["5", "258", "258", "258"]
+    # int() would read "1_3" as 13
+    proc = run("--prime-max", "1_3")
+    assert proc.returncode == 2 and "invalid int value: '1_3'" in proc.stderr
 
 
 def test_kernel_cases_script_smoke():

@@ -1,10 +1,12 @@
 import pytest
 
 from oracles import naive_c, naive_delta, naive_hecke_recurrence
+from qcong import diamond
 from qcong.diamond import (
     SuiteConfig,
     c_series,
     delta_series,
+    eigenvalue_table,
     eq_1_2_lhs,
     run_suite,
     verify_eq_1_2,
@@ -17,6 +19,9 @@ from qcong.diamond import (
     verify_theorem_3_1,
 )
 from qcong.forms import form_f1, form_f2
+from qcong.qseries import QSeries
+from qcong.ring import QUAD, ZZ, QuadInt, primes_up_to
+from qcong.sturm import ClaimReport, SpaceTag, verify_eigenform
 from conftest import mutate
 
 
@@ -329,6 +334,139 @@ def test_theorem_3_1_expands_F_once(monkeypatch):
 def test_theorem_3_1_insufficient_truncation():
     with pytest.raises(ValueError, match="need T >="):
         verify_theorem_3_1(100, 13)
+
+
+# the space of f = f1 + 8 sqrt(-3) f2; bound 18, and 13 * 19 = 247 <= 250
+_F = SpaceTag(9, 16, -4)
+_T31, _PRIMES31 = 250, primes_up_to(13)
+
+
+def _report_31(claim, failures):
+    return ClaimReport(claim, 9, 16, None, 18, 18, not failures, (failures or [None])[0])
+
+
+def _reference_3_1(f1, f2, T, primes):
+    """Theorem 3.1's reports through Z[sqrt(-3)]: verify_eigenform on
+    f = f1 + 8 sqrt(-3) f2 and on f1 - 8 sqrt(-3) f2, and the sub-checks
+    read off the QuadInt eigenvalues."""
+    def over_quad(sign):
+        pairs = zip(f1.coeffs, f2.coeffs)
+        return QSeries(QUAD, 0, [QuadInt(a, sign * 8 * b) for a, b in pairs])
+
+    f, fbar = over_quad(1), over_quad(-1)
+    eig, reports = {}, []
+    for p in primes:
+        lam, rep = verify_eigenform(f, p, _F, f"thm-3.1:eigen:f:p={p}")
+        lam_bar, rep_bar = verify_eigenform(fbar, p, _F, f"thm-3.1:eigen:fbar:p={p}")
+        reports += [rep, rep_bar]
+        eig[p] = lam, lam_bar
+    conj = [
+        p for p, (lam, lam_bar) in eig.items()
+        if None in (lam, lam_bar) or lam_bar != lam.conj()
+    ]
+    real = [
+        p for p, (lam, _) in eig.items()
+        if lam is None or (lam.im == 0) != (p % 4 == 1 or f2.coeffs[p] == 0)
+    ]
+    lam7, lam7_bar = eig[7]
+    d = f2.coeffs[7]
+    t7 = None not in eig[7] and lam7 != lam7_bar and (lam7.im, lam7_bar.im) == (8 * d, -8 * d)
+    t5 = eig[5] == (QuadInt(258, 0), QuadInt(258, 0))
+    return reports + [
+        _report_31("thm-3.1:conjugate-pairs", conj),
+        _report_31("thm-3.1:reality-pattern", real),
+        verify_g_combination(T, f1=f1, f2=f2),
+        _report_31("thm-3.1:t5-eigenvalue-258", [] if t5 else [5]),
+        _report_31("thm-3.1:t7-distinct-eigenvalues", [] if t7 else [7]),
+    ]
+
+
+def _bumped_pair(which, n, by=1):
+    coeffs = [form_f1(_T31).coeffs, form_f2(_T31).coeffs]
+    coeffs[which] = list(coeffs[which])
+    coeffs[which][n] += by
+    return [QSeries(ZZ, 0, c) for c in coeffs]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["f1", "f2"])
+@pytest.mark.parametrize("n", [*range(19), 21])
+def test_theorem_3_1_matches_the_quad_reference(monkeypatch, which, n):
+    # 21 = 3 * 7 lies past the bound, yet (T_3 f)(7) and (T_7 f)(3) read it
+    f1, f2 = _bumped_pair(which, n)
+    monkeypatch.setattr(diamond, "form_f1", lambda T: f1)
+    monkeypatch.setattr(diamond, "form_f2", lambda T: f2)
+    try:
+        want = _reference_3_1(f1, f2, _T31, _PRIMES31)
+    except ValueError as exc:
+        # f(n0) is not +-1: f1(1) = 2, or f2(0) = 1
+        assert "not a unit" in str(exc)
+        with pytest.raises(ValueError, match="not a unit"):
+            verify_theorem_3_1(_T31, 13)
+        return
+    assert verify_theorem_3_1(_T31, 13) == want
+    assert not all(r.passed for r in want)
+
+
+def test_theorem_3_1_t7_reads_imaginary_parts_8_f2_7():
+    assert form_f2(140).coeffs[7] == 238
+    assert eigenvalue_table(140, 7)[7] == (QuadInt(0, 1904), QuadInt(0, -1904))
+
+
+def test_theorem_3_1_pair_with_unequal_diagonal_fails():
+    # T_3 (f1 + f2) = (f1 + f2) - 193 f2 and T_3 f2 = (f1 + f2) - f2: on this
+    # pair a = 1 != d = -1, so f1 + f2 + 8 sqrt(-3) f2 is no eigenform at 3,
+    # while T_5 is 258 times the identity on any pair
+    f1, f2 = form_f1(_T31), form_f2(_T31)
+    g1 = f1.add(f2)
+    eig, reports = diamond._eigenvalues(g1, f2, [3, 5])
+    assert eig == {3: None, 5: (258, 0)}
+    assert [r.passed for r in reports] == [False, False, True, True]
+    assert reports == _reference_3_1(g1, f2, _T31, [3, 5, 7])[:4]
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["f1", "f2"])
+def test_theorem_3_1_short_input_raises(short):
+    # 246 < 13 * 19 terms: a short image must be an error, never a pass
+    pair = [form_f1(_T31), form_f2(_T31)]
+    pair[short] = pair[short].truncate(13 * 19 - 1)
+    with pytest.raises(ValueError, match="insufficient truncation 246"):
+        diamond._eigenvalues(*pair, _PRIMES31)
+    with pytest.raises(ValueError, match="insufficient truncation"):
+        eigenvalue_table(13 * 19 - 1, 13)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["f1(1)=2", "f2(1)=1"])
+def test_theorem_3_1_non_unit_leading_coefficient_raises(which):
+    with pytest.raises(ValueError, match="not a unit"):
+        diamond._eigenvalues(*_bumped_pair(which, 1), _PRIMES31)
+
+
+def test_theorem_3_1_vanishing_pair_raises():
+    zero = QSeries(ZZ, 0, [0] * _T31)
+    with pytest.raises(ValueError, match="vanishes through the bound"):
+        diamond._eigenvalues(zero, zero, _PRIMES31)
+
+
+def test_theorem_3_1_leading_minus_one_matches_the_reference():
+    f1, f2 = _bumped_pair(0, 1, -2)  # f1(1) = -1
+    eig, reports = diamond._eigenvalues(f1, f2, _PRIMES31)
+    assert reports == _reference_3_1(f1, f2, _T31, _PRIMES31)[: len(reports)]
+    # T_2 maps every odd-supported series to 0; each odd prime fails
+    assert [r.passed for r in reports] == [True, True] + [False] * 10
+    # -f is an eigenform with f's eigenvalues, read at f1(1) = -1
+    neg = [s.scale(-1) for s in (form_f1(_T31), form_f2(_T31))]
+    eig, reports = diamond._eigenvalues(*neg, _PRIMES31)
+    assert reports == _reference_3_1(*neg, _T31, _PRIMES31)[: len(reports)]
+    assert all(r.passed for r in reports) and eig[7] == (0, 1904)
+
+
+def test_suite_constructs_no_quadint(monkeypatch):
+    def refuse(self, re, im):
+        raise AssertionError("QuadInt built on the claim path")
+
+    monkeypatch.setattr(QuadInt, "__init__", refuse)
+    reports = run_suite(SuiteConfig.quick(), cache=None)
+    assert reports and all(r.passed for r in reports)
 
 
 def test_remark_small():

@@ -174,8 +174,7 @@ def test_form_f_quad_coefficients():
     f = form_f(8)
     assert f.coeffs[1] == QuadInt(1, 0)
     assert f.coeffs[3] == QuadInt(0, 8)
-    conj = f.conjugate()
-    assert conj.coeffs[3] == QuadInt(0, -8)
+    assert [c.conj() for c in f.coeffs][3] == QuadInt(0, -8)
 
 
 def test_form_g_values_and_even_vanishing():
