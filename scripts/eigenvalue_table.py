@@ -29,6 +29,10 @@ def main() -> int:
     parser.add_argument("--y-depth", type=_integer, default=50,
                         help="n-range over which each y(p) is re-verified")
     args = parser.parse_args()
+    if args.prime_max < 2:
+        parser.error(f"--prime-max must be at least 2, got {args.prime_max}")
+    if args.y_depth < 1:
+        parser.error(f"--y-depth must be at least 1, got {args.y_depth}")
     T = max(2000, 19 * args.prime_max)
     table = eigenvalue_table(T, args.prime_max)
     print(f"{'p':>4}  {'lambda(f, T_p)':>28}  {'lambda(conj f, T_p)':>28}  {'y(p)':>12}")

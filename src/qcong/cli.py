@@ -105,9 +105,8 @@ def _cmd_expand(args) -> int:
         buf = io.StringIO()
         rows = csv.writer(buf, lineterminator="\n")
         rows.writerow(["n", "coefficient"])
-        fmt = series.ring.format_elem
         for j, c in enumerate(series.coeffs):
-            rows.writerow([_format_exponent(series.offset24, j), fmt(c)])
+            rows.writerow([_format_exponent(series.offset24, j), str(c)])
         text = buf.getvalue()
     else:
         text = dumps(series)

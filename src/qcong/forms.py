@@ -5,7 +5,11 @@ Every constructor takes a truncation T and returns a series with offset 0
 and exactly T coefficients (indices = exponents 0..T-1).  All arithmetic
 is exact over Z; the one rational is the Eisenstein normalisation -2k/B_k,
 and `eisenstein_int` rejects a weight where it is not an integer.  Each
-form has one expansion, and every E4(4z) product is eta.times_dilated.
+form has one expansion here, and every E4(4z) product is eta.times_dilated.
+g alone has two: `diamond.c_series` expands g = sum c(n) q^(2n+1) as
+its odd part, and `form_g` (`qcong expand --form g`) stays as the
+independent expansion that the tests compare c against and check
+g = f1 - 8 f2 on.
 F = eta(4z)^8 / eta(2z)^4 is read off its divisor sums, as the theta
 series and E4 are; the other eta quotients are expanded as products.
 """

@@ -52,10 +52,10 @@ over it.  A larger modulus takes the sum over Z, reduced once.
 Every kernel is exact; property tests assert they agree with the generic
 schoolbook, the oracle for every ring.
 
-`loads` reads a dump body of canonical one-digit residues mod m <= 10 (a
-digit below m and a newline a line) by stride, its even positions through
-one translate.  Any other body is streamed line by line: over Z/m with m <= T
-through one table of the m residues (`_line_codec`), else the ring's parser.
+A dump body of canonical one-digit residues mod m <= 10 (a digit below m
+and a newline a line) is written and read by stride, its even positions
+through one translate each way.  Any other body is written as one join of
+`str` lines and read line by line through the ring's `parse_elem`.
 """
 
 from __future__ import annotations
@@ -670,36 +670,27 @@ class QSeries:
         )
 
 
-class _Table(dict):
-    """A prebuilt map that sends every key outside it through `fallback`."""
-
-    __slots__ = ("fallback",)
-
-    def __init__(self, pairs, fallback):
-        super().__init__(pairs)
-        self.fallback = fallback
-
-    def __missing__(self, key):
-        return self.fallback(key)
-
-
-def _line_codec(ring: Ring, n: int, entry, fallback):
-    # over Z/m with m <= n, a table of entry(v) for v < m, no bigger than the data
-    if isinstance(ring, ModRing) and ring.modulus <= n:
-        return _Table(map(entry, range(ring.modulus)), fallback).__getitem__
-    return fallback
+def _str_lines(coeffs: list) -> str:
+    """The generic dump body: each coefficient's `str` and a newline, one join."""
+    return "".join([str(c) + "\n" for c in coeffs])
 
 
 def dumps(s: QSeries) -> str:
-    """Text coefficient dump; one coefficient per line, bit-exact round trip."""
-    fmt = s.ring.format_elem
-    line = _line_codec(
-        s.ring, s.T, lambda v: (v, f"{fmt(v)}\n"), lambda c: f"{fmt(c)}\n"
-    )
+    """Text coefficient dump; one coefficient per line, bit-exact round trip:
+    a canonical one-digit body mod m <= 10 (see the module docstring) by
+    stride, and any other body, in any ring, line by line."""
     header = f"qseries v1 ring={s.ring.tag} offset24={s.offset24} T={s.T}\n"
-    # one join: over Z/m its list holds the table's m shared strings; other
-    # rings hold one string per line until the join
-    return header + "".join(map(line, s.coeffs))
+    if isinstance(s.ring, ModRing) and s.ring.modulus <= 10:
+        try:
+            raw = bytes(s.coeffs)  # rejects a value that is not an int in [0, 256)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not raw.translate(None, bytes(range(s.ring.modulus))):  # every value below m
+                body = bytearray(b"\n") * (2 * s.T)
+                body[::2] = raw.translate(_DIGIT_COLUMNS[0])
+                return header + body.decode("ascii")
+    return header + _str_lines(s.coeffs)
 
 
 def loads(text: str) -> QSeries:
@@ -725,11 +716,8 @@ def loads(text: str) -> QSeries:
         raw = text[start::2].encode("ascii", "replace")  # "?" for a non-ASCII character
         if not raw.translate(None, b"0123456789"[: ring.modulus]):  # T digits: the T newlines fill the odd places
             return QSeries(ring, offset24, list(raw.translate(_DIGIT_VALUES)))
-    fmt = ring.format_elem
-    # every parser accepts the line's trailing newline; a line outside the
-    # table (the last one without its newline, "8" or "-1" mod 7) is parsed
-    parse = _line_codec(ring, T, lambda v: (f"{fmt(v)}\n", v), ring.parse_elem)
-    coeffs = list(map(parse, islice(lines, T)))
+    # every parser accepts the line's trailing newline
+    coeffs = list(map(ring.parse_elem, islice(lines, T)))
     if len(coeffs) < T:
         raise ValueError(f"dump truncated: expected {T} coefficients")
     if lines.readline():

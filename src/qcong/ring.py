@@ -217,9 +217,9 @@ class Ring(_Frozen):
     same products and sums over whole lists, mapped in C with no Python
     call per element for ``int`` elements.  Only ``ModRing`` overrides
     the arithmetic, to reduce mod m; it scales residues mod m <= 256 by
-    one translate of their bytes.  ``format_elem`` defaults to ``str``.
-    Each ring supplies ``from_int``, ``is_unit``, ``inv`` and
-    ``parse_elem``.
+    one translate of their bytes.  Each ring supplies ``from_int``,
+    ``is_unit``, ``inv`` and ``parse_elem``, the inverse of ``str`` on its
+    elements.
     """
 
     __slots__ = ()
@@ -256,9 +256,6 @@ class Ring(_Frozen):
 
     def inv(self, x):
         raise NotImplementedError
-
-    def format_elem(self, x) -> str:
-        return str(x)
 
     def parse_elem(self, s: str):
         raise NotImplementedError

@@ -1,10 +1,14 @@
 import sys
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from qcong import qseries
 from qcong.qseries import QSeries
-from qcong.ring import QQ, QUAD, ZZ, QuadInt
+from qcong.ring import QQ, QUAD, ZZ, IntegerRing, ModRing, QuadInt, QuadRing, RationalRing
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -40,3 +44,26 @@ def mutate(series: QSeries, index: int, bump: int = 1) -> QSeries:
     coeffs = list(series.coeffs)
     coeffs[index] = series.ring.add(coeffs[index], series.ring.from_int(bump))
     return QSeries(series.ring, series.offset24, coeffs)
+
+
+@contextmanager
+def counting_parses():
+    """Count the per-line parses (`parse_elem` calls) of every ring, by ring
+    tag, while the block runs; a body read by stride makes none."""
+    parses = Counter()
+    with ExitStack() as stack:
+        for cls in (IntegerRing, RationalRing, ModRing, QuadRing):
+            parse = cls.__dict__["parse_elem"]  # a function, or ZZ's staticmethod(int)
+
+            def counted(ring, s, parse=parse):
+                parses[ring.tag] += 1
+                return parse.__get__(ring)(s)
+
+            stack.enter_context(mock.patch.object(cls, "parse_elem", counted))
+        yield parses
+
+
+def spy_writer():
+    """Spy on the generic dump writer, one call per body it writes; a body
+    written by stride makes none."""
+    return mock.patch.object(qseries, "_str_lines", wraps=qseries._str_lines)

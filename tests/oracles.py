@@ -214,10 +214,10 @@ def unpack_per_slot(digits: str, w: int, n: int) -> list[int]:
 
 def dumps_per_line(s) -> str:
     """The qseries v1 text dump of a series, written one coefficient at a time
-    through its ring's `format_elem`."""
+    through `str`."""
     out = [f"qseries v1 ring={s.ring.tag} offset24={s.offset24} T={s.T}\n"]
     for c in s.coeffs:
-        out.append(s.ring.format_elem(c))
+        out.append(str(c))
         out.append("\n")
     return "".join(out)
 

@@ -5,16 +5,17 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import qcong
-from qcong import qseries
+from qcong import store
 from qcong.cli import _build_parser, main
 from qcong.forms import form_f
 from qcong.qseries import dumps, loads
 from qcong.ring import QUAD, QuadInt
+
+from conftest import counting_parses
 
 
 @pytest.fixture(autouse=True)
@@ -433,6 +434,13 @@ def test_eigenvalue_table_script_smoke(tmp_path):
     # int() would read "1_3" as 13
     proc = run("--prime-max", "1_3")
     assert proc.returncode == 2 and "invalid int value: '1_3'" in proc.stderr
+    # no prime below 2, no recurrence check over an empty n-range: usage
+    # errors, not an empty table or a traceback
+    for flag, value, least in (("--prime-max", "0", 2), ("--prime-max", "-5", 2), ("--y-depth", "0", 1)):
+        proc = run(flag, value)
+        assert proc.returncode == 2 and proc.stdout == "", (flag, value)
+        assert f"{flag} must be at least {least}, got {value}" in proc.stderr
+        assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
 
 
 def test_kernel_cases_script_smoke():
@@ -461,18 +469,27 @@ def test_kernel_cases_script_smoke():
 def test_a_warm_full_suite_reads_the_mod_7_bodies_by_stride(capsys, monkeypatch):
     # the cold run fills the cache; the warm run reads all six entries back
     # and prints the benchmark's reference bytes.  Only the four bodies that
-    # are not one-digit residues mod m <= 10 reach the line codec: c, f1 and
-    # f2 over Z and delta_5 mod 11
+    # are not one-digit residues mod m <= 10 are parsed line by line: c, f1
+    # and f2 over Z and delta_5 mod 11; both mod-7 bodies make no parse
     reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "suite-full.json").read_text()
     code, cold, _ = run_cli(capsys, "suite", "--full")
     assert code == 0 and cold == reference
-    codec = mock.Mock(wraps=qseries._line_codec)
-    monkeypatch.setattr(qseries, "_line_codec", codec)
+    reads = []
+
+    def counted_loads(text):
+        with counting_parses() as parses:
+            series = loads(text)
+        reads.append((series.ring.tag, series.T, sum(parses.values())))
+        return series
+
+    monkeypatch.setattr(store, "loads", counted_loads)
     code, warm, _ = run_cli(capsys, "suite", "--full")
     assert code == 0 and warm == reference
-    assert sorted((call.args[0].tag, call.args[1]) for call in codec.call_args_list) == [
-        ("int", 2000),
-        ("int", 2000),
-        ("int", 16992),
-        ("mod:11", 2000),
+    assert sorted(reads) == [
+        ("int", 2000, 2000),
+        ("int", 2000, 2000),
+        ("int", 16992, 16992),
+        ("mod:11", 2000, 2000),
+        ("mod:7", 54882, 0),
+        ("mod:7", 54882, 0),
     ]

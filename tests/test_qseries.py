@@ -23,7 +23,7 @@ from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt
 from qcong.store import Cache
 from qcong.sturm import SpaceTag
 
-from conftest import mutate, series_over
+from conftest import counting_parses, mutate, series_over, spy_writer
 from oracles import (
     MERSENNE_61,
     dumps_per_line,
@@ -1412,8 +1412,8 @@ def test_mod_ring_data_enters_reduced():
     assert QSeries.from_ints(ModRing(7), [8, -1]).coeffs == [1, 6]
 
 
-# the table codec: over Z/m with m <= T, lines map through one table of
-# residues; short series and every other ring go one line at a time
+# the generic codec, one line at a time, for every body but a canonical
+# one-digit one mod m <= 10, which goes by stride
 CODEC_RINGS = (ZZ, QQ, QUAD, M7, ModRing(11), ModRing(12), ModRing(2), ModRing(10**30))
 
 
@@ -1436,8 +1436,8 @@ def test_long_dumps_and_loads_match_the_per_line_oracles(ring):
     draw = elems.get(ring, lambda: rng.randrange(ring.modulus))
     f = QSeries(ring, -5, [draw() for _ in range(300)])
     assert dumps(f) == dumps_per_line(f)
-    # prefixes on both sides of each modulus, where the codec switches between
-    # its table and the per-line parser
+    # prefixes on both sides of each modulus: a short or a long body takes the
+    # same path, by stride or line by line
     for T in (1, 6, 7, 11, 299, 300):
         text = dumps(f.truncate(T))
         got = loads(text)
@@ -1470,13 +1470,10 @@ def test_mod_loads_rejects_an_empty_line(n):
             loads(f"qseries v1 ring=mod:7 offset24=0 T={n}\n{body}")
 
 
-# the stride path: a canonical one-digit body mod m <= 10 never reaches the
-# line codec; every other body does, and reads as the per-line parse
+# the stride path: a canonical one-digit body mod m <= 10 is written and
+# read with no per-line call; every other body is written and read line by
+# line, and matches the per-line oracles
 STRIDE_MODULI = (2, 3, 5, 7, 10)
-
-
-def _spy_codec():
-    return mock.patch.object(qseries, "_line_codec", wraps=qseries._line_codec)
 
 
 @given(st.data())
@@ -1485,11 +1482,54 @@ def test_stride_loads_matches_the_per_line_parse(data):
     ring = ModRing(data.draw(st.sampled_from(STRIDE_MODULI)))
     f = data.draw(series_over(ring, max_T=60))
     text = dumps(f)
-    with _spy_codec() as codec:
+    with counting_parses() as parses:
         got = loads(text)
     assert got == f
     assert got.coeffs == loads_per_line(text, ring)
-    assert codec.call_count == 0
+    assert not parses
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_stride_dumps_matches_the_per_line_writer(data):
+    ring = ModRing(data.draw(st.sampled_from(STRIDE_MODULI)))
+    f = data.draw(series_over(ring, max_T=60))
+    with spy_writer() as writer:
+        text = dumps(f)
+    assert text == dumps_per_line(f)
+    assert writer.call_count == 0
+    with counting_parses() as parses:
+        assert loads(text) == f
+    assert not parses
+
+
+@pytest.mark.parametrize("m", STRIDE_MODULI)
+def test_dumps_writes_any_other_value_line_by_line(m):
+    # a value that is not a residue below m, or not an int, anywhere in a
+    # canonical body sends the whole body to the generic writer (7 and 8
+    # print alike either way, so the spy tells the paths apart)
+    T = 9
+    base = [i * 3 % m for i in range(T)]
+    for value in (7, 8, -1, 256, 2**70, Fraction(1), Fraction(1, 2)):
+        for where in (0, T // 2, T - 1):
+            f = QSeries(ModRing(m), -3, base[:where] + [value] + base[where + 1 :])
+            with spy_writer() as writer:
+                text = dumps(f)
+            assert text == dumps_per_line(f), (value, where)
+            stride = type(value) is int and 0 <= value < m
+            assert writer.call_count == (0 if stride else 1), (value, where)
+
+
+@pytest.mark.parametrize("m", (2, 3, 5, 7, 10, 11, 12))
+@pytest.mark.parametrize("T", [1, 3, 12, 40])
+def test_dumps_takes_the_stride_path_only_mod_m_up_to_10(m, T):
+    # one-digit residues, each below m: mod 11 and 12 they are written line
+    # by line all the same
+    f = QSeries(ModRing(m), 0, [i * 7 % min(m, 10) for i in range(T)])
+    with spy_writer() as writer:
+        text = dumps(f)
+    assert text == dumps_per_line(f) == _dump_text([str(c) for c in f.coeffs], T, m)
+    assert writer.call_count == (0 if m <= 10 else 1)
 
 
 def _canonical_lines(T: int) -> list[str]:
@@ -1531,14 +1571,18 @@ def _odd_line_variants(T: int):
 @pytest.mark.parametrize("T", [1, 3, 12, 40])
 def test_stride_loads_falls_back_on_every_non_canonical_body(T):
     for name, text, error in _odd_line_variants(T):
-        with _spy_codec() as codec:
+        with counting_parses() as parses:
             if error is None:
-                assert loads(text).coeffs == loads_per_line(text, M7), name
+                got = loads(text)
             else:
                 with pytest.raises(ValueError) as info:
                     loads(text)
-                assert str(info.value) == error, name
-        assert codec.call_count == 1, name
+        if error is None:
+            assert got.coeffs == loads_per_line(text, M7), name
+            assert parses == {"mod:7": T}, name
+        else:
+            assert str(info.value) == error, name
+            assert parses["mod:7"] > 0, name
 
 
 @pytest.mark.parametrize("T", [1, 3, 12, 40])
@@ -1547,20 +1591,20 @@ def test_stride_loads_starts_the_body_after_a_padded_header(T, head):
     # the header line is stripped, so its length is not where the body starts
     lines = _canonical_lines(T)
     for text in (_dump_text(lines, T, head=head), head + _dump_text(lines, T)):
-        with _spy_codec() as codec:
+        with counting_parses() as parses:
             got = loads(text)
         assert got.coeffs == loads_per_line(text, M7) == [int(x) for x in lines]
-        assert codec.call_count == 0
+        assert not parses
 
 
 @pytest.mark.parametrize("T", [1, 3, 12, 40])
 def test_mod_11_never_takes_the_stride_path(T):
     lines = [str(i % 10) for i in range(T)]
     text = _dump_text(lines, T, m=11)
-    with _spy_codec() as codec:
+    with counting_parses() as parses:
         got = loads(text)
     assert got.coeffs == loads_per_line(text, ModRing(11)) == [int(x) for x in lines]
-    assert codec.call_count == 1
+    assert parses == {"mod:11": T}
 
 
 def _sha256(text: str) -> str:

@@ -46,12 +46,17 @@ def test_kronecker_at_two_and_negative():
     assert kronecker(0, 1) == 1
     assert kronecker(0, 5) == 0
     assert kronecker(-1, -1) == -1
+    assert kronecker(0, -1) == 1  # so (0 * -1|-1) = 1, not (0|-1)(-1|-1) = -1
     assert kronecker(1, 0) == 1
     assert kronecker(2, 0) == 0
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
 def test_kronecker_multiplicative_top(a, b, n):
+    # the one exception: (0|-1) = 1 but (b|-1) = -1 for b < 0, so at n = -1
+    # a zero factor and a negative one break it (pinned in
+    # test_kronecker_at_two_and_negative)
+    assume(not (n == -1 and 0 in (a, b) and min(a, b) < 0))
     assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
