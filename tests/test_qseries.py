@@ -1520,6 +1520,18 @@ def test_dumps_writes_any_other_value_line_by_line(m):
             assert writer.call_count == (0 if stride else 1), (value, where)
 
 
+def test_dumps_writes_a_bool_beside_a_non_canonical_value_as_its_str():
+    # outside QSeries's contract (coefficients are ints in [0, m)): a bool
+    # goes by stride as a digit in a canonical body, but beside an unreduced
+    # value the generic writer prints it as True/False, which loads rejects
+    f = QSeries(ModRing(7), 0, [True, 3, False, 9])
+    text = dumps(f)
+    assert text.endswith("True\n3\nFalse\n9\n")
+    with pytest.raises(ValueError):
+        loads(text)
+    assert dumps(QSeries(ModRing(7), 0, [True, 3, False])).endswith("1\n3\n0\n")
+
+
 @pytest.mark.parametrize("m", (2, 3, 5, 7, 10, 11, 12))
 @pytest.mark.parametrize("T", [1, 3, 12, 40])
 def test_dumps_takes_the_stride_path_only_mod_m_up_to_10(m, T):
