@@ -1,25 +1,22 @@
 """Broken k-diamond partition series, the c-series, and the end-to-end
 verification of every congruence and eigenform claim.
 
-Each verify_* function reads the relevant series through the run's
-store.Cache (given none, it builds them), scans the claim through an
-explicit bound, and returns one or more ClaimReports.  A run shares one
-Cache, so each input is built at most once, in one ring: sum
-delta_3(7n+5) q^n mod 7 and sum delta_5(11n+6) q^n mod 11 (every claim on
-delta_k reads only that progression, and eta.eta_quotient_progression
-builds it without the other classes), eq. (1.2)'s left side mod 7 (lifted
-for the Section 2 chain), the exact c (reduced for eq. (1.4), and lifted
-to g = sum c(n) q^(2n+1) for Theorem 3.1) and the exact f1 and f2, each
-built by its own form_* builder.  An identity is two series built from
-QSeries operations and the operators (Theorem 1.2 and the remark through
-operators.hecke), compared by the one comparison driver sturm._compare,
-which reads each report's modulus from the series' ring.  Theorem 3.1's
-eigenform reports for f = f1 + 8 sqrt(-3) f2 and its conjugate come from
-operators.hecke on f1 and f2 over Z, so every claim runs over Z or Z/m.
-Series arguments can be injected to support mutation self-tests; injected
-series are validated for offset, length, ring, and (mod m) for
-coefficients reduced into [0, m).  An injected delta_k is the full series,
-reduced to its progression once validated.
+Each verify_* function reads its series through the run's store.Cache,
+scans the claim through an explicit bound, and returns one or more
+ClaimReports.  _INPUTS has one row per series a claim reads, keyed by its
+cache form, and _input reads a row: the cached entry, else one built and
+then cached.  The six are sum delta_3(7n+5) q^n mod 7 and sum
+delta_5(11n+6) q^n mod 11 (eta.eta_quotient_progression builds each
+without the other classes), eq. (1.2)'s left side mod 7 (lifted for the
+Section 2 chain), the exact c (reduced for eq. (1.4), lifted to g = sum
+c(n) q^(2n+1) for Theorem 3.1) and the exact f1 and f2.  A run shares one
+Cache, so each is built at most once, in one ring; a series from outside
+(a mutation self-test's) enters through Cache.put.  An identity is two
+series built from QSeries operations and the operators (Theorem 1.2 and
+the remark through operators.hecke), compared by sturm._compare, which
+reads each report's modulus from the series' ring.  Theorem 3.1's
+eigenform reports come from operators.hecke on f1 and f2 over Z, so every
+claim runs over Z or Z/m.
 
 CLAIMS, the claim table, has one row per claim ID; run_suite runs every
 row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
@@ -35,7 +32,7 @@ from typing import NamedTuple
 
 from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .eta import times_dilated
-from .forms import eisenstein_int, form_f1, form_f2, form_g
+from .forms import eisenstein_int, form_f1, form_f2
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
@@ -123,87 +120,52 @@ def c_series(T: int) -> QSeries:
     return times_dilated(_euler_part(EtaQuotient(((1, 8),)), T, None), R, 2)
 
 
-def _series(given, cache, form, T: int, modulus: int | None, build, what: str) -> QSeries:
-    """A claim's input series `what` over Z or Z/modulus, to at least T terms:
-    the injected series `given` once validated, else the cached entry for
-    `form`, else build(T), which is then cached."""
-    ring = ZZ if modulus is None else ModRing(modulus)
-    if given is None:
-        if cache is None:
-            return build(T)
-        key = CacheKey(form, ring.tag)
-        hit = cache.get(key, T)
-        if hit is not None:
-            return hit
-        s = build(T)
-        cache.put(key, s)
-        return s
-    if given.offset24 != 0:
-        raise ValueError(f"injected {what} must have offset 0")
-    if given.T < T:
-        raise ValueError(f"injected {what} has {given.T} coefficients, need {T}")
-    if given.ring != ring:
-        raise ValueError(f"injected {what} has ring {given.ring!r}, need {ring!r}")
-    if modulus is not None:
-        c = given.coeffs
-        bad = next((n for n in range(given.T) if not 0 <= c[n] < modulus), None)
-        if bad is not None:
-            raise ValueError(
-                f"injected {what} coefficient {bad} is {c[bad]}, outside [0, {modulus})"
-            )
-    return given
-
-
-# the one progression of delta_k that the claims read, as (p, r): every
-# claim on delta_3 reads delta_3(7n+5) mod 7, every one on delta_5
-# delta_5(11n+6) mod 11
-_DELTA_PROGRESSION = {3: (7, 5), 5: (11, 6)}
-
-
-def _delta(given: QSeries | None, cache, k: int, T: int) -> QSeries:
-    """sum delta_k(pn + r) q^n mod p to T terms, (p, r) the progression of
-    delta_k: the injected full series `given` once validated, reduced to
-    the progression, else the cached progression, else one built from the
-    eta quotient's class r alone, which is then cached."""
-    p, r = _DELTA_PROGRESSION[k]
-    what = f"delta_{k} series"
-    if given is not None:
-        full = _series(given, None, None, p * (T - 1) + r + 1, p, None, what)
-        return full.extract_progression(p, r).truncate(T)
-    return _series(
-        None, cache, f"delta_k:{k} {p}n+{r}", T, p,
-        lambda n: eta_quotient_progression(_delta_quotient(k), p, r, n), what,
-    )
-
-
 def eq_1_2_lhs(T: int) -> QSeries:
     """prod (1-q^n)^4 (1-q^{2n})^6 reduced mod 7."""
     return _euler_part(EtaQuotient(((1, 4), (2, 6))), T, 7)
 
 
-def _lhs(given: QSeries | None, cache, T: int) -> QSeries:
-    return _series(given, cache, "eq_1_2_lhs", T, 7, eq_1_2_lhs, "left-hand side")
+# every series a claim reads, by cache form: (modulus, or None over Z, and
+# the builder of T terms).  Each builder looks its function up when called,
+# so a rebound module attribute (a tracer's wrapper, a test's patch) runs
+_INPUTS: dict[str, tuple[int | None, Callable[[int], QSeries]]] = {
+    "delta_k:3 7n+5": (7, lambda T: eta_quotient_progression(_delta_quotient(3), 7, 5, T)),
+    "delta_k:5 11n+6": (11, lambda T: eta_quotient_progression(_delta_quotient(5), 11, 6, T)),
+    "eq_1_2_lhs": (7, lambda T: eq_1_2_lhs(T)),
+    "c": (None, lambda T: c_series(T)),
+    "f1": (None, lambda T: form_f1(T)),
+    "f2": (None, lambda T: form_f2(T)),
+}
 
 
-def verify_eq_1_2(
-    T: int,
-    lhs: QSeries | None = None,
-    delta3: QSeries | None = None,
-    cache=None,
-) -> ClaimReport:
+def _input(cache: Cache | None, form: str, T: int) -> QSeries:
+    """The series `form` of _INPUTS to T terms: the cache's entry (None is a
+    fresh memory-only Cache), else one built and then cached.  Claims index
+    its coefficients, so an offset other than 0 is refused."""
+    modulus, build = _INPUTS[form]
+    key = CacheKey(form, (ZZ if modulus is None else ModRing(modulus)).tag)
+    cache = Cache(None) if cache is None else cache
+    series = cache.get(key, T)
+    if series is None:
+        series = build(T)
+        cache.put(key, series)
+    if series.offset24 != 0:
+        raise ValueError(f"{form} series has offset {series.offset24}/24, need 0")
+    return series
+
+
+def verify_eq_1_2(T: int, cache=None) -> ClaimReport:
     """prod (1-q^n)^4 (1-q^{2n})^6 == 6 * sum delta_3(7n+5) q^n mod 7,
     compared coefficientwise for n < T."""
     if T < 10:
         raise ValueError(f"need T >= 10, got {T}")
-    delta3 = _delta(delta3, cache, 3, T)
-    lhs = _lhs(lhs, cache, T)
+    delta3 = _input(cache, "delta_k:3 7n+5", T)
+    lhs = _input(cache, "eq_1_2_lhs", T)
     rhs = delta3.scale(6)
     return _compare("eq-1.2", lhs, rhs, T - 1, None)
 
 
-def verify_theorem_1_1(
-    n_max: int, delta3: QSeries | None = None, cache=None
-) -> ClaimReport:
+def verify_theorem_1_1(n_max: int, cache=None) -> ClaimReport:
     """delta_3(343 n + r) == 0 mod 7 for r in {82, 229, 278, 327}, n < n_max.
 
     Each 343 n + r is 5 mod 7, so it reads delta_3(7m + 5) at
@@ -211,7 +173,7 @@ def verify_theorem_1_1(
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     residues = (82, 229, 278, 327)
-    delta3 = _delta(delta3, cache, 3, 49 * (n_max - 1) + (max(residues) - 5) // 7 + 1)
+    delta3 = _input(cache, "delta_k:3 7n+5", 49 * (n_max - 1) + (max(residues) - 5) // 7 + 1)
     u = delta3.coeffs
     failures = (
         343 * n + r
@@ -237,12 +199,12 @@ def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
     if T_final < 3:
         raise ValueError(f"need T_final >= 3, got {T_final}")
     T_prod = 7 * T_final + 1
-    prod0 = _lift(_lhs(None, cache, T_prod // 3), 3, 2).truncate(T_prod)
+    prod0 = _lift(_input(cache, "eq_1_2_lhs", T_prod // 3), 3, 2).truncate(T_prod)
     f = u_operator(prod0, 7)
     n_a = (T_prod - 3) // 3
     n_b = (f.T - 3) // 3
     # u(n) = delta_3(7n + 5), and delta_3(49n + 33) = u(7n + 4)
-    u = _delta(None, cache, 3, max(n_a, 7 * n_b + 4) + 1)
+    u = _input(cache, "delta_k:3 7n+5", max(n_a, 7 * n_b + 4) + 1)
 
     def lifted(v: QSeries) -> QSeries:
         # 6 sum v(n) q^(3n+2) mod 7
@@ -266,17 +228,12 @@ def verify_section_2_chain(T_final: int, cache=None) -> list[ClaimReport]:
     ]
 
 
-def verify_eq_1_4(
-    T: int,
-    c_exact: QSeries | None = None,
-    delta5: QSeries | None = None,
-    cache=None,
-) -> ClaimReport:
+def verify_eq_1_4(T: int, cache=None) -> ClaimReport:
     """c(n) == 8 delta_5(11n + 6) mod 11 for n < T, reading the exact c."""
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    delta5 = _delta(delta5, cache, 5, T)
-    c = _series(c_exact, cache, "c", T, None, c_series, "c series")
+    delta5 = _input(cache, "delta_k:5 11n+6", T)
+    c = _input(cache, "c", T)
     c_mod = c.truncate(T).reduce_mod(11)
     rhs = delta5.scale(8)
     return _compare("eq-1.4", c_mod, rhs, T - 1, None)
@@ -297,9 +254,7 @@ def _recurrence(claim: str, p: int, T: int, series) -> tuple[int, ClaimReport]:
     return y, _compare(claim, image, u.truncate(T).scale(y), T - 1, None)
 
 
-def verify_theorem_1_2(
-    p: int, T: int, c_exact: QSeries | None = None, cache=None
-) -> tuple[int, ClaimReport]:
+def verify_theorem_1_2(p: int, T: int, cache=None) -> tuple[int, ClaimReport]:
     """Exact recurrence c(pn + (p-1)/2) + p^8 c((n-(p-1)/2)/p) = y(p) c(n).
 
     This is T_p g = y(p) g for g = sum c(n) q^(2n+1) in S_9(Gamma_0(16),
@@ -310,28 +265,19 @@ def verify_theorem_1_2(
     cache like every other input, fails the report at p.
     """
     def series(half: int):
-        L = p * (T - 1) + half + 1
-        c = _series(c_exact, cache, "c", L, None, c_series, "c series")
+        c = _input(cache, "c", p * (T - 1) + half + 1)
         return c, c.coeffs[half]
 
     y, report = _recurrence(f"thm-1.2:p={p}", p, T, series)
     # independent derivation of the same number through the eigenform route
-    f1 = _series(None, cache, "f1", p + 1, None, form_f1, "f1 series")
+    f1 = _input(cache, "f1", p + 1)
     if f1.coeffs[p] != y:
         return y, _scan_report(report.claim, [p], T - 1)
     return y, report
 
 
-def verify_g_combination(
-    T: int,
-    g: QSeries | None = None,
-    f1: QSeries | None = None,
-    f2: QSeries | None = None,
-) -> ClaimReport:
+def verify_g_combination(T: int, g: QSeries, f1: QSeries, f2: QSeries) -> ClaimReport:
     """g == f1 - 8 f2 coefficientwise for the first T coefficients."""
-    g = _series(g, None, None, T, None, form_g, "g series")
-    f1 = _series(f1, None, None, T, None, form_f1, "f1 series")
-    f2 = _series(f2, None, None, T, None, form_f2, "f2 series")
     return _compare("thm-3.1:combination", g, f1.sub(f2.scale(8)), T - 1, _F_SPACE)
 
 
@@ -376,7 +322,7 @@ def eigenvalue_table(
 
     A None entry means the eigenform check failed at that prime.
     """
-    eig = _eigenvalues(form_f1(T), form_f2(T), primes_up_to(prime_max))[0]
+    eig = _eigenvalues(_input(None, "f1", T), _input(None, "f2", T), primes_up_to(prime_max))[0]
     return {
         p: (None, None) if e is None else (QuadInt(*e), QuadInt(e[0], -e[1]))
         for p, e in eig.items()
@@ -405,9 +351,8 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
             f"need T >= {(bound + 1) * max(primes)} "
             f"for eigenform checks up to {max(primes)}, got {T}"
         )
-    f1 = _series(None, cache, "f1", T, None, form_f1, "f1 series")
-    f2 = _series(None, cache, "f2", T, None, form_f2, "f2 series")
-    c = _series(None, cache, "c", (T + 1) // 2, None, c_series, "c series")
+    f1, f2 = _input(cache, "f1", T), _input(cache, "f2", T)
+    c = _input(cache, "c", (T + 1) // 2)
     eig, reports = _eigenvalues(f1, f2, primes)
     conj_fail = (p for p, e in eig.items() if e is None)
     reality_fail = (
@@ -426,16 +371,14 @@ def verify_theorem_3_1(T: int, prime_max: int, cache=None) -> list[ClaimReport]:
     ]
 
 
-def verify_remark(
-    p: int, T: int, delta5: QSeries | None = None, cache=None
-) -> ClaimReport:
+def verify_remark(p: int, T: int, cache=None) -> ClaimReport:
     """delta_5((11n+6)p - (p-1)/2) + p^8 delta_5((11n+6)/p + (p-1)/(2p))
     == y(p) delta_5(11n+6) mod 11 for n < T: Theorem 1.2's recurrence for
     u(n) = delta_5(11n+6), since (11n+6)p - (p-1)/2 = 11(pn + (p-1)/2) + 6
     and (11n+6)/p + (p-1)/(2p) = 11 (n - (p-1)/2)/p + 6."""
     def series(half: int):
-        u = _delta(delta5, cache, 5, p * (T - 1) + half + 1)
-        c = _series(None, cache, "c", half + 1, None, c_series, "c series")
+        u = _input(cache, "delta_k:5 11n+6", p * (T - 1) + half + 1)
+        c = _input(cache, "c", half + 1)
         return u, c.coeffs[half]
 
     return _recurrence(f"remark:p={p}", p, T, series)[1]

@@ -480,8 +480,8 @@ class QSeries:
 
     The constructor trusts its caller: over a `ModRing` the coefficients
     must already be reduced into [0, m), and it does not rescan them.
-    Outside data enters reduced through `from_ints`, `loads` and the
-    injected-series check in `diamond._series`.
+    Outside series enter reduced through `from_ints`, `loads` and
+    `Cache.put`, which checks every coefficient.
     """
 
     __slots__ = ("ring", "offset24", "coeffs")

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .qseries import QSeries, dumps, loads
+from .ring import ModRing
 
 try:
     from _sha256 import sha256
@@ -76,6 +77,21 @@ def _checksum(identity: str, body) -> bytes:
     h = sha256(f"{identity}\n".encode())
     h.update(body)
     return h.hexdigest().encode()
+
+
+def _unreduced(series: QSeries) -> int | None:
+    """Over Z/m, the index of the first coefficient not an int in [0, m), else
+    None; for m <= 256 `bytes` first checks every value in C."""
+    if not isinstance(series.ring, ModRing):
+        return None
+    coeffs, m = series.coeffs, series.ring.modulus
+    if m <= 256:
+        try:
+            if not bytes(coeffs).translate(None, bytes(range(m))):
+                return None
+        except (TypeError, ValueError):
+            pass
+    return next((n for n, x in enumerate(coeffs) if not (isinstance(x, int) and 0 <= x < m)), None)
 
 
 class Cache:
@@ -138,9 +154,15 @@ class Cache:
 
     def put(self, key: CacheKey, series: QSeries) -> Path | None:
         """Hold a series in the ring the key names, replacing the key's earlier
-        one; with a root, store it atomically too and return its file."""
+        one; with a root, store it atomically too and return its file.  A
+        series from outside enters a run here, so one over Z/m must hold
+        ints reduced into [0, m), which is checked, not trusted."""
         if series.ring.tag != key.ring:
             raise ValueError(f"series ring {series.ring.tag} does not match key {key.ring}")
+        bad = _unreduced(series)
+        if bad is not None:
+            raise ValueError(f"{key.form} coefficient {bad} is {series.coeffs[bad]}, "
+                             f"outside [0, {series.ring.modulus})")
         identity = key.identity()
         path = None
         if self.root is not None:

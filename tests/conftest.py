@@ -6,9 +6,10 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from qcong import qseries
+from qcong import diamond, qseries
 from qcong.qseries import QSeries
 from qcong.ring import QQ, QUAD, ZZ, IntegerRing, ModRing, QuadInt, QuadRing, RationalRing
+from qcong.store import Cache, CacheKey
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -44,6 +45,33 @@ def mutate(series: QSeries, index: int, bump: int = 1) -> QSeries:
     coeffs = list(series.coeffs)
     coeffs[index] = series.ring.add(coeffs[index], series.ring.from_int(bump))
     return QSeries(series.ring, series.offset24, coeffs)
+
+
+class _Seeded(Cache):
+    """A memory-only Cache whose seeded keys are never put again."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.seeded = set()
+
+    def put(self, key, series):
+        if key in self.seeded:
+            raise AssertionError(f"{key.form} rebuilt: the seeded entry is too short")
+        return super().put(key, series)
+
+
+def seeded_cache(entries: dict[str, QSeries]) -> Cache:
+    """A memory-only Cache holding each series under the key a claim reads
+    for its form (a row of `diamond._INPUTS`), the way a mutation self-test
+    injects an input.  A claim that needs more terms than were seeded fails
+    the test rather than quietly building its own."""
+    cache = _Seeded()
+    for form, series in entries.items():
+        modulus = diamond._INPUTS[form][0]
+        key = CacheKey(form, (ZZ if modulus is None else ModRing(modulus)).tag)
+        cache.put(key, series)
+        cache.seeded.add(key)
+    return cache
 
 
 @contextmanager

@@ -2,8 +2,11 @@
 
 Depths and tolerances are pinned here; everything is exact arithmetic, so
 "tolerance" always means exact equality.  Expensive series are shared
-through module-scoped fixtures; the disk cache stays disabled throughout,
-so every criterion is checked from a cold start.
+through module-scoped fixtures and enter a claim through a memory-only
+Cache seeded with them; the disk cache stays disabled throughout, so every
+criterion is checked from a cold start.  The delta_k fixtures are full
+series from delta_series, sliced to the progression a claim reads, which
+cross-checks that build against the progression builder the claims use.
 """
 
 import random
@@ -30,7 +33,7 @@ from qcong.qseries import QSeries, convolve, convolve_schoolbook
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt, primes_up_to
 from qcong.sturm import SpaceTag, eta_quotient_metadata, sturm_bound, verify_eigenform
 
-from conftest import mutate
+from conftest import mutate, seeded_cache
 
 
 def _line(num: int, passed: bool, detail: str, started: float) -> None:
@@ -41,14 +44,16 @@ def _line(num: int, passed: bool, detail: str, started: float) -> None:
 
 @pytest.fixture(scope="module")
 def delta3_mod7():
-    # covers criterion 4 (needs 34,999) and criterion 5 (needs 34,285)
-    return delta_series(3, 35_000, modulus=7)
+    # sum delta_3(7n+5) q^n, n < 5000: criterion 4 needs 5000 terms (34,999
+    # of the full series) and criterion 5 needs 4898 (34,285)
+    return delta_series(3, 35_000, modulus=7).extract_progression(7, 5)
 
 
 @pytest.fixture(scope="module")
 def delta5_mod11():
-    # criterion 7 needs 11*1999 + 7 = 21,996
-    return delta_series(5, 22_000, modulus=11)
+    # sum delta_5(11n+6) q^n, n < 2000: criterion 7 needs 2000 terms, 21,996
+    # of the full series
+    return delta_series(5, 22_000, modulus=11).extract_progression(11, 6)
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +99,13 @@ def test_criterion_03_cm_form():
 
 def test_criterion_04_eq_1_2_first_5000(delta3_mod7):
     t0 = time.time()
-    rep = verify_eq_1_2(5000, delta3=delta3_mod7)
+    rep = verify_eq_1_2(5000, cache=seeded_cache({"delta_k:3 7n+5": delta3_mod7}))
     _line(4, rep.passed, rep.to_json(), t0)
 
 
 def test_criterion_05_theorem_1_1_n_below_100(delta3_mod7):
     t0 = time.time()
-    rep = verify_theorem_1_1(100, delta3=delta3_mod7)
+    rep = verify_theorem_1_1(100, cache=seeded_cache({"delta_k:3 7n+5": delta3_mod7}))
     _line(5, rep.passed, rep.to_json(), t0)
 
 
@@ -124,7 +129,7 @@ def test_criterion_06_section_2_chain_quick_variant():
 
 def test_criterion_07_eq_1_4_n_below_2000(delta5_mod11):
     t0 = time.time()
-    rep = verify_eq_1_4(2000, delta5=delta5_mod11)
+    rep = verify_eq_1_4(2000, cache=seeded_cache({"delta_k:5 11n+6": delta5_mod11}))
     _line(7, rep.passed, rep.to_json(), t0)
 
 
@@ -171,8 +176,9 @@ def test_criterion_10_theorem_1_2(c_exact_17k, forms_2000):
     _, f1, _ = forms_2000
     failures = []
     ys = {}
+    cache = seeded_cache({"c": c_exact_17k})
     for p in (5, 13, 17):
-        y, rep = verify_theorem_1_2(p, 1000, c_exact=c_exact_17k)
+        y, rep = verify_theorem_1_2(p, 1000, cache=cache)
         ys[p] = y
         if not rep.passed:
             failures.append(f"identity fails at p={p}")
@@ -229,13 +235,15 @@ def test_criterion_13_mutation_self_test(delta3_mod7, delta5_mod11, forms_2000):
 
     lhs = eq_1_2_lhs(5000)
     for idx in rng.sample(range(5000), 3):
-        rep = verify_eq_1_2(5000, lhs=mutate(lhs, idx), delta3=delta3_mod7)
+        cache = seeded_cache({"eq_1_2_lhs": mutate(lhs, idx), "delta_k:3 7n+5": delta3_mod7})
+        rep = verify_eq_1_2(5000, cache=cache)
         if rep.passed or rep.first_failure != idx:
             failures.append(f"eq-1.2 mutation at {idx} not caught")
 
     c = c_series(2000)
     for idx in rng.sample(range(2000), 3):
-        rep = verify_eq_1_4(2000, c_exact=mutate(c, idx), delta5=delta5_mod11)
+        cache = seeded_cache({"c": mutate(c, idx), "delta_k:5 11n+6": delta5_mod11})
+        rep = verify_eq_1_4(2000, cache=cache)
         if rep.passed or rep.first_failure != idx:
             failures.append(f"eq-1.4 mutation at {idx} not caught")
 

@@ -11,11 +11,12 @@ import pytest
 import qcong
 from qcong import store
 from qcong.cli import _build_parser, main
+from qcong.diamond import eq_1_2_lhs
 from qcong.forms import form_f
 from qcong.qseries import dumps, loads
 from qcong.ring import QUAD, QuadInt
 
-from conftest import counting_parses
+from conftest import counting_parses, mutate
 
 
 @pytest.fixture(autouse=True)
@@ -277,6 +278,18 @@ def test_verify_sec_2_chain_emits_array(capsys):
     assert [r["claim"] for r in reports] == [
         "sec-2-chain:a", "sec-2-chain:b", "sec-2-chain:c", "sec-2-chain:d",
     ]
+
+
+def test_verify_fails_on_a_tampered_entry_with_a_valid_checksum(capsys, tmp_path):
+    # the entry is written through Cache.put, so its checksum holds and the
+    # store serves it: the claim must fail where it was bumped, never pass
+    lhs = mutate(eq_1_2_lhs(120), 57)
+    store.Cache(tmp_path / "cache").put(store.CacheKey("eq_1_2_lhs", "mod:7"), lhs)
+    code, out, _ = run_cli(capsys, "verify", "eq-1.2", "--T", "120")
+    rep = json.loads(out)
+    assert code == 1 and rep["pass"] is False and rep["first_failure"] == 57
+    code, out, _ = run_cli(capsys, "verify", "eq-1.2", "--T", "120", "--no-cache")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_cli_output_is_deterministic(capsys):

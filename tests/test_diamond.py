@@ -18,11 +18,12 @@ from qcong.diamond import (
     verify_theorem_1_2,
     verify_theorem_3_1,
 )
-from qcong.forms import form_f1, form_f2
+from qcong.forms import form_f1, form_f2, form_g
 from qcong.qseries import QSeries
-from qcong.ring import QUAD, ZZ, QuadInt, primes_up_to
+from qcong.ring import QUAD, ZZ, ModRing, QuadInt, primes_up_to
+from qcong.store import Cache, CacheKey
 from qcong.sturm import ClaimReport, SpaceTag, verify_eigenform
-from conftest import mutate
+from conftest import mutate, seeded_cache
 
 
 def test_delta_series_frozen_values():
@@ -90,30 +91,86 @@ def test_eq_1_2_rejects_tiny_T():
 def test_eq_1_2_mutation_flips_to_fail():
     T = 120
     lhs = eq_1_2_lhs(T)
-    delta3 = delta_series(3, 7 * (T - 1) + 6, modulus=7)
-    assert verify_eq_1_2(T, lhs=lhs, delta3=delta3).passed
+    delta3 = delta_series(3, 7 * (T - 1) + 6, modulus=7).extract_progression(7, 5)
+
+    def cache(lhs):
+        return seeded_cache({"eq_1_2_lhs": lhs, "delta_k:3 7n+5": delta3})
+
+    assert verify_eq_1_2(T, cache(lhs)).passed
     for idx in (0, 57, T - 1):
-        rep = verify_eq_1_2(T, lhs=mutate(lhs, idx), delta3=delta3)
+        rep = verify_eq_1_2(T, cache(mutate(lhs, idx)))
         assert not rep.passed and rep.first_failure == idx
 
 
-def test_eq_1_2_rejects_short_injection():
-    with pytest.raises(ValueError, match="coefficients"):
-        verify_eq_1_2(100, lhs=eq_1_2_lhs(50))
+def test_a_seeded_entry_shorter_than_the_claim_needs_is_rebuilt():
+    # a short entry is a miss: the claim builds its inputs at full depth and
+    # passes, though the short ones would fail, so it never scans them
+    T = 100
+    cache = Cache(None)
+    lhs = mutate(eq_1_2_lhs(50), 17)
+    delta3 = mutate(delta_series(3, 500, 7).extract_progression(7, 5), 3)
+    cache.put(CacheKey("eq_1_2_lhs", "mod:7"), lhs)
+    cache.put(CacheKey("delta_k:3 7n+5", "mod:7"), delta3)
+    rep = verify_eq_1_2(T, cache)
+    assert rep.passed and rep.bound == rep.checked == T - 1
+    assert verify_theorem_1_1(4, cache).passed
+    delta5 = mutate(delta_series(5, 100, 11).extract_progression(11, 6), 3)
+    cache.put(CacheKey("delta_k:5 11n+6", "mod:11"), delta5)
+    rep = verify_eq_1_4(80, cache)
+    assert rep.passed and rep.bound == rep.checked == 79
 
 
 def test_injected_mod_series_must_be_reduced():
-    # lhs + 7 at index 17 is the same series mod 7, but not a reduced one
+    # lhs + 7 at index 17 is the same series mod 7, but not a reduced one;
+    # Cache.put, where every outside series enters, refuses it
     T = 60
     lhs = eq_1_2_lhs(T)
     lhs.coeffs[17] += 7
     bad = lhs.coeffs[17]
     with pytest.raises(ValueError, match=rf"coefficient 17 is {bad}, outside \[0, 7\)"):
-        verify_eq_1_2(T, lhs=lhs)
-    delta5 = delta_series(5, 11 * (T - 1) + 7, modulus=11)
+        Cache(None).put(CacheKey("eq_1_2_lhs", "mod:7"), lhs)
+    delta5 = delta_series(5, T, modulus=11).extract_progression(11, 6)
     delta5.coeffs[3] = -1
-    with pytest.raises(ValueError, match="delta_5 series coefficient 3"):
-        verify_eq_1_4(T, delta5=delta5)
+    with pytest.raises(ValueError, match=r"delta_k:5 11n\+6 coefficient 3 is -1"):
+        seeded_cache({"delta_k:5 11n+6": delta5})
+
+
+def test_input_refuses_an_entry_whose_offset_is_not_0():
+    # thm-1.1 and sec-2-chain:d index coefficients directly, so a shifted
+    # series would be misread, not rejected, past this check
+    lhs = eq_1_2_lhs(60)
+    cache = seeded_cache({"eq_1_2_lhs": QSeries(lhs.ring, 24, lhs.coeffs)})
+    with pytest.raises(ValueError, match="eq_1_2_lhs series has offset 24/24, need 0"):
+        verify_eq_1_2(60, cache)
+    delta3 = delta_series(3, 1400, 7).extract_progression(7, 5)
+    cache = seeded_cache({"delta_k:3 7n+5": QSeries(delta3.ring, -24, delta3.coeffs)})
+    with pytest.raises(ValueError, match="offset -24/24"):
+        verify_theorem_1_1(4, cache)
+
+
+def test_every_input_row_builds_an_offset_0_series_in_its_keys_ring():
+    for form, (modulus, build) in diamond._INPUTS.items():
+        ring = ZZ if modulus is None else ModRing(modulus)
+        for T in (1, 30):
+            s = build(T)
+            assert (s.ring, s.offset24, s.T) == (ring, 0, T), (form, T)
+            assert diamond._input(None, form, T) == s
+
+
+def test_only_the_g_combination_takes_a_series():
+    # every other claim reads its series through the run's Cache
+    import inspect
+
+    takes = {
+        name: [p.name for p in inspect.signature(fn).parameters.values()
+               if "QSeries" in str(p.annotation)]
+        for name, fn in vars(diamond).items()
+        if name.startswith("verify_") and inspect.isfunction(fn)
+    }
+    assert len(takes) == 8
+    assert {name: ps for name, ps in takes.items() if ps} == {
+        "verify_g_combination": ["g", "f1", "f2"]
+    }
 
 
 def test_theorem_1_1_small_depth():
@@ -193,11 +250,15 @@ def test_eq_1_4_passes():
 
 def test_eq_1_4_mutation_flips_to_fail():
     T = 80
-    delta5 = delta_series(5, 11 * (T - 1) + 7, modulus=11)
+    delta5 = delta_series(5, 11 * (T - 1) + 7, modulus=11).extract_progression(11, 6)
     c = c_series(T)
-    assert verify_eq_1_4(T, c_exact=c, delta5=delta5).passed
+
+    def cache(c):
+        return seeded_cache({"c": c, "delta_k:5 11n+6": delta5})
+
+    assert verify_eq_1_4(T, cache(c)).passed
     for idx in (0, 33, T - 1):
-        rep = verify_eq_1_4(T, c_exact=mutate(c, idx), delta5=delta5)
+        rep = verify_eq_1_4(T, cache(mutate(c, idx)))
         assert not rep.passed and rep.first_failure == idx
 
 
@@ -266,7 +327,7 @@ def test_theorem_1_2_mutations_match_the_index_recurrence(p):
     for bumps, first in _recurrence_mutations(p, T, y):
         u = _bumped(c, bumps)
         assert naive_hecke_recurrence(u.coeffs, p, y, T) == first, bumps
-        y_mut, rep = verify_theorem_1_2(p, T, c_exact=u)
+        y_mut, rep = verify_theorem_1_2(p, T, seeded_cache({"c": u}))
         assert y_mut == u.coeffs[half]
         # a bump at (p-1)/2 moves y itself, and the f1 cross-check reports p
         want = p if half in bumps else first
@@ -280,22 +341,24 @@ def test_remark_mutations_match_the_index_recurrence(p):
     delta5 = delta_series(5, (11 * (T - 1) + 6) * p - half + 1, modulus=11)
     y = c_series(half + 1).coeffs[half]
     assert naive_hecke_recurrence(delta5.coeffs[6::11], p, y, T, modulus=11) is None
-    assert verify_remark(p, T, delta5=delta5).passed
+
+    def remark(d):
+        # the full delta_5 sliced to the progression the remark reads
+        return verify_remark(p, T, seeded_cache({"delta_k:5 11n+6": d.extract_progression(11, 6)}))
+
+    assert remark(delta5).passed
     # off the progression 11n + 6 nothing is read
-    assert verify_remark(p, T, delta5=mutate(delta5, 11 * 3 + 2)).passed
+    assert remark(mutate(delta5, 11 * 3 + 2)).passed
     for bumps, first in _recurrence_mutations(p, T, y):
         d = _bumped(delta5, {11 * j + 6: b for j, b in bumps.items()})
         u = d.coeffs[6::11]
         assert naive_hecke_recurrence(u, p, y, T, modulus=11) == first, bumps
-        rep = verify_remark(p, T, delta5=d)
+        rep = remark(d)
         assert not rep.passed and rep.first_failure == first, bumps
 
 
 def test_g_combination_and_mutations():
     T = 200
-    g = None
-    from qcong.forms import form_g
-
     g = form_g(T)
     f1 = form_f1(T)
     f2 = form_f2(T)
@@ -375,7 +438,7 @@ def _reference_3_1(f1, f2, T, primes):
     return reports + [
         _report_31("thm-3.1:conjugate-pairs", conj),
         _report_31("thm-3.1:reality-pattern", real),
-        verify_g_combination(T, f1=f1, f2=f2),
+        verify_g_combination(T, form_g(T), f1, f2),
         _report_31("thm-3.1:t5-eigenvalue-258", [] if t5 else [5]),
         _report_31("thm-3.1:t7-distinct-eigenvalues", [] if t7 else [7]),
     ]
@@ -390,20 +453,19 @@ def _bumped_pair(which, n, by=1):
 
 @pytest.mark.parametrize("which", [0, 1], ids=["f1", "f2"])
 @pytest.mark.parametrize("n", [*range(19), 21])
-def test_theorem_3_1_matches_the_quad_reference(monkeypatch, which, n):
+def test_theorem_3_1_matches_the_quad_reference(which, n):
     # 21 = 3 * 7 lies past the bound, yet (T_3 f)(7) and (T_7 f)(3) read it
     f1, f2 = _bumped_pair(which, n)
-    monkeypatch.setattr(diamond, "form_f1", lambda T: f1)
-    monkeypatch.setattr(diamond, "form_f2", lambda T: f2)
+    cache = seeded_cache({"f1": f1, "f2": f2})
     try:
         want = _reference_3_1(f1, f2, _T31, _PRIMES31)
     except ValueError as exc:
         # f(n0) is not +-1: f1(1) = 2, or f2(0) = 1
         assert "not a unit" in str(exc)
         with pytest.raises(ValueError, match="not a unit"):
-            verify_theorem_3_1(_T31, 13)
+            verify_theorem_3_1(_T31, 13, cache)
         return
-    assert verify_theorem_3_1(_T31, 13) == want
+    assert verify_theorem_3_1(_T31, 13, cache) == want
     assert not all(r.passed for r in want)
 
 
@@ -548,7 +610,7 @@ def test_quick_suite_builds_each_cached_series_once(tmp_path):
 def test_quick_suite_without_a_cache_builds_each_input_once(monkeypatch):
     from collections import Counter
 
-    from qcong import diamond
+    from qcong import diamond, forms
 
     built = Counter()
 
@@ -565,8 +627,13 @@ def test_quick_suite_without_a_cache_builds_each_input_once(monkeypatch):
     )
     counted("c_series", diamond.c_series)
     counted("eq_1_2_lhs", diamond.eq_1_2_lhs)
-    for form in ("form_f1", "form_f2", "form_g"):
+    for form in ("form_f1", "form_f2"):
         counted(form, getattr(diamond, form), lambda T: (T,))
+
+    def refuse(T):
+        raise AssertionError("g expanded: Theorem 3.1 lifts the cached c")
+
+    monkeypatch.setattr(forms, "form_g", refuse)
     reports = run_suite(SuiteConfig.quick(), cache=None)
     assert all(r.passed for r in reports)
     # f1 is also built at 18 terms for thm-1.2's cross-check at p = 17,
@@ -617,9 +684,10 @@ def test_warm_quick_suite_reads_f1_and_f2_from_the_cache(tmp_path, monkeypatch):
         return build
 
     # thm-1.2's cross-check reads f1 from the cache too: nothing is built
-    for module in (forms, diamond):
-        for name in ("form_f1", "form_f2", "form_g"):
-            monkeypatch.setattr(module, name, unexpected(name))
+    for name in ("form_f1", "form_f2", "form_g"):
+        monkeypatch.setattr(forms, name, unexpected(name))
+    for name in ("form_f1", "form_f2"):
+        monkeypatch.setattr(diamond, name, unexpected(name))
     warm = run_suite(SuiteConfig.quick(), cache=Cache(tmp_path))
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 
@@ -629,10 +697,14 @@ def test_delta3_claims_read_only_the_class_5_mod_7():
     T, n_max = 120, 4
     delta3 = delta_series(3, 343 * (n_max - 1) + 328, modulus=7)
 
+    def cache(d):
+        # the full delta_3, bumped anywhere, sliced to what the claims read
+        return seeded_cache({"delta_k:3 7n+5": d.extract_progression(7, 5)})
+
     def reports(d):
         return [
-            verify_eq_1_2(T, delta3=d).to_dict(),
-            verify_theorem_1_1(n_max, delta3=d).to_dict(),
+            verify_eq_1_2(T, cache(d)).to_dict(),
+            verify_theorem_1_1(n_max, cache(d)).to_dict(),
         ]
 
     clean = reports(delta3)
@@ -642,13 +714,13 @@ def test_delta3_claims_read_only_the_class_5_mod_7():
         assert idx % 7 != 5
         assert reports(mutate(delta3, idx)) == clean, idx
     for j in (0, 57, T - 1):
-        rep = verify_eq_1_2(T, delta3=mutate(delta3, 7 * j + 5))
+        rep = verify_eq_1_2(T, cache(mutate(delta3, 7 * j + 5)))
         assert not rep.passed and rep.first_failure == j
     for idx in (82, 343 + 229, 2 * 343 + 278, 3 * 343 + 327):
-        rep = verify_theorem_1_1(n_max, delta3=mutate(delta3, idx))
+        rep = verify_theorem_1_1(n_max, cache(mutate(delta3, idx)))
         assert not rep.passed and rep.first_failure == idx
     # class 5, but outside 343n + {82, 229, 278, 327}: thm-1.1 still holds
-    assert verify_theorem_1_1(n_max, delta3=mutate(delta3, 7 * 20 + 5)).passed
+    assert verify_theorem_1_1(n_max, cache(mutate(delta3, 7 * 20 + 5))).passed
 
 
 def test_delta5_claims_read_only_the_class_6_mod_11():
@@ -657,10 +729,14 @@ def test_delta5_claims_read_only_the_class_6_mod_11():
     delta5 = delta_series(5, (11 * (T_remark - 1) + 6) * p - 1, modulus=11)
     c = c_series(T)
 
+    def cache(d):
+        # the full delta_5, bumped anywhere, sliced to what the claims read
+        return seeded_cache({"c": c, "delta_k:5 11n+6": d.extract_progression(11, 6)})
+
     def reports(d):
         return [
-            verify_eq_1_4(T, c_exact=c, delta5=d).to_dict(),
-            verify_remark(p, T_remark, delta5=d).to_dict(),
+            verify_eq_1_4(T, cache(d)).to_dict(),
+            verify_remark(p, T_remark, cache(d)).to_dict(),
         ]
 
     clean = reports(delta5)
@@ -669,18 +745,8 @@ def test_delta5_claims_read_only_the_class_6_mod_11():
         assert idx % 11 != 6
         assert reports(mutate(delta5, idx)) == clean, idx
     for j in (0, 33, T - 1):
-        rep = verify_eq_1_4(T, c_exact=c, delta5=mutate(delta5, 11 * j + 6))
+        rep = verify_eq_1_4(T, cache(mutate(delta5, 11 * j + 6)))
         assert not rep.passed and rep.first_failure == j
-
-
-def test_injected_delta_length_is_checked_on_the_full_series():
-    # the messages name the full series and the length it needs
-    with pytest.raises(ValueError, match="delta_3 series has 500 coefficients, need 699"):
-        verify_eq_1_2(100, delta3=delta_series(3, 500, 7))
-    with pytest.raises(ValueError, match="has 1356 coefficients, need 1357"):
-        verify_theorem_1_1(4, delta3=delta_series(3, 1356, 7))
-    with pytest.raises(ValueError, match="delta_5 series has 100 coefficients, need 876"):
-        verify_eq_1_4(80, delta5=delta_series(5, 100, 11))
 
 
 def test_delta5_at_6_mod_11():

@@ -1638,13 +1638,13 @@ def test_delta_progression_dumps_bytes_are_pinned():
     # the bytes of delta_series(3, 384173, 7).extract_progression(7, 5) and
     # delta_series(5, 21996, 11).extract_progression(11, 6), the classes the
     # claims read, as the full builds gave them
-    from qcong.diamond import _delta
+    from qcong.diamond import _input
 
-    delta3 = _delta(None, None, 3, 54882)
+    delta3 = _input(None, "delta_k:3 7n+5", 54882)
     assert _sha256(dumps(delta3)) == (
         "c524b2ab426125987bf6a125171b10e9ac32bd3827fc20ce23d6d7bb3226a4d3"
     )
-    delta5 = _delta(None, None, 5, 2000)
+    delta5 = _input(None, "delta_k:5 11n+6", 2000)
     assert _sha256(dumps(delta5)) == (
         "8d711cb736e7734b10f57b09d8167b7f3a5b52c7618754d172e10759619e89a8"
     )
