@@ -102,17 +102,28 @@ def test_eq_1_2_mutation_flips_to_fail():
         assert not rep.passed and rep.first_failure == idx
 
 
-def test_a_seeded_entry_shorter_than_the_claim_needs_is_rebuilt():
-    # a short entry is a miss: the claim builds its inputs at full depth and
-    # passes, though the short ones would fail, so it never scans them
+def test_eq_1_2_rejects_short_injection():
+    # a seeded left side shorter than T is a miss: the claim builds it at
+    # full depth and passes, though the short one would fail, so it never
+    # scans it, and the rebuilt series replaces it in the cache
     T = 100
     cache = Cache(None)
-    lhs = mutate(eq_1_2_lhs(50), 17)
-    delta3 = mutate(delta_series(3, 500, 7).extract_progression(7, 5), 3)
-    cache.put(CacheKey("eq_1_2_lhs", "mod:7"), lhs)
-    cache.put(CacheKey("delta_k:3 7n+5", "mod:7"), delta3)
+    key = CacheKey("eq_1_2_lhs", "mod:7")
+    cache.put(key, mutate(eq_1_2_lhs(50), 17))
     rep = verify_eq_1_2(T, cache)
     assert rep.passed and rep.bound == rep.checked == T - 1
+    assert cache.get(key, T) == eq_1_2_lhs(T)
+
+
+def test_injected_delta_length_is_checked_on_the_full_series():
+    # a seeded delta progression shorter than the claim needs is a miss:
+    # each claim rebuilds it to the depth its full range of n reads and
+    # passes, though the short mutated entry would fail
+    cache = Cache(None)
+    delta3 = mutate(delta_series(3, 500, 7).extract_progression(7, 5), 3)
+    cache.put(CacheKey("delta_k:3 7n+5", "mod:7"), delta3)
+    rep = verify_eq_1_2(100, cache)
+    assert rep.passed and rep.bound == rep.checked == 99
     assert verify_theorem_1_1(4, cache).passed
     delta5 = mutate(delta_series(5, 100, 11).extract_progression(11, 6), 3)
     cache.put(CacheKey("delta_k:5 11n+6", "mod:11"), delta5)
