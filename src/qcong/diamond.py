@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .eta import times_dilated
-from .forms import eisenstein_int, form_f1, form_f2
+from .forms import _theta_minus_q_4, eisenstein_int, form_f1, form_f2
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, QuadInt, is_prime, primes_up_to
@@ -110,14 +110,16 @@ def delta_series(k: int, T: int, modulus: int | None = None) -> QSeries:
 def c_series(T: int) -> QSeries:
     """E4(2z) prod (1-q^n)^8 (1-q^{2n})^2 over Z, offset 0.
 
-    Built by eta.times_dilated as prod (1-q^n)^8 times R(q^2), where R =
-    E4 prod (1-q^n)^2 is built at the inner length: one product per residue
-    class mod 2, so no product packs the zeros of E4(2z).
+    By Gauss's theta(-q) = eta(z)^2 / eta(2z) this is theta(-q)^4 times
+    R(q^2), R = E4 prod (1-q^n)^6.  theta(-q)^4 is read off divisor sums
+    (Jacobi's four-square theorem), as forms.form_F is, and R is built at
+    the inner length and applied by eta.times_dilated: one product per
+    residue class mod 2, so no product packs the zeros of R(q^2).
     """
     def R(n: int) -> QSeries:
-        return eisenstein_int(4, n).mul(_euler_part(EtaQuotient(((1, 2),)), n, None))
+        return eisenstein_int(4, n).mul(_euler_part(EtaQuotient(((1, 6),)), n, None))
 
-    return times_dilated(_euler_part(EtaQuotient(((1, 8),)), T, None), R, 2)
+    return times_dilated(QSeries(ZZ, 0, _theta_minus_q_4(T)), R, 2)
 
 
 def eq_1_2_lhs(T: int) -> QSeries:
@@ -316,13 +318,14 @@ def _eigenvalues(f1: QSeries, f2: QSeries, primes: list[int]):
 
 
 def eigenvalue_table(
-    T: int, prime_max: int
+    T: int, prime_max: int, cache=None
 ) -> dict[int, tuple[QuadInt | None, QuadInt | None]]:
-    """Hecke eigenvalues of f and its conjugate at every prime <= prime_max.
+    """Hecke eigenvalues of f and its conjugate at every prime <= prime_max,
+    from f1 and f2 to T terms read through the cache.
 
     A None entry means the eigenform check failed at that prime.
     """
-    eig = _eigenvalues(_input(None, "f1", T), _input(None, "f2", T), primes_up_to(prime_max))[0]
+    eig = _eigenvalues(_input(cache, "f1", T), _input(cache, "f2", T), primes_up_to(prime_max))[0]
     return {
         p: (None, None) if e is None else (QuadInt(*e), QuadInt(e[0], -e[1]))
         for p, e in eig.items()

@@ -14,17 +14,20 @@ used as given.
 One residue class mod a prime p, sum c(pn + r) q^n, is built without the
 other classes: after the rewrite the factors split as H(q) G(q^p), G from
 the factors with p | d, and class r of the product is class r of H times
-G.  Class r of H is the sum, over the nonempty classes t of its factor f
-of largest d, of class t of f times class r - t of the rest of H, the
-head, added exactly by one `qseries.convolve_sum`.  A head
-eta(dz)^e with e in 1..4 or 6 is at most two of Jacobi's and Euler's
-series, as eta(z)^4 = eta^3 eta: their terms from the index formulas are
-split into rows by class mod p once, and each class of the product is a
-sum of row products through `qseries`' one nonzero-term product loop, so
-no list of its full length exists; any other head is built at full length
-and sliced.  Every class is held as bytes, one residue a byte, for p < 256
-(a list of ints for a larger prime), so only the class being formed is a
-list of ints.
+G.  H is split as a head times a factor f: eta(dz)^a eta(2dz)^b with a in
+{2, 4} as theta(-q^d)^(a/2) times eta(2dz)^(b + a/2), by Gauss's
+theta(-q) = eta(z)^2 / eta(2z), when that second factor has index
+formulas, and any other H as the rest times its factor f of largest d.
+Class r of H is the sum, over the nonempty classes t of f, of class t of f
+times class r - t of the head, added exactly by one `qseries.convolve_sum`.
+A head or f that is theta(-q^d) or its square, or eta(dz)^e with e in 1..4
+or 6, is at most two of Gauss's, Jacobi's and Euler's series: their terms
+from the index formulas are split into rows by class mod p once, and each
+class of the product is a sum of row products through `qseries`' one
+nonzero-term product loop, so no list of its full length exists; any other
+is built at full length and sliced.  Every class is held as bytes, one
+residue a byte, for p < 256 (a list of ints for a larger prime), so only
+the class being formed is a list of ints.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
@@ -172,6 +175,12 @@ def _jacobi_cube_terms(n: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _theta_terms(n: int) -> list[tuple[int, int]]:
+    # theta(-q) = sum (-1)^k q^(k^2) over all integers k below q^n, as
+    # (index, value) terms in index order: Gauss's eta(z)^2 / eta(2z)
+    return [(0, 1)] + [(k * k, 2 if k % 2 == 0 else -2) for k in range(1, math.isqrt(n - 1) + 1)]
+
+
 def _dense(terms: list[tuple[int, int]], T: int, ring: Ring) -> list:
     c = [ring.zero] * T
     for e, v in terms:
@@ -272,21 +281,40 @@ def eta_quotient_series(
     return _quotient_series(factors, T, ring)
 
 
-def _lacunary_parts(factors: tuple, N: int, ring: Ring) -> list | None:
-    # the quotient of `factors` to N terms as two lists of its factors'
-    # nonzero (index, value) terms in ring, taken from the index formulas:
-    # eta(dz)^e is e // 3 Jacobi cubes times e % 3 Euler products, as in
-    # _eta_power, so for e in 1..4 and 6 it is at most two such series, and
-    # an empty quotient is 1.  None for any other quotient.
-    if len(factors) > 1 or any(e < 0 for _, e in factors):
+def _index_formulas(factors: tuple) -> list | None:
+    # the quotient of `factors` as at most two series with index formulas,
+    # each as (d, terms): terms(n) lists the series' nonzero (index, value)
+    # terms below q^n, and the quotient's factor is that series in q^d.
+    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k, k in {1, 2}, by Gauss;
+    # eta(dz)^e, e >= 0, is e // 3 Jacobi cubes times e % 3 Euler products,
+    # as in _eta_power, at most two series for e in 1..4 and 6, and an
+    # empty quotient is none.  None for any other quotient: every factor
+    # of a product of three or more adds a series.
+    if len(factors) == 2:
+        (d, a), (d2, b) = factors
+        theta = d2 == 2 * d and a in (2, 4) and b == -a // 2
+        return [(d, _theta_terms)] * (a // 2) if theta else None
+    if any(e < 0 for _, e in factors):
         return None
-    parts = [
-        [(d * i, x) for i, v in terms(-(-N // d)) if (x := ring.from_int(v)) != ring.zero]
+    series = [
+        (d, terms)
         for d, e in factors
         for terms in [_jacobi_cube_terms] * (e // 3) + [_euler_terms] * (e % 3)
     ]
-    if len(parts) > 2:
+    return series if len(series) <= 2 else None
+
+
+def _lacunary_parts(factors: tuple, N: int, ring: Ring) -> list | None:
+    # the quotient of `factors` to N terms as two lists of its series'
+    # nonzero (index, value) terms in ring, from `_index_formulas`, a
+    # missing series as 1.  None when it has no index formulas.
+    series = _index_formulas(factors)
+    if series is None:
         return None
+    parts = [
+        [(d * i, x) for i, v in terms(-(-N // d)) if (x := ring.from_int(v)) != ring.zero]
+        for d, terms in series
+    ]
     return parts + [[(0, ring.one)]] * (2 - len(parts))
 
 
@@ -321,11 +349,11 @@ def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict
 
 def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int, bytes | list]:
     # classes c of the quotient of `factors` to N terms, each as its
-    # coefficients c, c + p, ... < N in `_residue_bytes`.  eta(dz)^e with e
-    # in 1..4 or 6, and the empty quotient, are at most two of Jacobi's and
-    # Euler's series: formed one class at a time from their terms, with no
-    # list of N terms.  Any other quotient is built at full length and
-    # sliced.
+    # coefficients c, c + p, ... < N in `_residue_bytes`.  A quotient with
+    # `_index_formulas` (theta(-q^d) or its square, eta(dz)^e with e in 1..4
+    # or 6, or the empty quotient) is formed one class at a time from its
+    # series' terms, with no list of N terms.  Any other quotient is built
+    # at full length and sliced.
     parts = _lacunary_parts(factors, N, ring)
     if parts is not None:
         return _classes_of_terms(*parts, p, classes, N, ring.modulus)
@@ -333,17 +361,31 @@ def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int
     return {c: full[c::p] for c in classes}
 
 
+def _split(factors: tuple) -> tuple[tuple, tuple]:
+    # (head, f) with head times f the quotient of `factors`: eta(dz)^a
+    # eta(2dz)^b with a in {2, 4} as theta(-q^d)^(a/2) times eta(2dz)^(b +
+    # a/2) when that has index formulas, so that both sides are lacunary;
+    # any other quotient as the rest times its factor of largest d
+    if len(factors) == 2:
+        (d, a), (d2, b) = factors
+        head, f = ((d, a), (d2, -(a // 2))), ((d2, b + a // 2),)
+        if _index_formulas(head) is not None and _index_formulas(f) is not None:
+            return head, f
+    return factors[:-1], factors[-1:]
+
+
 def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: ModRing) -> list:
     # coefficients r, r + p, ..., < N of the quotient of `factors` (sorted
-    # by d, none divisible by p): the factor of largest d, f, meets the rest,
-    # the head, one class at a time, as class t of f times class r - t of
+    # by d, none divisible by p), split by `_split` as head times f: f meets
+    # the head one class at a time, as class t of f times class r - t of
     # the head, one exponent higher when t > r, so there class t enters as
     # q f_t, f_t after one zero.  Only f's nonempty classes count, so only
     # their partner classes of the head are built, and the products are
     # summed by one convolve_sum.
-    f = _classes(factors[-1:], p, range(p), N, ring)
+    head, f = _split(factors)
+    f = _classes(f, p, range(p), N, ring)
     f = {t: f_t for t, f_t in f.items() if any(f_t)}
-    head = _classes(factors[:-1], p, {(r - t) % p for t in f}, N, ring)
+    head = _classes(head, p, {(r - t) % p for t in f}, N, ring)
     zero = _residue_bytes([0], p)
     pairs = [(head[(r - t) % p], zero + f_t if t > r else f_t) for t, f_t in f.items()]
     return convolve_sum(ring, pairs, len(range(r, N, p)))
@@ -357,16 +399,20 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     After the Frobenius rewrite the quotient is H(q) G(q^p): G from the
     factors with p | d (over d/p), built at T terms, and H from the rest,
     whose exponents now lie in [1, p).  Class r of H G(q^p) is class r of H
-    times G.  Class r of H, to N = p(T - 1) + r + 1 terms of H, is the sum
-    over the nonempty classes t of H's factor f of largest d of class t of
-    f times class r - t of the head, H without f, class t times q when
-    t > r (one more leading zero, so `convolve_sum` adds plain products).
-    Only those head classes are built: from the class rows of Jacobi's and
-    Euler's series when the head is eta(dz)^e with e in 1..4 or 6, else
-    sliced from the head built at length N.  Each class is held as bytes of
-    residues while p < 256.  For delta_3 mod 7
-    the head is eta(z)^4 = eta^3 eta, of which 4 classes of about N/7 terms
-    are formed, meeting the 4 nonempty classes of eta(2z) in one
+    times G.  H is a head times a factor f: eta(dz)^a eta(2dz)^b with a in
+    {2, 4} is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2) when f has
+    index formulas (b + a/2 in 1..4 or 6), and any other H is the rest
+    times its factor f of largest d.  Class r of H, to N = p(T - 1) + r + 1
+    terms of H, is the sum over the nonempty classes t of f of class t of f
+    times class r - t of the head, class t times q when t > r (one more
+    leading zero, so `convolve_sum` adds plain products).  Only those head
+    classes are built: from the class rows of Gauss's, Jacobi's and Euler's
+    series when the head is theta(-q^d), its square or eta(dz)^e with e in
+    1..4 or 6, else sliced from the head built at length N.  Each class is
+    held as bytes of residues while p < 256.  For delta_3 mod 7 H =
+    eta(z)^4 eta(2z) is theta(-q)^2 eta(2z)^3: eta(2z)^3 has 3 nonempty
+    classes, as 2k + 1 == 0 kills its Jacobi terms with k == 3, so 3 classes
+    of theta(-q)^2 of about N/7 terms are formed and meet them in one
     `convolve_sum`; then one product with G = eta(2z)^6 / eta(14z).  For
     delta_5 mod 11 the head eta(z)^8 is built at length N.
     """

@@ -11,13 +11,16 @@ its odd part, and `form_g` (`qcong expand --form g`) stays as the
 independent expansion that the tests compare c against and check
 g = f1 - 8 f2 on.
 F = eta(4z)^8 / eta(2z)^4 is read off its divisor sums, as the theta
-series and E4 are; the other eta quotients are expanded as products.
+series and E4 are, and so is theta(-q)^4 = eta(z)^8 / eta(2z)^4, the factor
+of c by Jacobi's four-square theorem; the other eta quotients are expanded
+as products.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import sub
 
 from .eta import EtaQuotient, dilated, eta_quotient_series, times_dilated
 from .qseries import QSeries
@@ -112,6 +115,18 @@ def form_F(T: int) -> QSeries:
     s = _sigma_coeffs(1, T)
     s[::2] = [0] * len(s[::2])
     return QSeries(ZZ, 0, s)
+
+
+def _theta_minus_q_4(T: int) -> list[int]:
+    # theta(-q)^4 = eta(z)^8 / eta(2z)^4 to T terms, built in place on the
+    # sigma_1 list: Jacobi's r_4(n) = 8 sigma(n) - 32 sigma(n/4), signed
+    # (-1)^n.  Each slice on the right is read before the one assignment.
+    s = _sigma_coeffs(1, T)
+    s[4::4] = map(sub, s[4::4], [4 * x for x in s[1 : len(range(4, T, 4)) + 1]])
+    s[::2] = [8 * x for x in s[::2]]
+    s[1::2] = [-8 * x for x in s[1::2]]
+    s[0] = 1
+    return s
 
 
 def form_h(T: int) -> QSeries:

@@ -1,20 +1,22 @@
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qcong
-from qcong import store
+from qcong import diamond, store
 from qcong.cli import _build_parser, main
 from qcong.diamond import eq_1_2_lhs
 from qcong.forms import form_f
 from qcong.qseries import dumps, loads
-from qcong.ring import QUAD, QuadInt
+from qcong.ring import QUAD, QuadInt, primes_up_to
 
 from conftest import counting_parses, mutate
 
@@ -454,6 +456,60 @@ def test_eigenvalue_table_script_smoke(tmp_path):
         assert proc.returncode == 2 and proc.stdout == "", (flag, value)
         assert f"{flag} must be at least {least}, got {value}" in proc.stderr
         assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+
+
+def test_eigenvalue_table_script_builds_each_series_once(capsys, monkeypatch):
+    # the whole table reads through one memory-only Cache, f1 and f2 at the
+    # table's length first and c for the largest prime next, so c, f1 and
+    # f2 are each built once; before, each y(p) built c and f1 again.  At
+    # every p = 1 mod 4 both eigenvalues equal y(p)
+    script = Path(__file__).parent.parent / "scripts" / "eigenvalue_table.py"
+    spec = importlib.util.spec_from_file_location("eigenvalue_table", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    built = Counter()
+
+    def counted(name):
+        build = getattr(diamond, name)
+
+        def wrapped(T):
+            built[name] += 1
+            return build(T)
+
+        monkeypatch.setattr(diamond, name, wrapped)
+
+    for name in ("c_series", "form_f1", "form_f2"):
+        counted(name)
+    monkeypatch.setattr(sys, "argv", ["eigenvalue_table.py", "--prime-max", "29", "--y-depth", "5"])
+    assert module.main() == 0
+    assert built == {"c_series": 1, "form_f1": 1, "form_f2": 1}
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == primes_up_to(29)
+    assert all(row[1] == row[2] == row[3] for row in rows if int(row[0]) % 4 == 1)
+
+
+def test_input_cases_script_smoke():
+    # one line per row of diamond._INPUTS at the quick suite's depths: its
+    # length, median and least CPU and traced peak, then the input's form
+    script = Path(__file__).parent.parent / "scripts" / "input_cases.py"
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(script), *args], capture_output=True, text=True, env={"PATH": ""}
+        )
+
+    proc = run("--quick", "--runs", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, *lines = proc.stdout.splitlines()
+    assert head.split() == ["T", "median", "ms", "least", "ms", "peak", "MB", "input"]
+    rows = [line.split(None, 4) for line in lines]
+    assert [row[4] for row in rows] == list(diamond._INPUTS)
+    depths = {row[4]: int(row[0]) for row in rows}
+    # sum delta_3(7n+5) q^n to the quick chain's 7 * 666 + 5 terms, c to
+    # thm-1.2's 17 * 99 + 8 + 1 at its largest prime
+    assert depths["delta_k:3 7n+5"] == 4667 and depths["c"] == 1692
+    assert all(float(row[1]) >= 0 and float(row[2]) >= 0 and float(row[3]) > 0 for row in rows)
+    assert run("--runs", "0").returncode == 2
 
 
 def test_kernel_cases_script_smoke():

@@ -56,8 +56,9 @@ def test_c_series_values_and_oracle():
 
 @pytest.mark.parametrize("T", [1, 2, 3, 17, 1000, 16992])
 def test_c_series_is_e4_of_2z_times_the_eta_product(T):
-    # c is built as eta(z)^8 times R(q^2), R = E4 eta(z)^2 at the inner
-    # length; the product it stands for is E4(2z) times the whole eta product
+    # c is built as theta(-q)^4, read off divisor sums, times R(q^2), R = E4
+    # eta(z)^6 at the inner length; the product it stands for is E4(2z)
+    # times the whole eta product
     from qcong.diamond import _euler_part
     from qcong.eta import EtaQuotient, dilated
     from qcong.forms import eisenstein_int

@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import qcong.eta
 import qcong.qseries
 from oracles import naive_delta, naive_eta_product, naive_euler_product
-from qcong.diamond import delta_series
+from qcong.diamond import c_series, delta_series
 from qcong.eta import (
     EtaQuotient,
     _euler_coeffs,
@@ -346,19 +347,22 @@ def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
 
 def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     # sum delta_3(7n+5) q^n to T terms reads N = 7(T-1) + 6 terms of the
-    # quotient and builds nothing at that length.  eta(z)^4 = eta^3 eta is
-    # one product of two lacunary series, so only its four classes that
-    # meet eta(2z)'s four nonempty classes mod 7 are formed, from the class
-    # rows of the index formulas' terms.  The four class products, none
-    # with a leading zero since the nonempty classes 0, 2, 3, 4 of eta(2z)
-    # are at most 5, are one convolve_sum, and every operand packed is one
-    # residue class mod 7.
+    # quotient and builds nothing at that length.  Its part prime to 7,
+    # eta(z)^4 eta(2z), is theta(-q)^2 eta(2z)^3 by Gauss's theta(-q) =
+    # eta(z)^2 / eta(2z): two lacunary series on each side.  Only the
+    # three classes of theta(-q)^2 that meet eta(2z)^3's three nonempty
+    # classes mod 7 (0, 2 and 6: 2k + 1 == 0 kills each Jacobi term with k
+    # == 3) are formed, from the class rows of the index formulas' terms.
+    # Class 6 lies past r = 5, so it enters one exponent up, as a leading
+    # zero beside a head class of T - 1 terms.  The three class products
+    # are one convolve_sum, and every operand packed is one residue class.
     T = 54882
     N = 7 * (T - 1) + 6
     e = EtaQuotient(_DELTA3)
-    # peak traced memory of the build: 2.96 MB measured (Python 3.11) with
-    # the classes held as bytes, 5.14 MB when they were lists of ints and
-    # 15.4 MB when eta(z)^4 was formed at length N; the bound leaves about 20%
+    # peak traced memory of the build: 2.87 MB measured (Python 3.11), 2.96
+    # MB when the head was eta(z)^4 = eta^3 eta, 5.14 MB when its classes
+    # were lists of ints and 15.4 MB when eta(z)^4 was formed at length N;
+    # the bound leaves about 20%
     tracemalloc.start()
     try:
         want = eta_quotient_progression(e, 7, 5, T)
@@ -367,22 +371,35 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
         tracemalloc.stop()
     assert peak < 3_600_000, peak
     outputs, full, packed, schoolbook, sums = _counting_build(monkeypatch, N)
+    madds, add_products = [], qcong.eta._add_products
+
+    def counting_loop(out, terms_a, terms_b, shift=0):
+        # the one loop's multiply-adds: each (i, x) of terms_a meets the
+        # terms of terms_b below len(out) - i - shift
+        ends = [j for j, _ in terms_b]
+        madds.append(sum(bisect_left(ends, len(out) - i - shift) for i, _ in terms_a))
+        return add_products(out, terms_a, terms_b, shift)
+
+    monkeypatch.setattr(qcong.eta, "_add_products", counting_loop)
     s = eta_quotient_progression(e, 7, 5, T)
     assert s == want and s.T == T and s.offset24 == 0 and s.ring == ModRing(7)
     short = -(-N // 7) + 1
     assert full == [] and max(outputs) <= short
     assert schoolbook and max(schoolbook) <= short
     assert packed and max(packed) <= short
-    assert sums == [(T, [(T, T)] * 4)]
+    assert sums == [(T, [(T, T), (T, T), (T - 1, T)])]
+    # 427,330 when the head classes were eta^3 eta's
+    assert sum(madds) == 148_291
 
 
 @pytest.mark.parametrize("T", [4667, 54882], ids=("quick", "full"))
 def test_delta3_class_sum_takes_only_the_shift_add_kernel(monkeypatch, T):
-    # the four pairs of the class sum of sum delta_3(7n+5) q^n are each a
-    # dense class of eta(z)^4 (about 38% nonzero) times a class of eta(2z)
-    # with 30 to 205 nonzero terms, all residues mod 7: inside that one
-    # convolve_sum nothing is packed in decimal and nothing goes to the
-    # nonzero-term schoolbook, and each pair takes a shift-add call of its own
+    # the three pairs of the class sum of sum delta_3(7n+5) q^n are each a
+    # dense class of theta(-q)^2 (about 26% to 29% nonzero) times a class
+    # of eta(2z)^3 with 51 to 177 nonzero terms, all residues mod 7: inside
+    # that one convolve_sum nothing is packed in decimal and nothing goes
+    # to the nonzero-term schoolbook, and each pair takes a shift-add call
+    # of its own
     inside, sums = [], []
     convolve_sum = qcong.eta.convolve_sum
 
@@ -406,8 +423,26 @@ def test_delta3_class_sum_takes_only_the_shift_add_kernel(monkeypatch, T):
         recording(name)
     monkeypatch.setattr(qcong.eta, "convolve_sum", class_sum)
     s = eta_quotient_progression(EtaQuotient(_DELTA3), 7, 5, T)
-    assert s.T == T and sums == [(T, 4)]
-    assert inside == ["_convolve_shift_add"] * 4
+    assert s.T == T and sums == [(T, 3)]
+    assert inside == ["_convolve_shift_add"] * 3
+
+
+def test_exact_c_builds_below_the_delta3_progression_peak():
+    # c to the 16,992 terms a full suite reads: theta(-q)^4 off divisor
+    # sums times E4 eta(z)^6 at the inner length.  Traced peaks measured
+    # (Python 3.11): 2.42 MB for c, 2.87 MB for the delta_3 progression;
+    # 2.07 MB for c built from the 16,992-term eta(z)^8
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    delta3 = peak(lambda: eta_quotient_progression(EtaQuotient(_DELTA3), 7, 5, 54882))
+    c = peak(lambda: c_series(16992))
+    assert c < delta3, (c, delta3)
 
 
 def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
@@ -427,13 +462,20 @@ def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "factors", [(), *(((d, e),) for d in (1, 2, 5) for e in (1, 2, 3, 4, 6))], ids=str
+    "factors",
+    [
+        (),
+        *(((d, e),) for d in (1, 2, 5) for e in (1, 2, 3, 4, 6)),
+        *(((d, 2 * k), (2 * d, -k)) for d in (1, 3) for k in (1, 2)),
+    ],
+    ids=str,
 )
 def test_lacunary_heads_take_the_term_path_through_the_one_product_loop(monkeypatch, factors):
-    # eta(dz)^e with e in 1..4 or 6, and the empty quotient, are at most two
-    # of Jacobi's and Euler's series: every class mod p is formed from
-    # their terms, p row products per class through qseries' one loop, and
-    # no quotient is built at any length
+    # eta(dz)^e with e in 1..4 or 6, theta(-q^d) and theta(-q^d)^2, and the
+    # empty quotient, are at most two of Jacobi's, Euler's and Gauss's
+    # series: every class mod p is formed from their terms, p row products
+    # per class through qseries' one loop, and no quotient is built at any
+    # length
     p, N = 7, 600
     ring = ModRing(p)
     want = _quotient_series(factors, N, ring).coeffs if factors else [1] + [0] * (N - 1)
@@ -474,6 +516,50 @@ def test_other_heads_are_built_at_full_length_and_sliced(monkeypatch):
         assert built == [N] and classes == {3: bytes(quotient_series(factors, N, ring).coeffs[3::p])}
 
 
+@given(st.integers(1, 6), st.sampled_from([1, 2]), st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+@example(1, 1, 1)
+@example(1, 2, 2)
+@example(3, 2, 300)
+def test_theta_index_terms_match_the_quotient(d, k, N):
+    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k from its index terms, (d n^2,
+    # 2 (-1)^n) and (0, 1), over Z and mod 2 (where theta == 1), 7 and 131
+    factors = ((d, 2 * k), (2 * d, -k))
+    for ring in (ZZ, ModRing(2), ModRing(7), ModRing(131)):
+        a, b = qcong.eta._lacunary_parts(factors, N, ring)
+        got = [ring.zero] * N
+        for i, x in a:
+            for j, y in b:
+                if i + j < N:
+                    got[i + j] = ring.add(got[i + j], ring.mul(x, y))
+        assert got == _quotient_series(factors, N, ring).coeffs, ring
+
+
+@pytest.mark.parametrize(
+    "factors, head",
+    [
+        (((1, 2), (2, 1)), ((1, 2), (2, -1))),  # theta(-q) eta(2z)^2
+        (((1, 4), (2, 1)), ((1, 4), (2, -2))),  # theta(-q)^2 eta(2z)^3
+        (((3, 4), (6, 2)), ((3, 4), (6, -2))),  # theta(-q^3)^2 eta(6z)^4
+        (((1, 4), (2, 4)), ((1, 4), (2, -2))),  # theta(-q)^2 eta(2z)^6
+        (((1, 2), (2, 4)), ((1, 2),)),  # eta(2z)^5 is three series
+        (((1, 4), (2, 3)), ((1, 4),)),  # so is eta(2z)^5 here
+        (((1, 4), (2, -3)), ((1, 4),)),  # eta(2z)^-1 has no index formula
+        (((1, 3), (2, 1)), ((1, 3),)),  # a = 3
+        (((1, 2), (3, 1)), ((1, 2),)),  # eta(3z) is not eta(2z)
+        (((1, 2), (2, 1), (5, 1)), ((1, 2), (2, 1))),  # three factors
+    ],
+    ids=str,
+)
+def test_theta_split_takes_exactly_the_quotients_with_index_formulas(factors, head):
+    # eta(dz)^a eta(2dz)^b with a in {2, 4} splits as theta(-q^d)^(a/2)
+    # times eta(2dz)^(b + a/2) when that has index formulas; any other
+    # quotient as the rest times its factor of largest d
+    h, f = qcong.eta._split(factors)
+    assert h == head
+    assert EtaQuotient(h) * EtaQuotient(f) == EtaQuotient(factors)
+
+
 @st.composite
 def progressions(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
@@ -492,7 +578,10 @@ def progressions(draw):
 # delta_3 and delta_5 progressions the claims read, whose heads eta(z)^4
 # and eta(z)^8 take the two sides of the head choice; both sides of it mod
 # 131, whose residue bytes go through convolve_sum's Z path, and mod 257,
-# whose residues a byte cannot hold
+# whose residues a byte cannot hold; the theta split of eta(dz)^a eta(2dz)^b,
+# a in {2, 4}, with and without a G factor at p = 5, 7, 11, 131 and 257;
+# and its fallbacks when b + a/2 = 5, and when b + a/2 < 0 before the
+# rewrite, which leaves eta(z)^2 eta(2z)^4 eta(14z)^-1, b + a/2 = 5 again
 @example((((7, 1),), 7, 3), 40)
 @example((((7, 1),), 7, 0), 40)
 @example((((1, 3), (2, -1), (3, 2)), 5, 2), 60)
@@ -508,6 +597,17 @@ def progressions(draw):
 @example((((1, 5), (2, 3)), 131, 0), 30)
 @example((((1, 3), (2, 1)), 257, 100), 20)
 @example((((1, 5), (2, 3)), 257, 3), 10)
+@example((((1, 2), (2, 1)), 5, 3), 60)
+@example((((1, 4), (2, 2), (5, 1)), 5, 4), 60)
+@example((((1, 2), (2, 2), (14, -1)), 7, 6), 50)
+@example((((3, 4), (6, 4)), 11, 2), 40)
+@example((((1, 2), (2, 1), (11, 3)), 11, 10), 40)
+@example((((1, 4), (2, 2), (262, 1)), 131, 7), 20)
+@example((((1, 2), (2, 1)), 257, 100), 20)
+@example((((2, 2), (4, 2), (257, -1)), 257, 3), 10)
+@example((((1, 2), (2, 4)), 7, 1), 50)
+@example((((1, 4), (2, 3), (22, 1)), 11, 4), 40)
+@example((((1, 2), (2, -3)), 7, 0), 50)
 def test_quotient_progression_matches_the_full_build(progression, T):
     factors, p, r = progression
     e = EtaQuotient(factors)

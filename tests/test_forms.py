@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_eta_product, naive_sigma
-from qcong.eta import dilated
+from qcong.eta import EtaQuotient, dilated, eta_quotient_series
 from qcong.forms import (
     _quotient_form,
     _sigma_coeffs,
     _theta_bracket,
+    _theta_minus_q_4,
     cm_coefficient,
     eisenstein_int,
     form_F,
@@ -72,6 +75,20 @@ def test_form_F_is_odd_sigma_series():
 def test_form_F_equals_its_eta_quotient(T):
     # Legendre: eta(4z)^8 / eta(2z)^4 = q psi(q^2)^4 = sum sigma_1(2n+1) q^(2n+1)
     assert form_F(T) == _quotient_form(((2, -4), (4, 8)), T)
+
+
+@given(st.integers(1, 400))
+@settings(max_examples=40, deadline=None)
+@example(1)
+@example(4)
+@example(5)
+@example(16992)
+def test_theta_minus_q_fourth_from_divisor_sums_equals_its_eta_quotient(T):
+    # Jacobi: theta(-q)^4 = eta(z)^8 / eta(2z)^4 = 1 + sum (-1)^n r_4(n) q^n,
+    # r_4(n) = 8 sigma(n) - 32 sigma(n/4); 16,992 terms is the c a full
+    # suite reads
+    want = eta_quotient_series(EtaQuotient(((1, 8), (2, -4))), T).coeffs
+    assert _theta_minus_q_4(T) == want
 
 
 def test_form_h_leading_values():
