@@ -69,11 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one claim")
     ids = [b + ("[:p=P]" if c.for_prime else "") for b, c in diamond.CLAIMS.items()]
-    prime_claims = [b for b, c in diamond.CLAIMS.items() if c.for_prime]
     p_verify.add_argument("claim", help=f"claim ID: {', '.join(ids)}")
-    p_verify.add_argument("--T", type=_integer, help="depth override")
-    p_verify.add_argument("--n-max", type=_integer, help="progression depth override")
-    p_verify.add_argument("--p", type=_integer, help=f"prime for {' / '.join(prime_claims)}")
+    p_verify.add_argument("--T", type=_integer, help="depth override (n_max for thm-1.1)")
     p_verify.add_argument("--no-cache", action="store_true", help=_NO_CACHE_HELP)
 
     p_suite = sub.add_parser("suite", help="run every claim")
@@ -134,9 +131,9 @@ def _cmd_metadata(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    base, _, suffix = args.claim.partition(":")
-    p = args.p
-    if suffix:
+    base, colon, suffix = args.claim.partition(":")
+    p = None
+    if colon:
         if not suffix.startswith("p="):
             raise ValueError(f"bad claim suffix {suffix!r}; expected p=<prime>")
         digits = suffix[2:]
@@ -144,21 +141,15 @@ def _cmd_verify(args) -> int:
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad claim {args.claim!r}: expected {base}:p=<prime>")
         p = int(digits)
-        if args.p not in (None, p):
-            raise ValueError(f"--p {args.p} differs from the claim's p={p}")
     claim = diamond.CLAIMS.get(base)
     if claim is None:
         raise ValueError(f"unknown claim {args.claim!r}")
     if claim.for_prime and p is None:
-        raise ValueError(f"{base} needs a prime: use --p or {base}:p=<p>")
+        raise ValueError(f"{base} needs a prime: use {base}:p=<p>")
     if not claim.for_prime and p is not None:
         raise ValueError(f"{base} takes no prime, got p={p}")
-    if args.T is not None and not (claim.depth or claim.for_prime):
-        raise ValueError(f"{base} takes no --T")
-    if args.n_max is not None and not claim.n_max:
-        raise ValueError(f"{base} takes no --n-max")
     config = diamond.SuiteConfig()
-    changes = {claim.depth: args.T, claim.n_max: args.n_max}
+    changes = {claim.depth: args.T}
     if p is not None:
         changes.update(claim.for_prime(config, p, args.T))
     # only an absent flag keeps the default

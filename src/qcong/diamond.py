@@ -19,9 +19,9 @@ eigenform reports come from operators.hecke on f1 and f2 over Z, so every
 claim runs over Z or Z/m.
 
 CLAIMS, the claim table, has one row per claim ID; run_suite runs every
-row and `qcong verify` runs one.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain
-(reports :a to :d), eq-1.4, thm-1.2:p=<p>, thm-3.1 (reports thm-3.1:*),
-remark:p=<p>.
+row and `qcong verify` one, with a prime only from the ID's :p= suffix
+and a depth only from --T.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain (:a
+to :d), eq-1.4, thm-1.2:p=<p>, thm-3.1 (thm-3.1:*), remark:p=<p>.
 """
 
 from __future__ import annotations
@@ -417,13 +417,12 @@ class SuiteConfig(NamedTuple):
 
 class Claim(NamedTuple):
     """A row of CLAIMS: `run` runs one claim ID at a SuiteConfig's depths.
-    `qcong verify` sets the fields named by `depth` and `n_max` from --T and
-    --n-max; only claims indexed by a prime have `for_prime`, which maps
-    (config, p, --T) to the fields that narrow the run to p."""
+    `qcong verify` sets the field named by `depth` from --T; only claims
+    indexed by a prime have `for_prime`, which maps (config, p, --T) to the
+    fields that narrow the run to the ID's :p= prime.  Each row has one or both."""
 
     run: Callable[[SuiteConfig, object], list[ClaimReport]]
     depth: str | None = None
-    n_max: str | None = None
     for_prime: Callable[[SuiteConfig, int, int | None], dict] | None = None
 
 
@@ -443,7 +442,7 @@ CLAIMS: dict[str, Claim] = {
     ),
     "thm-1.1": Claim(
         lambda c, cache: [verify_theorem_1_1(c.thm_1_1_n_max, cache=cache)],
-        n_max="thm_1_1_n_max",
+        depth="thm_1_1_n_max",
     ),
     "thm-1.2": Claim(
         lambda c, cache: [

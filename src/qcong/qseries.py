@@ -100,15 +100,15 @@ _SCHOOLBOOK_CUTOFF = 12
 # transform is cheaper.  Measured (2-vCPU KVM guest, Python 3.11), dense
 # operands of 4,667 and 54,882 terms in 8- to 64-bit slots: the shift-add
 # took 0.2-0.7 of the decimal time at a product of 4,096 or less, 0.5-1.2
-# at 8,192 and 1.1-4.2 past it.  The 205-term classes of eta(2z) that meet
-# eta(z)^4 in sum delta_3(7n+5) q^n at 54,882 terms, in 16-bit slots, make
-# 3,280.
+# at 8,192 and 1.1-4.2 past it.  The 177-term classes of eta(2z)^3 that
+# meet theta(-q)^2's in sum delta_3(7n+5) q^n at 54,882 terms, in 16-bit
+# slots, make 2,832.
 _SHIFT_ADD_BITS = 4096
 # One Python multiply-add of the schoolbook costs about as much as shifting
 # and adding this many bits of a packed operand (measured: 80-100 ns against
 # 0.07-0.11 ns a bit, so about 900; half that leaves room for packing).  So
 # the shift-add's packed operand must be dense: its nonzero terms times this
-# reach its length times the slot width.  eta(z)^4's classes mod 7, 38%
+# reach its length times the slot width.  theta(-q)^2's classes mod 7, 26%
 # nonzero, are; Euler's and Jacobi's series past a few hundred terms are not.
 _SCHOOLBOOK_BITS = 512
 # array typecodes of the unsigned machine words, by width in bits: the

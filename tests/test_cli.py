@@ -224,14 +224,13 @@ def test_verify_claim_with_p_suffix(capsys):
 
 
 def test_verify_precondition_violation_exits_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "thm-1.2", "--p", "3")
+    code, _, err = run_cli(capsys, "verify", "thm-1.2:p=3")
     assert code == 2 and "1 mod 4" in err
 
 
 def test_verify_prime_given_or_missing_against_the_claim_exits_2(capsys):
     for argv, message in [
         (("eq-1.2:p=5",), "eq-1.2 takes no prime"),
-        (("eq-1.2", "--p", "5"), "eq-1.2 takes no prime"),
         (("sec-2-chain:p=7",), "sec-2-chain takes no prime"),
         (("remark",), "remark needs a prime"),
     ]:
@@ -241,16 +240,44 @@ def test_verify_prime_given_or_missing_against_the_claim_exits_2(capsys):
 
 def test_verify_flag_the_claim_would_ignore_exits_2(capsys):
     for argv, message in [
-        (("thm-1.1", "--T", "999999"), "thm-1.1 takes no --T"),
-        (("eq-1.2", "--n-max", "3"), "eq-1.2 takes no --n-max"),
-        (("thm-1.2:p=5", "--p", "13"), "--p 13 differs from the claim's p=5"),
         (("eq-1.2", "--T", "0"), "need T >= 10"),
         (("remark:p=5", "--T", "0"), "need T >= 1"),
     ]:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and message in err, argv
-    code, out, _ = run_cli(capsys, "verify", "thm-1.2:p=5", "--p", "5", "--T", "20")
-    assert code == 0 and json.loads(out)["claim"] == "thm-1.2:p=5"
+
+
+@pytest.mark.parametrize("argv", [("thm-1.2", "--p", "13"), ("thm-1.1", "--n-max", "3")])
+def test_verify_takes_a_prime_only_in_the_claim_and_a_depth_only_as_T(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--no-cache"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+def test_verify_takes_a_claim_a_depth_and_no_cache():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a.option_strings or [a.dest] for a in sub.choices["verify"]._actions]
+    assert options == [["-h", "--help"], ["claim"], ["--T"], ["--no-cache"]]
+
+
+def test_every_claim_reads_T():
+    # verify gives --T to `depth` or to `for_prime`: a row with neither
+    # would drop it, and a `depth` outside SuiteConfig would not run
+    fields = set(diamond.SuiteConfig._fields)
+    for name, claim in diamond.CLAIMS.items():
+        assert claim.depth is None or claim.depth in fields, name
+        assert claim.depth or claim.for_prime, name
+        if claim.for_prime:
+            assert set(claim.for_prime(diamond.SuiteConfig(), 5, 7)) <= fields, name
+
+
+@pytest.mark.parametrize("claim", ["eq-1.2:", "thm-1.2:"])
+def test_verify_claim_with_an_empty_suffix_exits_2(capsys, claim):
+    # the colon, not the text after it, opens a suffix: "eq-1.2:" is not eq-1.2
+    code, out, err = run_cli(capsys, "verify", claim, "--T", "20", "--no-cache")
+    assert code == 2 and out == "" and "bad claim suffix" in err
 
 
 def test_verify_prime_suffix_without_an_integer_exits_2(capsys):
@@ -386,8 +413,6 @@ _INTEGER_FLAGS = [
     ("sturm", "--N", "24696", "--k"),
     ("sturm", "--k", "5", "--N"),
     ("verify", "eq-1.2", "--no-cache", "--T"),
-    ("verify", "sec-2-chain", "--no-cache", "--n-max"),
-    ("verify", "thm-1.2", "--T", "5", "--no-cache", "--p"),
 ]
 
 
@@ -417,7 +442,7 @@ def test_no_flag_is_read_by_int():
             actions.append(action)
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
-    assert sum(a.type is not None for a in actions) == 9
+    assert sum(a.type is not None for a in actions) == 7
     assert not [a.dest for a in actions if a.type is int]
 
 

@@ -3,9 +3,13 @@
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import qcong
+from qcong.cli import _build_parser
 
 _PACKAGE = Path(qcong.__file__).parent
 # CPython's builtin SHA-256 modules, which `qcong.store` imports by name
@@ -36,3 +40,18 @@ def test_every_backticked_private_name_is_defined():
                 if not dunder and name not in defined:
                     stale.append(f"{path.name}: {name}")
     assert stale == []
+
+
+def test_readme_cli_examples_parse():
+    # a flag the parser no longer has must not linger in the examples
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines()]
+    examples = [argv[1:] for argv in lines if argv[:1] == ["qcong"]]
+    assert len(examples) >= 10
+    parser = _build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: qcong {shlex.join(argv)}")

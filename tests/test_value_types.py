@@ -55,8 +55,7 @@ CASES = {
                     "thm_1_2_T=100, thm_3_1_T=500, thm_3_1_prime_max=23, "
                     "remark_cases=((5, 50), (13, 20)))"),
     "Claim": (lambda: Claim(len, depth="eq_1_2_T"), lambda: Claim(len), "depth",
-              "Claim(run=<built-in function len>, depth='eq_1_2_T', n_max=None, "
-              "for_prime=None)"),
+              "Claim(run=<built-in function len>, depth='eq_1_2_T', for_prime=None)"),
 }
 
 
@@ -155,7 +154,7 @@ def test_fields_take_keywords_and_defaults():
     assert SuiteConfig(thm_1_2_T=7).thm_1_2_T == 7
     assert SuiteConfig(thm_1_2_T=7).thm_3_1_T == SuiteConfig().thm_3_1_T
     claim = Claim(len)
-    assert (claim.depth, claim.n_max, claim.for_prime) == (None, None, None)
+    assert (claim.depth, claim.for_prime) == (None, None)
     assert CacheKey(form="c", ring="int") == CacheKey("c", "int")
     assert _report().to_dict()["modulus"] == 7
 
@@ -164,8 +163,8 @@ def test_fields_take_keywords_and_defaults():
     "argv, bound",
     [
         (("eq-1.2", "--T", "60"), 59),
-        (("thm-1.1", "--n-max", "3"), 1013),
-        (("remark", "--p", "5", "--T", "7"), 6),
+        (("thm-1.1", "--T", "3"), 1013),
+        (("remark:p=13", "--T", "7"), 6),
         (("remark:p=5", "--T", "7"), 6),
     ],
 )
