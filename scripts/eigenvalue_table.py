@@ -18,13 +18,12 @@ from qcong.diamond import eigenvalue_table, verify_theorem_1_2
 from qcong.store import Cache
 
 
-def fmt(x) -> str:
-    if x is None:
-        return "(not an eigenform)"
-    if x.im == 0:
-        return str(x.re)
-    sign = "+" if x.im >= 0 else "-"
-    return f"{x.re} {sign} {abs(x.im)}*sqrt(-3)"
+def fmt(re: int, im: int) -> str:
+    """re + im sqrt(-3), as re alone when im is 0."""
+    if im == 0:
+        return str(re)
+    sign = "+" if im >= 0 else "-"
+    return f"{re} {sign} {abs(im)}*sqrt(-3)"
 
 
 def main() -> int:
@@ -47,8 +46,10 @@ def main() -> int:
             y, rep = verify_theorem_1_2(p, args.y_depth, cache)
             ys[p] = str(y) if rep.passed else f"{y} (FAILS)"
     print(f"{'p':>4}  {'lambda(f, T_p)':>28}  {'lambda(conj f, T_p)':>28}  {'y(p)':>12}")
-    for p, (lam, lam_bar) in table.items():
-        print(f"{p:>4}  {fmt(lam):>28}  {fmt(lam_bar):>28}  {ys.get(p, '-'):>12}")
+    for p, e in table.items():
+        # f has r + i sqrt(-3) and its conjugate r - i sqrt(-3)
+        lam, lam_bar = ("(not an eigenform)",) * 2 if e is None else (fmt(*e), fmt(e[0], -e[1]))
+        print(f"{p:>4}  {lam:>28}  {lam_bar:>28}  {ys.get(p, '-'):>12}")
     return 0
 
 

@@ -17,10 +17,8 @@ from .diamond import (
 )
 from .eta import EtaQuotient, eta_quotient_series, eta_series
 from .forms import (
-    cm_coefficient,
     eisenstein_int,
     form_F,
-    form_f,
     form_f1,
     form_f2,
     form_g,
@@ -28,7 +26,6 @@ from .forms import (
     resolve_form,
     sigma,
     theta0,
-    two_squares,
 )
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
@@ -42,7 +39,7 @@ from .ring import (
     kronecker,
 )
 from .store import Cache, CacheKey, default_cache
-from .sturm import ClaimReport, index_gamma0, sturm_bound, verify_eigenform
+from .sturm import ClaimReport, index_gamma0, sturm_bound
 from .sturm import SpaceTag, eta_quotient_metadata
 
 __version__ = "0.1.0"

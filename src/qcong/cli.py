@@ -8,8 +8,6 @@ JSON; coefficient dumps are the qseries text format or CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -81,6 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser("cache", help="cache maintenance")
     p_cache.add_argument("action", choices=("clear",))
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -98,13 +98,10 @@ def _cmd_expand(args) -> int:
         for op in args.apply.split(","):
             series = apply_operator(series.to_offset_zero(), op, args.weight, args.chi)
     if args.fmt == "csv":
-        # a Z[sqrt(-3)] coefficient prints as "re,im": the writer quotes it
-        buf = io.StringIO()
-        rows = csv.writer(buf, lineterminator="\n")
-        rows.writerow(["n", "coefficient"])
-        for j, c in enumerate(series.coeffs):
-            rows.writerow([_format_exponent(series.offset24, j), str(c)])
-        text = buf.getvalue()
+        # every coefficient is an int, so no cell needs quoting
+        off = series.offset24
+        rows = (f"{_format_exponent(off, j)},{c}\n" for j, c in enumerate(series.coeffs))
+        text = "n,coefficient\n" + "".join(rows)
     else:
         text = dumps(series)
     if args.out:
@@ -184,7 +181,10 @@ def _cmd_suite(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        # through the subcommand's parser, so that the usage line is its own
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "expand":
             return _cmd_expand(args)

@@ -1,11 +1,13 @@
 """Named modular forms: Eisenstein series, theta, and the eta-quotient
 cusp forms used by the congruence verifications.
 
-Every constructor takes a truncation T and returns a series with offset 0
-and exactly T coefficients (indices = exponents 0..T-1).  All arithmetic
-is exact over Z; the one rational is the Eisenstein normalisation -2k/B_k,
-and `eisenstein_int` rejects a weight where it is not an integer.  Each
-form has one expansion here, and every E4(4z) product is eta.times_dilated.
+Every constructor takes a truncation T and returns a series over Z with
+offset 0 and exactly T coefficients (indices = exponents 0..T-1).  Theorem
+3.1's eigenform f = f1 + 8 sqrt(-3) f2 has no builder: diamond reads it off
+f1 and f2 over Z.  All arithmetic is exact over Z; the one rational is the
+Eisenstein normalisation -2k/B_k, and `eisenstein_int` rejects a weight
+where it is not an integer.  Each form has one expansion here, and every
+E4(4z) product is eta.times_dilated.
 g alone has two: `diamond.c_series` expands g = sum c(n) q^(2n+1) as
 its odd part, and `form_g` (`qcong expand --form g`) stays as the
 independent expansion that the tests compare c against and check
@@ -24,7 +26,7 @@ from operator import sub
 
 from .eta import EtaQuotient, dilated, eta_quotient_series, times_dilated
 from .qseries import QSeries
-from .ring import QUAD, ZZ, QuadInt, _Frozen, bernoulli, is_prime
+from .ring import ZZ, bernoulli
 
 __all__ = [
     "sigma",
@@ -34,11 +36,7 @@ __all__ = [
     "form_h",
     "form_f1",
     "form_f2",
-    "form_f",
     "form_g",
-    "TwoSquares",
-    "two_squares",
-    "cm_coefficient",
     "FORM_NAMES",
     "resolve_form",
 ]
@@ -162,74 +160,22 @@ def form_f2(T: int) -> QSeries:
     return _times_e4_4z(_quotient_form(((4, 2), (8, 8)), T))
 
 
-def form_f(T: int) -> QSeries:
-    """f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)] (identifying 8 i sqrt(3))."""
-    pairs = zip(form_f1(T).coeffs, form_f2(T).coeffs)
-    return QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in pairs])
-
-
 def form_g(T: int) -> QSeries:
     """E4(4z) eta(2z)^8 eta(4z)^2 over Z, the odd-supported weight-9 form
     whose odd coefficients b(2n+1) are the c-series."""
     return _times_e4_4z(_quotient_form(((2, 8), (4, 2)), T))
 
 
-class TwoSquares(_Frozen):
-    """p = x^2 + y^2 with x odd and both positive (canonical for p = 1 mod 4)."""
-
-    __slots__ = ("p", "x", "y")
-
-    def __init__(self, p: int, x: int, y: int):
-        if x * x + y * y != p:
-            raise ValueError(f"{x}^2 + {y}^2 != {p}")
-        if x % 2 == 0 or x <= 0 or y <= 0:
-            raise ValueError("need x odd and x, y positive")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def _key(self) -> tuple[int, int, int]:
-        return self.p, self.x, self.y
-
-    def __repr__(self) -> str:
-        return "TwoSquares(p={!r}, x={!r}, y={!r})".format(*self._key())
-
-
-def two_squares(p: int) -> TwoSquares:
-    """Decompose a prime p = 1 mod 4 as x^2 + y^2 with x odd."""
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    for x in range(1, math.isqrt(p) + 1, 2):
-        y2 = p - x * x
-        y = math.isqrt(y2)
-        if y > 0 and y * y == y2:
-            return TwoSquares(p, x, y)
-    raise AssertionError(f"no two-squares decomposition found for {p}")
-
-
-def cm_coefficient(p: int) -> int:
-    """Prime coefficient of eta(4z)^6: 2x^2 - 2y^2 for p = x^2 + y^2 (x odd),
-    and 0 for p = 2 or p = 3 mod 4."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2 or p % 4 == 3:
-        return 0
-    ts = two_squares(p)
-    return 2 * ts.x * ts.x - 2 * ts.y * ts.y
-
-
-FORM_NAMES = ("E4", "theta0", "F", "h", "f1", "f2", "f", "g", "c", "delta_k:<k>")
+FORM_NAMES = ("E4", "theta0", "F", "h", "f1", "f2", "g", "c", "delta_k:<k>")
 
 
 def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
     """Named-form registry used by the CLI: build `name` to truncation T,
-    once the name and the modulus have been checked.  delta_k is expanded
-    over Z/modulus directly, as its exact coefficients grow exponentially
-    in sqrt(n); every other form is built exactly, then reduced."""
+    once the name has been checked.  delta_k is expanded over Z/modulus
+    directly, as its exact coefficients grow exponentially in sqrt(n);
+    every other form is built exactly, then reduced."""
     from . import diamond
 
-    if name == "f" and modulus is not None:
-        raise ValueError("form f has quadratic-ring coefficients; no --mod")
     if name.startswith("delta_k:"):
         digits = name.split(":", 1)[1]
         # ASCII digits only: int() would also take "1_3", " 3" or "٣"
@@ -243,7 +189,6 @@ def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
         "h": lambda: form_h(T),
         "f1": lambda: form_f1(T),
         "f2": lambda: form_f2(T),
-        "f": lambda: form_f(T),
         "g": lambda: form_g(T),
         "c": lambda: diamond.c_series(T),
     }

@@ -1,10 +1,13 @@
 """Exact coefficient rings for series arithmetic.
 
 Four rings are supported: arbitrary-precision integers, rationals,
-integers modulo m, and the quadratic ring Z[sqrt(-3)].  A ring object
-holds the scalar operations; elements themselves are plain immutable
-values (``int``, ``Fraction``, ``QuadInt``), so they can be shared
-freely across threads.  Mixed-ring arithmetic is never coerced: series
+integers modulo m, and the quadratic ring Z[sqrt(-3)].  Every claim runs
+over Z or Z/m, and no module above this one and qseries names the other
+two: they serve the rat and quad rows of perfbench/kernels.py and the
+tests, among them the tests' Z[sqrt(-3)] reference for Theorem 3.1.  A
+ring object holds the scalar operations; elements themselves are plain
+immutable values (``int``, ``Fraction``, ``QuadInt``), so they can be
+shared freely across threads.  Mixed-ring arithmetic is never coerced: series
 code checks ring equality and rejects mismatches, and the only sanctioned
 conversions are each ring's ``from_int``.
 """

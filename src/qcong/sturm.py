@@ -8,9 +8,10 @@ outcome in a ClaimReport, built only by `_scan_report`.  An identity
 between two series goes through the one comparison driver `_compare`,
 which reads the report's modulus from the series' ring and rejects two
 rings or a nonzero offset; it compares the two coefficient lists whole and
-finds a first mismatch with no Python call per coefficient.  No claim
-calls `verify_eigenform`, the public check of f | T_p = lambda f over any
-ring.  Insufficient truncation is always an error, never a pass: these
+finds a first mismatch with no Python call per coefficient.  Nothing here
+applies an operator: the claims build both sides, and `diamond` reads
+Theorem 3.1's eigenform checks off operators.hecke on f1 and f2 over Z.
+Insufficient truncation is always an error, never a pass: these
 reports are proof artifacts, so partial data must be unambiguous.
 """
 
@@ -25,7 +26,6 @@ from operator import ne
 from typing import NamedTuple
 
 from .eta import EtaQuotient
-from .operators import hecke
 from .qseries import QSeries
 from .ring import ModRing, _factorize, _Frozen
 
@@ -35,7 +35,6 @@ __all__ = [
     "SpaceTag",
     "eta_quotient_metadata",
     "ClaimReport",
-    "verify_eigenform",
 ]
 
 
@@ -199,32 +198,3 @@ def _compare(
     failures = () if x == y else compress(count(), map(ne, x, y))
     modulus = a.ring.modulus if isinstance(a.ring, ModRing) else None
     return _scan_report(claim, failures, bound, space, modulus)
-
-
-def verify_eigenform(f: QSeries, p: int, space: SpaceTag, claim: str = "eigenform"):
-    """Check that f | T_p is a scalar multiple of f through the equality
-    Sturm bound of `space`; returns (eigenvalue, report).
-
-    The candidate eigenvalue is read off at the lowest nonzero coefficient
-    of f, which must be a unit.  On non-proportionality the eigenvalue is
-    None and the report carries the first failing exponent.
-    """
-    if f.offset24 != 0:
-        raise ValueError("eigenform check requires offset 0")
-    bound = space.sturm_bound
-    if f.T < p * (bound + 1):
-        raise ValueError(
-            f"insufficient truncation {f.T}: eigenform check at p={p} "
-            f"needs at least {p * (bound + 1)} coefficients"
-        )
-    ring = f.ring
-    zero = ring.zero
-    n0 = next((n for n, c in enumerate(f.coeffs) if c != zero), None)
-    if n0 is None or n0 > bound:
-        raise ValueError("series vanishes through the bound; eigenvalue undefined")
-    if not ring.is_unit(f.coeffs[n0]):
-        raise ValueError(f"leading coefficient {f.coeffs[n0]!r} is not a unit")
-    g = hecke(f, p, space.weight, space.character)
-    lam = ring.mul(g.coeffs[n0], ring.inv(f.coeffs[n0]))
-    report = _compare(claim, g, f.truncate(bound + 1).scale(lam), bound, space)
-    return (lam if report.passed else None), report

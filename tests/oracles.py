@@ -2,10 +2,20 @@
 
 Nothing here touches the package's arithmetic: products are expanded one
 binomial factor at a time, divisor sums come from trial division, and
-characters from Euler's criterion.  Slow on purpose.
+characters from Euler's criterion.  Slow on purpose.  The one exception is
+the Z[sqrt(-3)] reference for Theorem 3.1, `over_quad` and
+`verify_eigenform`: it applies the package's Hecke operator and comparison
+to f = f1 + 8 sqrt(-3) f2 as one series over the quadratic ring, where the
+claims read f as two integer series.
 """
 
+import math
 from decimal import Decimal
+
+from qcong.operators import hecke
+from qcong.qseries import QSeries
+from qcong.ring import QUAD, QuadInt
+from qcong.sturm import _compare
 
 
 def mult_binomial(c: list[int], n: int) -> list[int]:
@@ -231,3 +241,50 @@ def loads_per_line(text: str, ring) -> list:
     # except on a last line that had none
     return [ring.parse_elem(line + "\n" if i + 1 < len(lines) else line)
             for i, line in enumerate(lines[:n])]
+
+
+def cm_coefficient(p: int) -> int:
+    """Prime coefficient of eta(4z)^6: 2x^2 - 2y^2 for p = x^2 + y^2 with x
+    odd, found by trying every odd x, and 0 for p = 2 or p = 3 mod 4."""
+    if p == 2 or p % 4 == 3:
+        return 0
+    for x in range(1, math.isqrt(p) + 1, 2):
+        y = math.isqrt(p - x * x)
+        if y > 0 and x * x + y * y == p:
+            return 2 * x * x - 2 * y * y
+    raise AssertionError(f"{p} is not a sum of two squares")
+
+
+def over_quad(f1: QSeries, f2: QSeries, sign: int = 1) -> QSeries:
+    """f1 + 8 sqrt(-3) f2 over Z[sqrt(-3)], or its conjugate for sign -1."""
+    pairs = zip(f1.coeffs, f2.coeffs)
+    return QSeries(QUAD, 0, [QuadInt(a, sign * 8 * b) for a, b in pairs])
+
+
+def verify_eigenform(f: QSeries, p: int, space, claim: str = "eigenform"):
+    """Check that f | T_p is a scalar multiple of f through the equality
+    Sturm bound of `space`, over any ring; returns (eigenvalue, report).
+
+    The candidate eigenvalue is read off at the lowest nonzero coefficient
+    of f, which must be a unit.  On non-proportionality the eigenvalue is
+    None and the report carries the first failing exponent.
+    """
+    if f.offset24 != 0:
+        raise ValueError("eigenform check requires offset 0")
+    bound = space.sturm_bound
+    if f.T < p * (bound + 1):
+        raise ValueError(
+            f"insufficient truncation {f.T}: eigenform check at p={p} "
+            f"needs at least {p * (bound + 1)} coefficients"
+        )
+    ring = f.ring
+    zero = ring.zero
+    n0 = next((n for n, c in enumerate(f.coeffs) if c != zero), None)
+    if n0 is None or n0 > bound:
+        raise ValueError("series vanishes through the bound; eigenvalue undefined")
+    if not ring.is_unit(f.coeffs[n0]):
+        raise ValueError(f"leading coefficient {f.coeffs[n0]!r} is not a unit")
+    g = hecke(f, p, space.weight, space.character)
+    lam = ring.mul(g.coeffs[n0], ring.inv(f.coeffs[n0]))
+    report = _compare(claim, g, f.truncate(bound + 1).scale(lam), bound, space)
+    return (lam if report.passed else None), report

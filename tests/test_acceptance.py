@@ -14,7 +14,14 @@ import time
 
 import pytest
 
-from oracles import naive_c, naive_delta, naive_euler_product
+from oracles import (
+    cm_coefficient,
+    naive_c,
+    naive_delta,
+    naive_euler_product,
+    over_quad,
+    verify_eigenform,
+)
 from qcong.diamond import (
     c_series,
     delta_series,
@@ -28,10 +35,10 @@ from qcong.diamond import (
     verify_theorem_1_2,
 )
 from qcong.eta import EtaQuotient, eta_series
-from qcong.forms import cm_coefficient, form_f1, form_f2, form_g, form_h
+from qcong.forms import form_f1, form_f2, form_g, form_h
 from qcong.qseries import QSeries, convolve, convolve_schoolbook
 from qcong.ring import QQ, QUAD, ZZ, ModRing, QuadInt, primes_up_to
-from qcong.sturm import SpaceTag, eta_quotient_metadata, sturm_bound, verify_eigenform
+from qcong.sturm import SpaceTag, eta_quotient_metadata, sturm_bound
 
 from conftest import mutate, seeded_cache
 
@@ -144,8 +151,7 @@ def test_criterion_08_g_combination_first_2000(forms_2000):
 def test_criterion_09_theorem_3_1_primes_to_97(forms_2000):
     t0 = time.time()
     _, f1, f2 = forms_2000
-    f = QSeries(QUAD, 0, [QuadInt(a, 8 * b) for a, b in zip(f1.coeffs, f2.coeffs)])
-    fbar = QSeries(QUAD, 0, [c.conj() for c in f.coeffs])
+    f, fbar = over_quad(f1, f2), over_quad(f1, f2, -1)
     failures = []
     eig = {}
     space = SpaceTag(9, 16, -4)

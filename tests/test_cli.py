@@ -1,11 +1,13 @@
 import argparse
 import csv
+import hashlib
 import importlib.util
 import io
 import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,9 @@ import qcong
 from qcong import diamond, store
 from qcong.cli import _build_parser, main
 from qcong.diamond import eq_1_2_lhs
-from qcong.forms import form_f
+from qcong.forms import FORM_NAMES
 from qcong.qseries import dumps, loads
-from qcong.ring import QUAD, QuadInt, primes_up_to
+from qcong.ring import primes_up_to
 
 from conftest import counting_parses, mutate
 
@@ -61,16 +63,33 @@ def test_expand_eta_with_modulus_csv(capsys):
     assert lines[1] == "2,1"
 
 
-def test_expand_quad_csv_rows_have_two_fields(capsys):
-    # a Z[sqrt(-3)] coefficient prints as "re,im", so its cell is quoted
-    code, out, _ = run_cli(capsys, "expand", "--form", "f", "--T", "4", "--format", "csv")
-    assert code == 0
-    header, *rows = csv.reader(io.StringIO(out))
-    assert header == ["n", "coefficient"] and len(rows) == 4
-    assert all(len(row) == 2 for row in rows)
-    coeffs = [QUAD.parse_elem(cell) for _, cell in rows]
-    assert coeffs == form_f(4).coeffs
-    assert coeffs[3] == QuadInt(0, 8)
+def test_expand_form_f_is_unknown(capsys):
+    # f = f1 + 8 sqrt(-3) f2 has no builder: its two parts are the forms
+    for argv in (("--T", "4", "--format", "csv"), ("--T", "4", "--mod", "7")):
+        code, out, err = run_cli(capsys, "expand", "--form", "f", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown form 'f'")
+
+
+@pytest.mark.parametrize("mod", [(), ("--mod", "7")], ids=["exact", "mod7"])
+@pytest.mark.parametrize(
+    "source",
+    [("--form", name.replace("<k>", "3")) for name in FORM_NAMES]
+    + [("--eta", "1^1"), ("--eta", "3^4 6^6")],
+    ids=lambda s: s[1],
+)
+def test_expand_csv_is_what_the_csv_module_writes(capsys, source, mod):
+    # every cell is an int or an exponent such as 1/24, so the joined rows
+    # are the csv module's, quoting included
+    code, out, _ = run_cli(capsys, "expand", *source, "--T", "30", *mod)
+    series = loads(out)
+    code, out, _ = run_cli(capsys, "expand", *source, "--T", "30", *mod, "--format", "csv")
+    want = io.StringIO()
+    rows = csv.writer(want, lineterminator="\n")
+    rows.writerow(["n", "coefficient"])
+    for j, c in enumerate(series.coeffs):
+        rows.writerow([Fraction(series.offset24, 24) + j, c])
+    assert code == 0 and out == want.getvalue()
 
 
 def test_expand_parse_error_exits_2(capsys):
@@ -176,7 +195,7 @@ def test_expand_out_to_missing_directory_exits_2(capsys, tmp_path):
         ("--form", "theta0"),
         ("--form", "delta_k:3"),
         ("--form", "f1"),
-        ("--form", "f"),
+        ("--eta", "3^4 6^6"),
         ("--eta", "1^1"),
         ("--form", "c"),
         ("--form", "f2"),
@@ -254,6 +273,18 @@ def test_verify_takes_a_prime_only_in_the_claim_and_a_depth_only_as_T(capsys, ar
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert err.startswith("usage: qcong verify ")
+
+
+def test_unrecognized_arguments_are_reported_by_the_subcommand(capsys):
+    # the usage line is the subcommand's, not the top-level one (verify's
+    # case is in the test above)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--form", "E4", "--T", "3", "--bogus"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: qcong expand ")
+    assert err.endswith("qcong expand: error: unrecognized arguments: --bogus\n")
 
 
 def test_verify_takes_a_claim_a_depth_and_no_cache():
@@ -481,6 +512,47 @@ def test_eigenvalue_table_script_smoke(tmp_path):
         assert proc.returncode == 2 and proc.stdout == "", (flag, value)
         assert f"{flag} must be at least {least}, got {value}" in proc.stderr
         assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+
+
+_EIGENVALUE_TABLE_13 = """\
+   p                lambda(f, T_p)           lambda(conj f, T_p)          y(p)
+   2                             0                             0             -
+   3                0 + 8*sqrt(-3)                0 - 8*sqrt(-3)             -
+   5                           258                           258           258
+   7             0 + 1904*sqrt(-3)             0 - 1904*sqrt(-3)             -
+  11            0 + 13368*sqrt(-3)            0 - 13368*sqrt(-3)             -
+  13                         19138                         19138         19138
+"""
+
+
+def test_eigenvalue_table_script_output_is_pinned():
+    # the whole stdout, at a small table and at the defaults (primes to 97)
+    script = Path(__file__).parent.parent / "scripts" / "eigenvalue_table.py"
+    env = {"PATH": "", "PYTHONPATH": str(Path(qcong.__file__).parent.parent)}
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, str(script), *args], capture_output=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        return proc.stdout
+
+    assert run("--prime-max", "13", "--y-depth", "5").decode() == _EIGENVALUE_TABLE_13
+    assert hashlib.sha256(run()).hexdigest() == (
+        "3d0deb578b633a03424968387951a7a414e20ddf044f7cf7f104616b2465de34"
+    )
+
+
+def test_eigenvalue_table_script_marks_a_failed_prime(capsys, monkeypatch):
+    # a None entry of the table prints in both eigenvalue columns
+    script = Path(__file__).parent.parent / "scripts" / "eigenvalue_table.py"
+    spec = importlib.util.spec_from_file_location("eigenvalue_table", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "eigenvalue_table", lambda T, p, cache: {2: (0, 0), 3: None})
+    monkeypatch.setattr(sys, "argv", ["eigenvalue_table.py", "--prime-max", "3"])
+    assert module.main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [f"{2:>4}  {'0':>28}  {'0':>28}  {'-':>12}",
+                    f"{3:>4}  {'(not an eigenform)':>28}  {'(not an eigenform)':>28}  {'-':>12}"]
 
 
 def test_eigenvalue_table_script_builds_each_series_once(capsys, monkeypatch):

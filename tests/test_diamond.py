@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import naive_c, naive_delta, naive_hecke_recurrence
+from oracles import naive_c, naive_delta, naive_hecke_recurrence, over_quad, verify_eigenform
 from qcong import diamond
 from qcong.diamond import (
     SuiteConfig,
@@ -20,9 +20,9 @@ from qcong.diamond import (
 )
 from qcong.forms import form_f1, form_f2, form_g
 from qcong.qseries import QSeries
-from qcong.ring import QUAD, ZZ, ModRing, QuadInt, primes_up_to
+from qcong.ring import ZZ, ModRing, QuadInt, primes_up_to
 from qcong.store import Cache, CacheKey
-from qcong.sturm import ClaimReport, SpaceTag, verify_eigenform
+from qcong.sturm import ClaimReport, SpaceTag
 from conftest import mutate, seeded_cache
 
 
@@ -424,11 +424,7 @@ def _reference_3_1(f1, f2, T, primes):
     """Theorem 3.1's reports through Z[sqrt(-3)]: verify_eigenform on
     f = f1 + 8 sqrt(-3) f2 and on f1 - 8 sqrt(-3) f2, and the sub-checks
     read off the QuadInt eigenvalues."""
-    def over_quad(sign):
-        pairs = zip(f1.coeffs, f2.coeffs)
-        return QSeries(QUAD, 0, [QuadInt(a, sign * 8 * b) for a, b in pairs])
-
-    f, fbar = over_quad(1), over_quad(-1)
+    f, fbar = over_quad(f1, f2), over_quad(f1, f2, -1)
     eig, reports = {}, []
     for p in primes:
         lam, rep = verify_eigenform(f, p, _F, f"thm-3.1:eigen:f:p={p}")
@@ -443,9 +439,7 @@ def _reference_3_1(f1, f2, T, primes):
         p for p, (lam, _) in eig.items()
         if lam is None or (lam.im == 0) != (p % 4 == 1 or f2.coeffs[p] == 0)
     ]
-    lam7, lam7_bar = eig[7]
-    d = f2.coeffs[7]
-    t7 = None not in eig[7] and lam7 != lam7_bar and (lam7.im, lam7_bar.im) == (8 * d, -8 * d)
+    t7 = None not in eig[7] and eig[7][0] != eig[7][1]
     t5 = eig[5] == (QuadInt(258, 0), QuadInt(258, 0))
     return reports + [
         _report_31("thm-3.1:conjugate-pairs", conj),
@@ -483,7 +477,31 @@ def test_theorem_3_1_matches_the_quad_reference(which, n):
 
 def test_theorem_3_1_t7_reads_imaginary_parts_8_f2_7():
     assert form_f2(140).coeffs[7] == 238
-    assert eigenvalue_table(140, 7)[7] == (QuadInt(0, 1904), QuadInt(0, -1904))
+    assert eigenvalue_table(140, 7)[7] == (0, 1904)
+
+
+def test_theorem_3_1_t7_holds_for_minus_f():
+    # -f = -f1 - 8 sqrt(-3) f2 has f's eigenvalues, so its two T_7
+    # eigenvalues differ too; g = f1 - 8 f2 is read from the cached c, which
+    # is not negated, so the combination still fails at its first term
+    neg = [s.scale(-1) for s in (form_f1(_T31), form_f2(_T31))]
+    reports = verify_theorem_3_1(_T31, 13, seeded_cache({"f1": neg[0], "f2": neg[1]}))
+    by_claim = {r.claim: r for r in reports}
+    assert by_claim["thm-3.1:t7-distinct-eigenvalues"].passed
+    assert by_claim["thm-3.1:eigen:f:p=7"].passed
+    assert by_claim["thm-3.1:combination"].first_failure == 1
+
+
+def test_theorem_3_1_t7_fails_on_equal_eigenvalues():
+    # f1 = q + 7^8 q^49 and f2 = 0 pass T_7 with eigenvalue 0 = 0 + 0 sqrt(-3)
+    # (chi_-4(7) = -1): an eigenform at 7 whose two eigenvalues are equal
+    f1 = [0] * _T31
+    f1[1], f1[49] = 1, 7**8
+    cache = seeded_cache({"f1": QSeries(ZZ, 0, f1), "f2": QSeries(ZZ, 0, [0] * _T31)})
+    by_claim = {r.claim: r for r in verify_theorem_3_1(_T31, 13, cache)}
+    assert eigenvalue_table(_T31, 7, cache)[7] == (0, 0)
+    assert by_claim["thm-3.1:eigen:f:p=7"].passed
+    assert by_claim["thm-3.1:t7-distinct-eigenvalues"].first_failure == 7
 
 
 def test_theorem_3_1_pair_with_unequal_diagonal_fails():
@@ -541,6 +559,9 @@ def test_suite_constructs_no_quadint(monkeypatch):
     monkeypatch.setattr(QuadInt, "__init__", refuse)
     reports = run_suite(SuiteConfig.quick(), cache=None)
     assert reports and all(r.passed for r in reports)
+    # nor does the eigenvalue table: its entries are integer pairs (r, i)
+    table = eigenvalue_table(_T31, 13)
+    assert table[5] == (258, 0) and table[7] == (0, 1904)
 
 
 def test_remark_small():

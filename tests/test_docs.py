@@ -1,5 +1,6 @@
 """The prose stays in step with the code it names."""
 
+import doctest
 import importlib
 import inspect
 import re
@@ -55,3 +56,17 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: qcong {shlex.join(argv)}")
+
+
+def test_readme_quick_tour_runs():
+    # the quick tour is a doctest: a deleted name or a changed value fails it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    tour = [b for b in blocks if b.startswith(">>> ")]
+    assert len(tour) == 1
+    test = doctest.DocTestParser().get_doctest(tour[0], {}, "README quick tour", "README.md", 0)
+    runner = doctest.DocTestRunner()
+    failures = []
+    runner.run(test, out=failures.append)
+    assert runner.summarize(verbose=False).attempted >= 10
+    assert failures == []

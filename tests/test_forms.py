@@ -2,17 +2,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_eta_product, naive_sigma
+from oracles import cm_coefficient, naive_eta_product, naive_sigma
 from qcong.eta import EtaQuotient, dilated, eta_quotient_series
 from qcong.forms import (
     _quotient_form,
     _sigma_coeffs,
     _theta_bracket,
     _theta_minus_q_4,
-    cm_coefficient,
     eisenstein_int,
     form_F,
-    form_f,
     form_f1,
     form_f2,
     form_g,
@@ -20,10 +18,9 @@ from qcong.forms import (
     resolve_form,
     sigma,
     theta0,
-    two_squares,
 )
 from qcong.qseries import QSeries
-from qcong.ring import QuadInt, primes_up_to
+from qcong.ring import primes_up_to
 
 
 def test_sigma_examples_and_oracle():
@@ -99,16 +96,11 @@ def test_form_h_leading_values():
 
 
 def test_two_squares_and_cm_examples():
-    ts = two_squares(5)
-    assert (ts.x, ts.y) == (1, 2)
+    # the two-squares oracle: 5 = 1 + 4 and 13 = 9 + 4
     assert cm_coefficient(5) == -6
     assert cm_coefficient(3) == 0
     assert cm_coefficient(2) == 0
     assert cm_coefficient(13) == 10
-    with pytest.raises(ValueError):
-        cm_coefficient(15)
-    with pytest.raises(ValueError):
-        two_squares(7)
 
 
 def test_cm_formula_matches_expansion_small():
@@ -187,13 +179,6 @@ def test_f2_vanishes_at_primes_1_mod_4():
             assert f2.coeffs[p] == 0, p
 
 
-def test_form_f_quad_coefficients():
-    f = form_f(8)
-    assert f.coeffs[1] == QuadInt(1, 0)
-    assert f.coeffs[3] == QuadInt(0, 8)
-    assert [c.conj() for c in f.coeffs][3] == QuadInt(0, -8)
-
-
 def test_form_g_values_and_even_vanishing():
     g = form_g(30)
     assert g.coeffs[1] == 1 and g.coeffs[3] == -8 and g.coeffs[5] == 258
@@ -208,14 +193,17 @@ def test_g_odd_part_is_c_series():
     assert g.extract_progression(2, 1).coeffs == c.coeffs
 
 
-def test_registry_rejects_mod_for_f_before_building(monkeypatch):
+def test_registry_rejects_f_before_building(monkeypatch):
+    # f = f1 + 8 sqrt(-3) f2 has no builder: the name is unknown, and
+    # neither of its parts is built
     import qcong.forms
 
     def no_build(T):
-        raise AssertionError("form f was built before --mod was checked")
+        raise AssertionError("a part of f was built for an unknown name")
 
     monkeypatch.setattr(qcong.forms, "form_f1", no_build)
-    with pytest.raises(ValueError, match="no --mod"):
+    monkeypatch.setattr(qcong.forms, "form_f2", no_build)
+    with pytest.raises(ValueError, match="unknown form 'f'"):
         resolve_form("f", 20000, 7)
 
 
@@ -227,5 +215,5 @@ def test_registry_resolves_all_names():
     assert resolve_form("g", 6, modulus=7).coeffs == [0, 1, 0, 6, 0, 6]
     with pytest.raises(ValueError, match="unknown form"):
         resolve_form("nope", 5)
-    with pytest.raises(ValueError):
-        resolve_form("f", 5, modulus=7)
+    with pytest.raises(ValueError, match="unknown form"):
+        resolve_form("f", 5)

@@ -29,6 +29,30 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+_QUADRATIC_AND_RATIONAL = {"QuadInt", "QuadRing", "QUAD", "RationalRing", "QQ"}
+
+
+def test_only_the_ring_layer_names_the_quadratic_and_rational_rings():
+    # every claim runs over Z or Z/m: above ring.py and qseries.py no module
+    # imports, builds or reads Z[sqrt(-3)] or Q (__init__ only re-exports)
+    named = []
+    for path in sorted(Path(qcong.__file__).parent.glob("*.py")):
+        if path.name in ("ring.py", "qseries.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in _QUADRATIC_AND_RATIONAL:
+                named.append(f"{path.name}:{node.lineno}: {name}")
+    assert named == []
+
+
 # Each run prints the modules it added to sys.modules; `-m` is run as the
 # interpreter runs it, through runpy.
 _ADDED = """import runpy, sys

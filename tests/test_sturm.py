@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate, series_over
-from oracles import naive_eta_level, naive_first_mismatch
+from oracles import naive_eta_level, naive_first_mismatch, over_quad, verify_eigenform
 from qcong.cli import main
 from qcong.eta import EtaQuotient
 from qcong.qseries import QSeries
@@ -19,7 +19,6 @@ from qcong.sturm import (
     eta_quotient_metadata,
     index_gamma0,
     sturm_bound,
-    verify_eigenform,
 )
 
 M7 = ModRing(7)
@@ -229,9 +228,9 @@ def test_verify_eigenform_rejects_non_unit_leading():
 
 
 def test_verify_eigenform_conjugate_eigenvalue():
-    from qcong.forms import form_f
+    from qcong.forms import form_f1, form_f2
 
-    f = form_f(140)
+    f = over_quad(form_f1(140), form_f2(140))
     lam, rep = verify_eigenform(f, 7, F_SPACE)
     fbar = QSeries(QUAD, 0, [c.conj() for c in f.coeffs])
     lam_bar, rep_bar = verify_eigenform(fbar, 7, F_SPACE)
@@ -249,12 +248,12 @@ def test_vanishing_pass_is_monotone_in_bound():
 
 
 def test_g_and_f_share_eigenvalues_at_primes_1_mod_4():
-    from qcong.forms import form_f, form_g
+    from qcong.forms import form_f1, form_f2, form_g
     from qcong.ring import primes_up_to
 
     T = 2000
     g = form_g(T)
-    f = form_f(T)
+    f = over_quad(form_f1(T), form_f2(T))
     for p in primes_up_to(97):
         if p % 4 != 1:
             continue

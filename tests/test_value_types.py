@@ -11,7 +11,6 @@ import pytest
 from qcong.cli import main
 from qcong.diamond import Claim, SuiteConfig
 from qcong.eta import EtaQuotient
-from qcong.forms import TwoSquares
 from qcong.ring import QQ, QUAD, ZZ, IntegerRing, ModRing, QuadInt, QuadRing, RationalRing
 from qcong.store import CacheKey
 from qcong.sturm import ClaimReport, SpaceTag
@@ -47,8 +46,6 @@ CASES = {
                     "ClaimReport(claim='eq-1.2', weight=None, level=None, "
                     "modulus=7, bound=10, checked=10, passed=True, "
                     "first_failure=None)"),
-    "TwoSquares": (lambda: TwoSquares(13, 3, 2), lambda: TwoSquares(5, 1, 2), "x",
-                   "TwoSquares(p=13, x=3, y=2)"),
     "SuiteConfig": (SuiteConfig.quick, SuiteConfig, "eq_1_2_T",
                     "SuiteConfig(eq_1_2_T=1000, thm_1_1_n_max=10, "
                     "chain_T_final=2000, eq_1_4_T=300, thm_1_2_primes=(17, 13, 5), "
@@ -114,10 +111,10 @@ def test_rings_equal_their_constants_and_only_them():
         lambda: SpaceTag(5, 0),
         lambda: SpaceTag(-1, 7),
         lambda: SpaceTag(5, 72, -4).u(0),
-        lambda: TwoSquares(13, 3, 3),
-        lambda: TwoSquares(13, 2, 3),
-        lambda: TwoSquares(5, -1, 2),
-        lambda: TwoSquares(5, 1, -2),
+        lambda: ModRing(-7),
+        lambda: EtaQuotient(((-2, 1),)),
+        lambda: EtaQuotient.parse(""),
+        lambda: SpaceTag(5, 72, -4).twist(0),
     ],
 )
 def test_validation_raises_value_error(make):
