@@ -9,23 +9,28 @@ products of `forms` and `diamond`), so no product packs the zeros of a
 dilation.  Modulo a prime p the exponents are first reduced once by
 eta(dz)^p == eta(pdz) (mod p), which moves large denominators to short
 inner lengths; modulo prime powers, composites, and over Z the factors are
-used as given.
+used as given.  After the rewrite, eta(dz)^a eta(2dz)^b with a in {2, 4}
+is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), by Gauss's theta(-q) =
+eta(z)^2 / eta(2z), with f reduced mod p once more; when f then has index
+formulas both sides are lacunary, and the quotient is built, not nested,
+as theta(-q^d)^(a/2) from its terms times f's one or two series by
+`convolve`'s shift-add (eq. (1.2)'s left side eta(z)^4 eta(2z)^6 mod 7 is
+theta(-q)^2 eta(2z) eta(14z)).
 
 One residue class mod a prime p, sum c(pn + r) q^n, is built without the
 other classes: after the rewrite the factors split as H(q) G(q^p), G from
 the factors with p | d, and class r of the product is class r of H times
-G.  H is split as a head times a factor f: eta(dz)^a eta(2dz)^b with a in
-{2, 4} as theta(-q^d)^(a/2) times eta(2dz)^(b + a/2), by Gauss's
-theta(-q) = eta(z)^2 / eta(2z), when that second factor has index
-formulas, and any other H as the rest times its factor f of largest d.
-Class r of H is the sum, over the nonempty classes t of f, of class t of f
-times class r - t of the head, added exactly by one `qseries.convolve_sum`.
-A head or f that is theta(-q^d) or its square, or eta(dz)^e with e in 1..4
-or 6, is at most two of Gauss's, Jacobi's and Euler's series: their terms
-from the index formulas are split into rows by class mod p once, and each
-class of the product is a sum of row products through `qseries`' one
-nonzero-term product loop, so no list of its full length exists; any other
-is built at full length and sliced.  Every class is held as bytes, one
+G.  H is split as a head times a factor f by the same theta split, and any
+other H as the rest times its factor f of largest d.  Class r of H is the
+sum, over the classes t of f with terms, of class t of f times class r - t
+of the head, added exactly by one `qseries.convolve_sum`.  A head or f
+that is theta(-q^d) or its square, eta(dz)^e with e in 1..4 or 6, or
+eta(dz) eta(d'z), is at most two of Gauss's, Jacobi's and Euler's series:
+their terms from the index formulas are split into rows by class mod p
+once, and each class of the product is a sum of row products through
+`qseries`' one nonzero-term product loop, so no list of its full length
+exists and a class with no pair of rows is never formed; any other is
+built at full length and sliced.  Every class is held as bytes, one
 residue a byte, for p < 256 (a list of ints for a larger prime), so only
 the class being formed is a list of ints.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
@@ -63,6 +68,8 @@ class EtaQuotient(_Frozen):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
+        if not factors:
+            raise ValueError("empty eta quotient")
         seen = set()
         for d, r in factors:
             if d < 1:
@@ -205,12 +212,18 @@ def _jacobi_cube_coeffs(T: int, ring: Ring) -> list:
 
 def _eta_power(T: int, r: int, ring: Ring) -> QSeries:
     # eta(z)^r for r != 0: eta^3 from Jacobi's identity, so eta^4 = eta^3 eta
-    # is one product; a negative power is inverted once, at the end
+    # is one product, and eta^8 is its square: one dense product, against
+    # two lacunary squares and one dense product as eta^6 eta^2.  A negative
+    # power is inverted once, at the end
     k = abs(r)
-    s = QSeries(ring, 3, _jacobi_cube_coeffs(T, ring)).pow(k // 3) if k >= 3 else None
-    if k % 3:
-        e = QSeries(ring, 1, _euler_coeffs(T, ring)).pow(k % 3)
-        s = e if s is None else s.mul(e)
+    if k == 8:
+        s = _eta_power(T, 4, ring)
+        s = s.mul(s)
+    else:
+        s = QSeries(ring, 3, _jacobi_cube_coeffs(T, ring)).pow(k // 3) if k >= 3 else None
+        if k % 3:
+            e = QSeries(ring, 1, _euler_coeffs(T, ring)).pow(k % 3)
+            s = e if s is None else s.mul(e)
     return s if r > 0 else s.invert()
 
 
@@ -262,7 +275,17 @@ def eta_quotient_series(
     The rewrite is false mod p^k and mod composites, so there (and over Z)
     the factors are used as given.
 
-    The quotient is built nested: after dividing out the gcd g of the d's
+    Mod p, after dividing out the gcd g of the d's, a quotient eta(dz)^a
+    eta(2dz)^b with a in {2, 4} is theta(-q^d)^(a/2) times f = eta(2dz)^(b
+    + a/2), f rewritten once more.  When f is then at most two of Euler's
+    and Jacobi's series, theta(-q^d)^(a/2) is formed from its index terms
+    by `qseries`' nonzero-term product loop and each series of f is
+    multiplied in by one `convolve`, a dense operand times a lacunary one:
+    eq. (1.2)'s left side eta(z)^4 eta(2z)^6 mod 7 is theta(-q)^2 times
+    eta(2z) eta(14z), two shift-adds and no series of eta(z) at any
+    length.
+
+    Any other quotient is built nested: after dividing out the gcd g of the d's
     (build at the inner length, dilate by g), the factor of least d is the
     only one built at length T, and the remaining factors form one
     sub-quotient R(z^g), with R built by the same rule at the inner length
@@ -278,6 +301,10 @@ def eta_quotient_series(
         factors = _frobenius_reduced(factors, modulus)
         if not factors:
             return QSeries.one(ring, T)
+        g = reduce(math.gcd, (d for d, _ in factors))
+        split = _theta_split(tuple((d // g, r) for d, r in factors), modulus)
+        if split is not None:
+            return dilated(lambda n: QSeries(ring, e.offset24 // g, _theta_product(*split, n, ring)), T, g)
     return _quotient_series(factors, T, ring)
 
 
@@ -286,14 +313,14 @@ def _index_formulas(factors: tuple) -> list | None:
     # each as (d, terms): terms(n) lists the series' nonzero (index, value)
     # terms below q^n, and the quotient's factor is that series in q^d.
     # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k, k in {1, 2}, by Gauss;
-    # eta(dz)^e, e >= 0, is e // 3 Jacobi cubes times e % 3 Euler products,
-    # as in _eta_power, at most two series for e in 1..4 and 6, and an
-    # empty quotient is none.  None for any other quotient: every factor
-    # of a product of three or more adds a series.
+    # otherwise eta(dz)^e, e >= 0, is e // 3 Jacobi cubes times e % 3 Euler
+    # products, as in _eta_power: eta(dz)^e with e in 1..4 or 6, or eta(dz)
+    # eta(d'z), is at most two series, and an empty quotient is none.  None
+    # for any other quotient.
     if len(factors) == 2:
         (d, a), (d2, b) = factors
-        theta = d2 == 2 * d and a in (2, 4) and b == -a // 2
-        return [(d, _theta_terms)] * (a // 2) if theta else None
+        if d2 == 2 * d and a in (2, 4) and b == -a // 2:
+            return [(d, _theta_terms)] * (a // 2)
     if any(e < 0 for _, e in factors):
         return None
     series = [
@@ -338,9 +365,14 @@ def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict
             rows[i % p].append((i // p, x))
     out = {}
     for c in classes:
+        # only the row pairs with terms on both sides; a class with none is
+        # zero and is not formed
+        pairs = [(s, rows_b[(c - s) % p]) for s in range(p) if rows_a[s] and rows_b[(c - s) % p]]
+        if not pairs:
+            continue
         cls = [0] * len(range(c, N, p))
-        for s in range(p):
-            _add_products(cls, rows_a[s], rows_b[(c - s) % p], int(s > c))
+        for s, row_b in pairs:
+            _add_products(cls, rows_a[s], row_b, int(s > c))
         # every value is a sum of products of residues: reduce only if one
         # reached m (a class of a single series never does)
         out[c] = _residue_bytes(cls if max(cls, default=0) < m else [x % m for x in cls], p)
@@ -351,9 +383,10 @@ def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int
     # classes c of the quotient of `factors` to N terms, each as its
     # coefficients c, c + p, ... < N in `_residue_bytes`.  A quotient with
     # `_index_formulas` (theta(-q^d) or its square, eta(dz)^e with e in 1..4
-    # or 6, or the empty quotient) is formed one class at a time from its
-    # series' terms, with no list of N terms.  Any other quotient is built
-    # at full length and sliced.
+    # or 6, eta(dz) eta(d'z), or the empty quotient) is formed one class at
+    # a time from its series' terms, with no list of N terms, and a class
+    # none of whose row pairs has terms is left out: it is zero.  Any other
+    # quotient is built at full length and sliced.
     parts = _lacunary_parts(factors, N, ring)
     if parts is not None:
         return _classes_of_terms(*parts, p, classes, N, ring.modulus)
@@ -361,33 +394,54 @@ def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int
     return {c: full[c::p] for c in classes}
 
 
-def _split(factors: tuple) -> tuple[tuple, tuple]:
-    # (head, f) with head times f the quotient of `factors`: eta(dz)^a
-    # eta(2dz)^b with a in {2, 4} as theta(-q^d)^(a/2) times eta(2dz)^(b +
-    # a/2) when that has index formulas, so that both sides are lacunary;
-    # any other quotient as the rest times its factor of largest d
+def _theta_split(factors: tuple, p: int) -> tuple[tuple, tuple] | None:
+    # (head, f) with head times f the quotient of `factors` mod the prime p,
+    # both with index formulas: eta(dz)^a eta(2dz)^b with a in {2, 4} as
+    # theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), f reduced mod p once
+    # more (`_frobenius_reduced`), when f has index formulas.  None for any
+    # other quotient
     if len(factors) == 2:
         (d, a), (d2, b) = factors
-        head, f = ((d, a), (d2, -(a // 2))), ((d2, b + a // 2),)
-        if _index_formulas(head) is not None and _index_formulas(f) is not None:
-            return head, f
-    return factors[:-1], factors[-1:]
+        if d2 == 2 * d and a in (2, 4):
+            f = _frobenius_reduced(((d2, b + a // 2),), p)
+            if _index_formulas(f) is not None:
+                return ((d, a), (d2, -(a // 2))), f
+    return None
+
+
+def _theta_product(head: tuple, f: tuple, T: int, ring: ModRing) -> list:
+    # coefficients 0 .. T - 1 of head times f, a `_theta_split`: theta(-q^d)
+    # or its square from its terms through the one nonzero-term product
+    # loop, then each series of f multiplied in by `convolve` (a dense
+    # operand times a lacunary one, so the shift-add), which also reduces
+    # the head mod m; a missing series of f is 1
+    coeffs = [0] * T
+    _add_products(coeffs, *_lacunary_parts(head, T, ring))
+    for terms in _lacunary_parts(f, T, ring):
+        series = [ring.zero] * (terms[-1][0] + 1)
+        for i, x in terms:
+            series[i] = x
+        coeffs = convolve(ring, coeffs, series, T)
+    return coeffs
 
 
 def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: ModRing) -> list:
     # coefficients r, r + p, ..., < N of the quotient of `factors` (sorted
-    # by d, none divisible by p), split by `_split` as head times f: f meets
-    # the head one class at a time, as class t of f times class r - t of
-    # the head, one exponent higher when t > r, so there class t enters as
-    # q f_t, f_t after one zero.  Only f's nonempty classes count, so only
-    # their partner classes of the head are built, and the products are
-    # summed by one convolve_sum.
-    head, f = _split(factors)
+    # by d, none divisible by p), cut as head times f by `_theta_split`, or
+    # else as the rest times its factor of largest d: f meets the head one
+    # class at a time, as class t of f times class r - t of the head, one
+    # exponent higher when t > r, so there class t enters as q f_t, f_t
+    # after one zero.  Only f's classes with terms count, so only their
+    # partner classes of the head are built; a head class that is missing
+    # is zero, and its pair is left out.  The products are summed by one
+    # convolve_sum.
+    head, f = _theta_split(factors, p) or (factors[:-1], factors[-1:])
     f = _classes(f, p, range(p), N, ring)
-    f = {t: f_t for t, f_t in f.items() if any(f_t)}
     head = _classes(head, p, {(r - t) % p for t in f}, N, ring)
     zero = _residue_bytes([0], p)
-    pairs = [(head[(r - t) % p], zero + f_t if t > r else f_t) for t, f_t in f.items()]
+    pairs = [
+        (head[(r - t) % p], zero + f_t if t > r else f_t) for t, f_t in f.items() if (r - t) % p in head
+    ]
     return convolve_sum(ring, pairs, len(range(r, N, p)))
 
 
@@ -400,21 +454,24 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     factors with p | d (over d/p), built at T terms, and H from the rest,
     whose exponents now lie in [1, p).  Class r of H G(q^p) is class r of H
     times G.  H is a head times a factor f: eta(dz)^a eta(2dz)^b with a in
-    {2, 4} is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2) when f has
-    index formulas (b + a/2 in 1..4 or 6), and any other H is the rest
+    {2, 4} is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), rewritten
+    mod p once more, when f has index formulas (b + a/2 in 1..4 or 6, or
+    one or two Euler series after the rewrite), and any other H is the rest
     times its factor f of largest d.  Class r of H, to N = p(T - 1) + r + 1
-    terms of H, is the sum over the nonempty classes t of f of class t of f
-    times class r - t of the head, class t times q when t > r (one more
+    terms of H, is the sum over the classes t of f with terms of class t of
+    f times class r - t of the head, class t times q when t > r (one more
     leading zero, so `convolve_sum` adds plain products).  Only those head
     classes are built: from the class rows of Gauss's, Jacobi's and Euler's
     series when the head is theta(-q^d), its square or eta(dz)^e with e in
-    1..4 or 6, else sliced from the head built at length N.  Each class is
-    held as bytes of residues while p < 256.  For delta_3 mod 7 H =
+    1..4 or 6, else sliced from the head built at length N; a head class
+    with no pair of rows is zero, and its product is left out.  Each class
+    is held as bytes of residues while p < 256.  For delta_3 mod 7 H =
     eta(z)^4 eta(2z) is theta(-q)^2 eta(2z)^3: eta(2z)^3 has 3 nonempty
     classes, as 2k + 1 == 0 kills its Jacobi terms with k == 3, so 3 classes
     of theta(-q)^2 of about N/7 terms are formed and meet them in one
     `convolve_sum`; then one product with G = eta(2z)^6 / eta(14z).  For
-    delta_5 mod 11 the head eta(z)^8 is built at length N.
+    delta_5 mod 11 the head eta(z)^8 is built at length N, as the square
+    of eta^3 eta.
     """
     if not is_prime(p):
         raise ValueError(f"need a prime modulus, got {p}")

@@ -9,14 +9,14 @@ distinguishable from "zero".
 
 Coefficients are stored densely.  Products over Z/m with m <= 128 have
 three kernels and products over Z (or a larger modulus) two, chosen by
-`_kernel` from the operands' nonzero counts and lengths, and over Z/m
-their largest residues:
+`_kernel` from the operands' nonzero counts and lengths:
 
 - shift-add, for a dense operand of residue bytes (below) times one with
-  few nonzero terms (256 in 16-bit slots, 64 in 64-bit ones): the dense one
-  is written once into one integer of 8- to 64-bit binary slots, and each
-  nonzero term y q^j of the other adds it shifted j slots, grouped by y so
-  one multiply per distinct value remains;
+  few nonzero terms (at most 384): the dense one is read once as one
+  integer of 8-bit lanes, and each nonzero term y q^j of the other adds
+  it shifted j lanes.  The shifts of one value y are summed at most
+  255 // (m - 1) at a time, so no lane carries, and each partial sum is
+  cut to bytes and multiplied by y mod m with one translate;
 - a schoolbook over the nonzero terms of both operands, while
   nnz(a) nnz(b) is small against their length: two lacunary operands
   (Euler's and Jacobi's expansions, whose nonzero terms number about
@@ -31,23 +31,24 @@ their largest residues:
   a signed product has 5 10^(w-1) added to every slot first, so each reads
   as a nonnegative numeral, and taken off after.
 
-Slot widths come from the nonzero counts too: a slot sums at most
-min(nnz a, nnz b) products, so a dense operand times a lacunary one packs
-narrow slots.  `convolve_sum` adds several products over Z or Z/m, each
-made alone by the kernel its own operands pick, at the widths its own
-slots need, so no product's kernel depends on the others in its sum.
+A decimal slot's width comes from the nonzero counts too: a slot sums at
+most min(nnz a, nnz b) products, so a dense operand times a lacunary one
+packs narrow slots.  `convolve_sum` adds several products over Z or Z/m,
+each made alone by the kernel its own operands pick, at the widths its
+own slots need, so no product's kernel depends on the others in its sum.
 
 Over Z/m with m <= 128 (the paper's congruences are mod 7 and mod 11)
 `convolve_sum` carries every operand as bytes of residues in [0, m):
 `bytes` and one translate check it, never trusting it, and an int operand
-that fails the check is reduced first.  Byte counts and membership tests
-give its nonzero count and largest value, which choose the kernel and
-every slot width, and it is packed by slices of translated bytes.  Every
-product comes back as residues: each lane byte or digit column goes
-through a table of v base^e mod m, and the columns, then the products, are
-added as integers a few at a time, so no byte carries, and reduced by one
-more translate.  No product is unpacked into ints and no `% m` pass runs
-over it.  A larger modulus takes the sum over Z, reduced once.
+that fails the check is reduced first.  Byte counts give its nonzero
+count, which chooses the kernel, and membership tests its largest value,
+which sets a decimal slot's width; it is packed by slices of translated
+bytes.  Every product comes back as residues: each partial sum of shifts,
+or each digit column, goes through a table of v y or v 10^e mod m, and
+the parts, then the products, are added as integers a few at a time, so
+no byte carries, and reduced by one more translate.  No product is
+unpacked into ints and no `% m` pass runs over it.  A larger modulus
+takes the sum over Z, reduced once.
 
 Every kernel is exact; property tests assert they agree with the generic
 schoolbook, the oracle for every ring.
@@ -94,26 +95,26 @@ __all__ = ["QSeries", "dumps", "loads"]
 # about 1,000 x 1,000 nonzero terms in 384,173) stay off the decimal path.
 _SCHOOLBOOK_CUTOFF = 12
 
-# Shift-add while the sparser operand's nonzero terms times the slot width
-# in bits are at most this: each term shifts and adds the whole packed dense
-# operand, which costs its length times the width, so past it the decimal
-# transform is cheaper.  Measured (2-vCPU KVM guest, Python 3.11), dense
-# operands of 4,667 and 54,882 terms in 8- to 64-bit slots: the shift-add
-# took 0.2-0.7 of the decimal time at a product of 4,096 or less, 0.5-1.2
-# at 8,192 and 1.1-4.2 past it.  The 177-term classes of eta(2z)^3 that
-# meet theta(-q)^2's in sum delta_3(7n+5) q^n at 54,882 terms, in 16-bit
-# slots, make 2,832.
-_SHIFT_ADD_BITS = 4096
+# Shift-add while the sparser operand has at most this many nonzero terms:
+# each shifts and adds the whole dense operand, one byte a term, and each
+# 255 // (m - 1) terms of one value add one cut to bytes and one translate,
+# so past it the decimal transform is cheaper.  Measured (2-vCPU KVM guest,
+# Python 3.11, medians of 7), dense operands of 4,667 and 54,882 terms mod
+# 7 times sparse ones of 2 nnz or of the dense length: the shift-add took
+# 0.5-0.9 of the decimal time from 192 to 448 nonzero terms (one 1.16) and
+# 0.8-1.6 at 512.  eta(2z)'s 271 nonzero terms to 54,883 are inside it.
+_SHIFT_ADD_TERMS = 384
 # One Python multiply-add of the schoolbook costs about as much as shifting
-# and adding this many bits of a packed operand (measured: 80-100 ns against
-# 0.07-0.11 ns a bit, so about 900; half that leaves room for packing).  So
-# the shift-add's packed operand must be dense: its nonzero terms times this
-# reach its length times the slot width.  theta(-q)^2's classes mod 7, 26%
-# nonzero, are; Euler's and Jacobi's series past a few hundred terms are not.
-_SCHOOLBOOK_BITS = 512
-# array typecodes of the unsigned machine words, by width in bits: the
-# shift-add's slot widths, and `_unpack`'s 32-bit lanes
-_SLOT_CODES = {8 * array(c).itemsize: c for c in "BHIQ"}
+# and adding this many bytes of a packed operand, or half of it to leave
+# room for packing: Euler's times Jacobi's series mod 7, from 1,000 to
+# 40,000 terms, took 0.43 of the schoolbook's time in the shift-add at 20
+# bytes per nonzero term of the denser, 0.58 at 61 and 0.94 at 122.  So the
+# packed operand must be dense: its nonzero terms times this reach its
+# length.  theta(-q)^2's classes mod 7, 26% nonzero, are; Euler's and
+# Jacobi's series past about 10,000 terms are not.
+_SCHOOLBOOK_BYTES = 64
+# the array typecode of an unsigned 32-bit word: `_unpack`'s lanes
+_WORD32 = next(c for c in "IL" if array(c).itemsize == 4)
 
 # Exact big-number products: libmpdec multiplies long operands with a
 # number-theoretic transform.  Maximum precision with Inexact and Rounded
@@ -142,28 +143,19 @@ _BYTE_MODULUS = 128
 _DIGIT_COLUMNS = tuple(bytes(48 + v // 10**e % 10 for v in range(256)) for e in range(3))
 
 
-def _slot_bits(bound: int) -> int | None:
-    """The narrowest machine-word slot that holds every value in [0, bound],
-    None past 64 bits."""
-    return next((bits for bits in _SLOT_CODES if bound >> bits == 0), None)
-
-
-def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, slot: int | None) -> str:
+def _kernel(nnz_a: int, nnz_b: int, len_a: int, len_b: int, residues: bool) -> str:
     """The kernel that multiplies an operand of len_a terms, nnz_a of them
     nonzero, by one of len_b terms, nnz_b nonzero, a the denser (more
     nonzero terms, or the shorter on a tie): "shift", "schoolbook" or
-    "decimal".  `slot` bounds every slot of this product, nnz_b max a
-    max b; None, for every product but one of residue bytes (mod m <=
-    _BYTE_MODULUS), offers no shift-add.
+    "decimal".  Only `residues`, operands of residue bytes (mod m <=
+    _BYTE_MODULUS), are offered the shift-add.
 
-    Shift-add takes the product while the slots fit in 64 bits, b's
-    nonzero terms times the slot width are at most _SHIFT_ADD_BITS and a
-    is dense: it costs len_a times the width in bits per term of b, the
+    Shift-add takes the product while b has from one to _SHIFT_ADD_TERMS
+    nonzero terms and a is dense: it costs len_a bytes per term of b, the
     schoolbook nnz_a multiply-adds.  Otherwise two lacunary operands go to
     the nonzero-term schoolbook and two dense ones to the decimal multiply.
     """
-    bits = _slot_bits(slot) if slot is not None and nnz_b else None
-    if bits and nnz_b * bits <= _SHIFT_ADD_BITS and nnz_a * _SCHOOLBOOK_BITS >= len_a * bits:
+    if residues and 0 < nnz_b <= _SHIFT_ADD_TERMS and nnz_a * _SCHOOLBOOK_BYTES >= len_a:
         return "shift"
     lacunary = nnz_a * nnz_b <= _SCHOOLBOOK_CUTOFF * (len_a + len_b)
     return "schoolbook" if lacunary else "decimal"
@@ -250,7 +242,7 @@ def _unpack(digits: str, w: int, n: int) -> list[int]:
         buf[3::4] = raw[k::w].translate(_DIGIT_VALUES)
         acc = 10 * acc + int.from_bytes(buf, "big")
     del raw, buf
-    words = array(_SLOT_CODES[32], acc.to_bytes(4 * n, "little"))
+    words = array(_WORD32, acc.to_bytes(4 * n, "little"))
     del acc  # the lanes are not kept twice beside the ints of tolist
     return _words(words)
 
@@ -292,11 +284,10 @@ def _fold(cols: list[bytes], m: int) -> bytes:
     return cols[0]
 
 
-def _lane_residues(raw: bytes, size: int, m: int) -> bytes:
-    """The little-endian size-byte lanes of raw mod m, least first, one byte
-    each: byte e of every lane goes through the table of v 256^e mod m, and
-    `_fold` adds the lane bytes."""
-    return _fold([raw[e::size].translate(_times(256**e % m, m)) for e in range(size)], m)
+def _group_size(m: int) -> int:
+    """How many shifts of one residue mod m the shift-add sums before it
+    cuts them to bytes: 255 // (m - 1), so no byte lane carries."""
+    return 255 // (m - 1)
 
 
 def _digit_residues(digits: str, w: int, n: int, m: int) -> bytes:
@@ -311,32 +302,28 @@ def _digit_residues(digits: str, w: int, n: int, m: int) -> bytes:
     return _fold(cols, m)[::-1]
 
 
-def _convolve_shift_add(d: bytes, e: bytes, bits: int, n: int, m: int) -> bytes:
-    """First n terms mod m of d*e, both residues mod m as bytes, e sparse and
-    every slot of the exact product below 2^bits; the terms come back as
-    residues, one byte each.
+def _convolve_shift_add(d: bytes, e: bytes, n: int, m: int) -> bytes:
+    """First n terms mod m of d*e, both residues mod m as bytes, e sparse;
+    the terms come back as residues, one byte each.
 
-    d is packed once into one integer of bits-wide binary slots, its bytes
-    written into zeroed little-endian lanes by one slice assignment, each
-    nonzero term y q^j of e adds that integer shifted j slots, and the
-    shifts are grouped by y, so one multiply per distinct value remains.
-    The total is cut back into slots mod m once (`_lane_residues`).
+    d is read once as one integer of 8-bit lanes, and each nonzero term y
+    q^j of e adds it shifted j lanes.  The shifts of one value y are summed
+    k = `_group_size(m)` at a time, so no lane passes 255: each partial sum
+    is cut to its n lowest bytes, one translate multiplies them by y mod m,
+    and `_fold` adds the parts.
     """
-    size = bits // 8
-    lanes = bytearray(len(d) * size)
-    lanes[::size] = d
-    packed = int.from_bytes(lanes, "little")
-    del lanes  # not kept beside the unpacked total
+    packed = int.from_bytes(d, "little")
     shifts = {}
     for j in compress(range(len(e)), e):
-        shifts.setdefault(e[j], []).append(bits * j)
-    total = 0
+        shifts.setdefault(e[j], []).append(8 * j)
+    k, mask = _group_size(m), (1 << 8 * n) - 1
+    parts = []
     for y, by in shifts.items():
-        total += y * sum(map(packed.__lshift__, by))
-    total &= (1 << bits * n) - 1
-    raw = total.to_bytes(n * size, "little")
-    del total
-    return _lane_residues(raw, size, m)
+        times_y = _times(y, m)
+        for i in range(0, len(by), k):
+            part = sum(map(packed.__lshift__, by[i : i + k])) & mask
+            parts.append(part.to_bytes(n, "little").translate(times_y))
+    return _fold(parts or [bytes(n)], m)
 
 
 def _convolve_decimal(a, b, bounds_a, bounds_b, slot: int, n: int, m: int | None) -> list[int] | bytes:
@@ -378,24 +365,24 @@ def _product(a, b, n_out: int, m: int | None) -> list[int] | bytes:
     mod m as bytes and the terms come back as residues, one byte each.
 
     The pair alone picks its kernel (`_kernel`), from its operands' nonzero
-    counts and lengths and, with a modulus, the bound on its slots: only
-    residue operands are offered the shift-add.  A slot of a*b sums at most
-    min(nnz a, nnz b) terms, so that count times max|a| max|b| bounds every
-    slot (doubled by `_convolve_decimal` for a signed operand): no slot
-    overflows into its neighbour.  Residue operands give their nonzero
-    counts and largest values by byte operations.
+    counts and lengths: only residue operands are offered the shift-add.
+    A slot of a*b sums at most min(nnz a, nnz b) terms, so that count
+    times max|a| max|b| bounds every decimal slot (doubled by
+    `_convolve_decimal` for a signed operand): no slot overflows into its
+    neighbour.  Residue operands give their nonzero counts and largest
+    values by byte operations.
     """
     nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
     if (nnz_a, -len(a)) < (nnz_b, -len(b)):
         # a is the denser operand from here on
         a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
-    bounds_a, bounds_b = _bounds(a, nnz_a, m), _bounds(b, nnz_b, m)
-    slot = nnz_b * max(map(abs, bounds_a)) * max(map(abs, bounds_b))
-    kernel = _kernel(nnz_a, nnz_b, len(a), len(b), None if m is None else slot)
+    kernel = _kernel(nnz_a, nnz_b, len(a), len(b), m is not None)
     n = min(n_out, len(a) + len(b) - 1)
     if kernel == "shift":
-        return _convolve_shift_add(a, b, _slot_bits(slot), n, m)
+        return _convolve_shift_add(a, b, n, m)
     if kernel == "decimal":
+        bounds_a, bounds_b = _bounds(a, nnz_a, m), _bounds(b, nnz_b, m)
+        slot = nnz_b * max(map(abs, bounds_a)) * max(map(abs, bounds_b))
         return _convolve_decimal(a, b, bounds_a, bounds_b, slot, n, m)
     out = _convolve_int_schoolbook(a, b, n_out)
     return out if m is None else bytes([x % m for x in out])

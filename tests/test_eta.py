@@ -1,6 +1,9 @@
+import math
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 import qcong.eta
 import qcong.qseries
 from oracles import naive_delta, naive_eta_product, naive_euler_product
-from qcong.diamond import c_series, delta_series
+from qcong.diamond import c_series, delta_series, eq_1_2_lhs
 from qcong.eta import (
     EtaQuotient,
     _euler_coeffs,
@@ -449,12 +452,17 @@ def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
     # the other side of the head choice: for sum delta_5(11n+6) q^n mod 11
     # the head is eta(z)^8, the product of two Jacobi cubes and two Euler
     # products, not one product of two lacunary series, so it is built at
-    # the full length N (eta^3 eta^3, eta eta and their product) and sliced
+    # the full length N and sliced: as eta^4 = eta^3 eta and its square, two
+    # products
     T = 2000
     N = 11 * (T - 1) + 7
     outputs, full, _, _, sums = _counting_build(monkeypatch, N)
     s = eta_quotient_progression(EtaQuotient(_DELTA5), 11, 6, T)
-    assert s.T == T and max(outputs) == N and outputs.count(N) == 3
+    assert s.T == T and max(outputs) == N and outputs.count(N) == 2
+    ring = ModRing(11)
+    (jacobi_euler, square) = full
+    assert jacobi_euler == sorted([_jacobi_cube_coeffs(N, ring), _euler_coeffs(N, ring)])
+    assert square[0] == square[1]
     # six nonempty classes t of eta(2z) mod 11; the two past r = 6 enter one
     # exponent up, as a leading zero, so they are T terms long beside head
     # classes of T - 1
@@ -473,9 +481,10 @@ def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
 def test_lacunary_heads_take_the_term_path_through_the_one_product_loop(monkeypatch, factors):
     # eta(dz)^e with e in 1..4 or 6, theta(-q^d) and theta(-q^d)^2, and the
     # empty quotient, are at most two of Jacobi's, Euler's and Gauss's
-    # series: every class mod p is formed from their terms, p row products
-    # per class through qseries' one loop, and no quotient is built at any
-    # length
+    # series: every class mod p is formed from their terms, at most p row
+    # products per class through qseries' one loop, each with terms on both
+    # sides, and no quotient is built at any length.  A class with no such
+    # row pair is not formed: it is zero
     p, N = 7, 600
     ring = ModRing(p)
     want = _quotient_series(factors, N, ring).coeffs if factors else [1] + [0] * (N - 1)
@@ -483,9 +492,10 @@ def test_lacunary_heads_take_the_term_path_through_the_one_product_loop(monkeypa
     loops, built = [], []
     add_products, quotient_series = qcong.eta._add_products, qcong.eta._quotient_series
 
-    def counting_loop(out, *args):
+    def counting_loop(out, terms_a, terms_b, shift=0):
+        assert terms_a and terms_b
         loops.append(len(out))
-        return add_products(out, *args)
+        return add_products(out, terms_a, terms_b, shift)
 
     def counting_quotient(factors, T, ring):
         built.append(T)
@@ -495,8 +505,9 @@ def test_lacunary_heads_take_the_term_path_through_the_one_product_loop(monkeypa
     monkeypatch.setattr(qcong.eta, "_quotient_series", counting_quotient)
     classes = qcong.eta._classes(factors, p, range(p), N, ring)
     assert built == []
-    assert sorted(loops) == sorted(len(range(c, N, p)) for c in range(p) for _ in range(p))
-    assert {c: bytes(want[c::p]) for c in range(p)} == classes
+    assert 0 < len(loops) <= p * len(classes)
+    assert set(classes) >= {c for c in range(p) if any(want[c::p])}
+    assert {c: bytes(want[c::p]) for c in classes} == classes
 
 
 def test_other_heads_are_built_at_full_length_and_sliced(monkeypatch):
@@ -553,11 +564,108 @@ def test_theta_index_terms_match_the_quotient(d, k, N):
 )
 def test_theta_split_takes_exactly_the_quotients_with_index_formulas(factors, head):
     # eta(dz)^a eta(2dz)^b with a in {2, 4} splits as theta(-q^d)^(a/2)
-    # times eta(2dz)^(b + a/2) when that has index formulas; any other
-    # quotient as the rest times its factor of largest d
-    h, f = qcong.eta._split(factors)
-    assert h == head
-    assert EtaQuotient(h) * EtaQuotient(f) == EtaQuotient(factors)
+    # times eta(2dz)^(b + a/2) when that has index formulas (mod 7 and 11
+    # no exponent here reaches p, so f is not rewritten); any other
+    # quotient falls back to the rest times its factor of largest d
+    for p in (7, 11):
+        split = qcong.eta._theta_split(factors, p)
+        h, f = split or (factors[:-1], factors[-1:])
+        assert h == head and (split is None) == (len(head) < 2 or head[1][1] > 0)
+        assert EtaQuotient(h) * EtaQuotient(f) == EtaQuotient(factors)
+
+
+@pytest.mark.parametrize(
+    "factors, p, f",
+    [
+        (((1, 4), (2, 6)), 7, ((2, 1), (14, 1))),  # eq. (1.2)'s left side
+        (((1, 2), (2, 4)), 5, ((10, 1),)),  # eta(2z)^5: three series mod 7
+        (((1, 4), (2, 5)), 7, ((14, 1),)),  # eta(2z)^7
+        (((3, 4), (6, 4)), 5, ((6, 1), (30, 1))),  # eta(6z)^6
+        (((1, 4), (2, -2)), 7, ()),  # theta(-q)^2 alone: f is 1
+    ],
+    ids=str,
+)
+def test_theta_split_reduces_its_second_factor_mod_p(factors, p, f):
+    # f = eta(2dz)^(b + a/2) is rewritten once more by eta(dz)^p ==
+    # eta(pdz) (mod p), so a power that is three or more series becomes
+    # one or two Euler series
+    (d, a), _ = factors
+    assert qcong.eta._theta_split(factors, p) == (((d, a), (2 * d, -(a // 2))), f)
+
+
+@st.composite
+def _two_factor_quotients(draw):
+    """eta(dz)^a eta(2dz)^b mod p, p in {5, 7, 11}: a theta head (a in {2,
+    4}) most of the time, b from -8 to 16, so that b + a/2 spans negative
+    powers, powers with and without index formulas and powers past p."""
+    d = draw(st.integers(1, 4))
+    a = draw(st.sampled_from((2, 4, 2, 4, 1, 3, 6)))
+    b = draw(st.integers(-8, 16).filter(bool))
+    return ((d, a), (2 * d, b)), draw(st.sampled_from((5, 7, 11)))
+
+
+@given(_two_factor_quotients(), st.integers(1, 300))
+@settings(max_examples=80, deadline=None)
+# eq. (1.2)'s left side, theta(-q)^2 eta(2z) eta(14z) mod 7; theta(-q)
+# eta(10z) mod 5; theta(-q^3)^2 eta(6z) eta(30z) mod 5, by a dilation of 3;
+# f = eta(2z)^9 mod 11, three series, so the nested build; theta(-q)^2
+# alone; T = 1
+@example((((1, 4), (2, 6)), 7), 300)
+@example((((1, 2), (2, 4)), 5), 200)
+@example((((3, 4), (6, 4)), 5), 250)
+@example((((1, 2), (2, 8)), 11), 120)
+@example((((1, 4), (2, -2)), 7), 90)
+@example((((2, 4), (4, 6)), 7), 1)
+def test_two_factor_quotients_mod_p_match_the_nested_build(case, T):
+    # under a prime modulus a quotient that `_theta_split` cuts is built as
+    # theta(-q^d)^k times the series of f; it equals the nested build of
+    # the same factors, and takes that build only when there is no split
+    factors, p = case
+    e = EtaQuotient(factors)
+    ring = ModRing(p)
+    want = _quotient_series(factors, T, ring)
+    reduced = _frobenius_reduced(factors, p)
+    g = math.gcd(*(d for d, _ in reduced))
+    split = qcong.eta._theta_split(tuple((d // g, r) for d, r in reduced), p)
+    products = []
+    theta_product = qcong.eta._theta_product
+
+    def counting(*args):
+        products.append(args[2])
+        return theta_product(*args)
+
+    with mock.patch.object(qcong.eta, "_theta_product", counting):
+        s = eta_quotient_series(e, T, p)
+    assert s == want
+    assert products == ([] if split is None else [_inner_T(T, g)])
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 14, 15, 4667])
+def test_eq_1_2_lhs_matches_the_naive_product_mod_7(T):
+    # theta(-q)^2 eta(2z) eta(14z) mod 7 against eta(z)^4 eta(2z)^6 expanded
+    # one binomial factor at a time; 4,667 terms is a quick suite's length
+    assert eq_1_2_lhs(T).coeffs == [x % 7 for x in naive_eta_product(((1, 4), (2, 6)), T)]
+
+
+def test_eq_1_2_lhs_of_a_full_suite_matches_the_nested_build(monkeypatch):
+    # at the 54,883 terms a full suite reads: the coefficients of the
+    # nested build, eta(z)^4 at full length times eta(z)^6 at the inner
+    # length; and no product of the new build goes to the decimal kernel:
+    # theta(-q)^2 is formed by the nonzero-term loop, and eta(2z)'s 271 and
+    # eta(14z)'s 102 nonzero terms each meet it in one shift-add
+    T = 54883
+    want = _quotient_series(((1, 4), (2, 6)), T, ModRing(7))
+    ran = Counter()
+    for name in ("_convolve_decimal", "_convolve_shift_add", "_convolve_int_schoolbook"):
+
+        def wrapped(*args, kernel=getattr(qcong.qseries, name), name=name):
+            ran[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(qcong.qseries, name, wrapped)
+    s = eq_1_2_lhs(T)
+    assert s.coeffs == want.coeffs and s.offset24 == 0 and s.T == T
+    assert ran == Counter(_convolve_shift_add=2)
 
 
 @st.composite

@@ -320,9 +320,10 @@ def test_scale_reduces_an_unreduced_residue(m):
 
 # (len(a), len(b)) on both sides of the schoolbook cutoff: 1 x N, short
 # times long, squares just below and above it, long operands, and a pair
-# past the shift-add cutoff, where residues mod m reach the decimal multiply
+# past the shift-add cutoff (384 nonzero terms) even when a seventh of its
+# residues are zero, where residues mod m reach the decimal multiply
 PACKED_LENGTHS = (
-    (1, 90), (90, 1), (12, 40), (24, 24), (25, 25), (13, 200), (40, 90), (260, 300),
+    (1, 90), (90, 1), (12, 40), (24, 24), (25, 25), (13, 200), (40, 90), (500, 540),
 )
 SHAPES = ("mixed", "negative", "zero", "one", "edge", "edge-negative")
 HEIGHTS = tuple(10**k - 1 for k in (1, 2, 9, 19, 20))
@@ -333,31 +334,23 @@ KERNELS = {
 }
 
 
-def _width(bound: int):
-    """The least machine-word width of 8, 16, 32 or 64 bits above bound."""
-    return next((w for w in (8, 16, 32, 64) if bound < 2**w), None)
-
-
 def _rule(a, b, m) -> str:
     """The kernel an integer product a*b, alone in its sum, is due; m is
     the modulus of a sum of residue bytes (m <= _BYTE_MODULUS), else None.
     With d the operand of more nonzero terms (the shorter on a tie) and e
-    the other: shift-add only for residue bytes, when e has a nonzero term,
-    the worst slot nnz(e) max(a) max(b) fits a word of some width, nnz(e)
-    times that width is at most _SHIFT_ADD_BITS and nnz(d) _SCHOOLBOOK_BITS
-    reaches len(d) times it; else the schoolbook while nnz(a) nnz(b) <=
-    _SCHOOLBOOK_CUTOFF (len(a) + len(b)); else decimal."""
+    the other: shift-add only for residue bytes, when e has from one to
+    _SHIFT_ADD_TERMS nonzero terms and nnz(d) _SCHOOLBOOK_BYTES reaches
+    len(d); else the schoolbook while nnz(a) nnz(b) <= _SCHOOLBOOK_CUTOFF
+    (len(a) + len(b)); else decimal."""
     (nnz_d, _, d), (nnz_e, _, e) = sorted(
         ((len(x) - x.count(0), -len(x), x) for x in (a, b)), key=lambda t: t[:2], reverse=True
     )
-    if m is not None and nnz_e:
-        width = _width(nnz_e * max(a) * max(b))
-        if (
-            width
-            and nnz_e * width <= qseries._SHIFT_ADD_BITS
-            and nnz_d * qseries._SCHOOLBOOK_BITS >= len(d) * width
-        ):
-            return "shift"
+    if (
+        m is not None
+        and 0 < nnz_e <= qseries._SHIFT_ADD_TERMS
+        and nnz_d * qseries._SCHOOLBOOK_BYTES >= len(d)
+    ):
+        return "shift"
     if nnz_d * nnz_e <= qseries._SCHOOLBOOK_CUTOFF * (len(a) + len(b)):
         return "schoolbook"
     return "decimal"
@@ -537,7 +530,7 @@ LACUNARY_PAIRS = (
     ("dense", 300, "sparse30", 300),
     ("dense+", 300, "sparse30+", 300),
     ("dilated7+", 700, "dense+", 250),
-    ("dense", 300, "dense", 280),
+    ("dense", 500, "dense", 480),
 )
 
 
@@ -716,27 +709,33 @@ def test_the_dense_schoolbook_runs_through_the_one_product_loop(monkeypatch):
 
 # ---- the shift-add kernel: a dense operand times a sparse one ----
 
-BITS = qseries._SHIFT_ADD_BITS
-# the most nonzero terms a sparse operand may have for the shift-add in
-# 16-bit slots (residues mod 13 meet in them) and in 64-bit ones
-K16, K64 = BITS // 16, BITS // 64
+# the most nonzero terms a sparse operand may have for the shift-add
+K = qseries._SHIFT_ADD_TERMS
 # moduli whose residues take the shift-add: small primes, the paper's 7 and
-# 11, and the largest two of the byte path, whose products need 16 bits
+# 11, and the largest two of the byte path, whose lanes hold two shifts
 SHIFT_MODULI = (2, 3, 5, 7, 11, 13, 127, 128)
+
+
+def _groups_of(group):
+    """A patch under which the shift-add sums at most `group` shifts of one
+    value before it cuts them to bytes (None: as many as a lane holds,
+    255 // (m - 1)); fewer at a time is always exact, only more carries."""
+    group_size = qseries._group_size
+    return mock.patch.object(qseries, "_group_size", lambda m: min(group or 255, group_size(m)))
 
 
 @st.composite
 def _shift_add_case(draw):
-    """(ring, pairs, due, lane): over Z/m, m in SHIFT_MODULI, one to three
+    """(ring, pairs, due, group): over Z/m, m in SHIFT_MODULI, one to three
     pairs of a dense operand (residues in [1, m - 1]) and a sparse one, and
-    the least slot width in bits each shift-add product is given (8 leaves
-    it to the slot bound; 16 to 64 force wider lanes through `_slot_bits`).
-    The sparse one has from one nonzero term up to the most the shift-add
-    takes for that pair alone, never more than the dense one has, index 0
-    and the last index among them as drawn.  Then maybe a lacunary pair for
-    the schoolbook.  `due` names each pair's kernel."""
+    the most shifts of one value each shift-add product sums at a time
+    (None leaves it to the lane; 1 to 3 force smaller groups through
+    `_group_size`).  The sparse one has from one nonzero term up to the
+    most the shift-add takes for that pair alone, never more than the dense
+    one has, index 0 and the last index among them as drawn.  Then maybe a
+    lacunary pair for the schoolbook.  `due` names each pair's kernel."""
     m = draw(st.sampled_from(SHIFT_MODULI))
-    lane = draw(st.sampled_from((8, 16, 32, 64)))
+    group = draw(st.sampled_from((None, 1, 2, 3)))
     top = m - 1
     value = st.integers(1, top)
     pairs, due = [], []
@@ -744,7 +743,7 @@ def _shift_add_case(draw):
         n = draw(st.integers(1, 300))
         dense = draw(st.lists(value, min_size=n, max_size=n))
         k = draw(st.integers(1, 300))
-        limit = max(j for j in range(1, min(n, k) + 1) if j * max(lane, _width(j * top * top)) <= BITS)
+        limit = min(n, k, K)
         support = set(draw(st.sampled_from([(), (0,), (k - 1,), (0, k - 1)]))[:limit])
         for i in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=limit, unique=True)):
             if len(support) < limit:
@@ -760,7 +759,7 @@ def _shift_add_case(draw):
         a[0] = b[199] = a[77] = b[5] = top
         pairs.append((a, b))
         due.append("schoolbook")
-    return ModRing(m), pairs, due, lane
+    return ModRing(m), pairs, due, group
 
 
 def _ones(n: int, at, y: int = 1) -> list[int]:
@@ -775,45 +774,51 @@ M127 = ModRing(127)
 
 @given(_shift_add_case())
 @settings(max_examples=100, deadline=None)
-# a worst slot of exactly 2^8 - 1 (mod 127, so no residue is reduced): 3
-# terms of 5 against a dense 17, met at slot 2 onwards (an operand one slot
-# up is written with a leading zero)
-@example((M127, [([17] * 20, [5, 5, 5])], ["shift"], 8))
-@example((M127, [([0] + [17] * 30, [5, 5, 5])], ["shift"], 8))
-# in 16-bit slots: 255 terms of 15 against a dense 17 meet in 65,025 from
-# slot 254 onwards, and 255 terms of 16 against a dense 16 in 65,280; 256
-# terms of 16 make 2^16, whose 32-bit slots put 256 terms past the bound,
-# so that pair goes to the decimal multiply
-@example((M127, [([17] * 300, [15] * 255), ([17] * 300, [15, 15])], ["shift"] * 2, 8))
-@example((M127, [([16] * 300, [16] * 255)], ["shift"], 8))
-@example((M127, [([16] * 300, [16] * 256)], ["decimal"], 8))
+# mod 127 a byte lane holds two shifts of the largest residue (255 // 126):
+# 3 terms of 5 against a dense 17, whose exact slots reach 2^8 - 1 from slot
+# 2 onwards, sum as one group of two and one of one (an operand one slot up
+# is written with a leading zero)
+@example((M127, [([17] * 20, [5, 5, 5])], ["shift"], None))
+@example((M127, [([0] + [17] * 30, [5, 5, 5])], ["shift"], None))
+# 255 terms of 15 against a dense 17 meet in 65,025 from slot 254 onwards,
+# and 255 terms of 16 against a dense 16 in 65,280, and 256 of 16 in 2^16:
+# no byte holds such a slot, and 128 groups of at most two shifts each
+# never pass one
+@example((M127, [([17] * 300, [15] * 255), ([17] * 300, [15, 15])], ["shift"] * 2, None))
+@example((M127, [([16] * 300, [16] * 255)], ["shift"], None))
+@example((M127, [([16] * 300, [16] * 256)], ["shift"], None))
 # pairs whose slots add up past 2^8 - 1 though each alone fits in 8 bits:
 # 120 + 135 = 2^8 - 1, 128 + 128 = 2^8, and over Z/13 two 144s, one of
-# them a slot up, meet in a slot of 288.  Each product takes its own 8-bit
-# slots, and the residues of the products are added mod m
-@example((M127, [([15] * 20, [4, 4]), ([9] * 20, [5, 5, 5])], ["shift"] * 2, 8))
-@example((M127, [([8] * 20, [8, 8]), ([0] + [8] * 20, [8, 8])], ["shift"] * 2, 8))
-@example((ModRing(13), [([12] * 30, [12]), ([0] + [12] * 30, [0, 0, 12])], ["shift"] * 2, 8))
+# them a slot up, meet in a slot of 288.  Each product takes its own
+# groups, and the residues of the products are added mod m
+@example((M127, [([15] * 20, [4, 4]), ([9] * 20, [5, 5, 5])], ["shift"] * 2, None))
+@example((M127, [([8] * 20, [8, 8]), ([0] + [8] * 20, [8, 8])], ["shift"] * 2, None))
+@example((ModRing(13), [([12] * 30, [12]), ([0] + [12] * 30, [0, 0, 12])], ["shift"] * 2, None))
+# 256 and 257 nonzero terms of 12 mod 13, index 0 and the last among them:
+# 12 full groups of the 21 shifts a lane holds, and one of 4 or of 5
+@example((ModRing(13), [([0] + [12] * 300, _ones(300, [*range(255), 299], 12))], ["shift"], None))
+@example((ModRing(13), [([12] * 300, _ones(300, range(257), 12))], ["shift"], None))
 # the most nonzero terms the shift-add takes, index 0 and the last among
-# them, in 16-bit slots (mod 13) and in 64-bit ones, forced; one more goes
-# to the decimal multiply
-@example((ModRing(13), [([0] + [12] * 300, _ones(300, [*range(K16 - 1), 299], 12))], ["shift"], 8))
-@example((ModRing(13), [([12] * 300, _ones(300, range(K16 + 1), 12))], ["decimal"], 8))
-@example((M7, [([6] * 100, _ones(100, [*range(K64 - 1), 99], 6))], ["shift"], 64))
-@example((M7, [([0] + [6] * 100, _ones(100, range(K64 + 1), 6))], ["decimal"], 64))
+# them; one more goes to the decimal multiply
+@example((ModRing(13), [([0] + [12] * 400, _ones(400, [*range(K - 1), 399], 12))], ["shift"], None))
+@example((ModRing(13), [([12] * 400, _ones(400, range(K + 1), 12))], ["decimal"], None))
+# 64 and 65 nonzero terms of 6 mod 7 forced into groups of one shift: a
+# part per term, all folded mod 7
+@example((M7, [([6] * 100, _ones(100, [*range(63), 99], 6))], ["shift"], 1))
+@example((M7, [([0] + [6] * 100, _ones(100, range(65), 6))], ["shift"], 1))
 # an all-zero sparse side never reaches the shift-add: it has no term to
 # shift, and the schoolbook makes its zero product
 @example(
-    (ModRing(128), [([0] * 50, [127 - i for i in range(50)]), ([0] + [3] * 9, [1])], ["schoolbook", "shift"], 8)
+    (ModRing(128), [([0] * 50, [127 - i for i in range(50)]), ([0] + [3] * 9, [1])], ["schoolbook", "shift"], None)
 )
 # over Z no pair reaches the shift-add, a nonnegative dense-times-sparse
 # one neither: the schoolbook takes a sparse pair, the decimal multiply a
 # dense one, signed or not
-@example((ZZ, [([17] * 20, [5, 5, 5])], ["schoolbook"], 8))
-@example((ZZ, [([2**40] * 100, _ones(100, [*range(K64 - 1), 99]))], ["decimal"], 8))
-@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2])], ["schoolbook"], 8))
-@example((ZZ, [([3] * 39 + [-1], [2] * 40)], ["decimal"], 8))
-@example((ZZ, [([1], [1]), ([0] * 41, [-1] * 40)], ["schoolbook"] * 2, 8))
+@example((ZZ, [([17] * 20, [5, 5, 5])], ["schoolbook"], None))
+@example((ZZ, [([2**40] * 100, _ones(100, [*range(63), 99]))], ["decimal"], None))
+@example((ZZ, [([3] * 7 + [-1] + [3] * 32, [0, 2, 0, 2])], ["schoolbook"], None))
+@example((ZZ, [([3] * 39 + [-1], [2] * 40)], ["decimal"], None))
+@example((ZZ, [([1], [1]), ([0] * 41, [-1] * 40)], ["schoolbook"] * 2, None))
 # one sum over Z/7 mixing all three kernels
 @example(
     (
@@ -821,27 +826,20 @@ M127 = ModRing(127)
         [
             ([0] + [6] * 60, _ones(9, (0, 3, 8), 6)),
             (_ones(200, (0, 77), 6), _ones(200, (5, 199), 6)),
-            ([0] + [(i * i) % 7 or 1 for i in range(260)], [(3 * i) % 7 or 6 for i in range(270)]),
+            ([0] + [(i * i) % 7 or 1 for i in range(K + 5)], [(3 * i) % 7 or 6 for i in range(K + 10)]),
         ],
         ["shift", "schoolbook", "decimal"],
-        8,
+        None,
     )
 )
 def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
-    ring, pairs, due, lane = case
-    if lane == 8:
-        # with the slot width left to the slot bound, each pair is due the
-        # kernel `_rule` names for it alone
-        m = ring.modulus if isinstance(ring, ModRing) else None
-        assert due == [_rule(a, b, m) for a, b in pairs]
+    ring, pairs, due, group = case
+    # each pair is due the kernel `_rule` names for it alone, whatever the
+    # size of its groups
+    m = ring.modulus if isinstance(ring, ModRing) else None
+    assert due == [_rule(a, b, m) for a, b in pairs]
     top = max(len(a) + len(b) - 1 for a, b in pairs)
     want = _sum_of_schoolbook_products(ring, pairs, top + 3)
-    slot_bits = qseries._slot_bits
-
-    def at_least_lane(bound):
-        bits = slot_bits(bound)
-        return bits and max(lane, bits)
-
     ran = Counter()
 
     def counting(name, kernel):
@@ -851,7 +849,7 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
 
         return mock.patch.object(qseries, kernel.__name__, wrapped)
 
-    with mock.patch.object(qseries, "_slot_bits", at_least_lane):
+    with _groups_of(group):
         # n_out below, at and above the longest len(a) + len(b) - 1
         for n in sorted({1, max(top // 2, 1), top - 1 or 1, top}):
             assert convolve_sum(ring, pairs, n) == want[:n], n
@@ -864,12 +862,32 @@ def test_shift_add_pairs_match_the_sum_of_shifted_schoolbook_products(case):
     assert ran == Counter(due)
 
 
+@pytest.mark.parametrize("m", SHIFT_MODULI)
+def test_a_group_of_k_shifts_of_the_largest_residue_does_not_carry(m):
+    # k = 255 // (m - 1) shifts of a dense operand of m - 1 sum to k (m - 1)
+    # <= 255 in every lane they all meet; one more would carry into the
+    # next lane.  k, k + 1 and 2 k + 1 shifts of one value in a row make
+    # one full group, a full one and one of one, and two full ones and one
+    # of one, each against the schoolbook
+    k = 255 // (m - 1)
+    ring = ModRing(m)
+    for count in (k, k + 1, 2 * k + 1):
+        dense, sparse = [m - 1] * (count + 20), [m - 1] * count + [0] * 5
+        n = len(dense) + len(sparse) - 1
+        want = convolve_schoolbook(ring, sparse, dense, n)
+        got = qseries._convolve_shift_add(bytes(dense), bytes(sparse), n, m)
+        assert list(got) == want, count
+        if count <= K:
+            # and the kernel rule sends the pair there
+            assert _rule(dense, sparse, m) == "shift"
+            assert convolve(ring, dense, sparse, n) == want, count
+
+
 def test_a_pair_takes_its_kernel_whatever_the_pairs_beside_it(monkeypatch):
-    # ten equal pairs mod 7, 3,000 sixes times 200 sixes: each has slots of
-    # at most 200 36 = 7,200, 16 bits, and 200 16 <= _SHIFT_ADD_BITS, so
-    # each takes the shift-add.  Their slots add up to 72,000, which needs
-    # 32 bits, and 200 32 is past that bound: a shift-add total shared by
-    # the pairs would send the last of them to the decimal multiply
+    # ten equal pairs mod 7, 3,000 sixes times 200 sixes: each sparse side
+    # has 200 nonzero terms, within _SHIFT_ADD_TERMS, so each takes the
+    # shift-add.  Together they have 2,000, past that bound: a shift-add
+    # shared by the pairs would send them to the decimal multiply
     pairs = [([6] * 3000, [6] * 200)] * 10
     assert [_rule(a, b, 7) for a, b in pairs] == ["shift"] * 10
     ran = Counter()
@@ -1114,16 +1132,19 @@ def test_convolve_sum_mixes_a_signed_pair_with_a_nonnegative_one(order, monkeypa
 BYTE_MODULI = (2, 7, 11, 13, 127, 128)
 # and moduli of one byte past it, whose sums are made over Z and reduced once
 WIDE_MODULI = (255, 256)
-LANE_BYTES = (1, 2, 4, 8)
+# the most shifts of one value a shift-add product sums at a time, when
+# fewer than a lane holds
+GROUPS = (1, 2, 4, 8)
 
 
 @st.composite
 def _residue_sum(draw):
-    """(m, pairs, kernel, lane): over Z/m, m in BYTE_MODULI or WIDE_MODULI,
+    """(m, pairs, kernel, group): over Z/m, m in BYTE_MODULI or WIDE_MODULI,
     one to three pairs of residue operands of 1 to 70 terms (dense, with at
     most three nonzero terms, or all m - 1); a kernel to force on every
-    product, the shift-add only for a modulus of the byte path, and a lane
-    size in bytes for each shift-add product."""
+    product, the shift-add only for a modulus of the byte path, and the
+    most shifts each shift-add product sums at a time (None: as many as a
+    lane holds)."""
     m = draw(st.sampled_from(BYTE_MODULI + WIDE_MODULI))
 
     def operand():
@@ -1140,7 +1161,7 @@ def _residue_sum(draw):
     pairs = [(operand(), operand()) for _ in range(draw(st.integers(1, 3)))]
     offered = ("shift",) if m <= qseries._BYTE_MODULUS else ()
     kernel = draw(st.sampled_from((*offered, "schoolbook", "decimal")))
-    return m, pairs, kernel, draw(st.sampled_from(LANE_BYTES))
+    return m, pairs, kernel, draw(st.sampled_from((None,) + GROUPS))
 
 
 @given(_residue_sum())
@@ -1148,21 +1169,20 @@ def _residue_sum(draw):
 # the largest residue everywhere: every slot of a product is a multiple of
 # (m - 1)^2; mod 255 and 256 the same products are made over Z and reduced
 # (an operand some slots up is written with leading zeros)
-@example((256, [([255] * 70, [255] * 70), ([0, 0] + [255] * 70, [255] * 3)], "decimal", 1))
-@example((255, [([0] + [254] * 70, [254] * 70)], "schoolbook", 8))
-@example((127, [([0] + [126] * 70, [126] * 70)], "shift", 8))
+@example((256, [([255] * 70, [255] * 70), ([0, 0] + [255] * 70, [255] * 3)], "decimal", None))
+@example((255, [([0] + [254] * 70, [254] * 70)], "schoolbook", 1))
+@example((127, [([0] + [126] * 70, [126] * 70)], "shift", 1))
 @example((128, [([127] * 64, [127] * 64)], "shift", 2))
 @example((7, [([6] * 70, [6] * 70), ([0] + [1] * 9, [6, 0, 6])], "decimal", 4))
 def test_residue_products_match_the_schoolbook_on_every_kernel(case):
     # every product forced onto one kernel, and each shift-add product into
-    # lanes of the drawn size (or wider, when its slots need it); the
-    # packed kernels are handed the modulus up to 128, so they take the byte
-    # path, and no modulus past it, where no shift-add is forced
-    m, pairs, kernel, lane = case
+    # groups of at most the drawn size (or what a lane holds, when fewer);
+    # the packed kernels are handed the modulus up to 128, so they take the
+    # byte path, and no modulus past it, where no shift-add is forced
+    m, pairs, kernel, group = case
     ring = ModRing(m)
     top = max(len(a) + len(b) - 1 for a, b in pairs)
     want = _sum_of_schoolbook_products(ring, pairs, top + 2)
-    slot_bits = qseries._slot_bits
     moduli = []
 
     def recording(kernel_fn):
@@ -1172,9 +1192,9 @@ def test_residue_products_match_the_schoolbook_on_every_kernel(case):
 
         return mock.patch.object(qseries, kernel_fn.__name__, wrapped)
 
-    with mock.patch.object(qseries, "_kernel", lambda *args: kernel), mock.patch.object(
-        qseries, "_slot_bits", lambda bound: max(8 * lane, slot_bits(bound))
-    ), recording(qseries._convolve_shift_add), recording(qseries._convolve_decimal):
+    with mock.patch.object(qseries, "_kernel", lambda *args: kernel), _groups_of(group), recording(
+        qseries._convolve_shift_add
+    ), recording(qseries._convolve_decimal):
         # n_out below, at and above the longest len(a) + len(b) - 1
         for n in sorted({1, max(top // 2, 1), top, top + 2}):
             assert convolve_sum(ring, pairs, n) == want[:n], n
@@ -1186,14 +1206,24 @@ def test_residue_products_match_the_schoolbook_on_every_kernel(case):
 
 
 @pytest.mark.parametrize("m", BYTE_MODULI)
-@pytest.mark.parametrize("size", LANE_BYTES)
+@pytest.mark.parametrize("size", GROUPS)
 def test_lane_residues_match_each_lane_mod_m(m, size):
-    # every byte of a lane nonzero somewhere, the extreme lanes at both ends
+    # the shift-add's byte lanes, summed at most `size` shifts of one value
+    # at a time (what a lane holds, when fewer), read back mod m: every
+    # residue on the sparse side, a run of the largest residue at both ends
+    # of each operand, and cuts at, below and above the product's length
     rng = random.Random(f"lanes {m} {size}")
-    top = 256**size - 1
-    lanes = [top, 0, 1, m - 1, 255, *(rng.randrange(top + 1) for _ in range(300)), top]
-    raw = b"".join(v.to_bytes(size, "little") for v in lanes)
-    assert list(qseries._lane_residues(raw, size, m)) == [v % m for v in lanes]
+    top = m - 1
+    dense = [top] * 30 + [rng.randrange(m) for _ in range(300)] + [top] * 30
+    values = list(range(1, m)) * 2 + [0] * 60
+    rng.shuffle(values)
+    sparse = [top] * 20 + values + [top] * 20
+    ring = ModRing(m)
+    full = len(dense) + len(sparse) - 1
+    want = convolve_schoolbook(ring, sparse, dense, full)
+    with _groups_of(size):
+        for n in (1, len(dense), full):
+            assert list(qseries._convolve_shift_add(bytes(dense), bytes(sparse), n, m)) == want[:n], n
 
 
 @pytest.mark.parametrize("m", BYTE_MODULI)

@@ -122,6 +122,14 @@ def test_validation_raises_value_error(make):
         make()
 
 
+def test_an_empty_eta_quotient_is_refused_like_empty_text():
+    # no factors is no quotient: its metadata and expansion would have
+    # nothing to reduce, so the constructor refuses it as parse does
+    for make in (lambda: EtaQuotient(()), lambda: EtaQuotient(factors=[]), lambda: EtaQuotient.parse("  ")):
+        with pytest.raises(ValueError, match="empty eta.quotient"):
+            make()
+
+
 def test_eta_quotient_factors_are_sorted_by_d():
     e = EtaQuotient(((14, -1), (1, -3), (7, 1), (2, 1)))
     assert e.factors == ((1, -3), (2, 1), (7, 1), (14, -1))
