@@ -128,17 +128,21 @@ def _cmd_metadata(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    base, colon, suffix = args.claim.partition(":")
-    p = None
-    if colon:
-        if not suffix.startswith("p="):
-            raise ValueError(f"bad claim suffix {suffix!r}; expected p=<prime>")
-        digits = suffix[2:]
-        # ASCII digits only: int() would also take "1_3", " 13" or "١٣"
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"bad claim {args.claim!r}: expected {base}:p=<prime>")
-        p = int(digits)
+    # the whole ID first, so that a CLAIMS key may contain ":"; a :p=
+    # suffix is split off only when it misses
+    base, p = args.claim, None
     claim = diamond.CLAIMS.get(base)
+    if claim is None:
+        base, colon, suffix = args.claim.partition(":")
+        if colon:
+            if not suffix.startswith("p="):
+                raise ValueError(f"bad claim suffix {suffix!r}; expected p=<prime>")
+            digits = suffix[2:]
+            # ASCII digits only: int() would also take "1_3", " 13" or "١٣"
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"bad claim {args.claim!r}: expected {base}:p=<prime>")
+            p = int(digits)
+        claim = diamond.CLAIMS.get(base)
     if claim is None:
         raise ValueError(f"unknown claim {args.claim!r}")
     if claim.for_prime and p is None:

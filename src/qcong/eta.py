@@ -1,5 +1,17 @@
 """Dedekind eta and the expansion of eta quotients.
 
+Euler's series prod(1 - q^n), Jacobi's eta(z)^3 = q^(1/8) sum (-1)^k (2k +
+1) q^(k(k+1)/2) and Gauss's theta(-q) = eta(z)^2 / eta(2z) = sum (-1)^k
+q^(k^2) have index formulas: their nonzero terms are listed, not computed.
+A quotient with no negative exponent is a product of such series in q^d
+(`_index_formulas`): eta(dz)^e is e // 3 Jacobi cubes and e % 3 Euler
+series, and theta(-q^d)^k, k in {1, 2}, is k of Gauss's.  The one rule
+that expands such a product (`_expand`): its first two series meet from
+their terms in `qseries`' one nonzero-term product loop, each further
+series is multiplied in by `convolve` (a dense operand times a lacunary
+one, so mod p <= 128 a byte-lane shift-add), and the result is reduced in
+the ring.  eta(z)^r is that product for |r|, inverted once when r < 0.
+
 An eta quotient is expanded by a nested build: the factor of least d is
 built at the full length, and the other factors form one sub-quotient
 R(z^g), g the gcd of their d's, with R built the same way at the inner
@@ -10,12 +22,11 @@ dilation.  Modulo a prime p the exponents are first reduced once by
 eta(dz)^p == eta(pdz) (mod p), which moves large denominators to short
 inner lengths; modulo prime powers, composites, and over Z the factors are
 used as given.  After the rewrite, eta(dz)^a eta(2dz)^b with a in {2, 4}
-is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), by Gauss's theta(-q) =
-eta(z)^2 / eta(2z), with f reduced mod p once more; when f then has index
-formulas both sides are lacunary, and the quotient is built, not nested,
-as theta(-q^d)^(a/2) from its terms times f's one or two series by
-`convolve`'s shift-add (eq. (1.2)'s left side eta(z)^4 eta(2z)^6 mod 7 is
-theta(-q)^2 eta(2z) eta(14z)).
+is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), f reduced mod p once
+more; when f is then at most two series, the quotient is not nested but
+expanded by the rule, theta(-q^d)'s series first (eq. (1.2)'s left side
+eta(z)^4 eta(2z)^6 mod 7 is theta(-q)^2 eta(2z) eta(14z): the loop, then
+two shift-adds).
 
 One residue class mod a prime p, sum c(pn + r) q^n, is built without the
 other classes: after the rewrite the factors split as H(q) G(q^p), G from
@@ -24,15 +35,13 @@ G.  H is split as a head times a factor f by the same theta split, and any
 other H as the rest times its factor f of largest d.  Class r of H is the
 sum, over the classes t of f with terms, of class t of f times class r - t
 of the head, added exactly by one `qseries.convolve_sum`.  A head or f
-that is theta(-q^d) or its square, eta(dz)^e with e in 1..4 or 6, or
-eta(dz) eta(d'z), is at most two of Gauss's, Jacobi's and Euler's series:
-their terms from the index formulas are split into rows by class mod p
-once, and each class of the product is a sum of row products through
-`qseries`' one nonzero-term product loop, so no list of its full length
-exists and a class with no pair of rows is never formed; any other is
-built at full length and sliced.  Every class is held as bytes, one
-residue a byte, for p < 256 (a list of ints for a larger prime), so only
-the class being formed is a list of ints.
+that is at most two series has their terms split into rows by class mod p
+once, and each class of the product is a sum of row products through the
+one loop, so no list of its full length exists and a class with no pair
+of rows is never formed; any other is built at full length by the rule
+and sliced.  Every class is held as bytes, one residue a byte, for p <
+256 (a list of ints for a larger prime), so only the class being formed
+is a list of ints.
 Expansion only: the space of a quotient is `sturm.eta_quotient_metadata`.
 """
 
@@ -188,43 +197,73 @@ def _theta_terms(n: int) -> list[tuple[int, int]]:
     return [(0, 1)] + [(k * k, 2 if k % 2 == 0 else -2) for k in range(1, math.isqrt(n - 1) + 1)]
 
 
-def _dense(terms: list[tuple[int, int]], T: int, ring: Ring) -> list:
-    c = [ring.zero] * T
-    for e, v in terms:
-        c[e] = ring.from_int(v)
-    return c
+def _index_formulas(factors: tuple) -> list | None:
+    # the quotient of `factors` as its series with index formulas, each as
+    # (d, terms): terms(n) lists the series' nonzero (index, value) terms
+    # below q^n, and the quotient's factor is that series in q^d.
+    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k, k in {1, 2}, is k series by
+    # Gauss; otherwise eta(dz)^e is e // 3 Jacobi cubes and e % 3 Euler
+    # series, and an empty quotient is none.  None when an exponent is
+    # negative
+    if len(factors) == 2:
+        (d, a), (d2, b) = factors
+        if d2 == 2 * d and a in (2, 4) and b == -a // 2:
+            return [(d, _theta_terms)] * (a // 2)
+    if any(e < 0 for _, e in factors):
+        return None
+    return [
+        (d, terms)
+        for d, e in factors
+        for terms in [_jacobi_cube_terms] * (e // 3) + [_euler_terms] * (e % 3)
+    ]
 
 
-def _euler_coeffs(T: int, ring: Ring) -> list:
-    if T < 1:
-        raise ValueError("truncation must be at least 1")
-    return _dense(_euler_terms(T), T, ring)
+def _two_series(factors: tuple) -> list | None:
+    # `_index_formulas` of a quotient that is at most two series, the cap of
+    # the class split and of the theta split; None for any other quotient
+    series = _index_formulas(factors)
+    return series if series is not None and len(series) <= 2 else None
+
+
+def _series_terms(series: list, N: int, ring: Ring) -> list:
+    # each of `series` (from `_index_formulas`) to N terms as its nonzero
+    # (index, value) terms in ring, in index order; at least two lists, a
+    # missing series as 1
+    parts = [
+        [(d * i, x) for i, v in terms(-(-N // d)) if (x := ring.from_int(v)) != ring.zero]
+        for d, terms in series
+    ]
+    return parts + [[(0, ring.one)]] * (2 - len(parts))
+
+
+def _expand(series: list, T: int, ring: Ring) -> list:
+    # coefficients 0 .. T - 1 of the product of `series` (from
+    # `_index_formulas`) in ring: the first two from their terms through the
+    # one nonzero-term product loop, each further one multiplied in by
+    # `convolve`, a dense operand times a lacunary one, and the result
+    # reduced in the ring: `convolve` returns it reduced, and the loop's
+    # sums alone are reduced as ring.one times each
+    a, b, *rest = _series_terms(series, T, ring)
+    coeffs = [0] * T
+    _add_products(coeffs, a, b)
+    for terms in rest:
+        dense = [ring.zero] * (terms[-1][0] + 1)
+        for i, x in terms:
+            dense[i] = x
+        coeffs = convolve(ring, coeffs, dense, T)
+    return coeffs if rest else ring.mul_each(ring.one, coeffs)
+
+
+def _eta_power(T: int, r: int, ring: Ring) -> QSeries:
+    # eta(z)^r for r != 0: the product of eta(z)^|r|'s series, inverted once
+    # when r < 0
+    s = QSeries(ring, abs(r), _expand(_index_formulas(((1, abs(r)),)), T, ring))
+    return s if r > 0 else s.invert()
 
 
 def eta_series(T: int) -> QSeries:
     """eta(z) = q^(1/24) prod(1 - q^n), with T stored coefficients."""
-    return QSeries(ZZ, 1, _euler_coeffs(T, ZZ))
-
-
-def _jacobi_cube_coeffs(T: int, ring: Ring) -> list:
-    return _dense(_jacobi_cube_terms(T), T, ring)
-
-
-def _eta_power(T: int, r: int, ring: Ring) -> QSeries:
-    # eta(z)^r for r != 0: eta^3 from Jacobi's identity, so eta^4 = eta^3 eta
-    # is one product, and eta^8 is its square: one dense product, against
-    # two lacunary squares and one dense product as eta^6 eta^2.  A negative
-    # power is inverted once, at the end
-    k = abs(r)
-    if k == 8:
-        s = _eta_power(T, 4, ring)
-        s = s.mul(s)
-    else:
-        s = QSeries(ring, 3, _jacobi_cube_coeffs(T, ring)).pow(k // 3) if k >= 3 else None
-        if k % 3:
-            e = QSeries(ring, 1, _euler_coeffs(T, ring)).pow(k % 3)
-            s = e if s is None else s.mul(e)
-    return s if r > 0 else s.invert()
+    return _eta_power(T, 1, ZZ)
 
 
 def _frobenius_reduced(factors: tuple, p: int) -> tuple:
@@ -275,25 +314,16 @@ def eta_quotient_series(
     The rewrite is false mod p^k and mod composites, so there (and over Z)
     the factors are used as given.
 
-    Mod p, after dividing out the gcd g of the d's, a quotient eta(dz)^a
-    eta(2dz)^b with a in {2, 4} is theta(-q^d)^(a/2) times f = eta(2dz)^(b
-    + a/2), f rewritten once more.  When f is then at most two of Euler's
-    and Jacobi's series, theta(-q^d)^(a/2) is formed from its index terms
-    by `qseries`' nonzero-term product loop and each series of f is
-    multiplied in by one `convolve`, a dense operand times a lacunary one:
-    eq. (1.2)'s left side eta(z)^4 eta(2z)^6 mod 7 is theta(-q)^2 times
-    eta(2z) eta(14z), two shift-adds and no series of eta(z) at any
-    length.
-
-    Any other quotient is built nested: after dividing out the gcd g of the d's
-    (build at the inner length, dilate by g), the factor of least d is the
-    only one built at length T, and the remaining factors form one
-    sub-quotient R(z^g), with R built by the same rule at the inner length
-    of their gcd g.  So a denominator eta(98z) is inverted at about T/98
-    terms, not at T.  The head times R(z^g) is g products, one per residue
-    class c mod g: coefficients c, c + g, ... of the head times R give the
-    same coefficients of the result, so each product has about T/g terms
-    and none holds the zeros of the dilation.
+    Then the quotient is expanded as the module docstring says: by the
+    theta split and the one rule mod p when it applies (eq. (1.2)'s left
+    side mod 7 forms no series of eta(z) at any length), else nested.
+    Nested, after dividing out the gcd g of the d's (build at the inner
+    length, dilate by g), the factor of least d is the only one built at
+    length T, and the remaining factors form one sub-quotient R(z^g), R
+    built by the same rule at the inner length of their gcd g: a
+    denominator eta(98z) is inverted at about T/98 terms, not at T.  The
+    head times R(z^g) is g products, one per residue class mod g, each of
+    about T/g terms.
     """
     ring: Ring = ZZ if modulus is None else ModRing(modulus)
     factors = e.factors
@@ -304,45 +334,9 @@ def eta_quotient_series(
         g = reduce(math.gcd, (d for d, _ in factors))
         split = _theta_split(tuple((d // g, r) for d, r in factors), modulus)
         if split is not None:
-            return dilated(lambda n: QSeries(ring, e.offset24 // g, _theta_product(*split, n, ring)), T, g)
+            series = _index_formulas(split[0]) + _index_formulas(split[1])
+            return dilated(lambda n: QSeries(ring, e.offset24 // g, _expand(series, n, ring)), T, g)
     return _quotient_series(factors, T, ring)
-
-
-def _index_formulas(factors: tuple) -> list | None:
-    # the quotient of `factors` as at most two series with index formulas,
-    # each as (d, terms): terms(n) lists the series' nonzero (index, value)
-    # terms below q^n, and the quotient's factor is that series in q^d.
-    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k, k in {1, 2}, by Gauss;
-    # otherwise eta(dz)^e, e >= 0, is e // 3 Jacobi cubes times e % 3 Euler
-    # products, as in _eta_power: eta(dz)^e with e in 1..4 or 6, or eta(dz)
-    # eta(d'z), is at most two series, and an empty quotient is none.  None
-    # for any other quotient.
-    if len(factors) == 2:
-        (d, a), (d2, b) = factors
-        if d2 == 2 * d and a in (2, 4) and b == -a // 2:
-            return [(d, _theta_terms)] * (a // 2)
-    if any(e < 0 for _, e in factors):
-        return None
-    series = [
-        (d, terms)
-        for d, e in factors
-        for terms in [_jacobi_cube_terms] * (e // 3) + [_euler_terms] * (e % 3)
-    ]
-    return series if len(series) <= 2 else None
-
-
-def _lacunary_parts(factors: tuple, N: int, ring: Ring) -> list | None:
-    # the quotient of `factors` to N terms as two lists of its series'
-    # nonzero (index, value) terms in ring, from `_index_formulas`, a
-    # missing series as 1.  None when it has no index formulas.
-    series = _index_formulas(factors)
-    if series is None:
-        return None
-    parts = [
-        [(d * i, x) for i, v in terms(-(-N // d)) if (x := ring.from_int(v)) != ring.zero]
-        for d, terms in series
-    ]
-    return parts + [[(0, ring.one)]] * (2 - len(parts))
 
 
 def _residue_bytes(xs: list, p: int) -> bytes | list:
@@ -381,48 +375,32 @@ def _classes_of_terms(a: list, b: list, p: int, classes, N: int, m: int) -> dict
 
 def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int, bytes | list]:
     # classes c of the quotient of `factors` to N terms, each as its
-    # coefficients c, c + p, ... < N in `_residue_bytes`.  A quotient with
-    # `_index_formulas` (theta(-q^d) or its square, eta(dz)^e with e in 1..4
-    # or 6, eta(dz) eta(d'z), or the empty quotient) is formed one class at
-    # a time from its series' terms, with no list of N terms, and a class
-    # none of whose row pairs has terms is left out: it is zero.  Any other
-    # quotient is built at full length and sliced.
-    parts = _lacunary_parts(factors, N, ring)
-    if parts is not None:
-        return _classes_of_terms(*parts, p, classes, N, ring.modulus)
+    # coefficients c, c + p, ... < N in `_residue_bytes`.  A quotient that
+    # is at most two series (theta(-q^d) or its square, eta(dz)^e with e in
+    # 1..4 or 6, eta(dz) eta(d'z), or the empty quotient) is formed one
+    # class at a time from its series' terms, with no list of N terms, and
+    # a class none of whose row pairs has terms is left out: it is zero.
+    # Any other quotient is built at full length and sliced.
+    series = _two_series(factors)
+    if series is not None:
+        return _classes_of_terms(*_series_terms(series, N, ring), p, classes, N, ring.modulus)
     full = _residue_bytes(_quotient_series(factors, N, ring).coeffs, p)
     return {c: full[c::p] for c in classes}
 
 
 def _theta_split(factors: tuple, p: int) -> tuple[tuple, tuple] | None:
     # (head, f) with head times f the quotient of `factors` mod the prime p,
-    # both with index formulas: eta(dz)^a eta(2dz)^b with a in {2, 4} as
+    # each at most two series: eta(dz)^a eta(2dz)^b with a in {2, 4} as
     # theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), f reduced mod p once
-    # more (`_frobenius_reduced`), when f has index formulas.  None for any
-    # other quotient
+    # more (`_frobenius_reduced`), when f is at most two series.  None for
+    # any other quotient
     if len(factors) == 2:
         (d, a), (d2, b) = factors
         if d2 == 2 * d and a in (2, 4):
             f = _frobenius_reduced(((d2, b + a // 2),), p)
-            if _index_formulas(f) is not None:
+            if _two_series(f) is not None:
                 return ((d, a), (d2, -(a // 2))), f
     return None
-
-
-def _theta_product(head: tuple, f: tuple, T: int, ring: ModRing) -> list:
-    # coefficients 0 .. T - 1 of head times f, a `_theta_split`: theta(-q^d)
-    # or its square from its terms through the one nonzero-term product
-    # loop, then each series of f multiplied in by `convolve` (a dense
-    # operand times a lacunary one, so the shift-add), which also reduces
-    # the head mod m; a missing series of f is 1
-    coeffs = [0] * T
-    _add_products(coeffs, *_lacunary_parts(head, T, ring))
-    for terms in _lacunary_parts(f, T, ring):
-        series = [ring.zero] * (terms[-1][0] + 1)
-        for i, x in terms:
-            series[i] = x
-        coeffs = convolve(ring, coeffs, series, T)
-    return coeffs
 
 
 def _class_of_product(factors: tuple, p: int, r: int, N: int, ring: ModRing) -> list:
@@ -452,26 +430,18 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
 
     After the Frobenius rewrite the quotient is H(q) G(q^p): G from the
     factors with p | d (over d/p), built at T terms, and H from the rest,
-    whose exponents now lie in [1, p).  Class r of H G(q^p) is class r of H
-    times G.  H is a head times a factor f: eta(dz)^a eta(2dz)^b with a in
-    {2, 4} is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), rewritten
-    mod p once more, when f has index formulas (b + a/2 in 1..4 or 6, or
-    one or two Euler series after the rewrite), and any other H is the rest
-    times its factor f of largest d.  Class r of H, to N = p(T - 1) + r + 1
-    terms of H, is the sum over the classes t of f with terms of class t of
-    f times class r - t of the head, class t times q when t > r (one more
-    leading zero, so `convolve_sum` adds plain products).  Only those head
-    classes are built: from the class rows of Gauss's, Jacobi's and Euler's
-    series when the head is theta(-q^d), its square or eta(dz)^e with e in
-    1..4 or 6, else sliced from the head built at length N; a head class
-    with no pair of rows is zero, and its product is left out.  Each class
-    is held as bytes of residues while p < 256.  For delta_3 mod 7 H =
-    eta(z)^4 eta(2z) is theta(-q)^2 eta(2z)^3: eta(2z)^3 has 3 nonempty
-    classes, as 2k + 1 == 0 kills its Jacobi terms with k == 3, so 3 classes
-    of theta(-q)^2 of about N/7 terms are formed and meet them in one
-    `convolve_sum`; then one product with G = eta(2z)^6 / eta(14z).  For
-    delta_5 mod 11 the head eta(z)^8 is built at length N, as the square
-    of eta^3 eta.
+    whose exponents now lie in [1, p), cut as a head times a factor f as
+    the module docstring says.  Class r of H, to N = p(T - 1) + r + 1
+    terms of H, is the sum over the classes t of f with terms of class t
+    of f times class r - t of the head, class t times q when t > r (one
+    more leading zero, so `convolve_sum` adds plain products).  For
+    delta_3 mod 7 H = eta(z)^4 eta(2z) is theta(-q)^2 eta(2z)^3: eta(2z)^3
+    has 3 nonempty classes, as 2k + 1 == 0 kills its Jacobi terms with k
+    == 3, so 3 classes of theta(-q)^2 of about N/7 terms are formed and
+    meet them in one `convolve_sum`; then one product with G = eta(2z)^6 /
+    eta(14z).  For delta_5 mod 11 the head eta(z)^8 is four series, so it
+    is built at length N by the rule (two Jacobi cubes through the loop,
+    then two shift-adds of Euler's series) and sliced.
     """
     if not is_prime(p):
         raise ValueError(f"need a prime modulus, got {p}")

@@ -11,6 +11,7 @@ claims read f as two integer series.
 
 import math
 from decimal import Decimal
+from operator import add, sub
 
 from qcong.operators import hecke
 from qcong.qseries import QSeries
@@ -19,16 +20,18 @@ from qcong.sturm import _compare
 
 
 def mult_binomial(c: list[int], n: int) -> list[int]:
-    """Multiply a coefficient list by (1 - q^n), in place."""
-    for i in range(len(c) - 1, n - 1, -1):
-        c[i] -= c[i - n]
+    """Multiply a coefficient list by (1 - q^n), in place: c[i] - c[i - n]
+    for every i >= n, all from the old values, as one slice."""
+    c[n:] = map(sub, c[n:], c[: len(c) - n])
     return c
 
 
 def div_binomial(c: list[int], n: int) -> list[int]:
-    """Divide a coefficient list by (1 - q^n) (multiply by 1 + q^n + ...), in place."""
-    for i in range(n, len(c)):
-        c[i] += c[i - n]
+    """Divide a coefficient list by (1 - q^n) (multiply by 1 + q^n + ...), in
+    place: c[i] + c[i - n] with c[i - n] already divided, so one block of n
+    terms at a time, in order."""
+    for k in range(n, len(c), n):
+        c[k : k + n] = map(add, c[k : k + n], c[k - n : k])
     return c
 
 

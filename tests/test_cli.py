@@ -331,6 +331,38 @@ def test_verify_unknown_claim_exits_2(capsys):
     assert code == 2 and "unknown claim" in err
 
 
+def test_every_claim_key_is_reachable_through_verify(capsys, monkeypatch):
+    # the ID typed is the key itself, with a :p= suffix for a claim indexed
+    # by a prime; each row's run is replaced by one that records its key
+    ran = []
+    rows = {
+        key: claim._replace(run=lambda config, cache, key=key: ran.append(key) or [])
+        for key, claim in diamond.CLAIMS.items()
+    }
+    monkeypatch.setattr(diamond, "CLAIMS", rows)
+    for key, claim in rows.items():
+        typed = f"{key}:p=5" if claim.for_prime else key
+        code, _, err = run_cli(capsys, "verify", typed, "--T", "20", "--no-cache")
+        assert code == 0 and err == "" and ran[-1] == key, typed
+    assert ran == list(rows)
+
+
+def test_a_claim_key_with_a_colon_runs(capsys, monkeypatch):
+    # the whole ID is looked up before a :p= suffix is split off, so a key
+    # such as eq-1.2:sturm is reached as typed, not refused as a suffix
+    ran = []
+    rows = dict(diamond.CLAIMS)
+    rows["eq-1.2:sturm"] = diamond.Claim(
+        lambda config, cache: ran.append(config.eq_1_2_T) or [], depth="eq_1_2_T"
+    )
+    monkeypatch.setattr(diamond, "CLAIMS", rows)
+    code, out, err = run_cli(capsys, "verify", "eq-1.2:sturm", "--T", "32", "--no-cache")
+    assert (code, out, err) == (0, "[]\n", "") and ran == [32]
+    # the :p= split is unchanged for the other keys
+    code, out, err = run_cli(capsys, "verify", "eq-1.2:other", "--no-cache")
+    assert code == 2 and out == "" and "bad claim suffix 'other'" in err
+
+
 def test_verify_sec_2_chain_emits_array(capsys):
     code, out, _ = run_cli(capsys, "verify", "sec-2-chain", "--T", "80")
     assert code == 0

@@ -15,10 +15,11 @@ from oracles import naive_delta, naive_eta_product, naive_euler_product
 from qcong.diamond import c_series, delta_series, eq_1_2_lhs
 from qcong.eta import (
     EtaQuotient,
-    _euler_coeffs,
+    _euler_terms,
     _frobenius_reduced,
-    _jacobi_cube_coeffs,
+    _index_formulas,
     _inner_T,
+    _jacobi_cube_terms,
     _quotient_series,
     dilated,
     eta_quotient_progression,
@@ -228,6 +229,20 @@ def test_quotient_series_matches_naive_product(factors, T, m):
     assert s.coeffs == want
 
 
+@pytest.mark.parametrize("r", [s * k for k in range(1, 13) for s in (1, -1)])
+def test_eta_powers_match_the_naive_product(r):
+    # eta(z)^r for |r| up to 12, so every count of Jacobi cubes (0 to 4) and
+    # Euler series (0 to 2) the one rule takes, one and two series through
+    # the loop alone and more through convolve; over Z and mod 2, 7, 11 and
+    # 131 (past the byte path), from T = 1 up
+    want = naive_eta_product(((1, r),), 400)
+    for m in (None, 2, 7, 11, 131):
+        for T in (1, 2, 3, 60, 400):
+            s = eta_quotient_series(EtaQuotient(((1, r),)), T, m)
+            got = want[:T] if m is None else [x % m for x in want[:T]]
+            assert s.offset24 == r and s.coeffs == got, (m, T)
+
+
 def test_quotient_series_over_mod_ring_type():
     s = eta_quotient_series(EtaQuotient.parse("1^1"), 8, modulus=7)
     assert s.ring == ModRing(7)
@@ -323,15 +338,38 @@ def _counting_build(monkeypatch, N):
     return outputs, full, packed, schoolbook, sums
 
 
+def _counting_loop(monkeypatch):
+    # (len(out), multiply-adds, terms_a, terms_b) of every call of eta's
+    # binding of the one nonzero-term product loop: each (i, x) of terms_a
+    # meets the terms of terms_b below len(out) - i - shift
+    calls, add_products = [], qcong.eta._add_products
+
+    def counting_loop(out, terms_a, terms_b, shift=0):
+        ends = [j for j, _ in terms_b]
+        madds = sum(bisect_left(ends, len(out) - i - shift) for i, _ in terms_a)
+        calls.append((len(out), madds, terms_a, terms_b))
+        return add_products(out, terms_a, terms_b, shift)
+
+    monkeypatch.setattr(qcong.eta, "_add_products", counting_loop)
+    return calls
+
+
+def _terms_mod(terms: list, m: int) -> list:
+    # (index, value) terms reduced mod m, the zeros left out
+    return [(i, v % m) for i, v in terms if v % m]
+
+
 def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
     # the reduced delta_3 eta(z)^4 eta(2z) eta(14z)^6 / eta(98z) makes one
-    # full-length product, eta^3 eta, and both are lacunary, so it runs on
-    # the schoolbook; the dense head meets the rest one residue class mod 2
-    # at a time, so nothing longer than T/2 + 1 terms is packed; and only
-    # eta(z) is inverted, at the inner length of eta(98z)
+    # full-length product, eta^3 eta, from the two lacunary series' terms
+    # through the one nonzero-term product loop, so no convolve and no
+    # schoolbook runs at that length; the dense head meets the rest one
+    # residue class mod 2 at a time, so nothing longer than T/2 + 1 terms
+    # is packed; and only eta(z) is inverted, at the inner length of
+    # eta(98z)
     T = 20000
-    ring = ModRing(7)
     outputs, full, packed, schoolbook, _ = _counting_build(monkeypatch, T)
+    loops = _counting_loop(monkeypatch)
     inverted, invert = [], QSeries.invert
 
     def counting_invert(self):
@@ -341,9 +379,9 @@ def test_delta3_mod7_builds_little_at_full_length(monkeypatch):
     monkeypatch.setattr(QSeries, "invert", counting_invert)
     s = delta_series(3, T, 7)
     assert s.T == T
-    assert outputs.count(T) == 1
-    assert full == [sorted([_jacobi_cube_coeffs(T, ring), _euler_coeffs(T, ring)])]
-    assert schoolbook.count(T) == 1
+    assert outputs.count(T) == 0 and full == [] and schoolbook.count(T) == 0
+    at_T = [(a, b) for n, _, a, b in loops if n == T]
+    assert at_T == [(_terms_mod(_jacobi_cube_terms(T), 7), _terms_mod(_euler_terms(T), 7))]
     assert packed and max(packed) <= -(-T // 2) + 1
     assert inverted and max(inverted) <= _inner_T(T, 98)
 
@@ -374,16 +412,7 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
         tracemalloc.stop()
     assert peak < 3_600_000, peak
     outputs, full, packed, schoolbook, sums = _counting_build(monkeypatch, N)
-    madds, add_products = [], qcong.eta._add_products
-
-    def counting_loop(out, terms_a, terms_b, shift=0):
-        # the one loop's multiply-adds: each (i, x) of terms_a meets the
-        # terms of terms_b below len(out) - i - shift
-        ends = [j for j, _ in terms_b]
-        madds.append(sum(bisect_left(ends, len(out) - i - shift) for i, _ in terms_a))
-        return add_products(out, terms_a, terms_b, shift)
-
-    monkeypatch.setattr(qcong.eta, "_add_products", counting_loop)
+    loops = _counting_loop(monkeypatch)
     s = eta_quotient_progression(e, 7, 5, T)
     assert s == want and s.T == T and s.offset24 == 0 and s.ring == ModRing(7)
     short = -(-N // 7) + 1
@@ -391,8 +420,14 @@ def test_delta3_progression_builds_little_at_full_length(monkeypatch):
     assert schoolbook and max(schoolbook) <= short
     assert packed and max(packed) <= short
     assert sums == [(T, [(T, T), (T, T), (T - 1, T)])]
-    # 427,330 when the head classes were eta^3 eta's
-    assert sum(madds) == 148_291
+    # the class rows: 427,330 when the head classes were eta^3 eta's
+    assert sum(madds for n, madds, _, _ in loops if n in (T, T - 1)) == 148_291
+    # and G = eta(2z)^6 / eta(14z) at T terms, nested over eta(z)^6
+    # eta(7z)^-1 at the inner length of eta(2z): Jacobi's cube squared,
+    # and Euler's series times 1 at the inner length of eta(7z), inverted
+    inner = _inner_T(T, 2)
+    rest = [(n, madds) for n, madds, _, _ in loops if n not in (T, T - 1)]
+    assert rest == [(inner, 31_694), (_inner_T(inner, 7), 102)]
 
 
 @pytest.mark.parametrize("T", [4667, 54882], ids=("quick", "full"))
@@ -450,19 +485,31 @@ def test_exact_c_builds_below_the_delta3_progression_peak():
 
 def test_delta5_progression_builds_its_dense_head_at_full_length(monkeypatch):
     # the other side of the head choice: for sum delta_5(11n+6) q^n mod 11
-    # the head is eta(z)^8, the product of two Jacobi cubes and two Euler
-    # products, not one product of two lacunary series, so it is built at
-    # the full length N and sliced: as eta^4 = eta^3 eta and its square, two
-    # products
+    # the head is eta(z)^8, two Jacobi cubes and two Euler series, not one
+    # product of two lacunary series, so it is built at the full length N
+    # and sliced: the two cubes from their terms through the one loop, then
+    # each Euler series (242 nonzero terms) multiplied in by a shift-add
     T = 2000
     N = 11 * (T - 1) + 7
     outputs, full, _, _, sums = _counting_build(monkeypatch, N)
+    loops = _counting_loop(monkeypatch)
+    shifts, shift_add = [], qcong.qseries._convolve_shift_add
+
+    def counting_shift_add(d, e, n, m):
+        shifts.append(n)
+        return shift_add(d, e, n, m)
+
+    monkeypatch.setattr(qcong.qseries, "_convolve_shift_add", counting_shift_add)
     s = eta_quotient_progression(EtaQuotient(_DELTA5), 11, 6, T)
     assert s.T == T and max(outputs) == N and outputs.count(N) == 2
-    ring = ModRing(11)
-    (jacobi_euler, square) = full
-    assert jacobi_euler == sorted([_jacobi_cube_coeffs(N, ring), _euler_coeffs(N, ring)])
-    assert square[0] == square[1]
+    cube = _terms_mod(_jacobi_cube_terms(N), 11)
+    assert [(a, b) for n, _, a, b in loops if n == N] == [(cube, cube)]
+    euler = [0] * N
+    for i, v in _euler_terms(N):
+        euler[i] = v % 11
+    euler = euler[: max(i for i, x in enumerate(euler) if x) + 1]
+    assert len(full) == 2 and all(euler in pair for pair in full)
+    assert shifts.count(N) == 2
     # six nonempty classes t of eta(2z) mod 11; the two past r = 6 enter one
     # exponent up, as a leading zero, so they are T terms long beside head
     # classes of T - 1
@@ -537,7 +584,7 @@ def test_theta_index_terms_match_the_quotient(d, k, N):
     # 2 (-1)^n) and (0, 1), over Z and mod 2 (where theta == 1), 7 and 131
     factors = ((d, 2 * k), (2 * d, -k))
     for ring in (ZZ, ModRing(2), ModRing(7), ModRing(131)):
-        a, b = qcong.eta._lacunary_parts(factors, N, ring)
+        a, b = qcong.eta._series_terms(_index_formulas(factors), N, ring)
         got = [ring.zero] * N
         for i, x in a:
             for j, y in b:
@@ -617,9 +664,10 @@ def _two_factor_quotients(draw):
 @example((((1, 4), (2, -2)), 7), 90)
 @example((((2, 4), (4, 6)), 7), 1)
 def test_two_factor_quotients_mod_p_match_the_nested_build(case, T):
-    # under a prime modulus a quotient that `_theta_split` cuts is built as
-    # theta(-q^d)^k times the series of f; it equals the nested build of
-    # the same factors, and takes that build only when there is no split
+    # under a prime modulus a quotient that `_theta_split` cuts is expanded
+    # once by the one rule, theta(-q^d)^k's series and then f's; it equals
+    # the nested build of the same factors, and takes that build only when
+    # there is no split
     factors, p = case
     e = EtaQuotient(factors)
     ring = ModRing(p)
@@ -627,17 +675,27 @@ def test_two_factor_quotients_mod_p_match_the_nested_build(case, T):
     reduced = _frobenius_reduced(factors, p)
     g = math.gcd(*(d for d, _ in reduced))
     split = qcong.eta._theta_split(tuple((d // g, r) for d, r in reduced), p)
-    products = []
-    theta_product = qcong.eta._theta_product
+    built, expanded = [], []
+    quotient_series, expand = qcong.eta._quotient_series, qcong.eta._expand
 
-    def counting(*args):
-        products.append(args[2])
-        return theta_product(*args)
+    def counting_build(*args):
+        built.append(args)
+        return quotient_series(*args)
 
-    with mock.patch.object(qcong.eta, "_theta_product", counting):
-        s = eta_quotient_series(e, T, p)
+    def counting_expand(series, n, ring):
+        expanded.append((series, n))
+        return expand(series, n, ring)
+
+    with mock.patch.object(qcong.eta, "_quotient_series", counting_build):
+        with mock.patch.object(qcong.eta, "_expand", counting_expand):
+            s = eta_quotient_series(e, T, p)
     assert s == want
-    assert products == ([] if split is None else [_inner_T(T, g)])
+    if split is None:
+        assert built
+    else:
+        head, f = split
+        assert built == []
+        assert expanded == [(_index_formulas(head) + _index_formulas(f), _inner_T(T, g))]
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 14, 15, 4667])
