@@ -11,7 +11,11 @@ checkout's `src/`, and the script prints per input the length, the median
 and the least CPU seconds over the K builds, and the traced peak of one
 more build under `tracemalloc`: the memory the build allocated, its output
 included.  That build's CPU is not counted, as tracing slows every
-allocation.
+allocation.  Last comes its kernel census: the calls one more untimed
+build makes to each product kernel of `qcong.qseries` (the byte-lane
+shift-add, the decimal Kronecker product and the integer schoolbook) and
+to `qcong.eta`'s binding of the nonzero-term product loop.  Only that
+build runs with the kernels wrapped, so the timings are not.
 
 perfbench traces only some builders (`eta_quotient_series`, `c_series`,
 `form_f1`, `form_f2`); the progressions go through
@@ -23,6 +27,7 @@ checkouts to compare them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import statistics
 import sys
 import time
@@ -32,7 +37,15 @@ from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qcong import diamond  # noqa: E402
+from qcong import diamond, eta, qseries  # noqa: E402
+
+# (module, function, column) of each call the census counts
+KERNELS = (
+    (qseries, "_convolve_shift_add", "shift-add"),
+    (qseries, "_convolve_decimal", "decimal"),
+    (qseries, "_convolve_int_schoolbook", "schoolbook"),
+    (eta, "_add_products", "loop"),
+)
 
 
 def suite_depths(config: diamond.SuiteConfig) -> dict[str, int]:
@@ -68,6 +81,24 @@ def traced_peak(build, T: int) -> int:
         tracemalloc.stop()
 
 
+def kernel_calls(build, T: int) -> list[int]:
+    """The calls one build of T terms makes to each function of KERNELS."""
+    calls = [0] * len(KERNELS)
+
+    def counting(i, kernel):
+        def count(*args):
+            calls[i] += 1
+            return kernel(*args)
+
+        return count
+
+    with contextlib.ExitStack() as stack:
+        for i, (module, name, _) in enumerate(KERNELS):
+            stack.enter_context(mock.patch.object(module, name, counting(i, getattr(module, name))))
+        build(T)
+    return calls
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="the quick suite's depths")
@@ -77,12 +108,17 @@ def main(argv: list[str]) -> int:
         parser.error("--runs must be at least 1")
     config = diamond.SuiteConfig.quick() if args.quick else diamond.SuiteConfig()
     depths = suite_depths(config)
-    print(f"{'T':>8}{'median ms':>12}{'least ms':>12}{'peak MB':>12}  input")
+    census = "".join(f"{column:>11}" for _, _, column in KERNELS)
+    print(f"{'T':>8}{'median ms':>12}{'least ms':>12}{'peak MB':>12}{census}  input")
     for form, (_, build) in diamond._INPUTS.items():
         T = depths[form]
         cpu = [cpu_seconds(build, T) for _ in range(args.runs)]
         peak = traced_peak(build, T)
-        print(f"{T:>8}{1e3 * statistics.median(cpu):>12.2f}{1e3 * min(cpu):>12.2f}{peak / 1e6:>12.2f}  {form}")
+        calls = "".join(f"{n:>11}" for n in kernel_calls(build, T))
+        print(
+            f"{T:>8}{1e3 * statistics.median(cpu):>12.2f}{1e3 * min(cpu):>12.2f}"
+            f"{peak / 1e6:>12.2f}{calls}  {form}"
+        )
     return 0
 
 

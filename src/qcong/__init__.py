@@ -5,6 +5,7 @@ from .diamond import (
     SuiteConfig,
     c_series,
     delta_series,
+    resolve_form,
     run_suite,
     verify_eq_1_2,
     verify_eq_1_4,
@@ -23,7 +24,6 @@ from .forms import (
     form_f2,
     form_g,
     form_h,
-    resolve_form,
     sigma,
     theta0,
 )

@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import diamond
+from .diamond import FORM_NAMES, resolve_form
 from .eta import EtaQuotient, eta_quotient_series
-from .forms import FORM_NAMES, resolve_form
 from .operators import apply_operator
 from .qseries import dumps
 from .store import Cache, default_cache

@@ -22,6 +22,9 @@ CLAIMS, the claim table, has one row per claim ID; run_suite runs every
 row and `qcong verify` one, with a prime only from the ID's :p= suffix
 and a depth only from --T.  Claim IDs: eq-1.2, thm-1.1, sec-2-chain (:a
 to :d), eq-1.4, thm-1.2:p=<p>, thm-3.1 (thm-3.1:*), remark:p=<p>.
+
+resolve_form, the registry of `qcong expand --form`, builds every name of
+FORM_NAMES: delta_k and c here, the other forms in forms.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from typing import NamedTuple
 
 from .eta import EtaQuotient, eta_quotient_progression, eta_quotient_series
 from .eta import times_dilated
-from .forms import _theta_minus_q_4, eisenstein_int, form_f1, form_f2
+from .forms import _theta_minus_q_4, eisenstein_int, form_F, form_f1, form_f2, form_g
+from .forms import form_h, theta0
 from .operators import hecke, twist, u_operator
 from .qseries import QSeries
 from .ring import ZZ, ModRing, is_prime, primes_up_to
@@ -44,6 +48,8 @@ __all__ = [
     "delta_series",
     "c_series",
     "eq_1_2_lhs",
+    "FORM_NAMES",
+    "resolve_form",
     "verify_eq_1_2",
     "verify_theorem_1_1",
     "verify_section_2_chain",
@@ -125,6 +131,36 @@ def c_series(T: int) -> QSeries:
 def eq_1_2_lhs(T: int) -> QSeries:
     """prod (1-q^n)^4 (1-q^{2n})^6 reduced mod 7."""
     return _euler_part(EtaQuotient(((1, 4), (2, 6))), T, 7)
+
+
+FORM_NAMES = ("E4", "theta0", "F", "h", "f1", "f2", "g", "c", "delta_k:<k>")
+
+
+def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
+    """Named-form registry used by the CLI: build `name` to truncation T,
+    once the name has been checked.  delta_k is expanded over Z/modulus
+    directly, as its exact coefficients grow exponentially in sqrt(n);
+    every other form is built exactly, then reduced."""
+    if name.startswith("delta_k:"):
+        digits = name.split(":", 1)[1]
+        # ASCII digits only: int() would also take "1_3", " 3" or "٣"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad form {name!r}: expected delta_k:<k>, k an integer")
+        return delta_series(int(digits), T, modulus)
+    builders = {
+        "E4": lambda: eisenstein_int(4, T),
+        "theta0": lambda: theta0(T),
+        "F": lambda: form_F(T),
+        "h": lambda: form_h(T),
+        "f1": lambda: form_f1(T),
+        "f2": lambda: form_f2(T),
+        "g": lambda: form_g(T),
+        "c": lambda: c_series(T),
+    }
+    if name not in builders:
+        raise ValueError(f"unknown form {name!r}; known: {', '.join(FORM_NAMES)}")
+    s = builders[name]()
+    return s if modulus is None else s.reduce_mod(modulus)
 
 
 # every series a claim reads, by cache form: (modulus, or None over Z, and

@@ -5,40 +5,45 @@ Euler's series prod(1 - q^n), Jacobi's eta(z)^3 = q^(1/8) sum (-1)^k (2k +
 q^(k^2) have index formulas: their nonzero terms are listed, not computed.
 A quotient with no negative exponent is a product of such series in q^d
 (`_index_formulas`): eta(dz)^e is e // 3 Jacobi cubes and e % 3 Euler
-series, and theta(-q^d)^k, k in {1, 2}, is k of Gauss's.  The one rule
-that expands such a product (`_expand`): its first two series meet from
-their terms in `qseries`' one nonzero-term product loop, each further
-series is multiplied in by `convolve` (a dense operand times a lacunary
-one, so mod p <= 128 a byte-lane shift-add), and the result is reduced in
-the ring.  eta(z)^r is that product for |r|, inverted once when r < 0.
+series.  Under a prime p, eta(dz)^a eta(2dz)^b with a in {2, 4} is
+theta(-q^d)^(a/2), a/2 of Gauss's series, times f = eta(2dz)^(b + a/2), f
+reduced mod p once more, when f is then at most two series: the theta
+split (`_theta_split`, the one test of that shape; `_series` lists a
+quotient's series either way).  The one rule that expands a product of
+series (`_expand`): its first two series meet from their terms in
+`qseries`' one nonzero-term product loop, each further series is
+multiplied in by `convolve` (a dense operand times a lacunary one, so mod
+p <= 128 a byte-lane shift-add), and the loop's sums of two series are
+reduced in the ring.
 
-An eta quotient is expanded by a nested build: the factor of least d is
-built at the full length, and the other factors form one sub-quotient
-R(z^g), g the gcd of their d's, with R built the same way at the inner
-length.  R(z^g) is never formed: the head is multiplied by R one residue
-class mod g at a time (`times_dilated`, which also serves the E4(dz)
-products of `forms` and `diamond`), so no product packs the zeros of a
-dilation.  Modulo a prime p the exponents are first reduced once by
-eta(dz)^p == eta(pdz) (mod p), which moves large denominators to short
-inner lengths; modulo prime powers, composites, and over Z the factors are
-used as given.  After the rewrite, eta(dz)^a eta(2dz)^b with a in {2, 4}
-is theta(-q^d)^(a/2) times f = eta(2dz)^(b + a/2), f reduced mod p once
-more; when f is then at most two series, the quotient is not nested but
+Every eta quotient is expanded by one builder (`_quotient_series`).  Modulo
+a prime p the exponents are first reduced once by eta(dz)^p == eta(pdz)
+(mod p), which moves large denominators to short inner lengths; modulo
+prime powers, composites, and over Z the factors are used as given.  The
+builder divides out the gcd of the d's (it builds at the inner length and
+dilates) and takes one of three routes.  One factor eta(z)^r is expanded
+by the rule and inverted once when r < 0.  A theta split under p is
 expanded by the rule, theta(-q^d)'s series first (eq. (1.2)'s left side
 eta(z)^4 eta(2z)^6 mod 7 is theta(-q)^2 eta(2z) eta(14z): the loop, then
-two shift-adds).
+two shift-adds).  Any other quotient is its factor of least d, the head,
+built by the builder at the full length, times the rest R(z^g), g the gcd
+of the rest's d's, R built by the builder at the inner length with p
+passed down.  R(z^g) is never formed: the head is multiplied by R one
+residue class mod g at a time (`times_dilated`, which also serves the
+E4(dz) products of `forms` and `diamond`), so no product packs the zeros
+of a dilation.
 
 One residue class mod a prime p, sum c(pn + r) q^n, is built without the
 other classes: after the rewrite the factors split as H(q) G(q^p), G from
 the factors with p | d, and class r of the product is class r of H times
-G.  H is split as a head times a factor f by the same theta split, and any
+G.  H is split as a head times a factor f by the theta split, and any
 other H as the rest times its factor f of largest d.  Class r of H is the
 sum, over the classes t of f with terms, of class t of f times class r - t
 of the head, added exactly by one `qseries.convolve_sum`.  A head or f
 that is at most two series has their terms split into rows by class mod p
 once, and each class of the product is a sum of row products through the
 one loop, so no list of its full length exists and a class with no pair
-of rows is never formed; any other is built at full length by the rule
+of rows is never formed; any other is built at full length by the builder
 and sliced.  Every class is held as bytes, one residue a byte, for p <
 256 (a list of ints for a larger prime), so only the class being formed
 is a list of ints.
@@ -201,14 +206,8 @@ def _index_formulas(factors: tuple) -> list | None:
     # the quotient of `factors` as its series with index formulas, each as
     # (d, terms): terms(n) lists the series' nonzero (index, value) terms
     # below q^n, and the quotient's factor is that series in q^d.
-    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k, k in {1, 2}, is k series by
-    # Gauss; otherwise eta(dz)^e is e // 3 Jacobi cubes and e % 3 Euler
-    # series, and an empty quotient is none.  None when an exponent is
-    # negative
-    if len(factors) == 2:
-        (d, a), (d2, b) = factors
-        if d2 == 2 * d and a in (2, 4) and b == -a // 2:
-            return [(d, _theta_terms)] * (a // 2)
+    # eta(dz)^e is e // 3 Jacobi cubes and e % 3 Euler series, and an empty
+    # quotient is none.  None when an exponent is negative
     if any(e < 0 for _, e in factors):
         return None
     return [
@@ -218,17 +217,21 @@ def _index_formulas(factors: tuple) -> list | None:
     ]
 
 
-def _two_series(factors: tuple) -> list | None:
-    # `_index_formulas` of a quotient that is at most two series, the cap of
-    # the class split and of the theta split; None for any other quotient
-    series = _index_formulas(factors)
-    return series if series is not None and len(series) <= 2 else None
+def _series(factors: tuple, p: int) -> list | None:
+    # the series of the quotient of `factors` mod the prime p, as
+    # `_index_formulas` lists them: theta(-q^d)^(a/2), a/2 of Gauss's
+    # series, then f's when `_theta_split` cuts it, else `_index_formulas`
+    split = _theta_split(factors, p)
+    if split is None:
+        return _index_formulas(factors)
+    ((d, a), _), f = split
+    return [(d, _theta_terms)] * (a // 2) + _index_formulas(f)
 
 
 def _series_terms(series: list, N: int, ring: Ring) -> list:
-    # each of `series` (from `_index_formulas`) to N terms as its nonzero
-    # (index, value) terms in ring, in index order; at least two lists, a
-    # missing series as 1
+    # each of `series` (from `_series`) to N terms as its nonzero (index,
+    # value) terms in ring, in index order; at least two lists, a missing
+    # series as 1
     parts = [
         [(d * i, x) for i, v in terms(-(-N // d)) if (x := ring.from_int(v)) != ring.zero]
         for d, terms in series
@@ -237,12 +240,13 @@ def _series_terms(series: list, N: int, ring: Ring) -> list:
 
 
 def _expand(series: list, T: int, ring: Ring) -> list:
-    # coefficients 0 .. T - 1 of the product of `series` (from
-    # `_index_formulas`) in ring: the first two from their terms through the
-    # one nonzero-term product loop, each further one multiplied in by
-    # `convolve`, a dense operand times a lacunary one, and the result
-    # reduced in the ring: `convolve` returns it reduced, and the loop's
-    # sums alone are reduced as ring.one times each
+    # coefficients 0 .. T - 1 of the product of `series` (from `_series`)
+    # in ring: the first two from their terms through the one nonzero-term
+    # product loop, each further one multiplied in by `convolve`, a dense
+    # operand times a lacunary one.  `convolve` returns its product
+    # reduced, and with fewer than two series the loop only copies reduced
+    # terms, so only the loop's sums of exactly two series are reduced, as
+    # ring.one times each
     a, b, *rest = _series_terms(series, T, ring)
     coeffs = [0] * T
     _add_products(coeffs, a, b)
@@ -251,19 +255,12 @@ def _expand(series: list, T: int, ring: Ring) -> list:
         for i, x in terms:
             dense[i] = x
         coeffs = convolve(ring, coeffs, dense, T)
-    return coeffs if rest else ring.mul_each(ring.one, coeffs)
-
-
-def _eta_power(T: int, r: int, ring: Ring) -> QSeries:
-    # eta(z)^r for r != 0: the product of eta(z)^|r|'s series, inverted once
-    # when r < 0
-    s = QSeries(ring, abs(r), _expand(_index_formulas(((1, abs(r)),)), T, ring))
-    return s if r > 0 else s.invert()
+    return ring.mul_each(ring.one, coeffs) if len(series) == 2 else coeffs
 
 
 def eta_series(T: int) -> QSeries:
     """eta(z) = q^(1/24) prod(1 - q^n), with T stored coefficients."""
-    return _eta_power(T, 1, ZZ)
+    return _quotient_series(((1, 1),), T, ZZ)
 
 
 def _frobenius_reduced(factors: tuple, p: int) -> tuple:
@@ -282,23 +279,28 @@ def _frobenius_reduced(factors: tuple, p: int) -> tuple:
     return reduced
 
 
-def _quotient_series(factors: tuple, T: int, ring: Ring) -> QSeries:
-    # factors: nonempty, sorted by d, distinct d, nonzero r.  Only the head
-    # (least d) is built at length T; the rest is one sub-quotient R(z^g), g
-    # the gcd of its d's, with R built by the same rule at the inner length.
-    # R(z^g) is never formed: residue class c of the product is head's class
-    # c times R, so each class is one product of about T/g terms.
+def _quotient_series(factors: tuple, T: int, ring: Ring, p: int | None = None) -> QSeries:
+    # the one builder, for factors nonempty, sorted by d, with distinct d
+    # and nonzero r, and p the prime of ring or None.  After the gcd g of
+    # the d's is divided out (built at the inner length, dilated by g):
+    # eta(z)^r is expanded and inverted once when r < 0; a theta split
+    # under p is expanded from its series; any other quotient is its head
+    # (least d) at length T times the rest R(z^g), R built here at the
+    # inner length, one residue class of the head mod g at a time
     g = reduce(math.gcd, (d for d, _ in factors))
     if g > 1:
         inner = tuple((d // g, r) for d, r in factors)
-        return dilated(lambda n: _quotient_series(inner, n, ring), T, g)
-    (d, r), rest = factors[0], factors[1:]
-    head = dilated(lambda n: _eta_power(n, r, ring), T, d)
+        return dilated(lambda n: _quotient_series(inner, n, ring, p), T, g)
+    (_, r), rest = factors[0], factors[1:]
     if not rest:
-        return head
+        s = QSeries(ring, abs(r), _expand(_index_formulas(((1, abs(r)),)), T, ring))
+        return s if r > 0 else s.invert()
+    if p is not None and _theta_split(factors, p) is not None:
+        return QSeries(ring, sum(d * r for d, r in factors), _expand(_series(factors, p), T, ring))
+    head = _quotient_series(factors[:1], T, ring, p)
     g = reduce(math.gcd, (d for d, _ in rest))
     inner = tuple((d // g, r) for d, r in rest)
-    return times_dilated(head, lambda n: _quotient_series(inner, n, ring), g)
+    return times_dilated(head, lambda n: _quotient_series(inner, n, ring, p), g)
 
 
 def eta_quotient_series(
@@ -312,31 +314,17 @@ def eta_quotient_series(
     once by eta(dz)^(qp+s) == eta(dz)^s eta(pdz)^q (mod p), with s in
     [0, p): delta_3 mod 7 becomes eta(z)^4 eta(2z) eta(14z)^6 / eta(98z).
     The rewrite is false mod p^k and mod composites, so there (and over Z)
-    the factors are used as given.
-
-    Then the quotient is expanded as the module docstring says: by the
-    theta split and the one rule mod p when it applies (eq. (1.2)'s left
-    side mod 7 forms no series of eta(z) at any length), else nested.
-    Nested, after dividing out the gcd g of the d's (build at the inner
-    length, dilate by g), the factor of least d is the only one built at
-    length T, and the remaining factors form one sub-quotient R(z^g), R
-    built by the same rule at the inner length of their gcd g: a
-    denominator eta(98z) is inverted at about T/98 terms, not at T.  The
-    head times R(z^g) is g products, one per residue class mod g, each of
-    about T/g terms.
+    the factors are used as given.  Then the module docstring's one builder
+    expands them: a denominator eta(98z) is inverted at about T/98 terms,
+    not at T, and eq. (1.2)'s left side mod 7 forms no series of eta(z) at
+    any length.
     """
     ring: Ring = ZZ if modulus is None else ModRing(modulus)
-    factors = e.factors
-    if modulus is not None and is_prime(modulus):
-        factors = _frobenius_reduced(factors, modulus)
-        if not factors:
-            return QSeries.one(ring, T)
-        g = reduce(math.gcd, (d for d, _ in factors))
-        split = _theta_split(tuple((d // g, r) for d, r in factors), modulus)
-        if split is not None:
-            series = _index_formulas(split[0]) + _index_formulas(split[1])
-            return dilated(lambda n: QSeries(ring, e.offset24 // g, _expand(series, n, ring)), T, g)
-    return _quotient_series(factors, T, ring)
+    p = modulus if modulus is not None and is_prime(modulus) else None
+    factors = e.factors if p is None else _frobenius_reduced(e.factors, p)
+    if not factors:
+        return QSeries.one(ring, T)
+    return _quotient_series(factors, T, ring, p)
 
 
 def _residue_bytes(xs: list, p: int) -> bytes | list:
@@ -380,11 +368,11 @@ def _classes(factors: tuple, p: int, classes, N: int, ring: ModRing) -> dict[int
     # 1..4 or 6, eta(dz) eta(d'z), or the empty quotient) is formed one
     # class at a time from its series' terms, with no list of N terms, and
     # a class none of whose row pairs has terms is left out: it is zero.
-    # Any other quotient is built at full length and sliced.
-    series = _two_series(factors)
-    if series is not None:
+    # Any other quotient is built at full length by the builder and sliced.
+    series = _series(factors, p)
+    if series is not None and len(series) <= 2:
         return _classes_of_terms(*_series_terms(series, N, ring), p, classes, N, ring.modulus)
-    full = _residue_bytes(_quotient_series(factors, N, ring).coeffs, p)
+    full = _residue_bytes(_quotient_series(factors, N, ring, p).coeffs, p)
     return {c: full[c::p] for c in classes}
 
 
@@ -398,7 +386,8 @@ def _theta_split(factors: tuple, p: int) -> tuple[tuple, tuple] | None:
         (d, a), (d2, b) = factors
         if d2 == 2 * d and a in (2, 4):
             f = _frobenius_reduced(((d2, b + a // 2),), p)
-            if _two_series(f) is not None:
+            series = _index_formulas(f)
+            if series is not None and len(series) <= 2:
                 return ((d, a), (d2, -(a // 2))), f
     return None
 
@@ -440,7 +429,7 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     == 3, so 3 classes of theta(-q)^2 of about N/7 terms are formed and
     meet them in one `convolve_sum`; then one product with G = eta(2z)^6 /
     eta(14z).  For delta_5 mod 11 the head eta(z)^8 is four series, so it
-    is built at length N by the rule (two Jacobi cubes through the loop,
+    is built at length N by the builder (two Jacobi cubes through the loop,
     then two shift-adds of Euler's series) and sliced.
     """
     if not is_prime(p):
@@ -456,5 +445,5 @@ def eta_quotient_progression(e: EtaQuotient, p: int, r: int, T: int) -> QSeries:
     G = tuple((d // p, k) for d, k in factors if d % p == 0)
     out = _class_of_product(H, p, r, N, ring) if H else [int(r == 0)] + [0] * (T - 1)
     if G:
-        out = convolve(ring, out, _quotient_series(G, T, ring).coeffs, T)
+        out = convolve(ring, out, _quotient_series(G, T, ring, p).coeffs, T)
     return QSeries(ring, 0, out)

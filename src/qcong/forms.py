@@ -37,8 +37,6 @@ __all__ = [
     "form_f1",
     "form_f2",
     "form_g",
-    "FORM_NAMES",
-    "resolve_form",
 ]
 
 
@@ -164,35 +162,3 @@ def form_g(T: int) -> QSeries:
     """E4(4z) eta(2z)^8 eta(4z)^2 over Z, the odd-supported weight-9 form
     whose odd coefficients b(2n+1) are the c-series."""
     return _times_e4_4z(_quotient_form(((2, 8), (4, 2)), T))
-
-
-FORM_NAMES = ("E4", "theta0", "F", "h", "f1", "f2", "g", "c", "delta_k:<k>")
-
-
-def resolve_form(name: str, T: int, modulus: int | None = None) -> QSeries:
-    """Named-form registry used by the CLI: build `name` to truncation T,
-    once the name has been checked.  delta_k is expanded over Z/modulus
-    directly, as its exact coefficients grow exponentially in sqrt(n);
-    every other form is built exactly, then reduced."""
-    from . import diamond
-
-    if name.startswith("delta_k:"):
-        digits = name.split(":", 1)[1]
-        # ASCII digits only: int() would also take "1_3", " 3" or "٣"
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"bad form {name!r}: expected delta_k:<k>, k an integer")
-        return diamond.delta_series(int(digits), T, modulus)
-    builders = {
-        "E4": lambda: eisenstein_int(4, T),
-        "theta0": lambda: theta0(T),
-        "F": lambda: form_F(T),
-        "h": lambda: form_h(T),
-        "f1": lambda: form_f1(T),
-        "f2": lambda: form_f2(T),
-        "g": lambda: form_g(T),
-        "c": lambda: diamond.c_series(T),
-    }
-    if name not in builders:
-        raise ValueError(f"unknown form {name!r}; known: {', '.join(FORM_NAMES)}")
-    s = builders[name]()
-    return s if modulus is None else s.reduce_mod(modulus)

@@ -15,8 +15,7 @@ import pytest
 import qcong
 from qcong import diamond, store
 from qcong.cli import _build_parser, main
-from qcong.diamond import eq_1_2_lhs
-from qcong.forms import FORM_NAMES
+from qcong.diamond import FORM_NAMES, eq_1_2_lhs
 from qcong.qseries import dumps, loads
 from qcong.ring import primes_up_to
 
@@ -619,7 +618,9 @@ def test_eigenvalue_table_script_builds_each_series_once(capsys, monkeypatch):
 
 def test_input_cases_script_smoke():
     # one line per row of diamond._INPUTS at the quick suite's depths: its
-    # length, median and least CPU and traced peak, then the input's form
+    # length, median and least CPU and traced peak, its kernel census (the
+    # shift-add, decimal, schoolbook and nonzero-term loop calls of one
+    # build), then the input's form
     script = Path(__file__).parent.parent / "scripts" / "input_cases.py"
 
     def run(*args):
@@ -630,14 +631,22 @@ def test_input_cases_script_smoke():
     proc = run("--quick", "--runs", "1")
     assert proc.returncode == 0, proc.stderr
     head, *lines = proc.stdout.splitlines()
-    assert head.split() == ["T", "median", "ms", "least", "ms", "peak", "MB", "input"]
-    rows = [line.split(None, 4) for line in lines]
-    assert [row[4] for row in rows] == list(diamond._INPUTS)
-    depths = {row[4]: int(row[0]) for row in rows}
+    assert head.split() == [
+        "T", "median", "ms", "least", "ms", "peak", "MB",
+        "shift-add", "decimal", "schoolbook", "loop", "input",
+    ]
+    rows = [line.split(None, 8) for line in lines]
+    assert [row[8] for row in rows] == list(diamond._INPUTS)
+    depths = {row[8]: int(row[0]) for row in rows}
     # sum delta_3(7n+5) q^n to the quick chain's 7 * 666 + 5 terms, c to
     # thm-1.2's 17 * 99 + 8 + 1 at its largest prime
     assert depths["delta_k:3 7n+5"] == 4667 and depths["c"] == 1692
     assert all(float(row[1]) >= 0 and float(row[2]) >= 0 and float(row[3]) > 0 for row in rows)
+    # the census of the quick depths: eq. (1.2)'s left side is theta(-q)^2
+    # from the loop and two shift-adds; f1 goes through no loop
+    census = {row[8]: [int(n) for n in row[4:8]] for row in rows}
+    assert census["eq_1_2_lhs"] == [2, 0, 0, 1] and census["f1"][3] == 0
+    assert all(sum(calls) > 0 for calls in census.values())
     assert run("--runs", "0").returncode == 2
 
 
@@ -691,3 +700,53 @@ def test_a_warm_full_suite_reads_the_mod_7_bodies_by_stride(capsys, monkeypatch)
         ("mod:7", 54882, 0),
         ("mod:7", 54882, 0),
     ]
+
+
+def _mutants_script():
+    script = Path(__file__).parent.parent / "scripts" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutants_table_parses_and_every_old_text_matches_once():
+    # each row names a package file, an old text found there exactly once,
+    # a different new text and at least one test node of this checkout
+    module = _mutants_script()
+    rows = module.MUTANTS
+    assert len({m.name for m in rows}) == len(rows) >= 19
+    for m in rows:
+        assert isinstance(m, module.Mutant) and m.old != m.new and m.nodes, m.name
+        for node in m.nodes:
+            path, _, test = node.partition("::")
+            assert (Path(__file__).parent.parent / path).is_file() and test, node
+    assert module.stale(rows) == []
+
+
+def test_mutants_script_refuses_a_stale_row(monkeypatch, capsys):
+    # an old text that no longer matches exactly once fails loudly, before
+    # any copy or test run
+    module = _mutants_script()
+    row = module.MUTANTS[0]._replace(name="gone", old="no such text")
+    monkeypatch.setattr(module, "MUTANTS", module.MUTANTS + (row,))
+    monkeypatch.setattr(module, "_copy", None)
+    assert module.main() == 1
+    assert capsys.readouterr().out == "gone: old text found 0 times in sturm.py\n"
+
+
+def test_mutants_script_kills_one_row():
+    # one row of the battery, run as the script runs it: the edit is made
+    # in a copy of the tree, and the row's node fails there
+    module = _mutants_script()
+    (row,) = [m for m in module.MUTANTS if m.name == "expand-without-two-series-reduction"]
+    assert module.run(row) == "killed"
+
+
+def test_mutants_script_tells_a_survivor_from_a_missing_node():
+    # an edit that changes no value survives its node; a node that no
+    # longer exists is an error, never a kill
+    module = _mutants_script()
+    row = module.MUTANTS[0]._replace(name="same", new="return (k * index_gamma0(N)) // 12")
+    assert module.run(row) == "survived"
+    assert module.run(row._replace(nodes=("tests/test_sturm.py::test_no_such_test",))) == "error"

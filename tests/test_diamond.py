@@ -69,7 +69,7 @@ def test_c_series_is_e4_of_2z_times_the_eta_product(T):
 
 
 def test_c_and_g_mod_m_reduce_the_exact_series():
-    from qcong.forms import resolve_form
+    from qcong.diamond import resolve_form
 
     c = naive_c(80)
     g = [0] * 161

@@ -21,6 +21,9 @@ from qcong.eta import (
     _inner_T,
     _jacobi_cube_terms,
     _quotient_series,
+    _series,
+    _series_terms,
+    _theta_terms,
     dilated,
     eta_quotient_progression,
     eta_quotient_series,
@@ -229,18 +232,48 @@ def test_quotient_series_matches_naive_product(factors, T, m):
     assert s.coeffs == want
 
 
-@pytest.mark.parametrize("r", [s * k for k in range(1, 13) for s in (1, -1)])
-def test_eta_powers_match_the_naive_product(r):
+_POWERS = [s * k for k in range(1, 13) for s in (1, -1)]
+# a theta shape after a gcd (Section 2's eta(3z)^4 eta(6z)^6), inside a
+# nested rest (eta(z) times theta(-q^2)^2 eta(4z) eta(28z) mod 7), and
+# beside a negative rest, where the builder nests
+_THETA_SHAPES = {
+    "theta-after-a-gcd": ((3, 4), (6, 6)),
+    "theta-inside-a-nested-rest": ((1, 1), (2, 4), (4, 6)),
+    "theta-beside-a-negative-rest": ((1, 4), (2, -2), (7, -1)),
+}
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [((1, r),) for r in _POWERS] + list(_THETA_SHAPES.values()),
+    ids=[str(r) for r in _POWERS] + list(_THETA_SHAPES),
+)
+def test_eta_powers_match_the_naive_product(factors):
     # eta(z)^r for |r| up to 12, so every count of Jacobi cubes (0 to 4) and
     # Euler series (0 to 2) the one rule takes, one and two series through
-    # the loop alone and more through convolve; over Z and mod 2, 7, 11 and
-    # 131 (past the byte path), from T = 1 up
-    want = naive_eta_product(((1, r),), 400)
+    # the loop alone and more through convolve, and three quotients with a
+    # theta shape; over Z and mod 2, 7, 11 and 131 (past the byte path),
+    # from T = 1 up
+    want = naive_eta_product(factors, 400)
     for m in (None, 2, 7, 11, 131):
         for T in (1, 2, 3, 60, 400):
-            s = eta_quotient_series(EtaQuotient(((1, r),)), T, m)
+            s = eta_quotient_series(EtaQuotient(factors), T, m)
             got = want[:T] if m is None else [x % m for x in want[:T]]
-            assert s.offset24 == r and s.coeffs == got, (m, T)
+            assert s.offset24 == sum(d * r for d, r in factors) and s.coeffs == got, (m, T)
+
+
+def test_one_series_is_not_reduced_again(monkeypatch):
+    # eta(z) mod 7 is one Euler series, whose terms are already residues:
+    # the one rule copies them and reduces nothing
+    reduced, mul_each = [], ModRing.mul_each
+
+    def counting_mul_each(self, c, xs):
+        reduced.append(len(xs))
+        return mul_each(self, c, xs)
+
+    monkeypatch.setattr(ModRing, "mul_each", counting_mul_each)
+    s = eta_quotient_series(EtaQuotient(((1, 1),)), 2000, 7)
+    assert reduced == [] and s.coeffs == [x % 7 for x in eta_series(2000).coeffs]
 
 
 def test_quotient_series_over_mod_ring_type():
@@ -558,20 +591,22 @@ def test_lacunary_heads_take_the_term_path_through_the_one_product_loop(monkeypa
 
 
 def test_other_heads_are_built_at_full_length_and_sliced(monkeypatch):
-    # eta(z)^5 is three series and eta(z)^-1 none: both are built at N
+    # eta(z)^5 is three series and eta(z)^-1 none: both are built at N, by
+    # the one builder under p, and sliced; the slices are those of the
+    # nested build over the ring alone
     p, N = 7, 600
     ring = ModRing(p)
     built, quotient_series = [], qcong.eta._quotient_series
 
-    def counting_quotient(factors, T, ring):
-        built.append(T)
-        return quotient_series(factors, T, ring)
+    def counting_quotient(factors, T, ring, p=None):
+        built.append((T, p))
+        return quotient_series(factors, T, ring, p)
 
     monkeypatch.setattr(qcong.eta, "_quotient_series", counting_quotient)
     for factors in (((1, 5),), ((1, -1),)):
         built.clear()
         classes = qcong.eta._classes(factors, p, [3], N, ring)
-        assert built == [N] and classes == {3: bytes(quotient_series(factors, N, ring).coeffs[3::p])}
+        assert built == [(N, p)] and classes == {3: bytes(quotient_series(factors, N, ring).coeffs[3::p])}
 
 
 @given(st.integers(1, 6), st.sampled_from([1, 2]), st.integers(1, 300))
@@ -580,11 +615,15 @@ def test_other_heads_are_built_at_full_length_and_sliced(monkeypatch):
 @example(1, 2, 2)
 @example(3, 2, 300)
 def test_theta_index_terms_match_the_quotient(d, k, N):
-    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k from its index terms, (d n^2,
-    # 2 (-1)^n) and (0, 1), over Z and mod 2 (where theta == 1), 7 and 131
+    # theta(-q^d)^k = eta(dz)^2k / eta(2dz)^k is k of Gauss's series under
+    # every prime (f is 1), and from their index terms, (d n^2, 2 (-1)^n)
+    # and (0, 1), it is the nested build over Z and mod 2 (where theta ==
+    # 1), 7 and 131
     factors = ((d, 2 * k), (2 * d, -k))
-    for ring in (ZZ, ModRing(2), ModRing(7), ModRing(131)):
-        a, b = qcong.eta._series_terms(_index_formulas(factors), N, ring)
+    for ring, p in ((ZZ, 5), (ModRing(2), 2), (ModRing(7), 7), (ModRing(131), 131)):
+        series = _series(factors, p)
+        assert series == [(d, _theta_terms)] * k
+        a, b = _series_terms(series, N, ring)
         got = [ring.zero] * N
         for i, x in a:
             for j, y in b:
@@ -664,23 +703,25 @@ def _two_factor_quotients(draw):
 @example((((1, 4), (2, -2)), 7), 90)
 @example((((2, 4), (4, 6)), 7), 1)
 def test_two_factor_quotients_mod_p_match_the_nested_build(case, T):
-    # under a prime modulus a quotient that `_theta_split` cuts is expanded
-    # once by the one rule, theta(-q^d)^k's series and then f's; it equals
-    # the nested build of the same factors, and takes that build only when
-    # there is no split
+    # under a prime modulus the one builder, given p, expands a quotient
+    # that `_theta_split` cuts once by the one rule, theta(-q^d)^k's series
+    # and then f's, at the inner length of the gcd; it equals the nested
+    # build of the same factors over the ring alone (p=None), and expands
+    # Gauss's series only when there is a split
     factors, p = case
     e = EtaQuotient(factors)
     ring = ModRing(p)
     want = _quotient_series(factors, T, ring)
     reduced = _frobenius_reduced(factors, p)
     g = math.gcd(*(d for d, _ in reduced))
-    split = qcong.eta._theta_split(tuple((d // g, r) for d, r in reduced), p)
+    inner = tuple((d // g, r) for d, r in reduced)
+    split = qcong.eta._theta_split(inner, p)
     built, expanded = [], []
     quotient_series, expand = qcong.eta._quotient_series, qcong.eta._expand
 
-    def counting_build(*args):
-        built.append(args)
-        return quotient_series(*args)
+    def counting_build(factors, n, ring, p=None):
+        built.append((factors, n, p))
+        return quotient_series(factors, n, ring, p)
 
     def counting_expand(series, n, ring):
         expanded.append((series, n))
@@ -690,12 +731,34 @@ def test_two_factor_quotients_mod_p_match_the_nested_build(case, T):
         with mock.patch.object(qcong.eta, "_expand", counting_expand):
             s = eta_quotient_series(e, T, p)
     assert s == want
+    assert built and all(q == p for _, _, q in built)
+    thetas = [series for series, _ in expanded if (1, _theta_terms) in series]
     if split is None:
-        assert built
+        assert thetas == []
     else:
-        head, f = split
-        assert built == []
-        assert expanded == [(_index_formulas(head) + _index_formulas(f), _inner_T(T, g))]
+        assert built[-1][0] == inner
+        assert expanded == [(_series(inner, p), _inner_T(T, g))]
+        assert expanded[0][0][: inner[0][1] // 2] == [(1, _theta_terms)] * (inner[0][1] // 2)
+
+
+def test_a_theta_rest_is_expanded_from_theta_terms(monkeypatch):
+    # eta(z) eta(2z)^4 eta(4z)^6 mod 7 nests: eta(z) at T terms times the
+    # rest R(q^2), R = eta(z)^4 eta(2z)^6 == theta(-q)^2 eta(2z) eta(14z)
+    # (mod 7), a theta split that the builder expands from Gauss's terms
+    # and then two Euler series, at the inner length
+    T = 3000
+    expanded, expand = [], qcong.eta._expand
+
+    def counting_expand(series, n, ring):
+        expanded.append((series, n))
+        return expand(series, n, ring)
+
+    monkeypatch.setattr(qcong.eta, "_expand", counting_expand)
+    factors = ((1, 1), (2, 4), (4, 6))
+    s = eta_quotient_series(EtaQuotient(factors), T, 7)
+    assert s.coeffs == [x % 7 for x in naive_eta_product(factors, T)]
+    theta_rest = [(1, _theta_terms)] * 2 + [(2, _euler_terms), (14, _euler_terms)]
+    assert expanded == [([(1, _euler_terms)], T), (theta_rest, _inner_T(T, 2))]
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 14, 15, 4667])

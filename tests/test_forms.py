@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cm_coefficient, naive_eta_product, naive_sigma
+from qcong.diamond import resolve_form
 from qcong.eta import EtaQuotient, dilated, eta_quotient_series
 from qcong.forms import (
     _quotient_form,
@@ -15,7 +16,6 @@ from qcong.forms import (
     form_f2,
     form_g,
     form_h,
-    resolve_form,
     sigma,
     theta0,
 )
@@ -195,14 +195,15 @@ def test_g_odd_part_is_c_series():
 
 def test_registry_rejects_f_before_building(monkeypatch):
     # f = f1 + 8 sqrt(-3) f2 has no builder: the name is unknown, and
-    # neither of its parts is built
-    import qcong.forms
+    # neither of its parts is built (the registry lives in diamond, beside
+    # the builders of delta_k and c, and calls its own bindings)
+    import qcong.diamond
 
     def no_build(T):
         raise AssertionError("a part of f was built for an unknown name")
 
-    monkeypatch.setattr(qcong.forms, "form_f1", no_build)
-    monkeypatch.setattr(qcong.forms, "form_f2", no_build)
+    monkeypatch.setattr(qcong.diamond, "form_f1", no_build)
+    monkeypatch.setattr(qcong.diamond, "form_f2", no_build)
     with pytest.raises(ValueError, match="unknown form 'f'"):
         resolve_form("f", 20000, 7)
 

@@ -53,6 +53,34 @@ def test_only_the_ring_layer_names_the_quadratic_and_rational_rings():
     assert named == []
 
 
+# each module's rank: a module imports only modules of lower rank, so the
+# package is one stack, ring at the bottom and the CLI on top; __init__
+# re-exports every layer
+_LAYERS = {
+    "ring": 0, "qseries": 1, "eta": 2, "forms": 3, "operators": 3, "sturm": 3,
+    "store": 4, "diamond": 5, "cli": 6, "__init__": 7,
+}
+
+
+def test_every_relative_import_names_a_lower_layer():
+    # at any depth, so an import inside a function counts: `from . import
+    # diamond` and `from .diamond import x` both name diamond
+    paths = sorted(Path(qcong.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == set(_LAYERS)
+    upward = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            upward += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if _LAYERS[name.split(".")[0]] >= _LAYERS[path.stem]
+            ]
+    assert upward == []
+
+
 # Each run prints the modules it added to sys.modules; `-m` is run as the
 # interpreter runs it, through runpy.
 _ADDED = """import runpy, sys
